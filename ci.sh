@@ -176,16 +176,25 @@ TSHMEM_ENGINE_GATE=1 go test ./internal/bench -run '^TestEngineScalingGate$' -co
 
 # Big-mesh smoke: the sparse mesh layer must keep a 64x64 synthetic
 # geometry at kilobytes (the memory gate fails construction past 32 MiB)
-# and sustain the 4096-PE barrier probe with O(n) host memory. The
-# geometry gate runs inside the -race pass above too; the probe is
-# opt-in (TSHMEM_BIGMESH) because start_pes' all-to-all exchange is
-# minutes of host time — this stage runs the goroutine engine at 4096
-# PEs and the event engine at 1024 (TSHMEM_BIGMESH=full runs both at
-# 4096; docs/ARCHITECTURES.md). No -race: the exchange is ~16.7M channel
-# messages and the race detector multiplies that cost several-fold.
+# and sustain the 4096-PE barrier probe on both engines with O(n) host
+# memory and equal makespans (docs/ARCHITECTURES.md). Both run inside the
+# -race pass above too; this stage repeats them uninstrumented, where the
+# launcher-side start_pes replay makes the probe about a second, so the
+# timeout is the gate against an n^2 launch coming back (the literal
+# exchange took 26 s and 7.5 min here). TestLaunchScaling prints the
+# 256 -> 1024 PE host-time ratio per engine; it reports and never fails.
 echo "== big-mesh smoke: 64x64 geometry memory gate + 4096-PE barrier probe =="
 go test ./internal/mesh -run '^TestBigMeshGeometryMemory$' -count=1
-TSHMEM_BIGMESH=1 go test ./internal/core -run '^TestBigMeshBarrierProbe$' -count=1 -timeout 15m -v
+go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$' -count=1 -timeout 2m -v
+
+# Race smoke: virtual time must not depend on the host schedule, and two
+# ways it could are exposed only by the detector's slowdown, and not on
+# every run: a WaitUntil polling between a watched store and its
+# visibility stamp, and a profiled lock phase whose winner the host picks.
+# The tests that catch them run three more times.
+echo "== race smoke: engine equivalence + profile + flag chain, 3x =="
+go test -race ./internal/core \
+    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain' -count=3
 
 # Cross-architecture smoke: the chip-family sweep must render end to end
 # (Tilera + Epiphany columns; docs/ARCHITECTURES.md). Epiphany sanitizer

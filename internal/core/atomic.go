@@ -80,15 +80,17 @@ func Swap[T AtomicT](pe *PE, target Ref[T], value T, tpe int) (T, error) {
 		return zero, err
 	}
 	var old uint64
-	if sizeOf[T]() == 4 {
-		old = uint64(atomicSwap32(part, off, uint32(toBits(value))))
-	} else {
-		old = atomicSwap64(part, off, toBits(value))
-	}
-	// Re-merge after the swap landed: a concurrent atomic that slipped in
-	// between atomicTarget's edge and ours is now ordered before us.
-	pe.san.AtomicEdge(tpe, off)
-	pe.prog.hubs[tpe].record(off, pe.clock.Now(), pe.id)
+	pe.prog.hubs[tpe].publish(off, pe.clock.Now(), pe.id, func() bool {
+		if sizeOf[T]() == 4 {
+			old = uint64(atomicSwap32(part, off, uint32(toBits(value))))
+		} else {
+			old = atomicSwap64(part, off, toBits(value))
+		}
+		// Re-merge after the swap landed: a concurrent atomic that slipped
+		// in between atomicTarget's edge and ours is now ordered before us.
+		pe.san.AtomicEdge(tpe, off)
+		return true
+	})
 	return fromBits[T](old), nil
 }
 
@@ -110,17 +112,22 @@ func CSwap[T AtomicInt](pe *PE, target Ref[T], cond, value T, tpe int) (T, error
 		}
 		cur := fromBits[T](curBits)
 		if cur != cond {
+			// A failed compare writes nothing and wakes nobody: it stays
+			// off the hub lock (contended CAS locks spin through here).
 			return cur, nil
 		}
-		var swapped bool
-		if es == 4 {
-			swapped = atomicCAS32(part, off, uint32(curBits), uint32(toBits(value)))
-		} else {
-			swapped = atomicCAS64(part, off, curBits, toBits(value))
-		}
-		if swapped {
-			pe.san.AtomicEdge(tpe, off)
-			pe.prog.hubs[tpe].record(off, pe.clock.Now(), pe.id)
+		if pe.prog.hubs[tpe].publish(off, pe.clock.Now(), pe.id, func() bool {
+			var swapped bool
+			if es == 4 {
+				swapped = atomicCAS32(part, off, uint32(curBits), uint32(toBits(value)))
+			} else {
+				swapped = atomicCAS64(part, off, curBits, toBits(value))
+			}
+			if swapped {
+				pe.san.AtomicEdge(tpe, off)
+			}
+			return swapped
+		}) {
 			return cur, nil
 		}
 	}
@@ -135,27 +142,32 @@ func FAdd[T AtomicInt](pe *PE, target Ref[T], value T, tpe int) (T, error) {
 		return zero, err
 	}
 	es := sizeOf[T]()
-	for {
-		var curBits uint64
-		if es == 4 {
-			curBits = uint64(atomicLoad32(part, off))
-		} else {
-			curBits = atomicLoad64(part, off)
+	var cur T
+	pe.prog.hubs[tpe].publish(off, pe.clock.Now(), pe.id, func() bool {
+		// Block puts write this memory without the hub lock, so the add
+		// itself is still a CAS loop.
+		for {
+			var curBits uint64
+			if es == 4 {
+				curBits = uint64(atomicLoad32(part, off))
+			} else {
+				curBits = atomicLoad64(part, off)
+			}
+			cur = fromBits[T](curBits)
+			next := cur + value
+			var swapped bool
+			if es == 4 {
+				swapped = atomicCAS32(part, off, uint32(curBits), uint32(toBits(next)))
+			} else {
+				swapped = atomicCAS64(part, off, curBits, toBits(next))
+			}
+			if swapped {
+				pe.san.AtomicEdge(tpe, off)
+				return true
+			}
 		}
-		cur := fromBits[T](curBits)
-		next := cur + value
-		var swapped bool
-		if es == 4 {
-			swapped = atomicCAS32(part, off, uint32(curBits), uint32(toBits(next)))
-		} else {
-			swapped = atomicCAS64(part, off, curBits, toBits(next))
-		}
-		if swapped {
-			pe.san.AtomicEdge(tpe, off)
-			pe.prog.hubs[tpe].record(off, pe.clock.Now(), pe.id)
-			return cur, nil
-		}
-	}
+	})
+	return cur, nil
 }
 
 // FInc atomically increments target on PE tpe and returns the prior value

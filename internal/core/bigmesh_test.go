@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -11,42 +10,22 @@ import (
 )
 
 // TestBigMeshBarrierProbe runs the full 4096-PE (64x64 synthetic)
-// barrier probe — the scale the sparse mesh layer exists for. It is
-// opt-in via TSHMEM_BIGMESH because start_pes performs an all-to-all
-// partition-address exchange (n-1 send/recv rounds per PE, ~16.7M
-// messages at 4096), which is minutes of host time and drowns the
-// regular -race test pass:
+// barrier probe on both engines — the scale the sparse mesh layer and the
+// replayed start_pes handshake exist for. It fits a -race build too: one
+// goroutine per PE stays well under the detector's 8128-goroutine ceiling
+// now that interrupt servicers start on first use.
 //
-//	TSHMEM_BIGMESH=1     goroutine engine at 4096 PEs, event at 1024
-//	TSHMEM_BIGMESH=full  both engines at 4096 PEs (the event engine
-//	                     serializes the exchange: ~7-8 min host time)
-//
-// Measured on the reference host: goroutine 4096 PEs ~26s, event 1024
-// PEs ~8s, event 4096 PEs ~7.5min; both engines agree on a 732.78us
-// makespan at 4096. Host memory is the gate's point: ~115 KiB per PE
-// (dominated by UDN channel buffers), i.e. O(n), where the pre-sparse
-// mesh layer alone would have needed ~400 MB of n^2 path table.
+// Host memory is the gate's point: ~33 KiB per PE (the barrier queue's
+// buffer, the goroutine stack, the PE itself), i.e. O(n), where the
+// pre-sparse mesh layer alone would have needed ~400 MB of n^2 path table
+// and eager UDN queues and interrupt lanes another ~70 KiB per PE.
 func TestBigMeshBarrierProbe(t *testing.T) {
-	mode := os.Getenv("TSHMEM_BIGMESH")
-	if mode == "" {
-		t.Skip("set TSHMEM_BIGMESH=1 (or =full) to run the 4096-PE big-mesh probe")
-	}
-	runs := []struct {
-		eng Engine
-		n   int
-	}{
-		{EngineGoroutine, 4096},
-		{EngineEvent, 1024},
-	}
-	if mode == "full" {
-		runs[1].n = 4096
-	}
-	const perPE = 256 << 10 // measured ~115 KiB/PE; 2x headroom
-	makespans := make(map[int][]vtime.Duration)
-	for _, r := range runs {
-		chip := arch.Synthetic(64, 64)
+	const n = 4096
+	const perPE = 96 << 10 // measured ~33 KiB/PE; ~3x headroom
+	var makespan vtime.Duration
+	for _, eng := range Engines() {
 		cfg := Config{
-			Chip: chip, NPEs: r.n, Engine: r.eng,
+			Chip: arch.Synthetic(64, 64), NPEs: n, Engine: eng,
 			HeapPerPE: 4096, ScratchBytes: 1 << 16,
 		}
 		var before, after runtime.MemStats
@@ -55,30 +34,27 @@ func TestBigMeshBarrierProbe(t *testing.T) {
 		t0 := time.Now()
 		rep, err := Run(cfg, func(pe *PE) error { return pe.BarrierAll() })
 		if err != nil {
-			t.Fatalf("%s engine, %d PEs: %v", r.eng, r.n, err)
+			t.Fatalf("%s engine, %d PEs: %v", eng, n, err)
 		}
 		runtime.ReadMemStats(&after)
 		delta := after.TotalAlloc - before.TotalAlloc
 		t.Logf("%s %d PEs: makespan %v, host %v, %.1f MiB allocated (%.0f KiB/PE)",
-			r.eng, r.n, rep.MaxTime, time.Since(t0).Round(time.Millisecond),
-			float64(delta)/(1<<20), float64(delta)/float64(r.n)/(1<<10))
+			eng, n, rep.MaxTime, time.Since(t0).Round(time.Millisecond),
+			float64(delta)/(1<<20), float64(delta)/float64(n)/(1<<10))
 		if rep.MaxTime <= 0 {
-			t.Errorf("%s engine, %d PEs: nonpositive makespan %v", r.eng, r.n, rep.MaxTime)
+			t.Errorf("%s engine, %d PEs: nonpositive makespan %v", eng, n, rep.MaxTime)
 		}
 		// The O(n) memory bar: per-PE host cost must stay bounded as n
 		// grows, so a 64x64 run costs hundreds of MB, not the old n^2 GBs.
-		if delta > uint64(r.n)*perPE {
+		if delta > uint64(n)*perPE {
 			t.Errorf("%s engine, %d PEs: %d bytes allocated, O(n) gate is %d",
-				r.eng, r.n, delta, uint64(r.n)*perPE)
+				eng, n, delta, uint64(n)*perPE)
 		}
-		makespans[r.n] = append(makespans[r.n], rep.MaxTime)
-	}
-	// Engines that ran the same communicator size must agree exactly.
-	for n, ms := range makespans {
-		for _, m := range ms[1:] {
-			if m != ms[0] {
-				t.Errorf("%d PEs: engines disagree on makespan: %v vs %v", n, ms[0], m)
-			}
+		// The engines must agree exactly.
+		if makespan == 0 {
+			makespan = rep.MaxTime
+		} else if rep.MaxTime != makespan {
+			t.Errorf("%d PEs: engines disagree on makespan: %v vs %v", n, makespan, rep.MaxTime)
 		}
 	}
 }

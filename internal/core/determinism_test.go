@@ -170,3 +170,53 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	runtime.GOMAXPROCS(old)
 	compareReports(t, "gomaxprocs", parallel, serial)
 }
+
+// TestFlagChainDeterministic passes a token down a P -> WaitUntil chain,
+// several laps per run, and requires every repeat to land on the same virtual
+// times. A waiter that polls between a writer's store and the store's
+// visibility stamp would resume without merging the writer's clock — a
+// host-dependent result on the goroutine engine, most readily under -race,
+// which widens that window.
+func TestFlagChainDeterministic(t *testing.T) {
+	const laps = 10
+	body := func(pe *PE) error {
+		flag, err := Malloc[int64](pe, 1)
+		if err != nil {
+			return err
+		}
+		if err := pe.BarrierAll(); err != nil {
+			return err
+		}
+		me, np := pe.MyPE(), pe.NumPEs()
+		for lap := int64(1); lap <= laps; lap++ {
+			if me > 0 {
+				if err := WaitUntil(pe, flag, CmpGE, lap); err != nil {
+					return err
+				}
+			}
+			if me+1 < np {
+				if err := P(pe, flag, lap, me+1); err != nil {
+					return err
+				}
+			}
+			// One store per flag per lap: without the barrier PE 0 would run
+			// laps ahead and which of its stores a waiter observes is racy.
+			if err := pe.BarrierAll(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var want []vtime.Duration
+	for run := 0; run < 30; run++ {
+		rep, err := Run(Config{NPEs: 8, HeapPerPE: 1 << 16}, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = rep.PETimes
+		} else if !reflect.DeepEqual(rep.PETimes, want) {
+			t.Fatalf("run %d: PETimes diverged:\n  first: %v\n  now:   %v", run, want, rep.PETimes)
+		}
+	}
+}

@@ -10,7 +10,9 @@
 // TMC common-memory segment is partitioned symmetrically among the PEs,
 // providing the PGAS memory model; each tile reports its partition's start
 // address to every other tile over the UDN during start_pes, exactly as the
-// paper's launcher does.
+// paper's launcher does. (The modeled exchange's outcome is fixed by the
+// geometry, so the launcher computes it — clocks, counters, link traffic —
+// without moving the n(n-1) packets; under fault injection they move.)
 //
 // Dynamic symmetric objects are allocated with Malloc (shmalloc): a
 // deterministic doubly-linked-list allocator guarantees that collective

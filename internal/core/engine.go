@@ -178,6 +178,8 @@ const (
 	wkCtr                      // a = counter-barrier instance tag
 	wkMCS                      // a = lock offset, b = predecessor rank
 	wkMCSSucc                  // a = lock offset, b = releaser rank
+
+	numWaitKinds
 )
 
 // Wake statuses delivered with the run baton.
@@ -225,6 +227,12 @@ type evsched struct {
 	running int  // PEs holding the baton: 0 or 1 between handoffs
 	timed   bool // faults armed: quiescence expires bounded waits
 
+	// parked counts the evBlocked PEs per wait kind. Most wakes find nobody
+	// parked on their kind — every packet enqueue, dequeue and watched
+	// store issues one — and return on this count instead of scanning the
+	// calendar.
+	parked [numWaitKinds]int
+
 	maxRunning int   // peak of running — must stay 1
 	handoffs   int64 // total grants, for the scheduling-overhead bench
 }
@@ -246,8 +254,8 @@ func (s *evsched) enter(id int) {
 }
 
 // begin hands out the first baton. Run calls it after spawning every PE,
-// so the initial grant deterministically goes to rank 0 (all clocks are
-// zero) no matter how the host interleaves goroutine startup.
+// so the initial grant deterministically goes to the least (clock, rank)
+// no matter how the host interleaves goroutine startup.
 func (s *evsched) begin() {
 	s.mu.Lock()
 	dl := s.dispatchLocked()
@@ -266,6 +274,7 @@ func (s *evsched) yield(id int, kind uint8, a, b int64) uint8 {
 	n := &s.pes[id]
 	n.state = evBlocked
 	n.kind, n.a, n.b = kind, a, b
+	s.parked[kind]++
 	s.running--
 	dl := s.dispatchLocked()
 	s.mu.Unlock()
@@ -304,19 +313,37 @@ func (s *evsched) exit(id int) {
 	}
 }
 
+// readyLocked moves a parked PE back to the ready set; st is delivered
+// with its next grant. Every exit from evBlocked goes through here so the
+// parked counts stay exact.
+func (s *evsched) readyLocked(id int, st uint8) {
+	n := &s.pes[id]
+	n.state = evReady
+	n.wake = st
+	s.parked[n.kind]--
+}
+
 // wake marks every PE blocked on (kind, a, b) ready. The caller holds
 // the baton, so no grant happens here: the woken PEs compete (by clock,
 // then rank) at the caller's next yield or exit.
 func (s *evsched) wake(kind uint8, a, b int64) {
 	s.mu.Lock()
-	for i := range s.pes {
+	defer s.mu.Unlock()
+	if s.parked[kind] == 0 {
+		return
+	}
+	lo, hi := 0, len(s.pes)
+	if kind == wkUDNRecv || kind == wkFabRecv {
+		// Receive waits are keyed on the waiter's own rank: PE a is the
+		// only one that can be parked here.
+		lo, hi = int(a), int(a)+1
+	}
+	for i := lo; i < hi; i++ {
 		n := &s.pes[i]
 		if n.state == evBlocked && n.kind == kind && n.a == a && n.b == b {
-			n.state = evReady
-			n.wake = wakeRun
+			s.readyLocked(i, wakeRun)
 		}
 	}
-	s.mu.Unlock()
 }
 
 // dispatchLocked grants the baton to the ready PE with the least
@@ -337,10 +364,8 @@ func (s *evsched) dispatchLocked() (deadlocked bool) {
 	if s.timed {
 		expired := false
 		for i := range s.pes {
-			n := &s.pes[i]
-			if n.state == evBlocked {
-				n.state = evReady
-				n.wake = wakeTimeout
+			if s.pes[i].state == evBlocked {
+				s.readyLocked(i, wakeTimeout)
 				expired = true
 			}
 		}
@@ -406,10 +431,8 @@ func (s *evsched) resolveDeadlock() {
 func (s *evsched) abortWake() {
 	s.mu.Lock()
 	for i := range s.pes {
-		n := &s.pes[i]
-		if n.state == evBlocked {
-			n.state = evReady
-			n.wake = wakeAbort
+		if s.pes[i].state == evBlocked {
+			s.readyLocked(i, wakeAbort)
 		}
 	}
 	if s.running == 0 {

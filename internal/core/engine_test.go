@@ -271,17 +271,13 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceMultichip routes the ring across a chip boundary
-// so the mPIPE fabric's event hooks carry real traffic. Cross-engine
-// comparison is limited to the virtual-time outcomes: the goroutine
-// engine delivers same-inbox fabric messages in host arrival order, so
-// its per-op latency histograms (and hence trace rows) are not
-// self-deterministic under load — a pre-existing property of the
-// multichip path, invisible to clocks because merges take the max. The
-// event engine has no such race; two event runs must be byte-identical
-// in full.
-func TestEngineEquivalenceMultichip(t *testing.T) {
-	body := func(pe *PE) error {
+// multichipBody moves 64 words one rank up by put and back down by get,
+// three times, on two chips, so the mPIPE fabric's event hooks carry real
+// traffic. With wrap the ranks form a ring, and the 3->4 and 7->0
+// transfers cross the one chip-pair wire in the same phase; without it
+// they form a chain with a single crossing per phase.
+func multichipBody(wrap bool) func(*PE) error {
+	return func(pe *PE) error {
 		const n = 64
 		x, err := Malloc[int64](pe, n)
 		if err != nil {
@@ -294,16 +290,20 @@ func TestEngineEquivalenceMultichip(t *testing.T) {
 		if err := pe.AlignClocks(); err != nil {
 			return err
 		}
-		np := pe.NumPEs()
+		me, np := pe.MyPE(), pe.NumPEs()
 		for iter := 0; iter < 3; iter++ {
-			if err := Put(pe, y, x, n, (pe.MyPE()+1)%np); err != nil {
-				return err
+			if wrap || me+1 < np {
+				if err := Put(pe, y, x, n, (me+1)%np); err != nil {
+					return err
+				}
 			}
 			if err := pe.BarrierAll(); err != nil {
 				return err
 			}
-			if err := Get(pe, x, y, n, (pe.MyPE()+np-1)%np); err != nil {
-				return err
+			if wrap || me > 0 {
+				if err := Get(pe, x, y, n, (me+np-1)%np); err != nil {
+					return err
+				}
 			}
 			if err := pe.BarrierAll(); err != nil {
 				return err
@@ -311,30 +311,65 @@ func TestEngineEquivalenceMultichip(t *testing.T) {
 		}
 		return pe.BarrierAll()
 	}
+}
+
+// TestEngineEquivalenceMultichip routes a ring and a chain across a chip
+// boundary.
+//
+// The ring has two bulk transfers contending for the chip-pair wire in
+// every phase. That wire is a vtime.Resource, which serves requests in
+// host arrival order, so on the goroutine engine which of the two pays the
+// queueing delay — and with it every later clock — is host-scheduled
+// (ROADMAP files this under the schedule explorer). The event engine
+// arbitrates by (clock, rank): two event runs of the ring must be
+// byte-identical in full, and the goroutine run must agree with them on
+// everything that does not depend on the arbitration.
+//
+// The chain has one crossing per phase and so no arbitration to lose: the
+// engines must agree on every clock. Even there the comparison stops at
+// virtual-time outcomes: the goroutine engine delivers same-inbox fabric
+// messages in host arrival order, so its per-op latency histograms (and
+// hence trace rows) are not self-deterministic under load — invisible to
+// clocks because merges take the max.
+func TestEngineEquivalenceMultichip(t *testing.T) {
 	cfg := Config{NPEs: 8, NChips: 2, HeapPerPE: 1 << 20, Observe: true, Trace: true}
-	g, e := runBothEngines(t, "multichip", cfg, body)
-	if !reflect.DeepEqual(g.PETimes, e.PETimes) {
-		t.Errorf("multichip: PETimes diverged:\n  goroutine: %v\n  event:     %v", g.PETimes, e.PETimes)
+	traffic := func(label string, g, e *Report) {
+		t.Helper()
+		if g.PutBytes != e.PutBytes || g.GetBytes != e.GetBytes || g.Barriers != e.Barriers {
+			t.Errorf("%s: aggregate traffic diverged: put %d/%d get %d/%d barriers %d/%d",
+				label, g.PutBytes, e.PutBytes, g.GetBytes, e.GetBytes, g.Barriers, e.Barriers)
+		}
+		if e.MaxRunnablePEs != 1 {
+			t.Errorf("%s: event engine let %d PEs run at once, want exactly 1", label, e.MaxRunnablePEs)
+		}
 	}
-	if g.MaxTime != e.MaxTime || g.MinTime != e.MinTime {
-		t.Errorf("multichip: makespan diverged: [%v,%v] vs [%v,%v]", g.MinTime, g.MaxTime, e.MinTime, e.MaxTime)
-	}
-	if g.PutBytes != e.PutBytes || g.GetBytes != e.GetBytes || g.Barriers != e.Barriers {
-		t.Errorf("multichip: aggregate traffic diverged: put %d/%d get %d/%d barriers %d/%d",
-			g.PutBytes, e.PutBytes, g.GetBytes, e.GetBytes, g.Barriers, e.Barriers)
-	}
-	if e.MaxRunnablePEs != 1 {
-		t.Errorf("multichip: event engine let %d PEs run at once, want exactly 1", e.MaxRunnablePEs)
-	}
+
+	ring := multichipBody(true)
+	g, e := runBothEngines(t, "multichip/ring", cfg, ring)
+	traffic("multichip/ring", g, e)
 	ec := cfg
 	ec.Engine = EngineEvent
-	e2, err := Run(ec, body)
+	e2, err := Run(ec, ring)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareReports(t, "multichip/event-self", e, e2)
+	compareReports(t, "multichip/ring/event-self", e, e2)
 	if !reflect.DeepEqual(e.Trace(), e2.Trace()) {
-		t.Errorf("multichip: event engine traces diverged between identical runs")
+		t.Errorf("multichip/ring: event engine traces diverged between identical runs")
+	}
+
+	g, ce := runBothEngines(t, "multichip/chain", cfg, multichipBody(false))
+	traffic("multichip/chain", g, ce)
+	if !reflect.DeepEqual(g.PETimes, ce.PETimes) {
+		t.Errorf("multichip/chain: PETimes diverged:\n  goroutine: %v\n  event:     %v", g.PETimes, ce.PETimes)
+	}
+	if g.MaxTime != ce.MaxTime || g.MinTime != ce.MinTime {
+		t.Errorf("multichip/chain: makespan diverged: [%v,%v] vs [%v,%v]", g.MinTime, g.MaxTime, ce.MinTime, ce.MaxTime)
+	}
+	// The ring's second crossing queues behind the first, so the ring must
+	// finish later than the chain: the contended path was really taken.
+	if e.MaxTime <= ce.MaxTime {
+		t.Errorf("multichip: contended ring finished at %v, no later than the chain's %v", e.MaxTime, ce.MaxTime)
 	}
 }
 

@@ -14,8 +14,17 @@ import (
 
 // profileBody extends the determinism body with a lock phase and a
 // WaitUntil flag handoff, so every wait category the profiler knows can
-// show up in the ledger.
-func profileBody(pe *PE) error {
+// show up in the ledger. The PEs take the lock in turn: the order in which
+// contenders win a lock is host-scheduled on the goroutine engine (each
+// lost CAS advances the loser's clock), so only uncontended acquisition is
+// byte-comparable across runs there.
+func profileBody(pe *PE) error { return profileProgram(pe, false) }
+
+// profileBodyContended takes the lock from every PE at once. Deterministic
+// only on the event engine, where contenders run in (clock, rank) order.
+func profileBodyContended(pe *PE) error { return profileProgram(pe, true) }
+
+func profileProgram(pe *PE, contended bool) error {
 	if pe.prog.chip.UDNInterrupts {
 		// The full determinism body includes static-static puts, which
 		// need the TILE-Gx UDN interrupt redirection.
@@ -57,17 +66,33 @@ func profileBody(pe *PE) error {
 	if err := pe.BarrierAll(); err != nil {
 		return err
 	}
-	if err := pe.SetLock(lk); err != nil {
-		return err
+	locked := func() error {
+		if err := pe.SetLock(lk); err != nil {
+			return err
+		}
+		if _, err := FAdd(pe, ctr, 1, 0); err != nil {
+			return err
+		}
+		return pe.ClearLock(lk)
 	}
-	if _, err := FAdd(pe, ctr, 1, 0); err != nil {
-		return err
-	}
-	if err := pe.ClearLock(lk); err != nil {
-		return err
-	}
-	if err := pe.BarrierAll(); err != nil {
-		return err
+	if contended {
+		if err := locked(); err != nil {
+			return err
+		}
+		if err := pe.BarrierAll(); err != nil {
+			return err
+		}
+	} else {
+		for turn := 0; turn < pe.NumPEs(); turn++ {
+			if turn == pe.MyPE() {
+				if err := locked(); err != nil {
+					return err
+				}
+			}
+			if err := pe.BarrierAll(); err != nil {
+				return err
+			}
+		}
 	}
 	// Flag chain: each PE releases its right neighbor via an elemental put
 	// observed by WaitUntil.
@@ -213,6 +238,37 @@ func TestProfileDeterministic(t *testing.T) {
 		runtime.GOMAXPROCS(old)
 		if !bytes.Equal(a, c) {
 			t.Errorf("%s: profile diverged across GOMAXPROCS", name)
+		}
+	}
+}
+
+// TestProfileContendedLockEvent keeps one profiled run with genuine lock
+// contention: under the event engine's (clock, rank) schedule the ledger
+// must hold its invariants, blame the losers' spinning on lock.wait, and
+// repeat byte for byte, for every lock algorithm.
+func TestProfileContendedLockEvent(t *testing.T) {
+	for _, la := range LockAlgos() {
+		run := func() *Report {
+			rep, err := Run(Config{
+				NPEs: 8, HeapPerPE: 1 << 20, Profile: true,
+				LockAlgo: la, Engine: EngineEvent,
+			}, profileBodyContended)
+			if err != nil {
+				t.Fatalf("%v: %v", la, err)
+			}
+			return rep
+		}
+		rep := run()
+		checkProfile(t, rep)
+		var lockWait vtime.Duration
+		for i := range rep.Profile().PEs {
+			lockWait += rep.Profile().PEs[i].Blame[profile.CatLockWait]
+		}
+		if lockWait <= 0 {
+			t.Errorf("%v: eight PEs contended for one lock and nobody is blamed lock.wait", la)
+		}
+		if !bytes.Equal(profileJSON(t, rep), profileJSON(t, run())) {
+			t.Errorf("%v: contended profile diverged across repeat event-engine runs", la)
 		}
 	}
 }

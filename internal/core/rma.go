@@ -388,8 +388,10 @@ func P[T Elem](pe *PE, target Ref[T], value T, tpe int) error {
 	off := target.off
 	pe.san.Signal(tpe, off, es, start)
 	pe.chargeXfer(es, sharedMode, tpe, true)
-	atomicStoreElem(part, off, es, toBits(value))
-	pe.prog.hubs[tpe].record(off, pe.clock.Now(), pe.id)
+	pe.prog.hubs[tpe].publish(off, pe.clock.Now(), pe.id, func() bool {
+		atomicStoreElem(part, off, es, toBits(value))
+		return true
+	})
 	pe.rec.OpDone(stats.OpPut, start, &pe.clock, es, tpe)
 	return nil
 }

@@ -516,6 +516,11 @@ func Run(cfg Config, body func(*PE) error) (*Report, error) {
 		return nil, err
 	}
 	defer prog.closeNets()
+	if prog.flt == nil {
+		if err := prog.replayStartPEs(); err != nil {
+			return nil, err
+		}
+	}
 
 	errs := make([]error, prog.NPEs())
 	var wg sync.WaitGroup
@@ -525,7 +530,7 @@ func Run(cfg Config, body func(*PE) error) (*Report, error) {
 	}
 	if prog.sched != nil {
 		// Every PE entered the calendar ready; hand out the first baton
-		// (deterministically to rank 0 — all clocks are zero).
+		// (deterministically, to the least post-handshake clock).
 		prog.sched.begin()
 	}
 	wg.Wait()

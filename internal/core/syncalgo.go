@@ -748,9 +748,11 @@ func (pe *PE) clearLockTicket(lock Ref[int64]) error {
 	}
 	now := pe.clock.Now()
 	pe.prog.setLockRelease(off, now, pe.id)
-	atomicAdd64(part, off, 1)
-	pe.san.AtomicEdge(0, off)
-	pe.prog.hubs[0].record(off, now, pe.id)
+	pe.prog.hubs[0].publish(off, now, pe.id, func() bool {
+		atomicAdd64(part, off, 1)
+		pe.san.AtomicEdge(0, off)
+		return true
+	})
 	return nil
 }
 

@@ -39,18 +39,28 @@ func (h *watchHub) init(idx int, sched *evsched) {
 	h.sched = sched
 }
 
-// record notes that the value at partition offset off became visible at t,
-// written by global PE writer, and wakes all waiters on this PE.
-func (h *watchHub) record(off int64, t vtime.Time, writer int) {
+// publish performs a store to the watched word at partition offset off and
+// records when it became visible — t, written by global PE writer — as one
+// step with respect to waiters, then wakes them. store runs under the hub
+// lock and reports whether it wrote; a false return (a compare-and-swap
+// that lost) publishes nothing. Were the store to land before the stamp, a
+// waiter could poll between the two, see its predicate satisfied with no
+// stamp to merge with, and resume at a host-dependent virtual time.
+func (h *watchHub) publish(off int64, t vtime.Time, writer int, store func() bool) bool {
 	h.mu.Lock()
-	if t > h.times[off].t {
+	ok := store()
+	if ok && t > h.times[off].t {
 		h.times[off] = hubStamp{t: t, writer: int32(writer)}
 	}
 	h.mu.Unlock()
+	if !ok {
+		return false
+	}
 	h.cond.Broadcast()
 	if h.sched != nil {
 		h.sched.wake(wkHub, int64(h.idx), 0)
 	}
+	return true
 }
 
 // await outcomes.

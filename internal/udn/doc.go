@@ -33,18 +33,20 @@
 // receive merges the receiver's clock with that arrival (RecvRaw defers
 // the merge so protocol loops can stash out-of-order packets without
 // perturbing their clock). Full queues exert backpressure by blocking the
-// sender, bounded by queueCap, which is sized so the library's own
-// protocols (at most NPEs-1 small packets toward one queue during the
-// start_pes exchange) can never deadlock.
+// sender once queueCap packets are waiting; the library's protocols stay
+// deadlock-free under it because their receive loops drain the queue
+// whenever they wait. A queue's buffer is allocated the first time either
+// side touches it, so a tile pays only for the queues it uses.
 //
 // # Interrupts
 //
 // On the TILE-Gx the UDN can also raise interrupts at the destination
 // tile; TSHMEM uses this to redirect transfers involving static symmetric
 // variables (Section IV.B.2). Port.Interrupt blocks the caller for the
-// full round-trip while a dedicated per-tile servicer goroutine runs the
-// handler, serialized in virtual time by a vtime.Resource — a tile
-// services one interrupt at a time. The TILEPro lacks UDN interrupt
+// full round-trip while a dedicated per-tile servicer goroutine (started
+// by the first interrupt raised on the tile) runs the handler, serialized
+// in virtual time by a vtime.Resource — a tile services one interrupt at
+// a time. The TILEPro lacks UDN interrupt
 // support, so ports on a TILEPro network return ErrNoInterrupts.
 //
 // # Observability

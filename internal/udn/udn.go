@@ -34,10 +34,14 @@ var (
 
 // queueCap bounds in-flight packets per demux queue. The hardware queue
 // holds up to 127 payload words, i.e. on the order of 127 minimum-sized
-// packets, before the network backpressures the sender. The library's
-// protocols keep at most NPEs-1 <= 63 small packets in flight toward any
-// one queue (the start_pes all-to-all address exchange), so this capacity
-// also guarantees those protocols cannot deadlock on backpressure.
+// packets, before the network backpressures the sender. Capacity is not
+// what keeps the library's protocols deadlock-free — a synthetic mesh has
+// thousands of tiles, and the literal start_pes exchange (run only under
+// fault injection) aims up to NPEs-1 packets at one queue: every receive
+// loop drains its queue whenever it waits (stashing packets that arrived
+// ahead of their round), so a backpressured sender always unblocks. A
+// queue's buffer (queueCap Packets, ~14 KiB) is allocated on first use,
+// see Port.queue.
 const queueCap = 128
 
 // inlineWords is the payload capacity a Packet stores directly in its
@@ -183,11 +187,7 @@ func New(geo mesh.Geometry) *Network {
 	n := &Network{geo: geo}
 	n.ports = make([]*Port, geo.Tiles())
 	for i := range n.ports {
-		p := &Port{net: n, cpu: i}
-		for q := range p.queues {
-			p.queues[q] = make(chan Packet, queueCap)
-		}
-		n.ports[i] = p
+		n.ports[i] = &Port{net: n, cpu: i}
 	}
 	return n
 }
@@ -228,7 +228,7 @@ type Port struct {
 	prof     *profile.Recorder
 	rankBase int
 
-	queues [4]chan Packet
+	queues [4]demuxQueue
 
 	intrMu   sync.Mutex
 	intrSvc  *intrServicer
@@ -292,6 +292,24 @@ func (p *Port) profRecv(start vtime.Time, pkt *Packet) {
 		Sent:   pkt.Sent,
 		Arrive: pkt.Arrive,
 	})
+}
+
+// demuxQueue is one receive queue of a port. Its channel is made by
+// whichever side touches the queue first: most tiles never use most of
+// their queues (an empty-body launch touches only the barrier queue), and
+// four eager ~14 KiB buffers per tile would dominate the host memory of a
+// large mesh.
+type demuxQueue struct {
+	once sync.Once
+	ch   chan Packet
+}
+
+// queue returns demux queue dq's channel, making it on first use. dq must
+// be in range.
+func (p *Port) queue(dq int) chan Packet {
+	q := &p.queues[dq]
+	q.once.Do(func() { q.ch = make(chan Packet, queueCap) })
+	return q.ch
 }
 
 func (p *Port) doneCh() chan struct{} {
@@ -363,11 +381,12 @@ func (p *Port) Send(clock *vtime.Clock, dst, dq int, tag uint32, words []uint64)
 	}
 	pkt := makePacket(p.cpu, tag, words, arrive)
 	pkt.Sent = clock.Now()
+	q := dp.queue(dq)
 	if s := p.net.sched; s != nil {
 		for {
 			select {
-			case dp.queues[dq] <- pkt:
-				p.net.links.RecordQueueDepth(dst, len(dp.queues[dq]))
+			case q <- pkt:
+				p.net.links.RecordQueueDepth(dst, len(q))
 				s.Enqueued(dst, dq)
 				return nil
 			default:
@@ -385,8 +404,8 @@ func (p *Port) Send(clock *vtime.Clock, dst, dq int, tag uint32, words []uint64)
 		defer timer.Stop()
 	}
 	select {
-	case dp.queues[dq] <- pkt:
-		p.net.links.RecordQueueDepth(dst, len(dp.queues[dq]))
+	case q <- pkt:
+		p.net.links.RecordQueueDepth(dst, len(q))
 		return nil
 	case <-timeout:
 		return ErrTimeout
@@ -401,12 +420,13 @@ func (p *Port) Recv(clock *vtime.Clock, dq int) (Packet, error) {
 	if dq < 0 || dq >= len(p.queues) {
 		return Packet{}, fmt.Errorf("%w: %d", ErrBadQueue, dq)
 	}
+	q := p.queue(dq)
 	if s := p.net.sched; s != nil {
 		for {
 			// Poll before the closed check: a closed port still drains
 			// what already arrived, like the goroutine path below.
 			select {
-			case pkt := <-p.queues[dq]:
+			case pkt := <-q:
 				start := clock.Now()
 				wait := clock.AdvanceTo(pkt.Arrive)
 				p.rec.UDNRecvWait(pkt.Len(), wait)
@@ -428,7 +448,7 @@ func (p *Port) Recv(clock *vtime.Clock, dq int) (Packet, error) {
 		defer timer.Stop()
 	}
 	select {
-	case pkt := <-p.queues[dq]:
+	case pkt := <-q:
 		start := clock.Now()
 		wait := clock.AdvanceTo(pkt.Arrive)
 		p.rec.UDNRecvWait(pkt.Len(), wait)
@@ -439,7 +459,7 @@ func (p *Port) Recv(clock *vtime.Clock, dq int) (Packet, error) {
 	case <-p.doneCh():
 		// Drain anything already queued before reporting closure.
 		select {
-		case pkt := <-p.queues[dq]:
+		case pkt := <-q:
 			start := clock.Now()
 			wait := clock.AdvanceTo(pkt.Arrive)
 			p.rec.UDNRecvWait(pkt.Len(), wait)
@@ -460,10 +480,11 @@ func (p *Port) RecvRaw(dq int) (Packet, error) {
 	if dq < 0 || dq >= len(p.queues) {
 		return Packet{}, fmt.Errorf("%w: %d", ErrBadQueue, dq)
 	}
+	q := p.queue(dq)
 	if s := p.net.sched; s != nil {
 		for {
 			select {
-			case pkt := <-p.queues[dq]:
+			case pkt := <-q:
 				p.rec.UDNRecv(pkt.Len())
 				s.Dequeued(p.cpu, dq)
 				return pkt, nil
@@ -482,14 +503,14 @@ func (p *Port) RecvRaw(dq int) (Packet, error) {
 		defer timer.Stop()
 	}
 	select {
-	case pkt := <-p.queues[dq]:
+	case pkt := <-q:
 		p.rec.UDNRecv(pkt.Len())
 		return pkt, nil
 	case <-timeout:
 		return Packet{}, ErrTimeout
 	case <-p.doneCh():
 		select {
-		case pkt := <-p.queues[dq]:
+		case pkt := <-q:
 			p.rec.UDNRecv(pkt.Len())
 			return pkt, nil
 		default:
@@ -504,8 +525,9 @@ func (p *Port) TryRecv(clock *vtime.Clock, dq int) (Packet, bool, error) {
 	if dq < 0 || dq >= len(p.queues) {
 		return Packet{}, false, fmt.Errorf("%w: %d", ErrBadQueue, dq)
 	}
+	q := p.queue(dq)
 	select {
-	case pkt := <-p.queues[dq]:
+	case pkt := <-q:
 		start := clock.Now()
 		wait := clock.AdvanceTo(pkt.Arrive)
 		p.rec.UDNRecvWait(pkt.Len(), wait)
@@ -522,15 +544,20 @@ func (p *Port) TryRecv(clock *vtime.Clock, dq int) (Packet, bool, error) {
 	}
 }
 
-// intrServicer drains a tile's interrupt lane on a dedicated goroutine,
+// intrServicer drains a tile's interrupt lane on a dedicated goroutine (the
+// event engine services inline on the requester instead, see Interrupt),
 // modeling the tile being forced to service operations (S IV.B.2). A
 // vtime.Resource serializes overlapping interrupts in virtual time: a tile
 // services one interrupt at a time.
 type intrServicer struct {
 	handler Handler
-	reqs    chan intrRequest
 	busy    vtime.Resource
-	wg      sync.WaitGroup
+
+	// The request lane and the goroutine draining it exist from the first
+	// interrupt raised on this tile: most runs never redirect a static
+	// transfer, and a lane is ~15 KiB and a goroutine per tile otherwise.
+	start sync.Once
+	reqs  chan intrRequest
 }
 
 type intrRequest struct {
@@ -538,9 +565,8 @@ type intrRequest struct {
 	reply chan Packet // carries reply words + arrival timestamp back
 }
 
-// SetHandler installs the interrupt handler for this tile and starts its
-// interrupt context. Only chips with UDN interrupt support (TILE-Gx) accept
-// a handler.
+// SetHandler installs the interrupt handler for this tile. Only chips with
+// UDN interrupt support (TILE-Gx) accept a handler.
 func (p *Port) SetHandler(h Handler) error {
 	if !p.net.geo.Chip().UDNInterrupts {
 		return ErrNoInterrupts
@@ -554,19 +580,21 @@ func (p *Port) SetHandler(h Handler) error {
 		p.intrSvc.handler = h
 		return nil
 	}
-	svc := &intrServicer{handler: h, reqs: make(chan intrRequest, queueCap)}
-	p.intrSvc = svc
-	// Under an event-driven scheduler, interrupts are serviced inline on
-	// the requester's goroutine (see Interrupt); no servicer to spawn.
-	if p.net.sched == nil {
-		svc.wg.Add(1)
-		go svc.run(p)
-	}
+	p.intrSvc = &intrServicer{handler: h}
 	return nil
 }
 
+// lane returns the request lane of p's servicer, starting the tile's
+// interrupt context on first use. The goroutine exits when p closes.
+func (s *intrServicer) lane(p *Port) chan intrRequest {
+	s.start.Do(func() {
+		s.reqs = make(chan intrRequest, queueCap)
+		go s.run(p)
+	})
+	return s.reqs
+}
+
 func (s *intrServicer) run(p *Port) {
-	defer s.wg.Done()
 	intrOvh := vtime.FromNs(p.net.geo.Chip().UDNInterruptNs)
 	for {
 		select {
@@ -655,7 +683,7 @@ func (p *Port) Interrupt(clock *vtime.Clock, dst int, tag uint32, words []uint64
 		defer timer.Stop()
 	}
 	select {
-	case svc.reqs <- req:
+	case svc.lane(dp) <- req:
 	case <-timeout:
 		return Packet{}, ErrTimeout
 	case <-dp.doneCh():
