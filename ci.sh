@@ -142,11 +142,11 @@ echo "$FAULT_OUT" | grep 'timeout' | grep 'PE 3' > /dev/null || {
 # move a single modeled picosecond (docs/PERFORMANCE.md, "Engines"). Its
 # probe suite must be byte-identical to the committed baseline; the
 # sanitize, fault, and profile machinery must work unmodified on top of
-# it; and the scaling gate must show the engine earning its keep — at
-# 128 concurrent runs, >= 2x the goroutine engine's throughput with at
-# most 2 runnable host goroutines per run (measured in fresh processes;
-# internal/bench/engine_bench_test.go explains why in-process
-# measurement flatters the second engine measured).
+# it; and the scaling gate must show the engine keeping its shape — at
+# 128 concurrent runs, at most 2 runnable host goroutines per run and a
+# median throughput not below the goroutine engine's; the ratio is logged,
+# not gated (measured in fresh processes; internal/bench/
+# engine_bench_test.go explains why, and why ">= 2x" was retired).
 echo "== engine smoke: event engine byte-identity + smokes + scaling gate =="
 EVSMOKE=$(mktemp /tmp/tshmem-evsmoke.XXXXXX.json)
 trap 'rm -f "$SMOKE" "$PPROF" "$EVSMOKE"' EXIT
@@ -195,6 +195,13 @@ go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$' -co
 echo "== race smoke: engine equivalence + profile + flag chain, 3x =="
 go test -race ./internal/core \
     -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain' -count=3
+
+# Arena smoke: every run's common-memory segment is recycled, so a pooled
+# segment that is not entirely zero, or a servicer goroutine still writing
+# one after Run returned, corrupts a later, unrelated run. The second
+# depends on timing; the detector and three repeats make it show.
+echo "== arena smoke: zeroing invariant + quiescent check-in, race, 3x =="
+go test -race ./internal/core -run 'TestArenaZeroingInvariant|TestArenaQuiescence' -count=3
 
 # Cross-architecture smoke: the chip-family sweep must render end to end
 # (Tilera + Epiphany columns; docs/ARCHITECTURES.md). Epiphany sanitizer

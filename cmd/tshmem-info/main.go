@@ -81,7 +81,7 @@ func main() {
 				desc = "one free-running host goroutine per PE (default)"
 			case core.EngineEvent:
 				desc = "virtual-time calendar: one runnable goroutine per run,\n" +
-					"              admission-gated launches, recycled arenas"
+					"              admission-gated launches"
 			}
 			fmt.Printf("  %-10s  %s\n", e, desc)
 		}

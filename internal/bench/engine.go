@@ -50,16 +50,16 @@ func MeasureEngineScaling(eng core.Engine, concurrent, rounds int) (ScalingPoint
 	}
 	// The launch matches the scale of a real suite run: 16 PEs with
 	// suite-sized heaps plus the default scratch arena, ~12 MiB per
-	// simulation (the bcast probe allocates over 1 MiB per PE). The
-	// footprint is the point — with 128 simulations in flight the engines
-	// diverge on how much of it is resident at once. The event calendar
-	// hands the host scheduler one runnable goroutine per simulation, so
-	// runs complete in a staggered, nearly run-to-completion order and
-	// only a handful of arenas are ever live. The goroutine engine's
-	// 16 free-running PEs per run interleave every simulation's progress,
-	// keeping every arena live for the whole storm and putting the
-	// allocator and collector into a regime where they spend most of the
-	// host's time re-zeroing recycled spans.
+	// simulation (the bcast probe allocates over 1 MiB per PE). With 128
+	// simulations in flight the engines diverge on how much of that is
+	// resident at once. The event calendar hands the host scheduler one
+	// runnable goroutine per simulation and its admission gate keeps only
+	// a few runs resident, so runs complete in nearly run-to-completion
+	// order and almost every launch finds a recycled arena in the pool.
+	// The goroutine engine's 16 free-running PEs per run interleave every
+	// simulation's progress: all 128 arenas are live for the whole storm,
+	// far more than the pool's budget, so most of its launches allocate
+	// (and the runtime zeroes) a fresh one.
 	cfg := core.Config{NPEs: 16, HeapPerPE: 512 << 10, Engine: eng}
 	// scalingBarriers stretches the barrier probe's chain so host
 	// scheduling — not launch/teardown, which costs the same under both

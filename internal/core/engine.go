@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"tshmem/internal/mpipe"
@@ -96,48 +97,62 @@ func evAdmissionWidth() int {
 	return 2
 }
 
-// Arena recycling, the admission gate's companion: because at most
-// evAdmissionWidth event-engine runs are resident, the engine can keep a
-// small free list of common-memory segments and hand them to subsequent
-// runs instead of allocating (and zeroing) a fresh multi-megabyte arena
-// per launch. Correctness rests on a zeroing invariant — every pooled
-// segment is entirely zero, exactly like a fresh one. Teardown restores
-// the invariant by re-zeroing only what the finished run can have
-// written: each PE heap and scratch shard up to its allocator's
-// high-water mark, plus any mappings the run created after launch. The
-// goroutine engine cannot recycle this way: with nothing bounding how
-// many of its runs are mid-flight, a pool behind it would grow as large
-// as the storm itself.
+// Arena recycling: every Run, on either engine, checks its common-memory
+// segment out of a process-wide pool and back in at teardown, so a launch
+// pays for zeroing the bytes the previous tenant wrote instead of for
+// allocating (and the runtime clearing) a fresh multi-megabyte segment.
+// Correctness rests on a zeroing invariant — every pooled segment is
+// entirely zero, exactly like a fresh one. Check-in restores the invariant
+// by re-zeroing only what the finished run can have written: each PE heap
+// and scratch shard up to its allocator's high-water mark, plus any
+// mappings the run created after launch. It runs once the run is
+// quiescent: every PE goroutine has exited and closeNets has waited out
+// the interrupt servicers, the only other writers of the segment.
 //
-// The visible consequence (documented on Run): once an event-engine Run
-// returns, local views of its symmetric memory (MustLocal / Local) are
-// dead — the arena may already be backing another run.
-const arenaPoolCap = 4
+// The visible consequence (documented on Run): once Run returns, local
+// views of its symmetric memory (MustLocal / Local) are dead — the segment
+// may already be backing another run.
+//
+// The pool holds at most arenaPoolBudget bytes, whatever mix of sizes the
+// process launches, and evicts the least recently checked-in segment
+// first; a segment larger than the budget is never pooled. The constant
+// comes from the benchmark's sweep workload, which cycles through five
+// segment sizes, 44 MiB together: it allocates 358 / 264 / 49 / 49 / 49
+// MiB per pass under a budget of 16 / 32 / 48 / 64 / 1024 MiB (a cycle
+// that does not fit is the worst case for least-recently-used eviction),
+// so 64 MiB is the working set plus room for a second segment of its
+// commonest size (12 MiB) when two runs overlap, and more buys nothing.
+const arenaPoolBudget = 64 << 20
 
-var arenaPool = struct {
+var arenaPool struct {
 	sync.Mutex
-	free map[int64][]*tmc.CommonMemory
-}{free: make(map[int64][]*tmc.CommonMemory)}
+	free []*tmc.CommonMemory // least recently checked in first; sizes sum to <= arenaPoolBudget
+}
 
 // arenaCheckout returns an all-zero common-memory segment of exactly
-// total bytes, reusing a pooled one when available.
+// total bytes, reusing the most recently pooled one of that size.
 func arenaCheckout(total int64) (*tmc.CommonMemory, error) {
 	arenaPool.Lock()
-	if l := arenaPool.free[total]; len(l) > 0 {
-		cm := l[len(l)-1]
-		l[len(l)-1] = nil
-		arenaPool.free[total] = l[:len(l)-1]
-		arenaPool.Unlock()
-		cm.Reset()
-		return cm, nil
+	for i := len(arenaPool.free) - 1; i >= 0; i-- {
+		if cm := arenaPool.free[i]; cm.Size() == total {
+			arenaPool.free = slices.Delete(arenaPool.free, i, i+1)
+			arenaPool.Unlock()
+			cm.Reset()
+			return cm, nil
+		}
 	}
 	arenaPool.Unlock()
 	return tmc.NewCommonMemory(total)
 }
 
 // arenaCheckin re-zeroes the finished run's dirty spans and pools its
-// segment for the next launch of the same shape.
+// segment for the next launch of the same shape, evicting older segments
+// to stay within arenaPoolBudget.
 func arenaCheckin(p *Program) {
+	size := p.cm.Size()
+	if size > arenaPoolBudget {
+		return
+	}
 	buf := p.cm.Bytes()
 	zero := func(off, end int64) {
 		if end > off {
@@ -158,9 +173,14 @@ func arenaCheckin(p *Program) {
 
 	arenaPool.Lock()
 	defer arenaPool.Unlock()
-	size := p.cm.Size()
-	if len(arenaPool.free[size]) < arenaPoolCap {
-		arenaPool.free[size] = append(arenaPool.free[size], p.cm)
+	arenaPool.free = append(arenaPool.free, p.cm)
+	var held int64
+	for _, cm := range arenaPool.free {
+		held += cm.Size()
+	}
+	for held > arenaPoolBudget {
+		held -= arenaPool.free[0].Size()
+		arenaPool.free = slices.Delete(arenaPool.free, 0, 1)
 	}
 }
 

@@ -411,7 +411,8 @@ type Program struct {
 
 	sched *evsched // nil unless Config.Engine == EngineEvent
 
-	pes []*PE
+	pes      []*PE
+	counters []stats.Counters // the PEs' recorder blocks, one slab; nil unless Observe
 
 	abortOnce sync.Once
 	aborted   atomic.Bool
@@ -488,6 +489,10 @@ func (p *Program) chipPEs(c int) int {
 // The first error (or panic) from any PE aborts the report. Run returns the
 // per-PE virtual-time report on success.
 //
+// Teardown re-zeroes the run's common-memory segment and pools it for the
+// next launch (see arenaPool), so local views of symmetric memory
+// (MustLocal / Local) are dead once Run returns, on every engine.
+//
 // Under fault injection (Config.Faults) a bounded wait that expires does
 // NOT abort the program: the stuck PE unwinds with a *TimeoutError, its
 // peers time out (or complete) on their own budgets, and Run returns BOTH
@@ -495,27 +500,23 @@ func (p *Program) chipPEs(c int) int {
 // the per-event perturbation counts — and an error matching
 // errors.Is(err, ErrTimeout).
 func Run(cfg Config, body func(*PE) error) (*Report, error) {
-	var prog *Program
 	if cfg.Engine == EngineEvent {
 		// Bound the resident-simulation set (see evAdmission): the token
-		// covers arena checkout through teardown, where the run's arena is
-		// re-zeroed and pooled for the next launch. Local views of
-		// symmetric memory (MustLocal / Local) are therefore dead once Run
-		// returns under the event engine.
+		// covers arena checkout through check-in.
 		evAdmission <- struct{}{}
-		defer func() {
-			if prog != nil {
-				arenaCheckin(prog)
-			}
-			<-evAdmission
-		}()
+		defer func() { <-evAdmission }()
 	}
-	var err error
-	prog, err = newProgram(cfg)
+	prog, err := newProgram(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer prog.closeNets()
+	// Teardown on every path: closeNets returns once no interrupt servicer
+	// is left running, so with the PE goroutines joined below nothing can
+	// write the segment any more and it can be re-zeroed and pooled.
+	defer func() {
+		prog.closeNets()
+		arenaCheckin(prog)
+	}()
 	if prog.flt == nil {
 		if err := prog.replayStartPEs(); err != nil {
 			return nil, err
@@ -574,10 +575,9 @@ func Run(cfg Config, body func(*PE) error) (*Report, error) {
 		rep.prof = profile.Assemble(recs, ends)
 	}
 	if prog.cfg.Observe {
-		rep.PECounters = make([]stats.Counters, prog.NPEs())
+		rep.PECounters = prog.counters
 		perPE := make([][]stats.Event, 0, prog.NPEs())
-		for i, pe := range prog.pes {
-			rep.PECounters[i] = pe.rec.Counters()
+		for _, pe := range prog.pes {
 			if evs := pe.rec.Events(); len(evs) > 0 {
 				perPE = append(perPE, evs)
 			}
@@ -652,11 +652,7 @@ func newProgram(cfg Config) (*Program, error) {
 	nsh := scratchShardCount(cfg.NPEs)
 	scratchTotal := cfg.ScratchBytes + int64(nsh)*scratchShardBytes
 	total := scratchTotal + int64(cfg.NPEs)*(cfg.HeapPerPE+4096) + 64<<10
-	if cfg.Engine == EngineEvent {
-		p.cm, err = arenaCheckout(total)
-	} else {
-		p.cm, err = tmc.NewCommonMemory(total)
-	}
+	p.cm, err = arenaCheckout(total)
 	if err != nil {
 		return nil, err
 	}
@@ -731,6 +727,9 @@ func newProgram(cfg Config) (*Program, error) {
 		p.san = sanitize.New(cfg.NPEs)
 	}
 
+	if cfg.Observe {
+		p.counters = make([]stats.Counters, cfg.NPEs)
+	}
 	p.pes = make([]*PE, cfg.NPEs)
 	for i := range p.pes {
 		port, err := p.nets[p.chipOf(i)].Port(p.localIdx(i))
@@ -751,7 +750,7 @@ func newProgram(cfg Config) (*Program, error) {
 			collGen: make(map[ActiveSet]uint32),
 		}
 		if cfg.Observe {
-			rec := stats.New(i, cfg.Trace, cfg.TraceCap)
+			rec := stats.NewIn(&p.counters[i], i, cfg.Trace, cfg.TraceCap)
 			p.pes[i].rec = rec
 			port.SetRecorder(rec)
 		}

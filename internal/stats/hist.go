@@ -80,14 +80,19 @@ func (h *Hist) Observe(ps int64) {
 	h.Bucket[histBucket(ps)]++
 }
 
-// Add folds o into h (aggregation across PEs or runs).
+// Add folds o into h (aggregation across PEs or runs). Most histograms of
+// most PEs are empty — a run uses a handful of op classes — and folding one
+// is a no-op; a non-empty one has nothing above the bucket of its maximum.
 func (h *Hist) Add(o *Hist) {
+	if o.Count == 0 {
+		return
+	}
 	h.Count += o.Count
 	h.SumPs += o.SumPs
 	if o.MaxPs > h.MaxPs {
 		h.MaxPs = o.MaxPs
 	}
-	for i := range h.Bucket {
+	for i, top := 0, histBucket(o.MaxPs); i <= top; i++ {
 		h.Bucket[i] += o.Bucket[i]
 	}
 }

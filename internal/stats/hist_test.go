@@ -105,6 +105,11 @@ func TestHistAddFolds(t *testing.T) {
 	if sum.MeanPs() != (100*10+100*1000)/200 {
 		t.Errorf("mean = %d", sum.MeanPs())
 	}
+	before := sum
+	sum.Add(&Hist{}) // an empty operand takes the early return
+	if sum != before {
+		t.Error("folding an empty histogram changed the sum")
+	}
 }
 
 func TestHistEmptyAndNegative(t *testing.T) {

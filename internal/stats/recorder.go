@@ -24,17 +24,25 @@ const NoPeer int32 = -1
 // unconditionally.
 type Recorder struct {
 	pe      int32
-	C       Counters
+	C       *Counters
 	traceOn bool
 	cap     int
 	events  []Event
 }
 
-// New returns a Recorder for PE pe. If trace is true, events are buffered
-// up to traceCap per PE (<=0 selects DefaultTraceCap); beyond the cap
-// events are dropped and counted in C.TraceDropped.
+// New returns a Recorder for PE pe with a counter block of its own. If
+// trace is true, events are buffered up to traceCap per PE (<=0 selects
+// DefaultTraceCap); beyond the cap events are dropped and counted in
+// C.TraceDropped.
 func New(pe int, trace bool, traceCap int) *Recorder {
-	r := &Recorder{pe: int32(pe), traceOn: trace}
+	return NewIn(new(Counters), pe, trace, traceCap)
+}
+
+// NewIn is New recording into c, which must be zero and outlive the
+// recorder: a launcher allocates every PE's block as one slab and hands the
+// slab to its report instead of copying each block out at teardown.
+func NewIn(c *Counters, pe int, trace bool, traceCap int) *Recorder {
+	r := &Recorder{pe: int32(pe), C: c, traceOn: trace}
 	if trace {
 		if traceCap <= 0 {
 			traceCap = DefaultTraceCap
@@ -61,7 +69,7 @@ func (r *Recorder) PE() int {
 func (r *Recorder) Tracing() bool { return r != nil && r.traceOn }
 
 // Events returns the buffered trace (owned by the recorder; read only
-// after the run).
+// after the run), in completion order until MergeEvents sorts it.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
@@ -74,7 +82,7 @@ func (r *Recorder) Counters() Counters {
 	if r == nil {
 		return Counters{}
 	}
-	return r.C
+	return *r.C
 }
 
 // UDNSend accounts one injected UDN packet: words payload words crossing

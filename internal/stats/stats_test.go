@@ -3,6 +3,9 @@ package stats
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"tshmem/internal/vtime"
@@ -85,8 +88,26 @@ func TestNilRecorderNoAllocs(t *testing.T) {
 	}
 }
 
+// A recorder made by NewIn counts into the caller's block — the launcher's
+// slab element — so the launcher reads the totals without copying them out.
+func TestNewInRecordsIntoCallersBlock(t *testing.T) {
+	slab := make([]Counters, 2)
+	rec := NewIn(&slab[1], 1, false, 0)
+	rec.UDNRecv(3)
+	rec.RMA(SameChip, 64, 900)
+	if slab[1].UDNWordsRecvd != 3 || slab[1].Hists[HistForRMA(SameChip)].Count != 1 {
+		t.Errorf("the caller's block missed the recorder's updates: %+v", slab[1].Map())
+	}
+	if slab[1] != rec.Counters() {
+		t.Error("Counters() differs from the caller's block")
+	}
+	if slab[0] != (Counters{}) {
+		t.Error("the recorder wrote a neighbouring block")
+	}
+}
+
 // Counting without tracing must also stay allocation-free: the counter
-// block lives inline in the Recorder.
+// block is allocated once, with the Recorder.
 func TestCountingRecorderNoAllocs(t *testing.T) {
 	rec := New(0, false, 0)
 	var clock vtime.Clock
@@ -264,5 +285,89 @@ func TestTable(t *testing.T) {
 	}
 	if bytes.Contains([]byte(tab), []byte("ops.get")) {
 		t.Errorf("table must omit zero rows:\n%s", tab)
+	}
+}
+
+// mergeEventsOracle is MergeEvents as it was first written — one stable
+// sort over the concatenated buffers — kept as the reference the k-way
+// merge must reproduce element for element.
+func mergeEventsOracle(perPE [][]Event) []Event {
+	var out []Event
+	for _, evs := range perPE {
+		out = append(out, evs...)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		if out[i].PE != out[j].PE {
+			return out[i].PE < out[j].PE
+		}
+		return out[i].End > out[j].End
+	})
+	return out
+}
+
+// spanTree appends a random span forest over [from, to) to buf the way a
+// recorder would: every span after the spans it contains, at completion.
+// Times are multiples of a coarse quantum, so spans of different PEs start
+// together, a child often starts (and ends) with its parent, and zero-
+// length spans tie completely. Bytes numbers the events in append order,
+// which makes any reordering of equal events visible.
+func spanTree(rng *rand.Rand, buf []Event, pe int32, from, to vtime.Time, depth int) []Event {
+	const quantum = 100
+	for t := from; t < to; {
+		start := t + vtime.Time(rng.Intn(2)*quantum)
+		end := start + vtime.Time(rng.Intn(4)*quantum)
+		if end > to {
+			end = to
+		}
+		if start > end {
+			break
+		}
+		if depth < 3 && rng.Intn(2) == 0 {
+			buf = spanTree(rng, buf, pe, start, end, depth+1)
+		}
+		buf = append(buf, Event{
+			PE: pe, Op: Op(rng.Intn(int(NumOps))), Start: start, End: end,
+			Bytes: int64(len(buf)), Peer: NoPeer,
+		})
+		t = end
+		if rng.Intn(3) == 0 {
+			t += quantum
+		}
+	}
+	return buf
+}
+
+func TestMergeEventsMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		perPE := make([][]Event, 1+rng.Intn(9))
+		for pe := range perPE {
+			switch rng.Intn(8) {
+			case 0: // a PE that recorded nothing
+			case 1: // no structure at all: arbitrary times, foreign PE ids
+				for i, n := 0, rng.Intn(40); i < n; i++ {
+					start := vtime.Time(rng.Intn(6) * 100)
+					perPE[pe] = append(perPE[pe], Event{
+						PE: int32(rng.Intn(3)), Start: start, End: start + vtime.Time(rng.Intn(3)*100),
+						Bytes: int64(i),
+					})
+				}
+			default:
+				perPE[pe] = spanTree(rng, nil, int32(pe), 0, vtime.Time(1+rng.Intn(30))*100, 0)
+			}
+		}
+		want := mergeEventsOracle(perPE)
+		got := MergeEvents(perPE) // sorts the buffers in place: after the oracle
+		if !slices.Equal(got, want) {
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					t.Fatalf("seed %d: %d buffers, %d events: first difference at %d", seed, len(perPE), len(want), i)
+				}
+			}
+			t.Fatalf("seed %d: merged %d events, want %d", seed, len(got), len(want))
+		}
 	}
 }

@@ -2,36 +2,94 @@ package stats
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"tshmem/internal/vtime"
 )
 
-// MergeEvents concatenates per-PE event buffers and orders the result by
-// virtual start time (ties: by PE, then by earlier end so enclosing spans
-// sort after the spans they contain started with). The per-PE buffers are
-// already start-ordered — each PE's clock is monotonic — so this is a
-// stable k-way merge expressed as one sort.
+// compareEvents is the trace order: by virtual start time, then PE, then
+// the later end first, so an enclosing span sorts before the spans it
+// contains that started with it.
+func compareEvents(a, b *Event) int {
+	switch {
+	case a.Start != b.Start:
+		return cmp.Compare(a.Start, b.Start)
+	case a.PE != b.PE:
+		return cmp.Compare(a.PE, b.PE)
+	default:
+		return cmp.Compare(b.End, a.End)
+	}
+}
+
+// mergeSource is one buffer's unmerged tail; idx is the buffer's position
+// in the input, the last tie-break (it keeps the merge stable).
+type mergeSource struct {
+	evs []Event
+	idx int
+}
+
+func (s *mergeSource) before(o *mergeSource) bool {
+	c := compareEvents(&s.evs[0], &o.evs[0])
+	return c < 0 || c == 0 && s.idx < o.idx
+}
+
+// siftDown restores the min-heap property of h below position i.
+func siftDown(h []mergeSource, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		if r := l + 1; r < len(h) && h[r].before(&h[l]) {
+			l = r
+		}
+		if !h[l].before(&h[i]) {
+			return
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
+	}
+}
+
+// MergeEvents merges per-PE event buffers into one trace in compareEvents
+// order, events that compare equal staying in input order. A recorder
+// appends an event when its operation completes, so a buffer arrives
+// ordered by end time, each collective behind the puts and barriers it
+// contains. MergeEvents first sorts every buffer in place into trace order
+// (a stable sort that is near-linear on such input, where an event is out
+// of place only by its own descendants) and then merges the k buffers
+// through a binary heap of their heads.
 func MergeEvents(perPE [][]Event) []Event {
 	var n int
-	for _, evs := range perPE {
+	h := make([]mergeSource, 0, len(perPE))
+	for i, evs := range perPE {
+		if len(evs) == 0 {
+			continue
+		}
 		n += len(evs)
+		slices.SortStableFunc(evs, func(a, b Event) int { return compareEvents(&a, &b) })
+		h = append(h, mergeSource{evs: evs, idx: i})
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
 	out := make([]Event, 0, n)
-	for _, evs := range perPE {
-		out = append(out, evs...)
+	for len(h) > 1 {
+		top := &h[0]
+		out = append(out, top.evs[0])
+		if top.evs = top.evs[1:]; len(top.evs) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		if out[i].PE != out[j].PE {
-			return out[i].PE < out[j].PE
-		}
-		return out[i].End > out[j].End
-	})
+	if len(h) == 1 {
+		out = append(out, h[0].evs...)
+	}
 	return out
 }
 

@@ -206,7 +206,8 @@ func (n *Network) Port(cpu int) (*Port, error) {
 	return n.ports[cpu], nil
 }
 
-// Close shuts down every port. Pending receivers unblock with ErrClosed.
+// Close shuts down every port and waits for their interrupt servicers to
+// exit. Pending receivers unblock with ErrClosed.
 // Mirrors the teardown the paper's proposed shmem_finalize() performs:
 // leaving the UDN engaged risks platform lockup.
 func (n *Network) Close() {
@@ -556,8 +557,9 @@ type intrServicer struct {
 	// The request lane and the goroutine draining it exist from the first
 	// interrupt raised on this tile: most runs never redirect a static
 	// transfer, and a lane is ~15 KiB and a goroutine per tile otherwise.
-	start sync.Once
-	reqs  chan intrRequest
+	start  sync.Once
+	reqs   chan intrRequest
+	exited chan struct{} // closed when run returns; nil if never started
 }
 
 type intrRequest struct {
@@ -585,16 +587,29 @@ func (p *Port) SetHandler(h Handler) error {
 }
 
 // lane returns the request lane of p's servicer, starting the tile's
-// interrupt context on first use. The goroutine exits when p closes.
+// interrupt context on first use. The goroutine exits when p closes, and
+// p's close waits for it. A servicer that had not started by then never
+// will: its lane stays nil, and requesters fall through to the closed port.
 func (s *intrServicer) lane(p *Port) chan intrRequest {
 	s.start.Do(func() {
 		s.reqs = make(chan intrRequest, queueCap)
+		s.exited = make(chan struct{})
 		go s.run(p)
 	})
 	return s.reqs
 }
 
+// stop waits for the servicer goroutine, if one was ever started, to leave
+// its handler and exit. The port's done channel must already be closed.
+func (s *intrServicer) stop() {
+	s.start.Do(func() {})
+	if s.exited != nil {
+		<-s.exited
+	}
+}
+
 func (s *intrServicer) run(p *Port) {
+	defer close(s.exited)
 	intrOvh := vtime.FromNs(p.net.geo.Chip().UDNInterruptNs)
 	for {
 		select {
@@ -731,9 +746,19 @@ func (p *Port) finishInterrupt(clock *vtime.Clock, dst, nw, hops int, rep Packet
 	return rep, nil
 }
 
+// close shuts the port and returns once its interrupt servicer has exited:
+// a requester that gave up on a reply (dropped interrupt, expired wait,
+// aborted run) can leave the servicer inside its handler, which writes the
+// owner's memory, and teardown must not outrun it.
 func (p *Port) close() {
 	p.closeOne.Do(func() {
 		p.closed.Store(true)
 		close(p.doneCh())
+		p.intrMu.Lock()
+		svc := p.intrSvc
+		p.intrMu.Unlock()
+		if svc != nil {
+			svc.stop()
+		}
 	})
 }
