@@ -22,6 +22,16 @@ go vet ./...
 echo "== go build ./... =="
 go build ./...
 
+# One-path guard: the event calendar is the only engine and every modeled
+# wait has one blocking path (docs/PERFORMANCE.md, "Execution model"). A
+# scheduler nil-check, the removed engine's name, or a host-time grace
+# tier coming back is a second path coming back.
+echo "== one-path guard =="
+if grep -rnE 'sched (!=|==) nil|EngineGoroutine|WaitGrace|timeoutCh' --include=*.go internal cmd *.go; then
+    echo "ci: FAIL — a second blocking path, engine, or host-grace tier is back (matches above)" >&2
+    exit 1
+fi
+
 # -race slows the case-study shape tests past go test's default 10m
 # per-package timeout; -short skips them, the full run needs the headroom.
 echo "== go test -race -timeout 45m ./... $* =="
@@ -107,9 +117,9 @@ go tool pprof -top "$PPROF" | grep 'barrier.wait' > /dev/null || {
 # prints "N allocs/op" which we grep for nonzero N.
 echo "== bench-alloc smoke: Put/Barrier must report 0 allocs/op =="
 ALLOC_OUT=$(env -u TSHMEM_SANITIZE go test ./internal/bench -run '^$' \
-    -bench '^(BenchmarkPut|BenchmarkBarrier)(Event)?$' -benchtime 100x -benchmem)
+    -bench '^(BenchmarkPut|BenchmarkBarrier)$' -benchtime 100x -benchmem)
 echo "$ALLOC_OUT"
-if echo "$ALLOC_OUT" | grep -E 'Benchmark(Put|Barrier)(Event)?\b' | grep -vE '\s0 allocs/op'; then
+if echo "$ALLOC_OUT" | grep -E 'Benchmark(Put|Barrier)\b' | grep -vE '\s0 allocs/op'; then
     echo "ci: FAIL — steady-state Put/Barrier paths allocate; see docs/PERFORMANCE.md" >&2
     exit 1
 fi
@@ -138,90 +148,54 @@ echo "$FAULT_OUT" | grep 'timeout' | grep 'PE 3' > /dev/null || {
     exit 1
 }
 
-# Engine smoke: the event engine is a host scheduling policy and may not
-# move a single modeled picosecond (docs/PERFORMANCE.md, "Engines"). Its
-# probe suite must be byte-identical to the committed baseline; the
-# sanitize, fault, and profile machinery must work unmodified on top of
-# it; and the scaling gate must show the engine keeping its shape — at
-# 128 concurrent runs, at most 2 runnable host goroutines per run and a
-# median throughput not below the goroutine engine's; the ratio is logged,
-# not gated (measured in fresh processes; internal/bench/
-# engine_bench_test.go explains why, and why ">= 2x" was retired).
-echo "== engine smoke: event engine byte-identity + smokes + scaling gate =="
-EVSMOKE=$(mktemp /tmp/tshmem-evsmoke.XXXXXX.json)
-trap 'rm -f "$SMOKE" "$PPROF" "$EVSMOKE"' EXIT
-go run ./cmd/tshmem-bench -engine event -json "$EVSMOKE"
-if ! cmp -s BENCH_baseline.json "$EVSMOKE"; then
-    echo "ci: FAIL — event-engine probe JSON differs from BENCH_baseline.json" >&2
-    echo "    byte-for-byte; engines must not move virtual time" >&2
-    exit 1
-fi
-if ! go run ./cmd/tshmem-bench -engine event \
-        -compare BENCH_baseline.json "$EVSMOKE" -threshold 5% > /dev/null; then
-    echo "ci: FAIL — -compare disagrees with cmp on the event-engine suite" >&2
-    exit 1
-fi
-TSHMEM_SANITIZE=1 go run ./cmd/tshmem-bench -engine event -sanitize -probe barrier > /dev/null
-go run ./cmd/tshmem-bench -engine event -faults 'stall:pe=3,q=0' \
-    | grep 'timeout' | grep 'PE 3' > /dev/null || {
-    echo "ci: FAIL — event engine lost the stall timeout diagnostic for PE 3" >&2
-    exit 1
-}
-go run ./cmd/tshmem-bench -engine event -probe barrier -profile \
-    | grep 'barrier.wait' > /dev/null || {
-    echo "ci: FAIL — event-engine profiled barrier probe never blames barrier.wait" >&2
-    exit 1
-}
-TSHMEM_ENGINE_GATE=1 go test ./internal/bench -run '^TestEngineScalingGate$' -count=1
-
 # Big-mesh smoke: the sparse mesh layer must keep a 64x64 synthetic
 # geometry at kilobytes (the memory gate fails construction past 32 MiB)
-# and sustain the 4096-PE barrier probe on both engines with O(n) host
-# memory and equal makespans (docs/ARCHITECTURES.md). Both run inside the
-# -race pass above too; this stage repeats them uninstrumented, where the
-# launcher-side start_pes replay makes the probe about a second, so the
-# timeout is the gate against an n^2 launch coming back (the literal
-# exchange took 26 s and 7.5 min here). TestLaunchScaling prints the
-# 256 -> 1024 PE host-time ratio per engine; it reports and never fails.
+# and sustain the 4096-PE barrier probe with O(n) host memory and the
+# reference makespan (docs/ARCHITECTURES.md). Both run inside the -race
+# pass above too; this stage repeats them uninstrumented, where the
+# launcher-side start_pes replay makes the probe a fraction of a second,
+# so the timeout is the gate against an n^2 launch coming back (the
+# literal exchange took 7.5 min here). TestLaunchScaling prints the
+# 256 -> 1024 PE host-time ratio; it reports and never fails.
 echo "== big-mesh smoke: 64x64 geometry memory gate + 4096-PE barrier probe =="
 go test ./internal/mesh -run '^TestBigMeshGeometryMemory$' -count=1
 go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$' -count=1 -timeout 2m -v
 
-# Race smoke: virtual time must not depend on the host schedule, and two
-# ways it could are exposed only by the detector's slowdown, and not on
-# every run: a WaitUntil polling between a watched store and its
-# visibility stamp, and a profiled lock phase whose winner the host picks.
-# The tests that catch them run three more times.
-echo "== race smoke: engine equivalence + profile + flag chain, 3x =="
+# Race smoke: virtual time must not depend on the host schedule. The
+# calendar runs one PE at a time, so the detector finds nothing unless the
+# single-baton invariant breaks; these are the tests that pinned the ways
+# it once could (a WaitUntil polling between a watched store and its
+# visibility stamp, a profiled lock phase whose winner the host picked,
+# two transfers reaching the chip-pair wire in host order). They run three
+# more times.
+echo "== race smoke: golden matrix + profile + flag chain + multichip ring, 3x =="
 go test -race ./internal/core \
-    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain' -count=3
+    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing' -count=3
 
 # Arena smoke: every run's common-memory segment is recycled, so a pooled
-# segment that is not entirely zero, or a servicer goroutine still writing
-# one after Run returned, corrupts a later, unrelated run. The second
-# depends on timing; the detector and three repeats make it show.
+# segment that is not entirely zero, or anything still writing one after
+# Run returned, corrupts a later, unrelated run. The detector and three
+# repeats would show the second.
 echo "== arena smoke: zeroing invariant + quiescent check-in, race, 3x =="
 go test -race ./internal/core -run 'TestArenaZeroingInvariant|TestArenaQuiescence' -count=3
 
 # Cross-architecture smoke: the chip-family sweep must render end to end
 # (Tilera + Epiphany columns; docs/ARCHITECTURES.md). Epiphany sanitizer
 # coverage lives in the -race pass above (TestPropertyConformanceNewFamilies
-# runs both new families on both engines with the checker on).
+# runs both new families with the checker on).
 echo "== cross-architecture smoke: chip-family sweep =="
 go run ./cmd/tshmem-bench -sweep-chips > /dev/null
 
 # Kernel smoke: the scenario corpus (internal/kernels; EXPERIMENTS.md
-# "Choosing a kernel for a sweep") must run sanitizer-clean on both
-# engines. Each probe is self-verifying — it compares the distributed
+# "Choosing a kernel for a sweep") must run sanitizer-clean. Each probe
+# is self-verifying — it compares the distributed
 # output against the kernel's serial oracle before reporting — so a
 # zero exit here is a differential-correctness check, not just a crash
 # check. The kernel probes are deliberately NOT in the baseline suite;
 # the cmp gates above already prove BENCH_baseline.json is untouched.
-echo "== kernel smoke: scenario corpus oracle-verified on both engines =="
+echo "== kernel smoke: scenario corpus oracle-verified =="
 for K in sort bfs stencil wordcount; do
     TSHMEM_SANITIZE=1 go run ./cmd/tshmem-bench -sanitize -probe "$K" > /dev/null
-    TSHMEM_SANITIZE=1 go run ./cmd/tshmem-bench -engine event -sanitize \
-        -probe "$K" > /dev/null
 done
 go run ./cmd/tshmem-bench -sweep-kernels > /dev/null
 

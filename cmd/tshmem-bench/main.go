@@ -26,9 +26,6 @@
 //	tshmem-bench -profile-diff a.json b.json          # diff two snapshots
 //	tshmem-bench -cpuprofile cpu.pprof       # profile the simulator host cost
 //	tshmem-bench -memprofile mem.pprof       # heap profile at exit
-//	tshmem-bench -engine event -probe barrier  # probe on the event engine
-//	tshmem-bench -engine event -json out.json  # baseline on the event engine
-//	tshmem-bench -engine-scaling             # concurrent-run throughput per engine
 //	tshmem-bench -sweep-chips                # barrier crossovers across chip families
 //	tshmem-bench -probe sort                 # scenario-corpus kernel, oracle-verified
 //	tshmem-bench -sweep-kernels              # corpus kernels across chip families
@@ -39,20 +36,15 @@
 // flags. The scenario-corpus kernels (sort, bfs, stencil, wordcount;
 // tshmem-info -kernels) are also probes: each run re-derives its answer
 // and checks it against the kernel's serial oracle before reporting, and
-// composes with -sanitize, -faults, -engine, and the -profile family
+// composes with -sanitize, -faults, and the -profile family
 // like any other probe. They are not members of the -json baseline
 // suite, so BENCH_baseline.json is unaffected by the corpus.
 // -sweep-kernels runs every kernel across the -sweep-chips chip set and
 // prints the verified-makespan table (EXPERIMENTS.md, "Choosing a
-// kernel for a sweep"). -engine selects the execution engine for probe and -json suite
-// runs (tshmem-info -engines lists them); virtual time is byte-identical
-// between engines, so an -engine event baseline diffs exactly against a
-// goroutine-engine one. -engine-scaling measures how many concurrent
-// simulations the host sustains under each engine (docs/PERFORMANCE.md,
-// "Engines"). -compare reruns nothing: it diffs two files written by -json and
-// exits non-zero if any watched metric (makespan, p50, p99) regressed past
-// -threshold. -profile-diff likewise diffs two files written by
-// -profile-json. Virtual time makes the files host-independent, so the
+// kernel for a sweep"). -compare reruns nothing: it diffs two files
+// written by -json and exits non-zero if any watched metric (makespan,
+// p50, p99) regressed past -threshold. -profile-diff likewise diffs two
+// files written by -profile-json. Virtual time makes the files host-independent, so the
 // committed BENCH_baseline.json diffs exactly. See docs/OBSERVABILITY.md
 // for the counter taxonomy, heatmap legend, blame-category taxonomy
 // (tshmem-info -profile), and JSON schemas.
@@ -117,16 +109,8 @@ func run() int {
 		ppOut   = flag.String("pprof", "", "write the probe's blame ledger as a pprof protobuf to this file (go tool pprof; implies -profile)")
 		pjOut   = flag.String("profile-json", "", "write the probe's profile snapshot JSON to this file, for -profile-diff (implies -profile)")
 		pdiff   = flag.String("profile-diff", "", "baseline profile JSON to diff against; pass the current run's JSON as the positional argument")
-		engName = flag.String("engine", "", "execution engine for probe and -json suite runs: goroutine, event (default goroutine; see tshmem-info -engines)")
-		engScal = flag.Bool("engine-scaling", false, "measure concurrent-run throughput per engine and print the scaling table (docs/PERFORMANCE.md)")
 	)
 	flag.Parse()
-
-	engine, err := core.ParseEngine(*engName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tshmem-bench: %v\n", err)
-		return 2
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -184,22 +168,10 @@ func run() int {
 		return 0
 	}
 	if *jsonOut != "" {
-		if err := writeBaseline(*jsonOut, engine); err != nil {
+		if err := writeBaseline(*jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "tshmem-bench: %v\n", err)
 			return 1
 		}
-		return 0
-	}
-	if *engScal {
-		start := time.Now()
-		pts, err := bench.EngineScalingSweep(2)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tshmem-bench: %v\n", err)
-			return 1
-		}
-		fmt.Print(bench.FormatEngineScaling(pts))
-		fmt.Printf("(measured in %.1fs wall time; host wall-clock, unlike every virtual-time table)\n",
-			time.Since(start).Seconds())
 		return 0
 	}
 	if *sweep {
@@ -247,7 +219,7 @@ func run() int {
 		*probe = "bcast"
 	}
 	if *probe != "" {
-		if err := runProbe(*probe, *trace, *heatmap, *svgPath, *san, *faults, *barAlgo, *lkAlgo, engine, prof); err != nil {
+		if err := runProbe(*probe, *trace, *heatmap, *svgPath, *san, *faults, *barAlgo, *lkAlgo, prof); err != nil {
 			fmt.Fprintf(os.Stderr, "tshmem-bench: %v\n", err)
 			return 1
 		}
@@ -316,7 +288,7 @@ func warnExportDrops(rep *core.Report, what string) {
 // causal profile. With a fault spec the probe runs under the injected
 // plan: bounded waits that expire are reported as timeout diagnostics
 // rather than failing the run.
-func runProbe(id, tracePath string, heatmap bool, svgPath string, sanOn bool, faultSpec, barAlgo, lkAlgo string, engine core.Engine, prof profileFlags) error {
+func runProbe(id, tracePath string, heatmap bool, svgPath string, sanOn bool, faultSpec, barAlgo, lkAlgo string, prof profileFlags) error {
 	p, ok := bench.LookupProbe(id)
 	if !ok {
 		return fmt.Errorf("unknown probe %q; valid probes: %s",
@@ -340,7 +312,7 @@ func runProbe(id, tracePath string, heatmap bool, svgPath string, sanOn bool, fa
 	start := time.Now()
 	rep, err := p.Run(bench.ProbeOpts{
 		Trace: tracePath != "", Sanitize: sanOn, Profile: prof.on, Faults: plan,
-		BarrierAlgo: ba, LockAlgo: la, Engine: engine,
+		BarrierAlgo: ba, LockAlgo: la,
 	})
 	if err != nil {
 		// Under fault injection a timed-out wait is the expected outcome
@@ -491,12 +463,10 @@ func runProfileDiff(basePath string, args []string) error {
 }
 
 // writeBaseline runs the probe suite and writes the machine-readable
-// baseline JSON (the format committed as BENCH_baseline.json). The
-// baseline is engine-independent: virtual time is byte-identical between
-// engines, so -engine event writes the same file.
-func writeBaseline(path string, engine core.Engine) error {
+// baseline JSON (the format committed as BENCH_baseline.json).
+func writeBaseline(path string) error {
 	start := time.Now()
-	b, err := bench.RunSuite(bench.ProbeOpts{Engine: engine})
+	b, err := bench.RunSuite(bench.ProbeOpts{})
 	if err != nil {
 		return err
 	}

@@ -2,10 +2,10 @@
 // and Epiphany families plus synthetic-WxH grids), including the paper's
 // Table II architecture comparison, the substrate observability counter
 // taxonomy (-counters), the fault-injection kind taxonomy (-faults), the
-// causal profiler's blame-category taxonomy (-profile), the execution
-// engine catalogue (-engines), and the scenario-corpus workload menu
-// (-kernels). Flags must precede any operands: Go's flag package stops
-// parsing at the first positional argument.
+// causal profiler's blame-category taxonomy (-profile), and the
+// scenario-corpus workload menu (-kernels). Flags must precede any
+// operands: Go's flag package stops parsing at the first positional
+// argument.
 package main
 
 import (
@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"tshmem/internal/arch"
-	"tshmem/internal/core"
 	"tshmem/internal/fault"
 	"tshmem/internal/kernels"
 	"tshmem/internal/profile"
@@ -56,7 +55,6 @@ func main() {
 	var counters = flag.Bool("counters", false, "print the observability counter taxonomy and exit")
 	var faults = flag.Bool("faults", false, "print the fault-injection kind taxonomy and exit")
 	var prof = flag.Bool("profile", false, "print the causal profiler's blame-category taxonomy and exit")
-	var engines = flag.Bool("engines", false, "print the execution engine catalogue and exit")
 	var kern = flag.Bool("kernels", false, "print the scenario-corpus workload menu and exit")
 	flag.Parse()
 
@@ -69,24 +67,6 @@ func main() {
 			"run is verified against it before a makespan is reported. The IDs are\n" +
 			"also valid for tshmem-bench -sweep-kernels rows and examples/kernels\n" +
 			"-kernel. See EXPERIMENTS.md (\"Choosing a kernel for a sweep\").")
-		return
-	}
-
-	if *engines {
-		fmt.Println("execution engines (core.Config.Engine; tshmem-bench -engine):")
-		for _, e := range core.Engines() {
-			var desc string
-			switch e {
-			case core.EngineGoroutine:
-				desc = "one free-running host goroutine per PE (default)"
-			case core.EngineEvent:
-				desc = "virtual-time calendar: one runnable goroutine per run,\n" +
-					"              admission-gated launches"
-			}
-			fmt.Printf("  %-10s  %s\n", e, desc)
-		}
-		fmt.Println("Reports are byte-identical between engines; see docs/PERFORMANCE.md\n" +
-			"(\"Engines\") for the scheduling model and the determinism argument.")
 		return
 	}
 

@@ -10,7 +10,7 @@
 //	go run ./examples/kernels                       # all four, defaults
 //	go run ./examples/kernels -kernel bfs -size 800 -pes 16
 //	go run ./examples/kernels -kernel stencil -size 96 -width 3 -pes 8
-//	go run ./examples/kernels -chip Epiphany-III -engine event
+//	go run ./examples/kernels -chip Epiphany-III
 package main
 
 import (
@@ -33,7 +33,6 @@ func main() {
 		width = flag.Int("width", 2, "stencil halo depth")
 		iters = flag.Int("iters", 0, "stencil sub-iterations (0: 4*width)")
 		chip  = flag.String("chip", "TILE-Gx8036", "chip model")
-		eng   = flag.String("engine", "", "execution engine: goroutine, event")
 	)
 	flag.Parse()
 
@@ -45,10 +44,6 @@ func main() {
 		}
 		log.Fatalf("unknown chip %q (known: %s, or synthetic-WxH)",
 			*chip, strings.Join(known, ", "))
-	}
-	engine, err := core.ParseEngine(*eng)
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	var menu []kernels.Kernel
@@ -64,7 +59,7 @@ func main() {
 
 	for _, k := range menu {
 		s := kernels.Spec{Size: *size, Seed: *seed, NPEs: *pes, Width: *width, Iters: *iters}
-		rep, out, err := kernels.Launch(k, s, core.Config{Chip: c, Engine: engine})
+		rep, out, err := kernels.Launch(k, s, core.Config{Chip: c})
 		if err != nil {
 			log.Fatalf("%s: %v", k.Name(), err)
 		}

@@ -12,7 +12,11 @@ package bench
 //	go test ./internal/bench -run '^$' -bench . -benchmem
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tshmem/internal/core"
 )
@@ -147,4 +151,56 @@ func BenchmarkRunStartup(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestFanOutRunnableBound is the structural property behind running many
+// simulations at once (EXPERIMENTS.md): 128 concurrent 16-PE runs of the
+// barrier probe's chain, stretched eightfold so scheduling dominates, and
+// on every one of them the calendar keeps exactly one PE goroutine
+// runnable. The host then schedules 128 runnable goroutines, not 2048, and
+// the admission gate keeps only a few arenas resident; the peak goroutine
+// count (parked PEs included) is logged. Throughput is the benchmark's
+// business (core.sims_per_s), not this test's.
+func TestFanOutRunnableBound(t *testing.T) {
+	const concurrent = 128
+	cfg := core.Config{NPEs: 16, HeapPerPE: 512 << 10}
+	body := func(pe *core.PE) error {
+		if err := pe.AlignClocks(); err != nil {
+			return err
+		}
+		for i := 0; i < 8*probeBarriers; i++ {
+			if err := pe.BarrierAll(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var peak atomic.Int64
+	stop := make(chan struct{})
+	go func() {
+		for {
+			peak.Store(max(peak.Load(), int64(runtime.NumGoroutine())))
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < concurrent; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := core.Run(cfg, body)
+			if err != nil {
+				t.Error(err)
+			} else if rep.MaxRunnablePEs != 1 {
+				t.Errorf("a run had %d PEs runnable at once, want exactly 1", rep.MaxRunnablePEs)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	t.Logf("%d concurrent %d-PE runs: peak %d goroutines", concurrent, cfg.NPEs, peak.Load())
 }

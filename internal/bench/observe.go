@@ -34,9 +34,8 @@ type ProbeOpts struct {
 	// keeping default probe runs — and BENCH_baseline.json — byte-identical.
 	BarrierAlgo core.BarrierAlgo
 	LockAlgo    core.LockAlgo
-	// Engine selects the host execution engine (docs/PERFORMANCE.md,
-	// "Engines"). Virtual time is byte-identical between engines, so the
-	// baseline a probe produces does not depend on this.
+	// Engine is vestigial (core.Config.Engine has one value); the frozen
+	// benchmark/ package still sets it.
 	Engine core.Engine
 }
 

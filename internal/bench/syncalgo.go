@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"tshmem/internal/arch"
@@ -90,13 +89,15 @@ func measureLockUncontended(opt Options, chip *arch.Chip, algo core.LockAlgo) (v
 
 // measureLockContended runs n PEs each performing iters lock-guarded
 // increments of a host-side counter and reports the virtual makespan.
-// The critical section charges a modeled compute burst and yields the
-// host thread, so other PEs genuinely pile up on the held lock and each
-// algorithm's contended path (CAS retry storm, ticket hub wait, MCS
-// direct handoff) is the one measured. The acquisition interleaving
-// under contention follows host scheduling (as it would on hardware),
-// so the makespan is representative, not bit-reproducible; mutual
-// exclusion itself is verified exactly.
+// The critical section charges a modeled compute burst. The calendar
+// switches PEs only where one parks, and nothing in this loop parks while
+// the lock is free, so the contenders take the lock in (clock, rank) turns
+// — each PE's critical sections back to back — and the release-visibility
+// rule serializes the turns in virtual time: the makespan is the
+// serialized hold time plus each algorithm's acquire and release traffic,
+// bit-reproducible, and the queueing paths (CAS retry, ticket hub wait,
+// MCS handoff) are not on it. internal/core's lock tests drive those.
+// Mutual exclusion is verified exactly.
 func measureLockContended(opt Options, chip *arch.Chip, algo core.LockAlgo, n, iters int) (vtime.Duration, error) {
 	var counter int64 // guarded by the simulated lock
 	cfg := core.Config{Chip: chip, NPEs: n, HeapPerPE: 64 << 10, LockAlgo: algo}
@@ -114,11 +115,9 @@ func measureLockContended(opt Options, chip *arch.Chip, algo core.LockAlgo, n, i
 			}
 			counter++
 			pe.ComputeIntOps(2000) // hold the lock for a modeled ~2us burst
-			runtime.Gosched()      // let waiters observe the lock held
 			if err := pe.ClearLock(lk); err != nil {
 				return err
 			}
-			runtime.Gosched()
 		}
 		return pe.BarrierAll()
 	})
@@ -242,9 +241,9 @@ func SweepAlgos(opt Options) (string, error) {
 			fmt.Fprintf(&b, "%-14s %8s %18.3f %22.3f\n", chip.Name, a, u.Us(), c.Us())
 		}
 	}
-	b.WriteString("(uncontended latencies are deterministic; the contended makespan's\n" +
-		" acquisition interleaving follows host scheduling and varies run to run.\n" +
-		" mutual exclusion is verified on every contended run.)\n")
+	b.WriteString("(both columns are deterministic: contenders take the lock in (clock, rank)\n" +
+		" turns, so the makespan is the serialized hold time; mutual exclusion is\n" +
+		" verified on every contended run.)\n")
 	return b.String(), nil
 }
 

@@ -437,7 +437,7 @@ func TestArenaQuiescence(t *testing.T) {
 				cfg := Config{NPEs: 4, HeapPerPE: 320 << 10, ScratchBytes: 256 << 10, Engine: eng}
 				drainArenaPool()
 				faulted := cfg
-				faulted.Faults, faulted.WaitGrace = c.faults, testGrace
+				faulted.Faults = c.faults
 				_, err := Run(faulted, c.body)
 				c.check(t, err)
 				requireZeroPool(t)

@@ -2,16 +2,11 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"tshmem/internal/profile"
 	"tshmem/internal/stats"
 	"tshmem/internal/vtime"
 )
-
-// waitYield lets other PE goroutines make progress while this PE spins on a
-// contended lock.
-func waitYield() { runtime.Gosched() }
 
 // AtomicT constrains the types with swap support in OpenSHMEM 1.0
 // (int, long, long long, float, double).
@@ -224,7 +219,7 @@ func (pe *PE) SetLock(lock Ref[int64]) error {
 		if pe.prog.aborted.Load() {
 			return fmt.Errorf("tshmem: program aborted while PE %d waited for a lock", pe.id)
 		}
-		// Contended: model the retry delay and let other goroutines run.
+		// Contended: model the retry delay and let other PEs run.
 		t0 := pe.clock.Now()
 		pe.clock.Advance(backoff)
 		pe.prof.Advance(profile.CatLockWait, t0, pe.clock.Now())

@@ -53,4 +53,16 @@
 // paper's latency/bandwidth curves deterministically on any host. The
 // functional side is real: bytes move through real shared memory and
 // results are exact.
+//
+// # Execution
+//
+// A run's PE goroutines execute one at a time on a virtual-time calendar
+// (engine.go): every modeled wait — a UDN or mPIPE queue, the spin
+// barrier, a WaitUntil hub, a counter barrier, a lock queue — parks the PE
+// there, and the baton goes to the ready PE with the least (clock, rank).
+// That is the only blocking path each wait has. Because the calendar sees
+// every wait, it expires bounded waits under fault injection without a
+// host timer and reports a deadlock, naming each PE's wait, instead of
+// hanging; the one rule it imposes is that a body must not block on a host
+// primitive waiting for another PE of the same run (see Run).
 package core

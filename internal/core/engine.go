@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 
 	"tshmem/internal/mpipe"
@@ -12,82 +14,54 @@ import (
 	"tshmem/internal/vtime"
 )
 
-// Engine selects the execution engine behind Run (Config.Engine).
-//
-// Both engines execute the same PE bodies against the same cost models
-// and produce byte-identical reports (a cross-engine test matrix asserts
-// this; docs/PERFORMANCE.md explains why it holds). They differ only in
-// how the host schedules the PEs:
-//
-//   - EngineGoroutine (the default) runs every PE as a free-running
-//     goroutine that blocks on channels and condition variables at each
-//     modeled wait. Simple, but a run keeps NPEs goroutines runnable and
-//     contending, which caps how many simulations a host can run at once.
-//   - EngineEvent parks every PE and lets a virtual-time calendar grant
-//     a single run baton to the ready PE with the least (virtual clock,
-//     rank). Exactly one PE goroutine per run is ever runnable, there is
-//     no host-level contention between PEs, and the execution order is
-//     deterministic by construction instead of by virtual-time
-//     tie-breaking across racing goroutines.
+// Engine names the execution engine behind Run (Config.Engine). There is
+// one. Until PR 15 a second engine ran every PE as a free-running goroutine
+// blocking on channels and condition variables; it cost a second copy of
+// every modeled wait, and the host parallelism it bought inside a run
+// helped only bodies dominated by host arithmetic (docs/PERFORMANCE.md,
+// "Execution model", keeps the measurements), so it was removed. The type
+// stays, one-valued, because the frozen benchmark/ package compiles
+// against it; a later benchmark PR removes it together with the `_event`
+// metric twins.
 type Engine int
 
-const (
-	// EngineGoroutine: one free-running host goroutine per PE (legacy).
-	EngineGoroutine Engine = iota
-	// EngineEvent: parked PEs scheduled one at a time by a virtual-time
-	// calendar; O(1) runnable goroutines per run.
-	EngineEvent
-
-	numEngines
-)
-
-var engineNames = [numEngines]string{"goroutine", "event"}
+// EngineEvent is the virtual-time calendar (evsched): parked PEs scheduled
+// one at a time, least (virtual clock, rank) first. The zero value.
+const EngineEvent Engine = 0
 
 func (e Engine) String() string {
-	if int(e) >= 0 && int(e) < len(engineNames) {
-		return engineNames[e]
+	if e == EngineEvent {
+		return "event"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine resolves a -engine flag value. Empty and "default" select
-// the goroutine engine.
+// ParseEngine resolves an engine name: "", "default" and "event" all name
+// the calendar.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "", "default":
-		return EngineGoroutine, nil
+	case "", "default", "event":
+		return EngineEvent, nil
+	case "goroutine":
+		return 0, fmt.Errorf("tshmem: the goroutine engine was removed in PR 15; the event calendar is the only engine (valid: event)")
 	}
-	for i, n := range engineNames {
-		if s == n {
-			return Engine(i), nil
-		}
-	}
-	return 0, fmt.Errorf("tshmem: unknown engine %q (valid: %s)",
-		s, joinNames(engineNames[:]))
+	return 0, fmt.Errorf("tshmem: unknown engine %q (valid: event)", s)
 }
 
-// Engines lists every execution engine in declaration order.
-func Engines() []Engine {
-	out := make([]Engine, 0, numEngines)
-	for e := EngineGoroutine; e < numEngines; e++ {
-		out = append(out, e)
-	}
-	return out
-}
+// Engines lists every execution engine.
+func Engines() []Engine { return []Engine{EngineEvent} }
 
-// Run admission for the event engine. Because the calendar owns a run's
-// whole lifecycle, the event engine can schedule simulations, not just
-// PEs: each event-engine Run holds an admission token from before its
-// arena is allocated until teardown, capping how many simulations are
-// resident at once at a small multiple of GOMAXPROCS. A concurrent storm
-// of Run calls then executes in near run-to-completion order — only a
-// handful of arenas are ever live, however many runs are in flight —
-// instead of every run's arena staying resident while the host
+// Run admission. Because the calendar owns a run's whole lifecycle, it can
+// schedule simulations, not just PEs: each Run holds an admission token
+// from before its arena is checked out until teardown, capping how many
+// simulations are resident at once at a small multiple of GOMAXPROCS. A
+// concurrent storm of Run calls then executes in near run-to-completion
+// order — only a handful of arenas are ever live, however many runs are in
+// flight — instead of every run's arena staying resident while the host
 // timeslices among them. Callers observe nothing but Run blocking, which
 // it does anyway; virtual time is untouched. The width is fixed at init:
-// event-engine runs that (unusually) synchronize with each other through
-// host-side channels must fit inside it together. The goroutine engine
-// stays free-running for compatibility.
+// runs that (unusually) synchronize with each other through host-side
+// channels must fit inside it together.
 var evAdmission = make(chan struct{}, evAdmissionWidth())
 
 func evAdmissionWidth() int {
@@ -97,7 +71,7 @@ func evAdmissionWidth() int {
 	return 2
 }
 
-// Arena recycling: every Run, on either engine, checks its common-memory
+// Arena recycling: every Run checks its common-memory
 // segment out of a process-wide pool and back in at teardown, so a launch
 // pays for zeroing the bytes the previous tenant wrote instead of for
 // allocating (and the runtime clearing) a fresh multi-megabyte segment.
@@ -105,9 +79,9 @@ func evAdmissionWidth() int {
 // entirely zero, exactly like a fresh one. Check-in restores the invariant
 // by re-zeroing only what the finished run can have written: each PE heap
 // and scratch shard up to its allocator's high-water mark, plus any
-// mappings the run created after launch. It runs once the run is
-// quiescent: every PE goroutine has exited and closeNets has waited out
-// the interrupt servicers, the only other writers of the segment.
+// mappings the run created after launch. It runs once every PE goroutine
+// has exited; nothing else ever writes the segment (interrupt handlers run
+// on the requesting PE's goroutine).
 //
 // The visible consequence (documented on Run): once Run returns, local
 // views of its symmetric memory (MustLocal / Local) are dead — the segment
@@ -227,7 +201,7 @@ type evNode struct {
 	park  chan uint8 // cap 1: a grant never blocks and is never lost
 }
 
-// evsched is the event engine's calendar: a cooperative single-baton
+// evsched is the calendar every run executes on: a cooperative single-baton
 // scheduler over the run's PEs. Exactly one PE is evRunning at any time;
 // it performs its modeled work (advancing its own virtual clock), wakes
 // peers whose waits it satisfied, and hands the baton back by yielding
@@ -235,9 +209,9 @@ type evNode struct {
 // clock, rank), so the execution order is a pure function of the modeled
 // times — deterministic regardless of GOMAXPROCS or host load.
 //
-// Every blocking point in the library parks here instead of on a
-// channel; the wait sites keep their exact cost-model, profiler, and
-// timeout code, so virtual time is identical to the goroutine engine's.
+// Every blocking point in the library parks here, and nowhere else: the
+// wait sites own the cost-model, profiler, and timeout code, the calendar
+// only decides who runs next.
 type evsched struct {
 	prog *Program
 	mu   sync.Mutex
@@ -253,8 +227,7 @@ type evsched struct {
 	// calendar.
 	parked [numWaitKinds]int
 
-	maxRunning int   // peak of running — must stay 1
-	handoffs   int64 // total grants, for the scheduling-overhead bench
+	maxRunning int // peak of running — must stay 1
 }
 
 func newEvsched(p *Program, n int) *evsched {
@@ -305,8 +278,8 @@ func (s *evsched) yield(id int, kind uint8, a, b int64) uint8 {
 }
 
 // yieldReady re-queues the running PE as ready and hands the baton on —
-// the event engine's runtime.Gosched for modeled spin loops. The caller
-// stays schedulable, so this can never quiesce.
+// runtime.Gosched for modeled spin loops. The caller stays schedulable, so
+// this can never quiesce.
 func (s *evsched) yieldReady(id int) {
 	s.mu.Lock()
 	n := &s.pes[id]
@@ -369,11 +342,11 @@ func (s *evsched) wake(kind uint8, a, b int64) {
 // dispatchLocked grants the baton to the ready PE with the least
 // (virtual clock, rank). Quiescence — no ready PE but blocked ones —
 // means no blocked wait can ever be satisfied (nothing is running to
-// satisfy it): under fault injection every bounded wait expires at once
-// (each lands its clock on its own start+WaitBudget deadline, exactly
-// like the goroutine engine's independent grace timers); without faults
-// the program is deadlocked and the caller must resolve it outside the
-// lock (reported by the return value).
+// satisfy it), so no host timer is needed to find that out: under fault
+// injection every bounded wait expires at once (each lands its clock on
+// its own start+WaitBudget deadline); without faults the program is
+// deadlocked and the caller must resolve it outside the lock (reported by
+// the return value).
 func (s *evsched) dispatchLocked() (deadlocked bool) {
 	if s.running > 0 {
 		return false
@@ -426,23 +399,148 @@ func (s *evsched) grantLocked() bool {
 	if s.running > s.maxRunning {
 		s.maxRunning = s.running
 	}
-	s.handoffs++
 	st := n.wake
 	n.wake = wakeRun
 	n.park <- st
 	return true
 }
 
+// maxDeadlockLines caps the per-PE lines of a deadlock report.
+const maxDeadlockLines = 16
+
 // resolveDeadlock handles true quiescence without fault injection: every
-// live PE is parked on a wait no peer can ever satisfy. The goroutine
-// engine would hang here; the calendar sees the global state and aborts
-// the run with a diagnosis instead (documented divergence —
-// docs/PERFORMANCE.md).
+// live PE is parked on a wait no peer can ever satisfy. The calendar sees
+// the global state, so instead of hanging it aborts the run with an error
+// that names each blocked PE's wait and, where the waits' owners are known
+// and close one, a wait-for cycle.
 func (s *evsched) resolveDeadlock() {
-	s.prog.abort(fmt.Errorf("tshmem: deadlock: every live PE is blocked on a wait no peer can satisfy"))
+	s.mu.Lock()
+	nodes := make([]evNode, len(s.pes)) // nothing runs: a consistent snapshot
+	copy(nodes, s.pes)
+	s.mu.Unlock()
+
+	var b strings.Builder
+	b.WriteString("tshmem: deadlock: every live PE is blocked on a wait no peer can satisfy")
+	lines := 0
+	for i := range nodes {
+		if nodes[i].state != evBlocked {
+			continue
+		}
+		if lines++; lines <= maxDeadlockLines {
+			fmt.Fprintf(&b, "\n  PE %d: %s", i, nodes[i].waitString())
+		}
+	}
+	if lines > maxDeadlockLines {
+		fmt.Fprintf(&b, "\n  ... and %d more", lines-maxDeadlockLines)
+	}
+	if cyc := s.waitCycle(nodes); cyc != nil {
+		b.WriteString("\n  wait-for cycle:")
+		for i, pe := range cyc {
+			if i > 0 {
+				b.WriteString(" ->")
+			}
+			fmt.Fprintf(&b, " PE %d", pe)
+		}
+	}
+	s.prog.abort(errors.New(b.String()))
 	// abort is once-only; if it already ran (a PE parked during teardown,
 	// after the abort hook's wakes), re-issue the abort wakes ourselves.
 	s.abortWake()
+}
+
+// waitString names what a blocked PE is parked on.
+func (n *evNode) waitString() string {
+	switch n.kind {
+	case wkUDNRecv:
+		return fmt.Sprintf("udn.recv queue %d", n.b)
+	case wkUDNSend:
+		return fmt.Sprintf("udn.send to PE %d queue %d (full)", n.a, n.b)
+	case wkFabRecv:
+		return "mpipe.recv"
+	case wkFabSend:
+		return fmt.Sprintf("mpipe.send to PE %d (inbox full)", n.a)
+	case wkSpin:
+		return fmt.Sprintf("spin barrier generation %d", n.a)
+	case wkHub:
+		return fmt.Sprintf("wait_until hub %d", n.a)
+	case wkCtr:
+		return fmt.Sprintf("counter barrier tag %#x", n.a)
+	case wkMCS:
+		return fmt.Sprintf("lock @%#x behind PE %d", n.a, n.b)
+	case wkMCSSucc:
+		return fmt.Sprintf("lock @%#x release awaiting its successor", n.a)
+	}
+	return fmt.Sprintf("wait kind %d", n.kind)
+}
+
+// waitsFor lists the PEs whose progress would end blocked PE i's wait, for
+// the waits that have such owners: the predecessor in an MCS queue, the
+// receiver of a backpressured send, the members a counter barrier is still
+// missing. A receive or a polled word (WaitUntil, a ticket lock) can be
+// satisfied by any PE and has none.
+func (s *evsched) waitsFor(nodes []evNode, i int) []int {
+	switch n := &nodes[i]; n.kind {
+	case wkMCS:
+		return []int{int(n.b)}
+	case wkUDNSend, wkFabSend:
+		return []int{int(n.a)}
+	case wkCtr:
+		p := s.prog
+		p.ctrMu.Lock()
+		defer p.ctrMu.Unlock()
+		for k, inst := range p.ctrBars {
+			if int64(asTag(k.as, k.gen)) != n.a {
+				continue
+			}
+			var missing []int
+			for m := 0; m < k.as.Size; m++ {
+				pe := k.as.PE(m)
+				if !slices.ContainsFunc(inst.arr, func(a ctrArrival) bool { return a.pe == pe }) {
+					missing = append(missing, pe)
+				}
+			}
+			return missing
+		}
+	}
+	return nil
+}
+
+// waitCycle finds one cycle among the blocked PEs' waitsFor edges, as the
+// ranks along it with the first repeated at the end, or nil.
+func (s *evsched) waitCycle(nodes []evNode) []int {
+	const (
+		unseen = iota
+		onPath
+		done
+	)
+	mark := make([]uint8, len(nodes))
+	var path []int
+	var visit func(i int) bool
+	visit = func(i int) bool {
+		mark[i] = onPath
+		path = append(path, i)
+		for _, j := range s.waitsFor(nodes, i) {
+			if nodes[j].state != evBlocked {
+				continue
+			}
+			if mark[j] == onPath {
+				path = append(path[slices.Index(path, j):], j)
+				return true
+			}
+			if mark[j] == unseen && visit(j) {
+				return true
+			}
+		}
+		mark[i] = done
+		path = path[:len(path)-1]
+		return false
+	}
+	for i := range nodes {
+		if nodes[i].state == evBlocked && mark[i] == unseen && visit(i) {
+			return path
+		}
+	}
+	return nil
 }
 
 // abortWake marks every parked PE ready with an abort status and, if no

@@ -2,46 +2,171 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
 	"reflect"
+	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"tshmem/internal/arch"
 	"tshmem/internal/fault"
+	"tshmem/internal/mesh"
+	"tshmem/internal/vtime"
 )
 
-// TestEngineParse checks the -engine flag surface: names round-trip,
-// empty and "default" select the goroutine engine, and unknown names
-// fail listing the valid set.
+// TestEngineParse checks what is left of the engine surface: one engine,
+// which every accepted name selects, and a removed one that says so.
 func TestEngineParse(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Engine
-	}{
-		{"", EngineGoroutine},
-		{"default", EngineGoroutine},
-		{"goroutine", EngineGoroutine},
-		{"event", EngineEvent},
-	} {
-		got, err := ParseEngine(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v", c.in, got, err, c.want)
+	for _, in := range []string{"", "default", "event"} {
+		if got, err := ParseEngine(in); err != nil || got != EngineEvent {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", in, got, err, EngineEvent)
 		}
 	}
-	if _, err := ParseEngine("fiber"); err == nil || !strings.Contains(err.Error(), "goroutine") {
-		t.Errorf("ParseEngine(fiber) error %v does not list valid engines", err)
+	if _, err := ParseEngine("goroutine"); err == nil || !strings.Contains(err.Error(), "removed") {
+		t.Errorf("ParseEngine(goroutine) error %v does not say the engine was removed", err)
 	}
-	engines := Engines()
-	if len(engines) != 2 || engines[0].String() != "goroutine" || engines[1].String() != "event" {
-		t.Errorf("Engines() = %v", engines)
+	if _, err := ParseEngine("fiber"); err == nil || !strings.Contains(err.Error(), "event") {
+		t.Errorf("ParseEngine(fiber) error %v does not list the valid engine", err)
 	}
-	for _, e := range engines {
-		back, err := ParseEngine(e.String())
-		if err != nil || back != e {
-			t.Errorf("ParseEngine(%q) did not round-trip: %v, %v", e.String(), back, err)
+	if e := Engines(); len(e) != 1 || e[0] != EngineEvent {
+		t.Errorf("Engines() = %v", e)
+	}
+	if s := (Config{}).Engine.String(); s != "event" {
+		t.Errorf("the zero Engine is %q, want \"event\"", s)
+	}
+}
+
+// The goldens. Until PR 15 the library had a second execution engine —
+// every PE a free-running goroutine blocking on channels and condition
+// variables — and the tests below compared the calendar against it run by
+// run. testdata/engine_golden.json is that engine's last word: recorded by
+// these very tests (`go test -run TestEngineEquivalence -update`) on PR
+// 15's parent commit, where the zero Config.Engine still selected it. The
+// calendar must keep reproducing it to the picosecond and the byte.
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from this run")
+
+const goldenPath = "testdata/engine_golden.json"
+
+// runPrint is everything a run produced, reduced to what a golden file can
+// hold: clocks and scalar counters verbatim, the bulky exports as SHA-256.
+type runPrint struct {
+	PETimes     []vtime.Duration `json:"pe_times_ps"`
+	PutBytes    int64            `json:"put_bytes"`
+	GetBytes    int64            `json:"get_bytes"`
+	Barriers    int64            `json:"barriers"`
+	Stats       map[string]int64 `json:"stats,omitempty"`           // Report.Stats(), scalar counters
+	Counters    string           `json:"counters_sha256,omitempty"` // per-PE counter blocks, histograms included
+	Links       string           `json:"links_sha256,omitempty"`    // per-link words and packets of every chip
+	Diagnostics []string         `json:"diagnostics,omitempty"`
+	FaultCounts []int64          `json:"fault_counts,omitempty"`
+	Trace       string           `json:"trace_sha256,omitempty"`   // Report.TraceTo
+	Profile     string           `json:"profile_sha256,omitempty"` // Profile().WriteJSON
+}
+
+func sha(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+
+// clocksOf is the part of a print that holds even where the goroutine
+// engine's histograms were host-scheduled: clocks and traffic totals.
+func clocksOf(rep *Report) runPrint {
+	return runPrint{PETimes: rep.PETimes, PutBytes: rep.PutBytes, GetBytes: rep.GetBytes, Barriers: rep.Barriers}
+}
+
+func printOf(t *testing.T, rep *Report) runPrint {
+	t.Helper()
+	fp := clocksOf(rep)
+	fp.FaultCounts = rep.FaultCounts
+	for _, d := range rep.Diagnostics {
+		fp.Diagnostics = append(fp.Diagnostics, fmt.Sprintf("%+v", d))
+	}
+	if len(rep.PECounters) > 0 {
+		c := rep.Stats()
+		fp.Stats = c.Map()
+		b, err := json.Marshal(rep.PECounters)
+		if err != nil {
+			t.Fatal(err)
 		}
+		fp.Counters = sha(b)
+		var links []int64
+		for _, u := range rep.MeshUtil {
+			for y := 0; y < u.Height; y++ {
+				for x := 0; x < u.Width; x++ {
+					for d := mesh.LinkDir(0); d < mesh.NumLinkDirs; d++ {
+						links = append(links, u.Link(x, y, d), u.Packets(x, y, d))
+					}
+				}
+			}
+		}
+		fp.Links = sha(fmt.Append(nil, links))
+	}
+	if len(rep.Trace()) > 0 {
+		var b bytes.Buffer
+		if err := rep.TraceTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		fp.Trace = sha(b.Bytes())
+	}
+	if p := rep.Profile(); p != nil {
+		var b bytes.Buffer
+		if err := p.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		fp.Profile = sha(b.Bytes())
+	}
+	return fp
+}
+
+// goldenFile is a golden file's records by configuration label.
+type goldenFile map[string]runPrint
+
+// openGolden reads the file; under -update it starts from whatever is
+// there and rewrites it when the test ends.
+func openGolden(t *testing.T) goldenFile {
+	t.Helper()
+	g := goldenFile{}
+	b, err := os.ReadFile(goldenPath)
+	if err == nil {
+		err = json.Unmarshal(b, &g)
+	}
+	if err != nil && !*update {
+		t.Fatal(err)
+	}
+	if *update {
+		t.Cleanup(func() {
+			b, _ := json.MarshalIndent(g, "", " ")
+			if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	return g
+}
+
+// check holds a run against its record (or, under -update, records it) and
+// asserts the calendar's own invariant: one runnable PE at a time.
+func (g goldenFile) check(t *testing.T, label string, rep *Report, got runPrint) {
+	t.Helper()
+	if *update {
+		g[label] = got
+		return
+	}
+	want, ok := g[label]
+	if !ok {
+		t.Errorf("%s: no record in %s; rerun with -update on a tree that has the reference engine", label, goldenPath)
+	} else if !reflect.DeepEqual(got, want) {
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		t.Errorf("%s: run diverged from %s:\n  got  %s\n  want %s", label, goldenPath, gj, wj)
+	}
+	if rep.EngineUsed != "event" {
+		t.Errorf("%s: EngineUsed = %q", label, rep.EngineUsed)
+	}
+	if rep.MaxRunnablePEs != 1 {
+		t.Errorf("%s: the calendar let %d PEs run at once, want exactly 1", label, rep.MaxRunnablePEs)
 	}
 }
 
@@ -161,112 +286,36 @@ func engineEquivBody(pe *PE) error {
 	return pe.BarrierAll()
 }
 
-// runBothEngines runs the same config and body under both engines and
-// requires the same success/failure outcome.
-func runBothEngines(t *testing.T, label string, cfg Config, body func(*PE) error) (g, e *Report) {
-	t.Helper()
-	gc, ec := cfg, cfg
-	gc.Engine = EngineGoroutine
-	ec.Engine = EngineEvent
-	g, gerr := Run(gc, body)
-	e, eerr := Run(ec, body)
-	if gerr != nil || eerr != nil {
-		t.Fatalf("%s: run failed:\n  goroutine: %v\n  event:     %v", label, gerr, eerr)
-	}
-	return g, e
-}
-
-// compareEngineRuns asserts byte-identity of everything the run produced:
-// report fields, diagnostics, fault counts, traces (structured and
-// serialized), and profiles — plus the engine bookkeeping itself.
-func compareEngineRuns(t *testing.T, label string, g, e *Report) {
-	t.Helper()
-	compareReports(t, label, g, e)
-	if !reflect.DeepEqual(g.Diagnostics, e.Diagnostics) {
-		t.Errorf("%s: diagnostics diverged:\n  goroutine: %v\n  event:     %v", label, g.Diagnostics, e.Diagnostics)
-	}
-	if !reflect.DeepEqual(g.FaultCounts, e.FaultCounts) {
-		t.Errorf("%s: fault counts diverged: %v vs %v", label, g.FaultCounts, e.FaultCounts)
-	}
-	if !reflect.DeepEqual(g.Trace(), e.Trace()) {
-		t.Errorf("%s: traces diverged (%d vs %d events)", label, len(g.Trace()), len(e.Trace()))
-	}
-	var gt, et bytes.Buffer
-	if err := g.TraceTo(&gt); err != nil {
-		t.Fatalf("%s: goroutine TraceTo: %v", label, err)
-	}
-	if err := e.TraceTo(&et); err != nil {
-		t.Fatalf("%s: event TraceTo: %v", label, err)
-	}
-	if !bytes.Equal(gt.Bytes(), et.Bytes()) {
-		t.Errorf("%s: serialized traces are not byte-identical (%d vs %d bytes)", label, gt.Len(), et.Len())
-	}
-	gp, ep := g.Profile(), e.Profile()
-	if (gp == nil) != (ep == nil) {
-		t.Fatalf("%s: one engine produced a profile, the other did not", label)
-	}
-	if gp != nil {
-		if gp.BlameTable() != ep.BlameTable() {
-			t.Errorf("%s: blame tables diverged:\n--- goroutine\n%s--- event\n%s", label, gp.BlameTable(), ep.BlameTable())
-		}
-		if gp.PathTable() != ep.PathTable() {
-			t.Errorf("%s: critical paths diverged:\n--- goroutine\n%s--- event\n%s", label, gp.PathTable(), ep.PathTable())
-		}
-		var gj, ej bytes.Buffer
-		if err := gp.WriteJSON(&gj); err != nil {
-			t.Fatalf("%s: goroutine profile JSON: %v", label, err)
-		}
-		if err := ep.WriteJSON(&ej); err != nil {
-			t.Fatalf("%s: event profile JSON: %v", label, err)
-		}
-		if !bytes.Equal(gj.Bytes(), ej.Bytes()) {
-			t.Errorf("%s: profile JSON is not byte-identical", label)
-		}
-	}
-	if g.EngineUsed != "goroutine" || e.EngineUsed != "event" {
-		t.Errorf("%s: EngineUsed = %q / %q", label, g.EngineUsed, e.EngineUsed)
-	}
-	if g.MaxRunnablePEs != 0 {
-		t.Errorf("%s: goroutine engine reported MaxRunnablePEs %d, want 0", label, g.MaxRunnablePEs)
-	}
-	if e.MaxRunnablePEs != 1 {
-		t.Errorf("%s: event engine let %d PEs run at once, want exactly 1", label, e.MaxRunnablePEs)
-	}
-}
-
-// TestEngineEquivalenceMatrix is the tentpole's hard bar: byte-identical
-// reports, traces, diagnostics, and profiles between engines over the
-// chip models x every barrier algorithm (plus the legacy default) x every
-// lock algorithm, with observation, tracing, sanitizing, and profiling
-// all on. Epiphany-III exercises the scratchpad + emulated-RMW paths and
-// synthetic-8x3 a non-square grid whose XY routes bend at asymmetric
-// coordinates.
+// TestEngineEquivalenceMatrix is the calendar's hard bar: reports, traces,
+// diagnostics and profiles byte-identical to the goroutine engine's
+// goldens over the chip models x every barrier algorithm (plus the legacy
+// default) x every lock algorithm, with observation, tracing, sanitizing,
+// and profiling all on. Epiphany-III exercises the scratchpad +
+// emulated-RMW paths and synthetic-8x3 a non-square grid whose XY routes
+// bend at asymmetric coordinates.
 func TestEngineEquivalenceMatrix(t *testing.T) {
+	g := openGolden(t)
 	chips := []*arch.Chip{arch.Gx8036(), arch.Pro64(), arch.EpiphanyIII(), arch.Synthetic(8, 3)}
 	algos := append([]BarrierAlgo{BarrierAlgoDefault}, BarrierAlgos()...)
+	run := func(label string, cfg Config) *Report {
+		cfg.NPEs, cfg.HeapPerPE = 8, 1<<20
+		cfg.Observe, cfg.Trace, cfg.Sanitize, cfg.Profile = true, true, true, true
+		rep, err := Run(cfg, engineEquivBody)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		g.check(t, label, rep, printOf(t, rep))
+		return rep
+	}
 	for _, chip := range chips {
 		for _, ba := range algos {
-			cfg := Config{
-				Chip: chip, NPEs: 8, HeapPerPE: 1 << 20,
-				BarrierAlgo: ba,
-				Observe:     true, Trace: true, Sanitize: true, Profile: true,
-			}
 			label := chip.Name + "/" + ba.String()
-			g, e := runBothEngines(t, label, cfg, engineEquivBody)
-			compareEngineRuns(t, label, g, e)
-			if len(g.Diagnostics) != 0 {
-				t.Errorf("%s: sanitizer flagged the equivalence body: %v", label, g.Diagnostics)
+			if rep := run(label, Config{Chip: chip, BarrierAlgo: ba}); len(rep.Diagnostics) != 0 {
+				t.Errorf("%s: sanitizer flagged the equivalence body: %v", label, rep.Diagnostics)
 			}
 		}
 		for _, la := range LockAlgos() {
-			cfg := Config{
-				Chip: chip, NPEs: 8, HeapPerPE: 1 << 20,
-				LockAlgo: la,
-				Observe:  true, Trace: true, Sanitize: true, Profile: true,
-			}
-			label := chip.Name + "/lock-" + la.String()
-			g, e := runBothEngines(t, label, cfg, engineEquivBody)
-			compareEngineRuns(t, label, g, e)
+			run(chip.Name+"/lock-"+la.String(), Config{Chip: chip, LockAlgo: la})
 		}
 	}
 }
@@ -313,159 +362,113 @@ func multichipBody(wrap bool) func(*PE) error {
 	}
 }
 
-// TestEngineEquivalenceMultichip routes a ring and a chain across a chip
-// boundary.
-//
-// The ring has two bulk transfers contending for the chip-pair wire in
-// every phase. That wire is a vtime.Resource, which serves requests in
-// host arrival order, so on the goroutine engine which of the two pays the
-// queueing delay — and with it every later clock — is host-scheduled
-// (ROADMAP files this under the schedule explorer). The event engine
-// arbitrates by (clock, rank): two event runs of the ring must be
-// byte-identical in full, and the goroutine run must agree with them on
-// everything that does not depend on the arbitration.
-//
-// The chain has one crossing per phase and so no arbitration to lose: the
-// engines must agree on every clock. Even there the comparison stops at
-// virtual-time outcomes: the goroutine engine delivers same-inbox fabric
-// messages in host arrival order, so its per-op latency histograms (and
-// hence trace rows) are not self-deterministic under load — invisible to
-// clocks because merges take the max.
-func TestEngineEquivalenceMultichip(t *testing.T) {
+// TestMultichipRingDeterministic routes a ring and a chain across a chip
+// boundary. The ring has two bulk transfers contending for the chip-pair
+// wire in every phase; the wire is a vtime.Resource, which serves requests
+// in the order they are made, and the calendar makes them in (clock, rank)
+// order whatever the host does — so every repeat, on one host thread or
+// all of them, must be identical in full: every clock, histogram and trace
+// row. (Free-running goroutines reached the wire in host order, and which
+// transfer queued behind which moved every later clock.) The chain has one
+// crossing per phase, nothing to arbitrate, and a golden: its clocks are
+// the goroutine engine's.
+func TestMultichipRingDeterministic(t *testing.T) {
 	cfg := Config{NPEs: 8, NChips: 2, HeapPerPE: 1 << 20, Observe: true, Trace: true}
-	traffic := func(label string, g, e *Report) {
-		t.Helper()
-		if g.PutBytes != e.PutBytes || g.GetBytes != e.GetBytes || g.Barriers != e.Barriers {
-			t.Errorf("%s: aggregate traffic diverged: put %d/%d get %d/%d barriers %d/%d",
-				label, g.PutBytes, e.PutBytes, g.GetBytes, e.GetBytes, g.Barriers, e.Barriers)
+	var first *Report
+	var want runPrint
+	for _, procs := range []int{1, runtime.NumCPU()} {
+		old := runtime.GOMAXPROCS(procs)
+		for run := 0; run < 10; run++ {
+			rep, err := Run(cfg, multichipBody(true))
+			if err != nil {
+				runtime.GOMAXPROCS(old)
+				t.Fatal(err)
+			}
+			if first == nil {
+				first, want = rep, printOf(t, rep)
+				continue
+			}
+			label := fmt.Sprintf("ring, GOMAXPROCS %d, run %d", procs, run)
+			compareReports(t, label, first, rep)
+			if got := printOf(t, rep); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: diverged from the first run:\n  got  %+v\n  want %+v", label, got, want)
+			}
 		}
-		if e.MaxRunnablePEs != 1 {
-			t.Errorf("%s: event engine let %d PEs run at once, want exactly 1", label, e.MaxRunnablePEs)
-		}
+		runtime.GOMAXPROCS(old)
 	}
 
-	ring := multichipBody(true)
-	g, e := runBothEngines(t, "multichip/ring", cfg, ring)
-	traffic("multichip/ring", g, e)
-	ec := cfg
-	ec.Engine = EngineEvent
-	e2, err := Run(ec, ring)
+	chain, err := Run(cfg, multichipBody(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareReports(t, "multichip/ring/event-self", e, e2)
-	if !reflect.DeepEqual(e.Trace(), e2.Trace()) {
-		t.Errorf("multichip/ring: event engine traces diverged between identical runs")
-	}
-
-	g, ce := runBothEngines(t, "multichip/chain", cfg, multichipBody(false))
-	traffic("multichip/chain", g, ce)
-	if !reflect.DeepEqual(g.PETimes, ce.PETimes) {
-		t.Errorf("multichip/chain: PETimes diverged:\n  goroutine: %v\n  event:     %v", g.PETimes, ce.PETimes)
-	}
-	if g.MaxTime != ce.MaxTime || g.MinTime != ce.MinTime {
-		t.Errorf("multichip/chain: makespan diverged: [%v,%v] vs [%v,%v]", g.MinTime, g.MaxTime, ce.MinTime, ce.MaxTime)
-	}
+	g := openGolden(t)
+	g.check(t, "multichip/chain", chain, clocksOf(chain))
 	// The ring's second crossing queues behind the first, so the ring must
 	// finish later than the chain: the contended path was really taken.
-	if e.MaxTime <= ce.MaxTime {
-		t.Errorf("multichip: contended ring finished at %v, no later than the chain's %v", e.MaxTime, ce.MaxTime)
+	if first.MaxTime <= chain.MaxTime {
+		t.Errorf("contended ring finished at %v, no later than the chain's %v", first.MaxTime, chain.MaxTime)
 	}
 }
 
-// TestEngineEquivalenceFaulted replays the stall-plan demo under both
-// engines: same ErrTimeout, byte-identical timeout diagnostics, fault
-// counts, virtual times, and traces. The event engine reaches the same
-// result through quiescence mass-expiry instead of per-wait grace timers.
+// TestEngineEquivalenceFaulted replays the stall-plan demo: the same
+// ErrTimeout, timeout diagnostics, fault counts, virtual times, and trace
+// the goroutine engine reached through per-wait host timers, reached here
+// by the calendar expiring every bounded wait the moment nothing can run.
 func TestEngineEquivalenceFaulted(t *testing.T) {
 	plan, err := fault.Parse("stall:pe=2,q=0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(eng Engine) *Report {
-		t.Helper()
-		rep, rerr := Run(Config{
-			NPEs: 4, HeapPerPE: 1 << 16, Observe: true, Trace: true, Engine: eng,
-			Faults: plan, WaitGrace: testGrace,
-		}, func(pe *PE) error {
-			return pe.BarrierAll()
-		})
-		if !errors.Is(rerr, ErrTimeout) {
-			t.Fatalf("engine %s: Run error = %v, want ErrTimeout", eng, rerr)
-		}
-		return rep
+	rep, rerr := Run(Config{NPEs: 4, HeapPerPE: 1 << 16, Observe: true, Trace: true, Faults: plan},
+		func(pe *PE) error { return pe.BarrierAll() })
+	if !errors.Is(rerr, ErrTimeout) {
+		t.Fatalf("Run error = %v, want ErrTimeout", rerr)
 	}
-	g, e := run(EngineGoroutine), run(EngineEvent)
-	compareEngineRuns(t, "faulted", g, e)
-	if len(timeoutDiags(e)) == 0 {
-		t.Error("faulted event run produced no timeout diagnostics")
+	g := openGolden(t)
+	g.check(t, "faulted", rep, printOf(t, rep))
+	if len(timeoutDiags(rep)) == 0 {
+		t.Error("faulted run produced no timeout diagnostics")
 	}
 }
 
 // TestEngineEquivalenceSeededFaults runs a seeded (transient) fault plan
-// to completion under both engines: perturbed but successful runs must
-// still be byte-identical.
+// to completion: a perturbed but successful run must match its golden too.
 func TestEngineEquivalenceSeededFaults(t *testing.T) {
-	cfg := Config{
-		NPEs: 8, HeapPerPE: 1 << 18, Observe: true,
-		Faults: &fault.Plan{Seed: 42},
+	rep, err := Run(Config{NPEs: 8, HeapPerPE: 1 << 18, Observe: true, Faults: &fault.Plan{Seed: 42}},
+		determinismBody)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g, e := runBothEngines(t, "seeded", cfg, determinismBody)
-	compareEngineRuns(t, "seeded", g, e)
-	if g.MaxTime == 0 {
+	g := openGolden(t)
+	g.check(t, "seeded", rep, printOf(t, rep))
+	if rep.MaxTime == 0 {
 		t.Error("seeded run did no modeled work")
 	}
 }
 
-// TestEngineEventLockContention exercises the event engine's parked lock
-// waits (CAS spin, ticket hub wait, MCS queue handoff) under genuine
-// contention — correctness, not byte-comparison, since contended retry
-// counts are engine-specific.
+// TestEngineEventLockContention exercises the parked lock waits (CAS spin,
+// ticket hub wait, MCS queue handoff) under genuine contention. The
+// calendar switches PEs only where one parks, so a holder that never parks
+// is never contended: lockHammer's critical section hands the baton on
+// with the lock held, and the counters must show that contenders queued.
 func TestEngineEventLockContention(t *testing.T) {
-	const n, iters = 6, 5
 	for _, algo := range LockAlgos() {
-		var inside, count int64
-		rep, err := Run(Config{NPEs: n, HeapPerPE: 1 << 16, LockAlgo: algo, Engine: EngineEvent},
-			func(pe *PE) error {
-				lk, err := Malloc[int64](pe, 1)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < iters; i++ {
-					if err := pe.SetLock(lk); err != nil {
-						return err
-					}
-					if !atomic.CompareAndSwapInt64(&inside, 0, 1) {
-						t.Errorf("%s: PE %d entered an occupied critical section", algo, pe.MyPE())
-					}
-					count++
-					if !atomic.CompareAndSwapInt64(&inside, 1, 0) {
-						t.Errorf("%s: critical section emptied twice", algo)
-					}
-					if err := pe.ClearLock(lk); err != nil {
-						return err
-					}
-				}
-				return pe.BarrierAll()
-			})
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if count != n*iters {
-			t.Errorf("%s: %d increments survived, want %d", algo, count, n*iters)
-		}
+		rep := lockHammer(t, Config{NPEs: 6, HeapPerPE: 1 << 16, LockAlgo: algo, Observe: true})
 		if rep.MaxRunnablePEs != 1 {
 			t.Errorf("%s: MaxRunnablePEs = %d, want 1", algo, rep.MaxRunnablePEs)
+		}
+		if c := rep.Stats(); c.LockRetries == 0 || (algo == LockAlgoMCS && c.LockHandoffs == 0) {
+			t.Errorf("%s: %d retries, %d handoffs: no PE ever queued for the lock", algo, c.LockRetries, c.LockHandoffs)
 		}
 	}
 }
 
-// TestEngineEventDeadlockAborts documents the one intended behavioral
-// divergence: a program that deadlocks without fault injection hangs
-// forever under the goroutine engine, but the calendar sees global
-// quiescence and aborts the run with a diagnosis instead.
+// TestEngineEventDeadlockAborts: a program that deadlocks without fault
+// injection is not left to hang — the calendar sees that nothing can run
+// and aborts it with an error naming every blocked PE's wait, and the
+// wait-for cycle when the waits have owners.
 func TestEngineEventDeadlockAborts(t *testing.T) {
-	_, err := Run(Config{NPEs: 2, HeapPerPE: 1 << 16, Engine: EngineEvent}, func(pe *PE) error {
+	_, err := Run(Config{NPEs: 2, HeapPerPE: 1 << 16}, func(pe *PE) error {
 		flag, ferr := Malloc[int64](pe, 1)
 		if ferr != nil {
 			return ferr
@@ -473,25 +476,68 @@ func TestEngineEventDeadlockAborts(t *testing.T) {
 		// Both PEs wait on flags nobody ever writes: global quiescence.
 		return WaitUntil(pe, flag, CmpNE, 0)
 	})
-	if err == nil {
-		t.Fatal("deadlocked event run returned nil error")
+	requireReport := func(err error, want ...string) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("deadlocked run returned nil error")
+		}
+		for _, w := range want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("deadlock report lacks %q:\n%v", w, err)
+			}
+		}
 	}
-	if !strings.Contains(err.Error(), "deadlock") {
-		t.Errorf("deadlock abort error %q does not name the deadlock", err)
+	requireReport(err, "deadlock", "\n  PE 0: wait_until hub 0", "\n  PE 1: wait_until hub 1")
+	if strings.Contains(err.Error(), "cycle") {
+		t.Errorf("polled words have no owner, yet the report shows a cycle:\n%v", err)
 	}
+
+	// The classic: two MCS locks taken in opposite orders, and a bystander
+	// stuck in a barrier the other two never reach.
+	_, err = Run(Config{NPEs: 3, HeapPerPE: 1 << 16, LockAlgo: LockAlgoMCS}, func(pe *PE) error {
+		locks, lerr := Malloc[int64](pe, 2)
+		if lerr != nil {
+			return lerr
+		}
+		me := pe.MyPE()
+		if me < 2 {
+			if err := pe.SetLock(locks.At(me)); err != nil {
+				return err
+			}
+		}
+		if err := pe.BarrierAll(); err != nil {
+			return err
+		}
+		if me < 2 {
+			if err := pe.SetLock(locks.At(1 - me)); err != nil {
+				return err
+			}
+		}
+		return pe.BarrierAll()
+	})
+	requireReport(err, "PE 0: lock @", " behind PE 1", "PE 1: lock @", " behind PE 0",
+		"PE 2: udn.recv queue 0", "wait-for cycle: PE 0 -> PE 1 -> PE 0")
+
+	// A counter barrier knows which members it is missing: PE 1 enters it
+	// holding the lock PE 0 must take before it can follow.
+	_, err = Run(Config{NPEs: 2, HeapPerPE: 1 << 16, LockAlgo: LockAlgoMCS, BarrierAlgo: BarrierAlgoCounter},
+		func(pe *PE) error {
+			lock, lerr := Malloc[int64](pe, 1)
+			if lerr != nil {
+				return lerr
+			}
+			if pe.MyPE() == 0 {
+				pe.ComputeIntOps(1000) // PE 1 gets there first
+			}
+			if err := pe.SetLock(lock); err != nil {
+				return err
+			}
+			return pe.BarrierAll()
+		})
+	requireReport(err, "PE 0: lock @", "PE 1: counter barrier tag ", "wait-for cycle: PE 0 -> PE 1 -> PE 0")
 }
 
-// TestEngineEventDeterminism replays the standard determinism workload
-// under the event engine, repeated and serialized onto one OS thread.
+// TestEngineEventDeterminism replays the standard determinism workload.
 func TestEngineEventDeterminism(t *testing.T) {
-	run := func() *Report {
-		rep, err := Run(Config{NPEs: 8, HeapPerPE: 1 << 20, Observe: true, Engine: EngineEvent},
-			determinismBody)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	a, b := run(), run()
-	compareReports(t, "event/repeat", a, b)
+	compareReports(t, "event/repeat", runDeterminism(t), runDeterminism(t))
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"tshmem/internal/profile"
 	"tshmem/internal/sanitize"
@@ -16,14 +15,6 @@ import (
 // barrier or signal wait in the modeled system, so only genuinely starved
 // waits trip it.
 const DefaultWaitBudget vtime.Duration = 50_000_000_000 // 50 ms in ps
-
-// DefaultWaitGrace is the host-time liveness fallback when fault
-// injection is active (Config.WaitGrace unset). The virtual budget is
-// authoritative — a wait whose packet arrives past the deadline times out
-// at exactly Start+WaitBudget — but a packet a fault swallowed never
-// arrives in host time either, and this timer unblocks that wait with the
-// identical virtual outcome.
-const DefaultWaitGrace = 2 * time.Second
 
 // timeoutLog accumulates Timeout diagnostics across PE goroutines; the
 // report sorts them deterministically afterwards.
@@ -65,12 +56,9 @@ func (pe *PE) waitDeadline() vtime.Time {
 	return pe.clock.Now().Add(pe.prog.waitBudget)
 }
 
-// waitGrace returns the host-time liveness bound (0 when faults are off).
-func (pe *PE) waitGrace() time.Duration { return pe.prog.waitGrace }
-
 // timeoutAt finalizes a bounded wait that expired: the PE's clock lands
-// exactly on the virtual deadline (deterministic regardless of whether
-// the virtual budget or the host grace tripped first), a Timeout
+// exactly on the virtual deadline (whether what it waited for arrived past
+// the deadline or the calendar found it could never arrive), a Timeout
 // diagnostic is logged for the report, and the typed error is returned
 // for the PE body to propagate. peer is the awaited PE (-1 when the wait
 // had no single peer).

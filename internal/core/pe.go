@@ -458,38 +458,17 @@ func (pe *PE) AlignClocks() error {
 	return nil
 }
 
-// spinWait enters the program-wide TMC spin barrier, bounding the
-// rendezvous in host time when fault injection is active. The bound is a
-// liveness fallback only: a rendezvous that does complete keeps its exact
-// unbounded virtual timing (see docs/ROBUSTNESS.md for the caveat that
-// the UDN chain barrier, not the spin barrier, is the instrument for
-// virtual-deadline experiments).
-func (pe *PE) spinWait(op string) error {
-	// The spin rendezvous has no single releasing peer, so the span
-	// carries no happens-before edge: the critical path stays on this PE.
-	if s := pe.prog.sched; s != nil {
-		return pe.spinWaitEvent(op, s)
-	}
-	if pe.prog.flt == nil {
-		t0 := pe.clock.Now()
-		pe.prog.spinBar.Wait(&pe.clock)
-		pe.prof.Advance(profile.CatBarrierWait, t0, pe.clock.Now())
-		return nil
-	}
-	start := pe.clock.Now()
-	deadline := start.Add(pe.prog.waitBudget)
-	if !pe.prog.spinBar.WaitTimeout(&pe.clock, pe.prog.waitGrace) {
-		return pe.timeoutAt(op, -1, start, deadline)
-	}
-	pe.prof.Advance(profile.CatBarrierWait, start, pe.clock.Now())
-	return nil
-}
-
-// spinWaitEvent is spinWait on the event engine: an arrival registers
+// spinWait enters the program-wide TMC spin barrier: an arrival registers
 // without blocking, the completing member computes the release and wakes
-// the parked ones, and a quiescence-expired wait withdraws exactly like
-// WaitTimeout — same math, same clocks, same diagnostics.
-func (pe *PE) spinWaitEvent(op string, s *evsched) error {
+// the parked ones, and under fault injection a wait the calendar expired
+// withdraws its arrival and times out. A rendezvous that does complete
+// keeps its exact unbounded virtual timing (see docs/ROBUSTNESS.md for the
+// caveat that the UDN chain barrier, not the spin barrier, is the
+// instrument for virtual-deadline experiments). The spin rendezvous has no
+// single releasing peer, so the span carries no happens-before edge: the
+// critical path stays on this PE.
+func (pe *PE) spinWait(op string) error {
+	s := pe.prog.sched
 	start := pe.clock.Now()
 	bar := pe.prog.spinBar
 	gen, rel, done := bar.Arrive(start)
@@ -510,8 +489,8 @@ func (pe *PE) spinWaitEvent(op string, s *evsched) error {
 		}
 		switch st {
 		case wakeAbort:
-			// Mirror Barrier.Wait after Abort: return with the clock
-			// unchanged; the caller's next operation observes the abort.
+			// Return with the clock unchanged; the caller's next operation
+			// observes the abort.
 			return nil
 		case wakeTimeout:
 			if bar.Withdraw(gen) {
@@ -522,17 +501,10 @@ func (pe *PE) spinWaitEvent(op string, s *evsched) error {
 }
 
 // yieldSpin lets other PEs make progress while this PE spins on a
-// contended CAS lock: runtime.Gosched on the goroutine engine, a
-// ready-state baton handoff on the event engine (the spinner's modeled
-// backoff grows its clock every retry, so the calendar eventually
-// prefers the holder).
-func (pe *PE) yieldSpin() {
-	if s := pe.prog.sched; s != nil {
-		s.yieldReady(pe.id)
-		return
-	}
-	waitYield()
-}
+// contended CAS lock: a ready-state baton handoff (the spinner's modeled
+// backoff grows its clock every retry, so the calendar eventually prefers
+// the holder).
+func (pe *PE) yieldSpin() { pe.prog.sched.yieldReady(pe.id) }
 
 // Quiet waits until all outstanding puts issued by this PE are complete and
 // visible (shmem_quiet), modeled with tmc_mem_fence (Section IV.C.2).

@@ -243,7 +243,7 @@ func TestProfileDeterministic(t *testing.T) {
 }
 
 // TestProfileContendedLockEvent keeps one profiled run with genuine lock
-// contention: under the event engine's (clock, rank) schedule the ledger
+// contention: under the calendar's (clock, rank) schedule the ledger
 // must hold its invariants, blame the losers' spinning on lock.wait, and
 // repeat byte for byte, for every lock algorithm.
 func TestProfileContendedLockEvent(t *testing.T) {
@@ -251,7 +251,7 @@ func TestProfileContendedLockEvent(t *testing.T) {
 		run := func() *Report {
 			rep, err := Run(Config{
 				NPEs: 8, HeapPerPE: 1 << 20, Profile: true,
-				LockAlgo: la, Engine: EngineEvent,
+				LockAlgo: la,
 			}, profileBodyContended)
 			if err != nil {
 				t.Fatalf("%v: %v", la, err)
@@ -306,7 +306,7 @@ func TestProfileFaultAttribution(t *testing.T) {
 		}
 		rep, err := Run(Config{
 			NPEs: 4, HeapPerPE: 1 << 16, Profile: true,
-			Faults: plan, WaitGrace: testGrace,
+			Faults: plan,
 		}, func(pe *PE) error {
 			return pe.BarrierAll()
 		})

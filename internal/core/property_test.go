@@ -246,8 +246,8 @@ func TestPropertyConformance(t *testing.T) {
 
 // TestPropertyConformanceNewFamilies re-runs a seeded sequence on the
 // chips added after the sweep above was first written — Epiphany-III
-// (scratchpad, emulated RMW) and a non-square synthetic grid — on BOTH
-// engines with the sanitizer on, requiring a clean diagnostic stream.
+// (scratchpad, emulated RMW) and a non-square synthetic grid — with the
+// sanitizer on, requiring a clean diagnostic stream.
 func TestPropertyConformanceNewFamilies(t *testing.T) {
 	for _, chip := range []*arch.Chip{arch.EpiphanyIII(), arch.Synthetic(8, 3)} {
 		for _, eng := range Engines() {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tshmem/internal/alloc"
 	"tshmem/internal/arch"
@@ -95,12 +94,9 @@ type Config struct {
 	// LockAlgo selects the SetLock/ClearLock/TestLock implementation; the
 	// zero value is the legacy CAS spin lock with exponential backoff.
 	LockAlgo LockAlgo
-	// Engine selects the execution engine: the zero value runs one host
-	// goroutine per PE (the legacy engine), EngineEvent schedules parked
-	// PEs one at a time from a virtual-time calendar. Virtual time,
-	// reports, traces, profiles, and diagnostics are byte-identical
-	// between engines; only host-side scheduling differs (docs/
-	// PERFORMANCE.md, "Engines").
+	// Engine is vestigial: its one value, the zero value, is EngineEvent,
+	// the virtual-time calendar every run executes on (docs/
+	// PERFORMANCE.md, "Execution model").
 	Engine Engine
 	// Bcast selects the default Broadcast algorithm.
 	Bcast BcastAlgo
@@ -172,12 +168,6 @@ type Config struct {
 	// set; 0 means DefaultWaitBudget. A wait that cannot complete by
 	// start+WaitBudget times out with its clock exactly on that deadline.
 	WaitBudget vtime.Duration
-
-	// WaitGrace is the host-time liveness fallback for waits whose
-	// traffic a fault swallowed entirely; 0 means DefaultWaitGrace. It
-	// never affects virtual time — only how long the host blocks before
-	// declaring the (virtually determined) timeout.
-	WaitGrace time.Duration
 }
 
 func (c *Config) fill() error {
@@ -209,7 +199,7 @@ func (c *Config) fill() error {
 	if c.LockAlgo < 0 || c.LockAlgo >= numLockAlgos {
 		return fmt.Errorf("tshmem: unknown LockAlgo %d", int(c.LockAlgo))
 	}
-	if c.Engine < 0 || c.Engine >= numEngines {
+	if c.Engine != EngineEvent {
 		return fmt.Errorf("tshmem: unknown Engine %d", int(c.Engine))
 	}
 	if c.NChips > 1 {
@@ -250,9 +240,6 @@ func (c *Config) fill() error {
 		if c.WaitBudget <= 0 {
 			c.WaitBudget = DefaultWaitBudget
 		}
-		if c.WaitGrace <= 0 {
-			c.WaitGrace = DefaultWaitGrace
-		}
 	}
 	return nil
 }
@@ -291,14 +278,11 @@ type Report struct {
 	FaultPlan   *fault.Plan
 	FaultCounts []int64
 
-	// EngineUsed names the execution engine that ran the program
-	// (Config.Engine: "goroutine" or "event").
+	// EngineUsed names the execution engine that ran the program: "event".
 	EngineUsed string
-	// MaxRunnablePEs is the peak number of PE goroutines the event
-	// engine ever made runnable at once — 1 by construction (the
-	// single-baton invariant the cross-engine determinism argument rests
-	// on). Zero under the goroutine engine, where every PE is runnable
-	// simultaneously.
+	// MaxRunnablePEs is the peak number of PE goroutines the calendar ever
+	// made runnable at once — 1 by construction (the single-baton
+	// invariant the determinism argument rests on).
 	MaxRunnablePEs int
 
 	perChip int           // PE ranks per chip (block distribution)
@@ -401,15 +385,12 @@ type Program struct {
 	lockHolder map[int64]int
 	lockRel    map[int64]lockRelStamp
 	mcsNext    map[int64]map[int]*mcsWaiter
-	mcsCond    *sync.Cond
-	abortCh    chan struct{} // closed by abort: wakes library waiters
 
 	flt        *fault.Injector // nil unless Config.Faults
 	waitBudget vtime.Duration  // virtual bound per blocking wait (faults only)
-	waitGrace  time.Duration   // host liveness fallback (faults only)
 	tmo        timeoutLog      // Timeout diagnostics from bounded waits
 
-	sched *evsched // nil unless Config.Engine == EngineEvent
+	sched *evsched // the calendar every blocking point parks in
 
 	pes      []*PE
 	counters []stats.Counters // the PEs' recorder blocks, one slab; nil unless Observe
@@ -426,15 +407,7 @@ func (p *Program) abort(cause error) {
 		p.firstErr = cause
 		p.aborted.Store(true)
 		p.closeNets()
-		p.spinBar.Abort()
-		for i := range p.hubs {
-			p.hubs[i].abort()
-		}
-		close(p.abortCh)
-		p.mcsCond.Broadcast()
-		if p.sched != nil {
-			p.sched.abortWake()
-		}
+		p.sched.abortWake()
 	})
 }
 
@@ -491,7 +464,17 @@ func (p *Program) chipPEs(c int) int {
 //
 // Teardown re-zeroes the run's common-memory segment and pools it for the
 // next launch (see arenaPool), so local views of symmetric memory
-// (MustLocal / Local) are dead once Run returns, on every engine.
+// (MustLocal / Local) are dead once Run returns.
+//
+// The PEs run one at a time, in virtual-time order, on a calendar (evsched)
+// that parks a PE at every modeled wait and knows what each parked PE waits
+// for. That imposes one rule on body: it must not block on a host
+// primitive (a channel, a sync.Mutex, a WaitGroup) that only another PE of
+// the same run can release — that PE cannot run until this one parks in
+// the library. PEs synchronize through the library (barriers, locks,
+// WaitUntil, collectives); a program whose PEs all end up parked on waits
+// no peer can satisfy is reported as a deadlock naming each PE's wait, not
+// left to hang.
 //
 // Under fault injection (Config.Faults) a bounded wait that expires does
 // NOT abort the program: the stuck PE unwinds with a *TimeoutError, its
@@ -500,19 +483,16 @@ func (p *Program) chipPEs(c int) int {
 // the per-event perturbation counts — and an error matching
 // errors.Is(err, ErrTimeout).
 func Run(cfg Config, body func(*PE) error) (*Report, error) {
-	if cfg.Engine == EngineEvent {
-		// Bound the resident-simulation set (see evAdmission): the token
-		// covers arena checkout through check-in.
-		evAdmission <- struct{}{}
-		defer func() { <-evAdmission }()
-	}
+	// Bound the resident-simulation set (see evAdmission): the token covers
+	// arena checkout through check-in.
+	evAdmission <- struct{}{}
+	defer func() { <-evAdmission }()
 	prog, err := newProgram(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Teardown on every path: closeNets returns once no interrupt servicer
-	// is left running, so with the PE goroutines joined below nothing can
-	// write the segment any more and it can be re-zeroed and pooled.
+	// Teardown on every path: with the PE goroutines joined below nothing
+	// can write the segment any more and it can be re-zeroed and pooled.
 	defer func() {
 		prog.closeNets()
 		arenaCheckin(prog)
@@ -529,11 +509,9 @@ func Run(cfg Config, body func(*PE) error) (*Report, error) {
 	for i := range prog.pes {
 		spawnPE(peTask{prog: prog, pe: prog.pes[i], body: body, errs: errs, wg: &wg})
 	}
-	if prog.sched != nil {
-		// Every PE entered the calendar ready; hand out the first baton
-		// (deterministically, to the least post-handshake clock).
-		prog.sched.begin()
-	}
+	// Every PE entered the calendar ready; hand out the first baton
+	// (deterministically, to the least post-handshake clock).
+	prog.sched.begin()
 	wg.Wait()
 
 	if prog.firstErr != nil {
@@ -541,15 +519,13 @@ func Run(cfg Config, body func(*PE) error) (*Report, error) {
 	}
 
 	rep := &Report{
-		NPEs:       prog.NPEs(),
-		NChips:     prog.nchips,
-		Chip:       prog.chip.Name,
-		PETimes:    make([]vtime.Duration, prog.NPEs()),
-		perChip:    prog.perChip,
-		EngineUsed: prog.cfg.Engine.String(),
-	}
-	if prog.sched != nil {
-		rep.MaxRunnablePEs = prog.sched.maxRunningPeak()
+		NPEs:           prog.NPEs(),
+		NChips:         prog.nchips,
+		Chip:           prog.chip.Name,
+		PETimes:        make([]vtime.Duration, prog.NPEs()),
+		perChip:        prog.perChip,
+		EngineUsed:     prog.cfg.Engine.String(),
+		MaxRunnablePEs: prog.sched.maxRunningPeak(),
 	}
 	rep.MinTime = vtime.Duration(1<<63 - 1)
 	for i, pe := range prog.pes {
@@ -671,8 +647,11 @@ func newProgram(cfg Config) (*Program, error) {
 	}
 	p.mapFloor = p.cm.MapEnd()
 
+	p.sched = newEvsched(p, cfg.NPEs)
+	p.sched.timed = cfg.Faults != nil
 	for c := 0; c < p.nchips; c++ {
 		net := udn.New(p.geos[c])
+		net.SetScheduler(&udnSched{s: p.sched, rankBase: c * p.perChip})
 		if cfg.Observe {
 			ls := mesh.NewLinkStats(p.geos[c])
 			net.SetLinkStats(ls)
@@ -685,39 +664,24 @@ func newProgram(cfg Config) (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.fabric.SetScheduler(&fabSched{s: p.sched})
 	}
 	if cfg.Faults != nil {
 		p.flt = fault.NewInjector(cfg.Faults, cfg.NPEs, p.perChip)
 		p.waitBudget = cfg.WaitBudget
-		p.waitGrace = cfg.WaitGrace
 		for c := range p.nets {
-			p.nets[c].SetFaults(p.flt.Chip(c*p.perChip, p.geos[c]), cfg.WaitGrace)
-		}
-		if p.fabric != nil {
-			p.fabric.SetGrace(cfg.WaitGrace)
+			p.nets[c].SetFaults(p.flt.Chip(c*p.perChip, p.geos[c]))
 		}
 	}
 	p.spinBar, err = tmc.NewBarrier(cfg.Chip, tmc.SpinBarrier, cfg.NPEs)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Engine == EngineEvent {
-		p.sched = newEvsched(p, cfg.NPEs)
-		p.sched.timed = cfg.Faults != nil
-		for c := range p.nets {
-			p.nets[c].SetScheduler(&udnSched{s: p.sched, rankBase: c * p.perChip})
-		}
-		if p.fabric != nil {
-			p.fabric.SetScheduler(&fabSched{s: p.sched})
-		}
-	}
 	p.statics.init()
 	p.ctrBars = make(map[ctrKey]*ctrInst)
 	p.lockHolder = make(map[int64]int)
 	p.lockRel = make(map[int64]lockRelStamp)
 	p.mcsNext = make(map[int64]map[int]*mcsWaiter)
-	p.mcsCond = sync.NewCond(&p.lockMu)
-	p.abortCh = make(chan struct{})
 	p.hubs = make([]watchHub, cfg.NPEs)
 	for i := range p.hubs {
 		p.hubs[i].init(i, p.sched)
@@ -762,9 +726,7 @@ func newProgram(cfg Config) (*Program, error) {
 		if p.san != nil {
 			p.pes[i].san = p.san.PE(i)
 		}
-		if p.sched != nil {
-			p.sched.pes[i].clock = &p.pes[i].clock
-		}
+		p.sched.pes[i].clock = &p.pes[i].clock
 	}
 
 	// On the TILE-Gx, install the UDN interrupt handler that services

@@ -39,11 +39,9 @@ func TestStartPEsReplayMatchesLiteral(t *testing.T) {
 	}
 	// A ring of puts after the handshake, so a replay that left a clock
 	// wrong would show downstream too. The wrap-around put goes in a phase
-	// of its own: on two chips it shares the chip-pair wire with the put
-	// that crosses the other way, and on the goroutine engine that wire
-	// arbitrates in host arrival order (TestEngineEquivalenceMultichip
-	// covers the contended ring); one crossing a phase keeps every clock
-	// comparable on both engines.
+	// of its own: on two chips it would share the chip-pair wire with the
+	// put that crosses the other way (TestMultichipRingDeterministic
+	// covers the contended ring).
 	body := func(pe *PE) error {
 		x, err := Malloc[int64](pe, 16)
 		if err != nil {
@@ -75,32 +73,28 @@ func TestStartPEsReplayMatchesLiteral(t *testing.T) {
 			if testing.Short() && n > 64 {
 				continue
 			}
-			for _, eng := range Engines() {
-				for _, obs := range observers {
-					label := fmt.Sprintf("%s x%d/%d PEs/%s/%s", g.chip.Name, g.nchips, n, eng, obs.name)
-					cfg := Config{
-						Chip: g.chip, NChips: g.nchips, NPEs: n, Engine: eng,
-						HeapPerPE: 1 << 16, ScratchBytes: 1 << 16,
-					}
-					obs.set(&cfg)
-					replayed := runT(t, cfg, body)
-					// The grace is a host-liveness fallback only; a loaded
-					// -race host must not trip it on a healthy exchange.
-					cfg.Faults, cfg.WaitGrace = &fault.Plan{}, time.Minute
-					literal := runT(t, cfg, body)
+			for _, obs := range observers {
+				label := fmt.Sprintf("%s x%d/%d PEs/%s", g.chip.Name, g.nchips, n, obs.name)
+				cfg := Config{
+					Chip: g.chip, NChips: g.nchips, NPEs: n,
+					HeapPerPE: 1 << 16, ScratchBytes: 1 << 16,
+				}
+				obs.set(&cfg)
+				replayed := runT(t, cfg, body)
+				cfg.Faults = &fault.Plan{}
+				literal := runT(t, cfg, body)
 
-					compareReports(t, label, replayed, literal)
-					if !reflect.DeepEqual(replayed.Trace(), literal.Trace()) {
-						t.Errorf("%s: traces diverged (%d vs %d events)",
-							label, len(replayed.Trace()), len(literal.Trace()))
-					}
-					if len(replayed.Diagnostics)+len(literal.Diagnostics) != 0 {
-						t.Errorf("%s: diagnostics: replayed %v, literal %v",
-							label, replayed.Diagnostics, literal.Diagnostics)
-					}
-					if cfg.Profile && !bytes.Equal(profileJSON(t, replayed), profileJSON(t, literal)) {
-						t.Errorf("%s: profile JSON is not byte-identical", label)
-					}
+				compareReports(t, label, replayed, literal)
+				if !reflect.DeepEqual(replayed.Trace(), literal.Trace()) {
+					t.Errorf("%s: traces diverged (%d vs %d events)",
+						label, len(replayed.Trace()), len(literal.Trace()))
+				}
+				if len(replayed.Diagnostics)+len(literal.Diagnostics) != 0 {
+					t.Errorf("%s: diagnostics: replayed %v, literal %v",
+						label, replayed.Diagnostics, literal.Diagnostics)
+				}
+				if cfg.Profile && !bytes.Equal(profileJSON(t, replayed), profileJSON(t, literal)) {
+					t.Errorf("%s: profile JSON is not byte-identical", label)
 				}
 			}
 		}
@@ -109,10 +103,10 @@ func TestStartPEsReplayMatchesLiteral(t *testing.T) {
 
 // launchSeconds reports the fastest of five empty-body launches on a
 // grid x grid mesh.
-func launchSeconds(t *testing.T, eng Engine, grid int) float64 {
+func launchSeconds(t *testing.T, grid int) float64 {
 	t.Helper()
 	cfg := Config{
-		Chip: arch.Synthetic(grid, grid), NPEs: grid * grid, Engine: eng,
+		Chip: arch.Synthetic(grid, grid), NPEs: grid * grid,
 		HeapPerPE: 4096, ScratchBytes: 1 << 16,
 	}
 	best := time.Duration(1<<63 - 1)
@@ -125,25 +119,19 @@ func launchSeconds(t *testing.T, eng Engine, grid int) float64 {
 }
 
 // TestLaunchScaling reports how the host cost of a launch grows from 256
-// to 1024 PEs on each engine. Linear is 4x; the literal n(n-1)-packet
-// exchange measured 16x (goroutine engine) and 34x (event engine); the
-// target is under 8x. It only reports: no host-time ratio holds on a
-// loaded or collecting host without retries, and nothing the simulator
-// counts deterministically tracks launch cost on both engines (the
-// goroutine engine's packets allocate nothing and park nowhere). ci.sh
-// prints it on every run, next to the 4096-PE probe whose -timeout is the
-// coarse gate; the committed trajectory is the benchmark's
-// core.launch*.exponent rungs.
+// to 1024 PEs. Linear is 4x; the literal n(n-1)-packet exchange measured
+// 34x; the target is under 8x. It only reports: no host-time ratio holds
+// on a loaded or collecting host without retries. ci.sh prints it on every
+// run, next to the 4096-PE probe whose -timeout is the coarse gate; the
+// committed trajectory is the benchmark's core.launch*.exponent rungs.
 func TestLaunchScaling(t *testing.T) {
 	if testing.Short() || raceBuild {
 		t.Skip("host-time measurement: needs an uninstrumented build")
 	}
-	for _, eng := range Engines() {
-		t256, t1024 := launchSeconds(t, eng, 16), launchSeconds(t, eng, 32)
-		note := ""
-		if t1024/t256 >= 8 {
-			note = " — over the 8x target"
-		}
-		t.Logf("%s: 256 PEs %.4fs, 1024 PEs %.4fs, ratio %.1f%s", eng, t256, t1024, t1024/t256, note)
+	t256, t1024 := launchSeconds(t, 16), launchSeconds(t, 32)
+	note := ""
+	if t1024/t256 >= 8 {
+		note = " — over the 8x target"
 	}
+	t.Logf("256 PEs %.4fs, 1024 PEs %.4fs, ratio %.1f%s", t256, t1024, t1024/t256, note)
 }

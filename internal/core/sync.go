@@ -91,14 +91,14 @@ func WaitUntil[T Integer](pe *PE, ivar Ref[T], cmp Cmp, value T) error {
 	start := pe.clock.Now()
 	deadline := pe.waitDeadline()
 	hub := &pe.prog.hubs[pe.id]
-	stamp, st := hub.await(pe, off, check, pe.waitGrace())
+	stamp, st := hub.await(pe, off, check)
 	switch st {
 	case hubAborted:
 		return fmt.Errorf("tshmem: program aborted while PE %d waited on a symmetric variable", pe.id)
 	case hubTimedOut:
-		// The writer is starved by fault injection: the flag never got
-		// written within the host grace. The virtual outcome is the
-		// deadline expiring.
+		// The writer is starved by fault injection: nothing is left to run
+		// that could write the flag. The virtual outcome is the deadline
+		// expiring.
 		return pe.timeoutAt("wait_until", -1, start, deadline)
 	}
 	pe.clock.Advance(pe.prog.chip.Cycles(2))

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"tshmem/internal/profile"
 	"tshmem/internal/stats"
@@ -412,9 +411,8 @@ func (pe *PE) syncOneway(dst int) vtime.Duration {
 // then fans out: every spinner's next poll misses and refetches the
 // sense line, serviced one copy at a time (a quarter of the atomic
 // service per copy — the copy-out share without the read-modify-write),
-// nearer tiles first. The host-side rendezvous below computes those times
-// exactly; the functional rendezvous is real (no PE proceeds before all
-// arrived).
+// nearer tiles first. The rendezvous below computes those times exactly;
+// the functional rendezvous is real (no PE proceeds before all arrived).
 
 // ctrKey identifies one counter-barrier instance.
 type ctrKey struct {
@@ -434,31 +432,31 @@ type ctrArrival struct {
 type ctrInst struct {
 	need int
 	arr  []ctrArrival
-	done chan struct{}      // closed when the last member arrived
+	done bool               // the last member arrived (ctrMu)
 	exit map[int]vtime.Time // departure time per member, set at completion
 	left int                // members yet to read their exit time
 }
 
 // ctrArrive registers one member, completing the instance when it is the
-// last. The returned instance's done channel gates the caller.
-func (p *Program) ctrArrive(k ctrKey, need int, a ctrArrival, atomicCost vtime.Duration) *ctrInst {
+// last; completed reports whether it was.
+func (p *Program) ctrArrive(k ctrKey, need int, a ctrArrival, atomicCost vtime.Duration) (inst *ctrInst, completed bool) {
 	p.ctrMu.Lock()
 	defer p.ctrMu.Unlock()
-	inst := p.ctrBars[k]
+	inst = p.ctrBars[k]
 	if inst == nil {
-		inst = &ctrInst{need: need, done: make(chan struct{})}
+		inst = &ctrInst{need: need}
 		p.ctrBars[k] = inst
 	}
 	inst.arr = append(inst.arr, a)
 	if len(inst.arr) == inst.need {
 		inst.complete(atomicCost)
 	}
-	return inst
+	return inst, inst.done
 }
 
 // complete (ctrMu held) serializes the increments at the home tile and
 // computes every member's departure. Ordering is by (arrival time, PE),
-// so the outcome is independent of host scheduling.
+// so the outcome is independent of the order members registered in.
 func (inst *ctrInst) complete(atomicCost vtime.Duration) {
 	sort.Slice(inst.arr, func(i, j int) bool {
 		if inst.arr[i].reach != inst.arr[j].reach {
@@ -487,19 +485,17 @@ func (inst *ctrInst) complete(atomicCost vtime.Duration) {
 		inst.exit[a.pe] = release.Add(vtime.Duration(i+1)*lineSvc + a.oneway)
 	}
 	inst.left = inst.need
-	close(inst.done)
+	inst.done = true
 }
 
 // ctrWithdraw takes a timed-out member's arrival back, mirroring
-// tmc.Barrier.WaitTimeout: if the instance completed concurrently it
+// tmc.Barrier.Withdraw: if the instance completed in the meantime it
 // reports false and the caller takes the normal exit instead.
 func (p *Program) ctrWithdraw(k ctrKey, inst *ctrInst, pe int) bool {
 	p.ctrMu.Lock()
 	defer p.ctrMu.Unlock()
-	select {
-	case <-inst.done:
+	if inst.done {
 		return false
-	default:
 	}
 	for i, a := range inst.arr {
 		if a.pe == pe {
@@ -526,28 +522,20 @@ func (p *Program) ctrExit(k ctrKey, inst *ctrInst, pe int) vtime.Time {
 	return t
 }
 
-// instDone is the non-blocking completion probe the event engine's
-// counter-barrier wait polls.
-func instDone(inst *ctrInst) bool {
-	select {
-	case <-inst.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // ctrAwait parks in the calendar until the counter-barrier instance
 // completes (the last arriver wakes the set, keyed on the barrier tag).
 // A quiescence expiry that successfully withdraws the arrival reports
-// completed=false, exactly like the grace-timer path; a withdrawal that
-// lost to completion loops and takes the normal exit.
-func (pe *PE) ctrAwait(s *evsched, k ctrKey, inst *ctrInst, tag uint32) (completed, aborted bool) {
+// completed=false; a withdrawal that lost to completion loops and takes
+// the normal exit.
+func (pe *PE) ctrAwait(k ctrKey, inst *ctrInst, tag uint32) (completed, aborted bool) {
 	for {
-		if instDone(inst) {
+		pe.prog.ctrMu.Lock()
+		done := inst.done
+		pe.prog.ctrMu.Unlock()
+		if done {
 			return true, false
 		}
-		switch s.yield(pe.id, wkCtr, int64(tag), 0) {
+		switch pe.prog.sched.yield(pe.id, wkCtr, int64(tag), 0) {
 		case wakeAbort:
 			return false, true
 		case wakeTimeout:
@@ -569,37 +557,18 @@ func (pe *PE) barrierCounter(as ActiveSet) error {
 			deadline := pe.waitDeadline()
 			oneway := pe.syncOneway(home)
 			k := ctrKey{as: as, gen: gen}
-			inst := pe.prog.ctrArrive(k, n,
+			inst, last := pe.prog.ctrArrive(k, n,
 				ctrArrival{pe: pe.id, reach: start.Add(oneway), oneway: oneway},
 				// Each arrival is a fetch-and-increment at the home tile,
 				// so chips without native RMW pay the emulation premium.
 				pe.prog.model.AtomicRMWCost())
-			completed := true
-			if s := pe.prog.sched; s != nil {
-				// The last arriver completed the instance inside ctrArrive;
-				// wake the parked members before taking the exit itself.
-				if instDone(inst) {
-					s.wake(wkCtr, int64(tag), 0)
-				}
-				var aborted bool
-				completed, aborted = pe.ctrAwait(s, k, inst, tag)
-				if aborted {
-					return fmt.Errorf("tshmem: program aborted while PE %d waited in a counter barrier", pe.id)
-				}
-			} else {
-				var timeoutC <-chan time.Time
-				if g := pe.waitGrace(); g > 0 {
-					timer := time.NewTimer(g)
-					defer timer.Stop()
-					timeoutC = timer.C
-				}
-				select {
-				case <-inst.done:
-				case <-pe.prog.abortCh:
-					return fmt.Errorf("tshmem: program aborted while PE %d waited in a counter barrier", pe.id)
-				case <-timeoutC:
-					completed = !pe.prog.ctrWithdraw(k, inst, pe.id)
-				}
+			if last {
+				// Wake the parked members before taking the exit itself.
+				pe.prog.sched.wake(wkCtr, int64(tag), 0)
+			}
+			completed, aborted := pe.ctrAwait(k, inst, tag)
+			if aborted {
+				return fmt.Errorf("tshmem: program aborted while PE %d waited in a counter barrier", pe.id)
 			}
 			if !completed {
 				return pe.timeoutAt("barrier", -1, start, deadline)
@@ -620,11 +589,12 @@ func (pe *PE) barrierCounter(as ActiveSet) error {
 
 // Lock-algorithm shared state.
 
-// mcsWaiter is one PE blocked in an MCS lock queue; the channel carries
-// the predecessor's handoff.
+// mcsWaiter is one PE blocked in an MCS lock queue; wake is the
+// predecessor's handoff once got is set (both under lockMu).
 type mcsWaiter struct {
-	pe int
-	ch chan mcsWake
+	pe   int
+	wake mcsWake
+	got  bool
 }
 
 // mcsWake is an MCS handoff: the virtual time at which it reaches the
@@ -709,7 +679,7 @@ func (pe *PE) setLockTicket(lock Ref[int64]) error {
 	part := pe.partBytes(0)
 	off := lock.off
 	check := func() bool { return uint32(atomicLoad64(part, off)) == my }
-	_, st := pe.prog.hubs[0].await(pe, off, check, pe.waitGrace())
+	_, st := pe.prog.hubs[0].await(pe, off, check)
 	switch st {
 	case hubAborted:
 		return fmt.Errorf("tshmem: program aborted while PE %d waited for a ticket lock", pe.id)
@@ -845,42 +815,16 @@ func (pe *PE) setLockMCS(lock Ref[int64]) error {
 	}
 	pred := int(old) - 1
 	pe.rec.LockRetries(1)
-	w := &mcsWaiter{pe: pe.id, ch: make(chan mcsWake, 1)}
+	w := &mcsWaiter{pe: pe.id}
 	pe.prog.mcsRegister(lock.off, pred, w)
 	deadline := pe.waitDeadline()
-	var wake mcsWake
-	if s := pe.prog.sched; s != nil {
-		got, st := pe.mcsAwait(s, lock.off, pred, w)
-		switch st {
-		case wakeAbort:
-			return fmt.Errorf("tshmem: program aborted while PE %d waited for an MCS lock", pe.id)
-		case wakeTimeout:
-			delivered, t := pe.prog.mcsUnregister(lock.off, pred, w)
-			if !delivered {
-				return pe.timeoutAt("lock", pred, start, deadline)
-			}
-			wake = t
-		default:
-			wake = got
-		}
-	} else {
-		var timeoutC <-chan time.Time
-		if g := pe.waitGrace(); g > 0 {
-			timer := time.NewTimer(g)
-			defer timer.Stop()
-			timeoutC = timer.C
-		}
-		select {
-		case wake = <-w.ch:
-		case <-pe.prog.abortCh:
-			return fmt.Errorf("tshmem: program aborted while PE %d waited for an MCS lock", pe.id)
-		case <-timeoutC:
-			delivered, t := pe.prog.mcsUnregister(lock.off, pred, w)
-			if !delivered {
-				return pe.timeoutAt("lock", pred, start, deadline)
-			}
-			wake = t
-		}
+	wake, st := pe.mcsAwait(lock.off, pred, w)
+	switch st {
+	case wakeAbort:
+		return fmt.Errorf("tshmem: program aborted while PE %d waited for an MCS lock", pe.id)
+	case wakeTimeout:
+		pe.prog.mcsUnregister(lock.off, pred, w)
+		return pe.timeoutAt("lock", pred, start, deadline)
 	}
 	waitStart := pe.clock.Now()
 	pe.clock.AdvanceTo(wake.wake)
@@ -914,13 +858,7 @@ func (pe *PE) clearLockMCS(lock Ref[int64]) error {
 		pe.prog.setLockRelease(lock.off, pe.clock.Now(), pe.id)
 		return nil
 	}
-	var w *mcsWaiter
-	var ok bool
-	if s := pe.prog.sched; s != nil {
-		w, ok = pe.mcsAwaitSuccessorEvent(s, lock.off)
-	} else {
-		w, ok = pe.prog.mcsAwaitSuccessor(lock.off, pe.id, pe.waitGrace())
-	}
+	w, ok := pe.mcsAwaitSuccessor(lock.off)
 	if !ok {
 		if pe.prog.aborted.Load() {
 			return fmt.Errorf("tshmem: program aborted while PE %d released an MCS lock", pe.id)
@@ -950,120 +888,68 @@ func (p *Program) mcsRegister(off int64, pred int, w *mcsWaiter) {
 	}
 	m[pred] = w
 	p.lockMu.Unlock()
-	p.mcsCond.Broadcast()
-	if p.sched != nil {
-		p.sched.wake(wkMCSSucc, off, int64(pred))
-	}
+	p.sched.wake(wkMCSSucc, off, int64(pred))
 }
 
-// mcsUnregister withdraws a timed-out waiter. If the handoff already
-// dispatched, it reports delivered=true with the wake time instead.
-func (p *Program) mcsUnregister(off int64, pred int, w *mcsWaiter) (delivered bool, wake mcsWake) {
-	p.lockMu.Lock()
+// mcsUnregisterLocked removes w's registration behind pred, if it is
+// still there: a timed-out waiter withdrawing, or a handoff consuming it.
+// lockMu held.
+func (p *Program) mcsUnregisterLocked(off int64, pred int, w *mcsWaiter) {
 	if m := p.mcsNext[off]; m != nil && m[pred] == w {
 		delete(m, pred)
 		if len(m) == 0 {
 			delete(p.mcsNext, off)
 		}
-		p.lockMu.Unlock()
-		return false, mcsWake{}
 	}
-	p.lockMu.Unlock()
-	return true, <-w.ch
 }
 
-// mcsAwaitSuccessor blocks a releaser until its successor registered
-// (bounded by grace under fault injection, and woken by program abort).
-func (p *Program) mcsAwaitSuccessor(off int64, pred int, grace time.Duration) (*mcsWaiter, bool) {
+// mcsUnregister withdraws a timed-out waiter.
+func (p *Program) mcsUnregister(off int64, pred int, w *mcsWaiter) {
 	p.lockMu.Lock()
-	defer p.lockMu.Unlock()
-	var timedOut bool
-	if grace > 0 {
-		timer := time.AfterFunc(grace, func() {
-			p.lockMu.Lock()
-			timedOut = true
-			p.lockMu.Unlock()
-			p.mcsCond.Broadcast()
-		})
-		defer timer.Stop()
-	}
-	for {
-		if m := p.mcsNext[off]; m != nil {
-			if w := m[pred]; w != nil {
-				return w, true
-			}
-		}
-		if p.aborted.Load() || timedOut {
-			return nil, false
-		}
-		p.mcsCond.Wait()
-	}
+	p.mcsUnregisterLocked(off, pred, w)
+	p.lockMu.Unlock()
 }
 
 // mcsHandoff removes the successor's registration and delivers the wake
 // time.
 func (p *Program) mcsHandoff(off int64, pred int, w *mcsWaiter, wake mcsWake) {
 	p.lockMu.Lock()
-	if m := p.mcsNext[off]; m != nil && m[pred] == w {
-		delete(m, pred)
-		if len(m) == 0 {
-			delete(p.mcsNext, off)
-		}
-	}
-	w.ch <- wake
+	p.mcsUnregisterLocked(off, pred, w)
+	w.wake, w.got = wake, true
 	p.lockMu.Unlock()
-	if p.sched != nil {
-		p.sched.wake(wkMCS, off, int64(pred))
-	}
+	p.sched.wake(wkMCS, off, int64(pred))
 }
 
-// mcsAwait parks until the predecessor's handoff lands on w.ch — the
-// event engine's side of the select in setLockMCS. An expiry or abort
-// drains a handoff delivered in the same step before reporting.
-func (pe *PE) mcsAwait(s *evsched, off int64, pred int, w *mcsWaiter) (mcsWake, uint8) {
-	for {
-		select {
-		case t := <-w.ch:
-			return t, wakeRun
-		default:
+// mcsAwait parks until the predecessor's handoff lands in w. An expiry or
+// abort takes a handoff delivered in the same step before reporting.
+func (pe *PE) mcsAwait(off int64, pred int, w *mcsWaiter) (mcsWake, uint8) {
+	for st := wakeRun; ; st = pe.prog.sched.yield(pe.id, wkMCS, off, int64(pred)) {
+		pe.prog.lockMu.Lock()
+		wake, got := w.wake, w.got
+		pe.prog.lockMu.Unlock()
+		if got {
+			return wake, wakeRun
 		}
-		st := s.yield(pe.id, wkMCS, off, int64(pred))
 		if st != wakeRun {
-			select {
-			case t := <-w.ch:
-				return t, wakeRun
-			default:
-			}
 			return mcsWake{}, st
 		}
 	}
 }
 
-// mcsAwaitSuccessorEvent is the calendar-mediated successor wait: the
+// mcsAwaitSuccessor parks a releaser until its successor registered: the
 // registration lookup is the re-armed predicate and mcsRegister the
 // waker. A quiescence expiry or abort re-checks once — the registration
 // may have landed in the same step — before giving up.
-func (pe *PE) mcsAwaitSuccessorEvent(s *evsched, off int64) (*mcsWaiter, bool) {
+func (pe *PE) mcsAwaitSuccessor(off int64) (*mcsWaiter, bool) {
 	p := pe.prog
-	probe := func() *mcsWaiter {
+	for st := wakeRun; ; st = p.sched.yield(pe.id, wkMCSSucc, off, int64(pe.id)) {
 		p.lockMu.Lock()
-		defer p.lockMu.Unlock()
-		if m := p.mcsNext[off]; m != nil {
-			return m[pe.id]
-		}
-		return nil
-	}
-	for {
-		if w := probe(); w != nil {
+		w := p.mcsNext[off][pe.id]
+		p.lockMu.Unlock()
+		if w != nil {
 			return w, true
 		}
-		if p.aborted.Load() {
-			return nil, false
-		}
-		if st := s.yield(pe.id, wkMCSSucc, off, int64(pe.id)); st != wakeRun {
-			if w := probe(); w != nil {
-				return w, true
-			}
+		if st != wakeRun || p.aborted.Load() {
 			return nil, false
 		}
 	}

@@ -270,7 +270,7 @@ func TestBarrierAlgoTimeout(t *testing.T) {
 	} {
 		rep, err := Run(Config{
 			NPEs: n, HeapPerPE: 1 << 16, BarrierAlgo: algo,
-			Faults: &fault.Plan{}, WaitGrace: testGrace,
+			Faults: &fault.Plan{},
 		}, func(pe *PE) error {
 			if pe.MyPE() == n-1 {
 				return nil // never reaches the barrier
@@ -299,43 +299,52 @@ func TestBarrierAlgoTimeout(t *testing.T) {
 	}
 }
 
-// TestLockAlgoMutualExclusion hammers one lock from every PE under each
-// algorithm and fails if two PEs ever overlap in the critical section
+// lockHammer takes one lock from every PE, five times each, handing the
+// baton on inside the critical section so the other PEs run into the held
+// lock. It fails if two PEs ever overlap in the critical section
 // (host-level check, independent of the modeled clocks) or an increment
 // is lost.
-func TestLockAlgoMutualExclusion(t *testing.T) {
-	const n, iters = 6, 5
-	for _, algo := range LockAlgos() {
-		var inside, count int64
-		_, err := Run(Config{NPEs: n, HeapPerPE: 1 << 16, LockAlgo: algo}, func(pe *PE) error {
-			lk, err := Malloc[int64](pe, 1)
-			if err != nil {
+func lockHammer(t *testing.T, cfg Config) *Report {
+	t.Helper()
+	const iters = 5
+	var inside, count int64
+	rep, err := Run(cfg, func(pe *PE) error {
+		lk, err := Malloc[int64](pe, 1)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < iters; i++ {
+			if err := pe.SetLock(lk); err != nil {
 				return err
 			}
-			for i := 0; i < iters; i++ {
-				if err := pe.SetLock(lk); err != nil {
-					return err
-				}
-				if !atomic.CompareAndSwapInt64(&inside, 0, 1) {
-					t.Errorf("%s: PE %d entered an occupied critical section", algo, pe.MyPE())
-				}
-				count++
-				runtime.Gosched()
-				if !atomic.CompareAndSwapInt64(&inside, 1, 0) {
-					t.Errorf("%s: critical section emptied twice", algo)
-				}
-				if err := pe.ClearLock(lk); err != nil {
-					return err
-				}
+			if !atomic.CompareAndSwapInt64(&inside, 0, 1) {
+				t.Errorf("%s: PE %d entered an occupied critical section", cfg.LockAlgo, pe.MyPE())
 			}
-			return pe.BarrierAll()
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
+			count++
+			pe.yieldSpin()
+			if !atomic.CompareAndSwapInt64(&inside, 1, 0) {
+				t.Errorf("%s: critical section emptied twice", cfg.LockAlgo)
+			}
+			if err := pe.ClearLock(lk); err != nil {
+				return err
+			}
 		}
-		if count != n*iters {
-			t.Errorf("%s: %d increments survived, want %d", algo, count, n*iters)
-		}
+		return pe.BarrierAll()
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", cfg.LockAlgo, err)
+	}
+	if want := int64(cfg.NPEs * iters); count != want {
+		t.Errorf("%s: %d increments survived, want %d", cfg.LockAlgo, count, want)
+	}
+	return rep
+}
+
+// TestLockAlgoMutualExclusion hammers one lock from every PE under each
+// algorithm.
+func TestLockAlgoMutualExclusion(t *testing.T) {
+	for _, algo := range LockAlgos() {
+		lockHammer(t, Config{NPEs: 6, HeapPerPE: 1 << 16, LockAlgo: algo})
 	}
 }
 
@@ -452,7 +461,7 @@ func TestLockAlgoTimeout(t *testing.T) {
 	for _, algo := range []LockAlgo{LockAlgoTicket, LockAlgoMCS} {
 		_, err := Run(Config{
 			NPEs: 2, HeapPerPE: 1 << 16, LockAlgo: algo,
-			Faults: &fault.Plan{}, WaitGrace: testGrace,
+			Faults: &fault.Plan{},
 		}, func(pe *PE) error {
 			lk, merr := Malloc[int64](pe, 1)
 			if merr != nil {

@@ -5,16 +5,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"tshmem/internal/fault"
 	"tshmem/internal/sanitize"
 )
-
-// testGrace is the host-time liveness bound the timeout tests use: long
-// enough that a healthy wait never trips it, short enough that the
-// deliberately-starved waits below resolve in well under a second.
-const testGrace = 150 * time.Millisecond
 
 // timeoutDiags filters a report's diagnostics to the Timeout kind.
 func timeoutDiags(rep *Report) []sanitize.Diagnostic {
@@ -34,7 +28,7 @@ func timeoutDiags(rep *Report) []sanitize.Diagnostic {
 func TestTimeoutWaitUntilNeverWritten(t *testing.T) {
 	rep, err := Run(Config{
 		NPEs: 2, HeapPerPE: 1 << 16,
-		Faults: &fault.Plan{}, WaitGrace: testGrace,
+		Faults: &fault.Plan{},
 	}, func(pe *PE) error {
 		flag, ferr := Malloc[int64](pe, 1)
 		if ferr != nil {
@@ -74,7 +68,7 @@ func TestTimeoutBarrierAbsentPE(t *testing.T) {
 	const n = 4
 	rep, err := Run(Config{
 		NPEs: n, HeapPerPE: 1 << 16,
-		Faults: &fault.Plan{}, WaitGrace: testGrace,
+		Faults: &fault.Plan{},
 	}, func(pe *PE) error {
 		if pe.MyPE() == 3 {
 			return nil // never reaches the barrier
@@ -116,7 +110,7 @@ func TestTimeoutUDNStallPlan(t *testing.T) {
 	}
 	rep, err := Run(Config{
 		NPEs: 4, HeapPerPE: 1 << 16,
-		Faults: plan, WaitGrace: testGrace,
+		Faults: plan,
 	}, func(pe *PE) error {
 		return pe.BarrierAll()
 	})
@@ -183,7 +177,7 @@ func runStalled(t *testing.T) *Report {
 	}
 	rep, err := Run(Config{
 		NPEs: 4, HeapPerPE: 1 << 16, Observe: true, Trace: true,
-		Faults: plan, WaitGrace: testGrace,
+		Faults: plan,
 	}, func(pe *PE) error {
 		return pe.BarrierAll()
 	})

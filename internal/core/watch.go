@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"tshmem/internal/vtime"
 )
@@ -15,13 +14,11 @@ import (
 // virtual-time analogue of the coherence fabric delivering the line to the
 // polling tile.
 type watchHub struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	times   map[int64]hubStamp // partition byte offset -> latest visible store
-	aborted bool
+	mu    sync.Mutex
+	times map[int64]hubStamp // partition byte offset -> latest visible store
 
-	idx   int      // this hub's index in Program.hubs (the calendar wait key)
-	sched *evsched // nil unless the event engine runs the program
+	idx   int // this hub's index in Program.hubs (the calendar wait key)
+	sched *evsched
 }
 
 // hubStamp records one store's visibility time plus the global rank of
@@ -33,7 +30,6 @@ type hubStamp struct {
 }
 
 func (h *watchHub) init(idx int, sched *evsched) {
-	h.cond = sync.NewCond(&h.mu)
 	h.times = make(map[int64]hubStamp)
 	h.idx = idx
 	h.sched = sched
@@ -56,10 +52,7 @@ func (h *watchHub) publish(off int64, t vtime.Time, writer int, store func() boo
 	if !ok {
 		return false
 	}
-	h.cond.Broadcast()
-	if h.sched != nil {
-		h.sched.wake(wkHub, int64(h.idx), 0)
-	}
+	h.sched.wake(wkHub, int64(h.idx), 0)
 	return true
 }
 
@@ -67,69 +60,35 @@ func (h *watchHub) publish(off int64, t vtime.Time, writer int, store func() boo
 const (
 	hubOK       = iota // predicate satisfied
 	hubAborted         // program aborted while waiting
-	hubTimedOut        // host-time grace expired (fault injection)
+	hubTimedOut        // the calendar expired the wait (fault injection)
 )
 
-// await blocks until pred returns true, then reports the recorded
-// visibility stamp of offset off (zero if never recorded) and hubOK. A
-// grace > 0 arms a host-time bound: if the predicate is still false after
-// grace — the writer is starved by fault injection — await gives up with
-// hubTimedOut. hubAborted reports a program abort while waiting.
-func (h *watchHub) await(pe *PE, off int64, pred func() bool, grace time.Duration) (hubStamp, int) {
-	if h.sched != nil {
-		return h.awaitEvent(pe, off, pred)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var timedOut bool
-	if grace > 0 {
-		timer := time.AfterFunc(grace, func() {
-			h.mu.Lock()
-			timedOut = true
-			h.mu.Unlock()
-			h.cond.Broadcast()
-		})
-		defer timer.Stop()
-	}
-	for !pred() {
-		if h.aborted {
-			return hubStamp{}, hubAborted
-		}
-		if timedOut {
-			return hubStamp{}, hubTimedOut
-		}
-		h.cond.Wait()
-	}
-	return h.times[off], hubOK
-}
-
-// awaitEvent is await on the event engine: the waiting PE parks in the
-// calendar keyed on this hub, record's wake re-arms the poll, and a
-// quiescence expiry re-checks the predicate once (the satisfying write
-// may have landed in the same step) before giving up. Note any PE may
-// wait on any hub — the ticket lock parks every contender on the lock
-// owner's hub — hence the hub-indexed wait key rather than a PE-indexed
-// one.
-func (h *watchHub) awaitEvent(pe *PE, off int64, pred func() bool) (hubStamp, int) {
+// await parks pe in the calendar, keyed on this hub, until pred returns
+// true, then reports the recorded visibility stamp of offset off (zero if
+// never recorded) and hubOK. publish's wake re-arms the poll. Under fault
+// injection the calendar expires the wait once nothing can run; the
+// predicate is re-checked once (the satisfying write may have landed in
+// the same step) before giving up with hubTimedOut. hubAborted reports a
+// program abort while waiting. Note any PE may wait on any hub — the
+// ticket lock parks every contender on the lock owner's hub — hence the
+// hub-indexed wait key rather than a PE-indexed one.
+func (h *watchHub) await(pe *PE, off int64, pred func() bool) (hubStamp, int) {
 	for {
 		h.mu.Lock()
-		if pred() {
-			st := h.times[off]
-			h.mu.Unlock()
+		ok, st := pred(), h.times[off]
+		h.mu.Unlock()
+		if ok {
 			return st, hubOK
 		}
-		ab := h.aborted
-		h.mu.Unlock()
-		if ab {
+		if pe.prog.aborted.Load() {
 			return hubStamp{}, hubAborted
 		}
-		switch pe.prog.sched.yield(pe.id, wkHub, int64(h.idx), 0) {
+		switch h.sched.yield(pe.id, wkHub, int64(h.idx), 0) {
 		case wakeAbort:
 			return hubStamp{}, hubAborted
 		case wakeTimeout:
 			h.mu.Lock()
-			ok := pred()
-			st := h.times[off]
+			ok, st := pred(), h.times[off]
 			h.mu.Unlock()
 			if ok {
 				return st, hubOK
@@ -137,12 +96,4 @@ func (h *watchHub) awaitEvent(pe *PE, off int64, pred func() bool) (hubStamp, in
 			return hubStamp{}, hubTimedOut
 		}
 	}
-}
-
-// abort wakes all waiters after a program failure.
-func (h *watchHub) abort() {
-	h.mu.Lock()
-	h.aborted = true
-	h.mu.Unlock()
-	h.cond.Broadcast()
 }

@@ -69,7 +69,7 @@ func (w *peWorker) loop() {
 
 // run executes one PE body with the same semantics the per-PE closure in
 // Run used to have. Defer order matters: the recover/abort handler runs
-// first, then the event engine's exit (handing the baton on), then
+// first, then the calendar exit (handing the baton on), then
 // wg.Done — so by the time Run's wg.Wait returns, every PE has fully
 // left the calendar.
 //
@@ -80,10 +80,8 @@ func (w *peWorker) loop() {
 func (t peTask) run() {
 	pe, prog := t.pe, t.prog
 	defer t.wg.Done()
-	if prog.sched != nil {
-		prog.sched.enter(pe.id)
-		defer prog.sched.exit(pe.id)
-	}
+	prog.sched.enter(pe.id)
+	defer prog.sched.exit(pe.id)
 	completed := false
 	defer func() {
 		if r := recover(); r != nil {

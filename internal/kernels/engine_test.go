@@ -2,109 +2,115 @@ package kernels
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
 	"reflect"
+	"sync"
 	"testing"
 
 	"tshmem/internal/arch"
 	"tshmem/internal/core"
+	"tshmem/internal/vtime"
 )
 
-// compareKernelRuns asserts byte-identity of everything two runs of
-// the same kernel produced: outputs, report fields, diagnostics,
-// fault counts, serialized traces, and profiles. The kernels package
-// version of internal/core's compareEngineRuns, applied to Launch
-// results.
-func compareKernelRuns(t *testing.T, label string, g, e *core.Report, gOut, eOut []int64) {
-	t.Helper()
-	if !reflect.DeepEqual(gOut, eOut) {
-		t.Errorf("%s: kernel outputs diverged between engines", label)
-	}
-	if !reflect.DeepEqual(g.PETimes, e.PETimes) {
-		t.Errorf("%s: PETimes diverged:\n  goroutine: %v\n  event:     %v", label, g.PETimes, e.PETimes)
-	}
-	if g.MaxTime != e.MaxTime || g.MinTime != e.MinTime {
-		t.Errorf("%s: makespan diverged: [%v,%v] vs [%v,%v]", label, g.MinTime, g.MaxTime, e.MinTime, e.MaxTime)
-	}
-	if !reflect.DeepEqual(g.PECounters, e.PECounters) {
-		t.Errorf("%s: substrate counters diverged", label)
-	}
-	if !reflect.DeepEqual(g.Diagnostics, e.Diagnostics) {
-		t.Errorf("%s: diagnostics diverged:\n  goroutine: %v\n  event:     %v", label, g.Diagnostics, e.Diagnostics)
-	}
-	if !reflect.DeepEqual(g.FaultCounts, e.FaultCounts) {
-		t.Errorf("%s: fault counts diverged: %v vs %v", label, g.FaultCounts, e.FaultCounts)
-	}
-	var gt, et bytes.Buffer
-	if err := g.TraceTo(&gt); err != nil {
-		t.Fatalf("%s: goroutine TraceTo: %v", label, err)
-	}
-	if err := e.TraceTo(&et); err != nil {
-		t.Fatalf("%s: event TraceTo: %v", label, err)
-	}
-	if !bytes.Equal(gt.Bytes(), et.Bytes()) {
-		t.Errorf("%s: serialized traces are not byte-identical (%d vs %d bytes)", label, gt.Len(), et.Len())
-	}
-	gp, ep := g.Profile(), e.Profile()
-	if (gp == nil) != (ep == nil) {
-		t.Fatalf("%s: one engine produced a profile, the other did not", label)
-	}
-	if gp != nil {
-		if gp.BlameTable() != ep.BlameTable() {
-			t.Errorf("%s: blame tables diverged:\n--- goroutine\n%s--- event\n%s", label, gp.BlameTable(), ep.BlameTable())
-		}
-		if gp.PathTable() != ep.PathTable() {
-			t.Errorf("%s: critical paths diverged", label)
-		}
-		var gj, ej bytes.Buffer
-		if err := gp.WriteJSON(&gj); err != nil {
-			t.Fatal(err)
-		}
-		if err := ep.WriteJSON(&ej); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gj.Bytes(), ej.Bytes()) {
-			t.Errorf("%s: profile JSON is not byte-identical", label)
-		}
-	}
-	if g.EngineUsed != "goroutine" || e.EngineUsed != "event" {
-		t.Errorf("%s: EngineUsed = %q / %q", label, g.EngineUsed, e.EngineUsed)
-	}
-	if e.MaxRunnablePEs != 1 {
-		t.Errorf("%s: event engine let %d PEs run at once, want exactly 1", label, e.MaxRunnablePEs)
-	}
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from this run")
+
+const goldenPath = "testdata/engine_golden.json"
+
+// runPrint is what one kernel launch produced, in golden-file form: the
+// kernels package's version of internal/core's, plus the kernel's output.
+type runPrint struct {
+	PETimes     []vtime.Duration `json:"pe_times_ps"`
+	Stats       map[string]int64 `json:"stats"`
+	Output      string           `json:"output_sha256"`
+	Counters    string           `json:"counters_sha256"` // per-PE counter blocks, histograms included
+	Diagnostics []string         `json:"diagnostics,omitempty"`
+	Trace       string           `json:"trace_sha256"`   // Report.TraceTo
+	Profile     string           `json:"profile_sha256"` // Profile().WriteJSON
 }
 
-// TestKernelEngineEquivalence extends PR 8's equivalence matrix to the
-// scenario corpus: every kernel, on two chip families (including
-// Epiphany-III's emulated-RMW path), must produce byte-identical
-// reports, traces, diagnostics, and profiles under the goroutine and
-// event engines — with observation, tracing, sanitizing, and
-// profiling all on, and outputs verified against the oracle on both.
+func printOf(t *testing.T, rep *core.Report, out []int64) runPrint {
+	t.Helper()
+	sha := func(b []byte, err error) string {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", sha256.Sum256(b))
+	}
+	var tr, pr bytes.Buffer
+	trErr, prErr := rep.TraceTo(&tr), rep.Profile().WriteJSON(&pr)
+	c := rep.Stats()
+	fp := runPrint{
+		PETimes:  rep.PETimes,
+		Stats:    c.Map(),
+		Output:   sha(fmt.Append(nil, out), nil),
+		Counters: sha(json.Marshal(rep.PECounters)),
+		Trace:    sha(tr.Bytes(), trErr),
+		Profile:  sha(pr.Bytes(), prErr),
+	}
+	for _, d := range rep.Diagnostics {
+		fp.Diagnostics = append(fp.Diagnostics, fmt.Sprintf("%+v", d))
+	}
+	return fp
+}
+
+// TestKernelEngineEquivalence holds the scenario corpus to the goroutine
+// engine's goldens (internal/core's engine_test.go says what they are and
+// how they were recorded): every kernel, on two chip families, with every
+// observer on, must reproduce that engine's output, clocks, counters,
+// diagnostics, trace and profile — and pass the oracle.
 func TestKernelEngineEquivalence(t *testing.T) {
+	golden := map[string]runPrint{}
+	b, err := os.ReadFile(goldenPath)
+	if err == nil {
+		err = json.Unmarshal(b, &golden)
+	}
+	if err != nil && !*update {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex // guards golden under -update: the subtests are parallel
+	if *update {
+		t.Cleanup(func() { // runs once the parallel subtests are done
+			b, err := json.MarshalIndent(golden, "", " ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 	for _, k := range Kernels() {
 		for _, chip := range []*arch.Chip{arch.Gx8036(), arch.EpiphanyIII()} {
-			k, chip := k, chip
-			t.Run(fmt.Sprintf("%s/%s", k.Name(), chip.Name), func(t *testing.T) {
+			label := fmt.Sprintf("%s/%s", k.Name(), chip.Name)
+			t.Run(label, func(t *testing.T) {
 				t.Parallel()
 				s := testSpec(k.Name(), 4, 5)
-				cfg := core.Config{
+				rep, out, err := Launch(k, s, core.Config{
 					Chip: chip, Observe: true, Trace: true, Sanitize: true, Profile: true,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				gc, ec := cfg, cfg
-				gc.Engine = core.EngineGoroutine
-				ec.Engine = core.EngineEvent
-				g, gOut, gerr := Launch(k, s, gc)
-				e, eOut, eerr := Launch(k, s, ec)
-				if gerr != nil || eerr != nil {
-					t.Fatalf("run failed:\n  goroutine: %v\n  event:     %v", gerr, eerr)
+				if err := k.Verify(s, out); err != nil {
+					t.Fatalf("output fails the oracle: %v", err)
 				}
-				for eng, out := range map[string][]int64{"goroutine": gOut, "event": eOut} {
-					if err := k.Verify(s, out); err != nil {
-						t.Fatalf("%s engine output fails the oracle: %v", eng, err)
-					}
+				got := printOf(t, rep, out)
+				if *update {
+					mu.Lock()
+					golden[label] = got
+					mu.Unlock()
+					return
 				}
-				compareKernelRuns(t, k.Name()+"/"+chip.Name, g, e, gOut, eOut)
+				if want := golden[label]; !reflect.DeepEqual(got, want) {
+					t.Errorf("run diverged from %s:\n  got  %+v\n  want %+v", goldenPath, got, want)
+				}
+				if rep.MaxRunnablePEs != 1 {
+					t.Errorf("the calendar let %d PEs run at once, want exactly 1", rep.MaxRunnablePEs)
+				}
 			})
 		}
 	}

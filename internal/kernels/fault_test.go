@@ -4,16 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"tshmem/internal/core"
 	"tshmem/internal/fault"
 )
-
-// faultGrace mirrors internal/core's timeout tests: long enough that a
-// healthy wait never trips it, short enough that starved waits resolve
-// in well under a second.
-const faultGrace = 150 * time.Millisecond
 
 // TestKernelFaultTimeout is the ROBUSTNESS.md contract applied to the
 // corpus: a stall plan that swallows one PE's barrier demux queue must
@@ -28,9 +22,7 @@ func TestKernelFaultTimeout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, _, err := Launch(k, testSpec(k.Name(), 4, 3), core.Config{
-				Faults: plan, WaitGrace: faultGrace,
-			})
+			rep, _, err := Launch(k, testSpec(k.Name(), 4, 3), core.Config{Faults: plan})
 			if !errors.Is(err, core.ErrTimeout) {
 				t.Fatalf("Launch error = %v, want ErrTimeout", err)
 			}
@@ -61,9 +53,7 @@ func TestKernelSeededFaultsComplete(t *testing.T) {
 			k, seed := k, seed
 			t.Run(fmt.Sprintf("%s/seed%d", k.Name(), seed), func(t *testing.T) {
 				t.Parallel()
-				rep, err := Check(k, testSpec(k.Name(), 4, 3), core.Config{
-					Faults: &fault.Plan{Seed: seed}, WaitGrace: faultGrace,
-				})
+				rep, err := Check(k, testSpec(k.Name(), 4, 3), core.Config{Faults: &fault.Plan{Seed: seed}})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

@@ -17,7 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"tshmem/internal/arch"
 	"tshmem/internal/vtime"
@@ -29,10 +29,9 @@ var (
 	ErrClosed  = errors.New("mpipe: fabric closed")
 	ErrBadPE   = errors.New("mpipe: destination PE out of range")
 
-	// ErrTimeout reports a receive that exceeded the host-time grace set
-	// with SetGrace (fault injection on the sender's chip may have
-	// swallowed the expected message). Never returned when no grace is
-	// armed.
+	// ErrTimeout reports a bounded wait that an attached Scheduler expired
+	// (fault injection on a sender's chip may have swallowed the expected
+	// message). The default host scheduler never returns it.
 	ErrTimeout = errors.New("mpipe: bounded wait timed out")
 )
 
@@ -45,6 +44,10 @@ type Msg struct {
 	Sent   vtime.Time // sender's virtual clock at injection completion
 }
 
+// inboxCap bounds the messages queued for one PE before the fabric
+// backpressures its senders.
+const inboxCap = 128
+
 // Fabric connects the PEs of a multi-chip program. Control messages are
 // addressed to PEs (each PE has an inbox); bulk transfers are charged
 // against the per-chip-pair wire resource.
@@ -53,20 +56,63 @@ type Fabric struct {
 	nchips int
 	chipOf func(pe int) int
 
-	inbox []chan Msg
+	inbox []inbox
 	wires map[[2]int]*vtime.Resource
 	mu    sync.Mutex
 
-	closed    chan struct{}
-	closeOnce sync.Once
-	grace     time.Duration // host-time bound on receives; 0 = unbounded
-	sched     Scheduler     // nil means free-running goroutines block on channels
+	closed atomic.Bool
+	sched  Scheduler // &host until SetScheduler
+	host   hostSched
 }
 
-// Scheduler lets an event-driven engine mediate the fabric's blocking
-// points, mirroring udn.Scheduler: with one attached, Send/Recv/RecvRaw
-// poll and park the calling PE instead of blocking on channels. Inboxes
-// are addressed by global PE rank, so no translation is needed.
+// inbox is one PE's queue of control messages: msgs[head:], oldest first.
+type inbox struct {
+	mu   sync.Mutex
+	msgs []Msg
+	head int
+}
+
+func (b *inbox) push(m Msg) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.msgs)-b.head == inboxCap {
+		return false
+	}
+	if b.head >= inboxCap { // never drained empty: drop the consumed prefix
+		n := copy(b.msgs, b.msgs[b.head:])
+		clear(b.msgs[n:])
+		b.msgs, b.head = b.msgs[:n], 0
+	}
+	b.msgs = append(b.msgs, m)
+	return true
+}
+
+func (b *inbox) pop() (Msg, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.head == len(b.msgs) {
+		return Msg{}, false
+	}
+	m := b.msgs[b.head]
+	b.msgs[b.head] = Msg{}
+	if b.head++; b.head == len(b.msgs) {
+		b.msgs, b.head = b.msgs[:0], 0
+	}
+	return m, true
+}
+
+func (b *inbox) depth() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.msgs) - b.head
+}
+
+// Scheduler is where the fabric's blocking points block, mirroring
+// udn.Scheduler: Send, Recv and RecvRaw poll, and hand the caller to
+// WaitSend/WaitRecv when they would block. A Fabric starts with a host
+// scheduler that blocks the calling goroutine; internal/core replaces it
+// with its calendar. Inboxes are addressed by global PE rank, so no
+// translation is needed.
 type Scheduler interface {
 	// WaitRecv parks PE pe until a message may be in its inbox; nil means
 	// re-poll, a non-nil error is a bounded-wait expiry (ErrTimeout).
@@ -79,21 +125,47 @@ type Scheduler interface {
 	Dequeued(pe int)
 }
 
-// SetScheduler attaches an event-driven engine's scheduler to every
-// blocking point of this fabric. A nil scheduler (the default) keeps the
-// channel-blocking behavior. Set before PEs start communicating.
-func (f *Fabric) SetScheduler(s Scheduler) { f.sched = s }
-
-// isClosed is the non-blocking closed probe the scheduler-driven poll
-// loops use.
-func (f *Fabric) isClosed() bool {
-	select {
-	case <-f.closed:
-		return true
-	default:
-		return false
-	}
+// hostSched is the Scheduler of a stand-alone Fabric: a wait blocks the
+// calling goroutine on a condition variable that every notification, and
+// Close, broadcasts (udn.hostSched explains the locking). It never
+// expires a wait.
+type hostSched struct {
+	f    *Fabric
+	mu   sync.Mutex
+	cond sync.Cond
 }
+
+func (h *hostSched) wait(blocked func() bool) {
+	h.mu.Lock()
+	for blocked() {
+		h.cond.Wait()
+	}
+	h.mu.Unlock()
+}
+
+func (h *hostSched) wake() {
+	h.mu.Lock()
+	//lint:ignore SA2001 ordering only: see udn.hostSched.wait
+	h.mu.Unlock()
+	h.cond.Broadcast()
+}
+
+func (h *hostSched) WaitRecv(pe int) error {
+	h.wait(func() bool { return h.f.inbox[pe].depth() == 0 && !h.f.closed.Load() })
+	return nil
+}
+
+func (h *hostSched) WaitSend(src, dst int) error {
+	h.wait(func() bool { return h.f.inbox[dst].depth() == inboxCap && !h.f.closed.Load() })
+	return nil
+}
+
+func (h *hostSched) Enqueued(int) { h.wake() }
+func (h *hostSched) Dequeued(int) { h.wake() }
+
+// SetScheduler replaces the default host scheduler at every blocking
+// point of this fabric. Set before PEs start communicating.
+func (f *Fabric) SetScheduler(s Scheduler) { f.sched = s }
 
 // New creates a fabric for npes PEs spread over nchips chips; chipOf maps a
 // PE to its chip.
@@ -108,13 +180,11 @@ func New(chip *arch.Chip, nchips, npes int, chipOf func(pe int) int) (*Fabric, e
 		chip:   chip,
 		nchips: nchips,
 		chipOf: chipOf,
-		inbox:  make([]chan Msg, npes),
+		inbox:  make([]inbox, npes),
 		wires:  make(map[[2]int]*vtime.Resource),
-		closed: make(chan struct{}),
 	}
-	for i := range f.inbox {
-		f.inbox[i] = make(chan Msg, 128)
-	}
+	f.host.f, f.host.cond.L = f, &f.host.mu
+	f.sched = &f.host
 	return f, nil
 }
 
@@ -151,24 +221,6 @@ func (f *Fabric) wire(a, b int) *vtime.Resource {
 	return r
 }
 
-// SetGrace arms a host-time bound on blocking receives: with fault
-// injection active on some chip, a leader that never hears from a starved
-// peer must unblock with ErrTimeout rather than hang. The fabric itself
-// is not a fault target — chip-local substrate faults are modeled in
-// internal/udn — so the bound is purely a liveness fallback. Set before
-// PEs start communicating; 0 (the default) means unbounded.
-func (f *Fabric) SetGrace(d time.Duration) { f.grace = d }
-
-// timeoutCh returns a grace-timer channel (nil, never ready, when no
-// grace is armed) plus its timer for stopping.
-func (f *Fabric) timeoutCh() (<-chan time.Time, *time.Timer) {
-	if f.grace <= 0 {
-		return nil, nil
-	}
-	t := time.NewTimer(f.grace)
-	return t.C, t
-}
-
 // Send delivers a control message to PE dst on another chip. The sender's
 // clock advances by the injection share; the message carries the arrival
 // time.
@@ -185,27 +237,17 @@ func (f *Fabric) Send(clock *vtime.Clock, srcPE, dstPE int, tag uint32, words []
 		Arrive: clock.Now().Add(f.latency() * 3 / 4),
 		Sent:   clock.Now(),
 	}
-	if s := f.sched; s != nil {
-		for {
-			select {
-			case f.inbox[dstPE] <- msg:
-				s.Enqueued(dstPE)
-				return nil
-			default:
-			}
-			if f.isClosed() {
-				return ErrClosed
-			}
-			if err := s.WaitSend(srcPE, dstPE); err != nil {
-				return err
-			}
+	for {
+		if f.inbox[dstPE].push(msg) {
+			f.sched.Enqueued(dstPE)
+			return nil
 		}
-	}
-	select {
-	case f.inbox[dstPE] <- msg:
-		return nil
-	case <-f.closed:
-		return ErrClosed
+		if f.closed.Load() {
+			return ErrClosed
+		}
+		if err := f.sched.WaitSend(srcPE, dstPE); err != nil {
+			return err
+		}
 	}
 }
 
@@ -213,48 +255,11 @@ func (f *Fabric) Send(clock *vtime.Clock, srcPE, dstPE int, tag uint32, words []
 // arrival time. Callers needing tag matching should stash mismatches
 // themselves (as the UDN users do).
 func (f *Fabric) Recv(clock *vtime.Clock, pe int) (Msg, error) {
-	if pe < 0 || pe >= len(f.inbox) {
-		return Msg{}, fmt.Errorf("%w: %d", ErrBadPE, pe)
-	}
-	if s := f.sched; s != nil {
-		for {
-			// Poll before the closed check: a closed fabric still drains
-			// what already arrived, like the goroutine path below.
-			select {
-			case m := <-f.inbox[pe]:
-				clock.AdvanceTo(m.Arrive)
-				s.Dequeued(pe)
-				return m, nil
-			default:
-			}
-			if f.isClosed() {
-				return Msg{}, ErrClosed
-			}
-			if err := s.WaitRecv(pe); err != nil {
-				return Msg{}, err
-			}
-		}
-	}
-	timeout, timer := f.timeoutCh()
-	if timer != nil {
-		defer timer.Stop()
-	}
-	select {
-	case m := <-f.inbox[pe]:
+	m, err := f.RecvRaw(pe)
+	if err == nil {
 		clock.AdvanceTo(m.Arrive)
-		return m, nil
-	case <-timeout:
-		return Msg{}, ErrTimeout
-	case <-f.closed:
-		// Drain what is already queued before reporting closure.
-		select {
-		case m := <-f.inbox[pe]:
-			clock.AdvanceTo(m.Arrive)
-			return m, nil
-		default:
-			return Msg{}, ErrClosed
-		}
 	}
+	return m, err
 }
 
 // RecvRaw is Recv without the clock merge; callers that stash out-of-order
@@ -263,37 +268,18 @@ func (f *Fabric) RecvRaw(pe int) (Msg, error) {
 	if pe < 0 || pe >= len(f.inbox) {
 		return Msg{}, fmt.Errorf("%w: %d", ErrBadPE, pe)
 	}
-	if s := f.sched; s != nil {
-		for {
-			select {
-			case m := <-f.inbox[pe]:
-				s.Dequeued(pe)
-				return m, nil
-			default:
-			}
-			if f.isClosed() {
-				return Msg{}, ErrClosed
-			}
-			if err := s.WaitRecv(pe); err != nil {
-				return Msg{}, err
-			}
-		}
-	}
-	timeout, timer := f.timeoutCh()
-	if timer != nil {
-		defer timer.Stop()
-	}
-	select {
-	case m := <-f.inbox[pe]:
-		return m, nil
-	case <-timeout:
-		return Msg{}, ErrTimeout
-	case <-f.closed:
-		select {
-		case m := <-f.inbox[pe]:
+	for {
+		// Poll before the closed check: a closed fabric still drains what
+		// already arrived.
+		if m, ok := f.inbox[pe].pop(); ok {
+			f.sched.Dequeued(pe)
 			return m, nil
-		default:
+		}
+		if f.closed.Load() {
 			return Msg{}, ErrClosed
+		}
+		if err := f.sched.WaitRecv(pe); err != nil {
+			return Msg{}, err
 		}
 	}
 }
@@ -322,5 +308,6 @@ func (f *Fabric) DataCost(size int64) vtime.Duration {
 
 // Close shuts the fabric down; blocked receivers get ErrClosed.
 func (f *Fabric) Close() {
-	f.closeOnce.Do(func() { close(f.closed) })
+	f.closed.Store(true)
+	f.host.wake()
 }

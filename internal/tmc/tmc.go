@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"tshmem/internal/arch"
 	"tshmem/internal/cache"
@@ -165,7 +164,6 @@ type Barrier struct {
 	gen     uint64
 	latest  vtime.Time
 	release vtime.Time
-	aborted bool
 }
 
 // NewBarrier creates a barrier for n participants on chip.
@@ -188,83 +186,24 @@ func (b *Barrier) N() int { return b.n }
 // Kind reports the barrier flavor.
 func (b *Barrier) Kind() BarrierKind { return b.kind }
 
-// Wait blocks until all n participants have called Wait, then advances the
-// caller's clock to the modeled release time.
+// Wait blocks the calling goroutine until all n participants have arrived,
+// then advances the caller's clock to the modeled release time: Arrive plus
+// a host-side sleep, for callers that are free-running goroutines. A
+// calendar's PEs call Arrive and park with their scheduler instead.
 func (b *Barrier) Wait(clock *vtime.Clock) {
-	b.mu.Lock()
-	g := b.gen
-	b.latest = vtime.Max(b.latest, clock.Now())
-	b.count++
-	if b.count == b.n {
-		b.release = b.latest.Add(b.model.Latency(b.n))
-		b.count = 0
-		b.latest = 0
-		b.gen++
-		b.cond.Broadcast()
-		rel := b.release
+	gen, rel, done := b.Arrive(clock.Now())
+	if !done {
+		b.mu.Lock()
+		for b.gen == gen {
+			b.cond.Wait()
+		}
+		rel = b.release
 		b.mu.Unlock()
-		clock.AdvanceTo(rel)
-		return
 	}
-	for g == b.gen && !b.aborted {
-		b.cond.Wait()
-	}
-	rel := b.release
-	b.mu.Unlock()
 	clock.AdvanceTo(rel)
 }
 
-// WaitTimeout is Wait with a host-time bound: if the rendezvous does not
-// complete within grace (some participant is stuck under fault
-// injection), the caller withdraws from the barrier and returns false
-// with its clock unchanged; the remaining participants' rendezvous state
-// is left consistent, so they can time out (or complete a later
-// generation) themselves. Returns true when the barrier completed
-// normally. grace <= 0 behaves exactly like Wait.
-func (b *Barrier) WaitTimeout(clock *vtime.Clock, grace time.Duration) bool {
-	b.mu.Lock()
-	g := b.gen
-	b.latest = vtime.Max(b.latest, clock.Now())
-	b.count++
-	if b.count == b.n {
-		b.release = b.latest.Add(b.model.Latency(b.n))
-		b.count = 0
-		b.latest = 0
-		b.gen++
-		b.cond.Broadcast()
-		rel := b.release
-		b.mu.Unlock()
-		clock.AdvanceTo(rel)
-		return true
-	}
-	var timedOut bool
-	var timer *time.Timer
-	if grace > 0 {
-		timer = time.AfterFunc(grace, func() {
-			b.mu.Lock()
-			timedOut = true
-			b.mu.Unlock()
-			b.cond.Broadcast()
-		})
-		defer timer.Stop()
-	}
-	for g == b.gen && !b.aborted && !timedOut {
-		b.cond.Wait()
-	}
-	if g == b.gen && !b.aborted {
-		// Timed out with the generation still open: take our arrival back.
-		b.count--
-		b.mu.Unlock()
-		return false
-	}
-	rel := b.release
-	b.mu.Unlock()
-	clock.AdvanceTo(rel)
-	return true
-}
-
-// Arrive registers an arrival without blocking — Wait's bookkeeping for
-// an event-driven engine whose PEs park elsewhere. done reports whether
+// Arrive registers an arrival without blocking. done reports whether
 // this arrival completed the rendezvous; if so, release is the
 // generation's modeled release time and the caller is responsible for
 // waking the parked members. A non-completing arriver remembers gen and
@@ -299,10 +238,11 @@ func (b *Barrier) Released(gen uint64) (vtime.Time, bool) {
 	return b.release, true
 }
 
-// Withdraw takes a timed-out arrival back from a still-open generation,
-// mirroring WaitTimeout's expiry path. It reports false when the
-// generation completed in the meantime — the caller takes the release
-// via Released instead.
+// Withdraw takes a timed-out arrival back from a still-open generation;
+// the remaining participants' rendezvous state is left consistent, so they
+// can time out (or complete a later generation) themselves. It reports
+// false when the generation completed in the meantime — the caller takes
+// the release via Released instead.
 func (b *Barrier) Withdraw(gen uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -311,16 +251,6 @@ func (b *Barrier) Withdraw(gen uint64) bool {
 	}
 	b.count--
 	return true
-}
-
-// Abort wakes all waiters without completing the rendezvous; used when the
-// program tears down after a failure. Waiters return with their clocks
-// unchanged beyond the last completed generation.
-func (b *Barrier) Abort() {
-	b.mu.Lock()
-	b.aborted = true
-	b.mu.Unlock()
-	b.cond.Broadcast()
 }
 
 // MemFence models tmc_mem_fence(): it blocks until all outstanding memory

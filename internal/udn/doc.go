@@ -35,25 +35,36 @@
 // perturbing their clock). Full queues exert backpressure by blocking the
 // sender once queueCap packets are waiting; the library's protocols stay
 // deadlock-free under it because their receive loops drain the queue
-// whenever they wait. A queue's buffer is allocated the first time either
-// side touches it, so a tile pays only for the queues it uses.
+// whenever they wait. A queue is a ring that starts with no storage and
+// grows with its depth, so a tile pays only for the queues, and the
+// depth, it uses.
+//
+// # Blocking
+//
+// Send, Recv and RecvRaw each poll, and when they would block hand the
+// caller to the network's Scheduler until a notification says to poll
+// again. A Network used on its own starts with a host scheduler that
+// blocks the calling goroutine on a condition variable; internal/core
+// replaces it with its virtual-time calendar, which parks the calling PE
+// and runs another. There is no other blocking path.
 //
 // # Interrupts
 //
 // On the TILE-Gx the UDN can also raise interrupts at the destination
 // tile; TSHMEM uses this to redirect transfers involving static symmetric
-// variables (Section IV.B.2). Port.Interrupt blocks the caller for the
-// full round-trip while a dedicated per-tile servicer goroutine (started
-// by the first interrupt raised on the tile) runs the handler, serialized
-// in virtual time by a vtime.Resource — a tile services one interrupt at
-// a time. The TILEPro lacks UDN interrupt
+// variables (Section IV.B.2). Port.Interrupt charges the caller the full
+// round-trip and runs the destination tile's handler inline, on the
+// caller's goroutine, under the destination port's interrupt lock;
+// overlapping interrupts are serialized in virtual time by a
+// vtime.Resource — a tile services one interrupt at a time. The TILEPro
+// lacks UDN interrupt
 // support, so ports on a TILEPro network return ErrNoInterrupts.
 //
 // # Observability
 //
 // Each port optionally carries a per-PE stats.Recorder (SetRecorder).
 // Sends, receives, and interrupt round-trips account messages, payload
-// words, and mesh hops on the owning PE's counters; the interrupt servicer
-// goroutine never records (the requesting PE carries the round-trip's
-// accounting), keeping every recorder single-goroutine.
+// words, and mesh hops on the owning PE's counters; an interrupt handler
+// never records (the requesting PE carries the round-trip's accounting),
+// keeping every recorder single-owner.
 package udn

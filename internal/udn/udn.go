@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tshmem/internal/fault"
 	"tshmem/internal/mesh"
@@ -25,10 +24,9 @@ var (
 	ErrNoHandler    = errors.New("udn: destination tile has no interrupt handler")
 
 	// ErrTimeout reports a bounded wait that expired under fault
-	// injection: a receive that never completed within the host-time
-	// grace, a send stuck on backpressure, or an interrupt whose request
-	// or reply was dropped. Only possible after SetFaults; the caller
-	// (internal/core) converts it into a virtual-time diagnostic.
+	// injection: an attached Scheduler expired a parked Send or Recv, or an
+	// interrupt's request was dropped. Only possible after SetFaults; the
+	// caller (internal/core) converts it into a virtual-time diagnostic.
 	ErrTimeout = errors.New("udn: bounded wait timed out")
 )
 
@@ -40,8 +38,7 @@ var (
 // fault injection) aims up to NPEs-1 packets at one queue: every receive
 // loop drains its queue whenever it waits (stashing packets that arrived
 // ahead of their round), so a backpressured sender always unblocks. A
-// queue's buffer (queueCap Packets, ~14 KiB) is allocated on first use,
-// see Port.queue.
+// queue's storage grows with its depth up to this bound, see demuxQueue.
 const queueCap = 128
 
 // inlineWords is the payload capacity a Packet stores directly in its
@@ -105,27 +102,29 @@ func (p *Packet) Payload() []uint64 {
 	return p.inline[:p.nw]
 }
 
-// Handler services a UDN interrupt on the destination tile. It runs on the
-// tile's interrupt context (a dedicated goroutine), performs the requested
-// operation, and returns reply payload words plus the virtual service time
-// the operation consumed on the remote tile.
+// Handler services a UDN interrupt on the destination tile. It runs in the
+// tile's interrupt context — on the requester's goroutine, under the
+// destination port's interrupt lock — performs the requested operation,
+// and returns reply payload words plus the virtual service time the
+// operation consumed on the remote tile.
 type Handler func(req Packet) (reply []uint64, service vtime.Duration)
 
-// Scheduler lets an event-driven engine mediate the network's blocking
-// points. With a scheduler attached, Send/Recv/RecvRaw never block on
-// channels: they poll, and when they would block they park the calling
-// PE via WaitSend/WaitRecv until a matching Enqueued/Dequeued
-// notification makes progress possible, then poll again. A wake is only
-// a hint — the loops re-check, so conservative notifications are safe.
-// Interrupts are serviced inline on the requester's goroutine instead of
-// on a per-tile servicer goroutine.
+// Scheduler is where the network's blocking points block. Send, Recv and
+// RecvRaw never block themselves: they poll, and when they would block
+// they hand the caller to WaitSend/WaitRecv until a matching
+// Enqueued/Dequeued notification makes progress possible, then poll again.
+// A return from a wait is only a hint — the loops re-check, so
+// conservative notifications are safe. A Network starts with a host
+// scheduler that blocks the calling goroutine (hostSched);
+// internal/core replaces it with its virtual-time calendar, which parks
+// the calling PE instead.
 type Scheduler interface {
-	// WaitRecv parks the PE on tile cpu until a packet may be available
-	// on its demux queue dq. nil means re-poll (including after an abort:
-	// the re-poll observes the closed port); a non-nil error — ErrTimeout
-	// — means the engine expired this bounded wait under fault injection.
+	// WaitRecv parks the caller on tile cpu until a packet may be available
+	// on its demux queue dq. nil means re-poll (including after Close: the
+	// re-poll observes the closed port); a non-nil error — ErrTimeout —
+	// means the scheduler expired this bounded wait under fault injection.
 	WaitRecv(cpu, dq int) error
-	// WaitSend parks the PE on tile src until space may be available in
+	// WaitSend parks the caller on tile src until space may be available in
 	// destination queue (dst, dq) — hardware backpressure.
 	WaitSend(src, dst, dq int) error
 	// Enqueued notes that a packet landed in (dst, dq): wakes parked
@@ -135,6 +134,49 @@ type Scheduler interface {
 	Dequeued(cpu, dq int)
 }
 
+// hostSched is the Scheduler of a stand-alone Network, whose callers are
+// free-running goroutines (this package's tests, a benchmark) rather than
+// PEs of a calendar: a wait blocks the goroutine on a condition variable
+// that every notification, and Close, broadcasts. It never expires a wait.
+type hostSched struct {
+	net  *Network
+	mu   sync.Mutex
+	cond sync.Cond
+}
+
+// wait blocks while blocked() holds. blocked is evaluated under h.mu and
+// wake passes through h.mu after the state change it announces, so a
+// change is either seen by the evaluation or broadcast to the sleeper.
+func (h *hostSched) wait(blocked func() bool) {
+	h.mu.Lock()
+	for blocked() {
+		h.cond.Wait()
+	}
+	h.mu.Unlock()
+}
+
+func (h *hostSched) wake() {
+	h.mu.Lock()
+	//lint:ignore SA2001 ordering only: see wait
+	h.mu.Unlock()
+	h.cond.Broadcast()
+}
+
+func (h *hostSched) WaitRecv(cpu, dq int) error {
+	p := h.net.ports[cpu]
+	h.wait(func() bool { return p.queues[dq].depth() == 0 && !p.closed.Load() })
+	return nil
+}
+
+func (h *hostSched) WaitSend(src, dst, dq int) error {
+	p := h.net.ports[dst]
+	h.wait(func() bool { return p.queues[dq].depth() == queueCap && !p.closed.Load() })
+	return nil
+}
+
+func (h *hostSched) Enqueued(dst, dq int) { h.wake() }
+func (h *hostSched) Dequeued(cpu, dq int) { h.wake() }
+
 // Network is the chip-wide UDN: one port per tile of the test-area
 // geometry.
 type Network struct {
@@ -142,13 +184,12 @@ type Network struct {
 	ports []*Port
 	links *mesh.LinkStats // nil disables per-link accounting
 	flt   *fault.ChipView // nil disables fault injection
-	grace time.Duration   // host-time bound on blocking ops; 0 = unbounded
-	sched Scheduler       // nil means free-running goroutines block on channels
+	sched Scheduler       // &host until SetScheduler
+	host  hostSched
 }
 
-// SetScheduler attaches an event-driven engine's scheduler to every
-// blocking point of this network. A nil scheduler (the default) keeps
-// the channel-blocking behavior. Set before PEs start communicating.
+// SetScheduler replaces the default host scheduler at every blocking
+// point of this network. Set before PEs start communicating.
 func (n *Network) SetScheduler(s Scheduler) { n.sched = s }
 
 // SetLinkStats attaches per-directed-link utilization accounting: every
@@ -157,34 +198,19 @@ func (n *Network) SetScheduler(s Scheduler) { n.sched = s }
 // default) disables accounting. Set before PEs start communicating.
 func (n *Network) SetLinkStats(ls *mesh.LinkStats) { n.links = ls }
 
-// SetFaults attaches a fault-injection view of this chip and arms the
-// host-time grace bound on every blocking operation: a Send stuck on
-// backpressure, a Recv with nothing arriving, or an Interrupt owed a
-// reply gives up after grace with ErrTimeout instead of blocking
-// forever. The fault view perturbs packets deterministically in virtual
-// time; the grace timer is purely a host-liveness fallback for traffic a
-// fault swallowed, so it never influences virtual timestamps. A nil cv
-// with grace 0 (the default) restores the perfect substrate. Set before
-// PEs start communicating.
-func (n *Network) SetFaults(cv *fault.ChipView, grace time.Duration) {
-	n.flt = cv
-	n.grace = grace
-}
-
-// timeoutCh returns a channel that fires after the network's grace bound,
-// plus its timer (stop it when done). A nil channel — never ready — is
-// returned when no grace is armed, so selects can always include it.
-func (n *Network) timeoutCh() (<-chan time.Time, *time.Timer) {
-	if n.grace <= 0 {
-		return nil, nil
-	}
-	t := time.NewTimer(n.grace)
-	return t.C, t
-}
+// SetFaults attaches a fault-injection view of this chip, which perturbs
+// packets deterministically in virtual time. A packet a fault swallowed
+// never arrives; bounding the wait for it is the attached Scheduler's job
+// (the calendar expires it when nothing is left to run). A nil cv (the
+// default) restores the perfect substrate. Set before PEs start
+// communicating.
+func (n *Network) SetFaults(cv *fault.ChipView) { n.flt = cv }
 
 // New builds a UDN over the given test-area geometry.
 func New(geo mesh.Geometry) *Network {
 	n := &Network{geo: geo}
+	n.host.net, n.host.cond.L = n, &n.host.mu
+	n.sched = &n.host
 	n.ports = make([]*Port, geo.Tiles())
 	for i := range n.ports {
 		n.ports[i] = &Port{net: n, cpu: i}
@@ -206,14 +232,14 @@ func (n *Network) Port(cpu int) (*Port, error) {
 	return n.ports[cpu], nil
 }
 
-// Close shuts down every port and waits for their interrupt servicers to
-// exit. Pending receivers unblock with ErrClosed.
+// Close shuts down every port. Pending receivers unblock with ErrClosed.
 // Mirrors the teardown the paper's proposed shmem_finalize() performs:
 // leaving the UDN engaged risks platform lockup.
 func (n *Network) Close() {
 	for _, p := range n.ports {
-		p.close()
+		p.closed.Store(true)
 	}
+	n.host.wake()
 }
 
 // Port is one tile's attachment to the UDN: four demultiplexing receive
@@ -230,20 +256,14 @@ type Port struct {
 	rankBase int
 
 	queues [4]demuxQueue
+	closed atomic.Bool
 
-	intrMu   sync.Mutex
-	intrSvc  *intrServicer
-	closed   atomic.Bool
-	closeOne sync.Once
-	done     chan struct{}
-	doneOnce sync.Once
-
-	// replyCh is the reusable interrupt-reply channel. Interrupt is only
-	// ever called by the goroutine that owns this port, so the channel can
-	// be allocated once and reused across calls; it is dropped (and a
-	// fresh one made next call) if a wait is abandoned with a reply still
-	// owed, so a stale reply can never be read as a fresh one.
-	replyCh chan Packet
+	// The tile's interrupt context: intrMu is held while handler services
+	// a request, and busy serializes overlapping interrupts in virtual
+	// time — a tile services one interrupt at a time (S IV.B.2).
+	intrMu  sync.Mutex
+	handler Handler
+	busy    vtime.Resource
 }
 
 // CPU reports the virtual CPU this port belongs to.
@@ -295,27 +315,61 @@ func (p *Port) profRecv(start vtime.Time, pkt *Packet) {
 	})
 }
 
-// demuxQueue is one receive queue of a port. Its channel is made by
-// whichever side touches the queue first: most tiles never use most of
-// their queues (an empty-body launch touches only the barrier queue), and
-// four eager ~14 KiB buffers per tile would dominate the host memory of a
+// demuxQueue is one receive queue of a port: a ring of at most queueCap
+// packets whose storage starts empty and doubles as the queue deepens.
+// Most tiles never use most of their queues, and the ones they use rarely
+// hold more than a few packets (an empty-body launch puts one or two in
+// the barrier queue), so a tile pays for the depth it reaches — four eager
+// queueCap-packet buffers per tile would dominate the host memory of a
 // large mesh.
 type demuxQueue struct {
-	once sync.Once
-	ch   chan Packet
+	mu   sync.Mutex
+	buf  []Packet // ring storage; len is 0 or a power of two <= queueCap
+	head int
+	n    int
 }
 
-// queue returns demux queue dq's channel, making it on first use. dq must
-// be in range.
-func (p *Port) queue(dq int) chan Packet {
-	q := &p.queues[dq]
-	q.once.Do(func() { q.ch = make(chan Packet, queueCap) })
-	return q.ch
+const queueMinBuf = 4
+
+// push appends pkt and reports the resulting depth, or false when the
+// queue is full.
+func (q *demuxQueue) push(pkt *Packet) (depth int, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.n == queueCap {
+		return 0, false
+	}
+	if q.n == len(q.buf) {
+		grown := make([]Packet, max(queueMinBuf, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = *pkt
+	q.n++
+	return q.n, true
 }
 
-func (p *Port) doneCh() chan struct{} {
-	p.doneOnce.Do(func() { p.done = make(chan struct{}) })
-	return p.done
+// pop removes the oldest packet, if any.
+func (q *demuxQueue) pop() (pkt Packet, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.n == 0 {
+		return Packet{}, false
+	}
+	slot := &q.buf[q.head]
+	pkt = *slot
+	slot.ext = nil // the ring must not pin a delivered heap payload
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return pkt, true
+}
+
+func (q *demuxQueue) depth() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.n
 }
 
 // Send transmits words to queue dq of tile dst, blocking while the
@@ -382,94 +436,61 @@ func (p *Port) Send(clock *vtime.Clock, dst, dq int, tag uint32, words []uint64)
 	}
 	pkt := makePacket(p.cpu, tag, words, arrive)
 	pkt.Sent = clock.Now()
-	q := dp.queue(dq)
-	if s := p.net.sched; s != nil {
-		for {
-			select {
-			case q <- pkt:
-				p.net.links.RecordQueueDepth(dst, len(q))
-				s.Enqueued(dst, dq)
-				return nil
-			default:
-			}
-			if dp.closed.Load() {
-				return ErrClosed
-			}
-			if err := s.WaitSend(p.cpu, dst, dq); err != nil {
-				return err
-			}
+	q := &dp.queues[dq]
+	for {
+		if depth, ok := q.push(&pkt); ok {
+			p.net.links.RecordQueueDepth(dst, depth)
+			p.net.sched.Enqueued(dst, dq)
+			return nil
+		}
+		if dp.closed.Load() {
+			return ErrClosed
+		}
+		if err := p.net.sched.WaitSend(p.cpu, dst, dq); err != nil {
+			return err
 		}
 	}
-	timeout, timer := p.net.timeoutCh()
-	if timer != nil {
-		defer timer.Stop()
+}
+
+// take blocks until a packet is available on demux queue dq and removes
+// it: the receive loop under Recv and RecvRaw.
+func (p *Port) take(dq int) (Packet, error) {
+	if dq < 0 || dq >= len(p.queues) {
+		return Packet{}, fmt.Errorf("%w: %d", ErrBadQueue, dq)
 	}
-	select {
-	case q <- pkt:
-		p.net.links.RecordQueueDepth(dst, len(q))
-		return nil
-	case <-timeout:
-		return ErrTimeout
-	case <-dp.doneCh():
-		return ErrClosed
+	for {
+		// Poll before the closed check: a closed port still drains what
+		// already arrived.
+		if pkt, ok := p.queues[dq].pop(); ok {
+			p.net.sched.Dequeued(p.cpu, dq)
+			return pkt, nil
+		}
+		if p.closed.Load() {
+			return Packet{}, ErrClosed
+		}
+		if err := p.net.sched.WaitRecv(p.cpu, dq); err != nil {
+			return Packet{}, err
+		}
 	}
+}
+
+// merge advances the receiver's clock to pkt's arrival and accounts the
+// receive.
+func (p *Port) merge(clock *vtime.Clock, pkt *Packet) {
+	start := clock.Now()
+	wait := clock.AdvanceTo(pkt.Arrive)
+	p.rec.UDNRecvWait(pkt.Len(), wait)
+	p.profRecv(start, pkt)
 }
 
 // Recv blocks until a packet is available on demux queue dq, merges the
 // receiver's clock with the packet arrival time, and returns the packet.
 func (p *Port) Recv(clock *vtime.Clock, dq int) (Packet, error) {
-	if dq < 0 || dq >= len(p.queues) {
-		return Packet{}, fmt.Errorf("%w: %d", ErrBadQueue, dq)
+	pkt, err := p.take(dq)
+	if err == nil {
+		p.merge(clock, &pkt)
 	}
-	q := p.queue(dq)
-	if s := p.net.sched; s != nil {
-		for {
-			// Poll before the closed check: a closed port still drains
-			// what already arrived, like the goroutine path below.
-			select {
-			case pkt := <-q:
-				start := clock.Now()
-				wait := clock.AdvanceTo(pkt.Arrive)
-				p.rec.UDNRecvWait(pkt.Len(), wait)
-				p.profRecv(start, &pkt)
-				s.Dequeued(p.cpu, dq)
-				return pkt, nil
-			default:
-			}
-			if p.closed.Load() {
-				return Packet{}, ErrClosed
-			}
-			if err := s.WaitRecv(p.cpu, dq); err != nil {
-				return Packet{}, err
-			}
-		}
-	}
-	timeout, timer := p.net.timeoutCh()
-	if timer != nil {
-		defer timer.Stop()
-	}
-	select {
-	case pkt := <-q:
-		start := clock.Now()
-		wait := clock.AdvanceTo(pkt.Arrive)
-		p.rec.UDNRecvWait(pkt.Len(), wait)
-		p.profRecv(start, &pkt)
-		return pkt, nil
-	case <-timeout:
-		return Packet{}, ErrTimeout
-	case <-p.doneCh():
-		// Drain anything already queued before reporting closure.
-		select {
-		case pkt := <-q:
-			start := clock.Now()
-			wait := clock.AdvanceTo(pkt.Arrive)
-			p.rec.UDNRecvWait(pkt.Len(), wait)
-			p.profRecv(start, &pkt)
-			return pkt, nil
-		default:
-			return Packet{}, ErrClosed
-		}
-	}
+	return pkt, err
 }
 
 // RecvRaw blocks until a packet is available on demux queue dq and returns
@@ -478,46 +499,11 @@ func (p *Port) Recv(clock *vtime.Clock, dq int) (Packet, error) {
 // that stash out-of-order packets use this so that stashed arrivals do not
 // perturb the virtual clock before they are consumed.
 func (p *Port) RecvRaw(dq int) (Packet, error) {
-	if dq < 0 || dq >= len(p.queues) {
-		return Packet{}, fmt.Errorf("%w: %d", ErrBadQueue, dq)
-	}
-	q := p.queue(dq)
-	if s := p.net.sched; s != nil {
-		for {
-			select {
-			case pkt := <-q:
-				p.rec.UDNRecv(pkt.Len())
-				s.Dequeued(p.cpu, dq)
-				return pkt, nil
-			default:
-			}
-			if p.closed.Load() {
-				return Packet{}, ErrClosed
-			}
-			if err := s.WaitRecv(p.cpu, dq); err != nil {
-				return Packet{}, err
-			}
-		}
-	}
-	timeout, timer := p.net.timeoutCh()
-	if timer != nil {
-		defer timer.Stop()
-	}
-	select {
-	case pkt := <-q:
+	pkt, err := p.take(dq)
+	if err == nil {
 		p.rec.UDNRecv(pkt.Len())
-		return pkt, nil
-	case <-timeout:
-		return Packet{}, ErrTimeout
-	case <-p.doneCh():
-		select {
-		case pkt := <-q:
-			p.rec.UDNRecv(pkt.Len())
-			return pkt, nil
-		default:
-			return Packet{}, ErrClosed
-		}
 	}
+	return pkt, err
 }
 
 // TryRecv is the non-blocking variant of Recv. ok reports whether a packet
@@ -526,45 +512,16 @@ func (p *Port) TryRecv(clock *vtime.Clock, dq int) (Packet, bool, error) {
 	if dq < 0 || dq >= len(p.queues) {
 		return Packet{}, false, fmt.Errorf("%w: %d", ErrBadQueue, dq)
 	}
-	q := p.queue(dq)
-	select {
-	case pkt := <-q:
-		start := clock.Now()
-		wait := clock.AdvanceTo(pkt.Arrive)
-		p.rec.UDNRecvWait(pkt.Len(), wait)
-		p.profRecv(start, &pkt)
-		if s := p.net.sched; s != nil {
-			s.Dequeued(p.cpu, dq)
-		}
-		return pkt, true, nil
-	default:
+	pkt, ok := p.queues[dq].pop()
+	if !ok {
 		if p.closed.Load() {
 			return Packet{}, false, ErrClosed
 		}
 		return Packet{}, false, nil
 	}
-}
-
-// intrServicer drains a tile's interrupt lane on a dedicated goroutine (the
-// event engine services inline on the requester instead, see Interrupt),
-// modeling the tile being forced to service operations (S IV.B.2). A
-// vtime.Resource serializes overlapping interrupts in virtual time: a tile
-// services one interrupt at a time.
-type intrServicer struct {
-	handler Handler
-	busy    vtime.Resource
-
-	// The request lane and the goroutine draining it exist from the first
-	// interrupt raised on this tile: most runs never redirect a static
-	// transfer, and a lane is ~15 KiB and a goroutine per tile otherwise.
-	start  sync.Once
-	reqs   chan intrRequest
-	exited chan struct{} // closed when run returns; nil if never started
-}
-
-type intrRequest struct {
-	pkt   Packet
-	reply chan Packet // carries reply words + arrival timestamp back
+	p.merge(clock, &pkt)
+	p.net.sched.Dequeued(p.cpu, dq)
+	return pkt, true, nil
 }
 
 // SetHandler installs the interrupt handler for this tile. Only chips with
@@ -577,58 +534,20 @@ func (p *Port) SetHandler(h Handler) error {
 		return ErrClosed
 	}
 	p.intrMu.Lock()
-	defer p.intrMu.Unlock()
-	if p.intrSvc != nil {
-		p.intrSvc.handler = h
-		return nil
-	}
-	p.intrSvc = &intrServicer{handler: h}
+	p.handler = h
+	p.intrMu.Unlock()
 	return nil
 }
 
-// lane returns the request lane of p's servicer, starting the tile's
-// interrupt context on first use. The goroutine exits when p closes, and
-// p's close waits for it. A servicer that had not started by then never
-// will: its lane stays nil, and requesters fall through to the closed port.
-func (s *intrServicer) lane(p *Port) chan intrRequest {
-	s.start.Do(func() {
-		s.reqs = make(chan intrRequest, queueCap)
-		s.exited = make(chan struct{})
-		go s.run(p)
-	})
-	return s.reqs
-}
-
-// stop waits for the servicer goroutine, if one was ever started, to leave
-// its handler and exit. The port's done channel must already be closed.
-func (s *intrServicer) stop() {
-	s.start.Do(func() {})
-	if s.exited != nil {
-		<-s.exited
-	}
-}
-
-func (s *intrServicer) run(p *Port) {
-	defer close(s.exited)
-	intrOvh := vtime.FromNs(p.net.geo.Chip().UDNInterruptNs)
-	for {
-		select {
-		case req := <-s.reqs:
-			words, service := s.handler(req.pkt)
-			// The tile enters the interrupt no earlier than the request's
-			// arrival and no earlier than the end of the previous interrupt.
-			done := s.busy.Acquire(req.pkt.Arrive, intrOvh+service)
-			req.reply <- makePacket(p.cpu, req.pkt.Tag, words, done)
-		case <-p.doneCh():
-			return
-		}
-	}
-}
-
-// Interrupt raises a UDN interrupt on tile dst: the caller blocks until the
+// Interrupt raises a UDN interrupt on tile dst and returns once the
 // destination tile has serviced the request and the reply has traveled
 // back. The caller's clock ends at reply arrival. This is the primitive
 // TSHMEM's static-variable redirection is built on.
+//
+// The destination's handler runs inline, on the caller's goroutine, with
+// the destination port's interrupt lock held: the tile being forced to
+// service an operation (S IV.B.2) needs no goroutine of its own, and a
+// requester that gives up leaves nothing running behind it.
 func (p *Port) Interrupt(clock *vtime.Clock, dst int, tag uint32, words []uint64) (Packet, error) {
 	if !p.net.geo.Chip().UDNInterrupts {
 		return Packet{}, ErrNoInterrupts
@@ -640,10 +559,13 @@ func (p *Port) Interrupt(clock *vtime.Clock, dst int, tag uint32, words []uint64
 	if err != nil {
 		return Packet{}, err
 	}
+	if dp.closed.Load() {
+		return Packet{}, ErrClosed
+	}
 	dp.intrMu.Lock()
-	svc := dp.intrSvc
+	handler := dp.handler
 	dp.intrMu.Unlock()
-	if svc == nil {
+	if handler == nil {
 		return Packet{}, ErrNoHandler
 	}
 	nw := len(words)
@@ -672,60 +594,17 @@ func (p *Port) Interrupt(clock *vtime.Clock, dst int, tag uint32, words []uint64
 	clock.Advance(path.Send)
 	p.profSend(clock, t0, path.Send)
 	p.net.links.RecordRoute(p.cpu, dst, nw)
-	if p.net.sched != nil {
-		// Event engine: service the interrupt inline on the requester's
-		// goroutine. The handler is written to run on a foreign goroutine
-		// either way, and the single-runner schedule makes the inline call
-		// race-free. The virtual math is the servicer-goroutine path's
-		// exactly, including busy's serialization of overlapping
-		// interrupts on the destination tile.
-		pkt := makePacket(p.cpu, tag, words, clock.Now().Add(path.Wire))
-		repWords, service := svc.handler(pkt)
-		intrOvh := vtime.FromNs(p.net.geo.Chip().UDNInterruptNs)
-		done := svc.busy.Acquire(pkt.Arrive, intrOvh+service)
-		return p.finishInterrupt(clock, dst, nw, path.Hops,
-			makePacket(dst, pkt.Tag, repWords, done))
-	}
-	if p.replyCh == nil {
-		p.replyCh = make(chan Packet, 1)
-	}
-	req := intrRequest{
-		pkt:   makePacket(p.cpu, tag, words, clock.Now().Add(path.Wire)),
-		reply: p.replyCh,
-	}
-	timeout, timer := p.net.timeoutCh()
-	if timer != nil {
-		defer timer.Stop()
-	}
-	select {
-	case svc.lane(dp) <- req:
-	case <-timeout:
-		return Packet{}, ErrTimeout
-	case <-dp.doneCh():
-		return Packet{}, ErrClosed
-	}
-	select {
-	case rep := <-req.reply:
-		return p.finishInterrupt(clock, dst, nw, path.Hops, rep)
-	case <-timeout:
-		// Same stale-reply hazard as the closed case below: a reply may
-		// still land on this channel after we give up.
-		p.replyCh = nil
-		return Packet{}, ErrTimeout
-	case <-p.doneCh():
-		// The servicer still owes a reply on this channel; its buffered
-		// send will land after we are gone. Drop the channel so the next
-		// Interrupt cannot mistake that stale reply for its own.
-		p.replyCh = nil
-		return Packet{}, ErrClosed
-	}
-}
+	pkt := makePacket(p.cpu, tag, words, clock.Now().Add(path.Wire))
+	intrOvh := vtime.FromNs(p.net.geo.Chip().UDNInterruptNs)
+	dp.intrMu.Lock()
+	reply, service := handler(pkt)
+	// The tile enters the interrupt no earlier than the request's arrival
+	// and no earlier than the end of the previous interrupt.
+	done := dp.busy.Acquire(pkt.Arrive, intrOvh+service)
+	dp.intrMu.Unlock()
 
-// finishInterrupt models the interrupt reply's trip back and merges it
-// into the requester's clock — the tail shared by the servicer-goroutine
-// path and the event engine's inline-servicing path.
-func (p *Port) finishInterrupt(clock *vtime.Clock, dst, nw, hops int, rep Packet) (Packet, error) {
 	// Reply travels back over the UDN.
+	rep := makePacket(dst, tag, reply, done)
 	repWords := max(1, rep.Len())
 	back, err := p.net.geo.OneWayLatency(dst, p.cpu, repWords)
 	if err != nil {
@@ -734,31 +613,13 @@ func (p *Port) finishInterrupt(clock *vtime.Clock, dst, nw, hops int, rep Packet
 	rep.Arrive = rep.Arrive.Add(back)
 	waitStart := clock.Now()
 	clock.AdvanceTo(rep.Arrive)
-	// The interrupt servicer is not a profiled PE timeline, so the
+	// The interrupted tile is not a profiled PE timeline, so the
 	// round-trip wait carries no edge: the critical path stays on the
 	// requester (documented limitation; see docs/OBSERVABILITY.md).
 	p.prof.Advance(profile.CatUDNWait, waitStart, clock.Now())
-	// The requester accounts the whole round-trip; the servicer
-	// goroutine must not touch any recorder. The reply's route is
-	// charged here too — links are shared atomics, unlike recorders.
-	p.rec.UDNInterrupt(nw, repWords, hops)
+	// The requester accounts the whole round-trip, the reply's route
+	// included.
+	p.rec.UDNInterrupt(nw, repWords, path.Hops)
 	p.net.links.RecordRoute(dst, p.cpu, repWords)
 	return rep, nil
-}
-
-// close shuts the port and returns once its interrupt servicer has exited:
-// a requester that gave up on a reply (dropped interrupt, expired wait,
-// aborted run) can leave the servicer inside its handler, which writes the
-// owner's memory, and teardown must not outrun it.
-func (p *Port) close() {
-	p.closeOne.Do(func() {
-		p.closed.Store(true)
-		close(p.doneCh())
-		p.intrMu.Lock()
-		svc := p.intrSvc
-		p.intrMu.Unlock()
-		if svc != nil {
-			svc.stop()
-		}
-	})
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"tshmem/internal/arch"
 	"tshmem/internal/mesh"
@@ -362,5 +363,77 @@ func TestManyToOneOrdering(t *testing.T) {
 	wg.Wait()
 	if len(seen) != 35 {
 		t.Errorf("received %d distinct packets, want 35", len(seen))
+	}
+}
+
+// TestHostScheduler drives the default scheduler the way stand-alone
+// callers do: two free-running goroutines ping-pong 10 000 packets, each
+// blocking in Recv for the other's reply; a sender blocked on a full queue
+// resumes when the receiver drains it; and a third goroutine sits blocked
+// in Recv on a queue nothing is ever sent to until Close wakes it with
+// ErrClosed.
+func TestHostScheduler(t *testing.T) {
+	const rounds = 10000
+	n := gxNet(t)
+	a, b, idle := port(t, n, 0), port(t, n, 1), port(t, n, 2)
+	word := []uint64{7}
+	idleErr, echoErr, sent := make(chan error, 1), make(chan error, 1), make(chan error, 1)
+	go func() {
+		var c vtime.Clock
+		_, err := idle.Recv(&c, 0)
+		idleErr <- err
+	}()
+	go func() {
+		var c vtime.Clock
+		var err error
+		for i := 0; i < rounds && err == nil; i++ {
+			var pkt Packet
+			if pkt, err = b.Recv(&c, 0); err == nil {
+				err = b.Send(&c, a.CPU(), 0, pkt.Tag, word)
+			}
+		}
+		echoErr <- err
+	}()
+	var c vtime.Clock
+	for i := 0; i < rounds; i++ {
+		if err := a.Send(&c, b.CPU(), 0, uint32(i), word); err != nil {
+			t.Fatal(err)
+		}
+		if pkt, err := a.Recv(&c, 0); err != nil || pkt.Tag != uint32(i) {
+			t.Fatalf("round %d: reply %+v, %v", i, pkt, err)
+		}
+	}
+	if err := <-echoErr; err != nil {
+		t.Fatal(err)
+	}
+
+	// Backpressure: queueCap packets fit, the next Send blocks until one
+	// is received.
+	for i := 0; i < queueCap; i++ {
+		if err := a.Send(&c, b.CPU(), 1, uint32(i), word); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go func() {
+		var sc vtime.Clock
+		sent <- a.Send(&sc, b.CPU(), 1, queueCap, word)
+	}()
+	select {
+	case err := <-sent:
+		t.Fatalf("Send into a full queue returned (%v) before anything was received", err)
+	case <-time.After(10 * time.Millisecond):
+	}
+	for i := 0; i <= queueCap; i++ {
+		if pkt, err := b.Recv(&c, 1); err != nil || pkt.Tag != uint32(i) {
+			t.Fatalf("drain %d: %+v, %v", i, pkt, err)
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+
+	n.Close()
+	if err := <-idleErr; !errors.Is(err, ErrClosed) {
+		t.Errorf("receiver blocked at Close got %v, want ErrClosed", err)
 	}
 }

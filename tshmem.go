@@ -8,8 +8,13 @@
 // with the Dynamic Distributed Cache, and the TMC library are modeled in
 // internal packages, with every processing element (PE) executing as a
 // goroutine bound to a simulated tile and carrying a deterministic virtual
-// clock. Programs compute real results through real shared memory; the
-// virtual clocks reproduce the paper's latency and bandwidth behavior.
+// clock. A run's PEs execute one at a time, in virtual-time order, on a
+// discrete-event calendar, so results never depend on the host's schedule
+// and a deadlocked program is reported rather than hung; a PE body must
+// therefore synchronize with its peers through the library, never by
+// blocking on a Go channel or mutex another PE of the run must release.
+// Programs compute real results through real shared memory; the virtual
+// clocks reproduce the paper's latency and bandwidth behavior.
 //
 // # Quick start
 //
@@ -93,8 +98,8 @@ type (
 	// LockAlgo selects the SetLock/ClearLock/TestLock implementation
 	// (Config.LockAlgo; see docs/SYNC.md).
 	LockAlgo = core.LockAlgo
-	// Engine selects the host execution engine (Config.Engine; see
-	// docs/PERFORMANCE.md).
+	// Engine is the one-valued type of the vestigial Config.Engine field
+	// (docs/PERFORMANCE.md, "Execution model").
 	Engine = core.Engine
 	// BcastAlgo selects the default broadcast algorithm.
 	BcastAlgo = core.BcastAlgo
@@ -315,22 +320,10 @@ const (
 	LockAlgoMCS    = core.LockAlgoMCS
 )
 
-// Execution engines (Config.Engine; docs/PERFORMANCE.md). The zero value,
-// EngineGoroutine, is the legacy one-goroutine-per-PE host scheduler;
-// EngineEvent runs the PEs under a discrete-event calendar with at most
-// one runnable PE per simulation. Reports and traces are byte-identical
-// between the two.
-const (
-	EngineGoroutine = core.EngineGoroutine
-	EngineEvent     = core.EngineEvent
-)
-
-// ParseEngine resolves an engine name ("goroutine", "event"; "" and
-// "default" mean EngineGoroutine).
-func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
-
-// Engines lists every selectable execution engine.
-func Engines() []Engine { return core.Engines() }
+// EngineEvent, the zero value and the only Engine, runs the PEs under a
+// discrete-event calendar with at most one runnable PE per simulation
+// (docs/PERFORMANCE.md, "Execution model").
+const EngineEvent = core.EngineEvent
 
 // ParseBarrierAlgo resolves a barrier-algorithm name ("default", "linear",
 // "tmc-spin", "counter", "dissemination", "tournament", "mcs-tree") — the
