@@ -150,14 +150,18 @@ echo "$FAULT_OUT" | grep 'timeout' | grep 'PE 3' > /dev/null || {
 
 # Big-mesh smoke: the sparse mesh layer must keep a 64x64 synthetic
 # geometry at kilobytes (the memory gate fails construction past 32 MiB)
-# and sustain the 4096-PE barrier probe with O(n) host memory and the
-# reference makespan (docs/ARCHITECTURES.md). Both run inside the -race
-# pass above too; this stage repeats them uninstrumented, where the
-# launcher-side start_pes replay makes the probe a fraction of a second,
-# so the timeout is the gate against an n^2 launch coming back (the
-# literal exchange took 7.5 min here). TestLaunchScaling prints the
-# 256 -> 1024 PE host-time ratio; it reports and never fails.
-echo "== big-mesh smoke: 64x64 geometry memory gate + 4096-PE barrier probe =="
+# and sustain the 4096-PE and the 128x128, 16 384-PE barrier probes with
+# O(n) host memory and the reference makespans (docs/ARCHITECTURES.md).
+# The geometry gate and the 4096-PE leg run inside the -race pass above
+# too (the 16 384-PE leg skips there: the detector caps goroutines at
+# 8128); this stage runs them uninstrumented, where the launcher-side
+# start_pes replay and the calendar's ready heap make the probes 0.2 s and
+# 1.2 s, so the 16 384-PE leg's host-time ceiling and the timeout are the
+# gates against an n^2 launch or an O(n) grant coming back (the literal
+# exchange took 7.5 min at 4096 PEs, the scanning grant 6.6 s at 16 384).
+# TestLaunchScaling prints the 256 -> 1024 PE host-time ratio; it reports
+# and never fails.
+echo "== big-mesh smoke: 64x64 geometry memory gate + 4096- and 16384-PE barrier probes =="
 go test ./internal/mesh -run '^TestBigMeshGeometryMemory$' -count=1
 go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$' -count=1 -timeout 2m -v
 
@@ -166,11 +170,13 @@ go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$' -co
 # single-baton invariant breaks; these are the tests that pinned the ways
 # it once could (a WaitUntil polling between a watched store and its
 # visibility stamp, a profiled lock phase whose winner the host picked,
-# two transfers reaching the chip-pair wire in host order). They run three
-# more times.
-echo "== race smoke: golden matrix + profile + flag chain + multichip ring, 3x =="
+# two transfers reaching the chip-pair wire in host order), plus the one
+# path where the calendar's deleted mutex did real work: deadlock
+# resolution, which writes the calendar while no PE holds the baton and
+# must grant last. They run three more times.
+echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort, 3x =="
 go test -race ./internal/core \
-    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing' -count=3
+    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts' -count=3
 
 # Arena smoke: every run's common-memory segment is recycled, so a pooled
 # segment that is not entirely zero, or anything still writing one after

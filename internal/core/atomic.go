@@ -108,7 +108,7 @@ func CSwap[T AtomicInt](pe *PE, target Ref[T], cond, value T, tpe int) (T, error
 		cur := fromBits[T](curBits)
 		if cur != cond {
 			// A failed compare writes nothing and wakes nobody: it stays
-			// off the hub lock (contended CAS locks spin through here).
+			// off the hub (contended CAS locks spin through here).
 			return cur, nil
 		}
 		if pe.prog.hubs[tpe].publish(off, pe.clock.Now(), pe.id, func() bool {
@@ -139,8 +139,8 @@ func FAdd[T AtomicInt](pe *PE, target Ref[T], value T, tpe int) (T, error) {
 	es := sizeOf[T]()
 	var cur T
 	pe.prog.hubs[tpe].publish(off, pe.clock.Now(), pe.id, func() bool {
-		// Block puts write this memory without the hub lock, so the add
-		// itself is still a CAS loop.
+		// The add is a CAS loop on the word itself: block puts write
+		// this memory without going through the hub.
 		for {
 			var curBits uint64
 			if es == 4 {

@@ -72,28 +72,44 @@ const (
 // out-of-order or stall (S IV.C.1). The per-set generation counter makes
 // consecutive barriers on the same set distinguishable.
 //
-// The hash is FNV-1a over the four little-endian fields, computed inline:
-// hash/fnv's interface value heap-allocates per call, and this runs on
-// every barrier of every PE.
-func asTag(a ActiveSet, gen uint32) uint32 {
-	var b [16]byte
-	put32 := func(i int, v uint32) {
-		b[i], b[i+1], b[i+2], b[i+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	}
-	put32(0, uint32(a.Start))
-	put32(4, uint32(a.LogStride))
-	put32(8, uint32(a.Size))
-	put32(12, gen)
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= prime32
+// The hash is FNV-1a over the four little-endian fields (set triplet, then
+// generation), computed inline: hash/fnv's interface value heap-allocates
+// per call. FNV-1a is sequential, so the state after the set's 12 bytes is
+// the same for every generation: the per-PE generation counters cache it
+// (setGen) and each barrier folds in only its 4 generation bytes.
+func asTag(a ActiveSet, gen uint32) uint32 { return fnvFold32(asTagPrefix(a), gen) }
+
+// asTagPrefix is asTag's FNV-1a state after the active-set triplet.
+func asTagPrefix(a ActiveSet) uint32 {
+	const offset32 = 2166136261
+	h := fnvFold32(offset32, uint32(a.Start))
+	h = fnvFold32(h, uint32(a.LogStride))
+	return fnvFold32(h, uint32(a.Size))
+}
+
+// fnvFold32 continues FNV-1a state h over v's four little-endian bytes.
+func fnvFold32(h, v uint32) uint32 {
+	const prime32 = 16777619
+	for i := 0; i < 4; i++ {
+		h = (h ^ v&0xff) * prime32
+		v >>= 8
 	}
 	return h
+}
+
+// setGen is one active set's generation counter beside the tag hash state
+// every generation of that set continues from.
+type setGen struct {
+	gen    uint32
+	prefix uint32 // asTagPrefix of the set
+}
+
+// next returns the set's current generation with its tag and advances the
+// generation.
+func (g *setGen) next() (gen, tag uint32) {
+	gen = g.gen
+	g.gen++
+	return gen, fnvFold32(g.prefix, gen)
 }
 
 // BarrierAll suspends the PE until all PEs have reached the barrier
@@ -151,7 +167,7 @@ func (pe *PE) barrierUDN(as ActiveSet) error {
 	defer pe.rec.OpDone(stats.OpBarrier, start, &pe.clock, 0, int(stats.NoPeer))
 	defer pe.rec.BarrierAlgoDone(stats.BarrierAlgoLinear, start, &pe.clock)
 	n := as.Size
-	gen := pe.nextBarGen(as)
+	gen, tag := pe.nextBarGen(as)
 	// Sanitizer rendezvous: entering a barrier completes outstanding puts;
 	// the exit joins every participant's entry clock. The wait pass's full
 	// loop guarantees all members enter before anyone exits.
@@ -161,7 +177,6 @@ func (pe *PE) barrierUDN(as ActiveSet) error {
 		pe.san.BarrierExit(tok)
 		return nil
 	}
-	tag := asTag(as, gen)
 	if pe.prog.nchips > 1 && !setOnOneChip(pe.prog, as) {
 		if err := pe.barrierHier(as, tag); err != nil {
 			return err
@@ -179,7 +194,7 @@ func (pe *PE) barrierUDN(as ActiveSet) error {
 		if err := pe.sendBarrier(next, tag, sigWait); err != nil {
 			return err
 		}
-		if _, err := pe.recvBarrier(tag, sigWait); err != nil {
+		if err := pe.recvBarrier(tag, sigWait); err != nil {
 			return err
 		}
 		pe.san.BarrierExit(tok)
@@ -188,14 +203,14 @@ func (pe *PE) barrierUDN(as ActiveSet) error {
 	}
 
 	// Member tile: forward the wait signal, then block for the release.
-	if _, err := pe.recvBarrier(tag, sigWait); err != nil {
+	if err := pe.recvBarrier(tag, sigWait); err != nil {
 		return err
 	}
 	pe.advanceAs(profile.CatUDNSend, fwd)
 	if err := pe.sendBarrier(next, tag, sigWait); err != nil {
 		return err
 	}
-	if _, err := pe.recvBarrier(tag, sigRelease); err != nil {
+	if err := pe.recvBarrier(tag, sigRelease); err != nil {
 		return err
 	}
 	pe.san.BarrierExit(tok)
@@ -249,7 +264,7 @@ func (pe *PE) barrierHier(as ActiveSet, tag uint32) error {
 			if err := pe.sendBarrier(members[1], tag, sigWait); err != nil {
 				return err
 			}
-			if _, err := pe.recvBarrier(tag, sigWait); err != nil {
+			if err := pe.recvBarrier(tag, sigWait); err != nil {
 				return err
 			}
 		}
@@ -284,14 +299,14 @@ func (pe *PE) barrierHier(as ActiveSet, tag uint32) error {
 	}
 
 	// Chip member: forward the wait ring, block for release, forward it.
-	if _, err := pe.recvBarrier(tag, sigWait); err != nil {
+	if err := pe.recvBarrier(tag, sigWait); err != nil {
 		return err
 	}
 	pe.advanceAs(profile.CatUDNSend, fwd)
 	if err := pe.sendBarrier(members[(pos+1)%n], tag, sigWait); err != nil {
 		return err
 	}
-	if _, err := pe.recvBarrier(tag, sigRelease); err != nil {
+	if err := pe.recvBarrier(tag, sigRelease); err != nil {
 		return err
 	}
 	if pos < n-1 {
@@ -343,28 +358,30 @@ func (pe *PE) consumeFab(m mpipe.Msg, start vtime.Time, deadline vtime.Time) (mp
 // recvBarrier receives the next barrier signal carrying tag, stashing
 // signals for other (overlapping) barrier instances until their turn.
 // Under fault injection the wait is bounded: a signal that never arrives
-// (a fault dropped it, or the chain is stalled past the host grace) or
-// that arrives virtually past the deadline surfaces as a timeout instead
-// of deadlocking the chain.
-func (pe *PE) recvBarrier(tag uint32, want uint64) (udn.Packet, error) {
+// (a fault dropped it, or the chain stalled behind one that was — the
+// calendar expires the wait once nothing can run) or that arrives
+// virtually past the deadline surfaces as a timeout instead of deadlocking
+// the chain.
+func (pe *PE) recvBarrier(tag uint32, want uint64) error {
 	start := pe.clock.Now()
 	deadline := pe.waitDeadline()
-	for i, pkt := range pe.barPending {
-		if pkt.Tag == tag && pkt.Word(0) == want {
+	for i := range pe.barPending {
+		if pkt := &pe.barPending[i]; pkt.Tag == tag && pkt.Word(0) == want {
+			err := pe.consumeBarrier(pkt, start, deadline)
 			pe.barPending = append(pe.barPending[:i], pe.barPending[i+1:]...)
-			return pe.consumeBarrier(pkt, start, deadline)
+			return err
 		}
 	}
+	var pkt udn.Packet
 	for {
-		pkt, err := pe.port.RecvRaw(qBarrier)
-		if err != nil {
+		if err := pe.port.RecvRaw(qBarrier, &pkt); err != nil {
 			if errors.Is(err, udn.ErrTimeout) {
-				return udn.Packet{}, pe.timeoutAt("barrier", -1, start, deadline)
+				return pe.timeoutAt("barrier", -1, start, deadline)
 			}
-			return udn.Packet{}, err
+			return err
 		}
 		if pkt.Tag == tag && pkt.Len() == 1 && pkt.Word(0) == want {
-			return pe.consumeBarrier(pkt, start, deadline)
+			return pe.consumeBarrier(&pkt, start, deadline)
 		}
 		pe.barPending = append(pe.barPending, pkt)
 	}
@@ -372,14 +389,14 @@ func (pe *PE) recvBarrier(tag uint32, want uint64) (udn.Packet, error) {
 
 // consumeBarrier merges the clock with a barrier signal's arrival,
 // enforcing the virtual deadline when fault injection bounds the wait.
-func (pe *PE) consumeBarrier(pkt udn.Packet, start vtime.Time, deadline vtime.Time) (udn.Packet, error) {
+func (pe *PE) consumeBarrier(pkt *udn.Packet, start vtime.Time, deadline vtime.Time) error {
 	if deadline > 0 && pkt.Arrive > deadline {
-		return udn.Packet{}, pe.timeoutAt("barrier", pe.globalSrc(pkt.Src), start, deadline)
+		return pe.timeoutAt("barrier", pe.globalSrc(pkt.Src), start, deadline)
 	}
 	waitStart := pe.clock.Now()
 	pe.rec.BarrierWait(pe.clock.AdvanceTo(pkt.Arrive))
 	pe.profMerge(profile.CatBarrierWait, waitStart, pe.globalSrc(pkt.Src), pkt.Sent, pkt.Arrive)
-	return pkt, nil
+	return nil
 }
 
 // BarrierRootRelease is the alternative barrier design the paper evaluated
@@ -407,14 +424,13 @@ func (pe *PE) BarrierRootRelease(as ActiveSet) error {
 	start := pe.clock.Now()
 	defer pe.rec.OpDone(stats.OpBarrier, start, &pe.clock, 0, int(stats.NoPeer))
 	n := as.Size
-	gen := pe.nextBarGen(as)
+	gen, tag := pe.nextBarGen(as)
 	tok := pe.san.BarrierEnter(as.Start, as.LogStride, as.Size, gen)
 	if n == 1 {
 		pe.clock.Advance(vtime.FromNs(pe.prog.chip.BarrierArbiterNs))
 		pe.san.BarrierExit(tok)
 		return nil
 	}
-	tag := asTag(as, gen)
 	fwd := vtime.FromNs(pe.prog.chip.UDNSWForwardNs)
 	sendCall := vtime.FromNs(pe.prog.chip.UDNSendCallNs)
 
@@ -423,7 +439,7 @@ func (pe *PE) BarrierRootRelease(as ActiveSet) error {
 		if err := pe.sendBarrier(as.PE(1), tag, sigWait); err != nil {
 			return err
 		}
-		if _, err := pe.recvBarrier(tag, sigWait); err != nil {
+		if err := pe.recvBarrier(tag, sigWait); err != nil {
 			return err
 		}
 		pe.san.BarrierExit(tok)
@@ -438,14 +454,14 @@ func (pe *PE) BarrierRootRelease(as ActiveSet) error {
 		return nil
 	}
 	// Member: forward the wait chain, then block for the root's release.
-	if _, err := pe.recvBarrier(tag, sigWait); err != nil {
+	if err := pe.recvBarrier(tag, sigWait); err != nil {
 		return err
 	}
 	pe.advanceAs(profile.CatUDNSend, fwd)
 	if err := pe.sendBarrier(as.PE((idx+1)%n), tag, sigWait); err != nil {
 		return err
 	}
-	if _, err := pe.recvBarrier(tag, sigRelease); err != nil {
+	if err := pe.recvBarrier(tag, sigRelease); err != nil {
 		return err
 	}
 	pe.san.BarrierExit(tok)

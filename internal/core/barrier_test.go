@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -314,4 +315,52 @@ func TestBarrierRootRelease(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// asTagRef is asTag as it was before the per-set hash state was cached:
+// FNV-1a over the sixteen little-endian bytes of (Start, LogStride, Size,
+// gen), all in one go. Tags are visible in traces, goldens and profile
+// exports, so the cached form must produce the same values.
+func asTagRef(a ActiveSet, gen uint32) uint32 {
+	var b [16]byte
+	put32 := func(i int, v uint32) {
+		b[i], b[i+1], b[i+2], b[i+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+	}
+	put32(0, uint32(a.Start))
+	put32(4, uint32(a.LogStride))
+	put32(8, uint32(a.Size))
+	put32(12, gen)
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for _, c := range b {
+		h ^= uint32(c)
+		h *= prime32
+	}
+	return h
+}
+
+// TestAsTagMatchesReference compares the cached-prefix tag with the
+// one-shot hash over random sets x generations, through both forms the
+// library uses: asTag and a setGen counting up from a random generation.
+func TestAsTagMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 2000; i++ {
+		as := ActiveSet{Start: rng.Intn(1 << 20), LogStride: rng.Intn(31), Size: 1 + rng.Intn(1<<20)}
+		if i%4 == 0 {
+			as = AllPEs(as.Size)
+		}
+		g := setGen{gen: rng.Uint32(), prefix: asTagPrefix(as)}
+		if i%8 == 0 {
+			g.gen = ^uint32(0) - 1 // wrap inside the loop below
+		}
+		for k := 0; k < 4; k++ {
+			gen, tag := g.next()
+			if want := asTagRef(as, gen); tag != want || asTag(as, gen) != want {
+				t.Fatalf("%v gen %d: setGen tag %#x, asTag %#x, reference %#x", as, gen, tag, asTag(as, gen), want)
+			}
+		}
+	}
 }

@@ -50,11 +50,11 @@ func (pe *PE) collEnter(as ActiveSet) (idx int, tag uint32, err error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: PE %d vs %v", ErrNotInSet, pe.id, as)
 	}
-	gen := pe.nextCollGen(as)
+	_, tag = pe.setGenOf(&pe.collAll, pe.collGen, as).next()
 	pe.stats.Collectives++
 	// Offset the hash stream so collective tags never collide with barrier
 	// tags of the same set/generation.
-	return idx, asTag(as, gen) ^ 0x5bd1e995, nil
+	return idx, tag ^ 0x5bd1e995, nil
 }
 
 // spansChips reports whether the active set crosses chip boundaries; such
@@ -103,22 +103,23 @@ func (pe *PE) recvSig(tag uint32, fab bool) (src int, w [2]uint64, nw int, err e
 	}
 	start := pe.clock.Now()
 	deadline := pe.waitDeadline()
-	for i, pkt := range pe.collPending {
-		if pkt.Tag == tag {
+	for i := range pe.collPending {
+		if pkt := &pe.collPending[i]; pkt.Tag == tag {
+			src, w, nw, err = pe.consumeSig(pkt, tag, start, deadline)
 			pe.collPending = append(pe.collPending[:i], pe.collPending[i+1:]...)
-			return pe.consumeSig(pkt, tag, start, deadline)
+			return src, w, nw, err
 		}
 	}
+	var pkt udn.Packet
 	for {
-		pkt, err := pe.port.RecvRaw(qColl)
-		if err != nil {
+		if err := pe.port.RecvRaw(qColl, &pkt); err != nil {
 			if errors.Is(err, udn.ErrTimeout) {
 				return 0, w, 0, pe.timeoutAt("collective", -1, start, deadline)
 			}
 			return 0, w, 0, err
 		}
 		if pkt.Tag == tag {
-			return pe.consumeSig(pkt, tag, start, deadline)
+			return pe.consumeSig(&pkt, tag, start, deadline)
 		}
 		pe.collPending = append(pe.collPending, pkt)
 	}
@@ -126,7 +127,7 @@ func (pe *PE) recvSig(tag uint32, fab bool) (src int, w [2]uint64, nw int, err e
 
 // consumeSig merges the clock with a collective signal's arrival,
 // enforcing the virtual deadline when fault injection bounds the wait.
-func (pe *PE) consumeSig(pkt udn.Packet, tag uint32, start, deadline vtime.Time) (src int, w [2]uint64, nw int, err error) {
+func (pe *PE) consumeSig(pkt *udn.Packet, tag uint32, start, deadline vtime.Time) (src int, w [2]uint64, nw int, err error) {
 	if deadline > 0 && pkt.Arrive > deadline {
 		return 0, w, 0, pe.timeoutAt("collective", pe.globalSrc(pkt.Src), start, deadline)
 	}

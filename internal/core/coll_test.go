@@ -256,8 +256,10 @@ func TestCollectRejectsMalformedSignals(t *testing.T) {
 				return nil
 			}
 			// Mimic the member's entry, then report a negative size.
-			gen := pe.nextCollGen(as)
-			tag := asTag(as, gen) ^ 0x5bd1e995
+			_, tag, err := pe.collEnter(as)
+			if err != nil {
+				return err
+			}
 			if err := pe.barrierUDN(as); err != nil {
 				return err
 			}
@@ -278,8 +280,10 @@ func TestCollectRejectsMalformedSignals(t *testing.T) {
 			}
 			// Mimic the root: consume the size report, then reply with one
 			// word where the protocol requires (offset, total).
-			gen := pe.nextCollGen(as)
-			tag := asTag(as, gen) ^ 0x5bd1e995
+			_, tag, err := pe.collEnter(as)
+			if err != nil {
+				return err
+			}
 			if err := pe.barrierUDN(as); err != nil {
 				return err
 			}

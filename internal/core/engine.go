@@ -212,10 +212,24 @@ type evNode struct {
 // Every blocking point in the library parks here, and nowhere else: the
 // wait sites own the cost-model, profiler, and timeout code, the calendar
 // only decides who runs next.
+//
+// Calendar state belongs to the baton holder. Nothing here is locked: every
+// field is read and written only by the goroutine that holds the baton (the
+// launcher before begin's grant and after the last exit), and a grant — a
+// send on the next holder's buffered park channel — is the last thing a
+// holder does to the calendar, so the channel carries the happens-before
+// edge from each holder's writes to the next holder's reads. Deadlock
+// resolution runs when nobody holds the baton and follows the same rule: it
+// finishes every write, then grants.
 type evsched struct {
 	prog *Program
-	mu   sync.Mutex
 	pes  []evNode
+
+	// ready is a binary min-heap of the evReady ranks, least (virtual clock,
+	// rank) at the root. Ranks are compared through their nodes' clocks — 4
+	// bytes per PE — which is sound because a ready PE's clock cannot move
+	// until it is granted: only a PE's own goroutine advances its clock.
+	ready []int32
 
 	nlive   int  // PEs not yet evDone
 	running int  // PEs holding the baton: 0 or 1 between handoffs
@@ -231,31 +245,76 @@ type evsched struct {
 }
 
 func newEvsched(p *Program, n int) *evsched {
-	s := &evsched{prog: p, pes: make([]evNode, n), nlive: n}
+	s := &evsched{prog: p, pes: make([]evNode, n), ready: make([]int32, 0, n), nlive: n}
 	for i := range s.pes {
 		s.pes[i].park = make(chan uint8, 1)
 	}
 	return s
 }
 
+// readyBefore orders two ready ranks by (virtual clock, rank).
+func (s *evsched) readyBefore(x, y int32) bool {
+	tx, ty := s.pes[x].clock.Now(), s.pes[y].clock.Now()
+	return tx < ty || tx == ty && x < y
+}
+
+// pushReady marks PE id ready and adds it to the ready heap.
+func (s *evsched) pushReady(id int) {
+	s.pes[id].state = evReady
+	h := append(s.ready, int32(id))
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !s.readyBefore(h[i], h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	s.ready = h
+}
+
+// popReady removes and returns the least (clock, rank) of the ready heap,
+// which must not be empty.
+func (s *evsched) popReady() int {
+	h := s.ready
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && s.readyBefore(h[c+1], h[c]) {
+			c++
+		}
+		if !s.readyBefore(h[c], h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	s.ready = h
+	return int(top)
+}
+
 // enter parks a freshly spawned PE goroutine until the calendar grants
-// it the baton for the first time. Nodes start evReady, so the grant
-// comes from begin (or from an earlier PE's yield) — the buffered park
-// channel makes grant-before-park safe.
+// it the baton for the first time. Every PE is ready from the start, so
+// the grant comes from begin (or from an earlier PE's yield) — the
+// buffered park channel makes grant-before-park safe.
 func (s *evsched) enter(id int) {
 	<-s.pes[id].park
 }
 
-// begin hands out the first baton. Run calls it after spawning every PE,
-// so the initial grant deterministically goes to the least (clock, rank)
-// no matter how the host interleaves goroutine startup.
+// begin queues every PE as ready and hands out the first baton. Run calls
+// it after spawning every PE and after the start_pes replay set their
+// clocks, so the initial grant deterministically goes to the least (clock,
+// rank) no matter how the host interleaves goroutine startup.
 func (s *evsched) begin() {
-	s.mu.Lock()
-	dl := s.dispatchLocked()
-	s.mu.Unlock()
-	if dl {
-		s.resolveDeadlock()
+	for i := range s.pes {
+		s.pushReady(i)
 	}
+	s.dispatch()
 }
 
 // yield parks the running PE on a wait tag and hands the baton to the
@@ -263,17 +322,12 @@ func (s *evsched) begin() {
 // wakeRun (possibly spurious) the caller re-checks its predicate and may
 // yield again.
 func (s *evsched) yield(id int, kind uint8, a, b int64) uint8 {
-	s.mu.Lock()
 	n := &s.pes[id]
 	n.state = evBlocked
 	n.kind, n.a, n.b = kind, a, b
 	s.parked[kind]++
 	s.running--
-	dl := s.dispatchLocked()
-	s.mu.Unlock()
-	if dl {
-		s.resolveDeadlock()
-	}
+	s.dispatch()
 	return <-n.park
 }
 
@@ -281,47 +335,36 @@ func (s *evsched) yield(id int, kind uint8, a, b int64) uint8 {
 // runtime.Gosched for modeled spin loops. The caller stays schedulable, so
 // this can never quiesce.
 func (s *evsched) yieldReady(id int) {
-	s.mu.Lock()
-	n := &s.pes[id]
-	n.state = evReady
+	s.pushReady(id)
 	s.running--
-	s.dispatchLocked()
-	s.mu.Unlock()
-	<-n.park
+	s.dispatch()
+	<-s.pes[id].park
 }
 
 // exit retires a finished PE and hands the baton on.
 func (s *evsched) exit(id int) {
-	s.mu.Lock()
 	s.pes[id].state = evDone
 	s.nlive--
 	s.running--
-	dl := false
 	if s.nlive > 0 {
-		dl = s.dispatchLocked()
-	}
-	s.mu.Unlock()
-	if dl {
-		s.resolveDeadlock()
+		s.dispatch()
 	}
 }
 
-// readyLocked moves a parked PE back to the ready set; st is delivered
-// with its next grant. Every exit from evBlocked goes through here so the
-// parked counts stay exact.
-func (s *evsched) readyLocked(id int, st uint8) {
+// unpark moves a parked PE back to the ready set; st is delivered with its
+// next grant. Every exit from evBlocked goes through here so the parked
+// counts stay exact.
+func (s *evsched) unpark(id int, st uint8) {
 	n := &s.pes[id]
-	n.state = evReady
 	n.wake = st
 	s.parked[n.kind]--
+	s.pushReady(id)
 }
 
 // wake marks every PE blocked on (kind, a, b) ready. The caller holds
 // the baton, so no grant happens here: the woken PEs compete (by clock,
 // then rank) at the caller's next yield or exit.
 func (s *evsched) wake(kind uint8, a, b int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.parked[kind] == 0 {
 		return
 	}
@@ -334,66 +377,44 @@ func (s *evsched) wake(kind uint8, a, b int64) {
 	for i := lo; i < hi; i++ {
 		n := &s.pes[i]
 		if n.state == evBlocked && n.kind == kind && n.a == a && n.b == b {
-			s.readyLocked(i, wakeRun)
+			s.unpark(i, wakeRun)
 		}
 	}
 }
 
-// dispatchLocked grants the baton to the ready PE with the least
-// (virtual clock, rank). Quiescence — no ready PE but blocked ones —
-// means no blocked wait can ever be satisfied (nothing is running to
-// satisfy it), so no host timer is needed to find that out: under fault
-// injection every bounded wait expires at once (each lands its clock on
-// its own start+WaitBudget deadline); without faults the program is
-// deadlocked and the caller must resolve it outside the lock (reported by
-// the return value).
-func (s *evsched) dispatchLocked() (deadlocked bool) {
-	if s.running > 0 {
-		return false
-	}
-	if s.grantLocked() {
-		return false
-	}
-	if s.timed {
-		expired := false
-		for i := range s.pes {
-			if s.pes[i].state == evBlocked {
-				s.readyLocked(i, wakeTimeout)
-				expired = true
-			}
-		}
-		if expired && s.grantLocked() {
-			return false
-		}
-	}
+// unparkAll readies every parked PE with status st.
+func (s *evsched) unparkAll(st uint8) {
 	for i := range s.pes {
 		if s.pes[i].state == evBlocked {
-			return true
+			s.unpark(i, st)
 		}
 	}
-	return false
 }
 
-// grantLocked picks the ready PE with the least (clock, rank) and sends
-// it the baton, reporting whether a grant happened. Reading a parked
-// PE's clock is safe: its owner last wrote it before parking under this
-// mutex.
-func (s *evsched) grantLocked() bool {
-	best := -1
-	var bt vtime.Time
-	for i := range s.pes {
-		n := &s.pes[i]
-		if n.state != evReady {
-			continue
-		}
-		if t := n.clock.Now(); best < 0 || t < bt {
-			best, bt = i, t
+// dispatch grants the baton to the ready PE with the least (virtual
+// clock, rank); the caller has just given the baton up and must not touch
+// the calendar afterwards. Quiescence — no ready PE but live ones, all
+// parked — means no blocked wait can ever be satisfied (nothing is running
+// to satisfy it), so no host timer is needed to find that out: under fault
+// injection every bounded wait expires at once (each lands its clock on
+// its own start+WaitBudget deadline); without faults the program is
+// deadlocked and is aborted.
+func (s *evsched) dispatch() {
+	if len(s.ready) == 0 {
+		if s.timed {
+			s.unparkAll(wakeTimeout)
+		} else {
+			s.resolveDeadlock()
 		}
 	}
-	if best < 0 {
-		return false
-	}
-	n := &s.pes[best]
+	s.grant()
+}
+
+// grant sends the baton to the ready PE with the least (clock, rank). It
+// is the last calendar access of the goroutine that calls it: from the
+// send on, the state belongs to the PE granted.
+func (s *evsched) grant() {
+	n := &s.pes[s.popReady()]
 	n.state = evRunning
 	s.running++
 	if s.running > s.maxRunning {
@@ -402,7 +423,6 @@ func (s *evsched) grantLocked() bool {
 	st := n.wake
 	n.wake = wakeRun
 	n.park <- st
-	return true
 }
 
 // maxDeadlockLines caps the per-PE lines of a deadlock report.
@@ -412,28 +432,25 @@ const maxDeadlockLines = 16
 // live PE is parked on a wait no peer can ever satisfy. The calendar sees
 // the global state, so instead of hanging it aborts the run with an error
 // that names each blocked PE's wait and, where the waits' owners are known
-// and close one, a wait-for cycle.
+// and close one, a wait-for cycle. Nobody holds the baton here, so the
+// caller owns the calendar until dispatch grants — after the abort below has
+// readied every parked PE.
 func (s *evsched) resolveDeadlock() {
-	s.mu.Lock()
-	nodes := make([]evNode, len(s.pes)) // nothing runs: a consistent snapshot
-	copy(nodes, s.pes)
-	s.mu.Unlock()
-
 	var b strings.Builder
 	b.WriteString("tshmem: deadlock: every live PE is blocked on a wait no peer can satisfy")
 	lines := 0
-	for i := range nodes {
-		if nodes[i].state != evBlocked {
+	for i := range s.pes {
+		if s.pes[i].state != evBlocked {
 			continue
 		}
 		if lines++; lines <= maxDeadlockLines {
-			fmt.Fprintf(&b, "\n  PE %d: %s", i, nodes[i].waitString())
+			fmt.Fprintf(&b, "\n  PE %d: %s", i, s.pes[i].waitString())
 		}
 	}
 	if lines > maxDeadlockLines {
 		fmt.Fprintf(&b, "\n  ... and %d more", lines-maxDeadlockLines)
 	}
-	if cyc := s.waitCycle(nodes); cyc != nil {
+	if cyc := s.waitCycle(); cyc != nil {
 		b.WriteString("\n  wait-for cycle:")
 		for i, pe := range cyc {
 			if i > 0 {
@@ -444,8 +461,8 @@ func (s *evsched) resolveDeadlock() {
 	}
 	s.prog.abort(errors.New(b.String()))
 	// abort is once-only; if it already ran (a PE parked during teardown,
-	// after the abort hook's wakes), re-issue the abort wakes ourselves.
-	s.abortWake()
+	// after the abort's wakes), ready the parked PEs ourselves.
+	s.unparkAll(wakeAbort)
 }
 
 // waitString names what a blocked PE is parked on.
@@ -478,17 +495,14 @@ func (n *evNode) waitString() string {
 // receiver of a backpressured send, the members a counter barrier is still
 // missing. A receive or a polled word (WaitUntil, a ticket lock) can be
 // satisfied by any PE and has none.
-func (s *evsched) waitsFor(nodes []evNode, i int) []int {
-	switch n := &nodes[i]; n.kind {
+func (s *evsched) waitsFor(i int) []int {
+	switch n := &s.pes[i]; n.kind {
 	case wkMCS:
 		return []int{int(n.b)}
 	case wkUDNSend, wkFabSend:
 		return []int{int(n.a)}
 	case wkCtr:
-		p := s.prog
-		p.ctrMu.Lock()
-		defer p.ctrMu.Unlock()
-		for k, inst := range p.ctrBars {
+		for k, inst := range s.prog.ctrBars {
 			if int64(asTag(k.as, k.gen)) != n.a {
 				continue
 			}
@@ -507,7 +521,8 @@ func (s *evsched) waitsFor(nodes []evNode, i int) []int {
 
 // waitCycle finds one cycle among the blocked PEs' waitsFor edges, as the
 // ranks along it with the first repeated at the end, or nil.
-func (s *evsched) waitCycle(nodes []evNode) []int {
+func (s *evsched) waitCycle() []int {
+	nodes := s.pes
 	const (
 		unseen = iota
 		onPath
@@ -519,7 +534,7 @@ func (s *evsched) waitCycle(nodes []evNode) []int {
 	visit = func(i int) bool {
 		mark[i] = onPath
 		path = append(path, i)
-		for _, j := range s.waitsFor(nodes, i) {
+		for _, j := range s.waitsFor(i) {
 			if nodes[j].state != evBlocked {
 				continue
 			}
@@ -541,30 +556,6 @@ func (s *evsched) waitCycle(nodes []evNode) []int {
 		}
 	}
 	return nil
-}
-
-// abortWake marks every parked PE ready with an abort status and, if no
-// PE holds the baton (quiescence resolution), grants one. Called from
-// Program.abort.
-func (s *evsched) abortWake() {
-	s.mu.Lock()
-	for i := range s.pes {
-		if s.pes[i].state == evBlocked {
-			s.readyLocked(i, wakeAbort)
-		}
-	}
-	if s.running == 0 {
-		s.grantLocked()
-	}
-	s.mu.Unlock()
-}
-
-// maxRunningPeak reports the peak number of simultaneously runnable PEs
-// the calendar granted — 1 by construction.
-func (s *evsched) maxRunningPeak() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxRunning
 }
 
 // udnSched adapts the calendar to one chip's UDN blocking points;

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
@@ -540,4 +541,74 @@ func TestEngineEventDeadlockAborts(t *testing.T) {
 // TestEngineEventDeterminism replays the standard determinism workload.
 func TestEngineEventDeterminism(t *testing.T) {
 	compareReports(t, "event/repeat", runDeterminism(t), runDeterminism(t))
+}
+
+// TestGrantOrderMatchesLinearScan drives the calendar's ready heap through
+// random schedules — duplicate clocks, keyed wakes, whole-calendar expiries,
+// spinners re-queued ready — with no PE goroutines behind it, and checks
+// every grant against the scan the heap replaced: the evReady node with the
+// least clock, lowest rank among equals. The grant order is what makes a
+// run a function of its modeled times, so the heap may not differ from the
+// scan even once.
+func TestGrantOrderMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(48)
+		clocks := make([]vtime.Clock, n)
+		s := newEvsched(nil, n)
+		for i := range s.pes {
+			clocks[i].Set(vtime.Time(rng.Intn(4)))
+			s.pes[i].clock = &clocks[i]
+			s.pushReady(i) // what begin does before its dispatch
+		}
+		leastReady := func() int {
+			best := -1
+			for i := range s.pes {
+				if s.pes[i].state == evReady && (best < 0 || clocks[i].Now() < clocks[best].Now()) {
+					best = i
+				}
+			}
+			return best
+		}
+		running := -1
+		for step := 0; step < 12*n; step++ {
+			if running >= 0 {
+				// The baton holder does some modeled work (often none: equal
+				// clocks are the interesting case), wakes a wait key, and
+				// gives the baton up by spinning or by parking.
+				clocks[running].Advance(vtime.Duration(rng.Intn(3)))
+				s.wake(wkHub, int64(rng.Intn(3)), 0)
+				s.running--
+				if rng.Intn(3) == 0 {
+					s.pushReady(running) // yieldReady
+				} else {
+					nd := &s.pes[running] // yield
+					nd.state, nd.kind, nd.a, nd.b = evBlocked, wkHub, int64(rng.Intn(3)), 0
+					s.parked[wkHub]++
+				}
+			}
+			if len(s.ready) == 0 {
+				s.unparkAll(wakeTimeout) // quiescence under faults
+			}
+			want := leastReady()
+			s.grant()
+			if s.pes[want].state != evRunning {
+				t.Fatalf("trial %d step %d: the scan grants PE %d (clock %v), the heap did not", trial, step, want, clocks[want].Now())
+			}
+			<-s.pes[want].park
+			running = want
+		}
+		// Drain: what is left comes out in scan order too.
+		s.pes[running].state = evDone
+		for len(s.ready) > 0 {
+			want := leastReady()
+			if got := s.popReady(); got != want {
+				t.Fatalf("trial %d drain: popped PE %d, the scan says PE %d", trial, got, want)
+			}
+			s.pes[want].state = evDone
+		}
+		if s.maxRunning != 1 {
+			t.Fatalf("trial %d: maxRunning = %d", trial, s.maxRunning)
+		}
+	}
 }

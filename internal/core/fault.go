@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 
 	"tshmem/internal/profile"
 	"tshmem/internal/sanitize"
@@ -16,24 +15,18 @@ import (
 // waits trip it.
 const DefaultWaitBudget vtime.Duration = 50_000_000_000 // 50 ms in ps
 
-// timeoutLog accumulates Timeout diagnostics across PE goroutines; the
-// report sorts them deterministically afterwards.
+// timeoutLog accumulates Timeout diagnostics across PEs (each appends
+// while it holds the run's baton); the report sorts them deterministically
+// afterwards.
 type timeoutLog struct {
-	mu   sync.Mutex
 	list []sanitize.Diagnostic
 }
 
-func (l *timeoutLog) add(d sanitize.Diagnostic) {
-	l.mu.Lock()
-	l.list = append(l.list, d)
-	l.mu.Unlock()
-}
+func (l *timeoutLog) add(d sanitize.Diagnostic) { l.list = append(l.list, d) }
 
 // diagnostics returns the recorded timeouts sorted by (PE, start time,
 // op) — a total order independent of host scheduling.
 func (l *timeoutLog) diagnostics() []sanitize.Diagnostic {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	out := append([]sanitize.Diagnostic(nil), l.list...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].PE != out[j].PE {

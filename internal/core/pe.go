@@ -56,11 +56,11 @@ type PE struct {
 	// instances on the same active set. The all-PEs set — every
 	// BarrierAll and most collectives — bypasses the maps with dedicated
 	// counters; the maps serve subset active sets only.
-	barGenAll   uint32
-	collGenAll  uint32
-	barGen      map[ActiveSet]uint32
+	barAll      setGen
+	collAll     setGen
+	barGen      map[ActiveSet]*setGen
 	barPending  []udn.Packet // stashed signals of overlapping barrier instances
-	collGen     map[ActiveSet]uint32
+	collGen     map[ActiveSet]*setGen
 	collPending []udn.Packet
 	initPending []udn.Packet
 	fabPending  []mpipe.Msg // stashed cross-chip control messages
@@ -91,28 +91,24 @@ func (pe *PE) allPEsSet(as ActiveSet) bool {
 	return as.Start == 0 && as.LogStride == 0 && as.Size == pe.n
 }
 
-// nextBarGen returns the barrier generation for as and advances it.
-func (pe *PE) nextBarGen(as ActiveSet) uint32 {
+// setGenOf returns as's generation counter: all for the full-program set,
+// otherwise its entry in subsets, made on first use.
+func (pe *PE) setGenOf(all *setGen, subsets map[ActiveSet]*setGen, as ActiveSet) *setGen {
 	if pe.allPEsSet(as) {
-		g := pe.barGenAll
-		pe.barGenAll = g + 1
-		return g
+		return all
 	}
-	g := pe.barGen[as]
-	pe.barGen[as] = g + 1
+	g := subsets[as]
+	if g == nil {
+		g = &setGen{prefix: asTagPrefix(as)}
+		subsets[as] = g
+	}
 	return g
 }
 
-// nextCollGen returns the collective generation for as and advances it.
-func (pe *PE) nextCollGen(as ActiveSet) uint32 {
-	if pe.allPEsSet(as) {
-		g := pe.collGenAll
-		pe.collGenAll = g + 1
-		return g
-	}
-	g := pe.collGen[as]
-	pe.collGen[as] = g + 1
-	return g
+// nextBarGen returns the barrier generation for as with its tag and
+// advances the generation.
+func (pe *PE) nextBarGen(as ActiveSet) (gen, tag uint32) {
+	return pe.setGenOf(&pe.barAll, pe.barGen, as).next()
 }
 
 // MyPE reports this PE's number (the OpenSHMEM _my_pe).
@@ -259,14 +255,14 @@ func (pe *PE) exchangeInit() error {
 		// In round r the peer at distance -r reports to us. Receiving in
 		// that fixed order (stashing early arrivals) keeps the virtual-time
 		// merges deterministic.
-		pkt, err := pe.recvInitFrom((me - r + peers) % peers)
+		src := (me - r + peers) % peers
+		got, err := pe.recvInitFrom(src)
 		if err != nil {
 			return err
 		}
-		src := pe.globalSrc(pkt.Src)
-		if got, want := int64(pkt.Word(0)), pe.prog.partBase[src]; got != want {
+		if want := pe.prog.partBase[first+src]; got != want {
 			return fmt.Errorf("%w: PE %d reported partition base %d, launcher says %d",
-				ErrAsymmetric, src, got, want)
+				ErrAsymmetric, first+src, got, want)
 		}
 	}
 	return nil
@@ -346,42 +342,43 @@ func (p *Program) replayStartPEs() error {
 // tile, stashing reports that arrive ahead of their round. Under fault
 // injection the wait is bounded: a report that never arrives (or arrives
 // virtually past the deadline) surfaces as a timeout naming the awaited
-// peer.
-func (pe *PE) recvInitFrom(localSrc int) (udn.Packet, error) {
+// peer. It returns the partition base the peer reported.
+func (pe *PE) recvInitFrom(localSrc int) (base int64, err error) {
 	start := pe.clock.Now()
 	deadline := pe.waitDeadline()
-	peer := pe.globalSrc(localSrc)
-	for i, pkt := range pe.initPending {
-		if pkt.Src == localSrc {
+	for i := range pe.initPending {
+		if pkt := &pe.initPending[i]; pkt.Src == localSrc {
+			base, err = pe.consumeInit(pkt, start, deadline)
 			pe.initPending = append(pe.initPending[:i], pe.initPending[i+1:]...)
-			return pe.consumeInit(pkt, start, deadline)
+			return base, err
 		}
 	}
+	var pkt udn.Packet
 	for {
-		pkt, err := pe.port.RecvRaw(qInit)
-		if err != nil {
+		if err := pe.port.RecvRaw(qInit, &pkt); err != nil {
 			if errors.Is(err, udn.ErrTimeout) {
-				return udn.Packet{}, pe.timeoutAt("init", peer, start, deadline)
+				return 0, pe.timeoutAt("init", pe.globalSrc(localSrc), start, deadline)
 			}
-			return udn.Packet{}, err
+			return 0, err
 		}
 		if pkt.Src == localSrc {
-			return pe.consumeInit(pkt, start, deadline)
+			return pe.consumeInit(&pkt, start, deadline)
 		}
 		pe.initPending = append(pe.initPending, pkt)
 	}
 }
 
 // consumeInit merges the clock with an init report's arrival, enforcing
-// the virtual deadline when fault injection bounds the wait.
-func (pe *PE) consumeInit(pkt udn.Packet, start vtime.Time, deadline vtime.Time) (udn.Packet, error) {
+// the virtual deadline when fault injection bounds the wait, and returns
+// the reported partition base.
+func (pe *PE) consumeInit(pkt *udn.Packet, start vtime.Time, deadline vtime.Time) (int64, error) {
 	if deadline > 0 && pkt.Arrive > deadline {
-		return udn.Packet{}, pe.timeoutAt("init", pe.globalSrc(pkt.Src), start, deadline)
+		return 0, pe.timeoutAt("init", pe.globalSrc(pkt.Src), start, deadline)
 	}
 	waitStart := pe.clock.Now()
 	pe.clock.AdvanceTo(pkt.Arrive)
 	pe.profMerge(profile.CatUDNWait, waitStart, pe.globalSrc(pkt.Src), pkt.Sent, pkt.Arrive)
-	return pkt, nil
+	return int64(pkt.Word(0)), nil
 }
 
 // Finalize implements the shmem_finalize() extension the paper proposes:

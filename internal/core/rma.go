@@ -332,10 +332,12 @@ func (pe *PE) redirect(target int, op uint64, sid int32, sOff, gOff, nbytes int6
 	return nil
 }
 
-// serviceInterrupt runs on this PE's tile in interrupt context (a dedicated
-// goroutine): the tile is forced to service an operation the requesting
-// tile could not perform itself. It must not touch pe.clock or pe.stats —
-// the requester carries the timing through the interrupt reply.
+// serviceInterrupt runs on this PE's tile in interrupt context — inline on
+// the requesting PE's goroutine, which holds the baton while this PE is
+// parked or ready: the tile is forced to service an operation the
+// requesting tile could not perform itself. It must not touch pe.clock (a
+// ready PE's clock is its key in the calendar's heap) or pe.stats — the
+// requester carries the timing through the interrupt reply.
 func (pe *PE) serviceInterrupt(req udn.Packet) ([]uint64, vtime.Duration) {
 	if req.Len() != 5 {
 		return []uint64{stErr}, 0

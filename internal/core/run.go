@@ -378,10 +378,9 @@ type Program struct {
 
 	// Synchronization-algorithm library state (syncalgo.go): counter-
 	// barrier rendezvous, lock holder bookkeeping, the ticket locks'
-	// published release times, and the MCS locks' successor queues.
-	ctrMu      sync.Mutex
+	// published release times, and the MCS locks' successor queues. Like
+	// the calendar it is unlocked: only the baton holder touches it.
 	ctrBars    map[ctrKey]*ctrInst
-	lockMu     sync.Mutex
 	lockHolder map[int64]int
 	lockRel    map[int64]lockRelStamp
 	mcsNext    map[int64]map[int]*mcsWaiter
@@ -401,13 +400,16 @@ type Program struct {
 }
 
 // abort tears the program down after a PE failed, so PEs blocked in
-// collectives or waits observe the failure instead of hanging.
+// collectives or waits observe the failure instead of hanging. Its caller
+// owns the calendar — the failing PE holds the baton, deadlock resolution
+// runs while nobody does — and grants afterwards: the parked PEs are only
+// readied here, each to find the abort status at its turn.
 func (p *Program) abort(cause error) {
 	p.abortOnce.Do(func() {
 		p.firstErr = cause
 		p.aborted.Store(true)
 		p.closeNets()
-		p.sched.abortWake()
+		p.sched.unparkAll(wakeAbort)
 	})
 }
 
@@ -525,7 +527,7 @@ func Run(cfg Config, body func(*PE) error) (*Report, error) {
 		PETimes:        make([]vtime.Duration, prog.NPEs()),
 		perChip:        prog.perChip,
 		EngineUsed:     prog.cfg.Engine.String(),
-		MaxRunnablePEs: prog.sched.maxRunningPeak(),
+		MaxRunnablePEs: prog.sched.maxRunning,
 	}
 	rep.MinTime = vtime.Duration(1<<63 - 1)
 	for i, pe := range prog.pes {
@@ -695,6 +697,7 @@ func newProgram(cfg Config) (*Program, error) {
 		p.counters = make([]stats.Counters, cfg.NPEs)
 	}
 	p.pes = make([]*PE, cfg.NPEs)
+	allPrefix := asTagPrefix(AllPEs(cfg.NPEs))
 	for i := range p.pes {
 		port, err := p.nets[p.chipOf(i)].Port(p.localIdx(i))
 		if err != nil {
@@ -710,8 +713,10 @@ func newProgram(cfg Config) (*Program, error) {
 			n:       cfg.NPEs,
 			port:    port,
 			heap:    heap,
-			barGen:  make(map[ActiveSet]uint32),
-			collGen: make(map[ActiveSet]uint32),
+			barAll:  setGen{prefix: allPrefix},
+			collAll: setGen{prefix: allPrefix},
+			barGen:  make(map[ActiveSet]*setGen),
+			collGen: make(map[ActiveSet]*setGen),
 		}
 		if cfg.Observe {
 			rec := stats.NewIn(&p.counters[i], i, cfg.Trace, cfg.TraceCap)

@@ -237,14 +237,14 @@ func (pe *PE) runBarrierAlgo(as ActiveSet, id stats.BarrierAlgoID,
 	defer pe.rec.OpDone(stats.OpBarrier, start, &pe.clock, 0, int(stats.NoPeer))
 	defer pe.rec.BarrierAlgoDone(id, start, &pe.clock)
 	n := as.Size
-	gen := pe.nextBarGen(as)
+	gen, tag := pe.nextBarGen(as)
 	tok := pe.san.BarrierEnter(as.Start, as.LogStride, as.Size, gen)
 	if n == 1 {
 		pe.clock.Advance(vtime.FromNs(pe.prog.chip.BarrierArbiterNs))
 		pe.san.BarrierExit(tok)
 		return nil
 	}
-	if err := body(idx, n, gen, asTag(as, gen)); err != nil {
+	if err := body(idx, n, gen, tag); err != nil {
 		return err
 	}
 	pe.san.BarrierExit(tok)
@@ -286,7 +286,7 @@ func (pe *PE) barrierDissemination(as ActiveSet) error {
 				if err := pe.sendBarrier(as.PE((idx+dist)%n), tag, sigDissBase+uint64(k)); err != nil {
 					return err
 				}
-				if _, err := pe.recvBarrier(tag, sigDissBase+uint64(k)); err != nil {
+				if err := pe.recvBarrier(tag, sigDissBase+uint64(k)); err != nil {
 					return err
 				}
 			}
@@ -320,14 +320,14 @@ func (pe *PE) barrierTournament(as ActiveSet) error {
 					break
 				}
 				if partner := idx + bit; partner < n {
-					if _, err := pe.recvBarrier(tag, sigTourArrive+uint64(k)); err != nil {
+					if err := pe.recvBarrier(tag, sigTourArrive+uint64(k)); err != nil {
 						return err
 					}
 				}
 				// No partner in range: a bye — advance to the next round.
 			}
 			if lossRound < rounds {
-				if _, err := pe.recvBarrier(tag, sigTourWake+uint64(lossRound)); err != nil {
+				if err := pe.recvBarrier(tag, sigTourWake+uint64(lossRound)); err != nil {
 					return err
 				}
 			}
@@ -356,7 +356,7 @@ func (pe *PE) barrierMCSTree(as ActiveSet) error {
 				if 4*idx+c >= n {
 					break
 				}
-				if _, err := pe.recvBarrier(tag, sigMCSArrive+uint64(c-1)); err != nil {
+				if err := pe.recvBarrier(tag, sigMCSArrive+uint64(c-1)); err != nil {
 					return err
 				}
 			}
@@ -365,7 +365,7 @@ func (pe *PE) barrierMCSTree(as ActiveSet) error {
 				if err := pe.sendBarrier(as.PE((idx-1)/4), tag, sigMCSArrive+uint64((idx-1)%4)); err != nil {
 					return err
 				}
-				if _, err := pe.recvBarrier(tag, sigMCSWake); err != nil {
+				if err := pe.recvBarrier(tag, sigMCSWake); err != nil {
 					return err
 				}
 			}
@@ -432,7 +432,7 @@ type ctrArrival struct {
 type ctrInst struct {
 	need int
 	arr  []ctrArrival
-	done bool               // the last member arrived (ctrMu)
+	done bool               // the last member arrived
 	exit map[int]vtime.Time // departure time per member, set at completion
 	left int                // members yet to read their exit time
 }
@@ -440,8 +440,6 @@ type ctrInst struct {
 // ctrArrive registers one member, completing the instance when it is the
 // last; completed reports whether it was.
 func (p *Program) ctrArrive(k ctrKey, need int, a ctrArrival, atomicCost vtime.Duration) (inst *ctrInst, completed bool) {
-	p.ctrMu.Lock()
-	defer p.ctrMu.Unlock()
 	inst = p.ctrBars[k]
 	if inst == nil {
 		inst = &ctrInst{need: need}
@@ -454,7 +452,7 @@ func (p *Program) ctrArrive(k ctrKey, need int, a ctrArrival, atomicCost vtime.D
 	return inst, inst.done
 }
 
-// complete (ctrMu held) serializes the increments at the home tile and
+// complete serializes the increments at the home tile and
 // computes every member's departure. Ordering is by (arrival time, PE),
 // so the outcome is independent of the order members registered in.
 func (inst *ctrInst) complete(atomicCost vtime.Duration) {
@@ -492,8 +490,6 @@ func (inst *ctrInst) complete(atomicCost vtime.Duration) {
 // tmc.Barrier.Withdraw: if the instance completed in the meantime it
 // reports false and the caller takes the normal exit instead.
 func (p *Program) ctrWithdraw(k ctrKey, inst *ctrInst, pe int) bool {
-	p.ctrMu.Lock()
-	defer p.ctrMu.Unlock()
 	if inst.done {
 		return false
 	}
@@ -512,8 +508,6 @@ func (p *Program) ctrWithdraw(k ctrKey, inst *ctrInst, pe int) bool {
 // ctrExit reads a member's departure time, deleting the instance once
 // every member has read its own.
 func (p *Program) ctrExit(k ctrKey, inst *ctrInst, pe int) vtime.Time {
-	p.ctrMu.Lock()
-	defer p.ctrMu.Unlock()
 	t := inst.exit[pe]
 	inst.left--
 	if inst.left == 0 {
@@ -529,10 +523,7 @@ func (p *Program) ctrExit(k ctrKey, inst *ctrInst, pe int) vtime.Time {
 // the normal exit.
 func (pe *PE) ctrAwait(k ctrKey, inst *ctrInst, tag uint32) (completed, aborted bool) {
 	for {
-		pe.prog.ctrMu.Lock()
-		done := inst.done
-		pe.prog.ctrMu.Unlock()
-		if done {
+		if inst.done {
 			return true, false
 		}
 		switch pe.prog.sched.yield(pe.id, wkCtr, int64(tag), 0) {
@@ -590,7 +581,7 @@ func (pe *PE) barrierCounter(as ActiveSet) error {
 // Lock-algorithm shared state.
 
 // mcsWaiter is one PE blocked in an MCS lock queue; wake is the
-// predecessor's handoff once got is set (both under lockMu).
+// predecessor's handoff once got is set.
 type mcsWaiter struct {
 	pe   int
 	wake mcsWake
@@ -610,9 +601,7 @@ type mcsWake struct {
 // error ClearLock returns on misuse), the sanitizer's lock clock, and the
 // per-algorithm acquire-latency histogram.
 func (pe *PE) lockAcquired(off int64, a stats.LockAlgoID, start vtime.Time) {
-	pe.prog.lockMu.Lock()
 	pe.prog.lockHolder[off] = pe.id
-	pe.prog.lockMu.Unlock()
 	pe.san.LockAcquired(off)
 	pe.rec.LockDone(a, start, &pe.clock)
 }
@@ -621,12 +610,10 @@ func (pe *PE) lockAcquired(off int64, a stats.LockAlgoID, start vtime.Time) {
 // holder record; releasing a lock one does not hold is an error (the
 // diagnostic counterpart lives in the sanitizer).
 func (pe *PE) lockHolderCheck(off int64) error {
-	pe.prog.lockMu.Lock()
 	holder, ok := pe.prog.lockHolder[off]
 	if ok && holder == pe.id {
 		delete(pe.prog.lockHolder, off)
 	}
-	pe.prog.lockMu.Unlock()
 	if !ok {
 		return fmt.Errorf("tshmem: PE %d cleared a lock it does not hold", pe.id)
 	}
@@ -639,11 +626,9 @@ func (pe *PE) lockHolderCheck(off int64) error {
 // clearLockHolder drops the holder record after a CAS-algorithm release
 // (which derives its misuse error from the swapped word instead).
 func (p *Program) clearLockHolder(off int64, pe int) {
-	p.lockMu.Lock()
 	if h, ok := p.lockHolder[off]; ok && h == pe {
 		delete(p.lockHolder, off)
 	}
-	p.lockMu.Unlock()
 }
 
 // Ticket lock: the lock word packs the next-ticket counter in the high 32
@@ -775,16 +760,12 @@ type lockRelStamp struct {
 }
 
 func (p *Program) setLockRelease(off int64, t vtime.Time, pe int) {
-	p.lockMu.Lock()
 	if t > p.lockRel[off].t {
 		p.lockRel[off] = lockRelStamp{t: t, pe: int32(pe)}
 	}
-	p.lockMu.Unlock()
 }
 
 func (p *Program) lockReleaseStamp(off int64) lockRelStamp {
-	p.lockMu.Lock()
-	defer p.lockMu.Unlock()
 	return p.lockRel[off]
 }
 
@@ -880,21 +861,18 @@ func (pe *PE) clearLockMCS(lock Ref[int64]) error {
 // mcsRegister notes that w waits behind predecessor pred on the lock at
 // off and wakes a releaser blocked in mcsAwaitSuccessor.
 func (p *Program) mcsRegister(off int64, pred int, w *mcsWaiter) {
-	p.lockMu.Lock()
 	m := p.mcsNext[off]
 	if m == nil {
 		m = make(map[int]*mcsWaiter)
 		p.mcsNext[off] = m
 	}
 	m[pred] = w
-	p.lockMu.Unlock()
 	p.sched.wake(wkMCSSucc, off, int64(pred))
 }
 
-// mcsUnregisterLocked removes w's registration behind pred, if it is
-// still there: a timed-out waiter withdrawing, or a handoff consuming it.
-// lockMu held.
-func (p *Program) mcsUnregisterLocked(off int64, pred int, w *mcsWaiter) {
+// mcsUnregister removes w's registration behind pred, if it is still
+// there: a timed-out waiter withdrawing, or a handoff consuming it.
+func (p *Program) mcsUnregister(off int64, pred int, w *mcsWaiter) {
 	if m := p.mcsNext[off]; m != nil && m[pred] == w {
 		delete(m, pred)
 		if len(m) == 0 {
@@ -903,20 +881,11 @@ func (p *Program) mcsUnregisterLocked(off int64, pred int, w *mcsWaiter) {
 	}
 }
 
-// mcsUnregister withdraws a timed-out waiter.
-func (p *Program) mcsUnregister(off int64, pred int, w *mcsWaiter) {
-	p.lockMu.Lock()
-	p.mcsUnregisterLocked(off, pred, w)
-	p.lockMu.Unlock()
-}
-
 // mcsHandoff removes the successor's registration and delivers the wake
 // time.
 func (p *Program) mcsHandoff(off int64, pred int, w *mcsWaiter, wake mcsWake) {
-	p.lockMu.Lock()
-	p.mcsUnregisterLocked(off, pred, w)
+	p.mcsUnregister(off, pred, w)
 	w.wake, w.got = wake, true
-	p.lockMu.Unlock()
 	p.sched.wake(wkMCS, off, int64(pred))
 }
 
@@ -924,9 +893,7 @@ func (p *Program) mcsHandoff(off int64, pred int, w *mcsWaiter, wake mcsWake) {
 // abort takes a handoff delivered in the same step before reporting.
 func (pe *PE) mcsAwait(off int64, pred int, w *mcsWaiter) (mcsWake, uint8) {
 	for st := wakeRun; ; st = pe.prog.sched.yield(pe.id, wkMCS, off, int64(pred)) {
-		pe.prog.lockMu.Lock()
 		wake, got := w.wake, w.got
-		pe.prog.lockMu.Unlock()
 		if got {
 			return wake, wakeRun
 		}
@@ -943,9 +910,7 @@ func (pe *PE) mcsAwait(off int64, pred int, w *mcsWaiter) (mcsWake, uint8) {
 func (pe *PE) mcsAwaitSuccessor(off int64) (*mcsWaiter, bool) {
 	p := pe.prog
 	for st := wakeRun; ; st = p.sched.yield(pe.id, wkMCSSucc, off, int64(pe.id)) {
-		p.lockMu.Lock()
 		w := p.mcsNext[off][pe.id]
-		p.lockMu.Unlock()
 		if w != nil {
 			return w, true
 		}

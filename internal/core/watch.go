@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"tshmem/internal/vtime"
-)
+import "tshmem/internal/vtime"
 
 // watchHub is the per-PE synchronization hub behind Wait/WaitUntil. Writers
 // of watchable values (elemental puts, atomic operations) record the
@@ -14,7 +10,6 @@ import (
 // virtual-time analogue of the coherence fabric delivering the line to the
 // polling tile.
 type watchHub struct {
-	mu    sync.Mutex
 	times map[int64]hubStamp // partition byte offset -> latest visible store
 
 	idx   int // this hub's index in Program.hubs (the calendar wait key)
@@ -36,21 +31,18 @@ func (h *watchHub) init(idx int, sched *evsched) {
 }
 
 // publish performs a store to the watched word at partition offset off and
-// records when it became visible — t, written by global PE writer — as one
-// step with respect to waiters, then wakes them. store runs under the hub
-// lock and reports whether it wrote; a false return (a compare-and-swap
-// that lost) publishes nothing. Were the store to land before the stamp, a
-// waiter could poll between the two, see its predicate satisfied with no
-// stamp to merge with, and resume at a host-dependent virtual time.
+// records when it became visible — t, written by global PE writer — then
+// wakes the waiters. store reports whether it wrote; a false return (a
+// compare-and-swap that lost) publishes nothing. Store and stamp are one
+// step with respect to waiters because the caller holds the baton across
+// both: no waiter can poll between the two, see its predicate satisfied
+// with no stamp to merge with, and resume at a host-dependent virtual time.
 func (h *watchHub) publish(off int64, t vtime.Time, writer int, store func() bool) bool {
-	h.mu.Lock()
-	ok := store()
-	if ok && t > h.times[off].t {
-		h.times[off] = hubStamp{t: t, writer: int32(writer)}
-	}
-	h.mu.Unlock()
-	if !ok {
+	if !store() {
 		return false
+	}
+	if t > h.times[off].t {
+		h.times[off] = hubStamp{t: t, writer: int32(writer)}
 	}
 	h.sched.wake(wkHub, int64(h.idx), 0)
 	return true
@@ -74,11 +66,8 @@ const (
 // hub-indexed wait key rather than a PE-indexed one.
 func (h *watchHub) await(pe *PE, off int64, pred func() bool) (hubStamp, int) {
 	for {
-		h.mu.Lock()
-		ok, st := pred(), h.times[off]
-		h.mu.Unlock()
-		if ok {
-			return st, hubOK
+		if pred() {
+			return h.times[off], hubOK
 		}
 		if pe.prog.aborted.Load() {
 			return hubStamp{}, hubAborted
@@ -87,11 +76,8 @@ func (h *watchHub) await(pe *PE, off int64, pred func() bool) (hubStamp, int) {
 		case wakeAbort:
 			return hubStamp{}, hubAborted
 		case wakeTimeout:
-			h.mu.Lock()
-			ok, st := pred(), h.times[off]
-			h.mu.Unlock()
-			if ok {
-				return st, hubOK
+			if pred() {
+				return h.times[off], hubOK
 			}
 			return hubStamp{}, hubTimedOut
 		}

@@ -30,7 +30,6 @@ package sanitize
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"tshmem/internal/vtime"
 )
@@ -322,11 +321,10 @@ type diagKey struct {
 }
 
 // Checker is the program-wide sanitizer state, shared by all PEs of one
-// run and guarded by one mutex (the sanitizer is an opt-in debugging tool;
-// it never touches virtual time, so serialization does not perturb the
-// modeled results).
+// run. It is not safe for concurrent use and needs no lock: a run's PEs
+// execute one at a time (internal/core's calendar), so every hook is called
+// by the one PE that holds the run's baton.
 type Checker struct {
-	mu       sync.Mutex
 	n        int
 	vc       []vclock
 	shadow   map[regionKey]*regionState
@@ -367,8 +365,6 @@ func (c *Checker) PE(pe int) *PEHooks { return &PEHooks{c: c, pe: int32(pe)} }
 
 // Dropped reports how many diagnostics were discarded beyond the cap.
 func (c *Checker) Dropped() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.dropped
 }
 
@@ -378,10 +374,8 @@ func (c *Checker) Dropped() int64 {
 // runs — which access the checker observes first is exactly what the race
 // leaves undefined.
 func (c *Checker) Diagnostics() []Diagnostic {
-	c.mu.Lock()
 	out := make([]Diagnostic, len(c.diags))
 	copy(out, c.diags)
-	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		switch {
@@ -491,8 +485,6 @@ func (h *PEHooks) WriteStrided(op string, targetPE int, sid int32, off, strideBy
 
 func (h *PEHooks) write(op string, targetPE int, sid int32, shape accessRec, vt vtime.Time) {
 	c := h.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	// Tick before snapshotting so the record's clock includes this very
 	// op: a PE that never synchronized with us must not dominate it.
 	c.tick(h.pe)
@@ -555,10 +547,7 @@ func (h *PEHooks) Read(op string, targetPE int, sid int32, off, nbytes int64, vt
 	if h == nil || nbytes <= 0 {
 		return
 	}
-	c := h.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h.readLocked(op, targetPE, sid, contigRec(off, nbytes), vt)
+	h.readShape(op, targetPE, sid, contigRec(off, nbytes), vt)
 }
 
 // ReadStrided is Read for a strided get (IGet).
@@ -566,14 +555,11 @@ func (h *PEHooks) ReadStrided(op string, targetPE int, sid int32, off, strideByt
 	if h == nil || nelems <= 0 || es <= 0 || strideBytes <= 0 {
 		return
 	}
-	c := h.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h.readLocked(op, targetPE, sid,
+	h.readShape(op, targetPE, sid,
 		accessRec{off: off, stride: strideBytes, cnt: int64(nelems), es: es}, vt)
 }
 
-func (h *PEHooks) readLocked(op string, targetPE int, sid int32, shape accessRec, vt vtime.Time) {
+func (h *PEHooks) readShape(op string, targetPE int, sid int32, shape accessRec, vt vtime.Time) {
 	c := h.c
 	c.tick(h.pe) // see write: the record's clock must include this op
 	v := c.vc[h.pe]
@@ -607,9 +593,7 @@ func (h *PEHooks) ReadElem(targetPE int, off, nbytes int64, vt vtime.Time) {
 		return
 	}
 	c := h.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h.readLocked("G", targetPE, DynamicSID, contigRec(off, nbytes), vt)
+	h.readShape("G", targetPE, DynamicSID, contigRec(off, nbytes), vt)
 	if lv, ok := c.loc[locKey{int32(targetPE), off}]; ok {
 		c.vc[h.pe].join(lv)
 	}
@@ -622,10 +606,8 @@ func (h *PEHooks) Quiet() {
 	if h == nil {
 		return
 	}
-	h.c.mu.Lock()
 	h.c.fence(h.pe)
 	h.c.tick(h.pe)
-	h.c.mu.Unlock()
 }
 
 // Signal records an elemental put (P) to the word at off on targetPE: a
@@ -638,8 +620,6 @@ func (h *PEHooks) Signal(targetPE int, off, width int64, vt vtime.Time) {
 		return
 	}
 	c := h.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	flag := contigRec(off, width)
 	for _, r := range c.unfenced[h.pe] {
 		if r.fenced || int(r.targetPE) != targetPE {
@@ -673,12 +653,10 @@ func (h *PEHooks) WaitEdge(off int64) {
 		return
 	}
 	c := h.c
-	c.mu.Lock()
 	if lv, ok := c.loc[locKey{h.pe, off}]; ok {
 		c.vc[h.pe].join(lv)
 	}
 	c.tick(h.pe)
-	c.mu.Unlock()
 }
 
 // AtomicEdge records an atomic operation on the word at off on targetPE:
@@ -691,7 +669,6 @@ func (h *PEHooks) AtomicEdge(targetPE int, off int64) {
 		return
 	}
 	c := h.c
-	c.mu.Lock()
 	k := locKey{int32(targetPE), off}
 	lv, ok := c.loc[k]
 	if !ok {
@@ -704,7 +681,6 @@ func (h *PEHooks) AtomicEdge(targetPE int, off int64) {
 	lv.join(c.vc[h.pe])
 	c.vc[h.pe].join(lv)
 	c.tick(h.pe)
-	c.mu.Unlock()
 }
 
 // SigSend records a collective control signal leaving for dst: the
@@ -714,7 +690,6 @@ func (h *PEHooks) SigSend(dst int, tag uint32) {
 		return
 	}
 	c := h.c
-	c.mu.Lock()
 	k := edgeKey{int32(dst), tag}
 	ev, ok := c.edges[k]
 	if !ok {
@@ -726,7 +701,6 @@ func (h *PEHooks) SigSend(dst int, tag uint32) {
 	}
 	ev.join(c.vc[h.pe])
 	c.tick(h.pe)
-	c.mu.Unlock()
 }
 
 // SigRecv joins the clocks published to (this PE, tag) by SigSend.
@@ -735,12 +709,10 @@ func (h *PEHooks) SigRecv(tag uint32) {
 		return
 	}
 	c := h.c
-	c.mu.Lock()
 	if ev, ok := c.edges[edgeKey{h.pe, tag}]; ok {
 		c.vc[h.pe].join(ev)
 	}
 	c.tick(h.pe)
-	c.mu.Unlock()
 }
 
 // BarrierEnter begins this PE's participation in a barrier instance
@@ -764,17 +736,13 @@ func (h *PEHooks) SpinEnter() *Barrier {
 	if h == nil {
 		return nil
 	}
-	h.c.mu.Lock()
 	inst := h.c.spinSeq / int64(h.c.n)
 	h.c.spinSeq++
-	h.c.mu.Unlock()
 	return h.enter(barKey{spin: true, inst: inst}, h.c.n)
 }
 
 func (h *PEHooks) enter(k barKey, size int) *Barrier {
 	c := h.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.fence(h.pe)
 	b := c.barriers[k]
 	if b == nil {
@@ -794,14 +762,12 @@ func (h *PEHooks) BarrierExit(b *Barrier) {
 		return
 	}
 	c := h.c
-	c.mu.Lock()
 	c.vc[h.pe].join(b.vc)
 	b.exited++
 	if b.exited >= b.size {
 		delete(c.barriers, b.key)
 	}
 	c.tick(h.pe)
-	c.mu.Unlock()
 }
 
 // LockSelfAcquire checks a SetLock attempt: it reports (and diagnoses)
@@ -812,8 +778,6 @@ func (h *PEHooks) LockSelfAcquire(off int64, vt vtime.Time) bool {
 		return false
 	}
 	c := h.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if holder, ok := c.locks[off]; ok && holder == h.pe {
 		c.emit(Diagnostic{Kind: LockDoubleAcquire, PE: int(h.pe), OtherPE: int(h.pe),
 			TargetPE: 0, SID: DynamicSID, Offset: off, Bytes: 8,
@@ -830,13 +794,11 @@ func (h *PEHooks) LockAcquired(off int64) {
 		return
 	}
 	c := h.c
-	c.mu.Lock()
 	c.locks[off] = h.pe
 	if lv, ok := c.loc[locKey{0, off}]; ok {
 		c.vc[h.pe].join(lv)
 	}
 	c.tick(h.pe)
-	c.mu.Unlock()
 }
 
 // LockRelease checks and records a ClearLock: releasing a lock the caller
@@ -847,7 +809,6 @@ func (h *PEHooks) LockRelease(off int64, vt vtime.Time) {
 		return
 	}
 	c := h.c
-	c.mu.Lock()
 	holder, ok := c.locks[off]
 	if !ok || holder != h.pe {
 		other := -1
@@ -860,5 +821,4 @@ func (h *PEHooks) LockRelease(off int64, vt vtime.Time) {
 	}
 	delete(c.locks, off)
 	c.tick(h.pe)
-	c.mu.Unlock()
 }

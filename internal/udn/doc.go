@@ -32,7 +32,8 @@
 // mesh.Path latency and stamps the packet with its full arrival time; a
 // receive merges the receiver's clock with that arrival (RecvRaw defers
 // the merge so protocol loops can stash out-of-order packets without
-// perturbing their clock). Full queues exert backpressure by blocking the
+// perturbing their clock, and receives into a Packet the loop owns). Full
+// queues exert backpressure by blocking the
 // sender once queueCap packets are waiting; the library's protocols stay
 // deadlock-free under it because their receive loops drain the queue
 // whenever they wait. A queue is a ring that starts with no storage and

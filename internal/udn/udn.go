@@ -64,17 +64,18 @@ type Packet struct {
 	ext    []uint64 // payload when nw > inlineWords; nil otherwise
 }
 
-// makePacket builds a Packet carrying words. Payloads up to inlineWords are
-// copied into the struct body; larger ones are cloned onto the heap, so the
-// caller's slice is never retained and may be reused immediately.
-func makePacket(src int, tag uint32, words []uint64, arrive vtime.Time) Packet {
-	p := Packet{Src: src, Tag: tag, Arrive: arrive, nw: int32(len(words))}
+// fill makes the zero Packet p one carrying words. Payloads up to
+// inlineWords are copied into the struct body; larger ones are cloned onto
+// the heap, so the caller's slice is never retained and may be reused
+// immediately. It fills in place because a Packet returned by value is
+// copied once more on its way into the caller's variable.
+func (p *Packet) fill(src int, tag uint32, words []uint64, arrive vtime.Time) {
+	p.Src, p.Tag, p.Arrive, p.nw = src, tag, arrive, int32(len(words))
 	if len(words) <= inlineWords {
 		copy(p.inline[:], words)
 	} else {
 		p.ext = append([]uint64(nil), words...)
 	}
-	return p
 }
 
 // Len reports the payload length in words.
@@ -351,19 +352,19 @@ func (q *demuxQueue) push(pkt *Packet) (depth int, ok bool) {
 	return q.n, true
 }
 
-// pop removes the oldest packet, if any.
-func (q *demuxQueue) pop() (pkt Packet, ok bool) {
+// pop moves the oldest packet, if any, into *pkt.
+func (q *demuxQueue) pop(pkt *Packet) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.n == 0 {
-		return Packet{}, false
+		return false
 	}
 	slot := &q.buf[q.head]
-	pkt = *slot
+	*pkt = *slot
 	slot.ext = nil // the ring must not pin a delivered heap payload
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
-	return pkt, true
+	return true
 }
 
 func (q *demuxQueue) depth() int {
@@ -434,7 +435,8 @@ func (p *Port) Send(clock *vtime.Clock, dst, dq int, tag uint32, words []uint64)
 			arrive = a2
 		}
 	}
-	pkt := makePacket(p.cpu, tag, words, arrive)
+	var pkt Packet
+	pkt.fill(p.cpu, tag, words, arrive)
 	pkt.Sent = clock.Now()
 	q := &dp.queues[dq]
 	for {
@@ -452,24 +454,25 @@ func (p *Port) Send(clock *vtime.Clock, dst, dq int, tag uint32, words []uint64)
 	}
 }
 
-// take blocks until a packet is available on demux queue dq and removes
-// it: the receive loop under Recv and RecvRaw.
-func (p *Port) take(dq int) (Packet, error) {
+// take blocks until a packet is available on demux queue dq and moves it
+// into *pkt: the receive loop under Recv and RecvRaw. On an error *pkt is
+// untouched.
+func (p *Port) take(dq int, pkt *Packet) error {
 	if dq < 0 || dq >= len(p.queues) {
-		return Packet{}, fmt.Errorf("%w: %d", ErrBadQueue, dq)
+		return fmt.Errorf("%w: %d", ErrBadQueue, dq)
 	}
 	for {
 		// Poll before the closed check: a closed port still drains what
 		// already arrived.
-		if pkt, ok := p.queues[dq].pop(); ok {
+		if p.queues[dq].pop(pkt) {
 			p.net.sched.Dequeued(p.cpu, dq)
-			return pkt, nil
+			return nil
 		}
 		if p.closed.Load() {
-			return Packet{}, ErrClosed
+			return ErrClosed
 		}
 		if err := p.net.sched.WaitRecv(p.cpu, dq); err != nil {
-			return Packet{}, err
+			return err
 		}
 	}
 }
@@ -486,24 +489,27 @@ func (p *Port) merge(clock *vtime.Clock, pkt *Packet) {
 // Recv blocks until a packet is available on demux queue dq, merges the
 // receiver's clock with the packet arrival time, and returns the packet.
 func (p *Port) Recv(clock *vtime.Clock, dq int) (Packet, error) {
-	pkt, err := p.take(dq)
+	var pkt Packet
+	err := p.take(dq, &pkt)
 	if err == nil {
 		p.merge(clock, &pkt)
 	}
 	return pkt, err
 }
 
-// RecvRaw blocks until a packet is available on demux queue dq and returns
-// it WITHOUT merging any clock: the caller decides when the packet is
-// logically processed and merges with pkt.Arrive itself. Protocol loops
-// that stash out-of-order packets use this so that stashed arrivals do not
-// perturb the virtual clock before they are consumed.
-func (p *Port) RecvRaw(dq int) (Packet, error) {
-	pkt, err := p.take(dq)
+// RecvRaw blocks until a packet is available on demux queue dq and moves
+// it into the caller's *pkt WITHOUT merging any clock: the caller decides
+// when the packet is logically processed and merges with pkt.Arrive itself.
+// Protocol loops that stash out-of-order packets use this so that stashed
+// arrivals do not perturb the virtual clock before they are consumed, and
+// receive into one Packet they own for the whole loop: a library signal is
+// a 112-byte struct nobody needs a second copy of.
+func (p *Port) RecvRaw(dq int, pkt *Packet) error {
+	err := p.take(dq, pkt)
 	if err == nil {
 		p.rec.UDNRecv(pkt.Len())
 	}
-	return pkt, err
+	return err
 }
 
 // TryRecv is the non-blocking variant of Recv. ok reports whether a packet
@@ -512,8 +518,8 @@ func (p *Port) TryRecv(clock *vtime.Clock, dq int) (Packet, bool, error) {
 	if dq < 0 || dq >= len(p.queues) {
 		return Packet{}, false, fmt.Errorf("%w: %d", ErrBadQueue, dq)
 	}
-	pkt, ok := p.queues[dq].pop()
-	if !ok {
+	var pkt Packet
+	if !p.queues[dq].pop(&pkt) {
 		if p.closed.Load() {
 			return Packet{}, false, ErrClosed
 		}
@@ -594,7 +600,8 @@ func (p *Port) Interrupt(clock *vtime.Clock, dst int, tag uint32, words []uint64
 	clock.Advance(path.Send)
 	p.profSend(clock, t0, path.Send)
 	p.net.links.RecordRoute(p.cpu, dst, nw)
-	pkt := makePacket(p.cpu, tag, words, clock.Now().Add(path.Wire))
+	var pkt Packet
+	pkt.fill(p.cpu, tag, words, clock.Now().Add(path.Wire))
 	intrOvh := vtime.FromNs(p.net.geo.Chip().UDNInterruptNs)
 	dp.intrMu.Lock()
 	reply, service := handler(pkt)
@@ -604,7 +611,8 @@ func (p *Port) Interrupt(clock *vtime.Clock, dst int, tag uint32, words []uint64
 	dp.intrMu.Unlock()
 
 	// Reply travels back over the UDN.
-	rep := makePacket(dst, tag, reply, done)
+	var rep Packet
+	rep.fill(dst, tag, reply, done)
 	repWords := max(1, rep.Len())
 	back, err := p.net.geo.OneWayLatency(dst, p.cpu, repWords)
 	if err != nil {
