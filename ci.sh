@@ -32,6 +32,26 @@ if grep -rnE 'sched (!=|==) nil|EngineGoroutine|WaitGrace|timeoutCh' --include=*
     exit 1
 fi
 
+# Inline guard: an elemental op costs its memory access only while the
+# compiler folds Ref.At, Ref.Slice, Ref.SliceChecked and the elemental
+# fast-path test (wordOn) into their callers and keeps the Ref in
+# registers across them (docs/PERFORMANCE.md, "The data path"). A call or
+# a line added to one of them can push it past the inlining budget of 80
+# without any test noticing; this stage does. Its twin, Ref staying four
+# fields and 24 bytes, is TestRefBoundsSurface's.
+echo "== inline guard =="
+INLINE_OUT=$(go build -gcflags=-m ./internal/core 2>&1)
+for FN in At Slice SliceChecked wordOn; do
+    # "Ref[go.shape.int64].At" for a method, "wordOn[go.shape.int64]" for a function.
+    PAT="(Ref\\[go\\.shape\\.[a-z0-9]+\\]\\.)?$FN(\\[go\\.shape\\.[a-z0-9]+\\])?"
+    if ! echo "$INLINE_OUT" | grep -qE "can inline $PAT\$"; then
+        echo "ci: FAIL — the compiler no longer inlines $FN (go build -gcflags=-m=2 ./internal/core prints its cost" >&2
+        echo "    against the budget). Measured on bfs-gets wall_s: At as a real call +5 %; a Ref the compiler cannot" >&2
+        echo "    keep in registers (a fifth field), which is what a call used to cost on top, +30 %" >&2
+        exit 1
+    fi
+done
+
 # -race slows the case-study shape tests past go test's default 10m
 # per-package timeout; -short skips them, the full run needs the headroom.
 echo "== go test -race -timeout 45m ./... $* =="

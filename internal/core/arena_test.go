@@ -213,18 +213,11 @@ func arenaDirtyBody(pe *PE) error {
 	if me == 0 {
 		p := pe.prog
 		for i := range p.scratchSmall {
-			s := &p.scratchSmall[i]
-			s.mu.Lock()
-			hw := s.arena.HighWater()
-			s.mu.Unlock()
-			if hw == 0 {
+			if p.scratchSmall[i].arena.HighWater() == 0 {
 				return fmt.Errorf("scratch shard %d was never written", i)
 			}
 		}
-		p.scratchBig.mu.Lock()
-		hw := p.scratchBig.arena.HighWater()
-		p.scratchBig.mu.Unlock()
-		if hw == 0 {
+		if p.scratchBig.arena.HighWater() == 0 {
 			return errors.New("the big scratch arena was never written")
 		}
 		off, err := p.cm.Map(8192, 4096)

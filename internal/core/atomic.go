@@ -24,34 +24,24 @@ type AtomicInt interface {
 // operation and charges the transit+service cost: the requesting tile sends
 // the operation to the line's home and gets the old value back.
 func atomicTarget[T Elem](pe *PE, target Ref[T], tpe int) ([]byte, int64, error) {
-	if err := pe.check(); err != nil {
-		return nil, 0, err
-	}
-	if err := pe.checkPE(tpe); err != nil {
-		return nil, 0, err
-	}
-	if !target.valid() || target.kind != dynamicRef {
-		return nil, 0, fmt.Errorf("%w: atomics need dynamic symmetric objects", ErrStatic)
-	}
-	if target.n < 1 {
-		return nil, 0, fmt.Errorf("%w: empty target", ErrBounds)
+	if !wordOn(pe, target, tpe) {
+		return nil, 0, atomicTargetErr(pe, target, tpe)
 	}
 	pe.stats.Atomics++
 	start := pe.clock.Now()
 	defer pe.rec.OpDone(stats.OpAtomic, start, &pe.clock, sizeOf[T](), tpe)
 	// Round trip to the target tile plus the atomic service time; across
 	// chips the round trip rides the mPIPE fabric.
-	if tpe != pe.id {
-		if pe.prog.sameChip(pe.id, tpe) {
-			lat, err := pe.prog.geos[pe.prog.chipOf(pe.id)].OneWayLatency(
-				pe.prog.localIdx(pe.id), pe.prog.localIdx(tpe), 1)
-			if err != nil {
-				return nil, 0, err
-			}
-			pe.clock.Advance(2 * lat)
-		} else {
-			pe.clock.Advance(2 * pe.prog.fabric.DataCost(0))
+	switch pe.locality(tpe) {
+	case stats.SameChip:
+		lat, err := pe.prog.geos[pe.prog.chipOf(pe.id)].OneWayLatency(
+			pe.prog.localIdx(pe.id), pe.prog.localIdx(tpe), 1)
+		if err != nil {
+			return nil, 0, err
 		}
+		pe.clock.Advance(2 * lat)
+	case stats.CrossChip:
+		pe.clock.Advance(2 * pe.prog.fabric.DataCost(0))
 	}
 	// Every operation through here is a fetch-op (swap/cswap/fadd/...):
 	// chips without native RMW (Epiphany) pay the TESTSET emulation
@@ -64,6 +54,24 @@ func atomicTarget[T Elem](pe *PE, target Ref[T], tpe int) ([]byte, int64, error)
 	// serializes at the line's home tile); the hook merges clocks both ways.
 	pe.san.AtomicEdge(tpe, target.off)
 	return pe.partBytes(tpe), target.off, nil
+}
+
+// atomicTargetErr names the condition wordOn rejected an atomic's target
+// for, in the order the operation checks them.
+func atomicTargetErr[T Elem](pe *PE, target Ref[T], tpe int) error {
+	if err := pe.check(); err != nil {
+		return err
+	}
+	if err := pe.checkPE(tpe); err != nil {
+		return err
+	}
+	if !target.valid() || target.kind != dynamicRef {
+		return fmt.Errorf("%w: atomics need dynamic symmetric objects", ErrStatic)
+	}
+	if target.n < 1 {
+		return fmt.Errorf("%w: empty target", ErrBounds)
+	}
+	return fmt.Errorf("%w: dynamic ref beyond partition", ErrBounds)
 }
 
 // Swap atomically writes value into target on PE tpe and returns the old

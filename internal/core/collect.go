@@ -209,7 +209,7 @@ func FCollectRD[T Elem](pe *PE, target, source Ref[T], nelems int, as ActiveSet,
 		return fmt.Errorf("%w: fcollect %d x %d elements into %d-element target",
 			ErrBounds, nelems, as.Size, target.Len())
 	}
-	if target.kind != dynamicRef {
+	if target.kind == staticRef {
 		return fmt.Errorf("%w: recursive-doubling fcollect needs a dynamic target", ErrStatic)
 	}
 	fab := pe.spansChips(as)

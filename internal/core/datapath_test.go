@@ -1,0 +1,343 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"tshmem/internal/vtime"
+)
+
+// dynRef hand-builds a dynamic Ref, for the offsets Malloc never returns.
+func dynRef[T Elem](off int64, n int) Ref[T] {
+	return Ref[T]{kind: dynamicRef, off: off, n: n}
+}
+
+// TestRefBoundsSurface pins what At, Slice and SliceChecked do with every
+// kind of bad index: the panic value and the returned error are the same
+// ErrBounds-wrapping error, with the text the checks have always had. The
+// bounds test is inlined into every elemental op's call site; this is the
+// proof that making it so dropped no case.
+func TestRefBoundsSurface(t *testing.T) {
+	x := dynRef[int64](64, 8)
+	var zero Ref[int64]
+	zeroText := fmt.Errorf("%w: zero Ref", ErrBounds).Error()
+	span := func(i, j, n int) string {
+		return fmt.Errorf("%w: [%d:%d) of %d elements", ErrBounds, i, j, n).Error()
+	}
+	const maxInt = int(^uint(0) >> 1)
+	cases := []struct {
+		name string
+		r    Ref[int64]
+		i, j int
+		at   bool // also a case of At(i): j == i+1
+		want string
+	}{
+		{"At(-1)", x, -1, 0, true, span(-1, 0, 8)},
+		{"At(n)", x, 8, 9, true, span(8, 9, 8)},
+		{"At(maxInt)", x, maxInt, -maxInt - 1, true, span(maxInt, -maxInt-1, 8)},
+		{"zero.At(0)", zero, 0, 1, true, zeroText},
+		{"empty.At(0)", x.Slice(3, 3), 0, 1, true, span(0, 1, 0)},
+		{"Slice(5,3)", x, 5, 3, false, span(5, 3, 8)},
+		{"Slice(0,n+1)", x, 0, 9, false, span(0, 9, 8)},
+		{"Slice(-1,2)", x, -1, 2, false, span(-1, 2, 8)},
+		{"Slice(-2,-1)", x, -2, -1, false, span(-2, -1, 8)},
+		{"zero.Slice(0,0)", zero, 0, 0, false, zeroText},
+	}
+	check := func(name, how string, err error, want string) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: %s reported no error", name, how)
+			return
+		}
+		if !errors.Is(err, ErrBounds) {
+			t.Errorf("%s: %s error %q is not ErrBounds", name, how, err)
+		}
+		if err.Error() != want {
+			t.Errorf("%s: %s error %q, want %q", name, how, err, want)
+		}
+	}
+	panicOf := func(f func()) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err, _ = r.(error)
+			}
+		}()
+		f()
+		return nil
+	}
+	for _, c := range cases {
+		_, err := c.r.SliceChecked(c.i, c.j)
+		check(c.name, "SliceChecked", err, c.want)
+		check(c.name, "Slice panic", panicOf(func() { c.r.Slice(c.i, c.j) }), c.want)
+		if c.at {
+			check(c.name, "At panic", panicOf(func() { c.r.At(c.i) }), c.want)
+		}
+	}
+
+	// The edges that are in bounds.
+	if s := x.At(7); s.off != 64+7*8 || s.n != 1 || s.kind != dynamicRef {
+		t.Errorf("At(7) = %+v", s)
+	}
+	if s := x.Slice(8, 8); s.off != 64+8*8 || s.n != 0 || !s.valid() {
+		t.Errorf("Slice(8,8) = %+v", s)
+	}
+	if s, err := x.SliceChecked(2, 5); err != nil || s.off != 64+2*8 || s.n != 3 {
+		t.Errorf("SliceChecked(2,5) = %+v, %v", s, err)
+	}
+
+	// The two shape rules behind the inlined At (docs/PERFORMANCE.md, "The
+	// data path"): three words, and few enough fields that the compiler
+	// keeps a Ref in registers.
+	if sz := unsafe.Sizeof(x); sz > 24 {
+		t.Errorf("Ref is %d bytes; every elemental op copies it, keep it <= 24", sz)
+	}
+	if nf := reflect.TypeOf(x).NumField(); nf > 4 {
+		t.Errorf("Ref has %d fields; the compiler keeps structs of at most 4 in registers", nf)
+	}
+}
+
+// TestElementalErrorEquivalence drives G, P, CSwap, FAdd and Swap with
+// every operand their one-test fast branch (wordOn) must turn away, and
+// checks each against what the checks did when they ran one by one on
+// every call: the error class and the traffic counters the operation had
+// bumped by the time it failed. A fast branch that swallowed a check, or a
+// slow branch that counts differently, fails here.
+func TestElementalErrorEquivalence(t *testing.T) {
+	type outcome struct {
+		err   error // class, matched with errors.Is; nil means success
+		delta Stats
+	}
+	type op struct {
+		name string
+		run  func(pe *PE, r Ref[int64], tpe int) error
+		ok   Stats // what a successful call on an int64 counts
+	}
+	ops := []op{
+		{"G", func(pe *PE, r Ref[int64], tpe int) error { _, err := G(pe, r, tpe); return err }, Stats{Gets: 1, GetBytes: 8}},
+		{"P", func(pe *PE, r Ref[int64], tpe int) error { return P(pe, r, 5, tpe) }, Stats{Puts: 1, PutBytes: 8}},
+		{"CSwap", func(pe *PE, r Ref[int64], tpe int) error { _, err := CSwap(pe, r, 0, 1, tpe); return err }, Stats{Atomics: 1}},
+		{"FAdd", func(pe *PE, r Ref[int64], tpe int) error { _, err := FAdd(pe, r, 1, tpe); return err }, Stats{Atomics: 1}},
+		{"Swap", func(pe *PE, r Ref[int64], tpe int) error { _, err := Swap(pe, r, 3, tpe); return err }, Stats{Atomics: 1}},
+	}
+	atomic := func(o op) bool { return o.ok.Atomics == 1 }
+
+	for _, cfg := range []Config{gxCfg(2), proCfg(2)} {
+		interrupts := cfg.Chip.UDNInterrupts
+		t.Run(cfg.Chip.Name, func(t *testing.T) {
+			runT(t, cfg, func(pe *PE) error {
+				st, err := DeclareStatic[int64](pe, "word", 2)
+				if err != nil {
+					return err
+				}
+				if err := pe.BarrierAll(); err != nil {
+					return err
+				}
+				expect := func(name string, want outcome, call func() error) {
+					t.Helper()
+					before := pe.Stats()
+					err := call()
+					if want.err == nil && err != nil || want.err != nil && !errors.Is(err, want.err) {
+						t.Errorf("%s: error %v, want %v", name, err, want.err)
+					}
+					after := pe.Stats()
+					got := Stats{
+						Puts: after.Puts - before.Puts, PutBytes: after.PutBytes - before.PutBytes,
+						Gets: after.Gets - before.Gets, GetBytes: after.GetBytes - before.GetBytes,
+						Atomics: after.Atomics - before.Atomics, Redirects: after.Redirects - before.Redirects,
+					}
+					if got != want.delta {
+						t.Errorf("%s: counted %+v, want %+v", name, got, want.delta)
+					}
+				}
+				part := pe.prog.partSize
+				if pe.MyPE() == 0 {
+					for _, o := range ops {
+						var zero Ref[int64]
+						want := outcome{err: ErrBounds}
+						if atomic(o) {
+							want.err = ErrStatic // atomics ask "dynamic?" first
+						}
+						expect(o.name+"/zero Ref", want, func() error { return o.run(pe, zero, 1) })
+
+						// A remote static word: redirected over a UDN interrupt
+						// where the chip has them (through a scratch bounce, the
+						// local side being private too), counted and refused
+						// where it does not; never an atomic's target.
+						switch {
+						case atomic(o):
+							want = outcome{err: ErrStatic}
+						case interrupts:
+							want = outcome{delta: o.ok}
+							want.delta.Redirects = 1
+						default:
+							want = outcome{err: ErrNotSupported, delta: o.ok}
+						}
+						expect(o.name+"/static Ref", want, func() error { return o.run(pe, st.At(1), 1) })
+
+						// The last word of the partition is in bounds; the
+						// one after it is not. (The one place this differs
+						// from the code before wordOn: an atomic there was an
+						// unchecked index that panicked in the runtime, and is
+						// ErrBounds now like G and P.)
+						expect(o.name+"/ends at partSize", outcome{delta: o.ok},
+							func() error { return o.run(pe, dynRef[int64](part-8, 1), 1) })
+						expect(o.name+"/ends past partSize", outcome{err: ErrBounds},
+							func() error { return o.run(pe, dynRef[int64](part-8, 2).At(1), 1) })
+
+						for _, bad := range []int{-1, 2} {
+							expect(fmt.Sprintf("%s/PE %d", o.name, bad), outcome{err: ErrBadPE},
+								func() error { return o.run(pe, dynRef[int64](0, 1), bad) })
+						}
+					}
+					// A 16-byte element is no machine word: it moves as a block.
+					z := dynRef[complex128](64, 2)
+					expect("P/complex128", outcome{delta: Stats{Puts: 1, PutBytes: 16}},
+						func() error { return P(pe, z.At(1), complex(1, 2), 1) })
+					expect("G/complex128", outcome{delta: Stats{Gets: 1, GetBytes: 16}},
+						func() error {
+							v, err := G(pe, z.At(1), 1)
+							if err == nil && v != complex(1, 2) {
+								err = fmt.Errorf("read back %v", v)
+							}
+							return err
+						})
+				}
+				if err := pe.Finalize(); err != nil {
+					return err
+				}
+				for _, o := range ops {
+					expect(o.name+"/finalized", outcome{err: ErrFinalized},
+						func() error { return o.run(pe, dynRef[int64](0, 1), pe.MyPE()) })
+				}
+				return nil
+			})
+		})
+	}
+}
+
+// TestStampTableMatchesMap drives watchHub's stamp table with seeded random
+// store streams and checks every read against the map it replaced, kept
+// here as the reference: one stamp per byte offset, overwritten only by a
+// later visibility time. Waiters merge their clocks with these stamps, so
+// the table may not differ from the map even once.
+func TestStampTableMatchesMap(t *testing.T) {
+	// Words sharing a page, words on neighbouring pages, words far apart,
+	// sub-word and odd 32-bit offsets (next to aligned ones and far away),
+	// and offsets nobody stores to.
+	stored := []int64{0, 8, 16, 120, 128, 136, 248, 4096, 1 << 20, 1<<20 + 8, 7 << 20,
+		1, 2, 4, 12, 20, 122, 130, 4100, 1<<20 + 4, 7<<20 + 6}
+	never := []int64{24, 112, 256, 384, 2048, 1<<20 + 16, 3 << 20, 8<<20 - 8, 3, 28, 4104, 5<<20 + 2}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 50; trial++ {
+		var h watchHub
+		h.init(0, newEvsched(nil, 1))
+		ref := make(map[int64]hubStamp)
+		compare := func(off int64) {
+			t.Helper()
+			if got, want := h.stamp(off), ref[off]; got != want {
+				t.Fatalf("trial %d: stamp(%d) = %+v, the map says %+v", trial, off, got, want)
+			}
+		}
+		for _, off := range append(stored, never...) {
+			compare(off)
+		}
+		if h.pages != nil || h.odd != nil {
+			t.Fatalf("trial %d: reads alone allocated (%d directory entries, map %v)", trial, len(h.pages), h.odd != nil)
+		}
+		// Some trials touch only a few offsets, in a random order, so the
+		// directory grows both from the bottom and straight to the top.
+		offs := stored
+		if trial%2 == 1 {
+			offs = make([]int64, 1+rng.Intn(4))
+			for i := range offs {
+				offs[i] = stored[rng.Intn(len(stored))]
+			}
+		}
+		var top int64 // highest word-aligned offset stored through
+		for step := 0; step < 400; step++ {
+			off := offs[rng.Intn(len(offs))]
+			tm := vtime.Time(rng.Intn(200)) // non-monotone, with repeats and zeros
+			writer := rng.Intn(36)
+			wrote := rng.Intn(8) != 0 // a compare-and-swap that lost publishes nothing
+			if got := h.publish(off, tm, writer, func() bool { return wrote }); got != wrote {
+				t.Fatalf("trial %d: publish returned %v for a store that returned %v", trial, got, wrote)
+			}
+			if wrote && tm > ref[off].t {
+				ref[off] = hubStamp{t: tm, writer: int32(writer)}
+			}
+			if wrote && off%8 == 0 && off > top {
+				top = off
+			}
+			compare(off)
+			compare(stored[rng.Intn(len(stored))])
+			compare(never[rng.Intn(len(never))])
+		}
+		for _, off := range append(stored, never...) {
+			compare(off)
+		}
+		// Geometric growth keeps the directory under twice what the highest
+		// stored-through page needs.
+		if limit := 2 * (int(top/stampPageBytes) + 1); len(h.pages) > limit {
+			t.Fatalf("trial %d: %d directory entries for a highest page of %d", trial, len(h.pages), top/stampPageBytes)
+		}
+	}
+}
+
+// TestElementalZeroAllocs holds the steady-state elemental and atomic
+// operations on dynamic objects, and the At that names their operand, to
+// zero allocations — including a store's second touch of a stamp page,
+// whose first made the page.
+func TestElementalZeroAllocs(t *testing.T) {
+	if os.Getenv("TSHMEM_SANITIZE") != "" {
+		t.Skip("the sanitizer's shadow state allocates")
+	}
+	runT(t, gxCfg(2), func(pe *PE) error {
+		x, err := Malloc[int64](pe, 64)
+		if err != nil {
+			return err
+		}
+		if pe.MyPE() == 0 {
+			// i0 is the first element on a stamp-page boundary: the warm-up
+			// store makes the page, the measured ones share it.
+			i0 := 0
+			for (x.off+int64(i0)*8)%stampPageBytes != 0 {
+				i0++
+			}
+			if err := P(pe, x.At(i0), 1, 1); err != nil {
+				return err
+			}
+			var sink Ref[int64]
+			if n := testing.AllocsPerRun(100, func() { sink = x.At(i0 + 1) }); n != 0 {
+				t.Errorf("At allocates %v times", n)
+			}
+			_ = sink
+			var opErr error
+			n := testing.AllocsPerRun(100, func() {
+				if _, err := G(pe, x.At(i0), 1); err != nil {
+					opErr = err
+				}
+				if err := P(pe, x.At(i0+1), 2, 1); err != nil {
+					opErr = err
+				}
+				if _, err := CSwap(pe, x.At(i0+2), 0, 0, 1); err != nil {
+					opErr = err
+				}
+				if _, err := FAdd(pe, x.At(i0+3), 1, 1); err != nil {
+					opErr = err
+				}
+			})
+			if opErr != nil {
+				return opErr
+			}
+			if n != 0 {
+				t.Errorf("G + P + CSwap + FAdd allocate %v times per round", n)
+			}
+		}
+		return pe.BarrierAll()
+	})
+}

@@ -28,7 +28,8 @@ type Numeric interface {
 type refKind uint8
 
 const (
-	dynamicRef refKind = iota // allocated from the symmetric heap (shmalloc)
+	noRef      refKind = iota // the zero Ref: names nothing
+	dynamicRef                // allocated from the symmetric heap (shmalloc)
 	staticRef                 // per-PE private memory, link-time symmetric
 )
 
@@ -40,11 +41,17 @@ const (
 //
 // The zero Ref is invalid.
 type Ref[T Elem] struct {
-	kind refKind
-	off  int64 // dynamic: byte offset in the partition; static: byte offset in the object
-	sid  int32 // static object id
-	n    int   // elements
-	ok   bool
+	// Four fields, widest first, 24 bytes. At hands a Ref back by value on
+	// every elemental op, and the compiler keeps a struct in registers
+	// through inlined calls only up to four fields; a fifth sends every
+	// copy through the stack as narrow stores read back by one wide load
+	// (+30 % on bfs-gets). Validity is therefore a value of kind, not a
+	// field. TestRefBoundsSurface holds the shape, ci.sh's inline guard the
+	// inlining.
+	off  int64   // dynamic: byte offset in the partition; static: byte offset in the object
+	n    int     // elements
+	sid  int32   // static object id
+	kind refKind // noRef on the zero Ref only
 }
 
 // Len reports the number of elements the Ref spans.
@@ -54,41 +61,57 @@ func (r Ref[T]) Len() int { return r.n }
 func (r Ref[T]) IsStatic() bool { return r.kind == staticRef }
 
 // valid reports whether the Ref came from Malloc/DeclareStatic.
-func (r Ref[T]) valid() bool { return r.ok }
+func (r Ref[T]) valid() bool { return r.kind != noRef }
 
 // At returns a sub-reference to element i (a one-element Ref), for the
-// elemental and atomic operations.
+// elemental and atomic operations. It panics on bounds errors, mirroring Go
+// indexing. The zero Ref has no elements, so the one compare covers it.
 func (r Ref[T]) At(i int) Ref[T] {
-	s, err := r.SliceChecked(i, i+1)
-	if err != nil {
-		panic(err)
+	if uint(i) >= uint(r.n) {
+		panic(refBoundsError{i, i + 1, r.n, r.kind})
 	}
-	return s
+	r.off += int64(i) * sizeOf[T]()
+	r.n = 1
+	return r
 }
 
 // Slice returns the sub-reference covering elements [i, j). It panics on
 // bounds errors, mirroring Go slicing.
 func (r Ref[T]) Slice(i, j int) Ref[T] {
-	s, err := r.SliceChecked(i, j)
-	if err != nil {
-		panic(err)
+	if r.kind == noRef || uint(j) > uint(r.n) || uint(i) > uint(j) {
+		panic(refBoundsError{i, j, r.n, r.kind})
 	}
-	return s
+	r.off += int64(i) * sizeOf[T]()
+	r.n = j - i
+	return r
 }
 
 // SliceChecked is Slice returning an error instead of panicking.
 func (r Ref[T]) SliceChecked(i, j int) (Ref[T], error) {
-	if !r.ok {
-		return Ref[T]{}, fmt.Errorf("%w: zero Ref", ErrBounds)
+	if r.kind == noRef || uint(j) > uint(r.n) || uint(i) > uint(j) {
+		return Ref[T]{}, refBoundsError{i, j, r.n, r.kind}
 	}
-	if i < 0 || j < i || j > r.n {
-		return Ref[T]{}, fmt.Errorf("%w: [%d:%d) of %d elements", ErrBounds, i, j, r.n)
-	}
-	sub := r
-	sub.off += int64(i) * sizeOf[T]()
-	sub.n = j - i
-	return sub, nil
+	r.off += int64(i) * sizeOf[T]()
+	r.n = j - i
+	return r, nil
 }
+
+// refBoundsError is the ErrBounds-wrapping error of a failed Ref bounds
+// test. It is a value, formatted only when read, so that the tests above
+// make no call and stay within the compiler's inlining budget.
+type refBoundsError struct {
+	i, j, n int
+	kind    refKind
+}
+
+func (e refBoundsError) Error() string {
+	if e.kind == noRef {
+		return fmt.Sprintf("%v: zero Ref", ErrBounds)
+	}
+	return fmt.Sprintf("%v: [%d:%d) of %d elements", ErrBounds, e.i, e.j, e.n)
+}
+
+func (e refBoundsError) Unwrap() error { return ErrBounds }
 
 // sizeOf reports the in-memory size of T.
 func sizeOf[T Elem]() int64 {
@@ -123,12 +146,6 @@ func (pe *PE) partBytes(target int) []byte {
 	return b
 }
 
-// globalOff translates a dynamic Ref to its absolute common-memory offset
-// on PE target.
-func globalOff[T Elem](pe *PE, r Ref[T], target int) int64 {
-	return pe.prog.partBase[target] + r.off
-}
-
 // Local returns the calling PE's own instance of the symmetric object as a
 // typed slice. For dynamic objects this is a window into common memory; for
 // static objects it is the PE's private backing.
@@ -136,7 +153,7 @@ func Local[T Elem](pe *PE, r Ref[T]) ([]T, error) {
 	if err := pe.check(); err != nil {
 		return nil, err
 	}
-	if !r.ok {
+	if !r.valid() {
 		return nil, fmt.Errorf("%w: zero Ref", ErrBounds)
 	}
 	switch r.kind {
@@ -201,7 +218,7 @@ func mallocAligned[T Elem](pe *PE, n int, align int64) (Ref[T], error) {
 	if err := pe.verifySymmetric(off); err != nil {
 		return Ref[T]{}, err
 	}
-	return Ref[T]{kind: dynamicRef, off: off, n: n, ok: true}, nil
+	return Ref[T]{kind: dynamicRef, off: off, n: n}, nil
 }
 
 // verifySymmetric barriers and checks that every PE produced the same
@@ -228,7 +245,7 @@ func Free[T Elem](pe *PE, r Ref[T]) error {
 	if err := pe.check(); err != nil {
 		return err
 	}
-	if !r.ok || r.kind != dynamicRef {
+	if r.kind != dynamicRef {
 		return fmt.Errorf("%w: Free of non-dynamic ref", ErrStatic)
 	}
 	if err := pe.heap.Free(r.off); err != nil {
@@ -244,7 +261,7 @@ func Realloc[T Elem](pe *PE, r Ref[T], n int) (Ref[T], error) {
 	if err := pe.check(); err != nil {
 		return Ref[T]{}, err
 	}
-	if !r.ok || r.kind != dynamicRef {
+	if r.kind != dynamicRef {
 		return Ref[T]{}, fmt.Errorf("%w: Realloc of non-dynamic ref", ErrStatic)
 	}
 	if n <= 0 {
@@ -264,7 +281,7 @@ func Realloc[T Elem](pe *PE, r Ref[T], n int) (Ref[T], error) {
 	if err := pe.verifySymmetric(newOff); err != nil {
 		return Ref[T]{}, err
 	}
-	return Ref[T]{kind: dynamicRef, off: newOff, n: n, ok: true}, nil
+	return Ref[T]{kind: dynamicRef, off: newOff, n: n}, nil
 }
 
 // HeapInUse reports the bytes currently allocated in this PE's symmetric

@@ -133,7 +133,9 @@ func (pe *PE) Stats() Stats { return pe.stats }
 // value unless the run was configured with Config.Observe (or Trace).
 func (pe *PE) Counters() stats.Counters { return pe.rec.Counters() }
 
-// locality classifies remotePE relative to this PE for RMA accounting.
+// locality classifies remotePE relative to this PE — for RMA accounting,
+// and as the one self / same-chip / cross-chip decision a transfer or an
+// atomic makes.
 func (pe *PE) locality(remotePE int) stats.Locality {
 	switch {
 	case remotePE == pe.id:

@@ -30,8 +30,8 @@ func Ptr[T Elem](pe *PE, r Ref[T], target int) []T {
 	if !AddrAccessible(pe, r, target) {
 		return nil
 	}
-	op, err := resolve(pe, r, target, r.n)
-	if err != nil {
+	var op operand
+	if err := resolve(pe, &op, r, target, r.n); err != nil {
 		return nil
 	}
 	return sliceAt[T](op.bytes, 0, r.n)

@@ -209,7 +209,7 @@ func reduceDispatch[T Elem](pe *PE, target, source Ref[T], nelems int, fold func
 	start := pe.clock.Now()
 	defer pe.rec.OpDone(stats.OpReduce, start, &pe.clock, int64(nelems)*sizeOf[T](), int(stats.NoPeer))
 	if pe.prog.cfg.Reduce == RecursiveDoubling && isPow2(as.Size) &&
-		pWrk.Len() >= rdWrkNeed(nelems, as.Size) && pWrk.kind == dynamicRef && target.kind == dynamicRef {
+		pWrk.Len() >= rdWrkNeed(nelems, as.Size) && pWrk.kind != staticRef && target.kind != staticRef {
 		return reduceRD(pe, target, source, nelems, fold, k, as, pWrk, tag)
 	}
 	return reduceNaive(pe, target, source, nelems, fold, k, as)
@@ -300,7 +300,7 @@ func SumToAllRD[T Numeric](pe *PE, target, source Ref[T], nelems int, as ActiveS
 	if !isPow2(as.Size) {
 		return fmt.Errorf("%w: recursive doubling needs a power-of-two set, got %d", ErrBadActiveSet, as.Size)
 	}
-	if pWrk.Len() < rdWrkNeed(nelems, as.Size) || pWrk.kind != dynamicRef || target.kind != dynamicRef {
+	if pWrk.Len() < rdWrkNeed(nelems, as.Size) || pWrk.kind == staticRef || target.kind == staticRef {
 		return fmt.Errorf("%w: recursive doubling needs a dynamic pWrk of >= nelems*log2(size) elements and a dynamic target", ErrBounds)
 	}
 	start := pe.clock.Now()

@@ -39,7 +39,10 @@ const (
 	stErr
 )
 
-// operand is a resolved transfer endpoint.
+// operand is a resolved transfer endpoint. Callers own it and hand it down
+// by pointer: it is nine words of which a transfer reads two or three, so
+// returning or passing it by value costs more than the bounds test that
+// fills it.
 type operand struct {
 	bytes  []byte // local view; nil for a static object on a remote PE
 	shared bool   // lives in common memory (dynamic symmetric object)
@@ -50,40 +53,42 @@ type operand struct {
 	nbytes int64
 }
 
-// resolve locates nelems elements of r on PE onPE, as seen by pe.
-func resolve[T Elem](pe *PE, r Ref[T], onPE, nelems int) (operand, error) {
-	if !r.valid() {
-		return operand{}, fmt.Errorf("%w: zero Ref", ErrBounds)
-	}
-	if nelems < 0 || nelems > r.n {
-		return operand{}, fmt.Errorf("%w: %d elements of a %d-element object", ErrBounds, nelems, r.n)
-	}
+// resolve locates nelems elements of r on PE onPE, as seen by pe, in *op,
+// which the caller passes zeroed.
+func resolve[T Elem](pe *PE, op *operand, r Ref[T], onPE, nelems int) error {
 	nbytes := int64(nelems) * sizeOf[T]()
-	switch r.kind {
-	case dynamicRef:
-		if r.off+nbytes > pe.prog.partSize {
-			return operand{}, fmt.Errorf("%w: dynamic ref beyond partition", ErrBounds)
-		}
-		g := globalOff(pe, r, onPE)
+	// Nearly every call: a dynamic symmetric object inside the partition
+	// is address arithmetic over common memory.
+	if r.kind == dynamicRef && uint(nelems) <= uint(r.n) && r.off+nbytes <= pe.prog.partSize {
+		g := pe.prog.partBase[onPE] + r.off
 		b, err := pe.prog.cm.Slice(g, nbytes)
 		if err != nil {
-			return operand{}, err
+			return err
 		}
-		return operand{bytes: b, shared: true, gOff: g, nbytes: nbytes}, nil
-	default:
-		op := operand{static: true, sid: r.sid, sOff: r.off, nbytes: nbytes}
-		if onPE == pe.id {
-			b, err := pe.prog.statics.backing(r.sid, pe.id)
-			if err != nil {
-				return operand{}, err
-			}
-			if r.off+nbytes > int64(len(b)) {
-				return operand{}, fmt.Errorf("%w: static ref beyond object", ErrBounds)
-			}
-			op.bytes = b[r.off : r.off+nbytes]
-		}
-		return op, nil
+		op.bytes, op.shared, op.gOff, op.nbytes = b, true, g, nbytes
+		return nil
 	}
+	if !r.valid() {
+		return fmt.Errorf("%w: zero Ref", ErrBounds)
+	}
+	if nelems < 0 || nelems > r.n {
+		return fmt.Errorf("%w: %d elements of a %d-element object", ErrBounds, nelems, r.n)
+	}
+	if r.kind == dynamicRef {
+		return fmt.Errorf("%w: dynamic ref beyond partition", ErrBounds)
+	}
+	op.static, op.sid, op.sOff, op.nbytes = true, r.sid, r.off, nbytes
+	if onPE == pe.id {
+		b, err := pe.prog.statics.backing(r.sid, pe.id)
+		if err != nil {
+			return err
+		}
+		if r.off+nbytes > int64(len(b)) {
+			return fmt.Errorf("%w: static ref beyond object", ErrBounds)
+		}
+		op.bytes = b[r.off : r.off+nbytes]
+	}
+	return nil
 }
 
 // chargeXfer advances the clock for moving nbytes between this PE and
@@ -93,6 +98,7 @@ func resolve[T Elem](pe *PE, r Ref[T], onPE, nelems int) (operand, error) {
 // get-like reads from it); it orients the modeled iMesh route when
 // per-link accounting is on.
 func (pe *PE) chargeXfer(nbytes int64, mode cache.Mode, remotePE int, toRemote bool) {
+	loc := pe.locality(remotePE)
 	t0 := pe.clock.Now()
 	base := pe.prog.model.CopyCostHomedMemoRec(&pe.memo, nbytes, mode, pe.prog.cfg.Homing, pe.curHint(), pe.rec)
 	pe.clock.Advance(base)
@@ -106,25 +112,26 @@ func (pe *PE) chargeXfer(nbytes int64, mode cache.Mode, remotePE int, toRemote b
 		pe.prof.Advance(profile.CatFault, tf, pe.clock.Now())
 		pe.rec.FaultDelay(id, remotePE, t0, extra)
 	}
-	if remotePE != pe.id && !pe.prog.sameChip(pe.id, remotePE) {
+	if loc == stats.CrossChip {
 		// Store-and-forward through mPIPE: the data still traverses the
 		// local memory system (charged above), then rides the wire.
 		tm := pe.clock.Now()
 		pe.prog.fabric.ChargeData(&pe.clock, pe.id, remotePE, nbytes)
 		pe.prof.Advance(profile.CatMesh, tm, pe.clock.Now())
 	}
-	pe.rec.RMA(pe.locality(remotePE), int(nbytes), pe.clock.Now().Sub(t0))
-	pe.routeXfer(nbytes, remotePE, toRemote)
+	pe.rec.RMA(loc, int(nbytes), pe.clock.Now().Sub(t0))
+	if loc == stats.SameChip && pe.prog.links != nil {
+		pe.routeXfer(nbytes, remotePE, toRemote)
+	}
 }
 
 // routeXfer charges a same-chip RMA transfer onto the iMesh link counters:
 // the data crosses the mesh between the two tiles even though it moves
 // through the cache system rather than as UDN packets. Cross-chip traffic
-// rides mPIPE, not the mesh, and self-transfers stay on-tile.
+// rides mPIPE, not the mesh, and self-transfers stay on-tile, so the caller
+// has established that remotePE is another tile of this PE's chip and that
+// the run keeps link counters.
 func (pe *PE) routeXfer(nbytes int64, remotePE int, toRemote bool) {
-	if pe.prog.links == nil || remotePE == pe.id || !pe.prog.sameChip(pe.id, remotePE) {
-		return
-	}
 	wb := int64(pe.prog.chip.WordBytes)
 	words := int((nbytes + wb - 1) / wb)
 	from, to := pe.prog.localIdx(pe.id), pe.prog.localIdx(remotePE)
@@ -147,11 +154,11 @@ func (pe *PE) chargedCopy(dst, src []byte, mode cache.Mode, remotePE int, toRemo
 // when the local side of the transfer is complete; remote visibility is
 // guaranteed by Quiet, Fence, or a barrier.
 func Put[T Elem](pe *PE, target Ref[T], source Ref[T], nelems, tpe int) error {
-	src, err := resolve(pe, source, pe.id, nelems)
-	if err != nil {
+	var src operand
+	if err := resolve(pe, &src, source, pe.id, nelems); err != nil {
 		return err
 	}
-	if err := putResolved(pe, target, src, nelems, tpe); err != nil {
+	if err := putResolved(pe, target, &src, nelems, tpe); err != nil {
 		return err
 	}
 	pe.san.Read("Put(src)", pe.id, sanSID(source), source.off, src.nbytes, pe.clock.Now())
@@ -162,25 +169,24 @@ func Put[T Elem](pe *PE, target Ref[T], source Ref[T], nelems, tpe int) error {
 // variable may be used, symmetric or otherwise", S IV.B.2).
 func PutSlice[T Elem](pe *PE, target Ref[T], source []T, tpe int) error {
 	src := operand{bytes: bytesOf(source), nbytes: int64(len(source)) * sizeOf[T]()}
-	return putResolved(pe, target, src, len(source), tpe)
+	return putResolved(pe, target, &src, len(source), tpe)
 }
 
-func putResolved[T Elem](pe *PE, target Ref[T], src operand, nelems, tpe int) error {
+func putResolved[T Elem](pe *PE, target Ref[T], src *operand, nelems, tpe int) error {
 	if err := pe.check(); err != nil {
 		return err
 	}
 	if err := pe.checkPE(tpe); err != nil {
 		return err
 	}
-	dst, err := resolve(pe, target, tpe, nelems)
-	if err != nil {
+	var dst operand
+	if err := resolve(pe, &dst, target, tpe, nelems); err != nil {
 		return err
 	}
 	pe.stats.Puts++
 	pe.stats.PutBytes += src.nbytes
 	start := pe.clock.Now()
 	pe.san.Write("Put", tpe, sanSID(target), target.off, src.nbytes, start)
-	defer pe.rec.OpDone(stats.OpPut, start, &pe.clock, src.nbytes, tpe)
 
 	switch {
 	case tpe == pe.id:
@@ -189,41 +195,48 @@ func putResolved[T Elem](pe *PE, target Ref[T], src operand, nelems, tpe int) er
 			mode = privateMode
 		}
 		pe.chargedCopy(dst.bytes, src.bytes, mode, pe.id, true)
-		return nil
 
 	case dst.shared:
 		// Dynamic target: the local tile writes the remote partition
 		// directly through common memory (across chips, over mPIPE).
 		pe.chargedCopy(dst.bytes, src.bytes, sharedMode, tpe, true)
-		return nil
 
 	default:
-		// Static target on a remote tile: redirect over a UDN interrupt.
-		if !pe.prog.chip.UDNInterrupts {
-			return fmt.Errorf("%w: static symmetric put on %s", ErrNotSupported, pe.prog.chip.Name)
-		}
-		if !pe.prog.sameChip(pe.id, tpe) {
-			return fmt.Errorf("%w: static symmetric transfers do not cross chips (UDN interrupts are chip-local)", ErrNotSupported)
-		}
-		if src.shared {
-			// The remote tile can read the dynamic source itself.
-			return pe.redirect(tpe, opPutFromShared, dst.sid, dst.sOff, src.gOff, src.nbytes)
-		}
-		// Static-static (or private source): bounce through a temporary
-		// common-memory buffer — the extra copy is the paper's "major
-		// performance penalty" case.
-		g, err := pe.prog.scratchGet(pe.id, src.nbytes)
-		if err != nil {
-			return err
-		}
-		defer pe.prog.scratchPut(g)
-		tmp, err := pe.prog.cm.Slice(g, src.nbytes)
-		if err != nil {
-			return err
-		}
-		pe.chargedCopy(tmp, src.bytes, sharedMode, pe.id, true)
-		return pe.redirect(tpe, opPutFromShared, dst.sid, dst.sOff, g, src.nbytes)
+		return pe.putStatic(&dst, src, tpe, start)
 	}
+	pe.rec.OpDone(stats.OpPut, start, &pe.clock, src.nbytes, tpe)
+	return nil
+}
+
+// putStatic is the tail of a put whose target is a static object on a
+// remote tile: redirect over a UDN interrupt (S IV.B.2). It is its own
+// function so that its deferred calls are not paid by every put.
+func (pe *PE) putStatic(dst, src *operand, tpe int, start vtime.Time) error {
+	defer pe.rec.OpDone(stats.OpPut, start, &pe.clock, src.nbytes, tpe)
+	if !pe.prog.chip.UDNInterrupts {
+		return fmt.Errorf("%w: static symmetric put on %s", ErrNotSupported, pe.prog.chip.Name)
+	}
+	if !pe.prog.sameChip(pe.id, tpe) {
+		return fmt.Errorf("%w: static symmetric transfers do not cross chips (UDN interrupts are chip-local)", ErrNotSupported)
+	}
+	if src.shared {
+		// The remote tile can read the dynamic source itself.
+		return pe.redirect(tpe, opPutFromShared, dst.sid, dst.sOff, src.gOff, src.nbytes)
+	}
+	// Static-static (or private source): bounce through a temporary
+	// common-memory buffer — the extra copy is the paper's "major
+	// performance penalty" case.
+	g, err := pe.prog.scratchGet(pe.id, src.nbytes)
+	if err != nil {
+		return err
+	}
+	defer pe.prog.scratchPut(g)
+	tmp, err := pe.prog.cm.Slice(g, src.nbytes)
+	if err != nil {
+		return err
+	}
+	pe.chargedCopy(tmp, src.bytes, sharedMode, pe.id, true)
+	return pe.redirect(tpe, opPutFromShared, dst.sid, dst.sOff, g, src.nbytes)
 }
 
 // Get copies nelems elements of source on PE spe into the calling PE's
@@ -233,11 +246,11 @@ func Get[T Elem](pe *PE, target Ref[T], source Ref[T], nelems, spe int) error {
 	if err := pe.check(); err != nil {
 		return err
 	}
-	dst, err := resolve(pe, target, pe.id, nelems)
-	if err != nil {
+	var dst operand
+	if err := resolve(pe, &dst, target, pe.id, nelems); err != nil {
 		return err
 	}
-	if err := getResolved(pe, dst, source, nelems, spe); err != nil {
+	if err := getResolved(pe, &dst, source, nelems, spe); err != nil {
 		return err
 	}
 	pe.san.Write("Get(dst)", pe.id, sanSID(target), target.off, dst.nbytes, pe.clock.Now())
@@ -250,22 +263,21 @@ func GetSlice[T Elem](pe *PE, target []T, source Ref[T], spe int) error {
 		return err
 	}
 	dst := operand{bytes: bytesOf(target), nbytes: int64(len(target)) * sizeOf[T]()}
-	return getResolved(pe, dst, source, len(target), spe)
+	return getResolved(pe, &dst, source, len(target), spe)
 }
 
-func getResolved[T Elem](pe *PE, dst operand, source Ref[T], nelems, spe int) error {
+func getResolved[T Elem](pe *PE, dst *operand, source Ref[T], nelems, spe int) error {
 	if err := pe.checkPE(spe); err != nil {
 		return err
 	}
-	src, err := resolve(pe, source, spe, nelems)
-	if err != nil {
+	var src operand
+	if err := resolve(pe, &src, source, spe, nelems); err != nil {
 		return err
 	}
 	pe.stats.Gets++
 	pe.stats.GetBytes += src.nbytes
 	start := pe.clock.Now()
 	pe.san.Read("Get", spe, sanSID(source), source.off, src.nbytes, start)
-	defer pe.rec.OpDone(stats.OpGet, start, &pe.clock, src.nbytes, spe)
 
 	switch {
 	case spe == pe.id:
@@ -274,43 +286,49 @@ func getResolved[T Elem](pe *PE, dst operand, source Ref[T], nelems, spe int) er
 			mode = privateMode
 		}
 		pe.chargedCopy(dst.bytes, src.bytes, mode, pe.id, false)
-		return nil
 
 	case src.shared:
 		// Dynamic source: readable directly through common memory (across
 		// chips, over mPIPE).
 		pe.chargedCopy(dst.bytes, src.bytes, sharedMode, spe, false)
-		return nil
 
 	default:
-		// Static source on a remote tile.
-		if !pe.prog.chip.UDNInterrupts {
-			return fmt.Errorf("%w: static symmetric get on %s", ErrNotSupported, pe.prog.chip.Name)
-		}
-		if !pe.prog.sameChip(pe.id, spe) {
-			return fmt.Errorf("%w: static symmetric transfers do not cross chips (UDN interrupts are chip-local)", ErrNotSupported)
-		}
-		if dst.shared {
-			// The remote tile puts into our dynamic target instead
-			// (S IV.B.2's example).
-			return pe.redirect(spe, opGetToShared, src.sid, src.sOff, dst.gOff, src.nbytes)
-		}
-		// Static-static: bounce through a temporary shared buffer.
-		g, err := pe.prog.scratchGet(pe.id, src.nbytes)
-		if err != nil {
-			return err
-		}
-		defer pe.prog.scratchPut(g)
-		if err := pe.redirect(spe, opGetToShared, src.sid, src.sOff, g, src.nbytes); err != nil {
-			return err
-		}
-		tmp, err := pe.prog.cm.Slice(g, src.nbytes)
-		if err != nil {
-			return err
-		}
-		pe.chargedCopy(dst.bytes, tmp, sharedMode, pe.id, false)
-		return nil
+		return pe.getStatic(dst, &src, spe, start)
 	}
+	pe.rec.OpDone(stats.OpGet, start, &pe.clock, src.nbytes, spe)
+	return nil
+}
+
+// getStatic is the tail of a get whose source is a static object on a
+// remote tile, split out for the same reason as putStatic.
+func (pe *PE) getStatic(dst, src *operand, spe int, start vtime.Time) error {
+	defer pe.rec.OpDone(stats.OpGet, start, &pe.clock, src.nbytes, spe)
+	if !pe.prog.chip.UDNInterrupts {
+		return fmt.Errorf("%w: static symmetric get on %s", ErrNotSupported, pe.prog.chip.Name)
+	}
+	if !pe.prog.sameChip(pe.id, spe) {
+		return fmt.Errorf("%w: static symmetric transfers do not cross chips (UDN interrupts are chip-local)", ErrNotSupported)
+	}
+	if dst.shared {
+		// The remote tile puts into our dynamic target instead
+		// (S IV.B.2's example).
+		return pe.redirect(spe, opGetToShared, src.sid, src.sOff, dst.gOff, src.nbytes)
+	}
+	// Static-static: bounce through a temporary shared buffer.
+	g, err := pe.prog.scratchGet(pe.id, src.nbytes)
+	if err != nil {
+		return err
+	}
+	defer pe.prog.scratchPut(g)
+	if err := pe.redirect(spe, opGetToShared, src.sid, src.sOff, g, src.nbytes); err != nil {
+		return err
+	}
+	tmp, err := pe.prog.cm.Slice(g, src.nbytes)
+	if err != nil {
+		return err
+	}
+	pe.chargedCopy(dst.bytes, tmp, sharedMode, pe.id, false)
+	return nil
 }
 
 // redirect raises the UDN interrupt asking PE target to service a transfer
@@ -364,24 +382,28 @@ func (pe *PE) serviceInterrupt(req udn.Packet) ([]uint64, vtime.Duration) {
 	return []uint64{stOK}, pe.prog.model.CopyCost(nbytes, sharedMode, 1)
 }
 
+// wordOn reports whether element 0 of r on PE onPE is a word (or narrower)
+// of common memory the calling PE may load and store directly: a live PE, a
+// valid rank, a dynamic object with an element inside the partition. It is
+// the whole address resolution of the elemental and atomic operations; a
+// false sends the caller down the path that names the failed condition or
+// moves the element as a block.
+func wordOn[T Elem](pe *PE, r Ref[T], onPE int) bool {
+	return !pe.finalized && uint(onPE) < uint(pe.n) &&
+		r.kind == dynamicRef && r.n >= 1 &&
+		sizeOf[T]() <= 8 && r.off+sizeOf[T]() <= pe.prog.partSize
+}
+
 // P is the elemental put (shmem_TYPE_p): store one value into element 0 of
 // target on PE tpe. For dynamic targets of machine word width the store is
 // atomic and wakes Wait/WaitUntil on the target PE.
 func P[T Elem](pe *PE, target Ref[T], value T, tpe int) error {
-	if err := pe.check(); err != nil {
-		return err
-	}
-	if err := pe.checkPE(tpe); err != nil {
-		return err
-	}
 	es := sizeOf[T]()
-	dst, err := resolve(pe, target, tpe, 1)
-	if err != nil {
-		return err
-	}
-	if !dst.shared || es > 8 {
-		// Static targets and 16-byte elements take the block-put path.
-		return putResolved(pe, target, operand{bytes: bytesOf([]T{value}), nbytes: es}, 1, tpe)
+	if !wordOn(pe, target, tpe) {
+		// Static targets and 16-byte elements take the block-put path,
+		// which also reports a finalized PE, a bad rank and a bad Ref.
+		src := operand{bytes: bytesOf([]T{value}), nbytes: es}
+		return putResolved(pe, target, &src, 1, tpe)
 	}
 	pe.stats.Puts++
 	pe.stats.PutBytes += es
@@ -401,21 +423,13 @@ func P[T Elem](pe *PE, target Ref[T], value T, tpe int) error {
 // G is the elemental get (shmem_TYPE_g): load element 0 of source from PE
 // spe.
 func G[T Elem](pe *PE, source Ref[T], spe int) (T, error) {
-	var zero T
-	if err := pe.check(); err != nil {
-		return zero, err
-	}
-	if err := pe.checkPE(spe); err != nil {
-		return zero, err
-	}
 	es := sizeOf[T]()
-	src, err := resolve(pe, source, spe, 1)
-	if err != nil {
-		return zero, err
-	}
-	if !src.shared || es > 8 {
-		out := make([]T, 1)
-		if err := GetSlice(pe, out, source.Slice(0, 1), spe); err != nil {
+	if !wordOn(pe, source, spe) {
+		// As in P: the block-get path moves what is not a word and reports
+		// what is not valid.
+		var out [1]T
+		if err := GetSlice(pe, out[:], source, spe); err != nil {
+			var zero T
 			return zero, err
 		}
 		return out[0], nil
@@ -509,8 +523,8 @@ func IGet[T Elem](pe *PE, target, source Ref[T], tst, sst int64, nelems, spe int
 func viewOn[T Elem](pe *PE, r Ref[T], onPE, span int) ([]T, error) {
 	switch {
 	case r.kind == dynamicRef:
-		op, err := resolve(pe, r.Slice(0, r.n), onPE, r.n)
-		if err != nil {
+		var op operand
+		if err := resolve(pe, &op, r, onPE, r.n); err != nil {
 			return nil, err
 		}
 		return sliceAt[T](op.bytes, 0, span), nil

@@ -440,8 +440,9 @@ func (p *Program) chipOf(pe int) int { return pe / p.perChip }
 // localIdx reports pe's tile index within its chip.
 func (p *Program) localIdx(pe int) int { return pe % p.perChip }
 
-// sameChip reports whether two ranks share a chip.
-func (p *Program) sameChip(a, b int) bool { return p.chipOf(a) == p.chipOf(b) }
+// sameChip reports whether two ranks share a chip; on a single chip, which
+// is nearly every run, without dividing.
+func (p *Program) sameChip(a, b int) bool { return p.nchips == 1 || p.chipOf(a) == p.chipOf(b) }
 
 // chipPEs reports how many ranks chip c hosts.
 func (p *Program) chipPEs(c int) int {
@@ -747,13 +748,13 @@ func newProgram(cfg Config) (*Program, error) {
 }
 
 // Scratch-arena sharding. Up to scratchMaxShards per-PE-affine small
-// shards, each with its own lock, sit in front of the big arena of the
-// configured capacity. Concurrent small static-static bounces — the
-// common case — never contend on a single mutex, while the big arena
+// shards sit in front of the big arena of the configured capacity, which
 // keeps the full Config.ScratchBytes single-allocation capacity (the
-// shards are additional mapped memory, at most 512 KiB). Sharding only
-// moves *where* in the area a temporary buffer lands; modeled copy costs
-// depend on sizes alone, so virtual time is unaffected.
+// shards are additional mapped memory, at most 512 KiB). Sharding decides
+// where in the area a temporary buffer lands and nothing else: the shards
+// have no locks (like all per-run state they belong to the baton holder),
+// and modeled copy costs depend on sizes alone, so virtual time does not
+// depend on the layout.
 const (
 	scratchMaxShards  = 8
 	scratchShardBytes = 64 << 10
@@ -767,9 +768,8 @@ func scratchShardCount(npes int) int {
 	return scratchMaxShards
 }
 
-// scratchShard is one independently locked slice of the scratch arena.
+// scratchShard is one slice of the scratch arena.
 type scratchShard struct {
-	mu    sync.Mutex
 	arena *alloc.Allocator
 	base  int64 // offset of this shard within the scratch area
 	size  int64
@@ -777,15 +777,11 @@ type scratchShard struct {
 
 // get allocates size bytes, returning the shard-relative offset.
 func (s *scratchShard) get(size int64) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.arena.Alloc(size)
 }
 
 // put frees the block at the scratch-area-relative offset rel.
 func (s *scratchShard) put(rel int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.arena.Free(rel - s.base)
 }
 

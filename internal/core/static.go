@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // staticEntry is one static symmetric object: same name, type size, and
 // element count on every PE, but backed by per-PE *private* memory, exactly
@@ -18,9 +15,10 @@ type staticEntry struct {
 	declared []bool
 }
 
-// staticRegistry tracks all declared static objects.
+// staticRegistry tracks all declared static objects. It is per-run state
+// with no lock: only the baton holder declares or looks up (an interrupt is
+// serviced inline on the requester's goroutine).
 type staticRegistry struct {
-	mu      sync.Mutex
 	byName  map[string]int32
 	entries []*staticEntry
 }
@@ -37,8 +35,6 @@ func (r *staticRegistry) declare(name string, elemSize int64, n, pe, npes int) (
 	if n <= 0 {
 		return 0, fmt.Errorf("tshmem: static object %q with %d elements", name, n)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	id, exists := r.byName[name]
 	if !exists {
 		id = int32(len(r.entries))
@@ -67,8 +63,6 @@ func (r *staticRegistry) declare(name string, elemSize int64, n, pe, npes int) (
 
 // backing returns PE pe's private storage for static object sid.
 func (r *staticRegistry) backing(sid int32, pe int) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if sid < 0 || int(sid) >= len(r.entries) {
 		return nil, fmt.Errorf("%w: id %d", ErrUnknownStatic, sid)
 	}
@@ -99,5 +93,5 @@ func DeclareStatic[T Elem](pe *PE, name string, n int) (Ref[T], error) {
 	if err := pe.verifySymmetric(int64(id)); err != nil {
 		return Ref[T]{}, err
 	}
-	return Ref[T]{kind: staticRef, sid: id, n: n, ok: true}, nil
+	return Ref[T]{kind: staticRef, sid: id, n: n}, nil
 }
