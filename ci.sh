@@ -31,6 +31,19 @@ if grep -rnE 'sched (!=|==) nil|EngineGoroutine|WaitGrace|timeoutCh' --include=*
     echo "ci: FAIL — a second blocking path, engine, or host-grace tier is back (matches above)" >&2
     exit 1
 fi
+# The same for the hand-off: PE bodies are coroutines the run's driver
+# resumes, and iter.Pull is how — in one place. A per-PE park channel, a
+# WaitGroup joining PE goroutines, or the channel engine's dispatch/grant/
+# enter coming back is the Go scheduler coming back into every hand-off.
+if grep -nE 'park +chan|sync\.WaitGroup|func \(s \*evsched\) (dispatch|grant|enter)\(' \
+    internal/core/engine.go internal/core/workpool.go internal/core/run.go; then
+    echo "ci: FAIL — a channel or WaitGroup hand-off is back in the calendar (matches above)" >&2
+    exit 1
+fi
+if [ "$(cat internal/core/*.go | grep -c 'iter\.Pull(')" != 1 ]; then
+    echo "ci: FAIL — iter.Pull( must appear exactly once in internal/core (workpool.go's spawnPE)" >&2
+    exit 1
+fi
 
 # Inline guard: an elemental op costs its memory access only while the
 # compiler folds Ref.At, Ref.Slice, Ref.SliceChecked and the elemental
@@ -193,10 +206,30 @@ go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$' -co
 # two transfers reaching the chip-pair wire in host order), plus the one
 # path where the calendar's deleted mutex did real work: deadlock
 # resolution, which writes the calendar while no PE holds the baton and
-# must grant last. They run three more times.
-echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort, 3x =="
+# must grant last. The coroutine switch between the driver and a PE is what
+# orders one baton holder's writes before the next one's reads (it is
+# race-instrumented as a release/acquire pair), so this stage is also the
+# oracle for "the switch carries the happens-before edge the park channel
+# used to", including across the two hazards: a run driven for a caller
+# locked to its OS thread, and a driver unwound by a body's runtime.Goexit
+# whose loop a fresh goroutine takes over. They run three more times.
+echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards, 3x =="
 go test -race ./internal/core \
-    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts' -count=3
+    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts' -count=3
+
+# Hand-off smoke: a grant must not re-enter the Go scheduler (docs/
+# PERFORMANCE.md, "The switch"). TestHandoffStaysOffScheduler counts the
+# runtime's own scheduling events across 36 000 hand-offs of a 36-PE barrier
+# loop (0-2 sampled passes; the channel hand-off read 2 265 against a bound
+# of 450). It is part of every go test run above as well; it runs alone here
+# so that a scheduler coming back into the grant path has a stage that names
+# it. The symptom a user would see — the same loop slower at GOMAXPROCS
+# $(nproc) than at 1 — is not gated: on this 2-vCPU host the ratio read
+# 0.98-1.09 after the change and 1.10-1.20 before it, too close for a
+# wall-clock bound that must not flake; the benchmark's core.nproc_ratio
+# rung reports it.
+echo "== hand-off smoke: scheduler passes per hand-off =="
+go test ./internal/core -run '^TestHandoffStaysOffScheduler$' -count=1
 
 # Arena smoke: every run's common-memory segment is recycled, so a pooled
 # segment that is not entirely zero, or anything still writing one after

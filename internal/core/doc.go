@@ -5,7 +5,7 @@
 //
 // # Model
 //
-// A TSHMEM program is SPMD: Run launches one goroutine per processing
+// A TSHMEM program is SPMD: Run launches one coroutine per processing
 // element (PE), each bound one-to-one to a tile of the simulated chip. A
 // TMC common-memory segment is partitioned symmetrically among the PEs,
 // providing the PGAS memory model; each tile reports its partition's start
@@ -56,13 +56,16 @@
 //
 // # Execution
 //
-// A run's PE goroutines execute one at a time on a virtual-time calendar
-// (engine.go): every modeled wait — a UDN or mPIPE queue, the spin
-// barrier, a WaitUntil hub, a counter barrier, a lock queue — parks the PE
-// there, and the baton goes to the ready PE with the least (clock, rank).
-// That is the only blocking path each wait has. Because the calendar sees
-// every wait, it expires bounded waits under fault injection without a
-// host timer and reports a deadlock, naming each PE's wait, instead of
-// hanging; the one rule it imposes is that a body must not block on a host
-// primitive waiting for another PE of the same run (see Run).
+// A run's PE bodies are coroutines that execute one at a time on a
+// virtual-time calendar (engine.go): every modeled wait — a UDN or mPIPE
+// queue, the spin barrier, a WaitUntil hub, a counter barrier, a lock
+// queue — parks the PE there, suspending it into the run's driver, which
+// resumes the ready PE with the least (clock, rank). That is the only
+// blocking path each wait has, and a hand-off never passes through the Go
+// scheduler. Because the calendar sees every wait, it expires bounded waits
+// under fault injection without a host timer and reports a deadlock,
+// naming each PE's wait, instead of hanging. It imposes two rules on a
+// body: it must not block on a host primitive waiting for another PE of
+// the same run, and it must not call runtime.LockOSThread (see Run, which
+// also says what runtime.Goexit inside a body does).
 package core

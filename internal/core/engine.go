@@ -79,9 +79,9 @@ func evAdmissionWidth() int {
 // entirely zero, exactly like a fresh one. Check-in restores the invariant
 // by re-zeroing only what the finished run can have written: each PE heap
 // and scratch shard up to its allocator's high-water mark, plus any
-// mappings the run created after launch. It runs once every PE goroutine
-// has exited; nothing else ever writes the segment (interrupt handlers run
-// on the requesting PE's goroutine).
+// mappings the run created after launch. It runs once every PE has exited;
+// nothing else ever writes the segment (interrupt handlers run inline on
+// the requesting PE).
 //
 // The visible consequence (documented on Run): once Run returns, local
 // views of its symmetric memory (MustLocal / Local) are dead — the segment
@@ -176,7 +176,7 @@ const (
 	numWaitKinds
 )
 
-// Wake statuses delivered with the run baton.
+// Wake statuses a resumed PE finds in its node.
 const (
 	wakeRun     uint8 = iota // scheduled normally: proceed / re-check
 	wakeTimeout              // quiescence expired this bounded wait (faults)
@@ -185,8 +185,8 @@ const (
 
 // PE states in the calendar.
 const (
-	evReady   uint8 = iota // runnable, competing for the baton
-	evRunning              // holds the baton (at most one per run)
+	evReady   uint8 = iota // runnable, waiting in the ready heap
+	evRunning              // resumed by the driver (at most one per run)
 	evBlocked              // parked on a wait tag
 	evDone                 // exited
 )
@@ -195,32 +195,33 @@ const (
 type evNode struct {
 	state uint8
 	kind  uint8 // wait tag, valid while evBlocked
-	wake  uint8 // status to deliver with the next grant
+	wake  uint8 // status the PE reads when it is next resumed
 	a, b  int64
 	clock *vtime.Clock
-	park  chan uint8 // cap 1: a grant never blocks and is never lost
+	co    *peWorker // the coroutine running this PE's body
 }
 
-// evsched is the calendar every run executes on: a cooperative single-baton
-// scheduler over the run's PEs. Exactly one PE is evRunning at any time;
-// it performs its modeled work (advancing its own virtual clock), wakes
-// peers whose waits it satisfied, and hands the baton back by yielding
-// or exiting. Grants always go to the ready PE with the least (virtual
-// clock, rank), so the execution order is a pure function of the modeled
-// times — deterministic regardless of GOMAXPROCS or host load.
+// evsched is the calendar every run executes on: a cooperative scheduler
+// over the run's PEs, whose bodies are coroutines (workpool.go). One driver
+// loop per run (drive) resumes the ready PE with the least (virtual clock,
+// rank); the PE performs its modeled work (advancing its own virtual clock),
+// wakes peers whose waits it satisfied, and suspends back into the driver
+// by yielding or exiting. The execution order is therefore a pure function
+// of the modeled times — deterministic regardless of GOMAXPROCS or host
+// load — and a hand-off is two coroutine switches that never enter the Go
+// scheduler: no run queue, no wake-up of another host thread.
 //
 // Every blocking point in the library parks here, and nowhere else: the
 // wait sites own the cost-model, profiler, and timeout code, the calendar
 // only decides who runs next.
 //
-// Calendar state belongs to the baton holder. Nothing here is locked: every
-// field is read and written only by the goroutine that holds the baton (the
-// launcher before begin's grant and after the last exit), and a grant — a
-// send on the next holder's buffered park channel — is the last thing a
-// holder does to the calendar, so the channel carries the happens-before
-// edge from each holder's writes to the next holder's reads. Deadlock
-// resolution runs when nobody holds the baton and follows the same rule: it
-// finishes every write, then grants.
+// Calendar state belongs to the baton holder, which is whichever of the
+// driver and the one resumed PE is executing: the two alternate on a single
+// logical thread, each switch ordering everything before it ahead of
+// everything after it (iter.Pull's switch is race-instrumented as a
+// release/acquire pair), so nothing here is locked or atomic. The launcher
+// touches the calendar only before it starts the driver and after the
+// driver has signalled done.
 type evsched struct {
 	prog *Program
 	pes  []evNode
@@ -228,12 +229,18 @@ type evsched struct {
 	// ready is a binary min-heap of the evReady ranks, least (virtual clock,
 	// rank) at the root. Ranks are compared through their nodes' clocks — 4
 	// bytes per PE — which is sound because a ready PE's clock cannot move
-	// until it is granted: only a PE's own goroutine advances its clock.
+	// until it is resumed: only a PE's own body advances its clock.
 	ready []int32
 
-	nlive   int  // PEs not yet evDone
-	running int  // PEs holding the baton: 0 or 1 between handoffs
+	nlive   int  // PEs not yet retired by the driver
+	resumed int  // the PE the driver is inside a resume of, or -1
 	timed   bool // faults armed: quiescence expires bounded waits
+
+	// running counts the resumes in progress, maxRunning its peak — which
+	// must stay 1 (Report.MaxRunnablePEs): a second driver loop started
+	// while a PE is still resumed, the one way a takeover could go wrong,
+	// would read 2.
+	running, maxRunning int
 
 	// parked counts the evBlocked PEs per wait kind. Most wakes find nobody
 	// parked on their kind — every packet enqueue, dequeue and watched
@@ -241,15 +248,12 @@ type evsched struct {
 	// calendar.
 	parked [numWaitKinds]int
 
-	maxRunning int // peak of running — must stay 1
+	done chan struct{} // closed by the driver once every PE has retired
 }
 
 func newEvsched(p *Program, n int) *evsched {
-	s := &evsched{prog: p, pes: make([]evNode, n), ready: make([]int32, 0, n), nlive: n}
-	for i := range s.pes {
-		s.pes[i].park = make(chan uint8, 1)
-	}
-	return s
+	return &evsched{prog: p, pes: make([]evNode, n), ready: make([]int32, 0, n), nlive: n, resumed: -1,
+		done: make(chan struct{})}
 }
 
 // readyBefore orders two ready ranks by (virtual clock, rank).
@@ -298,62 +302,131 @@ func (s *evsched) popReady() int {
 	return int(top)
 }
 
-// enter parks a freshly spawned PE goroutine until the calendar grants
-// it the baton for the first time. Every PE is ready from the start, so
-// the grant comes from begin (or from an earlier PE's yield) — the
-// buffered park channel makes grant-before-park safe.
-func (s *evsched) enter(id int) {
-	<-s.pes[id].park
-}
-
-// begin queues every PE as ready and hands out the first baton. Run calls
-// it after spawning every PE and after the start_pes replay set their
-// clocks, so the initial grant deterministically goes to the least (clock,
-// rank) no matter how the host interleaves goroutine startup.
-func (s *evsched) begin() {
-	for i := range s.pes {
+// begin binds every PE's body to a coroutine, queues the PEs as ready and
+// drives the run to completion. Run calls it after the start_pes replay set
+// the clocks, so the first resume deterministically goes to the least
+// (clock, rank), and on a goroutine started for the purpose, never its
+// caller's, for two reasons:
+//
+//   - The runtime kills the process when a coroutine is resumed by a
+//     goroutine whose OS-thread lock state differs from its creator's, and
+//     pooled workers outlive the run that made them. Creator and resumer
+//     must therefore both be goroutines that are never locked; Run's caller
+//     may be.
+//   - iter.Pull re-raises a body's runtime.Goexit in whoever resumed it
+//     (see drive), which must not unwind the caller.
+func (s *evsched) begin(body func(*PE) error, errs []error) {
+	for i, pe := range s.prog.pes {
+		s.pes[i].co = spawnPE(peTask{prog: s.prog, pe: pe, body: body, errs: errs})
 		s.pushReady(i)
 	}
-	s.dispatch()
+	s.drive()
 }
 
-// yield parks the running PE on a wait tag and hands the baton to the
-// next ready PE. It returns the wake status the calendar delivered; on
-// wakeRun (possibly spurious) the caller re-checks its predicate and may
-// yield again.
+// drive is the run's driver loop: resume the least ready PE, take the baton
+// back when it yields or exits, retire it if it exited, until no PE is
+// live. Quiescence — no ready PE but live ones, all parked — means no
+// blocked wait can ever be satisfied (nothing is running to satisfy it), so
+// no host timer is needed to find that out: under fault injection every
+// bounded wait expires at once (each lands its clock on its own
+// start+WaitBudget deadline); without faults the program is deadlocked and
+// is aborted.
+//
+// Every piece of driver state lives in the calendar, so the loop can be
+// picked up by another goroutine, and once per body that leaves through
+// runtime.Goexit (a t.FailNow inside a body) it is: the dying coroutine
+// runs its deferred calls — the PE's error is recorded, the program
+// aborted, the node marked done — and iter.Pull then re-raises the Goexit
+// here, unwinding this goroutine out of resume. The deferred takeover
+// retires the dead PE and hands the loop to a fresh goroutine, which
+// resumes the aborted peers until each has unwound.
+func (s *evsched) drive() {
+	defer func() {
+		id := s.resumed
+		if id < 0 {
+			close(s.done)
+			return
+		}
+		// Leave the resume before handing on: the successor must find the
+		// calendar as the loop below leaves it between resumes (when the
+		// dead PE was the last one live it goes straight to closing done).
+		s.resumed = -1
+		s.running--
+		s.retire(id)
+		go s.drive()
+	}()
+	for s.nlive > 0 {
+		if len(s.ready) == 0 {
+			if s.timed {
+				s.unparkAll(wakeTimeout)
+			} else {
+				s.resolveDeadlock()
+			}
+		}
+		id := s.popReady()
+		n := &s.pes[id]
+		n.state = evRunning
+		s.resumed = id
+		s.running++
+		s.maxRunning = max(s.maxRunning, s.running)
+		n.co.next()
+		s.running--
+		s.resumed = -1
+		if n.state == evDone {
+			s.retire(id)
+		}
+	}
+}
+
+// retire takes an exited PE out of the run and disposes of its coroutine:
+// back to the pool if it finished its task (by returning or by a recovered
+// panic), dropped if a runtime.Goexit killed it.
+func (s *evsched) retire(id int) {
+	s.pes[id].co.release()
+	s.nlive--
+}
+
+// yield parks the running PE on a wait tag and suspends it into the
+// driver, which resumes the next ready PE. It returns the wake status the
+// calendar left for it; on wakeRun (possibly spurious) the caller re-checks
+// its predicate and may yield again.
 func (s *evsched) yield(id int, kind uint8, a, b int64) uint8 {
 	n := &s.pes[id]
 	n.state = evBlocked
 	n.kind, n.a, n.b = kind, a, b
 	s.parked[kind]++
-	s.running--
-	s.dispatch()
-	return <-n.park
+	n.co.yield(struct{}{})
+	st := n.wake
+	n.wake = wakeRun
+	return st
 }
 
-// yieldReady re-queues the running PE as ready and hands the baton on —
-// runtime.Gosched for modeled spin loops. The caller stays schedulable, so
-// this can never quiesce.
+// leads reports whether running PE id precedes every ready PE in (clock,
+// rank) order, i.e. would be the next one resumed if it were queued.
+func (s *evsched) leads(id int) bool {
+	return len(s.ready) == 0 || s.readyBefore(int32(id), s.ready[0])
+}
+
+// yieldReady lets every ready PE that precedes the running one in (clock,
+// rank) order run first — runtime.Gosched for modeled spin loops. The
+// caller stays schedulable, so this can never quiesce; a caller that is
+// itself the least ready PE would be resumed straight away and does not
+// switch at all.
 func (s *evsched) yieldReady(id int) {
-	s.pushReady(id)
-	s.running--
-	s.dispatch()
-	<-s.pes[id].park
-}
-
-// exit retires a finished PE and hands the baton on.
-func (s *evsched) exit(id int) {
-	s.pes[id].state = evDone
-	s.nlive--
-	s.running--
-	if s.nlive > 0 {
-		s.dispatch()
+	if s.leads(id) {
+		return
 	}
+	s.pushReady(id)
+	s.pes[id].co.yield(struct{}{})
 }
 
-// unpark moves a parked PE back to the ready set; st is delivered with its
-// next grant. Every exit from evBlocked goes through here so the parked
-// counts stay exact.
+// exit marks a finished PE done; the driver retires it when the PE's
+// coroutine next suspends, which is at once.
+func (s *evsched) exit(id int) { s.pes[id].state = evDone }
+
+// unpark moves a parked PE back to the ready set; st is what it reads when
+// it is next resumed. Every exit from evBlocked goes through here so the
+// parked counts stay exact.
 func (s *evsched) unpark(id int, st uint8) {
 	n := &s.pes[id]
 	n.wake = st
@@ -361,9 +434,9 @@ func (s *evsched) unpark(id int, st uint8) {
 	s.pushReady(id)
 }
 
-// wake marks every PE blocked on (kind, a, b) ready. The caller holds
-// the baton, so no grant happens here: the woken PEs compete (by clock,
-// then rank) at the caller's next yield or exit.
+// wake marks every PE blocked on (kind, a, b) ready. The caller is the
+// running PE and keeps running: the woken PEs compete (by clock, then rank)
+// once it yields or exits.
 func (s *evsched) wake(kind uint8, a, b int64) {
 	if s.parked[kind] == 0 {
 		return
@@ -391,40 +464,6 @@ func (s *evsched) unparkAll(st uint8) {
 	}
 }
 
-// dispatch grants the baton to the ready PE with the least (virtual
-// clock, rank); the caller has just given the baton up and must not touch
-// the calendar afterwards. Quiescence — no ready PE but live ones, all
-// parked — means no blocked wait can ever be satisfied (nothing is running
-// to satisfy it), so no host timer is needed to find that out: under fault
-// injection every bounded wait expires at once (each lands its clock on
-// its own start+WaitBudget deadline); without faults the program is
-// deadlocked and is aborted.
-func (s *evsched) dispatch() {
-	if len(s.ready) == 0 {
-		if s.timed {
-			s.unparkAll(wakeTimeout)
-		} else {
-			s.resolveDeadlock()
-		}
-	}
-	s.grant()
-}
-
-// grant sends the baton to the ready PE with the least (clock, rank). It
-// is the last calendar access of the goroutine that calls it: from the
-// send on, the state belongs to the PE granted.
-func (s *evsched) grant() {
-	n := &s.pes[s.popReady()]
-	n.state = evRunning
-	s.running++
-	if s.running > s.maxRunning {
-		s.maxRunning = s.running
-	}
-	st := n.wake
-	n.wake = wakeRun
-	n.park <- st
-}
-
 // maxDeadlockLines caps the per-PE lines of a deadlock report.
 const maxDeadlockLines = 16
 
@@ -432,9 +471,8 @@ const maxDeadlockLines = 16
 // live PE is parked on a wait no peer can ever satisfy. The calendar sees
 // the global state, so instead of hanging it aborts the run with an error
 // that names each blocked PE's wait and, where the waits' owners are known
-// and close one, a wait-for cycle. Nobody holds the baton here, so the
-// caller owns the calendar until dispatch grants — after the abort below has
-// readied every parked PE.
+// and close one, a wait-for cycle. It runs on the driver, between resumes,
+// and the abort below readies every parked PE for the driver's next pops.
 func (s *evsched) resolveDeadlock() {
 	var b strings.Builder
 	b.WriteString("tshmem: deadlock: every live PE is blocked on a wait no peer can satisfy")

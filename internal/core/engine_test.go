@@ -545,11 +545,11 @@ func TestEngineEventDeterminism(t *testing.T) {
 
 // TestGrantOrderMatchesLinearScan drives the calendar's ready heap through
 // random schedules — duplicate clocks, keyed wakes, whole-calendar expiries,
-// spinners re-queued ready — with no PE goroutines behind it, and checks
-// every grant against the scan the heap replaced: the evReady node with the
-// least clock, lowest rank among equals. The grant order is what makes a
-// run a function of its modeled times, so the heap may not differ from the
-// scan even once.
+// spinners re-queued ready — with no coroutines behind it, and checks every
+// grant (the driver's pop, mark running) against the scan the heap replaced:
+// the evReady node with the least clock, lowest rank among equals. The grant
+// order is what makes a run a function of its modeled times, so the heap may
+// not differ from the scan even once.
 func TestGrantOrderMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 300; trial++ {
@@ -559,7 +559,7 @@ func TestGrantOrderMatchesLinearScan(t *testing.T) {
 		for i := range s.pes {
 			clocks[i].Set(vtime.Time(rng.Intn(4)))
 			s.pes[i].clock = &clocks[i]
-			s.pushReady(i) // what begin does before its dispatch
+			s.pushReady(i) // what begin does before it drives
 		}
 		leastReady := func() int {
 			best := -1
@@ -573,14 +573,22 @@ func TestGrantOrderMatchesLinearScan(t *testing.T) {
 		running := -1
 		for step := 0; step < 12*n; step++ {
 			if running >= 0 {
-				// The baton holder does some modeled work (often none: equal
+				// The running PE does some modeled work (often none: equal
 				// clocks are the interesting case), wakes a wait key, and
 				// gives the baton up by spinning or by parking.
 				clocks[running].Advance(vtime.Duration(rng.Intn(3)))
 				s.wake(wkHub, int64(rng.Intn(3)), 0)
-				s.running--
 				if rng.Intn(3) == 0 {
-					s.pushReady(running) // yieldReady
+					// yieldReady, which switches only when a ready PE precedes
+					// the caller; the scan says whether one does.
+					lr := leastReady()
+					precedes := lr >= 0 && (clocks[lr].Now() < clocks[running].Now() ||
+						clocks[lr].Now() == clocks[running].Now() && lr < running)
+					if stays := s.leads(running); stays == precedes {
+						t.Fatalf("trial %d step %d: spinning PE %d stays = %v, but the scan's least ready PE is %d",
+							trial, step, running, stays, lr)
+					}
+					s.pushReady(running)
 				} else {
 					nd := &s.pes[running] // yield
 					nd.state, nd.kind, nd.a, nd.b = evBlocked, wkHub, int64(rng.Intn(3)), 0
@@ -591,11 +599,10 @@ func TestGrantOrderMatchesLinearScan(t *testing.T) {
 				s.unparkAll(wakeTimeout) // quiescence under faults
 			}
 			want := leastReady()
-			s.grant()
-			if s.pes[want].state != evRunning {
-				t.Fatalf("trial %d step %d: the scan grants PE %d (clock %v), the heap did not", trial, step, want, clocks[want].Now())
+			if got := s.popReady(); got != want {
+				t.Fatalf("trial %d step %d: the scan grants PE %d (clock %v), the heap PE %d", trial, step, want, clocks[want].Now(), got)
 			}
-			<-s.pes[want].park
+			s.pes[want].state = evRunning
 			running = want
 		}
 		// Drain: what is left comes out in scan order too.
@@ -606,9 +613,6 @@ func TestGrantOrderMatchesLinearScan(t *testing.T) {
 				t.Fatalf("trial %d drain: popped PE %d, the scan says PE %d", trial, got, want)
 			}
 			s.pes[want].state = evDone
-		}
-		if s.maxRunning != 1 {
-			t.Fatalf("trial %d: maxRunning = %d", trial, s.maxRunning)
 		}
 	}
 }

@@ -36,11 +36,11 @@ type Stats struct {
 	Flops, IntOps      int64
 }
 
-// PE is one processing element: a goroutine bound one-to-one to a tile,
+// PE is one processing element: a coroutine bound one-to-one to a tile,
 // holding its virtual clock, its UDN port, and its symmetric partition.
 // All TSHMEM operations hang off the PE (or take it as their first
-// argument, for the generic ones). A PE must only be used from the
-// goroutine Run started for it.
+// argument, for the generic ones). A PE must only be used from the body
+// Run called with it.
 type PE struct {
 	prog *Program
 	id   int
@@ -66,7 +66,7 @@ type PE struct {
 	fabPending  []mpipe.Msg // stashed cross-chip control messages
 	finalized   bool
 
-	memo  cache.Memo // per-PE copy-cost memo; owned by the PE goroutine
+	memo  cache.Memo // per-PE copy-cost memo; owned by the PE's body
 	stats Stats
 	rec   *stats.Recorder   // substrate observability; nil unless Config.Observe
 	san   *sanitize.PEHooks // happens-before checker; nil unless Config.Sanitize
@@ -500,7 +500,7 @@ func (pe *PE) spinWait(op string) error {
 }
 
 // yieldSpin lets other PEs make progress while this PE spins on a
-// contended CAS lock: a ready-state baton handoff (the spinner's modeled
+// contended CAS lock: a ready-state hand-off (the spinner's modeled
 // backoff grows its clock every retry, so the calendar eventually prefers
 // the holder).
 func (pe *PE) yieldSpin() { pe.prog.sched.yieldReady(pe.id) }

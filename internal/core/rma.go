@@ -351,7 +351,7 @@ func (pe *PE) redirect(target int, op uint64, sid int32, sOff, gOff, nbytes int6
 }
 
 // serviceInterrupt runs on this PE's tile in interrupt context — inline on
-// the requesting PE's goroutine, which holds the baton while this PE is
+// the requesting PE, which holds the baton while this PE is
 // parked or ready: the tile is forced to service an operation the
 // requesting tile could not perform itself. It must not touch pe.clock (a
 // ready PE's clock is its key in the calendar's heap) or pe.stats — the

@@ -280,9 +280,9 @@ type Report struct {
 
 	// EngineUsed names the execution engine that ran the program: "event".
 	EngineUsed string
-	// MaxRunnablePEs is the peak number of PE goroutines the calendar ever
-	// made runnable at once — 1 by construction (the single-baton
-	// invariant the determinism argument rests on).
+	// MaxRunnablePEs is the peak number of PE coroutines the run's driver
+	// ever had resumed at once, as it counted them — 1 by construction (the
+	// single-baton invariant the determinism argument rests on).
 	MaxRunnablePEs int
 
 	perChip int           // PE ranks per chip (block distribution)
@@ -401,9 +401,9 @@ type Program struct {
 
 // abort tears the program down after a PE failed, so PEs blocked in
 // collectives or waits observe the failure instead of hanging. Its caller
-// owns the calendar — the failing PE holds the baton, deadlock resolution
-// runs while nobody does — and grants afterwards: the parked PEs are only
-// readied here, each to find the abort status at its turn.
+// owns the calendar — the failing PE while it runs, or the driver resolving
+// a deadlock between resumes: the parked PEs are only readied here, each to
+// find the abort status when the driver resumes it.
 func (p *Program) abort(cause error) {
 	p.abortOnce.Do(func() {
 		p.firstErr = cause
@@ -469,15 +469,27 @@ func (p *Program) chipPEs(c int) int {
 // next launch (see arenaPool), so local views of symmetric memory
 // (MustLocal / Local) are dead once Run returns.
 //
-// The PEs run one at a time, in virtual-time order, on a calendar (evsched)
-// that parks a PE at every modeled wait and knows what each parked PE waits
-// for. That imposes one rule on body: it must not block on a host
-// primitive (a channel, a sync.Mutex, a WaitGroup) that only another PE of
-// the same run can release — that PE cannot run until this one parks in
-// the library. PEs synchronize through the library (barriers, locks,
-// WaitUntil, collectives); a program whose PEs all end up parked on waits
-// no peer can satisfy is reported as a deadlock naming each PE's wait, not
-// left to hang.
+// The PE bodies are coroutines. They run one at a time, in virtual-time
+// order, on a calendar (evsched) that parks a PE at every modeled wait and
+// knows what each parked PE waits for, resumed by a driver goroutine the
+// library starts for the run — never on the goroutine that called Run,
+// which may therefore be locked to its OS thread. That imposes two rules on
+// body. It must not block on a host primitive (a channel, a sync.Mutex, a
+// WaitGroup) that only another PE of the same run can release — that PE
+// cannot run until this one parks in the library. PEs synchronize through
+// the library (barriers, locks, WaitUntil, collectives); a program whose
+// PEs all end up parked on waits no peer can satisfy is reported as a
+// deadlock naming each PE's wait, not left to hang. And it must not call
+// runtime.LockOSThread: a coroutine may only suspend under the thread-lock
+// state it was created with, and the runtime ends the process, not the
+// goroutine, when it does not.
+//
+// A body that panics fails the run with "PE n panicked". A body that calls
+// runtime.Goexit — t.FailNow, t.Fatal or t.Skip on a test's T — ends its
+// own PE only: its deferred calls run, the run is aborted so its peers
+// unwind, and Run returns "PE n exited without completing" on the calling
+// goroutine, which is not unwound. A test that wants to fail from inside a
+// body returns an error (or calls t.Error) and checks what Run returns.
 //
 // Under fault injection (Config.Faults) a bounded wait that expires does
 // NOT abort the program: the stuck PE unwinds with a *TimeoutError, its
@@ -494,8 +506,9 @@ func Run(cfg Config, body func(*PE) error) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Teardown on every path: with the PE goroutines joined below nothing
-	// can write the segment any more and it can be re-zeroed and pooled.
+	// Teardown on every path: once the driver below is done every PE has
+	// exited, nothing can write the segment any more and it can be re-zeroed
+	// and pooled.
 	defer func() {
 		prog.closeNets()
 		arenaCheckin(prog)
@@ -506,16 +519,12 @@ func Run(cfg Config, body func(*PE) error) (*Report, error) {
 		}
 	}
 
+	// The driver runs the PEs' coroutines on a goroutine of its own (see
+	// evsched.begin for why it cannot be this one) and closes done once
+	// every PE has left the calendar.
 	errs := make([]error, prog.NPEs())
-	var wg sync.WaitGroup
-	wg.Add(prog.NPEs())
-	for i := range prog.pes {
-		spawnPE(peTask{prog: prog, pe: prog.pes[i], body: body, errs: errs, wg: &wg})
-	}
-	// Every PE entered the calendar ready; hand out the first baton
-	// (deterministically, to the least post-handshake clock).
-	prog.sched.begin()
-	wg.Wait()
+	go prog.sched.begin(body, errs)
+	<-prog.sched.done
 
 	if prog.firstErr != nil {
 		return nil, prog.firstErr

@@ -17,7 +17,7 @@ type staticEntry struct {
 
 // staticRegistry tracks all declared static objects. It is per-run state
 // with no lock: only the baton holder declares or looks up (an interrupt is
-// serviced inline on the requester's goroutine).
+// serviced inline on the requester).
 type staticRegistry struct {
 	byName  map[string]int32
 	entries []*staticEntry

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sync"
 )
 
@@ -13,21 +14,25 @@ type peTask struct {
 	pe   *PE
 	body func(*PE) error
 	errs []error
-	wg   *sync.WaitGroup
 }
 
-// peWorker is a reusable goroutine that executes peTasks one at a time.
-// Run used to launch a fresh closure per PE per run; under RunSuite-style
-// parallelism that is thousands of goroutine launches per sweep. Workers
-// instead park on a channel between runs and get handed the next task.
+// peWorker is a reusable coroutine that executes peTasks one at a time: a
+// goroutine the Go scheduler never sees, because only a run's driver
+// resumes it (next) and it only ever suspends back into that driver
+// (yield), both direct switches. A cold one costs a goroutine, its stack
+// and iter.Pull's closures, which is why finished workers are pooled:
+// a warm Run allocates nothing per PE for them.
 type peWorker struct {
-	ch chan peTask
+	task  peTask
+	next  func() (struct{}, bool) // resume: returns when the worker suspends
+	yield func(struct{}) bool     // suspend into whoever called next; false once stopped
+	stop  func()                  // end an idle worker's coroutine
 }
 
 // The idle-worker free list. This is deliberately NOT a sync.Pool: the
-// pool may drop entries on GC, which would leak the dropped worker's
-// parked goroutine forever. An explicit capped stack keeps the goroutine
-// count bounded and every parked goroutine reachable.
+// pool may drop entries on GC, and a dropped worker's suspended coroutine
+// is a goroutine nothing will ever resume or stop. An explicit capped stack
+// keeps the count bounded and every idle coroutine reachable.
 var (
 	peWorkerMu   sync.Mutex
 	peWorkerIdle []*peWorker
@@ -35,9 +40,11 @@ var (
 
 const peWorkerMaxIdle = 256
 
-// spawnPE hands t to an idle pooled worker, creating one if none is
-// parked.
-func spawnPE(t peTask) {
+// spawnPE binds t to an idle pooled worker, creating one if the pool is
+// empty. Nothing runs until the run's driver first resumes the worker.
+// Only drivers call it: a coroutine must be created on a goroutine that is
+// never locked to its OS thread (see evsched.begin).
+func spawnPE(t peTask) *peWorker {
 	peWorkerMu.Lock()
 	var w *peWorker
 	if n := len(peWorkerIdle); n > 0 {
@@ -47,40 +54,54 @@ func spawnPE(t peTask) {
 	}
 	peWorkerMu.Unlock()
 	if w == nil {
-		w = &peWorker{ch: make(chan peTask, 1)}
-		go w.loop()
+		w = &peWorker{}
+		w.next, w.stop = iter.Pull(w.loop)
 	}
-	w.ch <- t
+	w.task = t
+	return w
 }
 
-func (w *peWorker) loop() {
-	for t := range w.ch {
-		t.run()
+// loop is the worker's coroutine: run the bound task, forget it, suspend
+// until the next one is bound, until stopped.
+func (w *peWorker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.task.run()
+		w.task = peTask{}
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// release disposes of a worker whose PE has exited: an idle one goes back
+// to the pool, or is stopped when the pool is full. A worker still bound to
+// its task never returned from run — the body left through runtime.Goexit,
+// which ended the coroutine — and stop on it is a no-op that leaves it to
+// the collector.
+func (w *peWorker) release() {
+	if w.task.pe == nil {
 		peWorkerMu.Lock()
 		if len(peWorkerIdle) < peWorkerMaxIdle {
 			peWorkerIdle = append(peWorkerIdle, w)
 			peWorkerMu.Unlock()
-			continue
+			return
 		}
 		peWorkerMu.Unlock()
-		return
 	}
+	w.stop()
 }
 
-// run executes one PE body with the same semantics the per-PE closure in
-// Run used to have. Defer order matters: the recover/abort handler runs
-// first, then the calendar exit (handing the baton on), then
-// wg.Done — so by the time Run's wg.Wait returns, every PE has fully
-// left the calendar.
+// run executes one PE body. Defer order matters: the recover/abort handler
+// runs first, then the calendar exit, so the driver finds the PE done — and
+// its error recorded, the program aborted if it failed — when the coroutine
+// next suspends.
 //
-// A body that bails out via runtime.Goexit runs these defers and then
-// kills the worker's goroutine before loop can re-pool it; that only
-// costs the worker, never correctness. A panic is recovered here, so the
-// worker survives and is reused.
+// A panic is recovered here, so the worker survives and is reused. A body
+// that bails out via runtime.Goexit (a t.FailNow, say) runs these defers
+// too and then ends the coroutine under the worker; release sees that.
 func (t peTask) run() {
 	pe, prog := t.pe, t.prog
-	defer t.wg.Done()
-	prog.sched.enter(pe.id)
 	defer prog.sched.exit(pe.id)
 	completed := false
 	defer func() {

@@ -259,6 +259,15 @@ type Port struct {
 	queues [4]demuxQueue
 	closed atomic.Bool
 
+	// route is the path of the last (dst, words) this port sent. A protocol
+	// chain sends the same signal to the same neighbour over and over, and
+	// a network's geometry never changes, so the entry cannot go stale;
+	// words == 0 marks it empty. Like rec it belongs to the port's one user.
+	route struct {
+		dst, words int
+		path       mesh.PathInfo
+	}
+
 	// The tile's interrupt context: intrMu is held while handler services
 	// a request, and busy serializes overlapping interrupts in virtual
 	// time — a tile services one interrupt at a time (S IV.B.2).
@@ -395,10 +404,14 @@ func (p *Port) Send(clock *vtime.Clock, dst, dq int, tag uint32, words []uint64)
 	if nw < 1 || nw > p.net.geo.Chip().UDNMaxWords {
 		return fmt.Errorf("%w: %d words", ErrPayload, nw)
 	}
-	path, err := p.net.geo.Path(p.cpu, dst, nw)
-	if err != nil {
-		return err
+	if p.route.dst != dst || p.route.words != nw {
+		path, err := p.net.geo.Path(p.cpu, dst, nw)
+		if err != nil {
+			return err
+		}
+		p.route.dst, p.route.words, p.route.path = dst, nw, path
 	}
+	path := &p.route.path
 	send, wire := path.Send, path.Wire
 	baseSend := send
 	if p.net.flt != nil {

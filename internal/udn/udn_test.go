@@ -3,6 +3,7 @@ package udn
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -435,5 +436,55 @@ func TestHostScheduler(t *testing.T) {
 	n.Close()
 	if err := <-idleErr; !errors.Is(err, ErrClosed) {
 		t.Errorf("receiver blocked at Close got %v, want ErrClosed", err)
+	}
+}
+
+// TestSendRouteMatchesGeometry replays seeded random (sender, dst, words)
+// streams through Send — half the steps repeat the sender's previous
+// destination and length, which is what a protocol chain does and what the
+// port's remembered route serves — and checks every delivered packet's
+// injection and arrival stamps against Geometry.Path computed here: the
+// remembered route may never differ from the computed one.
+func TestSendRouteMatchesGeometry(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := gxNet(t)
+		geo, maxWords := n.Geometry(), n.Geometry().Chip().UDNMaxWords
+		type sender struct {
+			port       *Port
+			clock      vtime.Clock
+			dst, words int
+		}
+		senders := make([]sender, 5)
+		for i := range senders {
+			senders[i].port = port(t, n, rng.Intn(n.Tiles()))
+		}
+		for step := 0; step < 2000; step++ {
+			s := &senders[rng.Intn(len(senders))]
+			if s.words == 0 || rng.Intn(2) == 0 {
+				s.dst, s.words = rng.Intn(n.Tiles()), 1+rng.Intn(maxWords)
+			}
+			s.clock.Advance(vtime.Duration(rng.Intn(1000)))
+			want, err := geo.Path(s.port.CPU(), s.dst, s.words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t0, dq := s.clock.Now(), rng.Intn(4)
+			if err := s.port.Send(&s.clock, s.dst, dq, uint32(step), make([]uint64, s.words)); err != nil {
+				t.Fatal(err)
+			}
+			var pkt Packet
+			if err := port(t, n, s.dst).RecvRaw(dq, &pkt); err != nil {
+				t.Fatal(err)
+			}
+			if pkt.Tag != uint32(step) || pkt.Src != s.port.CPU() || pkt.Len() != s.words {
+				t.Fatalf("seed %d step %d: received %+v, sent tag %d from %d with %d words", seed, step, pkt, step, s.port.CPU(), s.words)
+			}
+			if pkt.Sent != t0.Add(want.Send) || pkt.Arrive != pkt.Sent.Add(want.Wire) || s.clock.Now() != pkt.Sent {
+				t.Fatalf("seed %d step %d: %d -> %d, %d words from %v: sent %v arrive %v (clock %v), Geometry.Path says send %v wire %v",
+					seed, step, s.port.CPU(), s.dst, s.words, t0, pkt.Sent, pkt.Arrive, s.clock.Now(), want.Send, want.Wire)
+			}
+		}
+		n.Close()
 	}
 }

@@ -7,12 +7,13 @@
 // simulation substrate: the iMesh networks, UDN, per-tile cache hierarchy
 // with the Dynamic Distributed Cache, and the TMC library are modeled in
 // internal packages, with every processing element (PE) executing as a
-// goroutine bound to a simulated tile and carrying a deterministic virtual
+// coroutine bound to a simulated tile and carrying a deterministic virtual
 // clock. A run's PEs execute one at a time, in virtual-time order, on a
 // discrete-event calendar, so results never depend on the host's schedule
 // and a deadlocked program is reported rather than hung; a PE body must
 // therefore synchronize with its peers through the library, never by
-// blocking on a Go channel or mutex another PE of the run must release.
+// blocking on a Go channel or mutex another PE of the run must release,
+// and must not call runtime.LockOSThread (see Run).
 // Programs compute real results through real shared memory; the virtual
 // clocks reproduce the paper's latency and bandwidth behavior.
 //
@@ -288,6 +289,18 @@ var (
 // UDN, forks cfg.NPEs processing elements bound one-to-one to tiles, runs
 // body on each after start_pes initialization, and tears everything down
 // (the shmem_finalize behavior).
+//
+// The bodies run as coroutines on a goroutine the library starts, never on
+// the caller's, one at a time. Two rules follow for body: it must not block
+// on a host primitive only another PE of the same run can release, and it
+// must not call runtime.LockOSThread (the runtime ends the process when a
+// coroutine suspends under a different thread lock than it was created
+// with). Run itself may be called from a locked goroutine. A body's panic
+// is recovered into Run's error; a body that calls runtime.Goexit (a
+// t.FailNow or t.Fatal on a test's T does) ends only its own PE: the run is
+// aborted, Run returns "PE n exited without completing" to its caller, and
+// the test's goroutine carries on, so such a test should fail through
+// Run's error. core.Run documents the rest.
 func Run(cfg Config, body func(*PE) error) (*Report, error) { return core.Run(cfg, body) }
 
 // Barrier backends (Config.Barrier).
