@@ -45,6 +45,27 @@ if [ "$(cat internal/core/*.go | grep -c 'iter\.Pull(')" != 1 ]; then
     exit 1
 fi
 
+# No-atomics guard: one PE of a run executes at a time, so per-run state
+# and symmetric memory belong to whoever holds the run's baton and nothing
+# under core.Run defends against a second running PE (docs/PERFORMANCE.md,
+# "Lock inventory"; internal/core/doc.go, "Execution"). sync/atomic in the
+# packages only core.Run drives, sync outside the two cross-run pools
+# (engine.go's arenaPool, workpool.go's peWorkerMu), or one of the deleted
+# defences by name — the atomic word helpers, a compare-and-swap (and the
+# retry loop it needs), the scratch shards, the abort Once, the MCS
+# releaser's wait for a successor — is that defence coming back. go test
+# -race below is the oracle that none was needed.
+echo "== no-atomics guard =="
+PER_RUN=$(find internal/core internal/mesh internal/fault -name '*.go' ! -name '*_test.go')
+CORE_UNPOOLED=$(find internal/core -name '*.go' ! -name '*_test.go' ! -name engine.go ! -name workpool.go)
+if grep -nE '"sync/atomic"|atomicmem|scratchShard|abortOnce|wkMCSSucc|CompareAndSwap' $PER_RUN ||
+    grep -n '"sync"' $CORE_UNPOOLED ||
+    ls internal/core/atomicmem*.go 2>/dev/null; then
+    echo "ci: FAIL — a defence against a second running PE is back under core.Run (matches above);" >&2
+    echo "    one PE runs at a time: per-run state and symmetric memory belong to the baton holder" >&2
+    exit 1
+fi
+
 # Inline guard: an elemental op costs its memory access only while the
 # compiler folds Ref.At, Ref.Slice, Ref.SliceChecked and the elemental
 # fast-path test (wordOn) into their callers and keeps the Ref in
@@ -212,10 +233,13 @@ go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$' -co
 # oracle for "the switch carries the happens-before edge the park channel
 # used to", including across the two hazards: a run driven for a caller
 # locked to its OS thread, and a driver unwound by a body's runtime.Goexit
-# whose loop a fresh goroutine takes over. They run three more times.
-echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards, 3x =="
+# whose loop a fresh goroutine takes over. The lock tests are here for the
+# words they hammer: contended Swap/CSwap/FAdd and the three releases are
+# plain loads and stores of symmetric memory, which only the baton makes
+# indivisible. They run three more times.
+echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks, 3x =="
 go test -race ./internal/core \
-    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts' -count=3
+    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew' -count=3
 
 # Hand-off smoke: a grant must not re-enter the Go scheduler (docs/
 # PERFORMANCE.md, "The switch"). TestHandoffStaysOffScheduler counts the

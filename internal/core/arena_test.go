@@ -78,9 +78,8 @@ func freshHeapBody(pe *PE) error {
 // arenaDirtyBody writes the run's segment through every path the library
 // has: heap allocations below and beyond a freed block's high-water mark,
 // elemental, block and slice puts, gets, atomics, lock words, collectives
-// with their pSync and pWrk arrays, static-static bounces through a
-// scratch shard and through the big scratch arena, and a mapping created
-// after launch.
+// with their pSync and pWrk arrays, static-static bounces through the
+// scratch arena, and a mapping created after launch.
 func arenaDirtyBody(pe *PE) error {
 	const n = 512
 	me, np := pe.MyPE(), pe.NumPEs()
@@ -183,9 +182,9 @@ func arenaDirtyBody(pe *PE) error {
 		}
 	}
 
-	// Static-to-static transfers bounce through the scratch area: 4 KiB
-	// fits the caller's 64 KiB shard, 128 KiB spills into the big arena.
-	const bigElems = 2 * scratchShardBytes / 8
+	// Static-to-static transfers bounce through the scratch arena, 4 KiB
+	// and 128 KiB at a time.
+	const bigElems = 128 << 10 / 8
 	ssrc, err := DeclareStatic[int64](pe, "arena-src", bigElems)
 	if err != nil {
 		return err
@@ -212,13 +211,8 @@ func arenaDirtyBody(pe *PE) error {
 
 	if me == 0 {
 		p := pe.prog
-		for i := range p.scratchSmall {
-			if p.scratchSmall[i].arena.HighWater() == 0 {
-				return fmt.Errorf("scratch shard %d was never written", i)
-			}
-		}
-		if p.scratchBig.arena.HighWater() == 0 {
-			return errors.New("the big scratch arena was never written")
+		if p.scratch.HighWater() < bigElems*8 {
+			return fmt.Errorf("the scratch arena's high-water mark is %d: the bounces never went through it", p.scratch.HighWater())
 		}
 		off, err := p.cm.Map(8192, 4096)
 		if err != nil {

@@ -22,10 +22,12 @@ type AtomicInt interface {
 
 // atomicTarget resolves element 0 of target on PE tpe for an atomic
 // operation and charges the transit+service cost: the requesting tile sends
-// the operation to the line's home and gets the old value back.
-func atomicTarget[T Elem](pe *PE, target Ref[T], tpe int) ([]byte, int64, error) {
+// the operation to the line's home and gets the old value back. It returns
+// the word itself; the caller's load-modify-store of it is indivisible
+// because the caller holds the baton from here until it next parks.
+func atomicTarget[T Elem](pe *PE, target Ref[T], tpe int) (*T, error) {
 	if !wordOn(pe, target, tpe) {
-		return nil, 0, atomicTargetErr(pe, target, tpe)
+		return nil, atomicTargetErr(pe, target, tpe)
 	}
 	pe.stats.Atomics++
 	start := pe.clock.Now()
@@ -37,7 +39,7 @@ func atomicTarget[T Elem](pe *PE, target Ref[T], tpe int) ([]byte, int64, error)
 		lat, err := pe.prog.geos[pe.prog.chipOf(pe.id)].OneWayLatency(
 			pe.prog.localIdx(pe.id), pe.prog.localIdx(tpe), 1)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		pe.clock.Advance(2 * lat)
 	case stats.CrossChip:
@@ -53,7 +55,7 @@ func atomicTarget[T Elem](pe *PE, target Ref[T], tpe int) ([]byte, int64, error)
 	// Atomics on one word mutually order the PEs touching it (the fetch-op
 	// serializes at the line's home tile); the hook merges clocks both ways.
 	pe.san.AtomicEdge(tpe, target.off)
-	return pe.partBytes(tpe), target.off, nil
+	return wordAt[T](pe.partBytes(tpe), target.off), nil
 }
 
 // atomicTargetErr names the condition wordOn rejected an atomic's target
@@ -74,103 +76,57 @@ func atomicTargetErr[T Elem](pe *PE, target Ref[T], tpe int) error {
 	return fmt.Errorf("%w: dynamic ref beyond partition", ErrBounds)
 }
 
-// Swap atomically writes value into target on PE tpe and returns the old
-// value (shmem_swap).
+// Swap writes value into target on PE tpe and returns the old value
+// (shmem_swap), indivisibly because the caller holds the baton.
 func Swap[T AtomicT](pe *PE, target Ref[T], value T, tpe int) (T, error) {
-	var zero T
-	part, off, err := atomicTarget(pe, target, tpe)
+	w, err := atomicTarget(pe, target, tpe)
 	if err != nil {
+		var zero T
 		return zero, err
 	}
-	var old uint64
-	pe.prog.hubs[tpe].publish(off, pe.clock.Now(), pe.id, func() bool {
-		if sizeOf[T]() == 4 {
-			old = uint64(atomicSwap32(part, off, uint32(toBits(value))))
-		} else {
-			old = atomicSwap64(part, off, toBits(value))
-		}
-		// Re-merge after the swap landed: a concurrent atomic that slipped
-		// in between atomicTarget's edge and ours is now ordered before us.
-		pe.san.AtomicEdge(tpe, off)
-		return true
-	})
-	return fromBits[T](old), nil
+	old := *w
+	*w = value
+	// Merge again now that the store has landed: the word's clock carries
+	// this operation, not only what preceded it.
+	pe.san.AtomicEdge(tpe, target.off)
+	pe.prog.hubs[tpe].publish(target.off, pe.clock.Now(), pe.id)
+	return old, nil
 }
 
-// CSwap atomically writes value into target on PE tpe if the current value
-// equals cond, returning the prior value (shmem_cswap).
+// CSwap writes value into target on PE tpe if the current value equals
+// cond, returning the prior value (shmem_cswap); compare and store are
+// indivisible because the caller holds the baton.
 func CSwap[T AtomicInt](pe *PE, target Ref[T], cond, value T, tpe int) (T, error) {
-	var zero T
-	part, off, err := atomicTarget(pe, target, tpe)
+	w, err := atomicTarget(pe, target, tpe)
 	if err != nil {
+		var zero T
 		return zero, err
 	}
-	es := sizeOf[T]()
-	for {
-		var curBits uint64
-		if es == 4 {
-			curBits = uint64(atomicLoad32(part, off))
-		} else {
-			curBits = atomicLoad64(part, off)
-		}
-		cur := fromBits[T](curBits)
-		if cur != cond {
-			// A failed compare writes nothing and wakes nobody: it stays
-			// off the hub (contended CAS locks spin through here).
-			return cur, nil
-		}
-		if pe.prog.hubs[tpe].publish(off, pe.clock.Now(), pe.id, func() bool {
-			var swapped bool
-			if es == 4 {
-				swapped = atomicCAS32(part, off, uint32(curBits), uint32(toBits(value)))
-			} else {
-				swapped = atomicCAS64(part, off, curBits, toBits(value))
-			}
-			if swapped {
-				pe.san.AtomicEdge(tpe, off)
-			}
-			return swapped
-		}) {
-			return cur, nil
-		}
+	cur := *w
+	if cur != cond {
+		// A failed compare writes nothing and wakes nobody: it stays off
+		// the hub (contended CAS locks spin through here).
+		return cur, nil
 	}
+	*w = value
+	pe.san.AtomicEdge(tpe, target.off)
+	pe.prog.hubs[tpe].publish(target.off, pe.clock.Now(), pe.id)
+	return cur, nil
 }
 
-// FAdd atomically adds value to target on PE tpe and returns the prior
-// value (shmem_fadd).
+// FAdd adds value to target on PE tpe and returns the prior value
+// (shmem_fadd), indivisibly because the caller holds the baton.
 func FAdd[T AtomicInt](pe *PE, target Ref[T], value T, tpe int) (T, error) {
-	var zero T
-	part, off, err := atomicTarget(pe, target, tpe)
+	w, err := atomicTarget(pe, target, tpe)
 	if err != nil {
+		var zero T
 		return zero, err
 	}
-	es := sizeOf[T]()
-	var cur T
-	pe.prog.hubs[tpe].publish(off, pe.clock.Now(), pe.id, func() bool {
-		// The add is a CAS loop on the word itself: block puts write
-		// this memory without going through the hub.
-		for {
-			var curBits uint64
-			if es == 4 {
-				curBits = uint64(atomicLoad32(part, off))
-			} else {
-				curBits = atomicLoad64(part, off)
-			}
-			cur = fromBits[T](curBits)
-			next := cur + value
-			var swapped bool
-			if es == 4 {
-				swapped = atomicCAS32(part, off, uint32(curBits), uint32(toBits(next)))
-			} else {
-				swapped = atomicCAS64(part, off, curBits, toBits(next))
-			}
-			if swapped {
-				pe.san.AtomicEdge(tpe, off)
-				return true
-			}
-		}
-	})
-	return cur, nil
+	old := *w
+	*w = old + value
+	pe.san.AtomicEdge(tpe, target.off)
+	pe.prog.hubs[tpe].publish(target.off, pe.clock.Now(), pe.id)
+	return old, nil
 }
 
 // FInc atomically increments target on PE tpe and returns the prior value
@@ -224,7 +180,7 @@ func (pe *PE) SetLock(lock Ref[int64]) error {
 			return nil
 		}
 		pe.rec.LockRetries(1)
-		if pe.prog.aborted.Load() {
+		if pe.prog.aborted {
 			return fmt.Errorf("tshmem: program aborted while PE %d waited for a lock", pe.id)
 		}
 		// Contended: model the retry delay and let other PEs run.
@@ -238,7 +194,9 @@ func (pe *PE) SetLock(lock Ref[int64]) error {
 	}
 }
 
-// ClearLock releases a lock held by this PE (shmem_clear_lock).
+// ClearLock releases a lock held by this PE (shmem_clear_lock). Under every
+// algorithm a release by a PE that does not hold the lock fails and leaves
+// the lock as it was.
 func (pe *PE) ClearLock(lock Ref[int64]) error {
 	switch pe.prog.cfg.LockAlgo {
 	case LockAlgoTicket:
@@ -249,12 +207,13 @@ func (pe *PE) ClearLock(lock Ref[int64]) error {
 	if err := pe.check(); err != nil {
 		return err
 	}
-	// Diagnose before the swap: the unconditional store below destroys the
-	// real holder's ownership whether or not we held the lock.
 	pe.san.LockRelease(lock.off, pe.clock.Now())
-	old, err := Swap(pe, lock, int64(0), 0)
+	old, err := CSwap(pe, lock, int64(pe.id)+1, 0, 0)
 	if err != nil {
 		return err
+	}
+	if old == 0 {
+		return fmt.Errorf("tshmem: PE %d cleared a lock it does not hold", pe.id)
 	}
 	if old != int64(pe.id)+1 {
 		return fmt.Errorf("tshmem: PE %d cleared a lock held by %d", pe.id, old-1)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -263,9 +264,9 @@ func TestStampTableMatchesMap(t *testing.T) {
 			off := offs[rng.Intn(len(offs))]
 			tm := vtime.Time(rng.Intn(200)) // non-monotone, with repeats and zeros
 			writer := rng.Intn(36)
-			wrote := rng.Intn(8) != 0 // a compare-and-swap that lost publishes nothing
-			if got := h.publish(off, tm, writer, func() bool { return wrote }); got != wrote {
-				t.Fatalf("trial %d: publish returned %v for a store that returned %v", trial, got, wrote)
+			wrote := rng.Intn(8) != 0 // a failed compare-and-swap publishes nothing
+			if wrote {
+				h.publish(off, tm, writer)
 			}
 			if wrote && tm > ref[off].t {
 				ref[off] = hubStamp{t: tm, writer: int32(writer)}
@@ -337,6 +338,159 @@ func TestElementalZeroAllocs(t *testing.T) {
 			if n != 0 {
 				t.Errorf("G + P + CSwap + FAdd allocate %v times per round", n)
 			}
+		}
+		return pe.BarrierAll()
+	})
+}
+
+// subwordNeighbours fills one 8-byte word's worth of T on PE 1, has PE 0
+// store each element in turn with P, and checks through G (from PE 0) and
+// Local (on PE 1) that exactly that element changed.
+func subwordNeighbours[T Elem](t *testing.T, pe *PE, val func(i int) T) error {
+	n := int(8 / sizeOf[T]())
+	w, err := Malloc[T](pe, n)
+	if err != nil {
+		return err
+	}
+	loc := MustLocal(pe, w)
+	want := make([]T, n)
+	for i := range want {
+		want[i] = val(i)
+		loc[i] = want[i]
+	}
+	if err := pe.BarrierAll(); err != nil {
+		return err
+	}
+	for i := range want {
+		want[i] = val(n + i)
+		if pe.MyPE() == 0 {
+			if err := P(pe, w.At(i), want[i], 1); err != nil {
+				return err
+			}
+			for j := range want {
+				if got, err := G(pe, w.At(j), 1); err != nil || got != want[j] {
+					t.Errorf("%T: after P to element %d, G of element %d = %v, %v; want %v", want[0], i, j, got, err, want[j])
+				}
+			}
+		}
+		if err := pe.BarrierAll(); err != nil {
+			return err
+		}
+		if pe.MyPE() == 1 && !slices.Equal(loc, want) {
+			t.Errorf("%T: after P to element %d the word holds %v, want %v", want[0], i, loc, want)
+		}
+		if err := pe.BarrierAll(); err != nil {
+			return err
+		}
+	}
+	return Free(pe, w)
+}
+
+// TestSubwordNeighbours drives the elemental operations on elements that
+// share a machine word with others: a store must change its own bytes only,
+// whatever the element type, a wait on one 16-bit element must see stores to
+// it and not to its neighbours, and an element that ends on the last byte of
+// a partition whose size is not a multiple of the word must be reachable.
+func TestSubwordNeighbours(t *testing.T) {
+	runT(t, gxCfg(2), func(pe *PE) error {
+		return errors.Join(
+			subwordNeighbours(t, pe, func(i int) int8 { return int8(-3 - i) }),
+			subwordNeighbours(t, pe, func(i int) uint8 { return uint8(0xf0 + i) }),
+			subwordNeighbours(t, pe, func(i int) int16 { return int16(-300 - i) }),
+			subwordNeighbours(t, pe, func(i int) uint16 { return uint16(0xff00 + i) }),
+			subwordNeighbours(t, pe, func(i int) int32 { return int32(-70000 - i) }),
+			subwordNeighbours(t, pe, func(i int) uint32 { return uint32(0xffff0000 + i) }),
+			subwordNeighbours(t, pe, func(i int) int64 { return int64(-1<<40 - i) }),
+			subwordNeighbours(t, pe, func(i int) uint64 { return 1<<63 + uint64(i) }),
+			subwordNeighbours(t, pe, func(i int) float32 { return float32(i) + 0.5 }),
+			subwordNeighbours(t, pe, func(i int) float64 { return float64(i) - 0.25 }),
+			subwordNeighbours(t, pe, func(i int) complex64 { return complex(float32(i), -1) }),
+		)
+	})
+
+	// PE 1 waits on element 1 of four int16s. Stores to elements 0 and 2
+	// wake it (same hub) but must not satisfy it; PE 0 hands the baton on
+	// after them so that PE 1 really re-polls before element 1 is written.
+	var wrote bool
+	var wroteAt vtime.Time
+	runT(t, gxCfg(2), func(pe *PE) error {
+		w, err := Malloc[int16](pe, 4)
+		if err != nil {
+			return err
+		}
+		if pe.MyPE() == 1 {
+			if err := WaitUntil(pe, w.At(1), CmpNE, 0); err != nil {
+				return err
+			}
+			if !wrote {
+				t.Error("WaitUntil on element 1 returned before element 1 was written")
+			}
+			if pe.Now() < wroteAt {
+				t.Errorf("waiter resumed at %v, before the store became visible at %v", pe.Now(), wroteAt)
+			}
+			return pe.BarrierAll()
+		}
+		pe.ComputeIntOps(100_000) // the store's stamp, not the waiter's own clock, must set the resume time
+		for _, i := range []int{0, 2} {
+			if err := P(pe, w.At(i), 7, 1); err != nil {
+				return err
+			}
+		}
+		pe.yieldSpin()
+		wrote = true
+		if err := P(pe, w.At(1), 7, 1); err != nil {
+			return err
+		}
+		wroteAt = pe.Now()
+		return pe.BarrierAll()
+	})
+
+	// The last element of a partition of 4096 + 2 bytes, as an int16 and as
+	// an int8: the highest offset the allocator hands out.
+	cfg := gxCfg(2)
+	cfg.HeapPerPE = 4096 + 2
+	runT(t, cfg, func(pe *PE) error {
+		if _, err := Malloc[int64](pe, 4096/8); err != nil {
+			return err
+		}
+		last16, err := Malloc[int16](pe, 1)
+		if err != nil {
+			return err
+		}
+		if end := last16.off + 2; end != cfg.HeapPerPE {
+			t.Errorf("the int16 ends at %d, want the partition's end %d", end, cfg.HeapPerPE)
+		}
+		peer := 1 - pe.MyPE()
+		if err := P(pe, last16, int16(-2-pe.MyPE()), peer); err != nil {
+			return err
+		}
+		if err := pe.BarrierAll(); err != nil {
+			return err
+		}
+		if got, err := G(pe, last16, peer); err != nil || got != int16(-2-pe.MyPE()) {
+			t.Errorf("int16 at the partition's end: G = %d, %v; want %d", got, err, -2-pe.MyPE())
+		}
+		if got := MustLocal(pe, last16)[0]; got != int16(-2-peer) {
+			t.Errorf("int16 at the partition's end: Local = %d, want %d", got, -2-peer)
+		}
+		if err := Free(pe, last16); err != nil {
+			return err
+		}
+		last8, err := Malloc[int8](pe, 1)
+		if err != nil {
+			return err
+		}
+		if last8.off != last16.off {
+			t.Errorf("the int8 sits at %d, want %d", last8.off, last16.off)
+		}
+		if err := P(pe, last8, int8(-5-pe.MyPE()), peer); err != nil {
+			return err
+		}
+		if err := pe.BarrierAll(); err != nil {
+			return err
+		}
+		if got, err := G(pe, last8, peer); err != nil || got != int8(-5-pe.MyPE()) {
+			t.Errorf("int8 near the partition's end: G = %d, %v; want %d", got, err, -5-pe.MyPE())
 		}
 		return pe.BarrierAll()
 	})

@@ -11,8 +11,8 @@ import (
 
 // determinismBody is a communication-heavy observed program exercising the
 // paths the host fast-path work touches: memoized RMA costs, the barrier
-// generation fast path, collective signals, and the sharded scratch arena
-// (via static-static puts). Every run must produce bit-identical virtual
+// generation fast path, collective signals, and the scratch arena (via
+// static-static puts). Every run must produce bit-identical virtual
 // time and counters regardless of host scheduling.
 //
 // Phases are separated by barriers so no symmetric object is concurrently

@@ -68,4 +68,13 @@
 // body: it must not block on a host primitive waiting for another PE of
 // the same run, and it must not call runtime.LockOSThread (see Run, which
 // also says what runtime.Goexit inside a body does).
+//
+// One PE runs at a time, and everything under Run is built on that: a
+// run's state — the calendar, barrier and lock queues, watch hubs, link and
+// fault counters, the sanitizer — and its symmetric memory belong to the PE
+// holding the baton, and none of it is locked or atomic. A fetch-op, a
+// conditional swap or a watched store and its visibility stamp are
+// indivisible because their caller holds the baton across them, not because
+// the host makes them so. A body must therefore not hand its *PE, or a
+// Local view of symmetric memory, to another goroutine.
 package core

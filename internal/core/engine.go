@@ -78,7 +78,7 @@ func evAdmissionWidth() int {
 // Correctness rests on a zeroing invariant — every pooled segment is
 // entirely zero, exactly like a fresh one. Check-in restores the invariant
 // by re-zeroing only what the finished run can have written: each PE heap
-// and scratch shard up to its allocator's high-water mark, plus any
+// and the scratch arena up to its allocator's high-water mark, plus any
 // mappings the run created after launch. It runs once every PE has exited;
 // nothing else ever writes the segment (interrupt handlers run inline on
 // the requesting PE).
@@ -133,11 +133,7 @@ func arenaCheckin(p *Program) {
 			clear(buf[off:end])
 		}
 	}
-	for i := range p.scratchSmall {
-		s := &p.scratchSmall[i]
-		zero(p.scratchAt+s.base, p.scratchAt+s.base+s.arena.HighWater())
-	}
-	zero(p.scratchAt+p.scratchBig.base, p.scratchAt+p.scratchBig.base+p.scratchBig.arena.HighWater())
+	zero(p.scratchAt, p.scratchAt+p.scratch.HighWater())
 	for i, pe := range p.pes {
 		zero(p.partBase[i], p.partBase[i]+pe.heap.HighWater())
 	}
@@ -171,7 +167,6 @@ const (
 	wkHub                      // a = watch-hub index (WaitUntil, ticket lock)
 	wkCtr                      // a = counter-barrier instance tag
 	wkMCS                      // a = lock offset, b = predecessor rank
-	wkMCSSucc                  // a = lock offset, b = releaser rank
 
 	numWaitKinds
 )
@@ -522,8 +517,6 @@ func (n *evNode) waitString() string {
 		return fmt.Sprintf("counter barrier tag %#x", n.a)
 	case wkMCS:
 		return fmt.Sprintf("lock @%#x behind PE %d", n.a, n.b)
-	case wkMCSSucc:
-		return fmt.Sprintf("lock @%#x release awaiting its successor", n.a)
 	}
 	return fmt.Sprintf("wait kind %d", n.kind)
 }

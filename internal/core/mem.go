@@ -128,6 +128,16 @@ func sliceAt[T Elem](buf []byte, off int64, n int) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(&buf[off])), n)
 }
 
+// wordAt returns the element of T at byte offset off of partition part, for
+// the elemental and atomic operations, whose caller has established (wordOn)
+// that the element lies inside the partition. The access through it is an
+// ordinary load or store: symmetric memory, like all per-run state, belongs
+// to the PE holding the run's baton, so there is no second actor for an
+// atomic instruction to order it against.
+func wordAt[T Elem](part []byte, off int64) *T {
+	return (*T)(unsafe.Pointer(&part[off]))
+}
+
 // bytesOf reinterprets a []T as raw bytes.
 func bytesOf[T Elem](s []T) []byte {
 	if len(s) == 0 {

@@ -226,7 +226,7 @@ func (pe *PE) putStatic(dst, src *operand, tpe int, start vtime.Time) error {
 	// Static-static (or private source): bounce through a temporary
 	// common-memory buffer — the extra copy is the paper's "major
 	// performance penalty" case.
-	g, err := pe.prog.scratchGet(pe.id, src.nbytes)
+	g, err := pe.prog.scratchGet(src.nbytes)
 	if err != nil {
 		return err
 	}
@@ -315,7 +315,7 @@ func (pe *PE) getStatic(dst, src *operand, spe int, start vtime.Time) error {
 		return pe.redirect(spe, opGetToShared, src.sid, src.sOff, dst.gOff, src.nbytes)
 	}
 	// Static-static: bounce through a temporary shared buffer.
-	g, err := pe.prog.scratchGet(pe.id, src.nbytes)
+	g, err := pe.prog.scratchGet(src.nbytes)
 	if err != nil {
 		return err
 	}
@@ -395,8 +395,9 @@ func wordOn[T Elem](pe *PE, r Ref[T], onPE int) bool {
 }
 
 // P is the elemental put (shmem_TYPE_p): store one value into element 0 of
-// target on PE tpe. For dynamic targets of machine word width the store is
-// atomic and wakes Wait/WaitUntil on the target PE.
+// target on PE tpe. For dynamic targets of machine word width the store and
+// its visibility stamp are indivisible because the caller holds the baton,
+// and the store wakes Wait/WaitUntil on the target PE.
 func P[T Elem](pe *PE, target Ref[T], value T, tpe int) error {
 	es := sizeOf[T]()
 	if !wordOn(pe, target, tpe) {
@@ -408,14 +409,11 @@ func P[T Elem](pe *PE, target Ref[T], value T, tpe int) error {
 	pe.stats.Puts++
 	pe.stats.PutBytes += es
 	start := pe.clock.Now()
-	part := pe.partBytes(tpe)
-	off := target.off
-	pe.san.Signal(tpe, off, es, start)
+	w := wordAt[T](pe.partBytes(tpe), target.off)
+	pe.san.Signal(tpe, target.off, es, start)
 	pe.chargeXfer(es, sharedMode, tpe, true)
-	pe.prog.hubs[tpe].publish(off, pe.clock.Now(), pe.id, func() bool {
-		atomicStoreElem(part, off, es, toBits(value))
-		return true
-	})
+	*w = value
+	pe.prog.hubs[tpe].publish(target.off, pe.clock.Now(), pe.id)
 	pe.rec.OpDone(stats.OpPut, start, &pe.clock, es, tpe)
 	return nil
 }
@@ -437,9 +435,9 @@ func G[T Elem](pe *PE, source Ref[T], spe int) (T, error) {
 	pe.stats.Gets++
 	pe.stats.GetBytes += es
 	start := pe.clock.Now()
-	part := pe.partBytes(spe)
+	w := wordAt[T](pe.partBytes(spe), source.off)
 	pe.chargeXfer(es, sharedMode, spe, false)
-	v := fromBits[T](atomicLoadElem(part, source.off, es))
+	v := *w
 	pe.san.ReadElem(spe, source.off, es, start)
 	pe.rec.OpDone(stats.OpGet, start, &pe.clock, es, spe)
 	return v, nil

@@ -6,8 +6,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"tshmem/internal/alloc"
 	"tshmem/internal/arch"
@@ -363,10 +361,8 @@ type Program struct {
 	partSize int64
 	mapFloor int64 // end of launch-time mappings (arena recycling)
 
-	scratchAt    int64          // common-memory offset of the scratch arena
-	scratchSmall []scratchShard // per-PE-affine shards for small requests
-	shardBytes   int64          // capacity of each small shard
-	scratchBig   scratchShard   // fallback arena with the bulk of the capacity
+	scratchAt int64            // common-memory offset of the scratch arena
+	scratch   *alloc.Allocator // temporary buffers of static-static transfers
 
 	spinBar *tmc.Barrier // TMC spin barrier across all PEs
 
@@ -394,9 +390,8 @@ type Program struct {
 	pes      []*PE
 	counters []stats.Counters // the PEs' recorder blocks, one slab; nil unless Observe
 
-	abortOnce sync.Once
-	aborted   atomic.Bool
-	firstErr  error
+	aborted  bool // set once, by abort
+	firstErr error
 }
 
 // abort tears the program down after a PE failed, so PEs blocked in
@@ -405,12 +400,13 @@ type Program struct {
 // a deadlock between resumes: the parked PEs are only readied here, each to
 // find the abort status when the driver resumes it.
 func (p *Program) abort(cause error) {
-	p.abortOnce.Do(func() {
-		p.firstErr = cause
-		p.aborted.Store(true)
-		p.closeNets()
-		p.sched.unparkAll(wakeAbort)
-	})
+	if p.aborted {
+		return
+	}
+	p.aborted = true
+	p.firstErr = cause
+	p.closeNets()
+	p.sched.unparkAll(wakeAbort)
 }
 
 func (p *Program) closeNets() {
@@ -637,18 +633,17 @@ func newProgram(cfg Config) (*Program, error) {
 	var err error
 
 	// Each mapping may burn up to one page of alignment padding.
-	nsh := scratchShardCount(cfg.NPEs)
-	scratchTotal := cfg.ScratchBytes + int64(nsh)*scratchShardBytes
-	total := scratchTotal + int64(cfg.NPEs)*(cfg.HeapPerPE+4096) + 64<<10
+	total := cfg.ScratchBytes + int64(cfg.NPEs)*(cfg.HeapPerPE+4096) + 64<<10
 	p.cm, err = arenaCheckout(total)
 	if err != nil {
 		return nil, err
 	}
-	p.scratchAt, err = p.cm.Map(scratchTotal, 4096)
+	p.scratchAt, err = p.cm.Map(cfg.ScratchBytes, 4096)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.initScratch(cfg.ScratchBytes, nsh); err != nil {
+	p.scratch, err = alloc.New(cfg.ScratchBytes)
+	if err != nil {
 		return nil, err
 	}
 	p.partBase = make([]int64, cfg.NPEs)
@@ -756,94 +751,19 @@ func newProgram(cfg Config) (*Program, error) {
 	return p, nil
 }
 
-// Scratch-arena sharding. Up to scratchMaxShards per-PE-affine small
-// shards sit in front of the big arena of the configured capacity, which
-// keeps the full Config.ScratchBytes single-allocation capacity (the
-// shards are additional mapped memory, at most 512 KiB). Sharding decides
-// where in the area a temporary buffer lands and nothing else: the shards
-// have no locks (like all per-run state they belong to the baton holder),
-// and modeled copy costs depend on sizes alone, so virtual time does not
-// depend on the layout.
-const (
-	scratchMaxShards  = 8
-	scratchShardBytes = 64 << 10
-)
-
-// scratchShardCount reports how many small shards an npes-PE program gets.
-func scratchShardCount(npes int) int {
-	if npes < scratchMaxShards {
-		return npes
-	}
-	return scratchMaxShards
-}
-
-// scratchShard is one slice of the scratch arena.
-type scratchShard struct {
-	arena *alloc.Allocator
-	base  int64 // offset of this shard within the scratch area
-	size  int64
-}
-
-// get allocates size bytes, returning the shard-relative offset.
-func (s *scratchShard) get(size int64) (int64, error) {
-	return s.arena.Alloc(size)
-}
-
-// put frees the block at the scratch-area-relative offset rel.
-func (s *scratchShard) put(rel int64) error {
-	return s.arena.Free(rel - s.base)
-}
-
-// initScratch lays the scratch area out as nsh small shards followed by
-// the big arena of bigBytes capacity. The caller mapped
-// nsh*scratchShardBytes + bigBytes contiguous bytes at p.scratchAt.
-func (p *Program) initScratch(bigBytes int64, nsh int) error {
-	p.shardBytes = scratchShardBytes
-	p.scratchSmall = make([]scratchShard, nsh)
-	var off int64
-	for i := range p.scratchSmall {
-		a, err := alloc.New(scratchShardBytes)
-		if err != nil {
-			return err
-		}
-		s := &p.scratchSmall[i]
-		s.arena, s.base, s.size = a, off, scratchShardBytes
-		off += scratchShardBytes
-	}
-	big, err := alloc.New(bigBytes)
-	if err != nil {
-		return err
-	}
-	p.scratchBig.arena, p.scratchBig.base, p.scratchBig.size = big, off, bigBytes
-	return nil
-}
-
-// scratchGet carves size bytes out of the scratch arena for PE owner,
-// returning the common-memory global offset. Small requests try the
-// owner's shard first; anything that does not fit there (oversized, or
-// the shard is exhausted) falls back to the big arena.
-func (p *Program) scratchGet(owner int, size int64) (int64, error) {
-	if n := len(p.scratchSmall); n > 0 && size <= p.shardBytes {
-		s := &p.scratchSmall[owner%n]
-		if off, err := s.get(size); err == nil {
-			return p.scratchAt + s.base + off, nil
-		}
-	}
-	off, err := p.scratchBig.get(size)
+// scratchGet carves size bytes out of the scratch arena, returning the
+// common-memory global offset.
+func (p *Program) scratchGet(size int64) (int64, error) {
+	off, err := p.scratch.Alloc(size)
 	if err != nil {
 		return 0, err
 	}
-	return p.scratchAt + p.scratchBig.base + off, nil
+	return p.scratchAt + off, nil
 }
 
 func (p *Program) scratchPut(globalOff int64) {
-	rel := globalOff - p.scratchAt
-	s := &p.scratchBig
-	if rel < s.base {
-		s = &p.scratchSmall[int(rel/p.shardBytes)]
-	}
-	// Best effort: scratch bugs indicate internal misuse, not user error.
-	if err := s.put(rel); err != nil {
+	// Scratch bugs indicate internal misuse, not user error.
+	if err := p.scratch.Free(globalOff - p.scratchAt); err != nil {
 		panic(err)
 	}
 }

@@ -73,13 +73,11 @@ func WaitUntil[T Integer](pe *PE, ivar Ref[T], cmp Cmp, value T) error {
 	if !ivar.valid() || ivar.kind != dynamicRef {
 		return fmt.Errorf("%w: WaitUntil needs a dynamic symmetric variable", ErrStatic)
 	}
-	es := sizeOf[T]()
-	part := pe.partBytes(pe.id)
 	off := ivar.off
+	w := wordAt[T](pe.partBytes(pe.id), off)
 
 	check := func() bool {
-		cur := fromBits[T](atomicLoadElem(part, off, es))
-		ok, cerr := evalCmp(cmp, cur, value)
+		ok, cerr := evalCmp(cmp, *w, value)
 		return cerr == nil && ok
 	}
 	// Validate the comparison once up front so a bad Cmp errors instead of

@@ -661,9 +661,9 @@ func (pe *PE) setLockTicket(lock Ref[int64]) error {
 		pe.rec.LockRetries(int64(my - serving))
 	}
 	deadline := pe.waitDeadline()
-	part := pe.partBytes(0)
 	off := lock.off
-	check := func() bool { return uint32(atomicLoad64(part, off)) == my }
+	w := wordAt[int64](pe.partBytes(0), off)
+	check := func() bool { return uint32(*w) == my }
 	_, st := pe.prog.hubs[0].await(pe, off, check)
 	switch st {
 	case hubAborted:
@@ -697,17 +697,15 @@ func (pe *PE) clearLockTicket(lock Ref[int64]) error {
 	if err := pe.lockHolderCheck(lock.off); err != nil {
 		return err
 	}
-	part, off, err := atomicTarget(pe, lock, 0)
+	w, err := atomicTarget(pe, lock, 0)
 	if err != nil {
 		return err
 	}
 	now := pe.clock.Now()
-	pe.prog.setLockRelease(off, now, pe.id)
-	pe.prog.hubs[0].publish(off, now, pe.id, func() bool {
-		atomicAdd64(part, off, 1)
-		pe.san.AtomicEdge(0, off)
-		return true
-	})
+	pe.prog.setLockRelease(lock.off, now, pe.id)
+	*w++
+	pe.san.AtomicEdge(0, lock.off)
+	pe.prog.hubs[0].publish(lock.off, now, pe.id)
 	return nil
 }
 
@@ -819,8 +817,13 @@ func (pe *PE) setLockMCS(lock Ref[int64]) error {
 }
 
 // clearLockMCS releases the MCS lock: free the tail if no successor
-// queued, otherwise await the successor's registration (it has already
-// swapped itself into the tail) and hand the lock off directly.
+// queued, otherwise hand the lock off directly to the successor. A waiter
+// swaps itself into the tail and registers behind its predecessor without
+// parking in between, so a tail that names somebody else means the
+// successor is registered — unless it has been and gone: its bounded wait
+// expired under a fault plan and it withdrew. New arrivals then queue behind
+// the withdrawn PE, nobody can ever register behind this one, and the
+// release is a bounded wait that cannot complete.
 func (pe *PE) clearLockMCS(lock Ref[int64]) error {
 	if err := pe.check(); err != nil {
 		return err
@@ -839,9 +842,9 @@ func (pe *PE) clearLockMCS(lock Ref[int64]) error {
 		pe.prog.setLockRelease(lock.off, pe.clock.Now(), pe.id)
 		return nil
 	}
-	w, ok := pe.mcsAwaitSuccessor(lock.off)
-	if !ok {
-		if pe.prog.aborted.Load() {
+	w := pe.prog.mcsNext[lock.off][pe.id]
+	if w == nil {
+		if pe.prog.aborted {
 			return fmt.Errorf("tshmem: program aborted while PE %d released an MCS lock", pe.id)
 		}
 		return pe.timeoutAt("lock", -1, start, deadline)
@@ -859,7 +862,7 @@ func (pe *PE) clearLockMCS(lock Ref[int64]) error {
 }
 
 // mcsRegister notes that w waits behind predecessor pred on the lock at
-// off and wakes a releaser blocked in mcsAwaitSuccessor.
+// off.
 func (p *Program) mcsRegister(off int64, pred int, w *mcsWaiter) {
 	m := p.mcsNext[off]
 	if m == nil {
@@ -867,7 +870,6 @@ func (p *Program) mcsRegister(off int64, pred int, w *mcsWaiter) {
 		p.mcsNext[off] = m
 	}
 	m[pred] = w
-	p.sched.wake(wkMCSSucc, off, int64(pred))
 }
 
 // mcsUnregister removes w's registration behind pred, if it is still
@@ -899,23 +901,6 @@ func (pe *PE) mcsAwait(off int64, pred int, w *mcsWaiter) (mcsWake, uint8) {
 		}
 		if st != wakeRun {
 			return mcsWake{}, st
-		}
-	}
-}
-
-// mcsAwaitSuccessor parks a releaser until its successor registered: the
-// registration lookup is the re-armed predicate and mcsRegister the
-// waker. A quiescence expiry or abort re-checks once — the registration
-// may have landed in the same step — before giving up.
-func (pe *PE) mcsAwaitSuccessor(off int64) (*mcsWaiter, bool) {
-	p := pe.prog
-	for st := wakeRun; ; st = p.sched.yield(pe.id, wkMCSSucc, off, int64(pe.id)) {
-		w := p.mcsNext[off][pe.id]
-		if w != nil {
-			return w, true
-		}
-		if st != wakeRun || p.aborted.Load() {
-			return nil, false
 		}
 	}
 }

@@ -2,12 +2,16 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"tshmem/internal/fault"
 	"tshmem/internal/stats"
+	"tshmem/internal/vtime"
 )
 
 // TestSyncAlgoNamesAlign pins the core enums to their stats counterparts:
@@ -341,10 +345,29 @@ func lockHammer(t *testing.T, cfg Config) *Report {
 }
 
 // TestLockAlgoMutualExclusion hammers one lock from every PE under each
-// algorithm.
+// algorithm, and holds every PE's final clock to the record: the contended
+// paths (CAS retries with backoff, ticket hub waits, MCS hand-offs) are
+// deterministic under the calendar, and the goldens elsewhere cover only
+// uncontended acquisition. Recorded on PR 19's parent commit, before the
+// atomics under Swap/CSwap/FAdd and the lock releases became plain memory
+// operations; the makespans are repeated here so that -update cannot move
+// them unnoticed.
 func TestLockAlgoMutualExclusion(t *testing.T) {
+	makespans := map[string]vtime.Duration{
+		"cas/6": 7_805_800, "cas/13": 21_272_150,
+		"ticket/6": 4_420_550, "ticket/13": 9_759_250,
+		"mcs/6": 5_808_550, "mcs/13": 12_687_950,
+	}
+	g := openGolden(t)
 	for _, algo := range LockAlgos() {
-		lockHammer(t, Config{NPEs: 6, HeapPerPE: 1 << 16, LockAlgo: algo})
+		for _, n := range []int{6, 13} {
+			label := fmt.Sprintf("%s/%d", algo, n)
+			rep := lockHammer(t, Config{NPEs: n, HeapPerPE: 1 << 16, LockAlgo: algo})
+			g.check(t, "contended/"+label, rep, clocksOf(rep))
+			if rep.MaxTime != makespans[label] {
+				t.Errorf("%s: contended makespan %d ps, want %d", label, rep.MaxTime, makespans[label])
+			}
+		}
 	}
 }
 
@@ -450,6 +473,50 @@ func TestLockAlgoClearUnheld(t *testing.T) {
 		})
 		if err == nil {
 			t.Errorf("%s: clearing an unheld lock succeeded", algo)
+		} else if !strings.Contains(err.Error(), "cleared a lock it does not hold") || strings.Contains(err.Error(), "-1") {
+			t.Errorf("%s: clearing a free lock reported %q", algo, err)
+		}
+	}
+}
+
+// TestLockAlgoClearByNonHolder: a ClearLock by a PE that does not hold the
+// lock fails naming the holder and leaves the lock held, under every
+// algorithm; the holder's own release then succeeds.
+func TestLockAlgoClearByNonHolder(t *testing.T) {
+	for _, algo := range LockAlgos() {
+		_, err := Run(Config{NPEs: 2, HeapPerPE: 1 << 16, LockAlgo: algo}, func(pe *PE) error {
+			lk, err := Malloc[int64](pe, 1)
+			if err != nil {
+				return err
+			}
+			if pe.MyPE() == 0 {
+				if err := pe.SetLock(lk); err != nil {
+					return err
+				}
+			}
+			if err := pe.BarrierAll(); err != nil {
+				return err
+			}
+			if pe.MyPE() == 1 {
+				if err := pe.ClearLock(lk); err == nil || !strings.Contains(err.Error(), "cleared a lock held by 0") {
+					t.Errorf("%s: PE 1 clearing PE 0's lock returned %v", algo, err)
+				}
+				if held, err := pe.TestLock(lk); err != nil || !held {
+					t.Errorf("%s: after the failed clear TestLock = %v, %v; the lock must still be held", algo, held, err)
+				}
+			}
+			if err := pe.BarrierAll(); err != nil {
+				return err
+			}
+			if pe.MyPE() == 0 {
+				if err := pe.ClearLock(lk); err != nil {
+					t.Errorf("%s: the holder's release after a foreign clear: %v", algo, err)
+				}
+			}
+			return pe.BarrierAll()
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
 		}
 	}
 }
@@ -492,5 +559,74 @@ func TestLockAlgoTimeout(t *testing.T) {
 		if te.Op != "lock" || te.PE != 1 {
 			t.Errorf("%s: timeout names PE %d op %q, want PE 1 op \"lock\"", algo, te.PE, te.Op)
 		}
+	}
+}
+
+// TestLockMCSReleaseAfterSuccessorWithdrew covers the one case in which an
+// MCS releaser finds the tail naming somebody else and nobody registered
+// behind it: the successor queued, its bounded wait expired under a fault
+// plan, and it withdrew. Nobody can queue behind the releaser any more (new
+// arrivals queue behind the withdrawn PE), so the release itself times out,
+// on the deadline its own wait budget sets. PE 0 sits through two expiring
+// waits so that PE 1 has certainly withdrawn before the release.
+func TestLockMCSReleaseAfterSuccessorWithdrew(t *testing.T) {
+	var setErr, clearErr error
+	rep, err := Run(Config{NPEs: 2, HeapPerPE: 1 << 16, LockAlgo: LockAlgoMCS, Faults: &fault.Plan{}},
+		func(pe *PE) error {
+			lk, err := Malloc[int64](pe, 1)
+			if err != nil {
+				return err
+			}
+			flag, err := Malloc[int64](pe, 1)
+			if err != nil {
+				return err
+			}
+			never, err := Malloc[int64](pe, 1)
+			if err != nil {
+				return err
+			}
+			if pe.MyPE() == 1 {
+				if err := WaitUntil(pe, flag, CmpNE, 0); err != nil {
+					return err
+				}
+				setErr = pe.SetLock(lk)
+				return nil
+			}
+			if err := pe.SetLock(lk); err != nil {
+				return err
+			}
+			if err := P(pe, flag, 1, 1); err != nil {
+				return err
+			}
+			for i := 0; i < 2; i++ {
+				if err := WaitUntil(pe, never, CmpNE, 0); !errors.Is(err, ErrTimeout) {
+					return fmt.Errorf("wait %d on a word nobody writes: %v", i, err)
+				}
+			}
+			clearErr = pe.ClearLock(lk)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var te *TimeoutError
+	if !errors.As(setErr, &te) || te.Op != "lock" || te.PE != 1 || te.Peer != 0 {
+		t.Errorf("PE 1 SetLock = %v, want a lock timeout of PE 1 awaiting PE 0", setErr)
+	}
+	te = nil
+	if !errors.As(clearErr, &te) || te.Op != "lock" || te.PE != 0 || te.Peer != -1 {
+		t.Errorf("PE 0 ClearLock = %v, want a lock timeout of PE 0 with no peer", clearErr)
+	} else if te.Deadline != te.Start.Add(DefaultWaitBudget) {
+		t.Errorf("release deadline %v is not its start %v + budget", te.Deadline, te.Start)
+	}
+	if want := []vtime.Duration{150_001_500_464, 50_001_588_664}; !slices.Equal(rep.PETimes, want) {
+		t.Errorf("final clocks %d ps, want %d", rep.PETimes, want)
+	}
+	var ops []string
+	for _, d := range timeoutDiags(rep) {
+		ops = append(ops, fmt.Sprintf("%d:%s", d.PE, d.Op))
+	}
+	if want := "0:wait_until 0:wait_until 0:lock 1:lock"; strings.Join(ops, " ") != want {
+		t.Errorf("timeout diagnostics %q, want %q", strings.Join(ops, " "), want)
 	}
 }

@@ -96,22 +96,17 @@ func (h *watchHub) slot(off int64) *hubStamp {
 	return &p[u%stampPageBytes/stampWord]
 }
 
-// publish performs a store to the watched word at partition offset off and
-// records when it became visible — t, written by global PE writer — then
-// wakes the waiters. store reports whether it wrote; a false return (a
-// compare-and-swap that lost) publishes nothing. Store and stamp are one
-// step with respect to waiters because the caller holds the baton across
-// both: no waiter can poll between the two, see its predicate satisfied
-// with no stamp to merge with, and resume at a host-dependent virtual time.
-func (h *watchHub) publish(off int64, t vtime.Time, writer int, store func() bool) bool {
-	if !store() {
-		return false
-	}
+// publish records when the caller's store to the watched word at partition
+// offset off became visible — t, written by global PE writer — and wakes
+// the waiters. Store and stamp are one step with respect to waiters because
+// the caller holds the baton across both: no waiter can poll between the
+// two and find its predicate satisfied with no stamp to merge its clock
+// with.
+func (h *watchHub) publish(off int64, t vtime.Time, writer int) {
 	if s := h.slot(off); t > s.t {
 		*s = hubStamp{t: t, writer: int32(writer)}
 	}
 	h.sched.wake(wkHub, int64(h.idx), 0)
-	return true
 }
 
 // await outcomes.
@@ -135,7 +130,7 @@ func (h *watchHub) await(pe *PE, off int64, pred func() bool) (hubStamp, int) {
 		if pred() {
 			return h.stamp(off), hubOK
 		}
-		if pe.prog.aborted.Load() {
+		if pe.prog.aborted {
 			return hubStamp{}, hubAborted
 		}
 		switch h.sched.yield(pe.id, wkHub, int64(h.idx), 0) {

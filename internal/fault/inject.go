@@ -1,7 +1,7 @@
 package fault
 
 import (
-	"sync/atomic"
+	"slices"
 
 	"tshmem/internal/cache"
 	"tshmem/internal/mesh"
@@ -10,12 +10,12 @@ import (
 
 // Injector executes a validated Plan for one program run. All methods are
 // nil-safe: a nil *Injector is the faults-disabled state and costs one
-// branch on the hot path. Per-event perturbation counts are kept with
-// atomic adds so concurrent PE goroutines never race; everything else is
-// read-only after construction.
+// branch on the hot path. The per-event perturbation counts are plain
+// integers, bumped by whichever PE holds the run's baton; everything else
+// is read-only after construction.
 type Injector struct {
 	plan    *Plan
-	counts  []int64 // perturbations per plan event, atomically updated
+	counts  []int64 // perturbations per plan event
 	npes    int
 	perChip int
 }
@@ -55,16 +55,12 @@ func (in *Injector) Counts() []int64 {
 	if in == nil {
 		return nil
 	}
-	out := make([]int64, len(in.counts))
-	for i := range in.counts {
-		out[i] = atomic.LoadInt64(&in.counts[i])
-	}
-	return out
+	return slices.Clone(in.counts)
 }
 
 func (in *Injector) count(id int) {
 	if id >= 0 && id < len(in.counts) {
-		atomic.AddInt64(&in.counts[id], 1)
+		in.counts[id]++
 	}
 }
 

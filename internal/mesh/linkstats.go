@@ -3,7 +3,6 @@ package mesh
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // LinkDir identifies one of a tile's four outgoing iMesh links.
@@ -54,13 +53,13 @@ func (d LinkDir) delta() (dx, dy int) {
 // all 4096 tiles.
 const blockTiles = 64
 
-// linkBlock holds the live atomic counters for one blockTiles-tile span:
-// payload words and packets per outgoing link, plus the receive-queue
-// occupancy high-water mark per tile.
+// linkBlock holds the counters of one blockTiles-tile span, live in a
+// LinkStats and copied in a Utilization: payload words and packets per
+// outgoing link, plus the receive-queue occupancy high-water mark per tile.
 type linkBlock struct {
-	words   [blockTiles * int(NumLinkDirs)]atomic.Int64
-	packets [blockTiles * int(NumLinkDirs)]atomic.Int64
-	qhwm    [blockTiles]atomic.Int64
+	words   [blockTiles * int(NumLinkDirs)]int64
+	packets [blockTiles * int(NumLinkDirs)]int64
+	qhwm    [blockTiles]int64
 }
 
 // LinkStats accumulates per-directed-link utilization of a test area's
@@ -68,15 +67,16 @@ type linkBlock struct {
 // each tile, plus per-tile receive-queue occupancy high-water marks.
 //
 // Unlike the per-PE stats.Recorder, links are shared by construction —
-// every route crosses other tiles' links — so the counters are atomics:
-// any PE goroutine may record concurrently. Storage is block-lazy: a
-// fixed-size counter block is CAS-installed the first time any tile in its
-// span records, so large mostly-idle meshes stay sparse. Snapshot after
-// the run for a plain-value view.
+// every route crosses other tiles' links — so one structure serves the
+// whole chip. Its counters are plain integers: one goroutine at a time may
+// record, which under core.Run is the PE holding the run's baton. Storage
+// is block-lazy: a fixed-size counter block is installed the first time any
+// tile in its span records, so large mostly-idle meshes stay sparse.
+// Snapshot after the run for a copy.
 type LinkStats struct {
 	geo    Geometry
 	tiles  int
-	blocks []atomic.Pointer[linkBlock]
+	blocks []*linkBlock
 }
 
 // NewLinkStats builds an empty accounting structure for geo. No counter
@@ -86,22 +86,17 @@ func NewLinkStats(geo Geometry) *LinkStats {
 	return &LinkStats{
 		geo:    geo,
 		tiles:  n,
-		blocks: make([]atomic.Pointer[linkBlock], (n+blockTiles-1)/blockTiles),
+		blocks: make([]*linkBlock, (n+blockTiles-1)/blockTiles),
 	}
 }
 
-// block returns tile's counter block, installing it on first touch. A lost
-// CAS race simply adopts the winner's block.
+// block returns tile's counter block, installing it on first touch.
 func (ls *LinkStats) block(tile int) *linkBlock {
 	p := &ls.blocks[tile/blockTiles]
-	if b := p.Load(); b != nil {
-		return b
+	if *p == nil {
+		*p = new(linkBlock)
 	}
-	b := new(linkBlock)
-	if !p.CompareAndSwap(nil, b) {
-		b = p.Load()
-	}
-	return b
+	return *p
 }
 
 // RecordRoute charges a words-long transfer from virtual CPU src to dst
@@ -144,8 +139,8 @@ func (ls *LinkStats) RecordRoute(src, dst, words int) {
 func (ls *LinkStats) charge(tile int, d LinkDir, wn int64) {
 	b := ls.block(tile)
 	i := (tile%blockTiles)*int(NumLinkDirs) + int(d)
-	b.words[i].Add(wn)
-	b.packets[i].Add(1)
+	b.words[i] += wn
+	b.packets[i]++
 }
 
 // RecordQueueDepth raises tile's receive-queue occupancy high-water mark
@@ -155,25 +150,12 @@ func (ls *LinkStats) RecordQueueDepth(tile, depth int) {
 		return
 	}
 	m := &ls.block(tile).qhwm[tile%blockTiles]
-	for {
-		cur := m.Load()
-		if int64(depth) <= cur || m.CompareAndSwap(cur, int64(depth)) {
-			return
-		}
-	}
+	*m = max(*m, int64(depth))
 }
 
-// utilBlock is the plain-value snapshot of one linkBlock.
-type utilBlock struct {
-	words   [blockTiles * int(NumLinkDirs)]int64
-	packets [blockTiles * int(NumLinkDirs)]int64
-	qhwm    [blockTiles]int64
-}
-
-// Snapshot copies the live counters into a plain-value Utilization for
-// rendering and comparison. Take it after the run (or accept a torn but
-// monotone view mid-run). Only touched blocks are materialized, so the
-// snapshot stays as sparse as the traffic.
+// Snapshot copies the live counters into a Utilization for rendering and
+// comparison. Only touched blocks are materialized, so the snapshot stays
+// as sparse as the traffic.
 func (ls *LinkStats) Snapshot() *Utilization {
 	if ls == nil {
 		return nil
@@ -182,22 +164,13 @@ func (ls *LinkStats) Snapshot() *Utilization {
 		Chip:   ls.geo.Chip().Name,
 		Width:  ls.geo.Width,
 		Height: ls.geo.Height,
-		blocks: make([]*utilBlock, len(ls.blocks)),
+		blocks: make([]*linkBlock, len(ls.blocks)),
 	}
-	for bi := range ls.blocks {
-		lb := ls.blocks[bi].Load()
-		if lb == nil {
-			continue
+	for bi, lb := range ls.blocks {
+		if lb != nil {
+			cp := *lb
+			u.blocks[bi] = &cp
 		}
-		ub := new(utilBlock)
-		for i := range lb.words {
-			ub.words[i] = lb.words[i].Load()
-			ub.packets[i] = lb.packets[i].Load()
-		}
-		for i := range lb.qhwm {
-			ub.qhwm[i] = lb.qhwm[i].Load()
-		}
-		u.blocks[bi] = ub
 	}
 	return u
 }
@@ -210,11 +183,11 @@ func (ls *LinkStats) Snapshot() *Utilization {
 type Utilization struct {
 	Chip          string
 	Width, Height int
-	blocks        []*utilBlock
+	blocks        []*linkBlock
 }
 
 // block returns tile's snapshot block, or nil if that span saw no traffic.
-func (u *Utilization) block(tile int) *utilBlock {
+func (u *Utilization) block(tile int) *linkBlock {
 	if bi := tile / blockTiles; bi < len(u.blocks) {
 		return u.blocks[bi]
 	}
@@ -222,13 +195,13 @@ func (u *Utilization) block(tile int) *utilBlock {
 }
 
 // ensure returns tile's snapshot block, allocating it if absent (Add).
-func (u *Utilization) ensure(tile int) *utilBlock {
+func (u *Utilization) ensure(tile int) *linkBlock {
 	bi := tile / blockTiles
 	for bi >= len(u.blocks) {
 		u.blocks = append(u.blocks, nil)
 	}
 	if u.blocks[bi] == nil {
-		u.blocks[bi] = new(utilBlock)
+		u.blocks[bi] = new(linkBlock)
 	}
 	return u.blocks[bi]
 }

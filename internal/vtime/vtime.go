@@ -134,7 +134,8 @@ func (c *Clock) Set(t Time) { c.now = t }
 // concurrent use.
 //
 // The approximation: requests are serviced in the real-time order they
-// arrive, each no earlier than both its requester's virtual time and the
+// arrive, which under core.Run is the calendar's (clock, rank) order, each
+// no earlier than both its requester's virtual time and the
 // resource's next-free time. For barrier-synchronized SPMD phases this
 // closely tracks a true event-ordered queue.
 type Resource struct {
