@@ -345,6 +345,9 @@ func runProbe(id, tracePath string, heatmap bool, svgPath string, sanOn bool, fa
 				defects++
 			}
 		}
+		if loss := rep.SanitizerLoss; loss != (sanitize.Loss{}) {
+			fmt.Printf("WARNING: sanitizer shadow state lost at its caps (%v); evicted records can hide a defect, a reset edge table can invent one\n", loss)
+		}
 		if defects > 0 {
 			return fmt.Errorf("probe %s: sanitizer found %d synchronization issue(s)", id, defects)
 		}

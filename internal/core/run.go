@@ -269,6 +269,12 @@ type Report struct {
 	// with Config.Sanitize or Config.Faults. See docs/OBSERVABILITY.md and
 	// docs/ROBUSTNESS.md for the schemas.
 	Diagnostics []sanitize.Diagnostic
+	// SanitizerLoss counts what the happens-before checker's caps made it
+	// forget (diagnostics beyond its limit, shadow records evicted, edge
+	// tables reset). Zero means Diagnostics is complete; evicted records can
+	// hide a defect and a reset edge table can invent one
+	// (docs/OBSERVABILITY.md, "Cost and caps"). Zero without Config.Sanitize.
+	SanitizerLoss sanitize.Loss
 
 	// FaultPlan echoes the executed fault plan (seed-expanded) and
 	// FaultCounts how often each of its events perturbed the run, indexed
@@ -573,12 +579,16 @@ func Run(cfg Config, body func(*PE) error) (*Report, error) {
 	}
 	if prog.san != nil {
 		rep.Diagnostics = prog.san.Diagnostics()
+		rep.SanitizerLoss = prog.san.Loss()
 		if prog.cfg.sanitizeStrict && len(rep.Diagnostics) > 0 {
 			var b strings.Builder
 			fmt.Fprintf(&b, "tshmem: sanitizer found %d synchronization issue(s) (TSHMEM_SANITIZE):", len(rep.Diagnostics))
 			for _, d := range rep.Diagnostics {
 				b.WriteString("\n  ")
 				b.WriteString(d.String())
+			}
+			if rep.SanitizerLoss != (sanitize.Loss{}) {
+				fmt.Fprintf(&b, "\n  (shadow state was lost: %v)", rep.SanitizerLoss)
 			}
 			return nil, fmt.Errorf("%s", b.String())
 		}

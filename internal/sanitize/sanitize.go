@@ -15,12 +15,44 @@
 // complete outstanding puts, like shmem_barrier), collectives, the
 // collectives' internal control signals, Quiet/Fence, elemental-put
 // signaling consumed by Wait/WaitUntil, atomics, and locks. Every Put/Get
-// records a shadow access (writer/reader PE, symmetric offset range, clock
-// snapshot) against the target region; puts additionally track whether the
-// writer has fenced them (Quiet or a barrier) and the clock at which the
-// fence ran. Conflicting accesses whose clocks are not ordered are races;
-// ordered reads of a put whose fence clock is not ordered before the reader
-// are programs relying on the simulator's eager copy.
+// keeps a shadow record (writer/reader PE, symmetric offset range, the
+// issuer's epoch) against the target region; puts additionally track whether
+// the writer has fenced them (Quiet or a barrier) and the epoch at which the
+// fence ran. Conflicting accesses that are not ordered are races; ordered
+// reads of a put whose fence is not ordered before the reader are programs
+// relying on the simulator's eager copy.
+//
+// Epochs. A record does not snapshot its issuer's clock, only the issuer's
+// own component of it — its epoch (FastTrack: Flanagan & Freund, PLDI
+// 2009). That is enough because of one invariant every hook below keeps:
+// a PE's clock is snapshotted into a record, or published to another PE,
+// only in the state immediately after one of its own ticks, before any
+// join. Hook by hook: Write/Read (and ReadElem's read) tick first and
+// snapshot at once; every other hook ends with a tick and does its joins
+// before it, so Quiet's and a barrier entry's fence, and the publications
+// of Signal, AtomicEdge, SigSend and a barrier entry — all of which read
+// the clock at the top of the hook — see the state the previous hook's
+// closing tick left. So PE p's clock has exactly one snapshotted state S
+// per own-component value e, S grows with e, and a clock v anywhere in the
+// system has v[p] >= e only by having joined some S(e') with e' >= e:
+//
+//	S(e) <= v pointwise  <=>  e <= v[p]
+//
+// and every ordering test is that one comparison.
+//
+// What the shadow costs is what can still race. floor[i] is the minimum
+// over all PEs of their component i, recomputed when the last PE leaves an
+// all-PEs barrier. A record whose (fence) epoch is at or below its issuer's
+// floor is ordered before every future access of every PE — clocks only
+// grow — so it is dropped the next time its region is touched and its
+// storage reused: a barrier-separated program keeps the current phase's
+// records and nothing else. A read that repeats the region's newest read
+// record — same reader, same bytes, nothing published by the reader in
+// between — is ordered against every future write exactly as that record
+// is, and is folded into it as a multiplicity. Each record list keeps a
+// conservative byte span, and an access outside it skips the list.
+// docs/OBSERVABILITY.md, "Cost and caps", says what is left when a program
+// never runs an all-PEs barrier, and what Loss reports then.
 //
 // A nil *PEHooks disables every hook (the same pattern as
 // stats.Recorder), so instrumented code calls unconditionally and the
@@ -29,6 +61,7 @@ package sanitize
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"tshmem/internal/vtime"
@@ -153,12 +186,6 @@ func (d Diagnostic) String() string {
 // vclock is a fixed-length vector clock, one component per PE.
 type vclock []uint64
 
-func (v vclock) clone() vclock {
-	w := make(vclock, len(v))
-	copy(w, v)
-	return w
-}
-
 func (v vclock) join(w vclock) {
 	for i, x := range w {
 		if x > v[i] {
@@ -183,18 +210,33 @@ func (v vclock) leq(w vclock) bool {
 // Keeping the stride lets strided transfers (IPut/IGet) be checked
 // element-precisely: a distributed transpose interleaves disjoint columns
 // whose byte spans overlap completely.
+//
+// The record is ordered before a clock v iff epoch <= v[pe], and complete
+// before it iff fenced && vis <= v[pe] (package doc, "Epochs"). It holds no
+// slice and is recycled through Checker.free.
 type accessRec struct {
-	pe       int32
+	off    int64  // byte offset of the first element
+	stride int64  // byte distance between element starts
+	cnt    int64  // number of elements
+	es     int64  // bytes per element
+	epoch  uint64 // issuer's own clock component at issue
+	vis    uint64 // issuer's own component when the access completed; valid once fenced
+	vt     vtime.Time
+	op     string
+	pe     int32
+	// targetPE is read back only by Signal, from the issuer's unfenced list.
 	targetPE int32
-	off      int64  // byte offset of the first element
-	stride   int64  // byte distance between element starts
-	cnt      int64  // number of elements
-	es       int64  // bytes per element
-	clock    vclock // owner's clock snapshot at issue
-	vis      vclock // snapshot at fence time; nil until fenced
-	fenced   bool
-	vt       vtime.Time
-	op       string
+	// mult is how many identical reads this get record stands for (>= 1);
+	// a conflict is emitted once per read.
+	mult int32
+	// fenced: the access is complete as of vis. Gets and the owner's own
+	// stores are born fenced at their epoch; a remote put becomes fenced at
+	// its writer's next Quiet or barrier entry.
+	fenced bool
+	// orphan: dropped from its region's list (superseded or evicted) while
+	// still on its writer's unfenced list, which Signal reads. The fence
+	// that takes it off that list recycles it.
+	orphan bool
 }
 
 // span is the total byte extent [off, off+span).
@@ -247,6 +289,11 @@ func (r *accessRec) overlaps(o *accessRec) bool {
 	return false
 }
 
+// sameShape reports whether r and o touch exactly the same bytes.
+func (r *accessRec) sameShape(o *accessRec) bool {
+	return r.off == o.off && r.stride == o.stride && r.cnt == o.cnt && r.es == o.es
+}
+
 // supersedes reports whether the new access rec makes the earlier
 // same-writer access p unobservable on its own: a contiguous rec covering
 // p's whole span, or a rewrite of the identical strided pattern.
@@ -257,17 +304,51 @@ func supersedes(rec, p *accessRec) bool {
 	return rec.off == p.off && rec.stride == p.stride && rec.es == p.es && rec.cnt >= p.cnt
 }
 
-// regionKey names one symmetric region: a PE's heap partition (sid ==
-// DynamicSID) or its instance of a static object.
+// recList is the puts or the gets of one region in issue order. Scans keep
+// that order: the first conflict emitted for a diagnostic key decides the
+// OtherVT and OtherOp it reports.
+type recList struct {
+	// recs[head:] are the records; recs[:head] are the slots FIFO eviction
+	// left, closed up once per maxRecsPerRegion evictions instead of on
+	// each. Slots outside the live range are not cleared: every record
+	// belongs to the Checker's slabs for as long as the Checker lives.
+	recs []*accessRec
+	head int
+	// [lo, hi) covers every byte of every record: widened on append, exact
+	// again after a retirement sweep. An access outside it overlaps nothing
+	// here and supersedes nothing. Empty is lo > hi.
+	lo, hi int64
+}
+
+func (l *recList) live() []*accessRec { return l.recs[l.head:] }
+
+// misses reports that r cannot overlap any record of l.
+func (l *recList) misses(r *accessRec) bool {
+	return r.off >= l.hi || r.off+r.span() <= l.lo
+}
+
+func (l *recList) resetSpan() { l.lo, l.hi = math.MaxInt64, math.MinInt64 }
+
+func (l *recList) widen(r *accessRec) {
+	l.lo = min(l.lo, r.off)
+	l.hi = max(l.hi, r.off+r.span())
+}
+
+// keep truncates the list to its first k records (the survivors a filtering
+// pass moved down).
+func (l *recList) keep(k int) { l.recs = l.recs[:l.head+k] }
+
+// regionKey names one static symmetric object's instance on one PE.
 type regionKey struct {
 	pe  int32
 	sid int32
 }
 
-// regionState is the shadow state of one region.
+// regionState is the shadow state of one region: a PE's heap partition or
+// its instance of a static object.
 type regionState struct {
-	puts []*accessRec
-	gets []*accessRec
+	puts, gets recList
+	gen        uint32 // Checker.floorGen when the lists were last swept
 }
 
 // locKey names one watchable word: (owner PE, partition byte offset).
@@ -302,14 +383,38 @@ type Barrier struct {
 	size    int
 }
 
-// Growth caps. Eviction trades completeness (possible false negatives) for
-// bounded memory; the drop counters record that it happened.
+// Growth caps. Running into one trades completeness for bounded memory, and
+// Loss says that it happened. Retirement keeps a program that runs all-PEs
+// barriers clear of all of them but maxDiags.
 const (
 	maxRecsPerRegion = 256
 	maxDiags         = 1024
 	maxLocEntries    = 1 << 16
 	maxEdgeEntries   = 1 << 16
 )
+
+// Loss counts what the checker's caps made it forget. The zero value means
+// the diagnostics are complete.
+type Loss struct {
+	// DiagnosticsDropped: defects found beyond the maxDiags distinct
+	// diagnostics a run keeps. The kept ones are real; the list is short.
+	DiagnosticsDropped int64
+	// RecordsEvicted: shadow records pushed out of a region's list at
+	// maxRecsPerRegion while they could still race. A conflict with one is
+	// not reported (a possible false negative).
+	RecordsEvicted int64
+	// EdgeResets: times the table of Signal/atomic word clocks or of
+	// collective signal clocks was emptied at its cap. A Wait, G, atomic or
+	// collective receive that should have joined a forgotten clock joins
+	// nothing, so the accesses it ordered can be reported as races that are
+	// not (possible false positives).
+	EdgeResets int64
+}
+
+func (l Loss) String() string {
+	return fmt.Sprintf("%d diagnostics dropped, %d shadow records evicted, %d edge-table resets",
+		l.DiagnosticsDropped, l.RecordsEvicted, l.EdgeResets)
+}
 
 type diagKey struct {
 	kind     Kind
@@ -325,19 +430,39 @@ type diagKey struct {
 // execute one at a time (internal/core's calendar), so every hook is called
 // by the one PE that holds the run's baton.
 type Checker struct {
-	n        int
-	vc       []vclock
-	shadow   map[regionKey]*regionState
-	loc      map[locKey]vclock
-	edges    map[edgeKey]vclock
-	unfenced [][]*accessRec
+	n  int
+	vc []vclock
+
+	// floor[i] = min over PEs q of vc[q][i] as of the last completed all-PEs
+	// barrier: a lower bound on every clock from then on. floorGen counts
+	// its recomputations; a region whose gen differs is swept on its next
+	// access.
+	floor    vclock
+	floorGen uint32
+	// lastPub[p] is p's own component the last time it published its clock
+	// (Signal, AtomicEdge, SigSend, barrier entry): no other PE's component
+	// p lies in (lastPub[p], vc[p][p]].
+	lastPub []uint64
+
+	heap     []regionState              // by owner PE: the dynamic symmetric heap
+	static   map[regionKey]*regionState // static objects
+	unfenced [][]*accessRec             // per writer: remote puts awaiting its fence
+	free     []*accessRec               // retired records, reused before any is allocated
+
+	loc        map[locKey]vclock
+	edges      map[edgeKey]vclock
+	locSwept   uint32 // floorGen when loc was last swept at its cap
+	edgesSwept uint32
+
 	barriers map[barKey]*Barrier
+	freeBars []*Barrier
 	spinSeq  int64
 	locks    map[int64]int32 // lock offset (on PE 0) -> holder, or -1
 	diags    []Diagnostic
 	seen     map[diagKey]int
-	dropped  int64 // diagnostics beyond maxDiags
-	evicted  int64 // shadow records evicted at the per-region cap
+	loss     Loss
+
+	examined int64 // records walked by access scans; read by the cost tests
 }
 
 // New returns a Checker for an npes-PE program.
@@ -345,7 +470,10 @@ func New(npes int) *Checker {
 	c := &Checker{
 		n:        npes,
 		vc:       make([]vclock, npes),
-		shadow:   make(map[regionKey]*regionState),
+		floor:    make(vclock, npes),
+		lastPub:  make([]uint64, npes),
+		heap:     make([]regionState, npes),
+		static:   make(map[regionKey]*regionState),
 		loc:      make(map[locKey]vclock),
 		edges:    make(map[edgeKey]vclock),
 		unfenced: make([][]*accessRec, npes),
@@ -353,20 +481,23 @@ func New(npes int) *Checker {
 		locks:    make(map[int64]int32),
 		seen:     make(map[diagKey]int),
 	}
+	clocks := make(vclock, npes*npes)
 	for i := range c.vc {
-		c.vc[i] = make(vclock, npes)
+		c.vc[i] = clocks[i*npes : (i+1)*npes : (i+1)*npes]
+	}
+	for i := range c.heap {
+		c.heap[i].puts.resetSpan()
+		c.heap[i].gets.resetSpan()
 	}
 	return c
 }
 
 // PE returns the hook set for one PE. The hooks may be called from that
-// PE's goroutine only.
+// PE's body only.
 func (c *Checker) PE(pe int) *PEHooks { return &PEHooks{c: c, pe: int32(pe)} }
 
-// Dropped reports how many diagnostics were discarded beyond the cap.
-func (c *Checker) Dropped() int64 {
-	return c.dropped
-}
+// Loss reports what the caps made the checker forget during the run.
+func (c *Checker) Loss() Loss { return c.loss }
 
 // Diagnostics returns the folded diagnostics, sorted for determinism
 // (virtual time, then region, then kind). Note that for genuinely racy
@@ -376,6 +507,11 @@ func (c *Checker) Dropped() int64 {
 func (c *Checker) Diagnostics() []Diagnostic {
 	out := make([]Diagnostic, len(c.diags))
 	copy(out, c.diags)
+	sortDiagnostics(out)
+	return out
+}
+
+func sortDiagnostics(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		switch {
@@ -395,7 +531,6 @@ func (c *Checker) Diagnostics() []Diagnostic {
 			return a.OtherPE < b.OtherPE
 		}
 	})
-	return out
 }
 
 // emit records a diagnostic, folding repeats of the same defect.
@@ -406,7 +541,7 @@ func (c *Checker) emit(d Diagnostic) {
 		return
 	}
 	if len(c.diags) >= maxDiags {
-		c.dropped++
+		c.loss.DiagnosticsDropped++
 		return
 	}
 	d.Count = 1
@@ -414,47 +549,143 @@ func (c *Checker) emit(d Diagnostic) {
 	c.diags = append(c.diags, d)
 }
 
-func (c *Checker) region(k regionKey) *regionState {
-	rs := c.shadow[k]
-	if rs == nil {
-		rs = &regionState{}
-		c.shadow[k] = rs
+// conflict emits the diagnostic of rec, the access being checked, against
+// the earlier record o — once per access o stands for.
+func (c *Checker) conflict(kind Kind, rec, o *accessRec, sid int32) {
+	d := Diagnostic{Kind: kind, PE: int(rec.pe), OtherPE: int(o.pe),
+		TargetPE: int(rec.targetPE), SID: sid, Offset: rec.off, Bytes: rec.span(),
+		Op: rec.op, OtherOp: o.op, VTime: rec.vt, OtherVT: o.vt}
+	for m := int32(0); m < o.mult; m++ {
+		c.emit(d)
 	}
-	return rs
-}
-
-// fence marks every outstanding put of PE pe complete as of its current
-// clock (the effect of Quiet/Fence, and of entering a barrier).
-func (c *Checker) fence(pe int32) {
-	recs := c.unfenced[pe]
-	if len(recs) == 0 {
-		return
-	}
-	var vis vclock // one shared snapshot; records are immutable after fencing
-	for _, r := range recs {
-		if r.fenced {
-			continue
-		}
-		if vis == nil {
-			vis = c.vc[pe].clone()
-		}
-		r.fenced = true
-		r.vis = vis
-	}
-	c.unfenced[pe] = c.unfenced[pe][:0]
 }
 
 // tick advances pe's own clock component.
 func (c *Checker) tick(pe int32) { c.vc[pe][pe]++ }
 
-// appendRec inserts rec into list enforcing the per-region cap (FIFO).
-func (c *Checker) appendRec(list []*accessRec, rec *accessRec) []*accessRec {
-	if len(list) >= maxRecsPerRegion {
-		copy(list, list[1:])
-		list = list[:len(list)-1]
-		c.evicted++
+// publishing notes that pe is about to hand its clock, as it stands, to
+// other PEs.
+func (c *Checker) publishing(pe int32) { c.lastPub[pe] = c.vc[pe][pe] }
+
+// raiseFloor recomputes floor from the PEs' clocks: O(n^2), once per all-PEs
+// barrier, the order of the 2n clock joins the barrier itself cost.
+func (c *Checker) raiseFloor() {
+	copy(c.floor, c.vc[0])
+	for _, v := range c.vc[1:] {
+		for i, x := range v {
+			if x < c.floor[i] {
+				c.floor[i] = x
+			}
+		}
 	}
-	return append(list, rec)
+	c.floorGen++
+}
+
+// settled reports that r is ordered and complete before every access any PE
+// can still make: none of the conditions write and readShape test can hold
+// against it again.
+func (c *Checker) settled(r *accessRec) bool {
+	return r.fenced && r.vis <= c.floor[r.pe]
+}
+
+// region returns the shadow state of (pe, sid), first dropping the records
+// a floor raised since its last access has settled.
+func (c *Checker) region(pe int, sid int32) *regionState {
+	var rs *regionState
+	if sid == DynamicSID {
+		rs = &c.heap[pe]
+	} else {
+		k := regionKey{int32(pe), sid}
+		if rs = c.static[k]; rs == nil {
+			rs = &regionState{gen: c.floorGen}
+			rs.puts.resetSpan()
+			rs.gets.resetSpan()
+			c.static[k] = rs
+		}
+	}
+	if rs.gen != c.floorGen {
+		rs.gen = c.floorGen
+		c.retire(&rs.puts)
+		c.retire(&rs.gets)
+	}
+	return rs
+}
+
+func (c *Checker) retire(l *recList) {
+	live := l.live()
+	k := 0
+	l.resetSpan()
+	for _, r := range live {
+		if c.settled(r) {
+			c.free = append(c.free, r)
+			continue
+		}
+		live[k] = r
+		k++
+		l.widen(r)
+	}
+	l.keep(k)
+}
+
+// recSlab is how many records one allocation makes when the free list is
+// empty.
+const recSlab = 64
+
+// newRec returns a record holding shape, recycled if one is free.
+func (c *Checker) newRec(shape *accessRec) *accessRec {
+	if len(c.free) == 0 {
+		slab := make([]accessRec, recSlab)
+		for i := range slab {
+			c.free = append(c.free, &slab[i])
+		}
+	}
+	r := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	*r = *shape
+	return r
+}
+
+// unlist disposes of a record taken out of its region's list. A put its
+// writer has not fenced yet is still on that writer's unfenced list and
+// must outlive this; fence recycles it.
+func (c *Checker) unlist(r *accessRec) {
+	if r.fenced {
+		c.free = append(c.free, r)
+	} else {
+		r.orphan = true
+	}
+}
+
+// add appends a copy of shape to l in issue order, evicting the oldest
+// record at the per-region cap (FIFO).
+func (c *Checker) add(l *recList, shape *accessRec) *accessRec {
+	if len(l.recs)-l.head >= maxRecsPerRegion {
+		c.unlist(l.recs[l.head])
+		c.loss.RecordsEvicted++
+		l.head++
+		if l.head >= maxRecsPerRegion {
+			n := copy(l.recs, l.recs[l.head:])
+			l.head = 0
+			l.keep(n)
+		}
+	}
+	r := c.newRec(shape)
+	l.recs = append(l.recs, r)
+	l.widen(r)
+	return r
+}
+
+// fence marks every outstanding put of PE pe complete as of its current
+// clock (the effect of Quiet/Fence, and of entering a barrier).
+func (c *Checker) fence(pe int32) {
+	vis := c.vc[pe][pe]
+	for _, r := range c.unfenced[pe] {
+		r.fenced, r.vis = true, vis
+		if r.orphan {
+			c.free = append(c.free, r)
+		}
+	}
+	c.unfenced[pe] = c.unfenced[pe][:0]
 }
 
 // PEHooks is one PE's entry points into the checker. A nil *PEHooks is
@@ -483,59 +714,76 @@ func (h *PEHooks) WriteStrided(op string, targetPE int, sid int32, off, strideBy
 		accessRec{off: off, stride: strideBytes, cnt: int64(nelems), es: es}, vt)
 }
 
-func (h *PEHooks) write(op string, targetPE int, sid int32, shape accessRec, vt vtime.Time) {
+// issue ticks the PE's clock and completes shape into the record of an
+// access it makes now. Tick before taking the epoch so the record includes
+// this very op: a PE that never synchronized with us must not dominate it.
+func (h *PEHooks) issue(shape *accessRec, op string, targetPE int, vt vtime.Time) vclock {
 	c := h.c
-	// Tick before snapshotting so the record's clock includes this very
-	// op: a PE that never synchronized with us must not dominate it.
 	c.tick(h.pe)
 	v := c.vc[h.pe]
-	rec := &shape
-	rec.pe, rec.targetPE = h.pe, int32(targetPE)
-	rec.clock, rec.vt, rec.op = v.clone(), vt, op
-	rs := c.region(regionKey{int32(targetPE), sid})
-	for _, p := range rs.puts {
-		if p.pe == h.pe || !p.overlaps(rec) {
-			continue
-		}
-		switch {
-		case !p.clock.leq(v):
-			c.emit(Diagnostic{Kind: RacePutPut, PE: int(h.pe), OtherPE: int(p.pe),
-				TargetPE: targetPE, SID: sid, Offset: rec.off, Bytes: rec.span(),
-				Op: op, OtherOp: p.op, VTime: vt, OtherVT: p.vt})
-		case !p.fenced || !p.vis.leq(v):
-			c.emit(Diagnostic{Kind: UnfencedPut, PE: int(h.pe), OtherPE: int(p.pe),
-				TargetPE: targetPE, SID: sid, Offset: rec.off, Bytes: rec.span(),
-				Op: op, OtherOp: p.op, VTime: vt, OtherVT: p.vt})
-		}
+	shape.pe, shape.targetPE = h.pe, int32(targetPE)
+	shape.epoch, shape.vt, shape.op, shape.mult = v[h.pe], vt, op, 1
+	return v
+}
+
+// checkPuts diagnoses rec, an access by the PE whose clock is v, against
+// the other PEs' puts in l: unordered ones are races (kind race), ordered
+// ones the writer had not fenced before the ordering edge are kind unfenced.
+// When rec is itself a put (compact), the same pass drops the same writer's
+// earlier puts that rec fully supersedes, which can no longer be observed
+// on their own.
+func (c *Checker) checkPuts(l *recList, rec *accessRec, v vclock, sid int32, race, unfenced Kind, compact bool) {
+	if l.misses(rec) {
+		return
 	}
-	for _, g := range rs.gets {
-		if g.pe == h.pe || !g.overlaps(rec) {
-			continue
+	live := l.live()
+	c.examined += int64(len(live))
+	k := 0
+	for i, p := range live {
+		if p.pe == rec.pe {
+			if compact && supersedes(rec, p) {
+				c.unlist(p)
+				continue
+			}
+		} else if (!p.fenced || p.vis > v[p.pe]) && p.overlaps(rec) {
+			// Not complete before rec (a fence epoch is never below the issue
+			// epoch, so this covers "not ordered before rec" too).
+			if p.epoch > v[p.pe] {
+				c.conflict(race, rec, p, sid)
+			} else {
+				c.conflict(unfenced, rec, p, sid)
+			}
 		}
-		if !g.clock.leq(v) {
-			c.emit(Diagnostic{Kind: RacePutGet, PE: int(h.pe), OtherPE: int(g.pe),
-				TargetPE: targetPE, SID: sid, Offset: rec.off, Bytes: rec.span(),
-				Op: op, OtherOp: g.op, VTime: vt, OtherVT: g.vt})
+		if k != i {
+			live[k] = p
+		}
+		k++
+	}
+	l.keep(k)
+}
+
+func (h *PEHooks) write(op string, targetPE int, sid int32, rec accessRec, vt vtime.Time) {
+	c := h.c
+	v := h.issue(&rec, op, targetPE, vt)
+	rs := c.region(targetPE, sid)
+	c.checkPuts(&rs.puts, &rec, v, sid, RacePutPut, UnfencedPut, true)
+	if !rs.gets.misses(&rec) {
+		live := rs.gets.live()
+		c.examined += int64(len(live))
+		for _, g := range live {
+			if g.pe != h.pe && g.epoch > v[g.pe] && g.overlaps(&rec) {
+				c.conflict(RacePutGet, &rec, g, sid)
+			}
 		}
 	}
 	if int(h.pe) == targetPE {
 		// The owner's stores to its own partition are coherent without an
 		// explicit fence; ordering edges alone make them visible.
-		rec.fenced = true
-		rec.vis = rec.clock
+		rec.fenced, rec.vis = true, rec.epoch
 	}
-	// Compact: a fully-superseded earlier put by the same writer can no
-	// longer be observed on its own.
-	kept := rs.puts[:0]
-	for _, p := range rs.puts {
-		if p.pe == h.pe && supersedes(rec, p) {
-			continue
-		}
-		kept = append(kept, p)
-	}
-	rs.puts = c.appendRec(kept, rec)
-	if !rec.fenced {
-		c.unfenced[h.pe] = append(c.unfenced[h.pe], rec)
+	r := c.add(&rs.puts, &rec)
+	if !r.fenced {
+		c.unfenced[h.pe] = append(c.unfenced[h.pe], r)
 	}
 }
 
@@ -559,30 +807,26 @@ func (h *PEHooks) ReadStrided(op string, targetPE int, sid int32, off, strideByt
 		accessRec{off: off, stride: strideBytes, cnt: int64(nelems), es: es}, vt)
 }
 
-func (h *PEHooks) readShape(op string, targetPE int, sid int32, shape accessRec, vt vtime.Time) {
+func (h *PEHooks) readShape(op string, targetPE int, sid int32, rec accessRec, vt vtime.Time) {
 	c := h.c
-	c.tick(h.pe) // see write: the record's clock must include this op
-	v := c.vc[h.pe]
-	rec := &shape
-	rec.pe, rec.targetPE = h.pe, int32(targetPE)
-	rec.clock, rec.vt, rec.op = v.clone(), vt, op
-	rs := c.region(regionKey{int32(targetPE), sid})
-	for _, p := range rs.puts {
-		if p.pe == h.pe || !p.overlaps(rec) {
-			continue
-		}
-		switch {
-		case !p.clock.leq(v):
-			c.emit(Diagnostic{Kind: RacePutGet, PE: int(h.pe), OtherPE: int(p.pe),
-				TargetPE: targetPE, SID: sid, Offset: rec.off, Bytes: rec.span(),
-				Op: op, OtherOp: p.op, VTime: vt, OtherVT: p.vt})
-		case !p.fenced || !p.vis.leq(v):
-			c.emit(Diagnostic{Kind: UnfencedRead, PE: int(h.pe), OtherPE: int(p.pe),
-				TargetPE: targetPE, SID: sid, Offset: rec.off, Bytes: rec.span(),
-				Op: op, OtherOp: p.op, VTime: vt, OtherVT: p.vt})
+	v := h.issue(&rec, op, targetPE, vt)
+	rs := c.region(targetPE, sid)
+	c.checkPuts(&rs.puts, &rec, v, sid, RacePutGet, UnfencedRead, false)
+	// A repeat of the region's newest read, with nothing published by this
+	// PE since: no clock anywhere holds a component of ours between the two
+	// epochs, so every future write orders against both alike. Count it on
+	// the record it repeats (the loop of identical puts from one source).
+	// Its vt and op need not match: a conflict with it would share its
+	// diagnostic key with the record's, emitted just before and first.
+	if live := rs.gets.live(); len(live) > 0 {
+		g := live[len(live)-1]
+		if g.pe == h.pe && c.lastPub[h.pe] < g.epoch && g.sameShape(&rec) {
+			g.mult++
+			return
 		}
 	}
-	rs.gets = c.appendRec(rs.gets, rec)
+	rec.fenced, rec.vis = true, rec.epoch
+	c.add(&rs.gets, &rec)
 }
 
 // ReadElem is Read for the elemental get (G) on a dynamic word: the get
@@ -610,6 +854,36 @@ func (h *PEHooks) Quiet() {
 	h.c.tick(h.pe)
 }
 
+// published returns the clock accumulated at key k of m (c.loc or c.edges),
+// making it on first use. At the cap, entries at or below the floor go
+// first — joining one changes nobody's clock, and the next publication to
+// its key rebuilds it exactly. Only if that frees nothing is the table
+// emptied, which forgets edges: a later acquire joins nothing, and accesses
+// the forgotten publication ordered can be diagnosed as races that are not.
+// Loss.EdgeResets counts it.
+func published[K comparable](c *Checker, m map[K]vclock, k K, limit int, swept *uint32) vclock {
+	if v, ok := m[k]; ok {
+		return v
+	}
+	if len(m) >= limit {
+		if *swept != c.floorGen {
+			*swept = c.floorGen
+			for k, v := range m {
+				if v.leq(c.floor) {
+					delete(m, k)
+				}
+			}
+		}
+		if len(m) >= limit {
+			clear(m)
+			c.loss.EdgeResets++
+		}
+	}
+	v := make(vclock, c.n)
+	m[k] = v
+	return v
+}
+
 // Signal records an elemental put (P) to the word at off on targetPE: a
 // release publication consumed by WaitEdge/ReadElem. If this PE still has
 // unfenced puts outstanding to the same target — other than to the flag
@@ -622,7 +896,7 @@ func (h *PEHooks) Signal(targetPE int, off, width int64, vt vtime.Time) {
 	c := h.c
 	flag := contigRec(off, width)
 	for _, r := range c.unfenced[h.pe] {
-		if r.fenced || int(r.targetPE) != targetPE {
+		if int(r.targetPE) != targetPE {
 			continue
 		}
 		if r.overlaps(&flag) {
@@ -632,16 +906,8 @@ func (h *PEHooks) Signal(targetPE int, off, width int64, vt vtime.Time) {
 			TargetPE: int(r.targetPE), SID: DynamicSID, Offset: r.off, Bytes: r.span(),
 			Op: "P(flag)", OtherOp: r.op, VTime: vt, OtherVT: r.vt})
 	}
-	k := locKey{int32(targetPE), off}
-	lv, ok := c.loc[k]
-	if !ok {
-		if len(c.loc) >= maxLocEntries {
-			c.loc = make(map[locKey]vclock) // reset; over-approximation only shrinks
-		}
-		lv = make(vclock, c.n)
-		c.loc[k] = lv
-	}
-	lv.join(c.vc[h.pe])
+	c.publishing(h.pe)
+	published(c, c.loc, locKey{int32(targetPE), off}, maxLocEntries, &c.locSwept).join(c.vc[h.pe])
 	c.tick(h.pe)
 }
 
@@ -669,15 +935,8 @@ func (h *PEHooks) AtomicEdge(targetPE int, off int64) {
 		return
 	}
 	c := h.c
-	k := locKey{int32(targetPE), off}
-	lv, ok := c.loc[k]
-	if !ok {
-		if len(c.loc) >= maxLocEntries {
-			c.loc = make(map[locKey]vclock)
-		}
-		lv = make(vclock, c.n)
-		c.loc[k] = lv
-	}
+	c.publishing(h.pe)
+	lv := published(c, c.loc, locKey{int32(targetPE), off}, maxLocEntries, &c.locSwept)
 	lv.join(c.vc[h.pe])
 	c.vc[h.pe].join(lv)
 	c.tick(h.pe)
@@ -690,16 +949,8 @@ func (h *PEHooks) SigSend(dst int, tag uint32) {
 		return
 	}
 	c := h.c
-	k := edgeKey{int32(dst), tag}
-	ev, ok := c.edges[k]
-	if !ok {
-		if len(c.edges) >= maxEdgeEntries {
-			c.edges = make(map[edgeKey]vclock)
-		}
-		ev = make(vclock, c.n)
-		c.edges[k] = ev
-	}
-	ev.join(c.vc[h.pe])
+	c.publishing(h.pe)
+	published(c, c.edges, edgeKey{int32(dst), tag}, maxEdgeEntries, &c.edgesSwept).join(c.vc[h.pe])
 	c.tick(h.pe)
 }
 
@@ -746,9 +997,17 @@ func (h *PEHooks) enter(k barKey, size int) *Barrier {
 	c.fence(h.pe)
 	b := c.barriers[k]
 	if b == nil {
-		b = &Barrier{key: k, vc: make(vclock, c.n), size: size}
+		if n := len(c.freeBars); n > 0 {
+			b = c.freeBars[n-1]
+			c.freeBars = c.freeBars[:n-1]
+			clear(b.vc)
+			*b = Barrier{key: k, vc: b.vc, size: size}
+		} else {
+			b = &Barrier{key: k, vc: make(vclock, c.n), size: size}
+		}
 		c.barriers[k] = b
 	}
+	c.publishing(h.pe)
 	b.vc.join(c.vc[h.pe])
 	b.entered++
 	c.tick(h.pe)
@@ -756,7 +1015,9 @@ func (h *PEHooks) enter(k barKey, size int) *Barrier {
 }
 
 // BarrierExit completes this PE's participation: its clock joins the merge
-// of every participant's entry clock.
+// of every participant's entry clock. The last PE out of an all-PEs barrier
+// raises the floor: everything every PE fenced before entering is now
+// ordered and complete before whatever anyone does next.
 func (h *PEHooks) BarrierExit(b *Barrier) {
 	if h == nil || b == nil {
 		return
@@ -764,10 +1025,14 @@ func (h *PEHooks) BarrierExit(b *Barrier) {
 	c := h.c
 	c.vc[h.pe].join(b.vc)
 	b.exited++
+	c.tick(h.pe)
 	if b.exited >= b.size {
 		delete(c.barriers, b.key)
+		c.freeBars = append(c.freeBars, b)
+		if b.size == c.n {
+			c.raiseFloor()
+		}
 	}
-	c.tick(h.pe)
 }
 
 // LockSelfAcquire checks a SetLock attempt: it reports (and diagnoses)

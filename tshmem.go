@@ -143,7 +143,9 @@ type (
 	// Diagnostic is one synchronization defect the happens-before checker
 	// found: the PE pair, op pair, symmetric region and offset, and the
 	// virtual timestamps of the conflicting operations. Report.Diagnostics
-	// lists them when the run was configured with Config.Sanitize.
+	// lists them when the run was configured with Config.Sanitize, and
+	// Report.SanitizerLoss is non-zero if the checker's caps made that list
+	// incomplete.
 	Diagnostic = sanitize.Diagnostic
 	// DiagKind classifies a Diagnostic.
 	DiagKind = sanitize.Kind
