@@ -49,12 +49,12 @@ fi
 # and symmetric memory belong to whoever holds the run's baton and nothing
 # under core.Run defends against a second running PE (docs/PERFORMANCE.md,
 # "Lock inventory"; internal/core/doc.go, "Execution"). sync/atomic in the
-# packages only core.Run drives, sync outside the two cross-run pools
-# (engine.go's arenaPool, workpool.go's peWorkerMu), or one of the deleted
-# defences by name — the atomic word helpers, a compare-and-swap (and the
-# retry loop it needs), the scratch shards, the abort Once, the MCS
-# releaser's wait for a successor — is that defence coming back. go test
-# -race below is the oracle that none was needed.
+# packages only core.Run drives, sync outside the cross-run pools
+# (engine.go's arenaPool and observerPool, workpool.go's peWorkerMu), or
+# one of the deleted defences by name — the atomic word helpers, a
+# compare-and-swap (and the retry loop it needs), the scratch shards, the
+# abort Once, the MCS releaser's wait for a successor — is that defence
+# coming back. go test -race below is the oracle that none was needed.
 echo "== no-atomics guard =="
 PER_RUN=$(find internal/core internal/mesh internal/fault -name '*.go' ! -name '*_test.go')
 CORE_UNPOOLED=$(find internal/core -name '*.go' ! -name '*_test.go' ! -name engine.go ! -name workpool.go)
@@ -267,10 +267,13 @@ go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$' -co
 # whose loop a fresh goroutine takes over. The lock tests are here for the
 # words they hammer: contended Swap/CSwap/FAdd and the three releases are
 # plain loads and stores of symmetric memory, which only the baton makes
-# indivisible. They run three more times.
-echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks, 3x =="
-go test -race ./internal/core \
-    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew' -count=3
+# indivisible. The last two are the observer pool's: a returned Report, or
+# a copy of a counter block, that still shared memory with a later or a
+# concurrent run's recorders would be a write the detector sees (ISSUE 21).
+# They run three more times.
+echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer pool, 3x =="
+go test -race ./internal/core ./internal/stats \
+    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep' -count=3
 
 # Hand-off smoke: a grant must not re-enter the Go scheduler (docs/
 # PERFORMANCE.md, "The switch"). TestHandoffStaysOffScheduler counts the

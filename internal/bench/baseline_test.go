@@ -218,7 +218,7 @@ func TestMultichipStatsFold(t *testing.T) {
 	for i := range per {
 		fold.Add(&per[i])
 	}
-	if fold != rep.Stats() {
+	if agg := rep.Stats(); !fold.Equal(&agg) {
 		t.Error("per-chip counters do not fold to the global aggregate")
 	}
 	for i := range per {

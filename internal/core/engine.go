@@ -9,6 +9,8 @@ import (
 	"sync"
 
 	"tshmem/internal/mpipe"
+	"tshmem/internal/profile"
+	"tshmem/internal/stats"
 	"tshmem/internal/tmc"
 	"tshmem/internal/udn"
 	"tshmem/internal/vtime"
@@ -152,6 +154,65 @@ func arenaCheckin(p *Program) {
 		held -= arenaPool.free[0].Size()
 		arenaPool.free = slices.Delete(arenaPool.free, 0, 1)
 	}
+}
+
+// Observer-buffer recycling: a traced run appends every operation to a
+// per-PE event buffer and a profiled one every attributed interval to a
+// per-PE segment stream, and both are dead once teardown has merged them
+// into the report (stats.MergeEvents and profile.Assemble copy out; a Report
+// holds the merged trace and the Profile, never a per-PE buffer). Runs of
+// one shape record about as much as each other, so the buffers of a finished
+// run go back to a pool as one bundle indexed by rank, and the next traced or
+// profiled launch starts each PE at the capacity its rank last grew to
+// instead of doubling up from nothing. It is a sync.Pool: concurrent runs
+// each hold a bundle of their own, and what the process retains is bounded
+// by the runtime, which drops idle bundles over two collections.
+type observerBufs struct {
+	events [][]stats.Event // by rank; used when Config.Trace
+	segs   [][]profile.Seg // by rank; used when Config.Profile
+}
+
+var observerPool = sync.Pool{New: func() any { return new(observerBufs) }}
+
+// observerCheckout hands the launching program p a bundle and each of its
+// recorders the buffer of its rank.
+func observerCheckout(p *Program) {
+	n := len(p.pes)
+	b := observerPool.Get().(*observerBufs)
+	if p.cfg.Trace && len(b.events) < n {
+		b.events = append(b.events, make([][]stats.Event, n-len(b.events))...)
+	}
+	if p.cfg.Profile && len(b.segs) < n {
+		b.segs = append(b.segs, make([][]profile.Seg, n-len(b.segs))...)
+	}
+	for i, pe := range p.pes {
+		if p.cfg.Trace {
+			pe.rec.SetEvents(b.events[i])
+		}
+		if p.cfg.Profile {
+			pe.prof.SetSegs(b.segs[i])
+		}
+	}
+	p.obsBufs = b
+}
+
+// observerCheckin takes the buffers back from the finished program's
+// recorders, at whatever capacity recording grew them to, and pools the
+// bundle.
+func observerCheckin(p *Program) {
+	b := p.obsBufs
+	if b == nil {
+		return
+	}
+	for i, pe := range p.pes {
+		if p.cfg.Trace {
+			b.events[i] = pe.rec.Events()
+		}
+		if p.cfg.Profile {
+			b.segs[i] = pe.prof.Segs()
+		}
+	}
+	observerPool.Put(b)
 }
 
 // Wait kinds: what a parked PE is blocked on. Wakers address parked PEs

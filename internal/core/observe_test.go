@@ -18,7 +18,7 @@ func TestUnobservedRunHasNoCounters(t *testing.T) {
 		if pe.rec != nil {
 			t.Error("recorder non-nil without Config.Observe")
 		}
-		if c := pe.Counters(); c != (stats.Counters{}) {
+		if c := pe.Counters(); !c.Equal(&stats.Counters{}) {
 			t.Errorf("PE counters non-zero without Observe: %+v", c)
 		}
 		return pe.BarrierAll()
@@ -27,8 +27,8 @@ func TestUnobservedRunHasNoCounters(t *testing.T) {
 		t.Errorf("report carries observability data: %d counters, %d events",
 			len(rep.PECounters), len(rep.Trace()))
 	}
-	if rep.Stats() != (stats.Counters{}) {
-		t.Errorf("aggregate non-zero: %+v", rep.Stats())
+	if agg := rep.Stats(); !agg.Equal(&stats.Counters{}) {
+		t.Errorf("aggregate non-zero: %+v", agg)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestObservedBarrierCounters(t *testing.T) {
 	for i := range rep.PECounters {
 		fold.Add(&rep.PECounters[i])
 	}
-	if fold != agg {
+	if !fold.Equal(&agg) {
 		t.Errorf("Stats() != fold of PECounters")
 	}
 }
@@ -271,7 +271,7 @@ func TestStatsByChip(t *testing.T) {
 	for i := range per {
 		fold.Add(&per[i])
 	}
-	if fold != rep.Stats() {
+	if agg := rep.Stats(); !fold.Equal(&agg) {
 		t.Error("per-chip counters do not sum to the global view")
 	}
 	if per[0].RMAOps[stats.CrossChip] != 1 || per[1].RMAOps[stats.CrossChip] != 0 {

@@ -395,6 +395,7 @@ type Program struct {
 
 	pes      []*PE
 	counters []stats.Counters // the PEs' recorder blocks, one slab; nil unless Observe
+	obsBufs  *observerBufs    // the recorders' pooled buffers; nil unless Trace or Profile
 
 	aborted  bool // set once, by abort
 	firstErr error
@@ -514,6 +515,7 @@ func Run(cfg Config, body func(*PE) error) (*Report, error) {
 	defer func() {
 		prog.closeNets()
 		arenaCheckin(prog)
+		observerCheckin(prog)
 	}()
 	if prog.flt == nil {
 		if err := prog.replayStartPEs(); err != nil {
@@ -566,11 +568,9 @@ func Run(cfg Config, body func(*PE) error) (*Report, error) {
 	}
 	if prog.cfg.Observe {
 		rep.PECounters = prog.counters
-		perPE := make([][]stats.Event, 0, prog.NPEs())
-		for _, pe := range prog.pes {
-			if evs := pe.rec.Events(); len(evs) > 0 {
-				perPE = append(perPE, evs)
-			}
+		perPE := make([][]stats.Event, prog.NPEs())
+		for i, pe := range prog.pes {
+			perPE[i] = pe.rec.Events()
 		}
 		rep.trace = stats.MergeEvents(perPE)
 		for _, ls := range prog.links {
@@ -747,6 +747,9 @@ func newProgram(cfg Config) (*Program, error) {
 			p.pes[i].san = p.san.PE(i)
 		}
 		p.sched.pes[i].clock = &p.pes[i].clock
+	}
+	if cfg.Trace || cfg.Profile {
+		observerCheckout(p)
 	}
 
 	// On the TILE-Gx, install the UDN interrupt handler that services

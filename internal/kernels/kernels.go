@@ -23,7 +23,7 @@ package kernels
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"tshmem/internal/core"
@@ -194,7 +194,7 @@ func chargeSort(pe *core.PE, m int) {
 
 // sortI64 sorts a slice ascending.
 func sortI64(v []int64) {
-	sort.Slice(v, func(a, b int) bool { return v[a] < v[b] })
+	slices.Sort(v)
 }
 
 // eqOracle compares an output vector against the oracle and reports

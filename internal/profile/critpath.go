@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"tshmem/internal/vtime"
 )
@@ -42,6 +43,11 @@ func (s Step) Dur() vtime.Duration { return s.End.Sub(s.Start) }
 // steps tile [0, makespan) and their durations telescope to the
 // makespan. Recorded segments always have End > Start (and edges Sent <
 // End), so the cursor strictly decreases and the walk terminates.
+//
+// The walk meets the steps last to first. It merges adjacent steps that
+// stay on the same PE in the same category as it goes, in a scratch slice
+// recycled across runs (walkScratch), and returns them reversed in a slice
+// of exactly their number: the profile keeps the path, never the scratch.
 func criticalPath(recs []*Recorder, ends []vtime.Time) []Step {
 	if len(ends) == 0 {
 		return nil
@@ -53,30 +59,44 @@ func criticalPath(recs []*Recorder, ends []vtime.Time) []Step {
 		}
 	}
 	cursor := ends[pe]
+	ws := walkScratch.Get().(*walkState)
+	rev, hi := ws.rev[:0], append(ws.hi[:0], make([]int, len(recs))...)
 	// Safety bound: the cursor argument makes the walk finite, but cap
 	// steps anyway so malformed segment streams degrade instead of
 	// looping. Each seg/gap contributes at most two steps.
 	budget := 2*len(ends) + 16
-	for _, r := range recs {
+	for i, r := range recs {
 		if r != nil {
+			hi[i] = len(r.segs)
 			budget += 2 * len(r.segs)
 		}
 	}
-	var rev []Step
+	emit := func(s Step) {
+		if n := len(rev); n > 0 && rev[n-1].PE == s.PE && rev[n-1].Cat == s.Cat && rev[n-1].Start == s.End {
+			rev[n-1].Start = s.Start
+			return
+		}
+		rev = append(rev, s)
+	}
 	for cursor > 0 && budget > 0 {
 		budget--
+		// Latest seg of pe with End <= cursor. The cursor only ever moves
+		// down, so on every PE that seg does too: the scan resumes where the
+		// PE's last one stopped and passes each segment once in the whole walk.
 		var segs []Seg
+		i := -1
 		if pe < len(recs) && recs[pe] != nil {
 			segs = recs[pe].segs
+			for i = hi[pe] - 1; i >= 0 && segs[i].End > cursor; i-- {
+			}
+			hi[pe] = i + 1
 		}
-		// Latest seg with End <= cursor.
-		i := sort.Search(len(segs), func(i int) bool { return segs[i].End > cursor }) - 1
 		if i < 0 || segs[i].End < cursor {
 			start := vtime.Time(0)
 			if i >= 0 {
 				start = segs[i].End
 			}
-			rev = append(rev, Step{PE: int32(pe), Cat: CatCompute, Start: start, End: cursor})
+			emit(Step{PE: int32(pe), Cat: CatCompute, Start: start, End: cursor})
 			cursor = start
 			continue
 		}
@@ -86,28 +106,32 @@ func criticalPath(recs []*Recorder, ends []vtime.Time) []Step {
 			// walk just hops to the writer. budget still decrements, so
 			// even a malformed same-instant edge cycle terminates.
 			if cursor > s.Sent {
-				rev = append(rev, Step{PE: int32(pe), Cat: s.Cat, Start: s.Sent, End: cursor})
+				emit(Step{PE: int32(pe), Cat: s.Cat, Start: s.Sent, End: cursor})
 			}
 			cursor = s.Sent
 			pe = int(s.Peer)
 			continue
 		}
-		rev = append(rev, Step{PE: int32(pe), Cat: s.Cat, Start: s.Start, End: cursor})
+		emit(Step{PE: int32(pe), Cat: s.Cat, Start: s.Start, End: cursor})
 		cursor = s.Start
 	}
-	// Reverse to chronological order and merge adjacent steps that stay
-	// on the same PE in the same category.
-	out := make([]Step, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		s := rev[i]
-		if n := len(out); n > 0 && out[n-1].PE == s.PE && out[n-1].Cat == s.Cat && out[n-1].End == s.Start {
-			out[n-1].End = s.End
-			continue
-		}
-		out = append(out, s)
+	out := make([]Step, len(rev))
+	for i, s := range rev {
+		out[len(rev)-1-i] = s
 	}
+	ws.rev, ws.hi = rev, hi
+	walkScratch.Put(ws)
 	return out
 }
+
+// walkState is criticalPath's working memory, recycled across runs: every
+// profiled run of a shape walks a path about as long as the last one's.
+type walkState struct {
+	rev []Step // the path so far, last step first
+	hi  []int  // per PE: how many of its segs can still end at or before the cursor
+}
+
+var walkScratch = sync.Pool{New: func() any { return new(walkState) }}
 
 // PathTable renders the critical path chronologically with per-step
 // durations and the share of the makespan each step explains, followed by

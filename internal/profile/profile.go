@@ -33,8 +33,9 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"tshmem/internal/sanitize"
@@ -169,8 +170,17 @@ type Recorder struct {
 
 // New returns a Recorder for global PE id pe.
 func New(pe int) *Recorder {
-	return &Recorder{pe: int32(pe), segs: make([]Seg, 0, 256)}
+	return &Recorder{pe: int32(pe)}
 }
+
+// Segs returns the segment stream (owned by the recorder; read only after
+// the run). Once Assemble has run nothing refers to it any more, and a
+// launcher may hand it to a later run's recorder through SetSegs.
+func (p *Recorder) Segs() []Seg { return p.segs }
+
+// SetSegs makes the recorder append to buf, emptied, so that it starts at
+// the capacity an earlier run of the same shape grew to.
+func (p *Recorder) SetSegs(buf []Seg) { p.segs = buf[:0] }
 
 func (p *Recorder) push(s Seg) {
 	if len(p.segs) >= maxSegs {
@@ -277,10 +287,13 @@ func Assemble(recs []*Recorder, ends []vtime.Time) *Profile {
 			pp.Blame = r.ledger
 			pp.DroppedSegs = r.dropped
 			prof.DroppedSegs += r.dropped
-			// Defensive: segments are appended in program order by the
-			// owning goroutine, so they arrive sorted; keep the walk's
-			// precondition explicit.
-			sort.SliceStable(r.segs, func(a, b int) bool { return r.segs[a].Start < r.segs[b].Start })
+			// Segments are appended in program order by the owning PE, so
+			// they arrive sorted; the walk's precondition is checked, and
+			// restored for a stream that breaks it.
+			byStart := func(a, b Seg) int { return cmp.Compare(a.Start, b.Start) }
+			if !slices.IsSortedFunc(r.segs, byStart) {
+				slices.SortStableFunc(r.segs, byStart)
+			}
 		}
 		var attributed vtime.Duration
 		for c := CatCompute + 1; c < NumCategories; c++ {

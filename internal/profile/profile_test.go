@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -176,6 +177,42 @@ func TestCriticalPathHandBuilt(t *testing.T) {
 	for i := range want {
 		if prof.Path[i] != want[i] {
 			t.Fatalf("step %d = %+v, want %+v", i, prof.Path[i], want[i])
+		}
+	}
+}
+
+// TestCriticalPathMergesAndSorts: adjacent segments of one category on one
+// PE come out as one step however many the walk met, the path is exactly as
+// long as its steps (the walk's scratch is recycled, the path is the
+// profile's own), and a stream recorded out of order — which the recorders
+// never produce — is put in order before the walk, not trusted.
+func TestCriticalPathMergesAndSorts(t *testing.T) {
+	want := []Step{
+		{PE: 0, Cat: CatCompute, Start: 0, End: 10},
+		{PE: 0, Cat: CatRMAL2, Start: 10, End: 40},
+		{PE: 0, Cat: CatCompute, Start: 40, End: 50},
+	}
+	for _, spans := range [][][2]vtime.Time{
+		{{10, 20}, {20, 30}, {30, 40}},
+		{{30, 40}, {10, 20}, {20, 30}},
+	} {
+		p := New(0)
+		for _, sp := range spans {
+			p.Advance(CatRMAL2, sp[0], sp[1])
+		}
+		var first *Profile
+		for run := 0; run < 2; run++ { // the second walk reuses the first's scratch
+			prof := Assemble([]*Recorder{p}, []vtime.Time{50})
+			pathChecks(t, prof)
+			if !slices.Equal(prof.Path, want) || cap(prof.Path) != len(want) {
+				t.Fatalf("spans %v: path = %+v (cap %d), want %+v", spans, prof.Path, cap(prof.Path), want)
+			}
+			if first == nil {
+				first = prof
+			}
+		}
+		if !slices.Equal(first.Path, want) {
+			t.Fatalf("spans %v: the first profile's path changed under the second walk: %+v", spans, first.Path)
 		}
 	}
 }

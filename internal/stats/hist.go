@@ -1,27 +1,57 @@
 package stats
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/bits"
 	"strings"
 )
 
-// Hist is a fixed-size log-bucketed histogram of virtual durations in
-// picoseconds. Buckets are power-of-two octaves split into histSub
-// sub-buckets each, so the relative quantization error is bounded by
-// 1/histSub (25%) while Observe stays allocation-free: the bucket array
-// lives inline, sized for the full positive int64 range. Values 0..7 ps
-// get exact buckets.
+// Hist is a log-bucketed histogram of virtual durations in picoseconds.
+// Buckets are power-of-two octaves split into histSub sub-buckets each, so
+// the relative quantization error is bounded by 1/histSub (25%); values
+// 0..7 ps get exact buckets. The bucket array is sized for the full
+// positive int64 range (2 KB) and is allocated by the first sample: a run
+// touches a handful of the NumHistClasses classes, and the other
+// histograms of every PE stay three words. After that first sample Observe
+// allocates nothing. The zero Hist is an empty histogram, ready to use.
 //
 // Like the rest of Counters, a Hist is written only by the owning PE's
-// goroutine and read after the run. It contains no pointers, so Counters
-// stays comparable and Add-foldable.
+// goroutine and read after the run. Because Bucket is a pointer, assigning
+// a Hist (or a Counters) shares the array and == compares its identity:
+// fold with Add to copy, compare with Equal.
 type Hist struct {
 	Count  int64
 	SumPs  int64
 	MaxPs  int64
-	Bucket [NumHistBuckets]int64
+	Bucket *[NumHistBuckets]int64 // nil until the first sample: all zero
+}
+
+// noSamples is what an untouched histogram's Bucket reads as.
+var noSamples [NumHistBuckets]int64
+
+// buckets returns the bucket array for reading.
+func (h *Hist) buckets() *[NumHistBuckets]int64 {
+	if h.Bucket == nil {
+		return &noSamples
+	}
+	return h.Bucket
+}
+
+// Equal reports whether h and o hold the same samples. An untouched
+// histogram equals one whose buckets are all zero.
+func (h *Hist) Equal(o *Hist) bool {
+	return h.Count == o.Count && h.SumPs == o.SumPs && h.MaxPs == o.MaxPs &&
+		*h.buckets() == *o.buckets()
+}
+
+// MarshalJSON writes an untouched histogram's buckets as zeros, not null:
+// the encoding is that of the inline array Bucket used to be.
+func (h Hist) MarshalJSON() ([]byte, error) {
+	type plain Hist // no methods: the default struct encoding
+	h.Bucket = h.buckets()
+	return json.Marshal(plain(h))
 }
 
 const (
@@ -77,15 +107,23 @@ func (h *Hist) Observe(ps int64) {
 	if ps > h.MaxPs {
 		h.MaxPs = ps
 	}
+	if h.Bucket == nil {
+		h.Bucket = new([NumHistBuckets]int64)
+	}
 	h.Bucket[histBucket(ps)]++
 }
 
 // Add folds o into h (aggregation across PEs or runs). Most histograms of
 // most PEs are empty — a run uses a handful of op classes — and folding one
 // is a no-op; a non-empty one has nothing above the bucket of its maximum.
+// h gets a bucket array of its own, never o's, so folding into the zero
+// Hist is how a histogram is copied.
 func (h *Hist) Add(o *Hist) {
 	if o.Count == 0 {
 		return
+	}
+	if h.Bucket == nil {
+		h.Bucket = new([NumHistBuckets]int64)
 	}
 	h.Count += o.Count
 	h.SumPs += o.SumPs
@@ -115,8 +153,8 @@ func (h *Hist) Quantile(q float64) int64 {
 		rank = 1
 	}
 	var cum int64
-	for i := range h.Bucket {
-		cum += h.Bucket[i]
+	for i, n := range h.buckets() {
+		cum += n
 		if cum >= rank {
 			ub := HistBucketUpper(i)
 			if ub > h.MaxPs {

@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -105,9 +108,10 @@ func TestHistAddFolds(t *testing.T) {
 	if sum.MeanPs() != (100*10+100*1000)/200 {
 		t.Errorf("mean = %d", sum.MeanPs())
 	}
-	before := sum
+	var before Hist
+	before.Add(&sum)
 	sum.Add(&Hist{}) // an empty operand takes the early return
-	if sum != before {
+	if !sum.Equal(&before) {
 		t.Error("folding an empty histogram changed the sum")
 	}
 }
@@ -164,8 +168,8 @@ func TestRecorderFeedsHists(t *testing.T) {
 	if fold.Hists[HistUDNSend].Count != 2 {
 		t.Errorf("folded hist count = %d, want 2", fold.Hists[HistUDNSend].Count)
 	}
-	if c != rec.Counters() {
-		t.Error("Counters no longer comparable")
+	if again := rec.Counters(); !c.Equal(&again) {
+		t.Error("two copies of one recorder's counters differ")
 	}
 }
 
@@ -208,5 +212,125 @@ func TestHistTable(t *testing.T) {
 	}
 	if strings.Contains(tab, "barrier.wait") {
 		t.Errorf("HistTable must omit empty classes:\n%s", tab)
+	}
+}
+
+// histJSON spells out the encoding a Hist had while Bucket was an inline
+// array: the three totals, then every bucket, zero unless listed.
+func histJSON(count, sum, max int64, nonzero map[int]int64) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, `{"Count":%d,"SumPs":%d,"MaxPs":%d,"Bucket":[`, count, sum, max)
+	for i := 0; i < NumHistBuckets; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprint(&b, nonzero[i])
+	}
+	b.WriteString("]}")
+	return b.String()
+}
+
+// The engine goldens hash json.Marshal of a run's Counters, so a Hist must
+// keep encoding the way its inline array did: an untouched histogram prints
+// its zeros, not null. The digests were recorded from the tree before
+// Bucket became a pointer.
+func TestHistJSONStable(t *testing.T) {
+	var zero, one, a, b, fold Hist
+	one.Observe(1234)
+	for i := 0; i < 100; i++ {
+		a.Observe(10)
+		b.Observe(1000)
+	}
+	fold.Add(&a)
+	fold.Add(&b)
+	var c, c1 Counters
+	c1.Hists[HistUDNSend].Observe(77)
+	c1.UDNMsgsSent = 3
+	for _, tc := range []struct {
+		name   string
+		v      any
+		want   string // the literal encoding, where short enough to spell
+		sha256 string
+	}{
+		{"zero", &zero, histJSON(0, 0, 0, nil),
+			"292e901ce1ddffa37aedcb670aae9c88e55cf3eb35979c396a15ae4a7ca9ef60"},
+		{"one sample", &one, histJSON(1, 1234, 1234, map[int]int64{36: 1}),
+			"d88b37b699b3c131c1db7aca343b24463f4b57786956aaf212adc5c448776605"},
+		{"folded", fold, histJSON(200, 101000, 1000, map[int]int64{9: 100, 35: 100}),
+			"0ab469d09bfe9432e770735d936df86f5d5b332c844f761af7db02a3fafda9fd"},
+		{"zero Counters", &c, "",
+			"3a4f3c66cf1cd87fd43910a6fe15d0f2bdbf425c26389f35293c20e4cd70e9be"},
+		{"Counters by value", c1, "",
+			"2dade3e1b56232291edcda5241415c8c2ba2c7d9e1d3a150b5bd88ec4715496e"},
+	} {
+		got, err := json.Marshal(tc.v)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.want != "" && string(got) != tc.want {
+			t.Errorf("%s: encoding changed:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(got)); sum != tc.sha256 {
+			t.Errorf("%s: sha256 %s, recorded %s", tc.name, sum, tc.sha256)
+		}
+	}
+	// Decoding gives the histogram back, buckets and all.
+	enc, _ := json.Marshal(&fold)
+	var back Hist
+	if err := json.Unmarshal(enc, &back); err != nil || !back.Equal(&fold) {
+		t.Errorf("round trip: err %v, got %+v", err, back)
+	}
+}
+
+// A copy of a counter block shares no bucket array with its source:
+// recording into the source afterwards leaves the copy where it was.
+func TestCountersCopyIsDeep(t *testing.T) {
+	rec := New(0, false, 0)
+	rec.RMA(SameChip, 64, 900)
+	c := rec.Counters()
+	was, _ := json.Marshal(c)
+	rec.RMA(SameChip, 64, 900)
+	rec.UDNSend(1, 1, 50)
+	if now, _ := json.Marshal(c); string(now) != string(was) {
+		t.Error("Recorder.Counters() copy moved when the recorder recorded again")
+	}
+	if live := rec.Counters(); c.Equal(&live) {
+		t.Error("the recorder did not move either: the test recorded nothing")
+	}
+
+	var col Collector
+	col.Fold(c)
+	_, snap := col.Snapshot()
+	col.Fold(c)
+	if !snap.Equal(&c) {
+		t.Error("Collector.Snapshot() copy moved on the next Fold")
+	}
+	if n := c.Hists[HistForRMA(SameChip)].Bucket[histBucket(900)]; n != 1 {
+		t.Errorf("Fold wrote through its argument's bucket array: %d samples of 900 ps, want 1", n)
+	}
+}
+
+// Equal is about samples, not bucket-array identity: an untouched histogram
+// equals one whose array is allocated and all zero, and unequal buckets
+// under equal totals differ.
+func TestHistEqual(t *testing.T) {
+	var a, b Hist
+	b.Bucket = new([NumHistBuckets]int64)
+	if !a.Equal(&b) || !b.Equal(&a) {
+		t.Error("nil and all-zero bucket arrays compare unequal")
+	}
+	a.Observe(8) // bucket 8
+	b.Observe(8)
+	if !a.Equal(&b) {
+		t.Error("same samples, separate arrays: unequal")
+	}
+	b.Bucket[8], b.Bucket[9] = 0, 1
+	if a.Equal(&b) {
+		t.Error("different buckets under equal totals compare equal")
+	}
+	var ca, cb Counters
+	ca.UDNMsgsSent, cb.UDNMsgsSent = 1, 2
+	if ca.Equal(&cb) {
+		t.Error("Counters.Equal ignores a scalar")
 	}
 }

@@ -69,7 +69,9 @@ func (r *Recorder) PE() int {
 func (r *Recorder) Tracing() bool { return r != nil && r.traceOn }
 
 // Events returns the buffered trace (owned by the recorder; read only
-// after the run), in completion order until MergeEvents sorts it.
+// after the run), in completion order until MergeEvents sorts it. Once
+// MergeEvents has copied it out nothing refers to the buffer any more, and
+// a launcher may hand it to a later run's recorder through SetEvents.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
@@ -77,12 +79,18 @@ func (r *Recorder) Events() []Event {
 	return r.events
 }
 
-// Counters returns a copy of the counter block (zero value on nil).
-func (r *Recorder) Counters() Counters {
-	if r == nil {
-		return Counters{}
+// SetEvents makes the recorder append to buf, emptied, so that it starts at
+// the capacity an earlier run of the same shape grew to instead of doubling
+// up from nothing.
+func (r *Recorder) SetEvents(buf []Event) { r.events = buf[:0] }
+
+// Counters returns a copy of the counter block (zero value on nil) that
+// shares nothing with the recorder: later recording does not move it.
+func (r *Recorder) Counters() (c Counters) {
+	if r != nil {
+		c.Add(r.C)
 	}
-	return *r.C
+	return c
 }
 
 // UDNSend accounts one injected UDN packet: words payload words crossing

@@ -124,9 +124,12 @@ func (l CacheLevel) String() string {
 	return fmt.Sprintf("CacheLevel(%d)", int(l))
 }
 
-// Counters is one PE's substrate counter block. All fields are plain
-// int64s written by the owning PE goroutine; read them only after the run
-// (or from the owning PE itself).
+// Counters is one PE's substrate counter block, written by the owning PE
+// goroutine; read it only after the run (or from the owning PE itself).
+// The scalar fields are plain int64s; each histogram points at a bucket
+// array once it has a sample, so a Counters assigned by value shares those
+// arrays with its source. Copy one by folding it into a zero Counters (Add)
+// and compare two with Equal, not ==.
 type Counters struct {
 	// Ops counts operation entries per class; OpTimePs accumulates each
 	// class's inclusive virtual duration in picoseconds. "Inclusive" means
@@ -194,8 +197,24 @@ type Counters struct {
 	// Hists holds one latency histogram per HistClass: the distribution
 	// behind each counter above (operation spans, UDN packet latencies and
 	// receive stalls, barrier-signal stalls, RMA and cache-copy charges).
-	// Inline arrays keep Counters comparable and Observe allocation-free.
+	// A class costs three words until its first sample (see Hist).
 	Hists [NumHistClasses]Hist
+}
+
+// Equal reports whether c and o count the same: every scalar, and per
+// histogram class the same samples (Hist.Equal).
+func (c *Counters) Equal(o *Counters) bool {
+	a, b := *c, *o
+	a.Hists, b.Hists = [NumHistClasses]Hist{}, [NumHistClasses]Hist{}
+	if a != b {
+		return false
+	}
+	for i := range c.Hists {
+		if !c.Hists[i].Equal(&o.Hists[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Add folds o into c (aggregation across PEs).
@@ -358,11 +377,13 @@ func (col *Collector) Fold(c Counters) {
 	col.c.Add(&c)
 }
 
-// Snapshot returns the number of folded runs and the accumulated counters.
+// Snapshot returns the number of folded runs and a copy of the accumulated
+// counters.
 func (col *Collector) Snapshot() (runs int, c Counters) {
 	col.mu.Lock()
 	defer col.mu.Unlock()
-	return col.runs, col.c
+	c.Add(&col.c)
+	return col.runs, c
 }
 
 // Table renders the accumulated counters with a run-count header.

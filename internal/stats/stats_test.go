@@ -83,7 +83,7 @@ func TestNilRecorderNoAllocs(t *testing.T) {
 		t.Errorf("nil accessors: pe=%d tracing=%v events=%v",
 			rec.PE(), rec.Tracing(), rec.Events())
 	}
-	if c := rec.Counters(); c != (Counters{}) {
+	if c := rec.Counters(); !c.Equal(&Counters{}) {
 		t.Errorf("nil Counters() not zero: %+v", c)
 	}
 }
@@ -98,10 +98,10 @@ func TestNewInRecordsIntoCallersBlock(t *testing.T) {
 	if slab[1].UDNWordsRecvd != 3 || slab[1].Hists[HistForRMA(SameChip)].Count != 1 {
 		t.Errorf("the caller's block missed the recorder's updates: %+v", slab[1].Map())
 	}
-	if slab[1] != rec.Counters() {
+	if c := rec.Counters(); !slab[1].Equal(&c) {
 		t.Error("Counters() differs from the caller's block")
 	}
-	if slab[0] != (Counters{}) {
+	if !slab[0].Equal(&Counters{}) {
 		t.Error("the recorder wrote a neighbouring block")
 	}
 }
