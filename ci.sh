@@ -50,7 +50,8 @@ fi
 # under core.Run defends against a second running PE (docs/PERFORMANCE.md,
 # "Lock inventory"; internal/core/doc.go, "Execution"). sync/atomic in the
 # packages only core.Run drives, sync outside the cross-run pools
-# (engine.go's arenaPool and observerPool, workpool.go's peWorkerMu), or
+# (engine.go's arenaPool, observerPool and replayCache, workpool.go's
+# peWorkerMu), or
 # one of the deleted defences by name — the atomic word helpers, a
 # compare-and-swap (and the retry loop it needs), the scratch shards, the
 # abort Once, the MCS releaser's wait for a successor — is that defence
@@ -245,10 +246,12 @@ echo "$FAULT_OUT" | grep 'timeout' | grep 'PE 3' > /dev/null || {
 # gates against an n^2 launch or an O(n) grant coming back (the literal
 # exchange took 7.5 min at 4096 PEs, the scanning grant 6.6 s at 16 384).
 # TestLaunchScaling prints the 256 -> 1024 PE host-time ratio; it reports
-# and never fails.
-echo "== big-mesh smoke: 64x64 geometry memory gate + 4096- and 16384-PE barrier probes =="
+# and never fails. TestLaunchBytesPerPE is the same memory bar without the
+# coroutine stacks: what a warm 256-PE launch allocates per PE (it skips
+# under -race, so this is where it runs).
+echo "== big-mesh smoke: 64x64 geometry memory gate + 4096- and 16384-PE barrier probes + bytes per PE =="
 go test ./internal/mesh -run '^TestBigMeshGeometryMemory$' -count=1
-go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$' -count=1 -timeout 2m -v
+go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$|^TestLaunchBytesPerPE$' -count=1 -timeout 2m -v
 
 # Race smoke: virtual time must not depend on the host schedule. The
 # calendar runs one PE at a time, so the detector finds nothing unless the
@@ -267,13 +270,18 @@ go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$' -co
 # whose loop a fresh goroutine takes over. The lock tests are here for the
 # words they hammer: contended Swap/CSwap/FAdd and the three releases are
 # plain loads and stores of symmetric memory, which only the baton makes
-# indivisible. The last two are the observer pool's: a returned Report, or
+# indivisible. The next two are the observer pool's: a returned Report, or
 # a copy of a counter block, that still shared memory with a later or a
 # concurrent run's recorders would be a write the detector sees (ISSUE 21).
+# The last two are what runs may and may not share (ISSUE 22): the copy-cost
+# memo belongs to one run — hoisted to the process or to a model two runs
+# use, concurrent runs write one table — and the replay cache's clocks are
+# shared by every run of a shape, so two runs that miss on a cold shape at
+# once must both store without either writing what the other reads.
 # They run three more times.
-echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer pool, 3x =="
+echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer pool + memo scope + replay cache, 3x =="
 go test -race ./internal/core ./internal/stats \
-    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep' -count=3
+    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestReplayCacheConcurrentColdShape' -count=3
 
 # Hand-off smoke: a grant must not re-enter the Go scheduler (docs/
 # PERFORMANCE.md, "The switch"). TestHandoffStaysOffScheduler counts the

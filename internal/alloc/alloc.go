@@ -23,24 +23,41 @@ type block struct {
 	prev, next *block
 }
 
-// Allocator manages one symmetric partition.
+// Allocator manages one symmetric partition. An initialised Allocator points
+// into itself (head starts at first) and must not be copied.
 type Allocator struct {
 	size    int64
 	head    *block
 	inUse   int64
 	nallocs int
 	hwm     int64
+
+	// first is the block a fresh or Reset allocator consists of, kept inside
+	// the Allocator so that one costs a single object — and a launch's worth
+	// of them a single slab (Init). Once splits and merges have unlinked it,
+	// it is dead weight until the next Reset.
+	first block
 }
 
 // New creates an allocator over a partition of size bytes.
 func New(size int64) (*Allocator, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("%w: partition size %d", ErrBadRequest, size)
+	a := new(Allocator)
+	if err := a.Init(size); err != nil {
+		return nil, err
 	}
-	return &Allocator{
-		size: size,
-		head: &block{off: 0, size: size, free: true},
-	}, nil
+	return a, nil
+}
+
+// Init makes a, wherever its caller keeps it — an element of a slice holding
+// one allocator per PE, say — an empty allocator over a partition of size
+// bytes, exactly as New returns one.
+func (a *Allocator) Init(size int64) error {
+	if size <= 0 {
+		return fmt.Errorf("%w: partition size %d", ErrBadRequest, size)
+	}
+	*a = Allocator{size: size}
+	a.Reset()
+	return nil
 }
 
 // Size reports the partition size.
@@ -246,7 +263,8 @@ func (a *Allocator) Realloc(off, newSize int64) (newOff int64, keep int64, err e
 
 // Reset returns the allocator to a single free block.
 func (a *Allocator) Reset() {
-	a.head = &block{off: 0, size: a.size, free: true}
+	a.first = block{off: 0, size: a.size, free: true}
+	a.head = &a.first
 	a.inUse = 0
 	a.nallocs = 0
 }

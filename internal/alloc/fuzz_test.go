@@ -20,6 +20,12 @@ type liveBlock struct {
 // covering block list, coalesced free neighbors), agreement with a shadow
 // model on InUse/Allocations/SizeOf, alignment of every returned offset,
 // and that no two live allocations overlap.
+//
+// Every operation is also applied to a twin that was initialised in place —
+// the middle element of a slice of allocators, as a launch lays them out,
+// Init called over one that had been used — and the twin must answer with
+// the same offsets and the same errors, leave its neighbours alone, and end
+// with the same high-water mark.
 func FuzzAlloc(f *testing.F) {
 	// alloc, alloc, free first, realloc-grow.
 	f.Add([]byte{0x00, 0x10, 0x00, 0x20, 0x01, 0x00, 0x02, 0x00, 0x40})
@@ -35,11 +41,44 @@ func FuzzAlloc(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		slab := make([]Allocator, 3)
+		for i := range slab {
+			if err := slab[i].Init(fuzzPart); err != nil {
+				t.Fatal(err)
+			}
+		}
+		twin := &slab[1]
+		if _, err := twin.AllocAlign(100, 64); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Init(fuzzPart); err != nil {
+			t.Fatal(err)
+		}
+		// same demands of the twin what a answered.
+		same := func(op string, off, twinOff int64, err, twinErr error) {
+			t.Helper()
+			if off != twinOff || (err == nil) != (twinErr == nil) || err != nil && err.Error() != twinErr.Error() {
+				t.Fatalf("%s: New's allocator answered (%d, %v), the one initialised in place (%d, %v)",
+					op, off, err, twinOff, twinErr)
+			}
+		}
 		var live []liveBlock
 		check := func() {
 			t.Helper()
 			if err := a.checkInvariants(); err != nil {
 				t.Fatal(err)
+			}
+			if err := twin.checkInvariants(); err != nil {
+				t.Fatalf("initialised in place: %v", err)
+			}
+			if a.InUse() != twin.InUse() || a.Allocations() != twin.Allocations() || a.HighWater() != twin.HighWater() {
+				t.Fatalf("New's allocator: %d B in %d allocations, high water %d; initialised in place: %d B in %d, %d",
+					a.InUse(), a.Allocations(), a.HighWater(), twin.InUse(), twin.Allocations(), twin.HighWater())
+			}
+			for _, i := range []int{0, 2} {
+				if slab[i].InUse() != 0 || slab[i].head != &slab[i].first || slab[i].first.size != fuzzPart {
+					t.Fatalf("the twin's neighbour %d was disturbed", i)
+				}
 			}
 			var used int64
 			for _, b := range live {
@@ -87,6 +126,8 @@ func FuzzAlloc(f *testing.F) {
 			case 0: // Alloc
 				size := int64(arg)*16 + 1
 				off, err := a.Alloc(size)
+				twinOff, twinErr := twin.Alloc(size)
+				same("Alloc", off, twinOff, err, twinErr)
 				if err == nil {
 					if off%MinAlign != 0 {
 						t.Fatalf("Alloc(%d) returned misaligned offset %d", size, off)
@@ -101,12 +142,16 @@ func FuzzAlloc(f *testing.F) {
 				if len(live) == 0 || int(arg)%(len(live)+1) == len(live) {
 					// Bogus free: an offset no live block starts at.
 					bogus := int64(arg)*8 + 1 // never MinAlign-aligned
-					if err := a.Free(bogus); err == nil {
+					err := a.Free(bogus)
+					same("Free", 0, 0, err, twin.Free(bogus))
+					if err == nil {
 						t.Fatalf("Free(%d) of unallocated offset succeeded", bogus)
 					}
 				} else {
 					i := int(arg) % len(live)
-					if err := a.Free(live[i].off); err != nil {
+					err := a.Free(live[i].off)
+					same("Free", 0, 0, err, twin.Free(live[i].off))
+					if err != nil {
 						t.Fatalf("Free(%d): %v", live[i].off, err)
 					}
 					live = append(live[:i], live[i+1:]...)
@@ -120,6 +165,9 @@ func FuzzAlloc(f *testing.F) {
 				old := live[i]
 				newSize := int64(szb)*16 + 1
 				newOff, keep, err := a.Realloc(old.off, newSize)
+				twinOff, twinKeep, twinErr := twin.Realloc(old.off, newSize)
+				same("Realloc", newOff, twinOff, err, twinErr)
+				same("Realloc keep", keep, twinKeep, nil, nil)
 				if err != nil {
 					// Failed growth must leave the old block untouched.
 					if got, ok := a.SizeOf(old.off); !ok || got != old.size {
@@ -146,6 +194,8 @@ func FuzzAlloc(f *testing.F) {
 				align := int64(1) << (arg % 8) // 1..128
 				size := int64(szb)%256 + 1
 				off, err := a.AllocAlign(size, align)
+				twinOff, twinErr := twin.AllocAlign(size, align)
+				same("AllocAlign", off, twinOff, err, twinErr)
 				if err == nil {
 					ea := align
 					if ea < MinAlign {
@@ -165,7 +215,9 @@ func FuzzAlloc(f *testing.F) {
 		}
 		// Drain: free everything and end with one fully coalesced block.
 		for _, b := range live {
-			if err := a.Free(b.off); err != nil {
+			err := a.Free(b.off)
+			same("drain Free", 0, 0, err, twin.Free(b.off))
+			if err != nil {
 				t.Fatalf("drain Free(%d): %v", b.off, err)
 			}
 		}

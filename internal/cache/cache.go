@@ -421,7 +421,8 @@ func (t *curveTable) interp(size int64) float64 {
 
 // memoSize is the Memo's direct-mapped capacity. SPMD phases cycle through
 // a handful of (size, mode, homing, streams) tuples, so a small power of
-// two gives near-perfect hit rates without measurable footprint.
+// two gives near-perfect hit rates; at 24 bytes an entry a Memo is 6 KiB,
+// which is why a run has one and not one per PE.
 const memoSize = 256
 
 // memoEntry caches one fully-computed copy cost.
@@ -438,9 +439,14 @@ type memoEntry struct {
 // division entirely and return the previously computed Duration, so
 // memoized costs are bit-identical to unmemoized ones by construction.
 //
-// A Memo must not be shared between goroutines: each PE owns one. The nil
-// *Memo is valid and falls through to the uncached computation, mirroring
-// the stats.Recorder convention.
+// A Memo has no lock and its key no chip: it serves one Model, from one
+// goroutine at a time. internal/core keeps one per run (Program.memo), which
+// all PEs of the run look up through — they execute one at a time, and being
+// SPMD they charge the same tuples, so a run misses once per tuple instead of
+// once per PE and tuple. It must not be hoisted further, into a Model or the
+// process: runs execute concurrently. The nil *Memo is valid and falls
+// through to the uncached computation, mirroring the stats.Recorder
+// convention.
 type Memo struct {
 	entries [memoSize]memoEntry
 }

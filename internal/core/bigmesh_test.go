@@ -17,12 +17,15 @@ import (
 // stays under the detector's 8128-goroutine ceiling; the larger leg does
 // not and is skipped there.
 //
-// Host memory is the gate's point: ~17 KiB per PE (the goroutine stack,
-// the PE itself, a few ring slots of barrier queue), i.e. O(n), where the
-// pre-sparse mesh layer alone would have needed ~400 MB of n^2 path table
-// and eager UDN queues and interrupt lanes another ~70 KiB per PE.
+// Host memory is the gate's point: ~10 KiB per PE, 8 of it the stack of a PE
+// coroutine the worker pool did not have (it keeps 256), the rest the PE,
+// its port and a few ring slots of barrier queue (TestLaunchBytesPerPE
+// measures that rest alone) — i.e. O(n), where the pre-sparse mesh layer
+// alone would have needed ~400 MB of n^2 path table and eager UDN queues and
+// interrupt lanes another ~70 KiB per PE. It was 16 KiB while every PE
+// carried a 6 KiB copy-cost memo of its own.
 func TestBigMeshBarrierProbe(t *testing.T) {
-	const perPE = 96 << 10 // measured ~17 KiB/PE
+	const perPE = 14 << 10 // measured ~10 KiB/PE
 	for _, leg := range []struct {
 		side int
 		// The makespan the goroutine engine (deleted in PR 15) produced for
@@ -71,5 +74,38 @@ func TestBigMeshBarrierProbe(t *testing.T) {
 				t.Errorf("%d PEs: %v of host time, ceiling %v: a per-grant cost that grows with n is back", n, host, leg.ceiling)
 			}
 		})
+	}
+}
+
+// TestLaunchBytesPerPE holds a launch's fixed host cost per PE: a warm
+// 256-PE empty launch — PE workers pooled, arena pooled, the handshake in
+// the replay cache — allocates 1.4 KiB and 1.1 objects per PE. The objects
+// are slabs (PEs with their allocators, ports, calendar nodes, watch hubs,
+// partition tables, first rings of the barrier queues) plus one interrupt
+// handler closure per PE. It read 7.6 KiB and 8.2 objects while a PE owned
+// a copy-cost memo and every piece of launch state was its own allocation.
+func TestLaunchBytesPerPE(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector allocates on the launch path")
+	}
+	const n, maxBytes, maxMallocs = 256, 2 << 10, 2
+	cfg := Config{Chip: arch.Synthetic(16, 16), NPEs: n, HeapPerPE: 64 << 10}
+	body := func(*PE) error { return nil }
+	for i := 0; i < 2; i++ {
+		runT(t, cfg, body)
+	}
+	const launches = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < launches; i++ {
+		runT(t, cfg, body)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / launches / n
+	mallocs := float64(after.Mallocs-before.Mallocs) / launches / n
+	t.Logf("warm %d-PE launch: %.0f B and %.2f mallocs per PE", n, bytes, mallocs)
+	if bytes >= maxBytes || mallocs >= maxMallocs {
+		t.Errorf("a warm %d-PE launch allocates %.0f B and %.2f objects per PE, the gate is %d B and %d",
+			n, bytes, mallocs, maxBytes, maxMallocs)
 	}
 }

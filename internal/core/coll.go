@@ -50,7 +50,7 @@ func (pe *PE) collEnter(as ActiveSet) (idx int, tag uint32, err error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: PE %d vs %v", ErrNotInSet, pe.id, as)
 	}
-	_, tag = pe.setGenOf(&pe.collAll, pe.collGen, as).next()
+	_, tag = pe.setGenOf(&pe.collAll, &pe.collGen, as).next()
 	pe.stats.Collectives++
 	// Offset the hash stream so collective tags never collide with barrier
 	// tags of the same set/generation.

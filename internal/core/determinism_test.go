@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
+	"tshmem/internal/arch"
+	"tshmem/internal/cache"
 	"tshmem/internal/mesh"
 	"tshmem/internal/vtime"
 )
@@ -217,6 +221,88 @@ func TestFlagChainDeterministic(t *testing.T) {
 			want = rep.PETimes
 		} else if !reflect.DeepEqual(rep.PETimes, want) {
 			t.Fatalf("run %d: PETimes diverged:\n  first: %v\n  now:   %v", run, want, rep.PETimes)
+		}
+	}
+}
+
+// TestMemoIsPerRun holds the copy-cost memo to its scope. The PEs of a run
+// share one memo, which is sound because they execute one at a time and
+// price their copies on one chip; a memo shared any wider — by the process,
+// or by a cache.Model two runs use — would be neither. Its key has no chip
+// in it, so a TILEPro run that found a TILE-Gx run's entries would charge
+// TILE-Gx costs: every put of the body below is checked against the chip's
+// own model, computed without a memo. And runs execute concurrently (a
+// sweep): the same body runs on both chips from four goroutines at once and
+// must report the clocks it reports alone, with the race detector watching
+// the table (ci.sh race smoke).
+func TestMemoIsPerRun(t *testing.T) {
+	const npes = 8
+	elems := []int{1, 8, 128, 2048}
+	run := func(chip *arch.Chip) (*Report, error) {
+		model := cache.NewModel(chip)
+		return Run(Config{Chip: chip, NPEs: npes, HeapPerPE: 1 << 16}, func(pe *PE) error {
+			x, err := Malloc[int64](pe, elems[len(elems)-1])
+			if err != nil {
+				return err
+			}
+			y, err := Malloc[int64](pe, elems[len(elems)-1])
+			if err != nil {
+				return err
+			}
+			for _, n := range elems {
+				t0 := pe.Now()
+				if err := Put(pe, y, x, n, (pe.MyPE()+1)%npes); err != nil {
+					return err
+				}
+				want := model.CopyCostHomed(int64(n)*8, cache.SharedAny, cache.HashForHome, 1)
+				if got := pe.Now().Sub(t0); got != want {
+					return fmt.Errorf("PE %d: a %d-element put on %s cost %v, its model says %v",
+						pe.MyPE(), n, chip.Name, got, want)
+				}
+			}
+			return pe.BarrierAll()
+		})
+	}
+	chips := []*arch.Chip{arch.Gx8036(), arch.Pro64()}
+	alone := make([][]vtime.Duration, len(chips))
+	// Either order: whichever chip ran first would be the one to leave
+	// entries behind.
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		for _, c := range order {
+			rep, err := run(chips[c])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if alone[c] == nil {
+				alone[c] = rep.PETimes
+			} else if !reflect.DeepEqual(rep.PETimes, alone[c]) {
+				t.Errorf("%s: PETimes depend on what ran before:\n  first: %v\n  now:   %v", chips[c].Name, alone[c], rep.PETimes)
+			}
+		}
+	}
+	if reflect.DeepEqual(alone[0], alone[1]) {
+		t.Fatal("both chips report the same clocks: the body does not tell them apart")
+	}
+	for round := 0; round < 3; round++ {
+		const runs = 4
+		var reps [runs]*Report
+		var errs [runs]error
+		var wg sync.WaitGroup
+		for i := range reps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reps[i], errs[i] = run(chips[i%len(chips)])
+			}()
+		}
+		wg.Wait()
+		for i, rep := range reps {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if c := i % len(chips); !reflect.DeepEqual(rep.PETimes, alone[c]) {
+				t.Errorf("round %d: %s beside three other runs:\n  alone: %v\n  now:   %v", round, chips[c].Name, alone[c], rep.PETimes)
+			}
 		}
 	}
 }

@@ -12,7 +12,9 @@
 // address to every other tile over the UDN during start_pes, exactly as the
 // paper's launcher does. (The modeled exchange's outcome is fixed by the
 // geometry, so the launcher computes it — clocks, counters, link traffic —
-// without moving the n(n-1) packets; under fault injection they move.)
+// without moving the n(n-1) packets, and an unobserved run takes the clocks
+// from a per-process cache when the mesh shape has been launched before;
+// under fault injection the packets move.)
 //
 // Dynamic symmetric objects are allocated with Malloc (shmalloc): a
 // deterministic doubly-linked-list allocator guarantees that collective
@@ -71,8 +73,9 @@
 //
 // One PE runs at a time, and everything under Run is built on that: a
 // run's state — the calendar, barrier and lock queues, watch hubs, link and
-// fault counters, the sanitizer — and its symmetric memory belong to the PE
-// holding the baton, and none of it is locked or atomic. A fetch-op, a
+// fault counters, the copy-cost memo, the sanitizer — and its symmetric
+// memory belong to the PE holding the baton, and none of it is locked or
+// atomic. A fetch-op, a
 // conditional swap or a watched store and its visibility stamp are
 // indivisible because their caller holds the baton across them, not because
 // the host makes them so. A body must therefore not hand its *PE, or a

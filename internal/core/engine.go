@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"tshmem/internal/mesh"
 	"tshmem/internal/mpipe"
 	"tshmem/internal/profile"
 	"tshmem/internal/stats"
@@ -136,8 +137,8 @@ func arenaCheckin(p *Program) {
 		}
 	}
 	zero(p.scratchAt, p.scratchAt+p.scratch.HighWater())
-	for i, pe := range p.pes {
-		zero(p.partBase[i], p.partBase[i]+pe.heap.HighWater())
+	for i := range p.pes {
+		zero(p.partBase[i], p.partBase[i]+p.pes[i].heap.HighWater())
 	}
 	// Mappings created after launch could be written anywhere; launch-time
 	// mappings end at mapFloor and are covered by the spans above.
@@ -185,7 +186,8 @@ func observerCheckout(p *Program) {
 	if p.cfg.Profile && len(b.segs) < n {
 		b.segs = append(b.segs, make([][]profile.Seg, n-len(b.segs))...)
 	}
-	for i, pe := range p.pes {
+	for i := range p.pes {
+		pe := &p.pes[i]
 		if p.cfg.Trace {
 			pe.rec.SetEvents(b.events[i])
 		}
@@ -204,7 +206,8 @@ func observerCheckin(p *Program) {
 	if b == nil {
 		return
 	}
-	for i, pe := range p.pes {
+	for i := range p.pes {
+		pe := &p.pes[i]
 		if p.cfg.Trace {
 			b.events[i] = pe.rec.Events()
 		}
@@ -213,6 +216,75 @@ func observerCheckin(p *Program) {
 		}
 	}
 	observerPool.Put(b)
+}
+
+// Replay cache: what the start_pes handshake leaves in one chip's clocks is
+// a pure function of the numbers mesh.Geometry.Path reads and of how many
+// PEs exchange (replayStartPEs), so a process that launches the same mesh
+// shape again — a sweep over bodies or algorithms at a fixed mesh, a
+// benchmark, a test package — need not walk its n(n-1) packets again. The
+// key is a value, mesh.RouteKey plus the PE count, never a *arch.Chip:
+// callers copy chips and edit the copies. An entry's clocks are never
+// written once stored; concurrent runs share them read-only, and two that
+// miss on one cold shape both compute it and the second store is dropped.
+//
+// The cache holds at most replayCacheBudget clock values, 512 KiB, each
+// shape charged its vector plus replayEntryCost for its key and headers,
+// and evicts the least recently stored shape first; a shape larger than the
+// budget is never kept. That is four 128x128 meshes or every shape a test
+// package or a ladder of PE counts launches; what falls out costs its
+// replay again, which is what every launch cost before there was a cache.
+const (
+	replayCacheBudget = 1 << 16
+	replayEntryCost   = 16
+)
+
+// replayKey names one chip's handshake: its routes and its PE count.
+type replayKey struct {
+	route mesh.RouteKey
+	peers int
+}
+
+var replayCache struct {
+	sync.Mutex
+	clocks map[replayKey][]vtime.Time
+	stored []replayKey // least recently stored first
+	held   int         // clock values plus replayEntryCost per shape; <= replayCacheBudget
+}
+
+// replayLookup returns the clocks the handshake k leaves behind, read-only,
+// or nil when the cache does not hold them.
+func replayLookup(k replayKey) []vtime.Time {
+	replayCache.Lock()
+	defer replayCache.Unlock()
+	return replayCache.clocks[k]
+}
+
+// replayStore keeps clocks, which the caller must not write again, as the
+// outcome of handshake k, evicting older shapes to stay within the budget.
+func replayStore(k replayKey, clocks []vtime.Time) {
+	cost := len(clocks) + replayEntryCost
+	if cost > replayCacheBudget {
+		return
+	}
+	c := &replayCache
+	c.Lock()
+	defer c.Unlock()
+	if _, ok := c.clocks[k]; ok {
+		return
+	}
+	if c.clocks == nil {
+		c.clocks = make(map[replayKey][]vtime.Time)
+	}
+	c.clocks[k] = clocks
+	c.stored = append(c.stored, k)
+	c.held += cost
+	for c.held > replayCacheBudget {
+		old := c.stored[0]
+		c.stored = slices.Delete(c.stored, 0, 1)
+		c.held -= len(c.clocks[old]) + replayEntryCost
+		delete(c.clocks, old)
+	}
 }
 
 // Wait kinds: what a parked PE is blocked on. Wakers address parked PEs
@@ -372,8 +444,8 @@ func (s *evsched) popReady() int {
 //   - iter.Pull re-raises a body's runtime.Goexit in whoever resumed it
 //     (see drive), which must not unwind the caller.
 func (s *evsched) begin(body func(*PE) error, errs []error) {
-	for i, pe := range s.prog.pes {
-		s.pes[i].co = spawnPE(peTask{prog: s.prog, pe: pe, body: body, errs: errs})
+	for i := range s.prog.pes {
+		s.pes[i].co = spawnPE(peTask{prog: s.prog, pe: &s.prog.pes[i], body: body, errs: errs})
 		s.pushReady(i)
 	}
 	s.drive()

@@ -147,14 +147,7 @@ func bytesOf[T Elem](s []T) []byte {
 }
 
 // partBytes returns the common-memory window of PE target's partition.
-func (pe *PE) partBytes(target int) []byte {
-	base := pe.prog.partBase[target]
-	b, err := pe.prog.cm.Slice(base, pe.prog.partSize)
-	if err != nil {
-		panic(err) // launcher-created mappings cannot be out of bounds
-	}
-	return b
-}
+func (pe *PE) partBytes(target int) []byte { return pe.prog.parts[target] }
 
 // Local returns the calling PE's own instance of the symmetric object as a
 // typed slice. For dynamic objects this is a window into common memory; for

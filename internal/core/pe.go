@@ -6,7 +6,6 @@ import (
 
 	"tshmem/internal/alloc"
 	"tshmem/internal/arch"
-	"tshmem/internal/cache"
 	"tshmem/internal/mesh"
 	"tshmem/internal/mpipe"
 	"tshmem/internal/profile"
@@ -42,20 +41,22 @@ type Stats struct {
 // argument, for the generic ones). A PE must only be used from the body
 // Run called with it.
 type PE struct {
+	_ noCopy // a run's PEs are elements of one slice and point into themselves (heap)
+
 	prog *Program
 	id   int
 	n    int
 
 	clock vtime.Clock
 	port  *udn.Port
-	heap  *alloc.Allocator
 
 	hint int // concurrency hint for the memory model (set by collectives)
 
 	// Generation counters distinguish overlapping barrier/collective
 	// instances on the same active set. The all-PEs set — every
 	// BarrierAll and most collectives — bypasses the maps with dedicated
-	// counters; the maps serve subset active sets only.
+	// counters; the maps serve subset active sets only and are nil until
+	// the PE first synchronizes on one (setGenOf).
 	barAll      setGen
 	collAll     setGen
 	barGen      map[ActiveSet]*setGen
@@ -66,12 +67,23 @@ type PE struct {
 	fabPending  []mpipe.Msg // stashed cross-chip control messages
 	finalized   bool
 
-	memo  cache.Memo // per-PE copy-cost memo; owned by the PE's body
 	stats Stats
 	rec   *stats.Recorder   // substrate observability; nil unless Config.Observe
 	san   *sanitize.PEHooks // happens-before checker; nil unless Config.Sanitize
 	prof  *profile.Recorder // causal profiler; nil unless Config.Profile
+
+	// heap manages the PE's symmetric partition. It lives in the PE (and the
+	// PEs of a run in one slice, Program.pes), so neither may be copied.
+	heap alloc.Allocator
 }
+
+// noCopy makes go vet's copylocks check report any copy of a struct holding
+// it: `for _, pe := range p.pes` compiles, copies a whole PE every turn
+// and calls methods on the copy.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // profMerge attributes a cross-PE clock merge to the causal profiler:
 // idle before the peer published at sent is blamed on cat, the in-flight
@@ -92,15 +104,18 @@ func (pe *PE) allPEsSet(as ActiveSet) bool {
 }
 
 // setGenOf returns as's generation counter: all for the full-program set,
-// otherwise its entry in subsets, made on first use.
-func (pe *PE) setGenOf(all *setGen, subsets map[ActiveSet]*setGen, as ActiveSet) *setGen {
+// otherwise its entry in *subsets, map and entry made on first use.
+func (pe *PE) setGenOf(all *setGen, subsets *map[ActiveSet]*setGen, as ActiveSet) *setGen {
 	if pe.allPEsSet(as) {
 		return all
 	}
-	g := subsets[as]
+	g := (*subsets)[as]
 	if g == nil {
+		if *subsets == nil {
+			*subsets = make(map[ActiveSet]*setGen)
+		}
 		g = &setGen{prefix: asTagPrefix(as)}
-		subsets[as] = g
+		(*subsets)[as] = g
 	}
 	return g
 }
@@ -108,7 +123,7 @@ func (pe *PE) setGenOf(all *setGen, subsets map[ActiveSet]*setGen, as ActiveSet)
 // nextBarGen returns the barrier generation for as with its tag and
 // advances the generation.
 func (pe *PE) nextBarGen(as ActiveSet) (gen, tag uint32) {
-	return pe.setGenOf(&pe.barAll, pe.barGen, as).next()
+	return pe.setGenOf(&pe.barAll, &pe.barGen, as).next()
 }
 
 // MyPE reports this PE's number (the OpenSHMEM _my_pe).
@@ -272,72 +287,98 @@ func (pe *PE) exchangeInit() error {
 
 // replayStartPEs computes what exchangeInit would leave behind without
 // moving a packet. The exchange's virtual outcome is a pure function of
-// the geometry and the fixed round order: in round r every PE p injects
-// one word toward p+r and then merges with the report from p-r, so three
-// per-chip vectors (each PE's clock, when it finished injecting, when the
-// report addressed to it lands) carry a round, and peers-1 rounds carry
-// the handshake. Each step moves the clock by the same amounts and feeds
-// the same recorder, profiler and link-counter hooks, in the same per-PE
-// order, as Port.Send, Port.RecvRaw and consumeInit do — so reports,
-// traces and profiles come out bit-identical to the literal exchange,
-// which costs n(n-1) channel hand-offs (and, on the event engine, as many
-// park/wake pairs). It runs on the launcher before any PE starts, so it
-// owns every clock and recorder it touches.
+// the geometry and the fixed round order (replayChip), which makes it the
+// same for every launch of one mesh shape: an unobserved run takes each
+// chip's clocks from the replay cache (engine.go) when an earlier run of the
+// process left them there, and only a shape's first launch walks its
+// packets. A run with Observe or Profile on walks them every time, because
+// each step feeds its recorders; what it computes is what anyone computes,
+// so it fills the cache too. It runs on the launcher before any PE starts,
+// so it owns every clock and recorder it touches.
 func (p *Program) replayStartPEs() error {
-	// The hooks are nil-safe, but an unobserved replay that calls them
-	// anyway spends most of each step loading the PE and testing its
-	// recorders: skipping them is worth 18 % of the benchmark's 256-PE
-	// launch on the event engine (wall_event_s 2.97 -> 2.45 ms, 10 of 10
-	// alternating pairs) and 12 % on the goroutine engine.
 	hooked := p.cfg.Observe || p.cfg.Profile
 	for c, geo := range p.geos {
 		first := c * p.perChip
 		pes := p.pes[first : first+p.chipPEs(c)]
-		peers := len(pes)
-		var links *mesh.LinkStats // nil unless observed
-		if p.links != nil {
-			links = p.links[c]
+		key := replayKey{route: geo.RouteKey(), peers: len(pes)}
+		var now []vtime.Time
+		if !hooked {
+			now = replayLookup(key)
 		}
-		now := make([]vtime.Time, peers)
-		sent := make([]vtime.Time, peers)
-		arrive := make([]vtime.Time, peers)
-		for r := 1; r < peers; r++ {
-			// Sender and receiver walk the row-major tile order r apart, so
-			// their coordinate offset — all the mesh model prices a route
-			// by — holds until one of them starts a new row or the receiver
-			// wraps to tile 0. One route lookup serves each such run.
-			for me := 0; me < peers; {
-				dst := (me + r) % peers
-				run := min(geo.Width-me%geo.Width, geo.Width-dst%geo.Width, peers-me, peers-dst)
-				path, err := geo.Path(me, dst, 1)
-				if err != nil {
-					return err
-				}
-				for end := me + run; me < end; me, dst = me+1, dst+1 {
-					sent[me] = now[me].Add(path.Send)
-					arrive[dst] = sent[me].Add(path.Wire)
-					if hooked {
-						pe := pes[me]
-						pe.prof.Advance(profile.CatUDNSend, now[me], sent[me])
-						pe.rec.UDNSend(1, path.Hops, path.Send+path.Wire)
-						links.RecordRoute(me, dst, 1)
-					}
-				}
+		if now == nil {
+			var err error
+			if now, err = p.replayChip(c, hooked); err != nil {
+				return err
 			}
-			for me, pe := range pes {
-				now[me] = vtime.Max(sent[me], arrive[me])
-				if hooked {
-					src := (me - r + peers) % peers
-					pe.rec.UDNRecv(1)
-					pe.profMerge(profile.CatUDNWait, sent[me], first+src, sent[src], arrive[me])
-				}
-			}
+			replayStore(key, now)
 		}
-		for me, pe := range pes {
-			pe.clock.Set(now[me])
+		for me := range pes {
+			pes[me].clock.Set(now[me])
 		}
 	}
 	return nil
+}
+
+// replayChip walks chip c's handshake and returns the clock it leaves each
+// of the chip's PEs with. In round r every PE p injects one word toward p+r
+// and then merges with the report from p-r, so three vectors (each PE's
+// clock, when it finished injecting, when the report addressed to it lands)
+// carry a round, and peers-1 rounds carry the handshake. Each step moves
+// the clock by the same amounts and, when hooked, feeds the same recorder,
+// profiler and link-counter hooks, in the same per-PE order, as Port.Send,
+// Port.RecvRaw and consumeInit do — so reports, traces and profiles come
+// out bit-identical to the literal exchange, which costs n(n-1) park/wake
+// pairs.
+func (p *Program) replayChip(c int, hooked bool) ([]vtime.Time, error) {
+	// The hooks are nil-safe, but an unobserved replay that calls them
+	// anyway spends most of each step loading the PE and testing its
+	// recorders: skipping them was worth 18 % of the benchmark's 256-PE
+	// launch (2.97 -> 2.45 ms, 10 of 10 alternating pairs, PR 12).
+	geo := p.geos[c]
+	first := c * p.perChip
+	pes := p.pes[first : first+p.chipPEs(c)]
+	peers := len(pes)
+	var links *mesh.LinkStats // nil unless observed
+	if p.links != nil {
+		links = p.links[c]
+	}
+	now := make([]vtime.Time, peers)
+	sent := make([]vtime.Time, peers)
+	arrive := make([]vtime.Time, peers)
+	for r := 1; r < peers; r++ {
+		// Sender and receiver walk the row-major tile order r apart, so
+		// their coordinate offset — all the mesh model prices a route
+		// by — holds until one of them starts a new row or the receiver
+		// wraps to tile 0. One route lookup serves each such run.
+		for me := 0; me < peers; {
+			dst := (me + r) % peers
+			run := min(geo.Width-me%geo.Width, geo.Width-dst%geo.Width, peers-me, peers-dst)
+			path, err := geo.Path(me, dst, 1)
+			if err != nil {
+				return nil, err
+			}
+			for end := me + run; me < end; me, dst = me+1, dst+1 {
+				sent[me] = now[me].Add(path.Send)
+				arrive[dst] = sent[me].Add(path.Wire)
+				if hooked {
+					pe := &pes[me]
+					pe.prof.Advance(profile.CatUDNSend, now[me], sent[me])
+					pe.rec.UDNSend(1, path.Hops, path.Send+path.Wire)
+					links.RecordRoute(me, dst, 1)
+				}
+			}
+		}
+		for me := range pes {
+			now[me] = vtime.Max(sent[me], arrive[me])
+			if hooked {
+				pe := &pes[me]
+				src := (me - r + peers) % peers
+				pe.rec.UDNRecv(1)
+				pe.profMerge(profile.CatUDNWait, sent[me], first+src, sent[src], arrive[me])
+			}
+		}
+	}
+	return now, nil
 }
 
 // recvInitFrom receives the start_pes report from the given chip-local

@@ -100,7 +100,7 @@ func resolve[T Elem](pe *PE, op *operand, r Ref[T], onPE, nelems int) error {
 func (pe *PE) chargeXfer(nbytes int64, mode cache.Mode, remotePE int, toRemote bool) {
 	loc := pe.locality(remotePE)
 	t0 := pe.clock.Now()
-	base := pe.prog.model.CopyCostHomedMemoRec(&pe.memo, nbytes, mode, pe.prog.cfg.Homing, pe.curHint(), pe.rec)
+	base := pe.prog.model.CopyCostHomedMemoRec(&pe.prog.memo, nbytes, mode, pe.prog.cfg.Homing, pe.curHint(), pe.rec)
 	pe.clock.Advance(base)
 	pe.prof.Advance(profile.RMA(stats.CacheLevel(pe.prog.model.LevelFor(nbytes))), t0, pe.clock.Now())
 	// Fault injection: slow tiles and stuck cache-home tiles stretch the

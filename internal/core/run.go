@@ -362,8 +362,16 @@ type Program struct {
 	fabric  *mpipe.Fabric     // nil on a single chip
 	cm      *tmc.CommonMemory
 	model   *cache.Model
+	// memo is the run's copy-cost memo, looked up by whichever PE is charging
+	// a transfer (chargeXfer). One PE of a run executes at a time, so the PEs
+	// can share it; SPMD PEs charge the same (size, mode, homing, streams)
+	// tuples, so what one computed the others hit. It belongs to the run, not
+	// to the model or the process: runs execute concurrently (a sweep), and a
+	// memo two of them wrote would be a data race.
+	memo cache.Memo
 
-	partBase []int64 // common-memory offset of each PE's partition
+	partBase []int64  // common-memory offset of each PE's partition
+	parts    [][]byte // each PE's partition as a window of common memory
 	partSize int64
 	mapFloor int64 // end of launch-time mappings (arena recycling)
 
@@ -393,7 +401,7 @@ type Program struct {
 
 	sched *evsched // the calendar every blocking point parks in
 
-	pes      []*PE
+	pes      []PE             // one slab; a *PE points into it
 	counters []stats.Counters // the PEs' recorder blocks, one slab; nil unless Observe
 	obsBufs  *observerBufs    // the recorders' pooled buffers; nil unless Trace or Profile
 
@@ -544,7 +552,8 @@ func Run(cfg Config, body func(*PE) error) (*Report, error) {
 		MaxRunnablePEs: prog.sched.maxRunning,
 	}
 	rep.MinTime = vtime.Duration(1<<63 - 1)
-	for i, pe := range prog.pes {
+	for i := range prog.pes {
+		pe := &prog.pes[i]
 		d := vtime.Duration(pe.clock.Now())
 		rep.PETimes[i] = d
 		if d > rep.MaxTime {
@@ -560,17 +569,17 @@ func Run(cfg Config, body func(*PE) error) (*Report, error) {
 	if prog.cfg.Profile {
 		recs := make([]*profile.Recorder, prog.NPEs())
 		ends := make([]vtime.Time, prog.NPEs())
-		for i, pe := range prog.pes {
-			recs[i] = pe.prof
-			ends[i] = pe.clock.Now()
+		for i := range prog.pes {
+			recs[i] = prog.pes[i].prof
+			ends[i] = prog.pes[i].clock.Now()
 		}
 		rep.prof = profile.Assemble(recs, ends)
 	}
 	if prog.cfg.Observe {
 		rep.PECounters = prog.counters
 		perPE := make([][]stats.Event, prog.NPEs())
-		for i, pe := range prog.pes {
-			perPE[i] = pe.rec.Events()
+		for i := range prog.pes {
+			perPE[i] = prog.pes[i].rec.Events()
 		}
 		rep.trace = stats.MergeEvents(perPE)
 		for _, ls := range prog.links {
@@ -657,8 +666,12 @@ func newProgram(cfg Config) (*Program, error) {
 		return nil, err
 	}
 	p.partBase = make([]int64, cfg.NPEs)
+	p.parts = make([][]byte, cfg.NPEs)
 	for i := range p.partBase {
 		if p.partBase[i], err = p.cm.Map(cfg.HeapPerPE, 4096); err != nil {
+			return nil, err
+		}
+		if p.parts[i], err = p.cm.Slice(p.partBase[i], cfg.HeapPerPE); err != nil {
 			return nil, err
 		}
 	}
@@ -711,42 +724,31 @@ func newProgram(cfg Config) (*Program, error) {
 	if cfg.Observe {
 		p.counters = make([]stats.Counters, cfg.NPEs)
 	}
-	p.pes = make([]*PE, cfg.NPEs)
+	p.pes = make([]PE, cfg.NPEs)
 	allPrefix := asTagPrefix(AllPEs(cfg.NPEs))
 	for i := range p.pes {
+		pe := &p.pes[i]
 		port, err := p.nets[p.chipOf(i)].Port(p.localIdx(i))
 		if err != nil {
 			return nil, err
 		}
-		heap, err := alloc.New(cfg.HeapPerPE)
-		if err != nil {
+		pe.prog, pe.id, pe.n, pe.port = p, i, cfg.NPEs, port
+		pe.barAll.prefix, pe.collAll.prefix = allPrefix, allPrefix
+		if err := pe.heap.Init(cfg.HeapPerPE); err != nil {
 			return nil, err
 		}
-		p.pes[i] = &PE{
-			prog:    p,
-			id:      i,
-			n:       cfg.NPEs,
-			port:    port,
-			heap:    heap,
-			barAll:  setGen{prefix: allPrefix},
-			collAll: setGen{prefix: allPrefix},
-			barGen:  make(map[ActiveSet]*setGen),
-			collGen: make(map[ActiveSet]*setGen),
-		}
 		if cfg.Observe {
-			rec := stats.NewIn(&p.counters[i], i, cfg.Trace, cfg.TraceCap)
-			p.pes[i].rec = rec
-			port.SetRecorder(rec)
+			pe.rec = stats.NewIn(&p.counters[i], i, cfg.Trace, cfg.TraceCap)
+			port.SetRecorder(pe.rec)
 		}
 		if cfg.Profile {
-			prof := profile.New(i)
-			p.pes[i].prof = prof
-			port.SetProfiler(prof, p.chipOf(i)*p.perChip)
+			pe.prof = profile.New(i)
+			port.SetProfiler(pe.prof, p.chipOf(i)*p.perChip)
 		}
 		if p.san != nil {
-			p.pes[i].san = p.san.PE(i)
+			pe.san = p.san.PE(i)
 		}
-		p.sched.pes[i].clock = &p.pes[i].clock
+		p.sched.pes[i].clock = &pe.clock
 	}
 	if cfg.Trace || cfg.Profile {
 		observerCheckout(p)
@@ -755,7 +757,8 @@ func newProgram(cfg Config) (*Program, error) {
 	// On the TILE-Gx, install the UDN interrupt handler that services
 	// redirected static-variable transfers (S IV.B.2).
 	if cfg.Chip.UDNInterrupts {
-		for _, pe := range p.pes {
+		for i := range p.pes {
+			pe := &p.pes[i]
 			if err := pe.port.SetHandler(pe.serviceInterrupt); err != nil {
 				return nil, err
 			}

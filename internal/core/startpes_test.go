@@ -4,12 +4,43 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"tshmem/internal/arch"
 	"tshmem/internal/fault"
+	"tshmem/internal/mesh"
+	"tshmem/internal/vtime"
 )
+
+// resetReplayCache empties the process-wide replay cache, so that the next
+// launch of any shape walks its handshake.
+func resetReplayCache() {
+	replayCache.Lock()
+	defer replayCache.Unlock()
+	replayCache.clocks, replayCache.stored, replayCache.held = nil, nil, 0
+}
+
+// replayCached reports how many of cfg's chips have their handshake in the
+// replay cache, and how many chips there are.
+func replayCached(t *testing.T, cfg Config) (cached, chips int) {
+	t.Helper()
+	nchips := max(cfg.NChips, 1)
+	perChip := (cfg.NPEs + nchips - 1) / nchips
+	for left := cfg.NPEs; left > 0; left -= perChip {
+		peers := min(left, perChip)
+		geo, err := mesh.AreaGeometry(cfg.Chip, peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chips++
+		if replayLookup(replayKey{route: geo.RouteKey(), peers: peers}) != nil {
+			cached++
+		}
+	}
+	return cached, chips
+}
 
 // TestStartPEsReplayMatchesLiteral is the replay's oracle: an armed but
 // empty fault plan perturbs nothing yet selects the literal packet
@@ -17,8 +48,16 @@ import (
 // Config{Faults: &fault.Plan{}} run of the same program must agree on
 // every virtual-time output — PE clocks, every counter and histogram,
 // per-link words and packets, the trace, and the profile — on every chip
-// family, at the smallest, an awkward, and the full PE count, on both
-// engines, under each observer, and split over two chips.
+// family, at the smallest, an awkward, and the full PE count, under each
+// observer, and split over two chips.
+//
+// The replay has three ways to its clocks and each is held to the literal
+// exchange: walking a shape the process has not launched (the cache is
+// emptied first), taking them from the replay cache (the same config again,
+// after checking that every chip's entry is there and that the run stored
+// nothing), and — for a run with Observe or Profile on, which walks every
+// time to feed its hooks — walking while an entry exists, and leaving one
+// behind for an unobserved run to take.
 func TestStartPEsReplayMatchesLiteral(t *testing.T) {
 	type geom struct {
 		chip   *arch.Chip
@@ -67,12 +106,36 @@ func TestStartPEsReplayMatchesLiteral(t *testing.T) {
 		}
 		return pe.BarrierAll()
 	}
+	// same holds a replayed run to the literal exchange.
+	same := func(label string, cfg Config, replayed, literal *Report) {
+		t.Helper()
+		compareReports(t, label, replayed, literal)
+		if !reflect.DeepEqual(replayed.Trace(), literal.Trace()) {
+			t.Errorf("%s: traces diverged (%d vs %d events)",
+				label, len(replayed.Trace()), len(literal.Trace()))
+		}
+		if len(replayed.Diagnostics)+len(literal.Diagnostics) != 0 {
+			t.Errorf("%s: diagnostics: replayed %v, literal %v",
+				label, replayed.Diagnostics, literal.Diagnostics)
+		}
+		if cfg.Profile && !bytes.Equal(profileJSON(t, replayed), profileJSON(t, literal)) {
+			t.Errorf("%s: profile JSON is not byte-identical", label)
+		}
+	}
+	defer resetReplayCache()
+	type shape struct {
+		label   string
+		cfg     Config
+		literal *Report
+	}
+	var shapes []shape
 	for _, g := range geoms {
 		full := g.nchips * g.chip.Tiles
 		for _, n := range []int{2, 5, full} {
 			if testing.Short() && n > 64 {
 				continue
 			}
+			var plainLiteral *Report // the literal exchange with no observer on
 			for _, obs := range observers {
 				label := fmt.Sprintf("%s x%d/%d PEs/%s", g.chip.Name, g.nchips, n, obs.name)
 				cfg := Config{
@@ -80,24 +143,116 @@ func TestStartPEsReplayMatchesLiteral(t *testing.T) {
 					HeapPerPE: 1 << 16, ScratchBytes: 1 << 16,
 				}
 				obs.set(&cfg)
-				replayed := runT(t, cfg, body)
-				cfg.Faults = &fault.Plan{}
-				literal := runT(t, cfg, body)
+				lit := cfg
+				lit.Faults = &fault.Plan{}
+				literal := runT(t, lit, body)
+				if obs.name == "plain" {
+					plainLiteral = literal
+					shapes = append(shapes, shape{label, cfg, literal})
+				}
 
-				compareReports(t, label, replayed, literal)
-				if !reflect.DeepEqual(replayed.Trace(), literal.Trace()) {
-					t.Errorf("%s: traces diverged (%d vs %d events)",
-						label, len(replayed.Trace()), len(literal.Trace()))
+				resetReplayCache()
+				same(label+"/cold", cfg, runT(t, cfg, body), literal)
+				cached, chips := replayCached(t, cfg)
+				if cached != chips {
+					t.Fatalf("%s: %d of %d chips' handshakes cached after a cold launch", label, cached, chips)
 				}
-				if len(replayed.Diagnostics)+len(literal.Diagnostics) != 0 {
-					t.Errorf("%s: diagnostics: replayed %v, literal %v",
-						label, replayed.Diagnostics, literal.Diagnostics)
+				stored := len(replayCache.stored)
+				same(label+"/warm", cfg, runT(t, cfg, body), literal)
+				if len(replayCache.stored) != stored {
+					t.Errorf("%s: a launch of a cached shape stored %d new entries", label, len(replayCache.stored)-stored)
 				}
-				if cfg.Profile && !bytes.Equal(profileJSON(t, replayed), profileJSON(t, literal)) {
-					t.Errorf("%s: profile JSON is not byte-identical", label)
+				if cfg.Observe || cfg.Profile {
+					// What the observed walk left is what an unobserved run takes.
+					plain := cfg
+					plain.Observe, plain.Trace, plain.Profile = false, false, false
+					same(label+"/plain after observed", plain, runT(t, plain, body), plainLiteral)
 				}
 			}
 		}
+	}
+	// Every shape above started from an empty cache. With all of them cached
+	// side by side, each must still find its own clocks: a key that left out
+	// something the handshake depends on would hand one shape another's.
+	resetReplayCache()
+	for pass := 0; pass < 2; pass++ {
+		for _, sh := range shapes {
+			same(fmt.Sprintf("%s/all shapes cached, pass %d", sh.label, pass), sh.cfg, runT(t, sh.cfg, body), sh.literal)
+		}
+	}
+}
+
+// TestReplayCacheConcurrentColdShape launches one shape nobody has launched
+// from two goroutines at once: both miss, both walk the handshake, both
+// store. Each must come out equal to the literal exchange, and the detector
+// must see no write to clocks another run is reading (ci.sh race smoke).
+func TestReplayCacheConcurrentColdShape(t *testing.T) {
+	cfg := Config{Chip: arch.Synthetic(12, 12), NPEs: 144, HeapPerPE: 4096, ScratchBytes: 1 << 16}
+	body := func(pe *PE) error { return pe.BarrierAll() }
+	lit := cfg
+	lit.Faults = &fault.Plan{}
+	literal := runT(t, lit, body)
+	defer resetReplayCache()
+	for round := 0; round < 4; round++ {
+		resetReplayCache()
+		var reps [2]*Report
+		var errs [2]error
+		var wg sync.WaitGroup
+		gate := make(chan struct{})
+		for i := range reps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-gate
+				reps[i], errs[i] = Run(cfg, body)
+			}()
+		}
+		close(gate)
+		wg.Wait()
+		for i, rep := range reps {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			compareReports(t, fmt.Sprintf("round %d run %d", round, i), rep, literal)
+		}
+		if cached, _ := replayCached(t, cfg); cached != 1 {
+			t.Errorf("round %d: the shape is not cached after two cold launches", round)
+		}
+	}
+}
+
+// TestReplayCacheBounded stores 64 distinct shapes of 4096 PEs — 2 MiB of
+// clocks — and requires the cache to stay within its budget by dropping the
+// least recently stored, and never to keep a shape the budget cannot hold.
+func TestReplayCacheBounded(t *testing.T) {
+	resetReplayCache()
+	defer resetReplayCache()
+	const shapes, peers = 64, 4096
+	key := func(i int) replayKey {
+		k := replayKey{route: mesh.FullGeometry(arch.Synthetic(64, 64)).RouteKey(), peers: peers}
+		k.route.UDNSetupNs += float64(i)
+		return k
+	}
+	for i := 0; i < shapes; i++ {
+		replayStore(key(i), make([]vtime.Time, peers))
+		if replayCache.held > replayCacheBudget {
+			t.Fatalf("after %d shapes the cache holds %d clock values, budget %d", i+1, replayCache.held, replayCacheBudget)
+		}
+	}
+	fit := replayCacheBudget / (peers + replayEntryCost)
+	if got := len(replayCache.clocks); got != fit || len(replayCache.stored) != fit {
+		t.Errorf("%d shapes cached (%d in eviction order), the budget fits %d", got, len(replayCache.stored), fit)
+	}
+	for i := 0; i < shapes; i++ {
+		if got, want := replayLookup(key(i)) != nil, i >= shapes-fit; got != want {
+			t.Errorf("shape %d of %d cached: %v, want %v (least recently stored goes first)", i, shapes, got, want)
+		}
+	}
+	huge := key(shapes)
+	huge.peers = replayCacheBudget
+	replayStore(huge, make([]vtime.Time, replayCacheBudget))
+	if replayLookup(huge) != nil || len(replayCache.clocks) != fit {
+		t.Errorf("a shape larger than the budget was kept, or evicted others")
 	}
 }
 
@@ -124,6 +279,13 @@ func launchSeconds(t *testing.T, grid int) float64 {
 // on a loaded or collecting host without retries. ci.sh prints it on every
 // run, next to the 4096-PE probe whose -timeout is the coarse gate; the
 // committed trajectory is the benchmark's core.launch*.exponent rungs.
+//
+// Read the two times before the ratio. Since PR 22 it is ~11 with both legs
+// several times faster than when it was 8 (0.4 and 4.3 ms, were 1.6 and
+// 13 ms): the repeats are warm, so neither leg walks the handshake, and a
+// 256-PE launch runs entirely on pooled PE workers while a 1024-PE one
+// still makes 768 coroutines and grows their stacks (peWorkerMaxIdle is
+// 256), which is most of what it has left.
 func TestLaunchScaling(t *testing.T) {
 	if testing.Short() || raceBuild {
 		t.Skip("host-time measurement: needs an uninstrumented build")

@@ -287,6 +287,35 @@ func (g Geometry) Path(src, dst, words int) (PathInfo, error) {
 	return PathInfo{Hops: hops, Dir: dir, Send: send, Wire: total - send}, nil
 }
 
+// RouteKey is everything Path reads of a Geometry and its chip, as a
+// comparable value: two geometries with equal keys resolve every (src, dst,
+// words) to the same PathInfo or the same failure. It exists so that a
+// result derived from Path alone — internal/core keeps the outcome of the
+// start_pes handshake per mesh shape — can be cached under a value rather
+// than under a *arch.Chip, which a caller may copy and edit. It lives beside
+// Path so that a number Path starts to read is added here in the same edit;
+// TestRouteKeyCoversPath perturbs every numeric Chip field to check it was.
+type RouteKey struct {
+	Width, Height int
+	UDNMaxWords   int
+	UDNSetupNs    float64
+	UDNSendShare  float64
+	UDNHopNs      float64 // HopNs reads it, and ClockHz when it is zero
+	ClockHz       float64 // CycleNs
+}
+
+// RouteKey returns g's RouteKey.
+func (g Geometry) RouteKey() RouteKey {
+	return RouteKey{
+		Width: g.Width, Height: g.Height,
+		UDNMaxWords:  g.chip.UDNMaxWords,
+		UDNSetupNs:   g.chip.UDNSetupNs,
+		UDNSendShare: g.chip.UDNSendShare,
+		UDNHopNs:     g.chip.UDNHopNs,
+		ClockHz:      g.chip.ClockHz,
+	}
+}
+
 // OneWayLatency models the one-way latency of a words-long packet from
 // virtual CPU src to dst. See Path for the model.
 func (g Geometry) OneWayLatency(src, dst, words int) (vtime.Duration, error) {

@@ -1,7 +1,9 @@
 package mesh
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -328,5 +330,101 @@ func TestLatencyMetricProperties(t *testing.T) {
 			t.Fatalf("latency not increasing with distance at dst=%d", dst)
 		}
 		prev = d.Ns()
+	}
+}
+
+// perturbNumeric calls visit once for each way of changing one number (or
+// flag) reachable from v — a struct's fields, through nested structs and
+// slices — with that one value changed and everything else as it was: an
+// integer becomes 0 and n+1, a float 0 and 1.5x+1, a flag its opposite.
+func perturbNumeric(v reflect.Value, path string, visit func(path string)) {
+	try := func(set func(), restore func()) {
+		set()
+		visit(path)
+		restore()
+	}
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			perturbNumeric(v.Field(i), path+"."+v.Type().Field(i).Name, visit)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			perturbNumeric(v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
+		}
+	case reflect.Int, reflect.Int64:
+		old := v.Int()
+		for _, n := range []int64{0, old + 1} {
+			try(func() { v.SetInt(n) }, func() { v.SetInt(old) })
+		}
+	case reflect.Float64:
+		old := v.Float()
+		for _, f := range []float64{0, old*1.5 + 1} {
+			try(func() { v.SetFloat(f) }, func() { v.SetFloat(old) })
+		}
+	case reflect.Bool:
+		old := v.Bool()
+		try(func() { v.SetBool(!old) }, func() { v.SetBool(old) })
+	}
+}
+
+// TestRouteKeyCoversPath holds RouteKey to its contract: internal/core caches
+// a result computed from Path alone under it, so whatever changes a route
+// must change the key. Every number in a copied arch.Chip is perturbed in
+// turn; whenever any one-word Path on a 5x3 area then resolves differently
+// (or fails differently), the key must differ too. The area's own numbers
+// are checked by hand.
+func TestRouteKeyCoversPath(t *testing.T) {
+	type route struct {
+		info PathInfo
+		err  string
+	}
+	routes := func(g Geometry) []route {
+		var out []route
+		for src := 0; src < 15; src++ {
+			for dst := 0; dst < 15; dst++ {
+				info, err := g.Path(src, dst, 1)
+				r := route{info: info}
+				if err != nil {
+					r.err = err.Error()
+				}
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	for _, chip := range []*arch.Chip{arch.Gx8036(), arch.Pro64(), arch.EpiphanyIII()} {
+		// NewGeometry's bounds test is not Path's: build the area directly so
+		// that a perturbed grid cannot refuse it.
+		g := Geometry{chip: chip, Width: 5, Height: 3}
+		baseKey, baseRoutes := g.RouteKey(), routes(g)
+		moved := 0
+		perturbNumeric(reflect.ValueOf(chip).Elem(), chip.Name, func(path string) {
+			if reflect.DeepEqual(routes(g), baseRoutes) {
+				return
+			}
+			moved++
+			if g.RouteKey() == baseKey {
+				t.Errorf("%s changes a route on the 5x3 area and leaves RouteKey as it was", path)
+			}
+		})
+		if g.RouteKey() != baseKey {
+			t.Fatalf("%s: the perturbation did not restore the chip", chip.Name)
+		}
+		// Setup, send share, hop (or clock) and the payload limit at zero.
+		if moved < 4 {
+			t.Errorf("%s: only %d perturbations moved a route; the test is not reaching Path's inputs", chip.Name, moved)
+		}
+	}
+	g := gx6x6(t)
+	for _, other := range []Geometry{
+		{chip: g.chip, Width: 5, Height: 6}, {chip: g.chip, Width: 6, Height: 5},
+	} {
+		if other.RouteKey() == g.RouteKey() {
+			t.Errorf("a %dx%d and a 6x6 area share a RouteKey", other.Width, other.Height)
+		}
+	}
+	if gx6x6(t).RouteKey() != g.RouteKey() {
+		t.Error("two geometries over equal chips do not share a RouteKey")
 	}
 }

@@ -107,12 +107,14 @@ func (cm *CommonMemory) MapEnd() int64 {
 // Reset forgets all mappings so the segment can back a new launch,
 // without touching the segment contents. The caller owns the contents: a
 // reused segment must be re-zeroed wherever the previous tenant wrote
-// (see the arena recycling in internal/core).
+// (see the arena recycling in internal/core). The mapping table is emptied,
+// not replaced: the next launch of the same shape maps as much again, into
+// a table already grown to that size.
 func (cm *CommonMemory) Reset() {
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
 	cm.next = 0
-	cm.maps = make(map[int64]int64)
+	clear(cm.maps)
 }
 
 // Mappings reports the number of live mappings.

@@ -164,13 +164,13 @@ func (h *hostSched) wake() {
 }
 
 func (h *hostSched) WaitRecv(cpu, dq int) error {
-	p := h.net.ports[cpu]
+	p := &h.net.ports[cpu]
 	h.wait(func() bool { return p.queues[dq].depth() == 0 && !p.closed.Load() })
 	return nil
 }
 
 func (h *hostSched) WaitSend(src, dst, dq int) error {
-	p := h.net.ports[dst]
+	p := &h.net.ports[dst]
 	h.wait(func() bool { return p.queues[dq].depth() == queueCap && !p.closed.Load() })
 	return nil
 }
@@ -182,11 +182,17 @@ func (h *hostSched) Dequeued(cpu, dq int) { h.wake() }
 // geometry.
 type Network struct {
 	geo   mesh.Geometry
-	ports []*Port
+	ports []Port          // one slab; a *Port points into it
 	links *mesh.LinkStats // nil disables per-link accounting
 	flt   *fault.ChipView // nil disables fault injection
 	sched Scheduler       // &host until SetScheduler
 	host  hostSched
+
+	// rings is what is left of the slab demux queues take their first ring
+	// from (firstRing), made when the first queue of the network, or the
+	// first after the slab ran out, receives a packet.
+	ringMu sync.Mutex
+	rings  []Packet
 }
 
 // SetScheduler replaces the default host scheduler at every blocking
@@ -212,9 +218,9 @@ func New(geo mesh.Geometry) *Network {
 	n := &Network{geo: geo}
 	n.host.net, n.host.cond.L = n, &n.host.mu
 	n.sched = &n.host
-	n.ports = make([]*Port, geo.Tiles())
+	n.ports = make([]Port, geo.Tiles())
 	for i := range n.ports {
-		n.ports[i] = &Port{net: n, cpu: i}
+		n.ports[i].net, n.ports[i].cpu = n, i
 	}
 	return n
 }
@@ -230,15 +236,15 @@ func (n *Network) Port(cpu int) (*Port, error) {
 	if cpu < 0 || cpu >= len(n.ports) {
 		return nil, fmt.Errorf("%w: %d", ErrBadCPU, cpu)
 	}
-	return n.ports[cpu], nil
+	return &n.ports[cpu], nil
 }
 
 // Close shuts down every port. Pending receivers unblock with ErrClosed.
 // Mirrors the teardown the paper's proposed shmem_finalize() performs:
 // leaving the UDN engaged risks platform lockup.
 func (n *Network) Close() {
-	for _, p := range n.ports {
-		p.closed.Store(true)
+	for i := range n.ports {
+		n.ports[i].closed.Store(true)
 	}
 	n.host.wake()
 }
@@ -331,7 +337,9 @@ func (p *Port) profRecv(start vtime.Time, pkt *Packet) {
 // hold more than a few packets (an empty-body launch puts one or two in
 // the barrier queue), so a tile pays for the depth it reaches — four eager
 // queueCap-packet buffers per tile would dominate the host memory of a
-// large mesh.
+// large mesh. The first ring, which is all most queues ever need, is a
+// piece of a slab the network's queues share; a deeper one is the queue's
+// own allocation.
 type demuxQueue struct {
 	mu   sync.Mutex
 	buf  []Packet // ring storage; len is 0 or a power of two <= queueCap
@@ -341,16 +349,37 @@ type demuxQueue struct {
 
 const queueMinBuf = 4
 
+// firstRing carves a queue's first queueMinBuf-slot ring out of the
+// network's slab. A launch's start barrier delivers the first packet to
+// every tile's barrier queue, so a slab holds one ring per tile: one
+// allocation where each tile used to make its own, inside the barrier. The
+// ring's capacity ends where its neighbour begins.
+func (n *Network) firstRing() []Packet {
+	n.ringMu.Lock()
+	defer n.ringMu.Unlock()
+	if len(n.rings) == 0 {
+		n.rings = make([]Packet, queueMinBuf*len(n.ports))
+	}
+	ring := n.rings[:queueMinBuf:queueMinBuf]
+	n.rings = n.rings[queueMinBuf:]
+	return ring
+}
+
 // push appends pkt and reports the resulting depth, or false when the
-// queue is full.
-func (q *demuxQueue) push(pkt *Packet) (depth int, ok bool) {
+// queue is full. net is the network the queue's port belongs to.
+func (q *demuxQueue) push(pkt *Packet, net *Network) (depth int, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.n == queueCap {
 		return 0, false
 	}
 	if q.n == len(q.buf) {
-		grown := make([]Packet, max(queueMinBuf, 2*len(q.buf)))
+		var grown []Packet
+		if len(q.buf) == 0 {
+			grown = net.firstRing()
+		} else {
+			grown = make([]Packet, 2*len(q.buf))
+		}
 		for i := 0; i < q.n; i++ {
 			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 		}
@@ -453,7 +482,7 @@ func (p *Port) Send(clock *vtime.Clock, dst, dq int, tag uint32, words []uint64)
 	pkt.Sent = clock.Now()
 	q := &dp.queues[dq]
 	for {
-		if depth, ok := q.push(&pkt); ok {
+		if depth, ok := q.push(&pkt, p.net); ok {
 			p.net.links.RecordQueueDepth(dst, depth)
 			p.net.sched.Enqueued(dst, dq)
 			return nil

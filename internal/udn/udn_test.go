@@ -1,12 +1,15 @@
 package udn
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tshmem/internal/arch"
 	"tshmem/internal/mesh"
@@ -486,5 +489,102 @@ func TestSendRouteMatchesGeometry(t *testing.T) {
 			}
 		}
 		n.Close()
+	}
+}
+
+// TestFirstRingsShareSlab fills every demux queue of a 36-tile network to
+// queueMinBuf packets from 36 free-running senders at once (the default
+// host scheduler; the race detector watches the carve), so that 144 queues
+// take their first ring from the network's slabs — four slabs' worth — while
+// others do the same. No two rings may share memory, a ring's capacity must
+// stop where its neighbour starts, and a queue pushed past queueMinBuf must
+// move to storage of its own with its packets in order and everyone else's
+// untouched.
+func TestFirstRingsShareSlab(t *testing.T) {
+	n := gxNet(t)
+	defer n.Close()
+	tiles := n.Tiles()
+	word := func(src, dq, seq int) uint64 { return uint64(src)<<16 | uint64(dq)<<8 | uint64(seq) }
+	var wg sync.WaitGroup
+	for src := 0; src < tiles; src++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var c vtime.Clock
+			p := port(t, n, src)
+			for seq := 0; seq < queueMinBuf; seq++ {
+				for dq := 0; dq < 4; dq++ {
+					if err := p.Send(&c, (src+1)%tiles, dq, 0, []uint64{word(src, dq, seq)}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	const pktBytes = unsafe.Sizeof(Packet{})
+	span := func(buf []Packet) (lo, hi uintptr) {
+		lo = uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+		return lo, lo + uintptr(cap(buf))*pktBytes
+	}
+	type ring struct{ lo, hi uintptr }
+	disjoint := func() {
+		t.Helper()
+		var rings []ring
+		for i := range n.ports {
+			for dq := range n.ports[i].queues {
+				lo, hi := span(n.ports[i].queues[dq].buf)
+				rings = append(rings, ring{lo, hi})
+			}
+		}
+		slices.SortFunc(rings, func(a, b ring) int { return cmp.Compare(a.lo, b.lo) })
+		for i := 1; i < len(rings); i++ {
+			if rings[i].lo < rings[i-1].hi {
+				t.Fatalf("two queues' rings overlap: [%#x,%#x) and [%#x,%#x)", rings[i-1].lo, rings[i-1].hi, rings[i].lo, rings[i].hi)
+			}
+		}
+	}
+	for i := range n.ports {
+		for dq := range n.ports[i].queues {
+			if q := &n.ports[i].queues[dq]; len(q.buf) != queueMinBuf || cap(q.buf) != queueMinBuf || q.n != queueMinBuf {
+				t.Fatalf("tile %d queue %d: ring of %d (cap %d) holding %d, want a full first ring of %d",
+					i, dq, len(q.buf), cap(q.buf), q.n, queueMinBuf)
+			}
+		}
+	}
+	disjoint()
+
+	// One more packet to tile 1's queue 2 outgrows its slab ring.
+	var c vtime.Clock
+	grown := &n.ports[1].queues[2]
+	slabLo, slabHi := span(grown.buf)
+	if err := port(t, n, 0).Send(&c, 1, 2, 0, []uint64{word(0, 2, queueMinBuf)}); err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := span(grown.buf); len(grown.buf) != 2*queueMinBuf || lo < slabHi && slabLo < hi {
+		t.Fatalf("the outgrown queue holds a ring of %d at [%#x,%#x); its slab ring was [%#x,%#x)", len(grown.buf), lo, hi, slabLo, slabHi)
+	}
+	disjoint()
+
+	for dst := 0; dst < tiles; dst++ {
+		src := (dst + tiles - 1) % tiles
+		for dq := 0; dq < 4; dq++ {
+			want := queueMinBuf
+			if dst == 1 && dq == 2 {
+				want++
+			}
+			for seq := 0; seq < want; seq++ {
+				pkt, ok, err := port(t, n, dst).TryRecv(&c, dq)
+				if err != nil || !ok || pkt.Src != src || pkt.Word(0) != word(src, dq, seq) {
+					t.Fatalf("tile %d queue %d packet %d: %+v (ok %v, err %v), want word %#x from tile %d",
+						dst, dq, seq, pkt, ok, err, word(src, dq, seq), src)
+				}
+			}
+			if _, ok, _ := port(t, n, dst).TryRecv(&c, dq); ok {
+				t.Fatalf("tile %d queue %d holds more than was sent", dst, dq)
+			}
+		}
 	}
 }
