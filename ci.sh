@@ -209,6 +209,12 @@ if echo "$ALLOC_OUT" | grep -E 'Benchmark(Put|Barrier)\b' | grep -vE '\s0 allocs
     echo "ci: FAIL — steady-state Put/Barrier paths allocate; see docs/PERFORMANCE.md" >&2
     exit 1
 fi
+# The benchmarks above observe nothing, so BenchmarkBarrier times the
+# computed chain; TestBarrierZeroAllocs holds it to zero by count, for an
+# all-PEs and a subset barrier: the instance a slot of the set's cached
+# state, the hops beside it, no packet built (docs/PERFORMANCE.md,
+# "Execution model").
+env -u TSHMEM_SANITIZE go test ./internal/core -run '^TestBarrierZeroAllocs$' -count=1
 
 # Fault smoke: with faults off the probe JSON must be byte-identical to
 # the committed baseline — the injection hook sites are nil-guarded
@@ -278,10 +284,14 @@ go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$|^Tes
 # use, concurrent runs write one table — and the replay cache's clocks are
 # shared by every run of a shape, so two runs that miss on a cold shape at
 # once must both store without either writing what the other reads.
-# They run three more times.
-echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer pool + memo scope + replay cache, 3x =="
+# After those, the computed chain barrier's ways out (ISSUE 24): an abort, a
+# Goexit takeover or a failing peer readies members parked in the
+# rendezvous from outside it, a released member must not ready them
+# again, and a member queued for the driver to forward the wait signal
+# must unwind instead. They run three more times.
+echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer pool + memo scope + replay cache + barrier ways out, 3x =="
 go test -race ./internal/core ./internal/stats \
-    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestReplayCacheConcurrentColdShape' -count=3
+    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestReplayCacheConcurrentColdShape|TestChainBarrierEveryWayOut|TestChainBarrierReleaseMeetsAbort|TestChainBarrierForwardMeetsAbort' -count=3
 
 # Hand-off smoke: a grant must not re-enter the Go scheduler (docs/
 # PERFORMANCE.md, "The switch"). TestHandoffStaysOffScheduler counts the
@@ -344,6 +354,7 @@ go test ./internal/sanitize -run '^$' -fuzz '^FuzzCheckerDifferential$' -fuzztim
 go test ./internal/alloc -run '^$' -fuzz '^FuzzAlloc$' -fuzztime 10s
 go test ./internal/kernels -run '^$' -fuzz '^FuzzSampleSortPartition$' -fuzztime 10s
 go test ./internal/kernels -run '^$' -fuzz '^FuzzBFSFrontier$' -fuzztime 10s
+go test ./internal/core -run '^$' -fuzz '^FuzzChainBarrier$' -fuzztime 10s
 
 # Examples smoke: every example program must build and run to completion
 # on a small input. Exit status is the check; output is the user's.

@@ -68,9 +68,10 @@ func benchPut(b *testing.B, cfg core.Config) {
 }
 
 // BenchmarkBarrier measures one barrier_all over the UDN wait+release
-// chain on benchPEs tiles, uninstrumented. allocs/op counts the work of
-// the whole chain (every PE's sends and receives per barrier) and must
-// be 0.
+// chain on benchPEs tiles, uninstrumented — which makes it the computed
+// chain (internal/core, barrier.go): no packet moves. allocs/op counts the
+// work of the whole chain (every PE's arrival and release per barrier) and
+// must be 0; BenchmarkBarrierObserved sends the packets.
 func BenchmarkBarrier(b *testing.B) {
 	benchBarrier(b, core.Config{NPEs: benchPEs, HeapPerPE: 64 << 10})
 }

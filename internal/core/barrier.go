@@ -6,6 +6,7 @@ import (
 
 	"tshmem/internal/mpipe"
 	"tshmem/internal/profile"
+	"tshmem/internal/sanitize"
 	"tshmem/internal/stats"
 	"tshmem/internal/udn"
 	"tshmem/internal/vtime"
@@ -101,7 +102,8 @@ func fnvFold32(h, v uint32) uint32 {
 // every generation of that set continues from.
 type setGen struct {
 	gen    uint32
-	prefix uint32 // asTagPrefix of the set
+	prefix uint32    // asTagPrefix of the set
+	chain  *chainSet // the set's computed chain barrier, found on first use (barrier counters only)
 }
 
 // next returns the set's current generation with its tag and advances the
@@ -177,7 +179,8 @@ func (pe *PE) barrierUDN(as ActiveSet) error {
 // the set.
 func (pe *PE) barrierChain(as ActiveSet, idx int) error {
 	n := as.Size
-	gen, tag := pe.nextBarGen(as)
+	g := pe.setGenOf(&pe.barAll, &pe.barGen, as)
+	gen, tag := g.next()
 	// Sanitizer rendezvous: entering a barrier completes outstanding puts;
 	// the exit joins every participant's entry clock. The wait pass's full
 	// loop guarantees all members enter before anyone exits.
@@ -193,6 +196,9 @@ func (pe *PE) barrierChain(as ActiveSet, idx int) error {
 		}
 		pe.san.BarrierExit(tok)
 		return nil
+	}
+	if pe.prog.packetless {
+		return pe.chainComputed(g, as, idx, gen, tok)
 	}
 	next := as.PE((idx + 1) % n)
 	fwd := vtime.FromNs(pe.prog.chip.UDNSWForwardNs)
@@ -229,6 +235,209 @@ func (pe *PE) barrierChain(as ActiveSet, idx int) error {
 		return pe.sendBarrier(next, tag, sigRelease)
 	}
 	return nil
+}
+
+// The computed chain. A run that nobody watches packet by packet
+// (Program.packetless) moves none for the single-chip chain above: the
+// signal is a clock kept in the barrier's instance, and each member parks
+// once. What the chain leaves in its members' clocks is a max-plus
+// recurrence over their arrival clocks and per-hop constants, and vtime is
+// integers, so the result is exact. So is the host schedule, because the
+// ready heap is given the entries the literal chain gives it:
+//
+//   - A member the wait signal finds parked is readied at its arrival clock,
+//     as the packet's enqueue readies the literal receiver. Its turn only
+//     forwards the signal, so the driver takes it (evsched.drive, chainTurn)
+//     without resuming the body. A member that arrives where the signal is
+//     already waiting forwards it on the spot. Either way a ready PE outside
+//     the set that precedes a member still to forward runs before the
+//     barrier completes, here as there.
+//   - The signal coming back readies member 0 at the clock it launched it
+//     with; each member, as it leaves, readies the next at the clock that one
+//     forwarded the wait signal with. These turns are the bodies'.
+//
+// The literal chain is the form whose packets fault plans drop and whose
+// sends recorders, profilers and link counters see; under an armed empty
+// plan it is the oracle the computed form is tested against
+// (TestChainBarrierMatchesLiteral).
+
+// chainHop is one link of an active set's chain: what the signal from a
+// member to the next costs its sender and then the wire.
+type chainHop struct{ send, wire vtime.Duration }
+
+// chainSet is what a run keeps per active set whose chain it computes: the
+// chain's constants and the instances in flight.
+type chainSet struct {
+	as       ActiveSet
+	arb, fwd vtime.Duration
+	hops     []chainHop // hops[i]: member i to member (i+1) mod n
+
+	// live holds the instances in flight, by generation parity. Two slots
+	// suffice: a member reaches generation g+1 only by leaving g, so g+1
+	// completes only once g is empty, and nobody reaches g+2 before that.
+	live [2]chainInst
+}
+
+// chainInst is one barrier in flight on the computed chain.
+type chainInst struct {
+	set *chainSet
+	gen uint32
+	// inside counts the members that arrived and have not left; a slot with
+	// nobody inside is free.
+	inside int
+	// pos is the member the wait signal is waiting at or on its way to, the
+	// set's size once it is on its way back to member 0. sig is the clock at
+	// which the signal, wait or release, left the member that sent it last.
+	pos int
+	sig vtime.Time
+}
+
+// chainSetOf returns the run's chain state for as, resolving the set's hops
+// on first use.
+func (p *Program) chainSetOf(as ActiveSet) (*chainSet, error) {
+	if set := p.chainSets[as]; set != nil {
+		return set, nil
+	}
+	geo := p.geos[p.chipOf(as.PE(0))]
+	set := &chainSet{
+		as:   as,
+		arb:  vtime.FromNs(p.chip.BarrierArbiterNs),
+		fwd:  vtime.FromNs(p.chip.UDNSWForwardNs),
+		hops: make([]chainHop, as.Size),
+	}
+	for i := range set.hops {
+		path, err := geo.Path(p.localIdx(as.PE(i)), p.localIdx(as.PE((i+1)%as.Size)), 1)
+		if err != nil {
+			return nil, err
+		}
+		set.hops[i] = chainHop{send: path.Send, wire: path.Wire}
+	}
+	if p.chainSets == nil {
+		p.chainSets = make(map[ActiveSet]*chainSet)
+	}
+	p.chainSets[as] = set
+	return set, nil
+}
+
+// join returns generation gen's instance of the set, claiming its slot for
+// the generation's first arrival.
+func (set *chainSet) join(gen uint32) (*chainInst, error) {
+	inst := &set.live[gen&1]
+	if inst.inside == 0 {
+		*inst = chainInst{set: set, gen: gen}
+	} else if inst.gen != gen {
+		return nil, fmt.Errorf("tshmem: internal: barrier %v generation %d entered with generation %d in flight",
+			set.as, gen, inst.gen)
+	}
+	return inst, nil
+}
+
+// missing lists the members inst is still waiting for.
+func (inst *chainInst) missing(p *Program) []int {
+	var out []int
+	for i := 0; i < inst.set.as.Size; i++ {
+		if pe := inst.set.as.PE(i); p.pes[pe].bar != inst {
+			out = append(out, pe)
+		}
+	}
+	return out
+}
+
+// signal readies member i with status st if it is parked in inst: it may
+// not have arrived yet, and an abort may have readied it already (a PE is
+// queued ready once).
+func (inst *chainInst) signal(p *Program, i int, st uint8) {
+	if id := inst.set.as.PE(i); p.pes[id].bar == inst && p.sched.pes[id].state == evBlocked {
+		p.sched.unpark(id, st)
+	}
+}
+
+// forward is member i's step of the wait pass, taken with its clock at its
+// arrival: member 0 launches the signal, any other merges with it and sends
+// it on. The member's clock is left where the literal chain parks it for
+// what comes next; the next member gets the signal — member 0 to start the
+// release, any other for its turn to forward.
+func (inst *chainInst) forward(p *Program, i int) {
+	set := inst.set
+	clock := &p.pes[set.as.PE(i)].clock
+	if i == 0 {
+		clock.Advance(set.arb)
+	} else {
+		clock.AdvanceTo(inst.sig.Add(set.hops[i-1].wire))
+		clock.Advance(set.fwd)
+	}
+	clock.Advance(set.hops[i].send)
+	inst.sig, inst.pos = clock.Now(), i+1
+	if inst.pos == set.as.Size {
+		inst.signal(p, 0, wakeRun)
+	} else {
+		inst.signal(p, inst.pos, wakeForward)
+	}
+}
+
+// chainTurn is the turn of a member readied with wakeForward, taken by the
+// driver between resumes: the member forwards the wait signal and parks
+// again where it was, without its body running. It reports false if the
+// program has aborted since, when the turn is the body's after all, to
+// unwind.
+func (p *Program) chainTurn(id int) bool {
+	if p.aborted {
+		p.sched.pes[id].wake = wakeAbort
+		return false
+	}
+	inst := p.pes[id].bar
+	idx, _ := inst.set.as.Index(id)
+	p.sched.repark(id)
+	inst.forward(p, idx)
+	return true
+}
+
+// chainComputed is barrierChain's single-chip branch without packets, for
+// member idx of as at generation gen. The steps are barrierChain's.
+func (pe *PE) chainComputed(g *setGen, as ActiveSet, idx int, gen uint32, tok *sanitize.Barrier) error {
+	p := pe.prog
+	if p.aborted {
+		return chainAborted(pe, as, gen)
+	}
+	if g.chain == nil {
+		set, err := p.chainSetOf(as)
+		if err != nil {
+			return err
+		}
+		g.chain = set
+	}
+	set := g.chain
+	inst, err := set.join(gen)
+	if err != nil {
+		return err
+	}
+	inst.inside++
+	pe.bar = inst
+	if idx == inst.pos {
+		inst.forward(p, idx) // the wait signal is here, or starts here
+	}
+	st := p.sched.yield(pe.id, wkChain, 0, 0)
+	pe.bar = nil
+	inst.inside--
+	if st != wakeRun {
+		// The only wakes of this wait are the release and an abort.
+		return chainAborted(pe, as, gen)
+	}
+	// Released: member 0 by the wait signal coming back, any other by the
+	// release signal from the member before it.
+	prev := (idx + as.Size - 1) % as.Size
+	pe.clock.AdvanceTo(inst.sig.Add(set.hops[prev].wire))
+	pe.san.BarrierExit(tok)
+	if idx < as.Size-1 {
+		pe.clock.Advance(set.fwd + set.hops[idx].send)
+		inst.sig = pe.clock.Now()
+		inst.signal(p, idx+1, wakeRun)
+	}
+	return nil
+}
+
+func chainAborted(pe *PE, as ActiveSet, gen uint32) error {
+	return fmt.Errorf("tshmem: program aborted while PE %d waited in barrier %v generation %d", pe.id, as, gen)
 }
 
 // setOnOneChip reports whether every member of the active set shares one

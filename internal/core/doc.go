@@ -34,18 +34,22 @@
 // # Synchronization algorithms
 //
 // Barriers and locks are pluggable (syncalgo.go; docs/SYNC.md). The
-// paper's designs are the defaults: BarrierAll runs the linear UDN
-// signal chain (or the TMC spin barrier with Config.Barrier), and
-// SetLock is a CAS spin loop. Config.BarrierAlgo additionally selects a
-// sense-reversing counter barrier, the dissemination barrier, the
-// tournament barrier, or the MCS tree barrier; Config.LockAlgo selects
-// ticket or MCS queue locks. Every algorithm charges honest costs
-// through the same UDN/mesh/cache models — standalone sends pay the
-// full send-call cost, chain forwards the cheap hot-loop cost, counter
-// traffic the atomic service time — so their crossovers are model
-// outputs, not assertions. All variants publish the sanitizer's
-// happens-before edges and bound their blocking waits under fault
-// injection like the defaults.
+// paper's designs are the defaults: BarrierAll runs the linear UDN signal
+// chain (or the TMC spin barrier with Config.Barrier), and SetLock is a
+// CAS spin loop. (The chain's modeled outcome is fixed by its members'
+// arrival clocks and the geometry, so a run with no fault plan, recorder
+// or profiler to see individual packets computes it — one park per member,
+// the calendar given the ready entries the packets gave it — instead of
+// sending its 2n-1 signals; barrier.go, "The computed chain".)
+// Config.BarrierAlgo additionally selects a sense-reversing counter
+// barrier, the dissemination barrier, the tournament barrier, or the MCS
+// tree barrier; Config.LockAlgo selects ticket or MCS queue locks. Every
+// algorithm charges honest costs through the same UDN/mesh/cache models —
+// standalone sends pay the full send-call cost, chain forwards the cheap
+// hot-loop cost, counter traffic the atomic service time — so their
+// crossovers are model outputs, not assertions. All variants publish the
+// sanitizer's happens-before edges and bound their blocking waits under
+// fault injection like the defaults.
 //
 // # Virtual time
 //
@@ -60,16 +64,17 @@
 //
 // A run's PE bodies are coroutines that execute one at a time on a
 // virtual-time calendar (engine.go): every modeled wait — a UDN or mPIPE
-// queue, the spin barrier, a WaitUntil hub, a counter barrier, a lock
-// queue — parks the PE there, suspending it into the run's driver, which
-// resumes the ready PE with the least (clock, rank). That is the only
-// blocking path each wait has, and a hand-off never passes through the Go
-// scheduler. Because the calendar sees every wait, it expires bounded waits
-// under fault injection without a host timer and reports a deadlock,
-// naming each PE's wait, instead of hanging. It imposes two rules on a
-// body: it must not block on a host primitive waiting for another PE of
-// the same run, and it must not call runtime.LockOSThread (see Run, which
-// also says what runtime.Goexit inside a body does).
+// queue, the spin barrier, a WaitUntil hub, a counter or computed chain
+// barrier, a lock queue — parks the PE there, suspending it into the run's
+// driver, which resumes the ready PE with the least (clock, rank). That is
+// the only blocking path each wait has, and a hand-off never passes
+// through the Go scheduler. Because the calendar sees every wait, it
+// expires bounded waits under fault injection without a host timer and
+// reports a deadlock, naming each PE's wait, instead of hanging. It
+// imposes two rules on a body: it must not block on a host primitive
+// waiting for another PE of the same run, and it must not call
+// runtime.LockOSThread (see Run, which also says what runtime.Goexit
+// inside a body does).
 //
 // One PE runs at a time, and everything under Run is built on that: a
 // run's state — the calendar, barrier and lock queues, watch hubs, link and

@@ -300,6 +300,7 @@ const (
 	wkHub                      // a = watch-hub index (WaitUntil, ticket lock)
 	wkCtr                      // a = counter-barrier instance tag
 	wkMCS                      // a = lock offset, b = predecessor rank
+	wkChain                    // a computed chain barrier: the PE's bar field names the instance
 
 	numWaitKinds
 )
@@ -309,6 +310,7 @@ const (
 	wakeRun     uint8 = iota // scheduled normally: proceed / re-check
 	wakeTimeout              // quiescence expired this bounded wait (faults)
 	wakeAbort                // the program aborted while parked
+	wakeForward              // a chain barrier's wait signal reached it: the turn is the driver's (chainTurn)
 )
 
 // PE states in the calendar.
@@ -375,6 +377,10 @@ type evsched struct {
 	// store issues one — and return on this count instead of scanning the
 	// calendar.
 	parked [numWaitKinds]int
+
+	// parks counts the PEs' parks over the run: one coroutine switch out and,
+	// later, one back in each. Tests read it; nothing reports it yet.
+	parks int
 
 	done chan struct{} // closed by the driver once every PE has retired
 }
@@ -460,6 +466,10 @@ func (s *evsched) begin(body func(*PE) error, errs []error) {
 // start+WaitBudget deadline); without faults the program is deadlocked and
 // is aborted.
 //
+// One kind of turn is the driver's own: a member of a computed chain barrier
+// readied with wakeForward is due only to pass the wait signal on, which
+// chainTurn does here, between resumes, leaving the PE parked.
+//
 // Every piece of driver state lives in the calendar, so the loop can be
 // picked up by another goroutine, and once per body that leaves through
 // runtime.Goexit (a t.FailNow inside a body) it is: the dying coroutine
@@ -493,6 +503,9 @@ func (s *evsched) drive() {
 		}
 		id := s.popReady()
 		n := &s.pes[id]
+		if n.wake == wakeForward && s.prog.chainTurn(id) {
+			continue
+		}
 		n.state = evRunning
 		s.resumed = id
 		s.running++
@@ -523,10 +536,19 @@ func (s *evsched) yield(id int, kind uint8, a, b int64) uint8 {
 	n.state = evBlocked
 	n.kind, n.a, n.b = kind, a, b
 	s.parked[kind]++
+	s.parks++
 	n.co.yield(struct{}{})
 	st := n.wake
 	n.wake = wakeRun
 	return st
+}
+
+// repark puts a readied PE the driver has just popped back on the wait it
+// was readied from, without having resumed it.
+func (s *evsched) repark(id int) {
+	n := &s.pes[id]
+	n.state, n.wake = evBlocked, wakeRun
+	s.parked[n.kind]++
 }
 
 // leads reports whether running PE id precedes every ready PE in (clock,
@@ -610,7 +632,7 @@ func (s *evsched) resolveDeadlock() {
 			continue
 		}
 		if lines++; lines <= maxDeadlockLines {
-			fmt.Fprintf(&b, "\n  PE %d: %s", i, s.pes[i].waitString())
+			fmt.Fprintf(&b, "\n  PE %d: %s", i, s.waitString(i))
 		}
 	}
 	if lines > maxDeadlockLines {
@@ -631,9 +653,9 @@ func (s *evsched) resolveDeadlock() {
 	s.unparkAll(wakeAbort)
 }
 
-// waitString names what a blocked PE is parked on.
-func (n *evNode) waitString() string {
-	switch n.kind {
+// waitString names what blocked PE i is parked on.
+func (s *evsched) waitString(i int) string {
+	switch n := &s.pes[i]; n.kind {
 	case wkUDNRecv:
 		return fmt.Sprintf("udn.recv queue %d", n.b)
 	case wkUDNSend:
@@ -650,14 +672,17 @@ func (n *evNode) waitString() string {
 		return fmt.Sprintf("counter barrier tag %#x", n.a)
 	case wkMCS:
 		return fmt.Sprintf("lock @%#x behind PE %d", n.a, n.b)
+	case wkChain:
+		inst := s.prog.pes[i].bar
+		return fmt.Sprintf("barrier %v generation %d, missing PEs %v", inst.set.as, inst.gen, inst.missing(s.prog))
 	}
-	return fmt.Sprintf("wait kind %d", n.kind)
+	return fmt.Sprintf("wait kind %d", s.pes[i].kind)
 }
 
 // waitsFor lists the PEs whose progress would end blocked PE i's wait, for
 // the waits that have such owners: the predecessor in an MCS queue, the
-// receiver of a backpressured send, the members a counter barrier is still
-// missing. A receive or a polled word (WaitUntil, a ticket lock) can be
+// receiver of a backpressured send, the members a counter or chain barrier
+// is still missing. A receive or a polled word (WaitUntil, a ticket lock) can be
 // satisfied by any PE and has none.
 func (s *evsched) waitsFor(i int) []int {
 	switch n := &s.pes[i]; n.kind {
@@ -679,6 +704,8 @@ func (s *evsched) waitsFor(i int) []int {
 			}
 			return missing
 		}
+	case wkChain:
+		return s.prog.pes[i].bar.missing(s.prog)
 	}
 	return nil
 }

@@ -517,7 +517,36 @@ func TestEngineEventDeadlockAborts(t *testing.T) {
 		return pe.BarrierAll()
 	})
 	requireReport(err, "PE 0: lock @", " behind PE 1", "PE 1: lock @", " behind PE 0",
-		"PE 2: udn.recv queue 0", "wait-for cycle: PE 0 -> PE 1 -> PE 0")
+		"PE 2: barrier {start:0 stride:2^0 size:3} generation ", ", missing PEs [0 1]",
+		"wait-for cycle: PE 0 -> PE 1 -> PE 0")
+
+	// A cycle through a chain barrier, lock -> barrier -> lock: PE 0 waits
+	// for the lock PE 2 holds, PE 2 waits in a barrier of {1, 2} for PE 1,
+	// and PE 1 waits for the lock PE 0 holds.
+	_, err = Run(Config{NPEs: 3, HeapPerPE: 1 << 16, LockAlgo: LockAlgoMCS}, func(pe *PE) error {
+		locks, lerr := Malloc[int64](pe, 2)
+		if lerr != nil {
+			return lerr
+		}
+		me := pe.MyPE()
+		if me != 1 {
+			if err := pe.SetLock(locks.At(me / 2)); err != nil { // PE 0 takes lock 0, PE 2 lock 1
+				return err
+			}
+		}
+		if err := pe.BarrierAll(); err != nil {
+			return err
+		}
+		if me != 2 {
+			if err := pe.SetLock(locks.At(1 - me)); err != nil { // PE 0 wants lock 1, PE 1 lock 0
+				return err
+			}
+		}
+		return pe.Barrier(ActiveSet{Start: 1, LogStride: 0, Size: 2})
+	})
+	requireReport(err, "PE 0: lock @", " behind PE 2", "PE 1: lock @", " behind PE 0",
+		"PE 2: barrier {start:1 stride:2^0 size:2} generation 0, missing PEs [1]",
+		"wait-for cycle: PE 0 -> PE 2 -> PE 1 -> PE 0")
 
 	// A counter barrier knows which members it is missing: PE 1 enters it
 	// holding the lock PE 0 must take before it can follow.

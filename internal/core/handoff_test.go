@@ -114,8 +114,8 @@ func TestBodyGoexitAborts(t *testing.T) {
 			// of them run, into the barrier, before this PE is resumed.
 			pe.ComputeIntOps(1_000_000)
 			pe.yieldSpin()
-			if got := pe.prog.sched.parked[wkUDNRecv]; got != pe.NumPEs()-1 {
-				t.Errorf("%d peers parked in the barrier's receive, want %d", got, pe.NumPEs()-1)
+			if got := pe.prog.sched.parked[wkChain]; got != pe.NumPEs()-1 {
+				t.Errorf("%d peers parked in the barrier's rendezvous, want %d", got, pe.NumPEs()-1)
 			}
 			runtime.Goexit()
 		}

@@ -61,6 +61,7 @@ type PE struct {
 	collAll     setGen
 	barGen      map[ActiveSet]*setGen
 	barPending  []udn.Packet // stashed signals of overlapping barrier instances
+	bar         *chainInst   // the computed chain barrier this PE has arrived at and not left
 	collGen     map[ActiveSet]*setGen
 	collPending []udn.Packet
 	initPending []udn.Packet

@@ -395,6 +395,13 @@ type Program struct {
 	lockRel    map[int64]lockRelStamp
 	mcsNext    map[int64]map[int]*mcsWaiter
 
+	// packetless says no consumer of individual barrier packets exists — no
+	// fault plan to drop or delay them, no recorder, profiler or link counter
+	// to see them — so the single-chip chain barrier is computed instead of
+	// sent (barrier.go, "The computed chain"). It is decided here, once.
+	packetless bool
+	chainSets  map[ActiveSet]*chainSet // computed-chain state per active set, made on first use
+
 	flt        *fault.Injector // nil unless Config.Faults
 	waitBudget vtime.Duration  // virtual bound per blocking wait (faults only)
 	tmo        timeoutLog      // Timeout diagnostics from bounded waits
@@ -677,6 +684,7 @@ func newProgram(cfg Config) (*Program, error) {
 	}
 	p.mapFloor = p.cm.MapEnd()
 
+	p.packetless = cfg.Faults == nil && !cfg.Observe && !cfg.Profile
 	p.sched = newEvsched(p, cfg.NPEs)
 	p.sched.timed = cfg.Faults != nil
 	for c := 0; c < p.nchips; c++ {

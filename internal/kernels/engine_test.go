@@ -115,3 +115,31 @@ func TestKernelEngineEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelObserveFork pins the unobserved form of every kernel to the
+// observed one. A run nobody observes computes its single-chip chain barriers
+// instead of sending them (internal/core, barrier.go); the goldens above and
+// BENCH_baseline.json are recorded with observers on, so they hold the
+// literal chain only. Each kernel, on two chip families and two PE counts,
+// must leave every PE's clock and PE 0's output the same either way.
+func TestKernelObserveFork(t *testing.T) {
+	for _, k := range Kernels() {
+		for _, chip := range []*arch.Chip{arch.Gx8036(), arch.EpiphanyIII()} {
+			for _, npes := range []int{4, 9} {
+				s := testSpec(k.Name(), npes, 5)
+				plain, out, err := Launch(k, s, core.Config{Chip: chip})
+				if err != nil {
+					t.Fatal(err)
+				}
+				observed, outObs, err := Launch(k, s, core.Config{Chip: chip, Observe: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(plain.PETimes, observed.PETimes) || !reflect.DeepEqual(out, outObs) {
+					t.Errorf("%s/%s/%d PEs: unobserved and observed runs diverged:\n  unobserved: %v\n  observed:   %v",
+						k.Name(), chip.Name, npes, plain.PETimes, observed.PETimes)
+				}
+			}
+		}
+	}
+}
