@@ -211,9 +211,9 @@ if echo "$ALLOC_OUT" | grep -E 'Benchmark(Put|Barrier)\b' | grep -vE '\s0 allocs
 fi
 # The benchmarks above observe nothing, so BenchmarkBarrier times the
 # computed chain; TestBarrierZeroAllocs holds it to zero by count, for an
-# all-PEs and a subset barrier: the instance a slot of the set's cached
-# state, the hops beside it, no packet built (docs/PERFORMANCE.md,
-# "Execution model").
+# all-PEs and a subset barrier, unobserved and observed: the instance a slot
+# of the set's cached state, the hops beside it, no packet built
+# (docs/PERFORMANCE.md, "Execution model").
 env -u TSHMEM_SANITIZE go test ./internal/core -run '^TestBarrierZeroAllocs$' -count=1
 
 # Fault smoke: with faults off the probe JSON must be byte-identical to
@@ -288,10 +288,13 @@ go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$|^Tes
 # Goexit takeover or a failing peer readies members parked in the
 # rendezvous from outside it, a released member must not ready them
 # again, and a member queued for the driver to forward the wait signal
-# must unwind instead. They run three more times.
-echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer pool + memo scope + replay cache + barrier ways out, 3x =="
+# must unwind instead. Last, the computed chain under every observer mode
+# (ISSUE 25): the driver's forwarding turns feed a parked member's recorder
+# and profiler, which only the baton makes that member's. They run three
+# more times.
+echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer pool + memo scope + replay cache + barrier ways out + observed chain, 3x =="
 go test -race ./internal/core ./internal/stats \
-    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestReplayCacheConcurrentColdShape|TestChainBarrierEveryWayOut|TestChainBarrierReleaseMeetsAbort|TestChainBarrierForwardMeetsAbort' -count=3
+    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestReplayCacheConcurrentColdShape|TestChainBarrierEveryWayOut|TestChainBarrierReleaseMeetsAbort|TestChainBarrierForwardMeetsAbort|TestChainBarrierCollectivesMatchLiteral' -count=3
 
 # Hand-off smoke: a grant must not re-enter the Go scheduler (docs/
 # PERFORMANCE.md, "The switch"). TestHandoffStaysOffScheduler counts the
@@ -355,6 +358,7 @@ go test ./internal/alloc -run '^$' -fuzz '^FuzzAlloc$' -fuzztime 10s
 go test ./internal/kernels -run '^$' -fuzz '^FuzzSampleSortPartition$' -fuzztime 10s
 go test ./internal/kernels -run '^$' -fuzz '^FuzzBFSFrontier$' -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz '^FuzzChainBarrier$' -fuzztime 10s
+go test ./internal/stats -run '^$' -fuzz '^FuzzMergeEvents$' -fuzztime 10s
 
 # Examples smoke: every example program must build and run to completion
 # on a small input. Exit status is the check; output is the user's.

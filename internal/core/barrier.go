@@ -237,13 +237,13 @@ func (pe *PE) barrierChain(as ActiveSet, idx int) error {
 	return nil
 }
 
-// The computed chain. A run that nobody watches packet by packet
-// (Program.packetless) moves none for the single-chip chain above: the
-// signal is a clock kept in the barrier's instance, and each member parks
-// once. What the chain leaves in its members' clocks is a max-plus
-// recurrence over their arrival clocks and per-hop constants, and vtime is
-// integers, so the result is exact. So is the host schedule, because the
-// ready heap is given the entries the literal chain gives it:
+// The computed chain. A run without a fault plan (Program.packetless) moves
+// no packets for the single-chip chain above: the signal is a clock kept in
+// the barrier's instance, and each member parks once. What the chain leaves
+// in its members' clocks is a max-plus recurrence over their arrival clocks
+// and per-hop constants, and vtime is integers, so the result is exact. So
+// is the host schedule, because the ready heap is given the entries the
+// literal chain gives it:
 //
 //   - A member the wait signal finds parked is readied at its arrival clock,
 //     as the packet's enqueue readies the literal receiver. Its turn only
@@ -256,10 +256,17 @@ func (pe *PE) barrierChain(as ActiveSet, idx int) error {
 //     with; each member, as it leaves, readies the next at the clock that one
 //     forwarded the wait signal with. These turns are the bodies'.
 //
-// The literal chain is the form whose packets fault plans drop and whose
-// sends recorders, profilers and link counters see; under an armed empty
-// plan it is the oracle the computed form is tested against
-// (TestChainBarrierMatchesLiteral).
+// A hooked run (Program.hooked) has recorders, a profiler or link counters
+// that counted each of the literal chain's packets. Its steps feed them what
+// the packets fed, in the same order per PE, as replayChip does for start_pes:
+// chainRecv is a consumed signal, chainSend a sent one, and the receive-queue
+// depth the link counters sample is a count of signals sent to a PE and not
+// yet consumed (Program.chainQueued). An unhooked run takes the bare
+// arithmetic: calling the nil-safe hooks anyway cost sync-storm 6 %.
+//
+// The literal chain is the form whose packets fault plans drop; under an
+// armed empty plan it is the oracle the computed form is tested against
+// (TestChainBarrierMatchesLiteral), with every observer on and off.
 
 // chainHop is one link of an active set's chain: what the signal from a
 // member to the next costs its sender and then the wire.
@@ -359,14 +366,23 @@ func (inst *chainInst) signal(p *Program, i int, st uint8) {
 // release, any other for its turn to forward.
 func (inst *chainInst) forward(p *Program, i int) {
 	set := inst.set
-	clock := &p.pes[set.as.PE(i)].clock
-	if i == 0 {
+	pe := &p.pes[set.as.PE(i)]
+	clock := &pe.clock
+	switch {
+	case i == 0:
 		clock.Advance(set.arb)
-	} else {
+	case p.hooked:
+		pe.chainRecv(set, i-1, inst.sig)
+		pe.advanceAs(profile.CatUDNSend, set.fwd)
+	default:
 		clock.AdvanceTo(inst.sig.Add(set.hops[i-1].wire))
 		clock.Advance(set.fwd)
 	}
-	clock.Advance(set.hops[i].send)
+	if p.hooked {
+		pe.chainSend(set, i)
+	} else {
+		clock.Advance(set.hops[i].send)
+	}
 	inst.sig, inst.pos = clock.Now(), i+1
 	if inst.pos == set.as.Size {
 		inst.signal(p, 0, wakeRun)
@@ -426,14 +442,56 @@ func (pe *PE) chainComputed(g *setGen, as ActiveSet, idx int, gen uint32, tok *s
 	// Released: member 0 by the wait signal coming back, any other by the
 	// release signal from the member before it.
 	prev := (idx + as.Size - 1) % as.Size
-	pe.clock.AdvanceTo(inst.sig.Add(set.hops[prev].wire))
+	if p.hooked {
+		pe.chainRecv(set, prev, inst.sig)
+	} else {
+		pe.clock.AdvanceTo(inst.sig.Add(set.hops[prev].wire))
+	}
 	pe.san.BarrierExit(tok)
 	if idx < as.Size-1 {
-		pe.clock.Advance(set.fwd + set.hops[idx].send)
+		if p.hooked {
+			pe.advanceAs(profile.CatUDNSend, set.fwd)
+			pe.chainSend(set, idx)
+		} else {
+			pe.clock.Advance(set.fwd + set.hops[idx].send)
+		}
 		inst.sig = pe.clock.Now()
 		inst.signal(p, idx+1, wakeRun)
 	}
 	return nil
+}
+
+// chainRecv is a hooked member's merge with the signal member from sent at
+// sig: the hooks recvBarrier and consumeBarrier feed for the packet.
+func (pe *PE) chainRecv(set *chainSet, from int, sig vtime.Time) {
+	arrive := sig.Add(set.hops[from].wire)
+	pe.rec.UDNRecv(1)
+	if q := pe.prog.chainQueued; q != nil {
+		q[pe.id]--
+	}
+	waitStart := pe.clock.Now()
+	pe.rec.BarrierWait(pe.clock.AdvanceTo(arrive))
+	pe.profMerge(profile.CatBarrierWait, waitStart, set.as.PE(from), sig, arrive)
+}
+
+// chainSend is hooked member i's send of the signal to the next member: the
+// hooks sendBarrier and Port.Send feed for the packet.
+func (pe *PE) chainSend(set *chainSet, i int) {
+	p := pe.prog
+	hop := set.hops[i]
+	pe.rec.BarrierRound()
+	pe.advanceAs(profile.CatUDNSend, hop.send)
+	if p.links == nil {
+		return // profiled only: nothing below counts
+	}
+	next := set.as.PE((i + 1) % set.as.Size)
+	c, src, dst := p.chipOf(pe.id), p.localIdx(pe.id), p.localIdx(next)
+	// chainSetOf resolved this route already, so it cannot fail here.
+	hops, _ := p.geos[c].HopsBetween(src, dst)
+	pe.rec.UDNSend(1, hops, hop.send+hop.wire)
+	p.links[c].RecordRoute(src, dst, 1)
+	p.chainQueued[next]++
+	p.links[c].RecordQueueDepth(dst, int(p.chainQueued[next]))
 }
 
 func chainAborted(pe *PE, as ActiveSet, gen uint32) error {

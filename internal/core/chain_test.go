@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -236,8 +237,10 @@ func requireChainIdle(t testing.TB, p *Program) {
 }
 
 // checkChainDifferential runs body under cfg computed and literal and holds
-// the first to the second: every PE's clock, every PE's core.Stats, the
-// sanitizer's diagnostics and its loss counts.
+// the first to the second: every PE's clock and core.Stats, and whatever
+// cfg's observers export — counters, histograms, per-link words and packets,
+// the trace, the profile JSON byte for byte, the sanitizer's diagnostics and
+// its loss counts.
 func checkChainDifferential(t testing.TB, label string, cfg Config, body func(*PE) error) (computed, literal chainOutcome) {
 	t.Helper()
 	lit := cfg
@@ -246,17 +249,37 @@ func checkChainDifferential(t testing.TB, label string, cfg Config, body func(*P
 	if !computed.packetless || literal.packetless {
 		t.Fatalf("%s: packetless = %v computed, %v under an armed plan; want true, false", label, computed.packetless, literal.packetless)
 	}
-	if !reflect.DeepEqual(computed.rep.PETimes, literal.rep.PETimes) {
-		t.Errorf("%s: PETimes diverged:\n  computed: %v\n  literal:  %v", label, computed.rep.PETimes, literal.rep.PETimes)
-	}
+	crep, lrep := computed.rep, literal.rep
+	compareReports(t, label, crep, lrep)
 	if !reflect.DeepEqual(computed.stats, literal.stats) {
 		t.Errorf("%s: core.Stats diverged", label)
 	}
-	if !reflect.DeepEqual(computed.rep.Diagnostics, literal.rep.Diagnostics) || computed.rep.SanitizerLoss != literal.rep.SanitizerLoss {
+	if !reflect.DeepEqual(crep.Trace(), lrep.Trace()) {
+		t.Errorf("%s: traces diverged (%d vs %d events)", label, len(crep.Trace()), len(lrep.Trace()))
+	}
+	if cfg.Profile && !bytes.Equal(profileJSON(t, crep), profileJSON(t, lrep)) {
+		t.Errorf("%s: profile JSON is not byte-identical", label)
+	}
+	if !reflect.DeepEqual(crep.Diagnostics, lrep.Diagnostics) || crep.SanitizerLoss != lrep.SanitizerLoss {
 		t.Errorf("%s: sanitizer output diverged:\n  computed: %v %+v\n  literal:  %v %+v", label,
-			computed.rep.Diagnostics, computed.rep.SanitizerLoss, literal.rep.Diagnostics, literal.rep.SanitizerLoss)
+			crep.Diagnostics, crep.SanitizerLoss, lrep.Diagnostics, lrep.SanitizerLoss)
 	}
 	return computed, literal
+}
+
+// chainObservers are the observer modes the differential runs under. The
+// computed chain feeds recorders, profiler and link counters itself, so each
+// mode is a form of it the literal chain must reproduce export for export.
+var chainObservers = []struct {
+	name string
+	cfg  Config
+}{
+	{"plain", Config{}},
+	{"sanitize", Config{Sanitize: true}},
+	{"observe", Config{Observe: true}},
+	{"observe+trace", Config{Observe: true, Trace: true}},
+	{"profile", Config{Profile: true}},
+	{"all", Config{Observe: true, Trace: true, Profile: true, Sanitize: true}},
 }
 
 // chainShapes are the meshes of the differential test: every catalogued chip,
@@ -274,10 +297,11 @@ func chainShapes() []Config {
 }
 
 // TestChainBarrierMatchesLiteral is the computed chain's oracle test: on
-// every mesh, at the smallest, an awkward and the full PE count, plain and
-// sanitized, the differential program over the fixed and four seeded random
-// active sets comes out of the computed chain exactly as out of the literal
-// one. A racy all-PEs-only program must agree too, diagnostics included.
+// every mesh, at the smallest, an awkward and the full PE count, under every
+// observer mode, the differential program over the fixed and four seeded
+// random active sets comes out of the computed chain exactly as out of the
+// literal one. A racy all-PEs-only program must agree too, diagnostics
+// included.
 func TestChainBarrierMatchesLiteral(t *testing.T) {
 	cases := 0
 	for _, shape := range chainShapes() {
@@ -286,10 +310,14 @@ func TestChainBarrierMatchesLiteral(t *testing.T) {
 			if testing.Short() && n > 72 {
 				continue
 			}
-			for _, san := range []bool{false, true} {
-				cfg := shape
-				cfg.NPEs, cfg.HeapPerPE, cfg.ScratchBytes, cfg.Sanitize = n, 1<<16, 1<<16, san
-				label := fmt.Sprintf("%s x%d/%d PEs/sanitize=%v", cfg.Chip.Name, cfg.NChips, n, san)
+			cases++
+			for m, obs := range chainObservers {
+				if n > 72 && (obs.cfg.Observe || obs.cfg.Profile) {
+					continue // the hooks are per step; 256 and 1 024 PEs add only time
+				}
+				cfg := obs.cfg
+				cfg.Chip, cfg.NChips, cfg.NPEs, cfg.HeapPerPE, cfg.ScratchBytes = shape.Chip, shape.NChips, n, 1<<16, 1<<16
+				label := fmt.Sprintf("%s x%d/%d PEs/%s", cfg.Chip.Name, cfg.NChips, n, obs.name)
 				seed := int64(n)*31 + int64(len(label))
 				sets := append(chainSets(n), randomSets(rand.New(rand.NewSource(seed)), n, 4)...)
 				computed, literal := checkChainDifferential(t, label, cfg, chainBody(seed, sets, false))
@@ -301,14 +329,13 @@ func TestChainBarrierMatchesLiteral(t *testing.T) {
 				}
 				// What host order decides, over the six sets the list ends with (the
 				// full-size ones and the random ones), the lock algorithm rotating
-				// with the case.
+				// with the mesh and PE count, so every mode meets every algorithm.
 				if n <= 72 {
 					contended := cfg
-					contended.LockAlgo = LockAlgos()[cases%len(LockAlgos())]
-					cases++
+					contended.LockAlgo = LockAlgos()[(cases+m)%len(LockAlgos())]
 					checkChainDifferential(t, label+"/contended/"+contended.LockAlgo.String(), contended, chainContendBody(seed, sets[len(sets)-6:]))
 				}
-				if !san || n < 3 {
+				if !cfg.Sanitize || n < 3 {
 					continue
 				}
 				racy, _ := checkChainDifferential(t, label+"/racy", cfg, chainBody(seed, nil, true))
@@ -321,25 +348,41 @@ func TestChainBarrierMatchesLiteral(t *testing.T) {
 }
 
 // FuzzChainBarrier is the differential test over fuzzer-chosen meshes, PE
-// counts and seeds, with seeded random active sets only.
+// counts and seeds, with seeded random active sets only; obs switches on
+// every observer but the sanitizer, which san does.
 func FuzzChainBarrier(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint16(35), false)
-	f.Add(int64(2), uint8(8), uint16(23), true)
-	f.Add(int64(3), uint8(7), uint16(70), true)
+	f.Add(int64(1), uint8(0), uint16(35), false, false)
+	f.Add(int64(2), uint8(8), uint16(23), true, false)
+	f.Add(int64(3), uint8(7), uint16(70), true, true)
+	f.Add(int64(4), uint8(1), uint16(11), false, true)
 	shapes := chainShapes()
-	f.Fuzz(func(t *testing.T, seed int64, shape uint8, npes uint16, san bool) {
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, npes uint16, san, obs bool) {
 		cfg := shapes[int(shape)%len(shapes)]
 		cfg.NPEs = 1 + int(npes)%min(cfg.NChips*cfg.Chip.Tiles, 72)
 		if cfg.NChips > cfg.NPEs {
 			cfg.NChips = 1
 		}
 		cfg.HeapPerPE, cfg.ScratchBytes, cfg.Sanitize = 1<<16, 1<<16, san
+		cfg.Observe, cfg.Trace, cfg.Profile = obs, obs, obs
 		sets := randomSets(rand.New(rand.NewSource(seed)), cfg.NPEs, 6)
 		label := fmt.Sprintf("%s x%d/%d PEs/seed %d", cfg.Chip.Name, cfg.NChips, cfg.NPEs, seed)
 		checkChainDifferential(t, label, cfg, chainBody(seed, sets, false))
 		cfg.LockAlgo = LockAlgos()[int(uint64(seed)%uint64(len(LockAlgos())))]
 		checkChainDifferential(t, label+"/contended", cfg, chainContendBody(seed, sets))
 	})
+}
+
+// TestChainBarrierCollectivesMatchLiteral: the collectives' internal barriers
+// and their hooks, in the benchmark's sync-storm in small, under each lock
+// algorithm and observed every way.
+func TestChainBarrierCollectivesMatchLiteral(t *testing.T) {
+	for _, algo := range LockAlgos() {
+		for _, obs := range chainObservers {
+			cfg := obs.cfg
+			cfg.NPEs, cfg.HeapPerPE, cfg.LockAlgo = 36, 1<<16, algo
+			checkChainDifferential(t, algo.String()+"/"+obs.name, cfg, stormLikeBody(24))
+		}
+	}
 }
 
 // stormLikeBody is the benchmark's sync-storm in small: rounds of BarrierAll,
@@ -407,31 +450,11 @@ func stormLikeBody(rounds int) func(*PE) error {
 	}
 }
 
-// TestChainBarrierObserveFork pins the form bench.RunSuite never runs: the
-// suite always observes, so BENCH_baseline.json holds the literal chain only.
-// A barrier + collective + lock loop run with Observe off (computed) and on
-// (literal, with every hook fed) must agree on every PE's clock, under each
-// lock algorithm. internal/kernels does the same for every kernel.
-func TestChainBarrierObserveFork(t *testing.T) {
-	for _, algo := range LockAlgos() {
-		cfg := Config{NPEs: 36, HeapPerPE: 1 << 16, LockAlgo: algo}
-		computed := runChain(t, cfg, stormLikeBody(24))
-		cfg.Observe = true
-		observed := runChain(t, cfg, stormLikeBody(24))
-		if !computed.packetless || observed.packetless {
-			t.Fatalf("%s: packetless = %v unobserved, %v observed; want true, false", algo, computed.packetless, observed.packetless)
-		}
-		if !reflect.DeepEqual(computed.rep.PETimes, observed.rep.PETimes) {
-			t.Errorf("%s: PETimes diverged:\n  unobserved: %v\n  observed:   %v", algo, computed.rep.PETimes, observed.rep.PETimes)
-		}
-	}
-}
-
 // TestChainBarrierParksOncePerPE is the test that fails without the
 // mechanism: 100 BarrierAlls on 36 PEs (and the start barrier) park each PE
-// at most once per barrier. The members arrive in reverse chain order, so
-// the literal chain parks every member but the first twice — for a wait
-// signal that has not reached it yet, then for the release.
+// at most once per barrier, observed or not. The members arrive in reverse
+// chain order, so the literal chain parks every member but the first twice —
+// for a wait signal that has not reached it yet, then for the release.
 func TestChainBarrierParksOncePerPE(t *testing.T) {
 	const n, rounds = 36, 100
 	body := func(pe *PE) error {
@@ -446,51 +469,61 @@ func TestChainBarrierParksOncePerPE(t *testing.T) {
 		}
 		return nil
 	}
-	cfg := Config{NPEs: n, HeapPerPE: 1 << 16}
-	computed, literal := checkChainDifferential(t, "reverse arrivals", cfg, body)
-	if limit := n * (rounds + 1); computed.parks > limit {
-		t.Errorf("%d parks for %d barriers of %d PEs, want at most %d", computed.parks, rounds+1, n, limit)
-	}
-	if literal.parks < 3*n*rounds/2 {
-		t.Errorf("the literal chain parked %d times for %d barriers of %d PEs: this test no longer tells the two apart", literal.parks, rounds+1, n)
+	for _, obs := range []Config{{}, {Observe: true, Trace: true, Profile: true}} {
+		cfg := obs
+		cfg.NPEs, cfg.HeapPerPE = n, 1<<16
+		label := fmt.Sprintf("reverse arrivals/observed=%v", cfg.Observe)
+		computed, literal := checkChainDifferential(t, label, cfg, body)
+		if limit := n * (rounds + 1); computed.parks > limit {
+			t.Errorf("%s: %d parks for %d barriers of %d PEs, want at most %d", label, computed.parks, rounds+1, n, limit)
+		}
+		if literal.parks < 3*n*rounds/2 {
+			t.Errorf("%s: the literal chain parked %d times for %d barriers of %d PEs: this test no longer tells the two apart", label, literal.parks, rounds+1, n)
+		}
 	}
 }
 
 // TestBarrierZeroAllocs: a steady-state BarrierAll and a steady-state subset
 // Barrier allocate nothing — the instance is a slot of the set's state, the
-// hops come from its cache, and no packet is built.
+// hops come from its cache, and no packet is built — and neither do they
+// observed once warm: the hooks fill histogram buckets the warm-up allocated
+// and counters that exist already.
 func TestBarrierZeroAllocs(t *testing.T) {
 	const npes, warm, runs = 8, 4, 50
 	sub := ActiveSet{Start: 1, LogStride: 1, Size: 3}
-	runT(t, gxCfg(npes), func(pe *PE) error {
-		var opErr error
-		round := func() {
-			if err := pe.BarrierAll(); err != nil {
-				opErr = err
-			}
-			if sub.Contains(pe.MyPE()) {
-				if err := pe.Barrier(sub); err != nil {
+	for _, observe := range []bool{false, true} {
+		cfg := gxCfg(npes)
+		cfg.Observe = observe
+		runT(t, cfg, func(pe *PE) error {
+			var opErr error
+			round := func() {
+				if err := pe.BarrierAll(); err != nil {
 					opErr = err
 				}
+				if sub.Contains(pe.MyPE()) {
+					if err := pe.Barrier(sub); err != nil {
+						opErr = err
+					}
+				}
 			}
-		}
-		for i := 0; i < warm; i++ {
-			round()
-		}
-		// Every PE runs the same runs+1 rounds (AllocsPerRun calls round once
-		// before it counts); PE 0's counter sees all of their allocations,
-		// since a run's PEs share one driver goroutine.
-		if pe.MyPE() == 0 {
-			if n := testing.AllocsPerRun(runs, round); n != 0 {
-				t.Errorf("a BarrierAll and a subset Barrier allocate %v times over %d PEs, want 0", n, npes)
-			}
-		} else {
-			for i := 0; i <= runs; i++ {
+			for i := 0; i < warm; i++ {
 				round()
 			}
-		}
-		return opErr
-	})
+			// Every PE runs the same runs+1 rounds (AllocsPerRun calls round once
+			// before it counts); PE 0's counter sees all of their allocations,
+			// since a run's PEs share one driver goroutine.
+			if pe.MyPE() == 0 {
+				if n := testing.AllocsPerRun(runs, round); n != 0 {
+					t.Errorf("observe=%v: a BarrierAll and a subset Barrier allocate %v times over %d PEs, want 0", observe, n, npes)
+				}
+			} else {
+				for i := 0; i <= runs; i++ {
+					round()
+				}
+			}
+			return opErr
+		})
+	}
 }
 
 // TestChainBarrierEveryWayOut: a member parked in the rendezvous unwinds,

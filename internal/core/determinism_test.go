@@ -106,7 +106,7 @@ func runDeterminism(t *testing.T) *Report {
 // per-chip mesh link traffic. The per-tile QueueHWM is deliberately NOT
 // compared: it samples the host-side receive-channel occupancy at send
 // time, a scheduling diagnostic that is host-dependent by design.
-func compareReports(t *testing.T, label string, a, b *Report) {
+func compareReports(t testing.TB, label string, a, b *Report) {
 	t.Helper()
 	if !reflect.DeepEqual(a.PETimes, b.PETimes) {
 		t.Errorf("%s: PETimes diverged:\n  a: %v\n  b: %v", label, a.PETimes, b.PETimes)

@@ -37,10 +37,12 @@
 // paper's designs are the defaults: BarrierAll runs the linear UDN signal
 // chain (or the TMC spin barrier with Config.Barrier), and SetLock is a
 // CAS spin loop. (The chain's modeled outcome is fixed by its members'
-// arrival clocks and the geometry, so a run with no fault plan, recorder
-// or profiler to see individual packets computes it — one park per member,
-// the calendar given the ready entries the packets gave it — instead of
-// sending its 2n-1 signals; barrier.go, "The computed chain".)
+// arrival clocks and the geometry, so a run with no fault plan to drop or
+// delay individual packets computes it — one park per member, the calendar
+// given the ready entries the packets gave it, recorders and profiler fed
+// what the packets fed them — instead of sending its 2n-1 signals;
+// barrier.go, "The computed chain". Packets move only under fault
+// injection.)
 // Config.BarrierAlgo additionally selects a sense-reversing counter
 // barrier, the dissemination barrier, the tournament barrier, or the MCS
 // tree barrier; Config.LockAlgo selects ticket or MCS queue locks. Every

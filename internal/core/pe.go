@@ -292,23 +292,22 @@ func (pe *PE) exchangeInit() error {
 // same for every launch of one mesh shape: an unobserved run takes each
 // chip's clocks from the replay cache (engine.go) when an earlier run of the
 // process left them there, and only a shape's first launch walks its
-// packets. A run with Observe or Profile on walks them every time, because
-// each step feeds its recorders; what it computes is what anyone computes,
-// so it fills the cache too. It runs on the launcher before any PE starts,
-// so it owns every clock and recorder it touches.
+// packets. A hooked run (Program.hooked: Observe or Profile on) walks them
+// every time, because each step feeds its recorders; what it computes is
+// what anyone computes, so it fills the cache too. It runs on the launcher
+// before any PE starts, so it owns every clock and recorder it touches.
 func (p *Program) replayStartPEs() error {
-	hooked := p.cfg.Observe || p.cfg.Profile
 	for c, geo := range p.geos {
 		first := c * p.perChip
 		pes := p.pes[first : first+p.chipPEs(c)]
 		key := replayKey{route: geo.RouteKey(), peers: len(pes)}
 		var now []vtime.Time
-		if !hooked {
+		if !p.hooked {
 			now = replayLookup(key)
 		}
 		if now == nil {
 			var err error
-			if now, err = p.replayChip(c, hooked); err != nil {
+			if now, err = p.replayChip(c); err != nil {
 				return err
 			}
 			replayStore(key, now)
@@ -330,7 +329,8 @@ func (p *Program) replayStartPEs() error {
 // Port.RecvRaw and consumeInit do — so reports, traces and profiles come
 // out bit-identical to the literal exchange, which costs n(n-1) park/wake
 // pairs.
-func (p *Program) replayChip(c int, hooked bool) ([]vtime.Time, error) {
+func (p *Program) replayChip(c int) ([]vtime.Time, error) {
+	hooked := p.hooked
 	// The hooks are nil-safe, but an unobserved replay that calls them
 	// anyway spends most of each step loading the PE and testing its
 	// recorders: skipping them was worth 18 % of the benchmark's 256-PE

@@ -203,7 +203,7 @@ func TestProfileWithoutConfigIsNil(t *testing.T) {
 
 // profileJSON renders a run's profile snapshot; byte equality of these
 // snapshots is the determinism bar for the profiler.
-func profileJSON(t *testing.T, rep *Report) []byte {
+func profileJSON(t testing.TB, rep *Report) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	if err := rep.Profile().WriteJSON(&b); err != nil {

@@ -395,12 +395,19 @@ type Program struct {
 	lockRel    map[int64]lockRelStamp
 	mcsNext    map[int64]map[int]*mcsWaiter
 
-	// packetless says no consumer of individual barrier packets exists — no
-	// fault plan to drop or delay them, no recorder, profiler or link counter
-	// to see them — so the single-chip chain barrier is computed instead of
-	// sent (barrier.go, "The computed chain"). It is decided here, once.
+	// packetless says no fault plan exists to drop or delay individual
+	// barrier packets, so the single-chip chain barrier is computed instead of
+	// sent (barrier.go, "The computed chain"). hooked says a recorder,
+	// profiler or link counter is on: the start_pes replay and the computed
+	// chain then feed them what the literal packets would have. Both are
+	// decided here, once.
 	packetless bool
+	hooked     bool
 	chainSets  map[ActiveSet]*chainSet // computed-chain state per active set, made on first use
+	// chainQueued counts, per PE, the computed chain signals delivered to it
+	// and not yet consumed: the barrier-queue depth its link counters sample.
+	// Nil unless Observe.
+	chainQueued []int32
 
 	flt        *fault.Injector // nil unless Config.Faults
 	waitBudget vtime.Duration  // virtual bound per blocking wait (faults only)
@@ -684,7 +691,8 @@ func newProgram(cfg Config) (*Program, error) {
 	}
 	p.mapFloor = p.cm.MapEnd()
 
-	p.packetless = cfg.Faults == nil && !cfg.Observe && !cfg.Profile
+	p.packetless = cfg.Faults == nil
+	p.hooked = cfg.Observe || cfg.Profile
 	p.sched = newEvsched(p, cfg.NPEs)
 	p.sched.timed = cfg.Faults != nil
 	for c := 0; c < p.nchips; c++ {
@@ -731,6 +739,7 @@ func newProgram(cfg Config) (*Program, error) {
 
 	if cfg.Observe {
 		p.counters = make([]stats.Counters, cfg.NPEs)
+		p.chainQueued = make([]int32, cfg.NPEs)
 	}
 	p.pes = make([]PE, cfg.NPEs)
 	allPrefix := asTagPrefix(AllPEs(cfg.NPEs))

@@ -116,12 +116,13 @@ func TestKernelEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelObserveFork pins the unobserved form of every kernel to the
-// observed one. A run nobody observes computes its single-chip chain barriers
-// instead of sending them (internal/core, barrier.go); the goldens above and
-// BENCH_baseline.json are recorded with observers on, so they hold the
-// literal chain only. Each kernel, on two chip families and two PE counts,
-// must leave every PE's clock and PE 0's output the same either way.
+// TestKernelObserveFork holds that observing a kernel does not perturb it.
+// Observed or not, a run without a fault plan computes its single-chip chain
+// barriers (internal/core, barrier.go), so the goldens above and
+// BENCH_baseline.json are outputs of the computed form, and internal/core's
+// TestChainBarrierMatchesLiteral holds that form to the literal chain. Each
+// kernel, on two chip families and two PE counts, must leave every PE's clock
+// and PE 0's output the same with Observe off and on.
 func TestKernelObserveFork(t *testing.T) {
 	for _, k := range Kernels() {
 		for _, chip := range []*arch.Chip{arch.Gx8036(), arch.EpiphanyIII()} {

@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -340,34 +341,66 @@ func spanTree(rng *rand.Rand, buf []Event, pe int32, from, to vtime.Time, depth 
 	return buf
 }
 
-func TestMergeEventsMatchesStableSort(t *testing.T) {
-	for seed := int64(1); seed <= 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		perPE := make([][]Event, 1+rng.Intn(9))
-		for pe := range perPE {
-			switch rng.Intn(8) {
-			case 0: // a PE that recorded nothing
-			case 1: // no structure at all: arbitrary times, foreign PE ids
-				for i, n := 0, rng.Intn(40); i < n; i++ {
-					start := vtime.Time(rng.Intn(6) * 100)
-					perPE[pe] = append(perPE[pe], Event{
-						PE: int32(rng.Intn(3)), Start: start, End: start + vtime.Time(rng.Intn(3)*100),
-						Bytes: int64(i),
-					})
-				}
-			default:
-				perPE[pe] = spanTree(rng, nil, int32(pe), 0, vtime.Time(1+rng.Intn(30))*100, 0)
+// mergeInput draws k event buffers from rng. With tied set every event of
+// every buffer compares equal, so the output order is the input order alone.
+func mergeInput(rng *rand.Rand, k int, tied bool) [][]Event {
+	perPE := make([][]Event, k)
+	for pe := range perPE {
+		switch {
+		case tied:
+			for i, n := 0, rng.Intn(6); i < n; i++ {
+				perPE[pe] = append(perPE[pe], Event{Start: 100, End: 200, Bytes: int64(i), Peer: int32(pe)})
 			}
-		}
-		want := mergeEventsOracle(perPE)
-		got := MergeEvents(perPE) // sorts the buffers in place: after the oracle
-		if !slices.Equal(got, want) {
-			for i := range want {
-				if i >= len(got) || got[i] != want[i] {
-					t.Fatalf("seed %d: %d buffers, %d events: first difference at %d", seed, len(perPE), len(want), i)
-				}
+		case rng.Intn(8) == 0: // a PE that recorded nothing
+		case rng.Intn(7) == 0: // no structure at all: arbitrary times, foreign PE ids
+			for i, n := 0, rng.Intn(40); i < n; i++ {
+				start := vtime.Time(rng.Intn(6) * 100)
+				perPE[pe] = append(perPE[pe], Event{
+					PE: int32(rng.Intn(3)), Start: start, End: start + vtime.Time(rng.Intn(3)*100),
+					Bytes: int64(i),
+				})
 			}
-			t.Fatalf("seed %d: merged %d events, want %d", seed, len(got), len(want))
+		default:
+			perPE[pe] = spanTree(rng, nil, int32(pe), 0, vtime.Time(1+rng.Intn(30))*100, 0)
 		}
 	}
+	return perPE
+}
+
+// checkMerge holds MergeEvents to the stable sort on perPE.
+func checkMerge(t testing.TB, label string, perPE [][]Event) {
+	t.Helper()
+	want := mergeEventsOracle(perPE)
+	got := MergeEvents(perPE) // sorts the buffers in place: after the oracle
+	if !slices.Equal(got, want) {
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				t.Fatalf("%s: %d buffers, %d events: first difference at %d", label, len(perPE), len(want), i)
+			}
+		}
+		t.Fatalf("%s: merged %d events, want %d", label, len(got), len(want))
+	}
+}
+
+// TestMergeEventsMatchesStableSort: every buffer count from 1 to 70 — every
+// power of two, one short of it and one past it, up to 64, so every shape of
+// the loser tree's last level — three inputs each, one all tied.
+func TestMergeEventsMatchesStableSort(t *testing.T) {
+	for k := 1; k <= 70; k++ {
+		for i := 0; i < 3; i++ {
+			seed := int64(k*3 + i)
+			checkMerge(t, fmt.Sprintf("k %d seed %d", k, seed), mergeInput(rand.New(rand.NewSource(seed)), k, i == 0))
+		}
+	}
+}
+
+// FuzzMergeEvents is the same check over fuzzer-chosen seeds and buffer
+// counts.
+func FuzzMergeEvents(f *testing.F) {
+	f.Add(int64(1), uint8(7), false)
+	f.Add(int64(2), uint8(32), true)
+	f.Add(int64(3), uint8(65), false)
+	f.Fuzz(func(t *testing.T, seed int64, k uint8, tied bool) {
+		checkMerge(t, fmt.Sprintf("seed %d", seed), mergeInput(rand.New(rand.NewSource(seed)), 1+int(k)%70, tied))
+	})
 }
