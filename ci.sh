@@ -86,6 +86,15 @@ for FN in At Slice SliceChecked wordOn; do
         exit 1
     fi
 done
+# The copy-cost memo's hit path (cache.(*Memo).Lookup, cost 70) inlines
+# into chargeXfer, the one call every transfer's core makes: a hit is then
+# a hash, a load and a compare (docs/PERFORMANCE.md, "Observer tails").
+if ! echo "$INLINE_OUT" | grep -qF 'inlining call to cache.(*Memo).Lookup'; then
+    echo "ci: FAIL — the compiler no longer inlines cache.(*Memo).Lookup into internal/core (go build -gcflags=-m=2" >&2
+    echo "    ./internal/cache prints its cost against the budget of 80). Measured on bfs-gets wall_s: Lookup as a real" >&2
+    echo "    call +5.6 % (6 alternating pairs, 6 of 6 slower)" >&2
+    exit 1
+fi
 
 # Shadow guard: a sanitizer record carries its issuer's epoch — one
 # component — not a snapshot of the issuer's vector clock (ISSUE 20; the

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"tshmem/internal/arch"
-	"tshmem/internal/stats"
 	"tshmem/internal/vtime"
 )
 
@@ -209,24 +208,6 @@ func (m *Model) CopyCostHomed(size int64, mode Mode, h Homing, streams int) vtim
 		ns += float64(size) / bw * 1e3 // bytes / (MB/s) -> us; *1e3 -> ns
 	}
 	return vtime.FromNs(ns)
-}
-
-// CopyCostHomedRec is CopyCostHomed with observability: the charged copy
-// is accounted on rec (nil disables accounting), classified by the
-// hierarchy level that backs its working set.
-func (m *Model) CopyCostHomedRec(size int64, mode Mode, h Homing, streams int, rec *stats.Recorder) vtime.Duration {
-	return m.CopyCostHomedMemoRec(nil, size, mode, h, streams, rec)
-}
-
-// CopyCostHomedMemoRec is CopyCostHomedRec with the cost looked up through
-// mm. A nil mm falls back to the direct computation. This is the per-copy
-// entry point of the RMA hot path.
-func (m *Model) CopyCostHomedMemoRec(mm *Memo, size int64, mode Mode, h Homing, streams int, rec *stats.Recorder) vtime.Duration {
-	d := mm.CopyCostHomed(m, size, mode, h, streams)
-	if rec != nil && size > 0 {
-		rec.CacheCopy(stats.CacheLevel(m.LevelFor(size)), int(size), d)
-	}
-	return d
 }
 
 // StreamCost reports the virtual time for one memory pass of bytes that is
@@ -457,15 +438,32 @@ func memoKey(mode Mode, h Homing, streams int) uint32 {
 	return uint32(mode)<<30 | uint32(h)<<26 | uint32(streams)&((1<<26)-1)
 }
 
+// memoIndex Fibonacci-hashes a tuple into the direct-mapped table.
+func memoIndex(size int64, key uint32) uint64 {
+	return (uint64(size)*0x9E3779B97F4A7C15 + uint64(key)*0xC2B2AE3D27D4EB4F) >> 56 % memoSize
+}
+
+// Lookup is the memo's hit path: the cost CopyCostHomed last stored for the
+// tuple, and true, or false when the tuple's slot holds another tuple or
+// nothing. It is small enough for the compiler to inline into the caller —
+// ci.sh's inline guard fails when internal/core's per-transfer charge stops
+// inlining it — so a hit costs a hash, a load and a compare; a miss goes on
+// to CopyCostHomed, which fills the slot. mm must not be nil.
+func (mm *Memo) Lookup(size int64, mode Mode, h Homing, streams int) (vtime.Duration, bool) {
+	key := memoKey(mode, h, streams)
+	if e := &mm.entries[memoIndex(size, key)]; e.valid && e.size == size && e.key == key {
+		return e.cost, true
+	}
+	return 0, false
+}
+
 // CopyCostHomed is Model.CopyCostHomed through the memo.
 func (mm *Memo) CopyCostHomed(m *Model, size int64, mode Mode, h Homing, streams int) vtime.Duration {
 	if mm == nil {
 		return m.CopyCostHomed(size, mode, h, streams)
 	}
 	key := memoKey(mode, h, streams)
-	// Fibonacci-hash the tuple into the direct-mapped table.
-	idx := (uint64(size)*0x9E3779B97F4A7C15 + uint64(key)*0xC2B2AE3D27D4EB4F) >> 56 % memoSize
-	e := &mm.entries[idx]
+	e := &mm.entries[memoIndex(size, key)]
 	if e.valid && e.size == size && e.key == key {
 		return e.cost
 	}

@@ -33,6 +33,14 @@
 // LevelFor classifies a working set by the hierarchy level that backs it
 // (L1d, L2, DDC, or DRAM), which is also the classification the
 // observability layer uses to attribute charged copies as cache hits
-// (L1d/L2/DDC) or misses (DRAM): CopyCostHomedRec accounts each charged
-// copy on the calling PE's stats.Recorder.
+// (L1d/L2/DDC) or misses (DRAM): internal/core accounts each charged copy
+// on the calling PE's stats.Recorder under stats.CacheLevel(LevelFor(n)).
+//
+// # The memo
+//
+// A Memo caches fully computed copy costs per (size, mode, homing, streams)
+// tuple for one run. Lookup is its hit path and inlines into the caller;
+// on a miss the caller goes on to Memo.CopyCostHomed, which computes the
+// cost and stores it. A hit returns exactly what the miss stored, so a
+// memoized cost is bit-identical to an unmemoized one.
 package cache

@@ -3,14 +3,13 @@ package cache
 import (
 	"testing"
 
-	"tshmem/internal/arch"
 	"tshmem/internal/stats"
 )
 
 // stats.CacheLevel cannot alias Level without an import cycle, so
-// CopyCostHomedRec converts by value. This pins the two declaration orders
-// together; if either enum changes, this test fails before any counter is
-// misclassified.
+// internal/core converts by value when it accounts a charged copy. This
+// pins the two declaration orders together; if either enum changes, this
+// test fails before any counter is misclassified.
 func TestStatsLevelMirrorsCacheLevel(t *testing.T) {
 	pairs := []struct {
 		c Level
@@ -31,29 +30,5 @@ func TestStatsLevelMirrorsCacheLevel(t *testing.T) {
 	}
 	if int(stats.NumCacheLevels) != int(DRAM)+1 {
 		t.Errorf("stats.NumCacheLevels = %d, want %d", stats.NumCacheLevels, int(DRAM)+1)
-	}
-}
-
-// CopyCostHomedRec must charge the same virtual time as CopyCostHomed and
-// classify the copy by LevelFor.
-func TestCopyCostHomedRecAccounts(t *testing.T) {
-	m := NewModel(arch.Gx8036())
-	rec := stats.New(0, false, 0)
-	const size = 1 << 20 // 1 MB: beyond L2 (256 kB), within the DDC
-	want := m.CopyCostHomed(size, SharedAny, HashForHome, 1)
-	got := m.CopyCostHomedRec(size, SharedAny, HashForHome, 1, rec)
-	if got != want {
-		t.Fatalf("charged %v, want %v (cost must not change with recording)", got, want)
-	}
-	if lvl := m.LevelFor(size); lvl != DDC {
-		t.Fatalf("LevelFor(%d) = %v, want DDC (test premise)", size, lvl)
-	}
-	c := rec.Counters()
-	if c.CacheCopies[stats.CacheDDC] != 1 || c.CacheBytes[stats.CacheDDC] != size {
-		t.Errorf("DDC accounting: copies=%d bytes=%d", c.CacheCopies[stats.CacheDDC], c.CacheBytes[stats.CacheDDC])
-	}
-	// The nil-recorder path must still charge the identical cost.
-	if got := m.CopyCostHomedRec(size, SharedAny, HashForHome, 1, nil); got != want {
-		t.Errorf("nil recorder charged %v, want %v", got, want)
 	}
 }

@@ -24,14 +24,13 @@ type AtomicInt interface {
 // operation and charges the transit+service cost: the requesting tile sends
 // the operation to the line's home and gets the old value back. It returns
 // the word itself; the caller's load-modify-store of it is indivisible
-// because the caller holds the baton from here until it next parks.
+// because the caller holds the baton from here until it next parks. The
+// caller runs the operation's tail (atomicObserved) once it has stored.
 func atomicTarget[T Elem](pe *PE, target Ref[T], tpe int) (*T, error) {
 	if !wordOn(pe, target, tpe) {
 		return nil, atomicTargetErr(pe, target, tpe)
 	}
 	pe.stats.Atomics++
-	start := pe.clock.Now()
-	defer pe.rec.OpDone(stats.OpAtomic, start, &pe.clock, sizeOf[T](), tpe)
 	// Round trip to the target tile plus the atomic service time; across
 	// chips the round trip rides the mPIPE fabric.
 	switch pe.locality(tpe) {
@@ -47,14 +46,8 @@ func atomicTarget[T Elem](pe *PE, target Ref[T], tpe int) (*T, error) {
 	}
 	// Every operation through here is a fetch-op (swap/cswap/fadd/...):
 	// chips without native RMW (Epiphany) pay the TESTSET emulation
-	// premium, and the emulation is surfaced in the counters.
+	// premium.
 	pe.clock.Advance(pe.prog.model.AtomicRMWCost())
-	if pe.prog.chip.AtomicRMWEmulated {
-		pe.rec.AtomicEmulated()
-	}
-	// Atomics on one word mutually order the PEs touching it (the fetch-op
-	// serializes at the line's home tile); the hook merges clocks both ways.
-	pe.san.AtomicEdge(tpe, target.off)
 	return wordAt[T](pe.partBytes(tpe), target.off), nil
 }
 
@@ -79,6 +72,7 @@ func atomicTargetErr[T Elem](pe *PE, target Ref[T], tpe int) error {
 // Swap writes value into target on PE tpe and returns the old value
 // (shmem_swap), indivisibly because the caller holds the baton.
 func Swap[T AtomicT](pe *PE, target Ref[T], value T, tpe int) (T, error) {
+	start := pe.clock.Now()
 	w, err := atomicTarget(pe, target, tpe)
 	if err != nil {
 		var zero T
@@ -86,9 +80,9 @@ func Swap[T AtomicT](pe *PE, target Ref[T], value T, tpe int) (T, error) {
 	}
 	old := *w
 	*w = value
-	// Merge again now that the store has landed: the word's clock carries
-	// this operation, not only what preceded it.
-	pe.san.AtomicEdge(tpe, target.off)
+	if pe.observed {
+		pe.atomicObserved(start, target.off, sizeOf[T](), tpe, true)
+	}
 	pe.prog.hubs[tpe].publish(target.off, pe.clock.Now(), pe.id)
 	return old, nil
 }
@@ -97,6 +91,7 @@ func Swap[T AtomicT](pe *PE, target Ref[T], value T, tpe int) (T, error) {
 // cond, returning the prior value (shmem_cswap); compare and store are
 // indivisible because the caller holds the baton.
 func CSwap[T AtomicInt](pe *PE, target Ref[T], cond, value T, tpe int) (T, error) {
+	start := pe.clock.Now()
 	w, err := atomicTarget(pe, target, tpe)
 	if err != nil {
 		var zero T
@@ -106,10 +101,15 @@ func CSwap[T AtomicInt](pe *PE, target Ref[T], cond, value T, tpe int) (T, error
 	if cur != cond {
 		// A failed compare writes nothing and wakes nobody: it stays off
 		// the hub (contended CAS locks spin through here).
+		if pe.observed {
+			pe.atomicObserved(start, target.off, sizeOf[T](), tpe, false)
+		}
 		return cur, nil
 	}
 	*w = value
-	pe.san.AtomicEdge(tpe, target.off)
+	if pe.observed {
+		pe.atomicObserved(start, target.off, sizeOf[T](), tpe, true)
+	}
 	pe.prog.hubs[tpe].publish(target.off, pe.clock.Now(), pe.id)
 	return cur, nil
 }
@@ -117,6 +117,7 @@ func CSwap[T AtomicInt](pe *PE, target Ref[T], cond, value T, tpe int) (T, error
 // FAdd adds value to target on PE tpe and returns the prior value
 // (shmem_fadd), indivisibly because the caller holds the baton.
 func FAdd[T AtomicInt](pe *PE, target Ref[T], value T, tpe int) (T, error) {
+	start := pe.clock.Now()
 	w, err := atomicTarget(pe, target, tpe)
 	if err != nil {
 		var zero T
@@ -124,7 +125,9 @@ func FAdd[T AtomicInt](pe *PE, target Ref[T], value T, tpe int) (T, error) {
 	}
 	old := *w
 	*w = old + value
-	pe.san.AtomicEdge(tpe, target.off)
+	if pe.observed {
+		pe.atomicObserved(start, target.off, sizeOf[T](), tpe, true)
+	}
 	pe.prog.hubs[tpe].publish(target.off, pe.clock.Now(), pe.id)
 	return old, nil
 }

@@ -62,6 +62,19 @@
 // functional side is real: bytes move through real shared memory and
 // results are exact.
 //
+// # Observers
+//
+// The recorder (Config.Observe, Trace), the causal profiler (Profile) and
+// the sanitizer (Sanitize) watch a run without moving its virtual time.
+// Each data-path op — the elemental, block and strided transfers, the
+// fetch-ops, the static redirect — is a modeled core plus one outlined
+// tail (observe.go) that holds every recorder, profiler, sanitizer,
+// link-counter and fault-plan call the op makes. The core runs its tail
+// when PE.observed (an observer is on, or a fault plan is armed) or when a
+// transfer crosses chips, whose mPIPE leg the tail charges; an unobserved
+// single-chip run pays one branch per op for the observers it does not
+// have.
+//
 // # Execution
 //
 // A run's PE bodies are coroutines that execute one at a time on a

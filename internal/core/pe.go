@@ -67,6 +67,11 @@ type PE struct {
 	initPending []udn.Packet
 	fabPending  []mpipe.Msg // stashed cross-chip control messages
 	finalized   bool
+	// observed says the PE's data-path ops run their observer tails
+	// (observe.go): it has a recorder, a profiler or sanitizer hooks, or the
+	// run has a fault plan. Set once, in newProgram; it sits in the padding
+	// after finalized.
+	observed bool
 
 	stats Stats
 	rec   *stats.Recorder   // substrate observability; nil unless Config.Observe

@@ -5,21 +5,9 @@ import (
 	"fmt"
 
 	"tshmem/internal/cache"
-	"tshmem/internal/profile"
-	"tshmem/internal/sanitize"
-	"tshmem/internal/stats"
 	"tshmem/internal/udn"
 	"tshmem/internal/vtime"
 )
-
-// sanSID maps a Ref to the sanitizer's region namespace: the static object
-// id, or DynamicSID for the symmetric heap.
-func sanSID[T Elem](r Ref[T]) int32 {
-	if r.kind == staticRef {
-		return r.sid
-	}
-	return sanitize.DynamicSID
-}
 
 // Copy modes forwarded to the memory model.
 const (
@@ -91,62 +79,39 @@ func resolve[T Elem](pe *PE, op *operand, r Ref[T], onPE, nelems int) error {
 	return nil
 }
 
-// chargeXfer advances the clock for moving nbytes between this PE and
-// remotePE's partition: the on-chip memory model within a chip, the mPIPE
-// wire across chips (the multi-device extension). toRemote is the data's
-// direction (true for put-like transfers toward remotePE, false for
-// get-like reads from it); it orients the modeled iMesh route when
-// per-link accounting is on.
-func (pe *PE) chargeXfer(nbytes int64, mode cache.Mode, remotePE int, toRemote bool) {
-	loc := pe.locality(remotePE)
-	t0 := pe.clock.Now()
-	base := pe.prog.model.CopyCostHomedMemoRec(&pe.prog.memo, nbytes, mode, pe.prog.cfg.Homing, pe.curHint(), pe.rec)
+// chargeXfer is a transfer's modeled core: it advances the clock by the
+// on-chip cost of copying nbytes in mode, under the current concurrency
+// hint and the configured homing, and returns that cost. The memo's hit
+// path (cache.Memo.Lookup) inlines here; a miss computes the cost and
+// stores it. Whatever else a transfer is charged or reports — a fault
+// plan's stretch, the mPIPE wire across chips, the recorder, profiler and
+// link counters — belongs to its op's tail (observe.go), which the op runs
+// when pe.tailed says so.
+func (pe *PE) chargeXfer(nbytes int64, mode cache.Mode) vtime.Duration {
+	p := pe.prog
+	h, streams := p.cfg.Homing, pe.curHint()
+	base, ok := p.memo.Lookup(nbytes, mode, h, streams)
+	if !ok {
+		base = p.memo.CopyCostHomed(p.model, nbytes, mode, h, streams)
+	}
 	pe.clock.Advance(base)
-	pe.prof.Advance(profile.RMA(stats.CacheLevel(pe.prog.model.LevelFor(nbytes))), t0, pe.clock.Now())
-	// Fault injection: slow tiles and stuck cache-home tiles stretch the
-	// copy in proportion to how much of it they serve (nil-safe no-op when
-	// faults are off).
-	if extra, id := pe.prog.flt.CopyExtra(pe.id, pe.prog.cfg.Homing, pe.prog.chip.Tiles, t0, base); extra > 0 {
-		tf := pe.clock.Now()
-		pe.clock.Advance(extra)
-		pe.prof.Advance(profile.CatFault, tf, pe.clock.Now())
-		pe.rec.FaultDelay(id, remotePE, t0, extra)
-	}
-	if loc == stats.CrossChip {
-		// Store-and-forward through mPIPE: the data still traverses the
-		// local memory system (charged above), then rides the wire.
-		tm := pe.clock.Now()
-		pe.prog.fabric.ChargeData(&pe.clock, pe.id, remotePE, nbytes)
-		pe.prof.Advance(profile.CatMesh, tm, pe.clock.Now())
-	}
-	pe.rec.RMA(loc, int(nbytes), pe.clock.Now().Sub(t0))
-	if loc == stats.SameChip && pe.prog.links != nil {
-		pe.routeXfer(nbytes, remotePE, toRemote)
-	}
+	return base
 }
 
-// routeXfer charges a same-chip RMA transfer onto the iMesh link counters:
-// the data crosses the mesh between the two tiles even though it moves
-// through the cache system rather than as UDN packets. Cross-chip traffic
-// rides mPIPE, not the mesh, and self-transfers stay on-tile, so the caller
-// has established that remotePE is another tile of this PE's chip and that
-// the run keeps link counters.
-func (pe *PE) routeXfer(nbytes int64, remotePE int, toRemote bool) {
-	wb := int64(pe.prog.chip.WordBytes)
-	words := int((nbytes + wb - 1) / wb)
-	from, to := pe.prog.localIdx(pe.id), pe.prog.localIdx(remotePE)
-	if !toRemote {
-		from, to = to, from
-	}
-	pe.prog.links[pe.prog.chipOf(pe.id)].RecordRoute(from, to, words)
-}
+// tailed reports whether an op between this PE and peer runs its tail: an
+// observer or a fault plan is on (pe.observed), or the op crosses chips,
+// whose mPIPE leg the tail charges.
+func (pe *PE) tailed(peer int) bool { return pe.observed || !pe.prog.sameChip(pe.id, peer) }
 
-// chargedCopy copies src into dst and advances the clock by the modeled
-// transfer cost toward remotePE under the current concurrency hint and the
-// configured homing strategy.
-func (pe *PE) chargedCopy(dst, src []byte, mode cache.Mode, remotePE int, toRemote bool) {
+// chargedCopy copies src into dst within this PE's own tile — the scratch
+// bounce of a static-static transfer — and charges it, tail included.
+func (pe *PE) chargedCopy(dst, src []byte) {
 	copy(dst, src)
-	pe.chargeXfer(int64(len(src)), mode, remotePE, toRemote)
+	t0 := pe.clock.Now()
+	base := pe.chargeXfer(int64(len(src)), sharedMode)
+	if pe.observed {
+		pe.xferObserved(t0, base, int64(len(src)), pe.id, false)
+	}
 }
 
 // Put copies nelems elements from the calling PE's instance of source into
@@ -161,7 +126,9 @@ func Put[T Elem](pe *PE, target Ref[T], source Ref[T], nelems, tpe int) error {
 	if err := putResolved(pe, target, &src, nelems, tpe); err != nil {
 		return err
 	}
-	pe.san.Read("Put(src)", pe.id, sanSID(source), source.off, src.nbytes, pe.clock.Now())
+	if pe.observed {
+		putSourceObserved(pe, source, src.nbytes)
+	}
 	return nil
 }
 
@@ -186,33 +153,33 @@ func putResolved[T Elem](pe *PE, target Ref[T], src *operand, nelems, tpe int) e
 	pe.stats.Puts++
 	pe.stats.PutBytes += src.nbytes
 	start := pe.clock.Now()
-	pe.san.Write("Put", tpe, sanSID(target), target.off, src.nbytes, start)
 
+	mode := sharedMode
 	switch {
 	case tpe == pe.id:
-		mode := sharedMode
 		if !dst.shared && !src.shared {
 			mode = privateMode
 		}
-		pe.chargedCopy(dst.bytes, src.bytes, mode, pe.id, true)
-
-	case dst.shared:
-		// Dynamic target: the local tile writes the remote partition
-		// directly through common memory (across chips, over mPIPE).
-		pe.chargedCopy(dst.bytes, src.bytes, sharedMode, tpe, true)
-
-	default:
-		return pe.putStatic(&dst, src, tpe, start)
+	case !dst.shared:
+		if pe.observed {
+			return putStaticObserved(pe, target, &dst, src, tpe, start)
+		}
+		return pe.putStatic(&dst, src, tpe)
 	}
-	pe.rec.OpDone(stats.OpPut, start, &pe.clock, src.nbytes, tpe)
+	// The local tile writes its own instance, or a remote partition directly
+	// through common memory (across chips, over mPIPE).
+	copy(dst.bytes, src.bytes)
+	base := pe.chargeXfer(src.nbytes, mode)
+	if pe.tailed(tpe) {
+		putObserved(pe, target, start, base, src.nbytes, tpe)
+	}
 	return nil
 }
 
 // putStatic is the tail of a put whose target is a static object on a
 // remote tile: redirect over a UDN interrupt (S IV.B.2). It is its own
-// function so that its deferred calls are not paid by every put.
-func (pe *PE) putStatic(dst, src *operand, tpe int, start vtime.Time) error {
-	defer pe.rec.OpDone(stats.OpPut, start, &pe.clock, src.nbytes, tpe)
+// function so that its deferred call is not paid by every put.
+func (pe *PE) putStatic(dst, src *operand, tpe int) error {
 	if !pe.prog.chip.UDNInterrupts {
 		return fmt.Errorf("%w: static symmetric put on %s", ErrNotSupported, pe.prog.chip.Name)
 	}
@@ -235,7 +202,7 @@ func (pe *PE) putStatic(dst, src *operand, tpe int, start vtime.Time) error {
 	if err != nil {
 		return err
 	}
-	pe.chargedCopy(tmp, src.bytes, sharedMode, pe.id, true)
+	pe.chargedCopy(tmp, src.bytes)
 	return pe.redirect(tpe, opPutFromShared, dst.sid, dst.sOff, g, src.nbytes)
 }
 
@@ -253,7 +220,9 @@ func Get[T Elem](pe *PE, target Ref[T], source Ref[T], nelems, spe int) error {
 	if err := getResolved(pe, &dst, source, nelems, spe); err != nil {
 		return err
 	}
-	pe.san.Write("Get(dst)", pe.id, sanSID(target), target.off, dst.nbytes, pe.clock.Now())
+	if pe.observed {
+		getTargetObserved(pe, target, dst.nbytes)
+	}
 	return nil
 }
 
@@ -277,32 +246,32 @@ func getResolved[T Elem](pe *PE, dst *operand, source Ref[T], nelems, spe int) e
 	pe.stats.Gets++
 	pe.stats.GetBytes += src.nbytes
 	start := pe.clock.Now()
-	pe.san.Read("Get", spe, sanSID(source), source.off, src.nbytes, start)
 
+	mode := sharedMode
 	switch {
 	case spe == pe.id:
-		mode := sharedMode
 		if !dst.shared && !src.shared {
 			mode = privateMode
 		}
-		pe.chargedCopy(dst.bytes, src.bytes, mode, pe.id, false)
-
-	case src.shared:
-		// Dynamic source: readable directly through common memory (across
-		// chips, over mPIPE).
-		pe.chargedCopy(dst.bytes, src.bytes, sharedMode, spe, false)
-
-	default:
-		return pe.getStatic(dst, &src, spe, start)
+	case !src.shared:
+		if pe.observed {
+			return getStaticObserved(pe, source, dst, &src, spe, start)
+		}
+		return pe.getStatic(dst, &src, spe)
 	}
-	pe.rec.OpDone(stats.OpGet, start, &pe.clock, src.nbytes, spe)
+	// The local instance, or a dynamic source read directly through common
+	// memory (across chips, over mPIPE).
+	copy(dst.bytes, src.bytes)
+	base := pe.chargeXfer(src.nbytes, mode)
+	if pe.tailed(spe) {
+		getObserved(pe, source, start, base, src.nbytes, spe)
+	}
 	return nil
 }
 
 // getStatic is the tail of a get whose source is a static object on a
 // remote tile, split out for the same reason as putStatic.
-func (pe *PE) getStatic(dst, src *operand, spe int, start vtime.Time) error {
-	defer pe.rec.OpDone(stats.OpGet, start, &pe.clock, src.nbytes, spe)
+func (pe *PE) getStatic(dst, src *operand, spe int) error {
 	if !pe.prog.chip.UDNInterrupts {
 		return fmt.Errorf("%w: static symmetric get on %s", ErrNotSupported, pe.prog.chip.Name)
 	}
@@ -327,7 +296,7 @@ func (pe *PE) getStatic(dst, src *operand, spe int, start vtime.Time) error {
 	if err != nil {
 		return err
 	}
-	pe.chargedCopy(dst.bytes, tmp, sharedMode, pe.id, false)
+	pe.chargedCopy(dst.bytes, tmp)
 	return nil
 }
 
@@ -410,11 +379,12 @@ func P[T Elem](pe *PE, target Ref[T], value T, tpe int) error {
 	pe.stats.PutBytes += es
 	start := pe.clock.Now()
 	w := wordAt[T](pe.partBytes(tpe), target.off)
-	pe.san.Signal(tpe, target.off, es, start)
-	pe.chargeXfer(es, sharedMode, tpe, true)
+	base := pe.chargeXfer(es, sharedMode)
+	if pe.tailed(tpe) {
+		pe.putElemObserved(start, base, es, target.off, tpe)
+	}
 	*w = value
 	pe.prog.hubs[tpe].publish(target.off, pe.clock.Now(), pe.id)
-	pe.rec.OpDone(stats.OpPut, start, &pe.clock, es, tpe)
 	return nil
 }
 
@@ -436,11 +406,11 @@ func G[T Elem](pe *PE, source Ref[T], spe int) (T, error) {
 	pe.stats.GetBytes += es
 	start := pe.clock.Now()
 	w := wordAt[T](pe.partBytes(spe), source.off)
-	pe.chargeXfer(es, sharedMode, spe, false)
-	v := *w
-	pe.san.ReadElem(spe, source.off, es, start)
-	pe.rec.OpDone(stats.OpGet, start, &pe.clock, es, spe)
-	return v, nil
+	base := pe.chargeXfer(es, sharedMode)
+	if pe.tailed(spe) {
+		pe.getElemObserved(start, base, es, source.off, spe)
+	}
+	return *w, nil
 }
 
 // IPut is the strided put (shmem_TYPE_iput): nelems elements are copied
@@ -463,12 +433,9 @@ func IPut[T Elem](pe *PE, target, source Ref[T], tst, sst int64, nelems, tpe int
 		dstView[int64(i)*tst] = srcView[int64(i)*sst]
 	}
 	pe.stats.Puts++
-	es := sizeOf[T]()
-	nb := int64(nelems) * es
+	nb := int64(nelems) * sizeOf[T]()
 	pe.stats.PutBytes += nb
 	start := pe.clock.Now()
-	pe.san.WriteStrided("IPut", tpe, sanSID(target), target.off, tst*es, nelems, es, start)
-	pe.san.ReadStrided("IPut(src)", pe.id, sanSID(source), source.off, sst*es, nelems, es, start)
 	// Like Put, a self-transfer between two static (non-common-memory)
 	// objects is a private copy; only common-memory traffic pays the
 	// shared-mode cost.
@@ -476,9 +443,13 @@ func IPut[T Elem](pe *PE, target, source Ref[T], tst, sst int64, nelems, tpe int
 	if tpe == pe.id && target.kind == staticRef && source.kind == staticRef {
 		mode = privateMode
 	}
-	pe.chargeXfer(nb, mode, tpe, true)
-	pe.clock.Advance(pe.prog.chip.Cycles(2 * nelems)) // per-element stride arithmetic
-	pe.rec.OpDone(stats.OpPut, start, &pe.clock, nb, tpe)
+	base := pe.chargeXfer(nb, mode)
+	stride := pe.prog.chip.Cycles(2 * nelems) // per-element stride arithmetic
+	if pe.tailed(tpe) {
+		iputObserved(pe, target, source, tst, sst, nelems, tpe, start, base, stride)
+		return nil
+	}
+	pe.clock.Advance(stride)
 	return nil
 }
 
@@ -499,19 +470,20 @@ func IGet[T Elem](pe *PE, target, source Ref[T], tst, sst int64, nelems, spe int
 		dstView[int64(i)*tst] = srcView[int64(i)*sst]
 	}
 	pe.stats.Gets++
-	es := sizeOf[T]()
-	nb := int64(nelems) * es
+	nb := int64(nelems) * sizeOf[T]()
 	pe.stats.GetBytes += nb
 	start := pe.clock.Now()
-	pe.san.ReadStrided("IGet", spe, sanSID(source), source.off, sst*es, nelems, es, start)
-	pe.san.WriteStrided("IGet(dst)", pe.id, sanSID(target), target.off, tst*es, nelems, es, start)
 	mode := sharedMode
 	if spe == pe.id && target.kind == staticRef && source.kind == staticRef {
 		mode = privateMode
 	}
-	pe.chargeXfer(nb, mode, spe, false)
-	pe.clock.Advance(pe.prog.chip.Cycles(2 * nelems))
-	pe.rec.OpDone(stats.OpGet, start, &pe.clock, nb, spe)
+	base := pe.chargeXfer(nb, mode)
+	stride := pe.prog.chip.Cycles(2 * nelems)
+	if pe.tailed(spe) {
+		igetObserved(pe, target, source, tst, sst, nelems, spe, start, base, stride)
+		return nil
+	}
+	pe.clock.Advance(stride)
 	return nil
 }
 

@@ -765,6 +765,7 @@ func newProgram(cfg Config) (*Program, error) {
 		if p.san != nil {
 			pe.san = p.san.PE(i)
 		}
+		pe.observed = pe.rec != nil || pe.prof != nil || pe.san != nil || p.flt != nil
 		p.sched.pes[i].clock = &pe.clock
 	}
 	if cfg.Trace || cfg.Profile {

@@ -697,6 +697,7 @@ func (pe *PE) clearLockTicket(lock Ref[int64]) error {
 	if err := pe.lockHolderCheck(lock.off); err != nil {
 		return err
 	}
+	start := pe.clock.Now()
 	w, err := atomicTarget(pe, lock, 0)
 	if err != nil {
 		return err
@@ -704,7 +705,9 @@ func (pe *PE) clearLockTicket(lock Ref[int64]) error {
 	now := pe.clock.Now()
 	pe.prog.setLockRelease(lock.off, now, pe.id)
 	*w++
-	pe.san.AtomicEdge(0, lock.off)
+	if pe.observed {
+		pe.atomicObserved(start, lock.off, sizeOf[int64](), 0, true)
+	}
 	pe.prog.hubs[0].publish(lock.off, now, pe.id)
 	return nil
 }
