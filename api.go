@@ -89,11 +89,10 @@ func IGet[T Elem](pe *PE, target, source Ref[T], tst, sst int64, nelems, spe int
 // PE.ClearLock/PE.TestLock) are PE methods; the algorithm behind them is
 // chosen per launch by Config.BarrierAlgo and Config.LockAlgo
 // (docs/SYNC.md). Both zero values reproduce the paper's behavior
-// exactly: BarrierAlgoDefault dispatches BarrierAll through
-// Config.Barrier (the linear UDN chain unless TMCSpinBarrier is set) and
-// subset barriers through the chain, and LockAlgoCAS is the
-// compare-and-swap spin lock — so existing programs and recorded
-// baselines are unaffected unless an algorithm is selected explicitly.
+// exactly: BarrierAlgoLinear is the linear UDN wait+release chain, and
+// LockAlgoCAS is the compare-and-swap spin lock — so existing programs and
+// recorded baselines are unaffected unless an algorithm is selected
+// explicitly.
 
 // WaitUntil blocks until the local instance of ivar satisfies cmp against
 // value (shmem_wait_until).

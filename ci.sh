@@ -248,6 +248,14 @@ echo "$FAULT_OUT" | grep 'timeout' | grep 'PE 3' > /dev/null || {
     echo "$FAULT_OUT" >&2
     exit 1
 }
+# A dead tile drops the chain barrier's signal at its sender, the drop path
+# the stall demo (which swallows it at the receiving queue) does not reach.
+DEAD_OUT=$(go run ./cmd/tshmem-bench -faults 'tiledead:pe=5,start=2000ns')
+echo "$DEAD_OUT" | grep '^diagnostic: timeout' | grep 'fault event 0' > /dev/null || {
+    echo "ci: FAIL — dead-tile plan produced no timeout diagnostic attributed to fault event 0" >&2
+    echo "$DEAD_OUT" >&2
+    exit 1
+}
 
 # Big-mesh smoke: the sparse mesh layer must keep a 64x64 synthetic
 # geometry at kilobytes (the memory gate fails construction past 32 MiB)

@@ -98,7 +98,7 @@ func run() int {
 		thresh  = flag.String("threshold", "5%", "relative regression threshold for -compare (e.g. 5% or 0.05)")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		barAlgo = flag.String("barrier-algo", "", "barrier algorithm for the probe: linear, tmc-spin, counter, dissemination, tournament, mcs-tree (default: legacy dispatch; see docs/SYNC.md)")
+		barAlgo = flag.String("barrier-algo", "", "barrier algorithm for the probe: linear, tmc-spin, counter, dissemination, tournament, mcs-tree (default linear; see docs/SYNC.md)")
 		lkAlgo  = flag.String("lock-algo", "", "lock algorithm for the probe: cas, ticket, mcs (default cas; see docs/SYNC.md)")
 		sweep   = flag.Bool("sweep-algos", false, "sweep every barrier/lock algorithm across PE counts on both chips and print the crossover tables (docs/SYNC.md)")
 		sweepC  = flag.Bool("sweep-chips", false, "sweep barrier algorithms across chip families (Tilera and Epiphany) at matching PE counts and print where the crossovers move (docs/ARCHITECTURES.md)")

@@ -11,38 +11,6 @@ func init() {
 	register("fig8c", "Rejected root-broadcast release barrier vs the linear chain", fig8c)
 }
 
-// measureTSHMEMBarrier measures one barrier_all with all PEs entering at
-// the same virtual instant, reporting the earliest (best-case: the start
-// tile) and latest (worst-case: the last tile of the chain) departures.
-func measureTSHMEMBarrier(opt Options, chip *arch.Chip, n int, impl core.BarrierImpl) (best, worst vtime.Duration, err error) {
-	lefts := make([]vtime.Duration, n)
-	cfg := core.Config{Chip: chip, NPEs: n, HeapPerPE: 64 << 10, Barrier: impl}
-	_, err = observedRun(opt, cfg, func(pe *core.PE) error {
-		if err := pe.AlignClocks(); err != nil {
-			return err
-		}
-		start := pe.Now()
-		if err := pe.BarrierAll(); err != nil {
-			return err
-		}
-		lefts[pe.MyPE()] = pe.Now().Sub(start)
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	best, worst = lefts[0], lefts[0]
-	for _, d := range lefts {
-		if d < best {
-			best = d
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return best, worst, nil
-}
-
 // fig8c compares the linear wait+release chain against the design the
 // paper evaluated and rejected: the start tile broadcasting the release
 // with standalone sends ("latencies were two times slower", S IV.C.1).
@@ -57,7 +25,7 @@ func fig8c(opt Options) (Experiment, error) {
 	chain := Series{Label: "linear chain release"}
 	rootRel := Series{Label: "root-broadcast release"}
 	for _, n := range []int{4, 8, 16, 24, 32, 36} {
-		_, w, err := measureTSHMEMBarrier(opt, gx, n, core.UDNBarrier)
+		_, w, err := measureBarrierAlgo(opt, gx, n, core.BarrierAlgoLinear)
 		if err != nil {
 			return e, err
 		}
@@ -112,7 +80,7 @@ func fig8(opt Options) (Experiment, error) {
 	proWorst.Label = "Pro64 worst-case"
 	spin.Label = "Gx36 TMC spin"
 	for _, n := range tiles {
-		b, w, err := measureTSHMEMBarrier(opt, gx, n, core.UDNBarrier)
+		b, w, err := measureBarrierAlgo(opt, gx, n, core.BarrierAlgoLinear)
 		if err != nil {
 			return e, err
 		}
@@ -121,7 +89,7 @@ func fig8(opt Options) (Experiment, error) {
 		gxWorst.X = append(gxWorst.X, float64(n))
 		gxWorst.Y = append(gxWorst.Y, w.Us())
 
-		_, wp, err := measureTSHMEMBarrier(opt, pro, n, core.UDNBarrier)
+		_, wp, err := measureBarrierAlgo(opt, pro, n, core.BarrierAlgoLinear)
 		if err != nil {
 			return e, err
 		}

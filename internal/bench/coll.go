@@ -335,11 +335,11 @@ func fig8b(opt Options) (Experiment, error) {
 	udnS.Label = "UDN chain (worst)"
 	spinS.Label = "TMC spin backend"
 	for _, n := range []int{2, 4, 8, 16, 24, 32, 36} {
-		_, w, err := measureTSHMEMBarrier(opt, gx, n, core.UDNBarrier)
+		_, w, err := measureBarrierAlgo(opt, gx, n, core.BarrierAlgoLinear)
 		if err != nil {
 			return e, err
 		}
-		_, ws, err := measureTSHMEMBarrier(opt, gx, n, core.TMCSpinBarrier)
+		_, ws, err := measureBarrierAlgo(opt, gx, n, core.BarrierAlgoSpin)
 		if err != nil {
 			return e, err
 		}
@@ -349,6 +349,6 @@ func fig8b(opt Options) (Experiment, error) {
 		spinS.Y = append(spinS.Y, ws.Us())
 	}
 	e.Series = append(e.Series, udnS, spinS)
-	e.Notes = append(e.Notes, "config: tshmem.Config{Barrier: tshmem.TMCSpinBarrier}")
+	e.Notes = append(e.Notes, "config: tshmem.Config{BarrierAlgo: tshmem.BarrierAlgoSpin}")
 	return e, nil
 }

@@ -26,10 +26,10 @@ func sweepPEs(chip *arch.Chip) []int {
 	return []int{2, 4, 8, 16, 24, 36}
 }
 
-// measureBarrierAlgo measures one barrier with all PEs entering at the
-// same virtual instant under the given algorithm, reporting the earliest
-// and latest departures (cf. measureTSHMEMBarrier, which sweeps the
-// legacy Config.Barrier axis instead).
+// measureBarrierAlgo measures one barrier_all with all PEs entering at the
+// same virtual instant under the given algorithm, reporting the earliest and
+// latest departures — for the linear chain the best case (the start tile)
+// and the worst case (the last tile of the chain).
 func measureBarrierAlgo(opt Options, chip *arch.Chip, n int, algo core.BarrierAlgo) (best, worst vtime.Duration, err error) {
 	lefts := make([]vtime.Duration, n)
 	cfg := core.Config{Chip: chip, NPEs: n, HeapPerPE: 64 << 10, BarrierAlgo: algo}

@@ -110,7 +110,7 @@ func TestFig8BarrierShape(t *testing.T) {
 
 func TestTMCSpinBarrierBackend(t *testing.T) {
 	cfg := gxCfg(16)
-	cfg.Barrier = TMCSpinBarrier
+	cfg.BarrierAlgo = BarrierAlgoSpin
 	lefts := make([]vtime.Duration, 16)
 	runT(t, cfg, func(pe *PE) error {
 		if err := pe.BarrierAll(); err != nil {

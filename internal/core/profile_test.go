@@ -174,7 +174,7 @@ func checkProfile(t *testing.T, rep *Report) {
 func TestProfileLedgerInvariant(t *testing.T) {
 	chips := map[string]*arch.Chip{"gx": arch.Gx8036(), "pro": arch.Pro64()}
 	for name, chip := range chips {
-		for _, ba := range []BarrierAlgo{BarrierAlgoDefault, BarrierAlgoDissemination, BarrierAlgoCounter} {
+		for _, ba := range []BarrierAlgo{BarrierAlgoLinear, BarrierAlgoDissemination, BarrierAlgoCounter} {
 			for _, la := range []LockAlgo{LockAlgoCAS, LockAlgoTicket, LockAlgoMCS} {
 				rep, err := Run(Config{
 					Chip: chip, NPEs: 8, HeapPerPE: 1 << 20,

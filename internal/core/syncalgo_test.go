@@ -23,16 +23,16 @@ func TestSyncAlgoNamesAlign(t *testing.T) {
 			t.Errorf("BarrierAlgo %d: stats name %q, core name %q", int(a), got, want)
 		}
 	}
-	if got := BarrierAlgoDefault.statsID(); got != stats.BarrierAlgoLinear {
-		t.Errorf("default barrier statsID = %v, want linear", got)
+	if got := (Config{}).BarrierAlgo.statsID(); got != stats.BarrierAlgoLinear {
+		t.Errorf("the zero BarrierAlgo's statsID = %v, want linear", got)
 	}
 	for _, a := range LockAlgos() {
 		if got, want := a.statsID().String(), a.String(); got != want {
 			t.Errorf("LockAlgo %d: stats name %q, core name %q", int(a), got, want)
 		}
 	}
-	if int(numBarrierAlgos)-1 != int(stats.NumBarrierAlgos) {
-		t.Errorf("%d core barrier algorithms vs %d stats ids", int(numBarrierAlgos)-1, int(stats.NumBarrierAlgos))
+	if int(numBarrierAlgos) != int(stats.NumBarrierAlgos) {
+		t.Errorf("%d core barrier algorithms vs %d stats ids", int(numBarrierAlgos), int(stats.NumBarrierAlgos))
 	}
 	if int(numLockAlgos) != int(stats.NumLockAlgos) {
 		t.Errorf("%d core lock algorithms vs %d stats ids", int(numLockAlgos), int(stats.NumLockAlgos))
@@ -49,7 +49,7 @@ func TestSyncAlgoParse(t *testing.T) {
 		}
 	}
 	for spec, want := range map[string]BarrierAlgo{
-		"": BarrierAlgoDefault, "default": BarrierAlgoDefault,
+		"": BarrierAlgoLinear, "default": BarrierAlgoLinear,
 		"spin": BarrierAlgoSpin, "mcs": BarrierAlgoMCSTree, "mcstree": BarrierAlgoMCSTree,
 	} {
 		if got, err := ParseBarrierAlgo(spec); err != nil || got != want {

@@ -227,8 +227,8 @@ func TestAlgoStringers(t *testing.T) {
 	if PullBcast.String() != "pull" || PushBcast.String() != "push" || BinomialBcast.String() != "binomial" {
 		t.Error("BcastAlgo strings")
 	}
-	if UDNBarrier.String() != "udn-linear" || TMCSpinBarrier.String() != "tmc-spin" {
-		t.Error("BarrierImpl strings")
+	if BarrierAlgoLinear.String() != "linear" || BarrierAlgoSpin.String() != "tmc-spin" || BarrierAlgo(99).String() != "BarrierAlgo(99)" {
+		t.Error("BarrierAlgo strings")
 	}
 	for c, want := range map[Cmp]string{CmpEQ: "==", CmpNE: "!=", CmpGT: ">", CmpLE: "<=", CmpLT: "<", CmpGE: ">="} {
 		if c.String() != want {

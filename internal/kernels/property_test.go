@@ -26,7 +26,7 @@ func TestKernelAlgorithmInvariance(t *testing.T) {
 		barrier core.BarrierAlgo
 		lock    core.LockAlgo
 	}{
-		{"default", core.BarrierAlgoDefault, core.LockAlgoCAS},
+		{"default", core.BarrierAlgoLinear, core.LockAlgoCAS},
 		{"dissemination+mcs", core.BarrierAlgoDissemination, core.LockAlgoMCS},
 		{"counter+ticket", core.BarrierAlgoCounter, core.LockAlgoTicket},
 	}

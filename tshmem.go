@@ -91,8 +91,6 @@ type (
 	Chip = arch.Chip
 	// Cmp is a point-to-point synchronization comparison (SHMEM_CMP_*).
 	Cmp = core.Cmp
-	// BarrierImpl selects the BarrierAll backend.
-	BarrierImpl = core.BarrierImpl
 	// BarrierAlgo selects a barrier algorithm from the synchronization
 	// library (Config.BarrierAlgo; see docs/SYNC.md).
 	BarrierAlgo = core.BarrierAlgo
@@ -305,20 +303,11 @@ var (
 // Run's error. core.Run documents the rest.
 func Run(cfg Config, body func(*PE) error) (*Report, error) { return core.Run(cfg, body) }
 
-// Barrier backends (Config.Barrier).
-const (
-	// UDNBarrier is the paper's linear wait+release UDN chain.
-	UDNBarrier = core.UDNBarrier
-	// TMCSpinBarrier backs BarrierAll with the TMC spin barrier (the
-	// TILE-Gx optimization from the paper's open issues).
-	TMCSpinBarrier = core.TMCSpinBarrier
-)
-
 // Barrier algorithms (Config.BarrierAlgo; docs/SYNC.md). The zero value,
-// BarrierAlgoDefault, preserves the legacy dispatch: BarrierAll honors
-// Config.Barrier and subset barriers use the paper's linear chain.
+// BarrierAlgoLinear, is the paper's linear wait+release UDN chain;
+// BarrierAlgoSpin backs the barriers with the TMC spin barrier (the TILE-Gx
+// optimization from the paper's open issues).
 const (
-	BarrierAlgoDefault       = core.BarrierAlgoDefault
 	BarrierAlgoLinear        = core.BarrierAlgoLinear
 	BarrierAlgoSpin          = core.BarrierAlgoSpin
 	BarrierAlgoCounter       = core.BarrierAlgoCounter

@@ -145,7 +145,7 @@ func TestPublicChipCatalogue(t *testing.T) {
 
 func TestPublicConfigOptions(t *testing.T) {
 	c := cfg(8)
-	c.Barrier = tshmem.TMCSpinBarrier
+	c.BarrierAlgo = tshmem.BarrierAlgoSpin
 	c.Bcast = tshmem.PushBcast
 	c.Reduce = tshmem.RecursiveDoubling
 	_, err := tshmem.Run(c, func(pe *tshmem.PE) error {
