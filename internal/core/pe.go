@@ -297,7 +297,8 @@ func (pe *PE) exchangeInit() error {
 // same for every launch of one mesh shape: an unobserved run takes each
 // chip's clocks from the replay cache (engine.go) when an earlier run of the
 // process left them there, and only a shape's first launch walks its
-// packets. A hooked run (Program.hooked: Observe or Profile on) walks them
+// packets. A hooked run (Program.hooked; here Observe or Profile on, since a
+// fault plan, which also sets it, takes exchangeInit instead) walks them
 // every time, because each step feeds its recorders; what it computes is
 // what anyone computes, so it fills the cache too. It runs on the launcher
 // before any PE starts, so it owns every clock and recorder it touches.
