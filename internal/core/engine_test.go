@@ -11,6 +11,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -462,7 +463,10 @@ func faultPlanBody(pe *PE) error {
 }
 
 // faultPlans are the plans of the faulted/<plan> goldens: one per kind that
-// touches the UDN, the stall with and without an end, and a seeded plan.
+// touches the UDN, the stall with and without an end, and a seeded plan; then
+// five aimed at the start_pes handshake (queue 1): every report to PE 3
+// dropped, reports to PE 6 held to a time inside the handshake and to one
+// past the wait budget, PE 5 dead from time zero and dying mid-handshake.
 var faultPlans = []string{
 	"stall:pe=3,q=0",
 	"stall:pe=6,q=0,start=1000ns,end=9000ns",
@@ -470,11 +474,17 @@ var faultPlans = []string{
 	"linkslow:from=4,to=5,factor=8",
 	"tileslow:pe=4,factor=3",
 	"seed:7",
+	"stall:pe=3,q=1",
+	"stall:pe=6,q=1,end=300ns",
+	"stall:pe=6,q=1,end=80ms",
+	"tiledead:pe=5",
+	"tiledead:pe=5,start=150ns",
 }
 
 // TestEngineEquivalenceFaultPlans pins barriers under each of faultPlans on
 // 16 PEs with every observer on: clocks, counters, links, trace, profile,
-// the timeout diagnostics, the fault counts and the error Run returns.
+// the timeout diagnostics, the fault counts and the error Run returns. Every
+// plan must perturb the run: a window that misses it pins nothing.
 func TestEngineEquivalenceFaultPlans(t *testing.T) {
 	g := openGolden(t)
 	for _, s := range faultPlans {
@@ -486,6 +496,9 @@ func TestEngineEquivalenceFaultPlans(t *testing.T) {
 			faultPlanBody)
 		if rerr != nil && !errors.Is(rerr, ErrTimeout) {
 			t.Fatalf("%s: %v", s, rerr)
+		}
+		if !slices.ContainsFunc(rep.FaultCounts, func(n int64) bool { return n > 0 }) {
+			t.Errorf("%s: the plan perturbed nothing (fault counts %v)", s, rep.FaultCounts)
 		}
 		got := printOf(t, rep)
 		if rerr != nil {
