@@ -187,7 +187,7 @@ func (pe *PE) barrierChain(as ActiveSet, idx int) error {
 		pe.san.BarrierExit(tok)
 		return nil
 	}
-	if literal := pe.prog.literalChain; literal != nil {
+	if literal := pe.prog.literal.chain; literal != nil {
 		return literal(pe, as, idx, tag, tok)
 	}
 	return pe.chainComputed(g, as, idx, gen, tok)

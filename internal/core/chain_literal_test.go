@@ -8,8 +8,8 @@ import (
 
 // literalChain is the single-chip chain barrier run literally, as packets on
 // the barrier queue, for member idx of as: the oracle of the computed
-// chain's differential tests (runChain passes it to run as the program's
-// literalChain). The start tile launches the wait signal, collects it from
+// chain's differential tests (checkChainDifferential passes it to run as
+// literals.chain). The start tile launches the wait signal, collects it from
 // the last tile and launches the release; every other tile forwards the wait
 // signal, blocks for the release and forwards it.
 func literalChain(pe *PE, as ActiveSet, idx int, tag uint32, tok *sanitize.Barrier) error {

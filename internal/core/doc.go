@@ -10,11 +10,11 @@
 // TMC common-memory segment is partitioned symmetrically among the PEs,
 // providing the PGAS memory model; each tile reports its partition's start
 // address to every other tile over the UDN during start_pes, exactly as the
-// paper's launcher does. (The modeled exchange's outcome is fixed by the
-// geometry, so the launcher computes it — clocks, counters, link traffic —
-// without moving the n(n-1) packets, and an unobserved run takes the clocks
-// from a per-process cache when the mesh shape has been launched before;
-// under fault injection the packets move.)
+// paper's launcher does. (The launcher computes the modeled exchange —
+// clocks, counters, link traffic, and under a fault plan its timeouts —
+// without moving the n(n-1) packets; an unobserved, unfaulted run takes the
+// clocks from a per-process cache when the mesh shape has been launched
+// before.)
 //
 // Dynamic symmetric objects are allocated with Malloc (shmalloc): a
 // deterministic doubly-linked-list allocator guarantees that collective

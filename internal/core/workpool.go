@@ -121,7 +121,7 @@ func (t peTask) run() {
 			prog.abort(fmt.Errorf("PE %d: %w", pe.id, t.errs[pe.id]))
 		}
 	}()
-	if err := pe.startPEs(); err != nil {
+	if err := pe.startPEs(t.errs[pe.id]); err != nil {
 		t.errs[pe.id] = fmt.Errorf("start_pes: %w", err)
 		return
 	}

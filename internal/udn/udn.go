@@ -33,12 +33,10 @@ var (
 // queueCap bounds in-flight packets per demux queue. The hardware queue
 // holds up to 127 payload words, i.e. on the order of 127 minimum-sized
 // packets, before the network backpressures the sender. Capacity is not
-// what keeps the library's protocols deadlock-free — a synthetic mesh has
-// thousands of tiles, and the literal start_pes exchange (run only under
-// fault injection) aims up to NPEs-1 packets at one queue: every receive
-// loop drains its queue whenever it waits (stashing packets that arrived
-// ahead of their round), so a backpressured sender always unblocks. A
-// queue's storage grows with its depth up to this bound, see demuxQueue.
+// what keeps the library's protocols deadlock-free: every receive loop
+// drains its queue whenever it waits (stashing packets that arrived ahead of
+// their turn), so a backpressured sender always unblocks. A queue's storage
+// grows with its depth up to this bound, see demuxQueue.
 const queueCap = 128
 
 // inlineWords is the payload capacity a Packet stores directly in its
