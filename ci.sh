@@ -256,6 +256,14 @@ echo "$DEAD_OUT" | grep '^diagnostic: timeout' | grep 'fault event 0' > /dev/nul
     echo "$DEAD_OUT" >&2
     exit 1
 }
+# An end-less stall on queue 1 drops every start_pes report to PE 3, so the
+# launcher's walk of the exchange must stop PEs in init, blamed on the plan.
+INIT_OUT=$(go run ./cmd/tshmem-bench -faults 'stall:pe=3,q=1')
+echo "$INIT_OUT" | grep '^diagnostic: timeout' | grep 'blocked in init' | grep 'fault event 0' > /dev/null || {
+    echo "ci: FAIL — start_pes stall plan produced no init timeout diagnostic attributed to fault event 0" >&2
+    echo "$INIT_OUT" >&2
+    exit 1
+}
 
 # Big-mesh smoke: the sparse mesh layer must keep a 64x64 synthetic
 # geometry at kilobytes (the memory gate fails construction past 32 MiB)

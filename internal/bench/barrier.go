@@ -103,6 +103,6 @@ func fig8(opt Options) (Experiment, error) {
 	e.Notes = append(e.Notes,
 		"paper: Pro64 TSHMEM barrier ~3 us at 36 tiles (vs 47.2 us TMC spin);",
 		"on the Gx the TMC spin barrier (1.5 us) outperforms the UDN chain, motivating the",
-		"TMCSpinBarrier config option (the paper's open issue)")
+		"BarrierAlgoSpin config option (the paper's open issue)")
 	return e, nil
 }
