@@ -92,6 +92,27 @@ func TestDifferentialMatrix(t *testing.T) {
 	}
 }
 
+// TestBFSShortBlocks runs bfs where the block layout ceil(nv/p)·p
+// overshoots nv by more than one block, so trailing PEs own a short
+// block or nothing: 125 vertices on 36 PEs (the benchmark's observed
+// graphs: 31 full blocks, one of a single vertex, four empty), 7 on 8
+// (the last PE empty) and 2 on 5 (three PEs empty).
+func TestBFSShortBlocks(t *testing.T) {
+	for _, c := range []struct{ nv, p int }{{125, 36}, {7, 8}, {2, 5}} {
+		for _, seed := range []int64{1, 7} {
+			t.Run(fmt.Sprintf("nv%d/n%d/seed%d", c.nv, c.p, seed), func(t *testing.T) {
+				rep, err := Check(bfsKernel{}, Spec{Size: c.nv, NPEs: c.p, Seed: seed}, core.Config{Sanitize: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rep.Diagnostics) != 0 {
+					t.Fatalf("sanitizer diagnostics: %v", rep.Diagnostics)
+				}
+			})
+		}
+	}
+}
+
 // TestVerifyCatchesCorruption makes sure the differential harness has
 // teeth: a single corrupted element in an otherwise-correct output
 // must fail Verify.
