@@ -371,6 +371,9 @@ for K in sort stencil wordcount; do
 done
 SAN_LOSS_PINNED='0 diagnostics dropped, 1233 shadow records evicted, 0 edge-table resets' sanitized_probe bfs
 go run ./cmd/tshmem-bench -sweep-kernels > /dev/null
+# The kernels' host-time benchmark (one Launch per op at the probe sizes)
+# runs once so that it cannot rot; size a kernel change with -benchtime 2s.
+go test ./internal/kernels -run '^$' -bench KernelRun -benchtime 1x > /dev/null
 
 # Fuzz smoke: run each native fuzz target briefly against its committed
 # seed corpus plus fresh random inputs. Failures minimize into

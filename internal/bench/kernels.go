@@ -18,25 +18,6 @@ import (
 // baseline suite: RunSuite iterates the figure probes only, keeping
 // BENCH_baseline.json byte-identical while the corpus exists.
 
-// kernelProbeSpec is the fixed small-input spec a kernel probe runs:
-// large enough that every communication phase moves data on all 8 PEs,
-// small enough that a probe stays interactive under the sanitizer.
-func kernelProbeSpec(name string) kernels.Spec {
-	s := kernels.Spec{NPEs: 8, Seed: 1}
-	switch name {
-	case "sort":
-		s.Size = 4096
-	case "bfs":
-		s.Size = 640
-	case "stencil":
-		s.Size = 64
-		s.Width = 2
-	case "wordcount":
-		s.Size = 8192
-	}
-	return s
-}
-
 // kernelPrimaryOp headlines the op class that defines each kernel's
 // communication skeleton in probe output.
 var kernelPrimaryOp = map[string]stats.Op{
@@ -56,7 +37,7 @@ func kernelProbes() []Probe {
 			Title:     k.Title() + " [scenario corpus, oracle-verified]",
 			PrimaryOp: kernelPrimaryOp[k.Name()],
 			Run: func(opts ProbeOpts) (*core.Report, error) {
-				s := kernelProbeSpec(k.Name())
+				s := kernels.ProbeSpec(k.Name())
 				cfg := core.Config{
 					Chip:    opts.chip(),
 					Observe: true, Trace: opts.Trace, Sanitize: opts.Sanitize,
@@ -97,7 +78,7 @@ func SweepKernels(opt Options) (string, error) {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s=%d", k.Name(), kernelProbeSpec(k.Name()).Size)
+		fmt.Fprintf(&b, "%s=%d", k.Name(), kernels.ProbeSpec(k.Name()).Size)
 	}
 	b.WriteString(")\n\n")
 
@@ -109,7 +90,7 @@ func SweepKernels(opt Options) (string, error) {
 	for _, k := range kernels.Kernels() {
 		fmt.Fprintf(&b, "%-12s", k.Name())
 		for _, chip := range chips {
-			s := kernelProbeSpec(k.Name())
+			s := kernels.ProbeSpec(k.Name())
 			s.NPEs = sweepKernelPEs
 			rep, err := kernels.Check(k, s, core.Config{Chip: chip})
 			if err != nil {

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 
 	"tshmem/internal/core"
 )
@@ -11,8 +12,14 @@ import (
 // distributed; each PE owns a slice of the depth array. The graph is
 // defined by in-edges — vertex u's in-neighbors are (u-1) mod V (a
 // ring, so every vertex is reachable from root 0) plus deg-1 hashed
-// vertices — stored CSR-style as a flat per-vertex adjacency computed
-// from the seed, never materialized globally.
+// vertices — computed from the seed by bfsInNbrs, never materialized
+// globally. In its untimed setup each PE hashes the in-edges of the
+// vertices it owns once into a flat int32 table, bfsDeg per vertex,
+// and scans that table on every level, compacting it as vertices are
+// claimed; the model charges the scan through ComputeIntOps, not the
+// host's hashing. The serial oracle and the fuzz emulation call
+// bfsInNbrs afresh on every level instead, so the table is checked
+// against an independent walk of the same graph.
 //
 // Each level is pull-based: every PE scans its still-undiscovered
 // vertices and issues an irregular one-sided G per in-neighbor (a
@@ -100,9 +107,11 @@ func bfsRefDepths(seed int64, nv, deg int) []int64 {
 func (k bfsKernel) Run(pe *core.PE, s Spec) ([]int64, error) {
 	s = k.norm(s)
 	p, me, nv := pe.NumPEs(), pe.MyPE(), s.Size
+	if nv > math.MaxInt32 {
+		return nil, fmt.Errorf("bfs: %d vertices do not fit the int32 in-edge table", nv)
+	}
 	perPE := (nv + p - 1) / p
-	owner := func(v int64) int { return int(v) / perPE }
-	localOf := func(v int64) int { return int(v) % perPE }
+	base := me * perPE // global ID of my block's first vertex
 
 	depth, err := core.Malloc[int64](pe, perPE)
 	if err != nil {
@@ -135,19 +144,25 @@ func (k bfsKernel) Run(pe *core.PE, s Spec) ([]int64, error) {
 	as := core.AllPEs(p)
 
 	// Untimed setup: my depth block starts undiscovered; the root's
-	// owner seeds depth[0] = 0.
+	// owner seeds depth[0] = 0. adj holds the bfsDeg in-neighbors of
+	// each owned, still-undiscovered vertex, in step with undisc.
 	dv := core.MustLocal(pe, depth)
-	var undisc []int64 // owned, still-undiscovered global vertex IDs
+	undisc := make([]int64, 0, perPE)
+	adj := make([]int32, 0, perPE*bfsDeg)
+	nbrs := make([]int64, 0, bfsDeg)
 	for l := 0; l < perPE; l++ {
-		g := int64(me*perPE + l)
+		g := base + l
 		dv[l] = -1
-		if g >= int64(nv) {
+		if g >= nv {
 			continue
 		}
 		if g == 0 {
 			dv[l] = 0
-		} else {
-			undisc = append(undisc, g)
+			continue
+		}
+		undisc = append(undisc, int64(g))
+		for _, v := range bfsInNbrs(nbrs[:0], s.Seed, g, nv, bfsDeg) {
+			adj = append(adj, int32(v))
 		}
 	}
 	core.MustLocal(pe, ctr)[0] = 0
@@ -158,7 +173,7 @@ func (k bfsKernel) Run(pe *core.PE, s Spec) ([]int64, error) {
 		return nil, err
 	}
 
-	nbrs := make([]int64, 0, bfsDeg)
+	newly := make([]int64, 0, perPE)
 	for level := int64(0); ; level++ {
 		if level > int64(nv) {
 			return nil, fmt.Errorf("bfs: no fixpoint after %d levels", level)
@@ -166,11 +181,11 @@ func (k bfsKernel) Run(pe *core.PE, s Spec) ([]int64, error) {
 		// Scan phase: irregular one-sided reads of neighbors' depth
 		// words. Barrier-separated from the claim phase below, so no
 		// read races a CSwap.
-		var newly []int64
-		for _, u := range undisc {
-			nbrs = bfsInNbrs(nbrs[:0], s.Seed, int(u), nv, bfsDeg)
-			for _, v := range nbrs {
-				d, err := core.G(pe, depth.At(localOf(v)), owner(v))
+		newly = newly[:0]
+		for i, u := range undisc {
+			for _, v := range adj[i*bfsDeg : (i+1)*bfsDeg] {
+				o := int(v) / perPE
+				d, err := core.G(pe, depth.At(int(v)-o*perPE), o)
 				if err != nil {
 					return nil, err
 				}
@@ -179,7 +194,7 @@ func (k bfsKernel) Run(pe *core.PE, s Spec) ([]int64, error) {
 					break
 				}
 			}
-			pe.ComputeIntOps(int64(len(nbrs)))
+			pe.ComputeIntOps(bfsDeg)
 		}
 		if err := pe.BarrierAll(); err != nil {
 			return nil, err
@@ -189,7 +204,7 @@ func (k bfsKernel) Run(pe *core.PE, s Spec) ([]int64, error) {
 		// TESTSET-emulated path on Epiphany) plus a commutative FAdd
 		// into the global frontier counter on PE 0.
 		for _, u := range newly {
-			old, err := core.CSwap(pe, depth.At(localOf(u)), -1, level+1, me)
+			old, err := core.CSwap(pe, depth.At(int(u)-base), -1, level+1, me)
 			if err != nil {
 				return nil, err
 			}
@@ -200,13 +215,15 @@ func (k bfsKernel) Run(pe *core.PE, s Spec) ([]int64, error) {
 				return nil, err
 			}
 		}
-		keep := undisc[:0]
-		for _, u := range undisc {
-			if core.MustLocal(pe, depth)[localOf(u)] == -1 {
-				keep = append(keep, u)
+		keep := 0
+		for i, u := range undisc {
+			if dv[int(u)-base] == -1 {
+				undisc[keep] = u
+				copy(adj[keep*bfsDeg:], adj[i*bfsDeg:(i+1)*bfsDeg])
+				keep++
 			}
 		}
-		undisc = keep
+		undisc, adj = undisc[:keep], adj[:keep*bfsDeg]
 
 		// Termination: total claims this level, via tree reduction
 		// (which also orders the claims before the next scan).

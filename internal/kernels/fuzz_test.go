@@ -3,6 +3,8 @@ package kernels
 import (
 	"reflect"
 	"testing"
+
+	"tshmem/internal/core"
 )
 
 // FuzzSampleSortPartition drives the sample-sort's pure partition
@@ -84,7 +86,10 @@ func FuzzSampleSortPartition(f *testing.F) {
 // two-phase level loop — block-partitioned scan, then claim — at an
 // arbitrary PE count. All three must agree on every depth, pinning
 // down both the oracle itself and the scan/claim phase separation the
-// distributed version relies on.
+// distributed version relies on. Last, the real kernel runs on the
+// same seed, vertex count and PE count (at its own in-degree, bfsDeg)
+// and must match its oracle: its per-PE in-edge table, built once and
+// compacted every level, against the oracle's per-level bfsInNbrs.
 func FuzzBFSFrontier(f *testing.F) {
 	f.Add(int64(1), uint16(40), byte(4), byte(3))
 	f.Add(int64(7), uint16(9), byte(1), byte(8))
@@ -171,6 +176,10 @@ func FuzzBFSFrontier(f *testing.F) {
 			if oracle[u] > oracle[prev]+1 {
 				t.Fatalf("depth[%d]=%d but ring predecessor %d has %d", u, oracle[u], prev, oracle[prev])
 			}
+		}
+
+		if _, err := Check(bfsKernel{}, Spec{Size: nv, NPEs: p, Seed: seed}, core.Config{}); err != nil {
+			t.Fatalf("kernel, nv=%d p=%d: %v", nv, p, err)
 		}
 	})
 }

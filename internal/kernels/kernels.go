@@ -62,6 +62,26 @@ type Kernel interface {
 	Verify(s Spec, got []int64) error
 }
 
+// ProbeSpec is the fixed small-input spec each kernel's probe
+// (tshmem-bench -probe NAME) and BenchmarkKernelRun run: large enough
+// that every communication phase moves data on all 8 PEs, small enough
+// that a probe stays interactive under the sanitizer.
+func ProbeSpec(name string) Spec {
+	s := Spec{NPEs: 8, Seed: 1}
+	switch name {
+	case "sort":
+		s.Size = 4096
+	case "bfs":
+		s.Size = 640
+	case "stencil":
+		s.Size = 64
+		s.Width = 2
+	case "wordcount":
+		s.Size = 8192
+	}
+	return s
+}
+
 // registry holds the corpus in menu order.
 var registry = []Kernel{
 	sampleSort{},

@@ -1,11 +1,14 @@
 package kernels
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"tshmem/internal/alloc"
 	"tshmem/internal/arch"
 	"tshmem/internal/core"
 	"tshmem/internal/profile"
@@ -110,6 +113,16 @@ func TestBFSShortBlocks(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBFSSizeGuard: a graph whose vertex IDs overflow the int32
+// in-edge table is refused by Run before it allocates, not by the
+// symmetric heap.
+func TestBFSSizeGuard(t *testing.T) {
+	_, _, err := Launch(bfsKernel{}, Spec{Size: 1 << 31, NPEs: 2}, core.Config{HeapPerPE: 1 << 16})
+	if err == nil || errors.Is(err, alloc.ErrNoSpace) || !strings.Contains(err.Error(), "int32 in-edge table") {
+		t.Fatalf("Launch(bfs, 1<<31 vertices) = %v, want the kernel's size error", err)
 	}
 }
 
