@@ -387,6 +387,7 @@ go test ./internal/kernels -run '^$' -fuzz '^FuzzSampleSortPartition$' -fuzztime
 go test ./internal/kernels -run '^$' -fuzz '^FuzzBFSFrontier$' -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz '^FuzzChainBarrier$' -fuzztime 10s
 go test ./internal/stats -run '^$' -fuzz '^FuzzMergeEvents$' -fuzztime 10s
+go test ./internal/stats -run '^$' -fuzz '^FuzzHistWindow$' -fuzztime 10s
 
 # Examples smoke: every example program must build and run to completion
 # on a small input. Exit status is the check; output is the user's.

@@ -334,3 +334,193 @@ func TestHistEqual(t *testing.T) {
 		t.Error("Counters.Equal ignores a scalar")
 	}
 }
+
+// refHist is the histogram Hist replaced: the three totals and every
+// bucket in one inline array, allocated whole. FuzzHistWindow checks Hist
+// against it sample for sample; its JSON is the encoding Hist must keep.
+type refHist struct {
+	Count  int64
+	SumPs  int64
+	MaxPs  int64
+	Bucket [NumHistBuckets]int64
+}
+
+func (h *refHist) Observe(ps int64) {
+	if ps < 0 {
+		ps = 0
+	}
+	h.Count++
+	h.SumPs += ps
+	if ps > h.MaxPs {
+		h.MaxPs = ps
+	}
+	h.Bucket[histBucket(ps)]++
+}
+
+func (h *refHist) Add(o *refHist) {
+	h.Count += o.Count
+	h.SumPs += o.SumPs
+	if o.MaxPs > h.MaxPs {
+		h.MaxPs = o.MaxPs
+	}
+	for i := range h.Bucket {
+		h.Bucket[i] += o.Bucket[i]
+	}
+}
+
+func (h *refHist) Quantile(q float64) int64 {
+	if h.Count == 0 {
+		return 0
+	}
+	if q < 0 {
+		q = 0
+	} else if q > 1 {
+		q = 1
+	}
+	rank := int64(math.Ceil(q * float64(h.Count)))
+	if rank < 1 {
+		rank = 1
+	}
+	var cum int64
+	for i, n := range h.Bucket {
+		cum += n
+		if cum >= rank {
+			return min(HistBucketUpper(i), h.MaxPs)
+		}
+	}
+	return h.MaxPs
+}
+
+// histSample decodes one sample from the front of data: a negative, a
+// small exact value (0..8), a value at or beside an octave edge, the top
+// octave's floor, the int64 maximum, or arbitrary bits at an arbitrary
+// magnitude. Missing bytes read as zero.
+func histSample(data []byte) (int64, []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	var v int64
+	switch next() % 8 {
+	case 0:
+		if b := next(); b == 0xff {
+			v = math.MinInt64
+		} else {
+			v = -1 - int64(b)
+		}
+	case 1:
+		v = int64(next() % 9)
+	case 2:
+		v = int64(1)<<(next()%63) - 1 + int64(next()%3) // 2^e-1, 2^e, 2^e+1
+	case 3:
+		v = 1 << 62
+	case 4:
+		v = math.MaxInt64
+	default:
+		var u uint64
+		for i := 0; i < 8; i++ {
+			u = u<<8 | uint64(next())
+		}
+		v = int64(u >> (1 + next()%63))
+	}
+	return v, data
+}
+
+// FuzzHistWindow feeds Hist and refHist the same fuzzed samples spread
+// over four histograms, folds them into each other and into an accumulator
+// in a fuzzed order, and requires the two to agree on everything Hist
+// exposes: totals, every bucket, quantiles, Equal and the JSON bytes.
+func FuzzHistWindow(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 5, 4, 9, 42, 0xc0, 0xc4, 2, 3, 6})
+	f.Add([]byte{1, 0, 0, 2, 2, 40, 1, 3, 3, 0xe1, 0xd2, 7, 4, 0xff})
+	f.Add([]byte("observe everything, fold it all, compare every bucket of it"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const parts = 4
+		var (
+			hs      [parts + 1]Hist // the last one is the accumulator
+			rs      [parts + 1]refHist
+			samples [parts + 1][]int64
+		)
+		for len(data) > 0 {
+			op := data[0]
+			data = data[1:]
+			p := int(op) % parts
+			if op < 0xc0 {
+				var v int64
+				v, data = histSample(data)
+				hs[p].Observe(v)
+				rs[p].Observe(v)
+				samples[p] = append(samples[p], v)
+				continue
+			}
+			q := int(op>>2) % (parts + 1)
+			if q == p {
+				q = parts
+			}
+			hs[q].Add(&hs[p])
+			rs[q].Add(&rs[p])
+			samples[q] = append(samples[q], samples[p]...)
+		}
+		for i := range hs {
+			name := fmt.Sprintf("hist %d", i)
+			checkHistAgainstRef(t, name, &hs[i], &rs[i])
+			// The same samples observed in the reverse order grow the
+			// window differently and hold the same histogram.
+			var rev Hist
+			for k := len(samples[i]) - 1; k >= 0; k-- {
+				rev.Observe(samples[i][k])
+			}
+			if !rev.Equal(&hs[i]) || !hs[i].Equal(&rev) {
+				t.Errorf("%s: the same samples in reverse order compare unequal", name)
+			}
+			var cp Hist
+			cp.Add(&hs[i])
+			if !cp.Equal(&hs[i]) || !hs[i].Equal(&cp) {
+				t.Errorf("%s: a copy made by Add compares unequal", name)
+			}
+			enc, _ := json.Marshal(&hs[i])
+			var back Hist
+			if err := json.Unmarshal(enc, &back); err != nil || !back.Equal(&hs[i]) || !hs[i].Equal(&back) {
+				t.Errorf("%s: JSON round trip: err %v", name, err)
+			}
+			for j := range hs {
+				want := rs[i] == rs[j]
+				if hs[i].Equal(&hs[j]) != want || hs[j].Equal(&hs[i]) != want {
+					t.Errorf("hists %d and %d: Equal %v/%v, reference says %v",
+						i, j, hs[i].Equal(&hs[j]), hs[j].Equal(&hs[i]), want)
+				}
+			}
+		}
+	})
+}
+
+// checkHistAgainstRef requires h to hold exactly what the reference holds.
+func checkHistAgainstRef(t *testing.T, name string, h *Hist, r *refHist) {
+	t.Helper()
+	if h.Count != r.Count || h.SumPs != r.SumPs || h.MaxPs != r.MaxPs {
+		t.Fatalf("%s: totals %d/%d/%d, reference %d/%d/%d",
+			name, h.Count, h.SumPs, h.MaxPs, r.Count, r.SumPs, r.MaxPs)
+	}
+	for i, want := range r.Bucket {
+		if got := h.buckets()[i]; got != want {
+			t.Fatalf("%s: bucket %d holds %d, reference %d", name, i, got, want)
+		}
+	}
+	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
+		if got, want := h.Quantile(q), r.Quantile(q); got != want {
+			t.Fatalf("%s: Quantile(%g) = %d, reference %d", name, q, got, want)
+		}
+	}
+	got, err := json.Marshal(h)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if want, _ := json.Marshal(r); string(got) != string(want) {
+		t.Fatalf("%s: JSON differs from the reference:\n got %s\nwant %s", name, got, want)
+	}
+}
