@@ -23,16 +23,18 @@ func allocDuring(f func()) uint64 {
 }
 
 // TestObservedLaunchBudget runs the big-mesh barrier probe with
-// Config.Observe on. A PE's counter block is ~1.4 KB plus one 2 KB bucket
-// array per histogram class the probe samples (five of thirty), so the
-// observed run costs ~20 KiB per PE, ~29 KiB when it also has to make the PE
-// workers; the block with every class's buckets inline was 60 656 B per PE
-// by itself. The bound is per PE and does not depend on n: 1024 PEs, not
-// TestBigMeshBarrierProbe's 4096, because an observed launch accounts every
-// packet of the n(n-1) start_pes exchange (4 s at 4096 PEs, a minute under
-// the race detector), which is not what is measured here.
+// Config.Observe on. A PE's counter block is 1 376 B. The probe samples five
+// of its thirty histogram classes; about four of them reach a second bucket
+// and open a 224 B window, so a PE's counters cost ~2.3 KB and the observed
+// run ~15 KiB per PE, cold or warm. With a 2 KB bucket array per sampled
+// class the run cost ~24 KiB per PE, and the block with every class's
+// buckets inline was 60 656 B per PE by itself. The bound is per PE and
+// does not depend on n: 1024 PEs, not TestBigMeshBarrierProbe's 4096,
+// because an observed launch accounts every packet of the n(n-1) start_pes
+// exchange (4 s at 4096 PEs, a minute under the race detector), which is
+// not what is measured here.
 func TestObservedLaunchBudget(t *testing.T) {
-	const n, perPE = 1024, 40 << 10
+	const n, perPE = 1024, 20 << 10
 	cfg := Config{
 		Chip: arch.Synthetic(32, 32), NPEs: n,
 		HeapPerPE: 4096, ScratchBytes: 1 << 16, Observe: true,
@@ -190,7 +192,7 @@ func TestReportSurvivesNextRun(t *testing.T) {
 }
 
 // TestCountersCopyIsDeep: PE.Counters() and Report.Stats() hand out copies
-// that own their bucket arrays; recording into the source afterwards does
+// that own their bucket windows; recording into the source afterwards does
 // not reach them.
 func TestCountersCopyIsDeep(t *testing.T) {
 	cfg := gxCfg(4)

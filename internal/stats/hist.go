@@ -11,47 +11,112 @@ import (
 // Hist is a log-bucketed histogram of virtual durations in picoseconds.
 // Buckets are power-of-two octaves split into histSub sub-buckets each, so
 // the relative quantization error is bounded by 1/histSub (25%); values
-// 0..7 ps get exact buckets. The bucket array is sized for the full
-// positive int64 range (2 KB) and is allocated by the first sample: a run
-// touches a handful of the NumHistClasses classes, and the other
-// histograms of every PE stay three words. After that first sample Observe
-// allocates nothing. The zero Hist is an empty histogram, ready to use.
+// 0..7 ps get exact buckets. The NumHistBuckets buckets cover the full
+// positive int64 range, but a histogram stores only a window of them: the
+// counts of the buckets from the lowest to the highest it has seen. A run's
+// samples of one class rarely span more than a few octaves.
+//
+// A histogram whose samples all sit in one bucket has no window: that
+// bucket is MaxPs's and its count is Count, so the zero Hist is an empty
+// histogram, ready to use, and most histograms of most PEs never allocate.
+// The second bucket opens a window of histWinBuf buckets; a sample outside
+// the window widens it, with headroom on the side it grew, and nothing
+// shrinks it. An Observe inside the window allocates nothing.
 //
 // Like the rest of Counters, a Hist is written only by the owning PE's
-// goroutine and read after the run. Because Bucket is a pointer, assigning
-// a Hist (or a Counters) shares the array and == compares its identity:
-// fold with Add to copy, compare with Equal.
+// goroutine and read after the run. Because the window is behind a
+// pointer, assigning a Hist (or a Counters) shares it and == compares its
+// identity: fold with Add to copy, compare with Equal.
 type Hist struct {
+	Count int64
+	SumPs int64
+	MaxPs int64
+	w     *histWin // nil while every sample is in MaxPs's bucket
+}
+
+// histWinBuf is the width of a histogram's first window, which is carved
+// from its histWin so that opening it is one allocation (224 B): wide
+// enough that most windows are never widened.
+const histWinBuf = 24
+
+// histWin holds the counts n of buckets lo..lo+len(n)-1.
+type histWin struct {
+	lo  int
+	n   []int64
+	buf [histWinBuf]int64 // n's first storage
+}
+
+// view returns h's counts as a window: bucket lo holds n[0]. A histogram
+// without a window reports its Count samples in MaxPs's bucket, in the one
+// slot the caller lends.
+func (h *Hist) view(one *[1]int64) (lo int, n []int64) {
+	if h.w != nil {
+		return h.w.lo, h.w.n
+	}
+	one[0] = h.Count
+	return histBucket(h.MaxPs), one[:]
+}
+
+// countAt returns the count of bucket i in the window lo, n: zero outside it.
+func countAt(lo int, n []int64, i int) int64 {
+	if i -= lo; i >= 0 && i < len(n) {
+		return n[i]
+	}
+	return 0
+}
+
+// BucketCount returns the number of samples in bucket i (see HistBucketUpper).
+func (h *Hist) BucketCount(i int) int64 {
+	var one [1]int64
+	lo, n := h.view(&one)
+	return countAt(lo, n, i)
+}
+
+// Equal reports whether h and o hold the same samples, however their
+// windows were grown.
+func (h *Hist) Equal(o *Hist) bool {
+	if h.Count != o.Count || h.SumPs != o.SumPs || h.MaxPs != o.MaxPs {
+		return false
+	}
+	var hOne, oOne [1]int64
+	hlo, hn := h.view(&hOne)
+	olo, on := o.view(&oOne)
+	for i := min(hlo, olo); i < max(hlo+len(hn), olo+len(on)); i++ {
+		if countAt(hlo, hn, i) != countAt(olo, on, i) {
+			return false
+		}
+	}
+	return true
+}
+
+// histWire is a Hist's JSON encoding: the totals and every bucket, the
+// inline array Hist held before it kept a window.
+type histWire struct {
 	Count  int64
 	SumPs  int64
 	MaxPs  int64
-	Bucket *[NumHistBuckets]int64 // nil until the first sample: all zero
+	Bucket [NumHistBuckets]int64
 }
 
-// noSamples is what an untouched histogram's Bucket reads as.
-var noSamples [NumHistBuckets]int64
-
-// buckets returns the bucket array for reading.
-func (h *Hist) buckets() *[NumHistBuckets]int64 {
-	if h.Bucket == nil {
-		return &noSamples
-	}
-	return h.Bucket
-}
-
-// Equal reports whether h and o hold the same samples. An untouched
-// histogram equals one whose buckets are all zero.
-func (h *Hist) Equal(o *Hist) bool {
-	return h.Count == o.Count && h.SumPs == o.SumPs && h.MaxPs == o.MaxPs &&
-		*h.buckets() == *o.buckets()
-}
-
-// MarshalJSON writes an untouched histogram's buckets as zeros, not null:
-// the encoding is that of the inline array Bucket used to be.
+// MarshalJSON writes all NumHistBuckets buckets, zeros included.
 func (h Hist) MarshalJSON() ([]byte, error) {
-	type plain Hist // no methods: the default struct encoding
-	h.Bucket = h.buckets()
-	return json.Marshal(plain(h))
+	enc := histWire{Count: h.Count, SumPs: h.SumPs, MaxPs: h.MaxPs}
+	var one [1]int64
+	lo, n := h.view(&one)
+	copy(enc.Bucket[lo:], n)
+	return json.Marshal(&enc)
+}
+
+// UnmarshalJSON reads what MarshalJSON writes into a window of the
+// non-zero buckets.
+func (h *Hist) UnmarshalJSON(data []byte) error {
+	var dec histWire
+	if err := json.Unmarshal(data, &dec); err != nil {
+		return err
+	}
+	*h = Hist{}
+	h.Add(&Hist{Count: dec.Count, SumPs: dec.SumPs, MaxPs: dec.MaxPs, w: &histWin{n: dec.Bucket[:]}})
+	return nil
 }
 
 const (
@@ -82,6 +147,13 @@ func histBucket(v int64) int {
 	return b
 }
 
+// sameBucket reports whether two non-negative durations share a bucket:
+// the same octave and the same histSubBits bits below its leading one, or
+// the same exact value below 2*histSub.
+func sameBucket(a, b int64) bool {
+	return uint64(a^b) < 1<<max(bits.Len64(uint64(a|b))-(histSubBits+1), 0)
+}
+
 // HistBucketUpper returns the largest value (ps) that maps to bucket i —
 // the upper bound Quantile reports.
 func HistBucketUpper(i int) int64 {
@@ -102,36 +174,113 @@ func (h *Hist) Observe(ps int64) {
 	if ps < 0 {
 		ps = 0
 	}
+	if w := h.w; w != nil {
+		if i := uint(histBucket(ps) - w.lo); i < uint(len(w.n)) {
+			w.n[i]++
+			h.tally(ps)
+			return
+		}
+	} else if h.Count == 0 || sameBucket(ps, h.MaxPs) {
+		h.tally(ps)
+		return
+	}
+	h.observeOutside(ps)
+}
+
+// observeOutside records a sample that falls outside h's window, or in a
+// second bucket of a histogram that has none yet.
+func (h *Hist) observeOutside(ps int64) {
+	b := histBucket(ps)
+	w := h.cover(b, b)
+	w.n[b-w.lo]++
+	h.tally(ps)
+}
+
+// tally adds one sample to the totals.
+func (h *Hist) tally(ps int64) {
 	h.Count++
 	h.SumPs += ps
 	if ps > h.MaxPs {
 		h.MaxPs = ps
 	}
-	if h.Bucket == nil {
-		h.Bucket = new([NumHistBuckets]int64)
-	}
-	h.Bucket[histBucket(ps)]++
 }
 
-// Add folds o into h (aggregation across PEs or runs). Most histograms of
-// most PEs are empty — a run uses a handful of op classes — and folding one
-// is a no-op; a non-empty one has nothing above the bucket of its maximum.
-// h gets a bucket array of its own, never o's, so folding into the zero
-// Hist is how a histogram is copied.
+// cover returns h's window widened to hold buckets lo..hi. A histogram
+// without one opens it, moving its samples from MaxPs's bucket into it.
+// Widening adds a quarter of the new width beyond the bucket that forced
+// it, so that a histogram whose samples creep outward one bucket at a time
+// reallocates a logarithmic number of times, not once per bucket.
+func (h *Hist) cover(lo, hi int) *histWin {
+	w := h.w
+	if w == nil {
+		w = new(histWin)
+		top := -1
+		if h.Count > 0 {
+			top = histBucket(h.MaxPs)
+			lo, hi = min(lo, top), max(hi, top)
+		}
+		if hi-lo < histWinBuf {
+			// Two buckets of room below, the rest above: in the probe
+			// suite a class's later samples mostly land above its first.
+			w.lo = min(max(lo-2, hi-histWinBuf+1, 0), NumHistBuckets-histWinBuf)
+			w.n = w.buf[:]
+		} else {
+			w.lo, w.n = lo, make([]int64, hi-lo+1)
+		}
+		if top >= 0 {
+			w.n[top-w.lo] = h.Count
+		}
+		h.w = w
+		return w
+	}
+	wlo, whi := w.lo, w.lo+len(w.n)-1
+	if lo >= wlo && hi <= whi {
+		return w
+	}
+	nlo, nhi := min(lo, wlo), max(hi, whi)
+	room := (nhi - nlo + 1) / 4
+	if lo < wlo {
+		nlo = max(nlo-room, 0)
+	}
+	if hi > whi {
+		nhi = min(nhi+room, NumHistBuckets-1)
+	}
+	n := make([]int64, nhi-nlo+1)
+	copy(n[wlo-nlo:], w.n)
+	w.lo, w.n = nlo, n
+	return w
+}
+
+// Add folds o into h (aggregation across PEs or runs). h gets a window of
+// its own, never o's, so folding into the zero Hist is how a histogram is
+// copied; the copy's window spans o's non-zero buckets only.
 func (h *Hist) Add(o *Hist) {
 	if o.Count == 0 {
 		return
 	}
-	if h.Bucket == nil {
-		h.Bucket = new([NumHistBuckets]int64)
+	var one [1]int64
+	lo, n := o.view(&one)
+	for len(n) > 0 && n[0] == 0 {
+		lo, n = lo+1, n[1:]
+	}
+	for len(n) > 0 && n[len(n)-1] == 0 {
+		n = n[:len(n)-1]
+	}
+	// Samples that all sit in MaxPs's bucket fold into an empty histogram,
+	// or one without a window whose samples sit in the same bucket, through
+	// the totals alone.
+	single := len(n) == 1 && n[0] == o.Count && lo == histBucket(o.MaxPs)
+	if len(n) > 0 && !(single && h.w == nil && (h.Count == 0 || histBucket(h.MaxPs) == lo)) {
+		w := h.cover(lo, lo+len(n)-1)
+		dst := w.n[lo-w.lo:]
+		for i, c := range n {
+			dst[i] += c
+		}
 	}
 	h.Count += o.Count
 	h.SumPs += o.SumPs
 	if o.MaxPs > h.MaxPs {
 		h.MaxPs = o.MaxPs
-	}
-	for i, top := 0, histBucket(o.MaxPs); i <= top; i++ {
-		h.Bucket[i] += o.Bucket[i]
 	}
 }
 
@@ -152,11 +301,13 @@ func (h *Hist) Quantile(q float64) int64 {
 	if rank < 1 {
 		rank = 1
 	}
+	var one [1]int64
+	lo, n := h.view(&one)
 	var cum int64
-	for i, n := range h.buckets() {
-		cum += n
+	for i, c := range n {
+		cum += c
 		if cum >= rank {
-			ub := HistBucketUpper(i)
+			ub := HistBucketUpper(lo + i)
 			if ub > h.MaxPs {
 				ub = h.MaxPs
 			}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tshmem/internal/vtime"
 )
@@ -16,8 +17,9 @@ import (
 // 4-sub-buckets-per-octave quantization bound).
 func TestHistBucketBoundaries(t *testing.T) {
 	prev := -1
-	for _, v := range []int64{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 100, 1023, 1024,
-		1_000_000, 123_456_789, 1 << 40, (1 << 62) + 12345, math.MaxInt64} {
+	values := []int64{0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 15, 16, 17, 100, 1023, 1024,
+		1_000_000, 123_456_789, 1 << 40, (1 << 62) + 12345, math.MaxInt64}
+	for _, v := range values {
 		b := histBucket(v)
 		if b < 0 || b >= NumHistBuckets {
 			t.Fatalf("bucket(%d) = %d out of range", v, b)
@@ -38,6 +40,15 @@ func TestHistBucketBoundaries(t *testing.T) {
 	for i := 0; i < NumHistBuckets-1; i++ {
 		if got := histBucket(HistBucketUpper(i) + 1); got != i+1 {
 			t.Fatalf("bucket(upper(%d)+1) = %d, want %d", i, got, i+1)
+		}
+		up := HistBucketUpper(i)
+		values = append(values, up, up+1)
+	}
+	for _, a := range values {
+		for _, b := range values {
+			if got, want := sameBucket(a, b), histBucket(a) == histBucket(b); got != want {
+				t.Fatalf("sameBucket(%d, %d) = %v, buckets %d and %d", a, b, got, histBucket(a), histBucket(b))
+			}
 		}
 	}
 	// Exact small buckets: 0..7 ps have zero quantization error.
@@ -122,7 +133,7 @@ func TestHistEmptyAndNegative(t *testing.T) {
 		t.Errorf("empty hist: p50=%d mean=%d, want 0", h.Quantile(0.5), h.MeanPs())
 	}
 	h.Observe(-5) // clamps to zero instead of panicking
-	if h.Count != 1 || h.MaxPs != 0 || h.Bucket[0] != 1 {
+	if h.Count != 1 || h.MaxPs != 0 || h.BucketCount(0) != 1 {
 		t.Errorf("negative observation not clamped: %+v", h)
 	}
 }
@@ -282,7 +293,7 @@ func TestHistJSONStable(t *testing.T) {
 	}
 }
 
-// A copy of a counter block shares no bucket array with its source:
+// A copy of a counter block shares no bucket window with its source:
 // recording into the source afterwards leaves the copy where it was.
 func TestCountersCopyIsDeep(t *testing.T) {
 	rec := New(0, false, 0)
@@ -305,33 +316,116 @@ func TestCountersCopyIsDeep(t *testing.T) {
 	if !snap.Equal(&c) {
 		t.Error("Collector.Snapshot() copy moved on the next Fold")
 	}
-	if n := c.Hists[HistForRMA(SameChip)].Bucket[histBucket(900)]; n != 1 {
-		t.Errorf("Fold wrote through its argument's bucket array: %d samples of 900 ps, want 1", n)
+	if n := c.Hists[HistForRMA(SameChip)].BucketCount(histBucket(900)); n != 1 {
+		t.Errorf("Fold wrote through its argument's bucket window: %d samples of 900 ps, want 1", n)
 	}
 }
 
-// Equal is about samples, not bucket-array identity: an untouched histogram
-// equals one whose array is allocated and all zero, and unequal buckets
-// under equal totals differ.
+// Equal is about samples, not storage: an untouched histogram equals one
+// whose window is open and all zero, and unequal buckets under equal totals
+// differ.
 func TestHistEqual(t *testing.T) {
 	var a, b Hist
-	b.Bucket = new([NumHistBuckets]int64)
+	b.cover(8, 8)
 	if !a.Equal(&b) || !b.Equal(&a) {
-		t.Error("nil and all-zero bucket arrays compare unequal")
+		t.Error("no window and an all-zero window compare unequal")
 	}
 	a.Observe(8) // bucket 8
 	b.Observe(8)
 	if !a.Equal(&b) {
-		t.Error("same samples, separate arrays: unequal")
+		t.Error("same samples, one in a window and one without: unequal")
 	}
-	b.Bucket[8], b.Bucket[9] = 0, 1
-	if a.Equal(&b) {
+	// 13, 9, 9 and 13, 10, 8: the same count, sum and maximum in buckets
+	// {10, 8, 8} and {10, 9, 8}.
+	var c, d Hist
+	for _, v := range []int64{13, 9, 9} {
+		c.Observe(v)
+	}
+	for _, v := range []int64{13, 10, 8} {
+		d.Observe(v)
+	}
+	if c.Equal(&d) || d.Equal(&c) {
 		t.Error("different buckets under equal totals compare equal")
 	}
 	var ca, cb Counters
 	ca.UDNMsgsSent, cb.UDNMsgsSent = 1, 2
 	if ca.Equal(&cb) {
 		t.Error("Counters.Equal ignores a scalar")
+	}
+}
+
+// A Hist stays four words with its window behind the pointer, and a
+// Counters block stays the size it had with one pointer per class.
+func TestHistSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Hist{}); sz != 32 {
+		t.Errorf("Hist is %d bytes, want 32", sz)
+	}
+	if sz := unsafe.Sizeof(Counters{}); sz != 1376 {
+		t.Errorf("Counters is %d bytes, want 1376", sz)
+	}
+}
+
+// Once its samples have spanned a window, a histogram observes anywhere
+// inside it without allocating; a histogram whose samples share one bucket
+// never allocates at all.
+func TestHistWindowZeroAlloc(t *testing.T) {
+	var one, h Hist
+	if n := testing.AllocsPerRun(100, func() { one.Observe(1234) }); n != 0 || one.w != nil {
+		t.Errorf("one-bucket histogram: %.1f allocs per run, window %v", n, one.w)
+	}
+	for _, v := range []int64{100, 1 << 20} {
+		h.Observe(v)
+	}
+	lo, hi := histBucket(100), histBucket(1<<20)
+	if h.w == nil || h.w.lo > lo || h.w.lo+len(h.w.n) <= hi {
+		t.Fatalf("window does not span buckets %d..%d", lo, hi)
+	}
+	n := testing.AllocsPerRun(10, func() {
+		for b := h.w.lo; b < h.w.lo+len(h.w.n); b++ {
+			h.Observe(HistBucketUpper(b))
+		}
+	})
+	if n != 0 {
+		t.Errorf("observing inside the window: %.1f allocs per run, want 0", n)
+	}
+}
+
+// A Hist and a whole Counters decode to what they encoded.
+func TestHistJSONRoundTrip(t *testing.T) {
+	var h Hist
+	for _, v := range []int64{0, 7, 100, 5_000, 1 << 40, math.MaxInt64} {
+		h.Observe(v)
+	}
+	rec := New(0, false, 0)
+	rec.UDNSend(4, 3, 21_900)
+	rec.UDNRecvWait(4, 0)
+	rec.UDNRecvWait(4, 500)
+	rec.RMA(SameChip, 4096, 9_000)
+	var clock vtime.Clock
+	start := clock.Now()
+	clock.Advance(1234)
+	rec.OpDone(OpPut, start, &clock, 4096, 1)
+	c := rec.Counters()
+	// roundTrip decodes v's encoding into back and requires back to
+	// encode to the same bytes.
+	roundTrip := func(name string, v, back any) {
+		enc, err := json.Marshal(v)
+		if err == nil {
+			err = json.Unmarshal(enc, back)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again, _ := json.Marshal(back); string(again) != string(enc) {
+			t.Errorf("%s: re-encoding differs:\n got %s\nwant %s", name, again, enc)
+		}
+	}
+	var hb Hist
+	var cb Counters
+	roundTrip("Hist", &h, &hb)
+	roundTrip("Counters", &c, &cb)
+	if !hb.Equal(&h) || !cb.Equal(&c) {
+		t.Error("decoded Hist or Counters compares unequal to the original")
 	}
 }
 
@@ -507,7 +601,7 @@ func checkHistAgainstRef(t *testing.T, name string, h *Hist, r *refHist) {
 			name, h.Count, h.SumPs, h.MaxPs, r.Count, r.SumPs, r.MaxPs)
 	}
 	for i, want := range r.Bucket {
-		if got := h.buckets()[i]; got != want {
+		if got := h.BucketCount(i); got != want {
 			t.Fatalf("%s: bucket %d holds %d, reference %d", name, i, got, want)
 		}
 	}

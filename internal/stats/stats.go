@@ -127,9 +127,9 @@ func (l CacheLevel) String() string {
 // Counters is one PE's substrate counter block, written by the owning PE
 // goroutine; read it only after the run (or from the owning PE itself).
 // The scalar fields are plain int64s; each histogram points at a bucket
-// array once it has a sample, so a Counters assigned by value shares those
-// arrays with its source. Copy one by folding it into a zero Counters (Add)
-// and compare two with Equal, not ==.
+// window once its samples reach a second bucket, so a Counters assigned by
+// value shares those windows with its source. Copy one by folding it into
+// a zero Counters (Add) and compare two with Equal, not ==.
 type Counters struct {
 	// Ops counts operation entries per class; OpTimePs accumulates each
 	// class's inclusive virtual duration in picoseconds. "Inclusive" means
@@ -197,7 +197,8 @@ type Counters struct {
 	// Hists holds one latency histogram per HistClass: the distribution
 	// behind each counter above (operation spans, UDN packet latencies and
 	// receive stalls, barrier-signal stalls, RMA and cache-copy charges).
-	// A class costs three words until its first sample (see Hist).
+	// A class costs four words until its samples reach a second bucket
+	// (see Hist).
 	Hists [NumHistClasses]Hist
 }
 
