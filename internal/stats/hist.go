@@ -13,12 +13,13 @@ import (
 // the relative quantization error is bounded by 1/histSub (25%); values
 // 0..7 ps get exact buckets. The NumHistBuckets buckets cover the full
 // positive int64 range, but a histogram stores only a window of them: the
-// counts of the buckets from the lowest to the highest it has seen. A run's
-// samples of one class rarely span more than a few octaves.
+// counts of the buckets from the lowest to the highest it has seen.
 //
 // A histogram whose samples all sit in one bucket has no window: that
-// bucket is MaxPs's and its count is Count, so the zero Hist is an empty
-// histogram, ready to use, and most histograms of most PEs never allocate.
+// bucket is MaxPs's and its count is Count. So the zero Hist is an empty
+// histogram, ready to use, and a PE's histogram of a class it samples
+// once, or always alike, never allocates (in the probe suite, 42 % of the
+// per-PE histograms that have samples).
 // The second bucket opens a window of histWinBuf buckets; a sample outside
 // the window widens it, with headroom on the side it grew, and nothing
 // shrinks it. An Observe inside the window allocates nothing.
@@ -89,8 +90,8 @@ func (h *Hist) Equal(o *Hist) bool {
 	return true
 }
 
-// histWire is a Hist's JSON encoding: the totals and every bucket, the
-// inline array Hist held before it kept a window.
+// histWire is a Hist's JSON encoding: the totals and all NumHistBuckets
+// buckets, whatever the window. The engine goldens hash this encoding.
 type histWire struct {
 	Count  int64
 	SumPs  int64

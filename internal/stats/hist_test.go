@@ -294,13 +294,16 @@ func TestHistJSONStable(t *testing.T) {
 }
 
 // A copy of a counter block shares no bucket window with its source:
-// recording into the source afterwards leaves the copy where it was.
+// recording into the source afterwards, inside the window or beyond it,
+// leaves the copy where it was.
 func TestCountersCopyIsDeep(t *testing.T) {
 	rec := New(0, false, 0)
 	rec.RMA(SameChip, 64, 900)
+	rec.RMA(SameChip, 64, 5_000) // a second bucket: the class has a window
 	c := rec.Counters()
 	was, _ := json.Marshal(c)
 	rec.RMA(SameChip, 64, 900)
+	rec.RMA(SameChip, 64, 1<<40)
 	rec.UDNSend(1, 1, 50)
 	if now, _ := json.Marshal(c); string(now) != string(was) {
 		t.Error("Recorder.Counters() copy moved when the recorder recorded again")
