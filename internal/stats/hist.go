@@ -17,10 +17,9 @@ import (
 //
 // A histogram whose samples all sit in one bucket has no window: that
 // bucket is MaxPs's and its count is Count. So the zero Hist is an empty
-// histogram, ready to use, and a PE's histogram of a class it samples
-// once, or always alike, never allocates (in the probe suite, 42 % of the
-// per-PE histograms that have samples).
-// The second bucket opens a window of histWinBuf buckets; a sample outside
+// histogram, ready to use, and a one-bucket histogram never allocates (in
+// the probe suite, 42 % of the per-PE histograms that have samples). The
+// second bucket opens a window of histWinBuf buckets; a sample outside
 // the window widens it, with headroom on the side it grew, and nothing
 // shrinks it. An Observe inside the window allocates nothing.
 //
