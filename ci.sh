@@ -374,6 +374,11 @@ go run ./cmd/tshmem-bench -sweep-kernels > /dev/null
 # The kernels' host-time benchmark (one Launch per op at the probe sizes)
 # runs once so that it cannot rot; size a kernel change with -benchtime 2s.
 go test ./internal/kernels -run '^$' -bench KernelRun -benchtime 1x > /dev/null
+# The same for the two host-only loops the kernels charge by formula: the
+# sort kernel's sortI64 at the probe's sizes and the CBIR case study's
+# Correlogram at the paper's parameters.
+go test ./internal/kernels -run '^$' -bench SortI64 -benchtime 1x -benchmem > /dev/null
+go test ./internal/cbir -run '^$' -bench Correlogram -benchtime 1x -benchmem > /dev/null
 
 # Fuzz smoke: run each native fuzz target briefly against its committed
 # seed corpus plus fresh random inputs. Failures minimize into
@@ -385,6 +390,8 @@ go test ./internal/sanitize -run '^$' -fuzz '^FuzzCheckerDifferential$' -fuzztim
 go test ./internal/alloc -run '^$' -fuzz '^FuzzAlloc$' -fuzztime 10s
 go test ./internal/kernels -run '^$' -fuzz '^FuzzSampleSortPartition$' -fuzztime 10s
 go test ./internal/kernels -run '^$' -fuzz '^FuzzBFSFrontier$' -fuzztime 10s
+go test ./internal/kernels -run '^$' -fuzz '^FuzzSortI64$' -fuzztime 10s
+go test ./internal/cbir -run '^$' -fuzz '^FuzzCorrelogram$' -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz '^FuzzChainBarrier$' -fuzztime 10s
 go test ./internal/stats -run '^$' -fuzz '^FuzzMergeEvents$' -fuzztime 10s
 go test ./internal/stats -run '^$' -fuzz '^FuzzHistWindow$' -fuzztime 10s

@@ -1,6 +1,9 @@
 package cbir
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -305,5 +308,146 @@ func TestDistributedValidation(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refCorrelogram is the pixel-major loop Correlogram replaced, kept as its
+// oracle: for each pixel in raster order, for each distance, visit the
+// eight ring points and count the in-image ones and the matching ones.
+func refCorrelogram(img []uint8, p Params) ([]float32, error) {
+	n := p.Size
+	if len(img) != n*n {
+		return nil, fmt.Errorf("cbir: image has %d pixels, want %d", len(img), n*n)
+	}
+	nd := len(p.Dists)
+	match := make([]uint32, p.Colors*nd)
+	total := make([]uint32, p.Colors*nd)
+	for y := 0; y < n; y++ {
+		for x := 0; x < n; x++ {
+			c := int(img[y*n+x])
+			if c >= p.Colors {
+				return nil, fmt.Errorf("cbir: pixel color %d exceeds %d levels", c, p.Colors)
+			}
+			for di, d := range p.Dists {
+				idx := c*nd + di
+				for _, off := range [8][2]int{
+					{d, 0}, {-d, 0}, {0, d}, {0, -d},
+					{d, d}, {d, -d}, {-d, d}, {-d, -d},
+				} {
+					nx, ny := x+off[0], y+off[1]
+					if nx < 0 || nx >= n || ny < 0 || ny >= n {
+						continue
+					}
+					total[idx]++
+					if int(img[ny*n+nx]) == c {
+						match[idx]++
+					}
+				}
+			}
+		}
+	}
+	feat := make([]float32, p.FeatureLen())
+	for i := range feat {
+		if total[i] > 0 {
+			feat[i] = float32(match[i]) / float32(total[i])
+		}
+	}
+	return feat, nil
+}
+
+// checkCorrelogram runs Correlogram and refCorrelogram on img and fails
+// unless both return the same error text, or bit-identical features.
+func checkCorrelogram(t *testing.T, img []uint8, p Params) {
+	t.Helper()
+	got, gerr := Correlogram(img, p)
+	want, werr := refCorrelogram(img, p)
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+		t.Fatalf("%+v: error %v, oracle %v", p, gerr, werr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%+v: %d features, oracle %d", p, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%+v: feature[%d] = %v, oracle %v", p, i, got[i], want[i])
+		}
+	}
+}
+
+// FuzzCorrelogram holds Correlogram to refCorrelogram on images of 8 to 40
+// pixels a side in 2 to 256 colours, with distances Validate accepts and
+// ones it refuses (zero, negative, past Size/2, at or past Size), which
+// Correlogram must still count as the old loop did. A nonzero badRaw
+// plants out-of-palette pixels, the first of which the error must name.
+func FuzzCorrelogram(f *testing.F) {
+	f.Add(uint64(1), byte(24), byte(62), []byte{1, 3, 5, 7}, uint16(0))
+	f.Add(uint64(2), byte(0), byte(0), []byte{1, 2}, uint16(0))
+	f.Add(uint64(3), byte(32), byte(254), []byte{0, 0xff, 40, 19}, uint16(0))
+	f.Add(uint64(4), byte(8), byte(14), []byte{3}, uint16(77))
+	f.Add(uint64(5), byte(17), byte(6), []byte{}, uint16(9))
+	f.Fuzz(func(t *testing.T, seed uint64, sizeRaw, colorsRaw byte, distsRaw []byte, badRaw uint16) {
+		p := Params{Size: 8 + int(sizeRaw)%33, Colors: 2 + int(colorsRaw)%255}
+		for _, b := range distsRaw[:min(len(distsRaw), 5)] {
+			p.Dists = append(p.Dists, int(int8(b))%(p.Size+3))
+		}
+		// Runs of one colour broken by random pixels, so that every
+		// distance sees matches and mismatches.
+		r := rand.New(rand.NewPCG(seed, 31))
+		img := make([]uint8, p.Size*p.Size)
+		c := uint8(0)
+		for i := range img {
+			if r.IntN(4) == 0 {
+				c = uint8(r.IntN(p.Colors))
+			}
+			img[i] = c
+		}
+		if badRaw != 0 && p.Colors < 256 {
+			for k := 0; k < 2; k++ {
+				img[(int(badRaw)*(k+1))%len(img)] = uint8(p.Colors + (int(badRaw)>>k)%(256-p.Colors))
+			}
+		}
+		checkCorrelogram(t, img, p)
+	})
+}
+
+// TestCorrelogramMatchesOracle compares whole feature vectors on the
+// synthetic corpus at the paper's parameters and at the tests' small ones.
+func TestCorrelogramMatchesOracle(t *testing.T) {
+	for _, p := range []Params{DefaultParams(), smallParams(), {Size: 40, Colors: 256, Dists: []int{1, 19}}} {
+		for id := 0; id < 8; id++ {
+			checkCorrelogram(t, SynthImage(id, p), p)
+		}
+	}
+}
+
+// TestCorrelogramAllocs: Correlogram allocates no more than the loop it
+// replaced.
+func TestCorrelogramAllocs(t *testing.T) {
+	p := DefaultParams()
+	img := SynthImage(5, p)
+	count := func(fn func([]uint8, Params) ([]float32, error)) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := fn(img, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got, ref := count(Correlogram), count(refCorrelogram); got > ref {
+		t.Errorf("Correlogram: %v allocs per image, the old loop %v", got, ref)
+	}
+}
+
+// BenchmarkCorrelogram times one feature extraction at the paper's
+// parameters (128x128 pixels, 64 colours, distances {1,3,5,7}).
+//
+//	go test ./internal/cbir -run '^$' -bench Correlogram -benchmem
+func BenchmarkCorrelogram(b *testing.B) {
+	p := DefaultParams()
+	img := SynthImage(5, p)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Correlogram(img, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

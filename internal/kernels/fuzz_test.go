@@ -1,7 +1,10 @@
 package kernels
 
 import (
+	"math"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tshmem/internal/core"
@@ -72,9 +75,63 @@ func FuzzSampleSortPartition(f *testing.F) {
 		}
 
 		want := append([]int64(nil), keys...)
-		sortI64(want)
+		slices.Sort(want)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("partitioned concat != sorted oracle\n got: %v\nwant: %v", got, want)
+		}
+	})
+}
+
+// FuzzSortI64 holds sortI64 to slices.Sort on key sets of 0 to 5 000
+// keys drawn from shapes a radix sort can get wrong: the full int64
+// range with both extremes, one key repeated, a few distinct keys,
+// sorted and reversed runs, and a narrow range that leaves most digits
+// of every key equal.
+func FuzzSortI64(f *testing.F) {
+	for shape := range byte(8) {
+		f.Add(uint64(shape)+1, uint16(4096), shape)
+		f.Add(uint64(shape)+9, uint16(64), shape)
+	}
+	f.Add(uint64(3), uint16(0), byte(0))
+	f.Add(uint64(5), uint16(5000), byte(0))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, shape byte) {
+		n := int(nRaw) % 5001
+		r := rand.New(rand.NewPCG(seed, uint64(shape)))
+		few := [3]int64{math.MinInt64, r.Int64(), math.MaxInt64}
+		keys := make([]int64, n)
+		for i := range keys {
+			switch shape % 8 {
+			case 0: // the full range, extremes sprinkled in
+				keys[i] = int64(r.Uint64())
+				if r.IntN(16) == 0 {
+					keys[i] = few[r.IntN(2)*2]
+				}
+			case 1: // one key
+				keys[i] = few[1]
+			case 2: // three keys, the extremes among them
+				keys[i] = few[r.IntN(3)]
+			case 3: // ascending
+				keys[i] = few[1]/2 + int64(i)*int64(r.IntN(3))
+			case 4: // descending
+				keys[i] = few[1]/2 - int64(i)
+			case 5: // a narrow window of the range
+				keys[i] = few[1] + int64(r.IntN(1000))
+			case 6: // the sort kernel's own keys
+				keys[i] = sortKeyAt(int64(seed), i)
+			case 7: // small keys of both signs, many repeats
+				keys[i] = int64(r.IntN(64)) - 32
+			}
+		}
+		got := append([]int64(nil), keys...)
+		want := append([]int64(nil), keys...)
+		sortI64(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("shape %d, %d keys: got[%d] = %d, slices.Sort has %d", shape%8, n, i, got[i], want[i])
+				}
+			}
 		}
 	})
 }
