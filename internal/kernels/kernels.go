@@ -23,7 +23,7 @@ package kernels
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"sync"
 
 	"tshmem/internal/core"
@@ -212,9 +212,107 @@ func chargeSort(pe *core.PE, m int) {
 	pe.ComputeIntOps(int64(m) * lg * 4)
 }
 
-// sortI64 sorts a slice ascending.
+// sortI64 sorts v ascending in place and allocates nothing: an MSD radix
+// sort (American flag sort) that leaves buckets of insertionMax keys or
+// fewer to one insertion sort of the whole slice at the end. A key's
+// digits are taken from its offset from the minimum, uint64(x) -
+// uint64(lo), which keeps the order across the whole int64 range and
+// starts the first digit at the highest bit in which two keys differ.
+// Its cost is host time only: chargeSort prices a sort in virtual time by
+// formula. FuzzSortI64 holds it to slices.Sort.
 func sortI64(v []int64) {
-	slices.Sort(v)
+	if len(v) > insertionMax {
+		lo, hi := v[0], v[0]
+		for _, x := range v[1:] {
+			lo, hi = min(lo, x), max(hi, x)
+		}
+		radixSort(v, uint64(lo), bits.Len64(uint64(hi)-uint64(lo)))
+	}
+	insertionSort(v)
+}
+
+const (
+	// insertionMax is the bucket length at or below which a bucket is
+	// left to the final insertion sort instead of another radix level.
+	insertionMax = 24
+	// scatterMax is the longest slice a level distributes through a
+	// stack buffer and copies back. A longer one is permuted in place by
+	// cycle leading, whose chain of dependent loads costs more per key.
+	scatterMax = 512
+)
+
+// radixSort orders v, whose keys' offsets from lo are all below
+// 1<<width, by the top digit of the offset, and then each bucket of more
+// than insertionMax keys by the next digit. A digit has up to 8 bits, and
+// fewer when v is short, so that its buckets hold about four keys each.
+func radixSort(v []int64, lo uint64, width int) {
+	w := min(width, 8, max(1, bits.Len(uint(len(v)))-2))
+	shift := width - w
+	mask := uint8(1<<w - 1)
+	var next, end [256]int32
+	for _, x := range v {
+		end[digit(x, lo, shift, mask)]++
+	}
+	sum := int32(0)
+	for b := range end[:int(mask)+1] {
+		next[b] = sum
+		sum += end[b]
+		end[b] = sum
+	}
+	if len(v) <= scatterMax {
+		var buf [scatterMax]int64
+		for _, x := range v {
+			d := digit(x, lo, shift, mask)
+			buf[next[d]] = x
+			next[d]++
+		}
+		copy(v, buf[:len(v)])
+	} else {
+		for b := range end[:int(mask)+1] {
+			for next[b] < end[b] {
+				// Carry the key at bucket b's next free slot to its own
+				// bucket, and the key it displaces to that one's, until
+				// a key belonging in b closes the cycle.
+				x := v[next[b]]
+				for d := digit(x, lo, shift, mask); d != uint8(b); d = digit(x, lo, shift, mask) {
+					x, v[next[d]] = v[next[d]], x
+					next[d]++
+				}
+				v[next[b]] = x
+				next[b]++
+			}
+		}
+	}
+	if shift == 0 {
+		return
+	}
+	start := int32(0)
+	for _, e := range end[:int(mask)+1] {
+		if e-start > insertionMax {
+			radixSort(v[start:e], lo, shift)
+		}
+		start = e
+	}
+}
+
+// digit returns key x's radix digit at a level: its offset from lo,
+// shifted down and masked.
+func digit(x int64, lo uint64, shift int, mask uint8) uint8 {
+	return uint8((uint64(x)-lo)>>shift) & mask
+}
+
+// insertionSort sorts v ascending in place. It costs little beyond one
+// pass when each key is only a few places from where it belongs, as in a
+// slice radixSort has left in short, ordered buckets.
+func insertionSort(v []int64) {
+	for i := 1; i < len(v); i++ {
+		x := v[i]
+		j := i - 1
+		for ; j >= 0 && v[j] > x; j-- {
+			v[j+1] = v[j]
+		}
+		v[j+1] = x
+	}
 }
 
 // eqOracle compares an output vector against the oracle and reports
