@@ -114,43 +114,56 @@ func SynthImage(id int, p Params) []uint8 {
 // and distance d, the fraction of ring samples around color-c pixels that
 // are also color c. The returned vector has length p.FeatureLen(), indexed
 // color-major (feature[c*len(Dists)+di]).
+//
+// The loop is offset-major. Offsets o and -o join the same pairs of
+// pixels, so for each distance it takes four of the eight ring offsets,
+// clips the range of pixels whose partner at o lies in the image, and
+// walks that range a row at a time beside the partner row: each pair is a
+// sample for both of its pixels and, when their colors agree, a match for
+// both. The counts are integers, so the feature is bit-identical to the
+// pixel-major loop's (refCorrelogram, in the tests), for any distance:
+// Correlogram does not call Validate, and a zero or negative distance
+// counts as that loop counted it. Its cost is host time only: the CBIR
+// kernel charges virtual time through OpsPerImage.
 func Correlogram(img []uint8, p Params) ([]float32, error) {
 	n := p.Size
 	if len(img) != n*n {
 		return nil, fmt.Errorf("cbir: image has %d pixels, want %d", len(img), n*n)
 	}
+	for _, c := range img {
+		if int(c) >= p.Colors {
+			return nil, fmt.Errorf("cbir: pixel color %d exceeds %d levels", c, p.Colors)
+		}
+	}
 	nd := len(p.Dists)
-	match := make([]uint32, p.Colors*nd)
-	total := make([]uint32, p.Colors*nd)
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			c := int(img[y*n+x])
-			if c >= p.Colors {
-				return nil, fmt.Errorf("cbir: pixel color %d exceeds %d levels", c, p.Colors)
-			}
-			for di, d := range p.Dists {
-				idx := c*nd + di
-				// Eight points of the L-infinity ring at distance d.
-				for _, off := range [8][2]int{
-					{d, 0}, {-d, 0}, {0, d}, {0, -d},
-					{d, d}, {d, -d}, {-d, d}, {-d, -d},
-				} {
-					nx, ny := x+off[0], y+off[1]
-					if nx < 0 || nx >= n || ny < 0 || ny >= n {
-						continue
+	feat := make([]float32, p.FeatureLen())
+	for di, d := range p.Dists {
+		if d >= n || d <= -n {
+			continue // no pixel has a ring point in the image
+		}
+		var match, total [256]uint32
+		for _, o := range [4][2]int{{d, 0}, {0, d}, {d, d}, {d, -d}} {
+			dx, dy := o[0], o[1]
+			x0, x1 := max(0, -dx), min(n, n-dx)
+			for y := max(0, -dy); y < min(n, n-dy); y++ {
+				row := img[y*n+x0 : y*n+x1]
+				ring := img[(y+dy)*n+x0+dx:][:len(row)]
+				for i, c := range row {
+					r := ring[i]
+					same := uint32(0)
+					if r == c {
+						same = 2
 					}
-					total[idx]++
-					if int(img[ny*n+nx]) == c {
-						match[idx]++
-					}
+					total[c]++
+					total[r]++
+					match[c] += same
 				}
 			}
 		}
-	}
-	feat := make([]float32, p.FeatureLen())
-	for i := range feat {
-		if total[i] > 0 {
-			feat[i] = float32(match[i]) / float32(total[i])
+		for c := range min(p.Colors, len(total)) {
+			if total[c] > 0 {
+				feat[c*nd+di] = float32(match[c]) / float32(total[c])
+			}
 		}
 	}
 	return feat, nil
