@@ -385,6 +385,7 @@ func FuzzCorrelogram(f *testing.F) {
 	f.Add(uint64(3), byte(32), byte(254), []byte{0, 0xff, 40, 19}, uint16(0))
 	f.Add(uint64(4), byte(8), byte(14), []byte{3}, uint16(77))
 	f.Add(uint64(5), byte(17), byte(6), []byte{}, uint16(9))
+	f.Add(uint64(6), byte(24), byte(14), []byte{1}, uint16(240)) // a pixel of colour Colors first
 	f.Fuzz(func(t *testing.T, seed uint64, sizeRaw, colorsRaw byte, distsRaw []byte, badRaw uint16) {
 		p := Params{Size: 8 + int(sizeRaw)%33, Colors: 2 + int(colorsRaw)%255}
 		for _, b := range distsRaw[:min(len(distsRaw), 5)] {

@@ -92,6 +92,7 @@ func FuzzSortI64(f *testing.F) {
 		f.Add(uint64(shape)+1, uint16(4096), shape)
 		f.Add(uint64(shape)+9, uint16(64), shape)
 	}
+	f.Add(uint64(2), uint16(40), byte(4))
 	f.Add(uint64(3), uint16(0), byte(0))
 	f.Add(uint64(5), uint16(5000), byte(0))
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, shape byte) {
@@ -110,8 +111,8 @@ func FuzzSortI64(f *testing.F) {
 				keys[i] = few[1]
 			case 2: // three keys, the extremes among them
 				keys[i] = few[r.IntN(3)]
-			case 3: // ascending
-				keys[i] = few[1]/2 + int64(i)*int64(r.IntN(3))
+			case 3: // ascending, with repeats
+				keys[i] = few[1]/2 + int64(i)*3 - int64(r.IntN(4))
 			case 4: // descending
 				keys[i] = few[1]/2 - int64(i)
 			case 5: // a narrow window of the range
@@ -119,7 +120,7 @@ func FuzzSortI64(f *testing.F) {
 			case 6: // the sort kernel's own keys
 				keys[i] = sortKeyAt(int64(seed), i)
 			case 7: // small keys of both signs, many repeats
-				keys[i] = int64(r.IntN(64)) - 32
+				keys[i] = int64(r.IntN(300)) - 150
 			}
 		}
 		got := append([]int64(nil), keys...)
@@ -131,6 +132,16 @@ func FuzzSortI64(f *testing.F) {
 				if got[i] != want[i] {
 					t.Fatalf("shape %d, %d keys: got[%d] = %d, slices.Sort has %d", shape%8, n, i, got[i], want[i])
 				}
+			}
+		}
+		// The final insertion sort would sort any permutation, in
+		// quadratic time. The radix levels alone must leave every key
+		// fewer than insertionMax places from where it belongs.
+		pre := append([]int64(nil), keys...)
+		radixSort(pre)
+		for i, x := range pre {
+			if x < want[max(0, i-insertionMax+1)] || x > want[min(n-1, i+insertionMax-1)] {
+				t.Fatalf("shape %d, %d keys: radix levels left %d at %d, more than %d places from its own", shape%8, n, x, i, insertionMax-1)
 			}
 		}
 	})

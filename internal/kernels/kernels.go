@@ -221,13 +221,7 @@ func chargeSort(pe *core.PE, m int) {
 // Its cost is host time only: chargeSort prices a sort in virtual time by
 // formula. FuzzSortI64 holds it to slices.Sort.
 func sortI64(v []int64) {
-	if len(v) > insertionMax {
-		lo, hi := v[0], v[0]
-		for _, x := range v[1:] {
-			lo, hi = min(lo, x), max(hi, x)
-		}
-		radixSort(v, uint64(lo), bits.Len64(uint64(hi)-uint64(lo)))
-	}
+	radixSort(v)
 	insertionSort(v)
 }
 
@@ -241,11 +235,25 @@ const (
 	scatterMax = 512
 )
 
-// radixSort orders v, whose keys' offsets from lo are all below
+// radixSort orders v into runs of insertionMax keys or fewer, each run
+// holding the keys that belong there, by the radix levels of its keys'
+// offsets from the minimum.
+func radixSort(v []int64) {
+	if len(v) <= insertionMax {
+		return
+	}
+	lo, hi := v[0], v[0]
+	for _, x := range v[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	radixLevel(v, uint64(lo), bits.Len64(uint64(hi)-uint64(lo)))
+}
+
+// radixLevel orders v, whose keys' offsets from lo are all below
 // 1<<width, by the top digit of the offset, and then each bucket of more
 // than insertionMax keys by the next digit. A digit has up to 8 bits, and
 // fewer when v is short, so that its buckets hold about four keys each.
-func radixSort(v []int64, lo uint64, width int) {
+func radixLevel(v []int64, lo uint64, width int) {
 	w := min(width, 8, max(1, bits.Len(uint(len(v)))-2))
 	shift := width - w
 	mask := uint8(1<<w - 1)
@@ -289,7 +297,7 @@ func radixSort(v []int64, lo uint64, width int) {
 	start := int32(0)
 	for _, e := range end[:int(mask)+1] {
 		if e-start > insertionMax {
-			radixSort(v[start:e], lo, shift)
+			radixLevel(v[start:e], lo, shift)
 		}
 		start = e
 	}
@@ -303,7 +311,7 @@ func digit(x int64, lo uint64, shift int, mask uint8) uint8 {
 
 // insertionSort sorts v ascending in place. It costs little beyond one
 // pass when each key is only a few places from where it belongs, as in a
-// slice radixSort has left in short, ordered buckets.
+// slice radixSort has left in short, ordered runs.
 func insertionSort(v []int64) {
 	for i := 1; i < len(v); i++ {
 		x := v[i]
