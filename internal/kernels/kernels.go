@@ -212,14 +212,14 @@ func chargeSort(pe *core.PE, m int) {
 	pe.ComputeIntOps(int64(m) * lg * 4)
 }
 
-// sortI64 sorts v ascending in place and allocates nothing: an MSD radix
-// sort (American flag sort) that leaves buckets of insertionMax keys or
-// fewer to one insertion sort of the whole slice at the end. A key's
-// digits are taken from its offset from the minimum, uint64(x) -
-// uint64(lo), which keeps the order across the whole int64 range and
-// starts the first digit at the highest bit in which two keys differ.
-// Its cost is host time only: chargeSort prices a sort in virtual time by
-// formula. FuzzSortI64 holds it to slices.Sort.
+// sortI64 sorts v ascending in place and allocates nothing: MSD radix
+// levels (American flag sort) leave buckets of insertionMax keys or fewer,
+// and one insertion sort of the whole slice finishes them. A key's digits
+// are taken from its offset from the minimum, uint64(x) - uint64(lo),
+// which keeps the order across the whole int64 range and starts the first
+// digit at the highest bit in which two keys differ. Its cost is host
+// time only: chargeSort prices a sort in virtual time by formula.
+// FuzzSortI64 holds it to slices.Sort.
 func sortI64(v []int64) {
 	radixSort(v)
 	insertionSort(v)
@@ -235,9 +235,8 @@ const (
 	scatterMax = 512
 )
 
-// radixSort orders v into runs of insertionMax keys or fewer, each run
-// holding the keys that belong there, by the radix levels of its keys'
-// offsets from the minimum.
+// radixSort orders v into buckets of insertionMax keys or fewer, each
+// holding the keys that belong at its place in the sorted slice.
 func radixSort(v []int64) {
 	if len(v) <= insertionMax {
 		return
@@ -311,7 +310,7 @@ func digit(x int64, lo uint64, shift int, mask uint8) uint8 {
 
 // insertionSort sorts v ascending in place. It costs little beyond one
 // pass when each key is only a few places from where it belongs, as in a
-// slice radixSort has left in short, ordered runs.
+// slice radixSort has left in short, ordered buckets.
 func insertionSort(v []int64) {
 	for i := 1; i < len(v); i++ {
 		x := v[i]
