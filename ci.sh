@@ -315,11 +315,13 @@ go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$|^Tes
 # again, and a member queued for the driver to forward the wait signal
 # must unwind instead. Last, the computed chain under every observer mode
 # (ISSUE 25): the driver's forwarding turns feed a parked member's recorder
-# and profiler, which only the baton makes that member's. They run three
-# more times.
-echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer pool + memo scope + replay cache + barrier ways out + observed chain, 3x =="
+# and profiler, which only the baton makes that member's. Then the start
+# barrier the launcher folds: bodies that race on the host right after
+# start_pes, in the order the unfolded chain runs them, and folded PEs an
+# abort finds still queued. They run three more times.
+echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer pool + memo scope + replay cache + barrier ways out + observed chain + start barrier fold, 3x =="
 go test -race ./internal/core ./internal/stats \
-    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestReplayCacheConcurrentColdShape|TestChainBarrierEveryWayOut|TestChainBarrierReleaseMeetsAbort|TestChainBarrierForwardMeetsAbort|TestChainBarrierCollectivesMatchLiteral' -count=3
+    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestReplayCacheConcurrentColdShape|TestChainBarrierEveryWayOut|TestChainBarrierReleaseMeetsAbort|TestChainBarrierForwardMeetsAbort|TestChainBarrierCollectivesMatchLiteral|TestStartBarrierFoldOrder|TestStartBarrierFoldAbort' -count=3
 
 # Hand-off smoke: a grant must not re-enter the Go scheduler (docs/
 # PERFORMANCE.md, "The switch"). TestHandoffStaysOffScheduler counts the

@@ -419,6 +419,61 @@ func (p *Program) chainTurn(id int) bool {
 	return true
 }
 
+// foldsStart reports whether the launcher takes start_pes' closing barrier
+// itself (foldStart): a single-chip run of more than one PE on the linear
+// chain with no hook, no sanitizer and no literal chain. Any other run's PEs
+// call BarrierAll.
+func (p *Program) foldsStart() bool {
+	return !p.hooked && p.san == nil && p.nchips == 1 && len(p.pes) > 1 &&
+		p.cfg.BarrierAlgo == BarrierAlgoLinear && p.literal.chain == nil
+}
+
+// foldStart walks the wait pass of start_pes' BarrierAll on the launcher,
+// once the exchange has set the clocks: each PE forwards the wait signal at
+// its own clock, as the chain would have it, and is left at the clock it
+// forwarded with, inside the barrier (PE.bar). The driver queues every PE
+// there, which is where the chain parks it; the keys rise strictly along the
+// chain, so the PEs resume in the order the chain releases them, and each
+// leaves the barrier on its first resume (leaveStart) without parking.
+func (p *Program) foldStart() error {
+	set, err := p.chainSetOf(AllPEs(len(p.pes)))
+	if err != nil {
+		return err
+	}
+	inst := p.join(set, 0)
+	for i := range p.pes {
+		pe := &p.pes[i]
+		pe.bar, pe.barAll.chain = inst, set
+		_ = inst.forward(p, i) // unhooked: nothing is late, and nothing parked is signalled
+	}
+	// From here on pos is the member the release has reached, and it stops
+	// where an abort finds it: the wait signal is back, member 0 is released.
+	inst.pos = 0
+	return nil
+}
+
+// leaveStart is a folded PE's start_pes barrier, on its first resume: the
+// BarrierAll it would have called, left as chainComputed leaves it once
+// released. A PE resumed after another's body failed leaves as the chain of
+// packets has it, whose abort closed the networks: a member the release had
+// not reached unwinds, and so does one it had reached but that has a release
+// to pass on; only the last member, if reached, leaves released.
+func (pe *PE) leaveStart(inst *chainInst) error {
+	p := pe.prog
+	pe.bar = nil
+	pe.stats.Barriers++
+	gen, _ := pe.barAll.next()
+	inst.left++
+	if p.aborted && (pe.id != int(inst.pos) || pe.id < len(p.pes)-1) {
+		return chainAborted(pe, inst.set.as, gen)
+	}
+	_ = pe.chainRelease(inst, pe.id, nil) // unhooked: cannot fail
+	if !p.aborted {
+		inst.pos++
+	}
+	return nil
+}
+
 // chainComputed is barrierChain's single-chip branch, for member idx of as
 // at generation gen.
 func (pe *PE) chainComputed(g *setGen, as ActiveSet, idx int, gen uint32, tok *sanitize.Barrier) error {
@@ -463,17 +518,24 @@ func (pe *PE) chainComputed(g *setGen, as ActiveSet, idx int, gen uint32, tok *s
 	case st != wakeRun:
 		return chainAborted(pe, as, gen)
 	}
-	// Released: member 0 by the wait signal coming back, any other by the
-	// release signal from the member before it.
+	return pe.chainRelease(inst, idx, tok)
+}
+
+// chainRelease is member idx leaving inst once released — member 0 by the
+// wait signal coming back, any other by the release signal from the member
+// before it: it merges with that signal and passes the release on to the
+// next member. It fails only when the signal came late (chainRecv).
+func (pe *PE) chainRelease(inst *chainInst, idx int, tok *sanitize.Barrier) error {
+	p, set := pe.prog, inst.set
 	if p.hooked {
-		if err := pe.chainRecv(inst, (idx+as.Size-1)%as.Size); err != nil {
+		if err := pe.chainRecv(inst, (idx+set.as.Size-1)%set.as.Size); err != nil {
 			return err
 		}
 	} else {
 		pe.clock.AdvanceTo(inst.arrive)
 	}
 	pe.san.BarrierExit(tok)
-	if idx < as.Size-1 {
+	if idx < set.as.Size-1 {
 		delivered := true
 		if p.hooked {
 			pe.advanceAs(profile.CatUDNSend, set.fwd)

@@ -466,6 +466,12 @@ func FuzzChainBarrier(f *testing.F) {
 	f.Add(int64(3), uint8(7), uint16(70), true, true, int64(4))
 	f.Add(int64(4), uint8(1), uint16(11), false, true, int64(9))
 	f.Add(int64(5), uint8(2), uint16(15), true, true, int64(6))
+	// Unhooked single-chip runs, whose start barrier the launcher folds: 1 and
+	// 2 PEs, and partial areas of an 8x3 mesh and of the Epiphany-III.
+	f.Add(int64(6), uint8(0), uint16(0), false, false, int64(0))
+	f.Add(int64(7), uint8(1), uint16(1), false, false, int64(0))
+	f.Add(int64(8), uint8(8), uint16(16), false, false, int64(0))
+	f.Add(int64(9), uint8(4), uint16(10), false, false, int64(0))
 	shapes := chainShapes()
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, npes uint16, san, obs bool, plan int64) {
 		cfg := shapes[int(shape)%len(shapes)]

@@ -378,8 +378,10 @@ type evsched struct {
 	// calendar.
 	parked [numWaitKinds]int
 
-	// parks counts the PEs' parks over the run: one coroutine switch out and,
-	// later, one back in each. Tests read it; nothing reports it yet.
+	// parks counts the PEs' parks over the run (yield): one coroutine switch
+	// out and, later, one back in each. A hand-off (yieldReady), a forwarding
+	// turn the driver takes (chainTurn) and a start barrier the launcher
+	// folded (foldStart) park nobody. Tests read it; nothing reports it.
 	parks int
 
 	done chan struct{} // closed by the driver once every PE has retired

@@ -243,10 +243,14 @@ func (pe *PE) globalSrc(localSrc int) int {
 // (Section IV.A) — an exchange the launcher has walked (replayStartPEs),
 // leaving each PE its clock and, under a fault plan, the timeout that
 // stopped it (walked) — and one barrier, chip-spanning on multi-chip runs,
-// completes initialization.
+// completes initialization. When the launcher walked that barrier's wait
+// pass as well (foldStart), the PE is inside it and only leaves.
 func (pe *PE) startPEs(walked error) error {
 	// The handshake began at virtual time zero.
 	defer pe.rec.OpDone(stats.OpInit, 0, &pe.clock, 0, int(stats.NoPeer))
+	if inst := pe.bar; inst != nil {
+		return pe.leaveStart(inst) // the launcher walked the barrier's wait pass too
+	}
 	if literal := pe.prog.literal.startPEs; walked == nil && literal != nil {
 		walked = literal(pe)
 	}
@@ -261,8 +265,10 @@ func (pe *PE) startPEs(walked error) error {
 // a pure function of the geometry, from the replay cache (engine.go) when an
 // earlier run of the process walked the same mesh shape. A hooked run walks
 // the exchange turn by turn (replayTurns), feeding its hooks, and neither
-// reads nor fills the cache. It runs on the launcher before any PE starts, so
-// it owns every clock, recorder and calendar structure it touches.
+// reads nor fills the cache. Where the run allows it (foldsStart) the walk
+// goes on into the closing barrier's wait pass. It runs on the launcher
+// before any PE starts, so it owns every clock, recorder and calendar
+// structure it touches.
 func (p *Program) replayStartPEs(errs []error) error {
 	for c, geo := range p.geos {
 		first, peers := c*p.perChip, p.chipPEs(c)
@@ -284,6 +290,9 @@ func (p *Program) replayStartPEs(errs []error) error {
 		for me, t := range now {
 			p.pes[first+me].clock.Set(t)
 		}
+	}
+	if p.foldsStart() {
+		return p.foldStart()
 	}
 	return nil
 }
