@@ -263,8 +263,10 @@ type chainInst struct {
 	// pos is the member the wait signal is waiting at or on its way to, the
 	// set's size once it is on its way back to member 0; a signal a fault
 	// dropped stays with the member that sent it, which does not forward it
-	// twice. sent and arrive are the clocks at which the signal, wait or
-	// release, left the member that sent it last and reaches the next one.
+	// twice; in a start barrier the launcher folded, it then marks how far
+	// the release got before an abort (foldStart). sent and arrive are the
+	// clocks at which the signal, wait or release, left the member that sent
+	// it last and reaches the next one.
 	pos          int32
 	sent, arrive vtime.Time
 }

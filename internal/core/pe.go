@@ -249,7 +249,7 @@ func (pe *PE) startPEs(walked error) error {
 	// The handshake began at virtual time zero.
 	defer pe.rec.OpDone(stats.OpInit, 0, &pe.clock, 0, int(stats.NoPeer))
 	if inst := pe.bar; inst != nil {
-		return pe.leaveStart(inst) // the launcher walked the barrier's wait pass too
+		return pe.leaveStart(inst)
 	}
 	if literal := pe.prog.literal.startPEs; walked == nil && literal != nil {
 		walked = literal(pe)
