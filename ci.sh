@@ -379,6 +379,9 @@ go run ./cmd/tshmem-bench -sweep-kernels > /dev/null
 # The kernels' host-time benchmark (one Launch per op at the probe sizes)
 # runs once so that it cannot rot; size a kernel change with -benchtime 2s.
 go test ./internal/kernels -run '^$' -bench KernelRun -benchtime 1x > /dev/null
+# The same for a warm empty-body launch at 36, 256 and 1024 PEs; size a
+# launch change with -benchtime 2s -benchmem.
+go test ./internal/core -run '^$' -bench '^BenchmarkLaunch$' -benchtime 1x -benchmem > /dev/null
 # The same for the two host-only loops the kernels charge by formula: the
 # sort kernel's sortI64 at the probe's sizes and the CBIR case study's
 # Correlogram at the paper's parameters.

@@ -141,9 +141,13 @@ func BenchmarkBcast(b *testing.B) {
 	}
 }
 
-// BenchmarkRunStartup measures a full launch-to-teardown cycle of an
-// benchPEs-PE program with an empty body: common-memory setup, UDN
-// construction, the start_pes address exchange, and teardown.
+// BenchmarkRunStartup measures a full launch-to-teardown cycle of a
+// benchPEs-PE program with an empty body: taking the launch shell (segment
+// and per-PE slabs) from the pool, UDN construction, the start_pes exchange
+// and closing barrier the launcher computes instead of running (the
+// exchange's clocks from the replay cache after the first iteration), and
+// teardown. BenchmarkLaunch in internal/core times the same at 36, 256 and
+// 1024 PEs.
 func BenchmarkRunStartup(b *testing.B) {
 	b.ReportAllocs()
 	cfg := core.Config{NPEs: benchPEs, HeapPerPE: 64 << 10}

@@ -3,15 +3,16 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"tshmem/internal/fault"
-	"tshmem/internal/tmc"
 )
 
-// drainArenaPool empties the segment pool, so the next check-in is the
-// only entry. Top-level tests of this package run one at a time (parallel
+// drainArenaPool empties the shell pool, so the next check-in is the only
+// entry. Top-level tests of this package run one at a time (parallel
 // subtests finish inside their parent), so nothing else touches the pool
 // meanwhile.
 func drainArenaPool() {
@@ -20,14 +21,14 @@ func drainArenaPool() {
 	arenaPool.free = nil
 }
 
-// pooledArenas snapshots the pool: its segments, oldest first, and their
-// total size.
-func pooledArenas() ([]*tmc.CommonMemory, int64) {
+// pooledShells snapshots the pool: its shells, oldest first, and the bytes
+// they hold.
+func pooledShells() ([]*launchShell, int64) {
 	arenaPool.Lock()
 	defer arenaPool.Unlock()
 	var held int64
-	for _, cm := range arenaPool.free {
-		held += cm.Size()
+	for _, s := range arenaPool.free {
+		held += s.bytes()
 	}
 	return slices.Clone(arenaPool.free), held
 }
@@ -42,16 +43,43 @@ func firstNonZero(b []byte) int {
 	return -1
 }
 
-// requireZeroPool fails unless the pool holds exactly one segment and
-// every byte of it is zero.
+// firstDirty returns the index of the first element of slab that is not
+// its type's zero value, or -1.
+func firstDirty[E any](slab []E) int {
+	for i := range slab {
+		if !reflect.ValueOf(&slab[i]).Elem().IsZero() {
+			return i
+		}
+	}
+	return -1
+}
+
+// requireZeroPool fails unless the pool holds exactly one shell and it is
+// as a fresh one: every byte of its segment zero, mapped up to the end of
+// its launch-time mappings and no further, and every slab zero.
 func requireZeroPool(t *testing.T) {
 	t.Helper()
-	segs, _ := pooledArenas()
-	if len(segs) != 1 {
-		t.Fatalf("pool holds %d segments after one run, want 1", len(segs))
+	shells, _ := pooledShells()
+	if len(shells) != 1 {
+		t.Fatalf("pool holds %d shells after one run, want 1", len(shells))
 	}
-	if i := firstNonZero(segs[0].Bytes()); i >= 0 {
-		t.Fatalf("pooled segment is dirty at byte %d of %d", i, segs[0].Size())
+	s := shells[0]
+	if i := firstNonZero(s.cm.Bytes()); i >= 0 {
+		t.Fatalf("pooled segment is dirty at byte %d of %d", i, s.cm.Size())
+	}
+	if end, maps := s.cm.MapEnd(), s.cm.Mappings(); end != s.mapFloor || maps != 1+s.shape.npes {
+		t.Fatalf("pooled segment is mapped to %d in %d mappings, want %d in %d", end, maps, s.mapFloor, 1+s.shape.npes)
+	}
+	for name, dirty := range map[string]int{
+		"PE": firstDirty(s.pes), "port": firstDirty(s.ports), "calendar node": firstDirty(s.nodes),
+		"watch hub": firstDirty(s.hubs), "symmetry slot": firstDirty(s.symCheck), "outcome": firstDirty(s.errs),
+	} {
+		if dirty >= 0 {
+			t.Fatalf("pooled shell's %s slab is dirty at element %d", name, dirty)
+		}
+	}
+	if len(s.ready) != 0 || cap(s.ready) != s.shape.npes {
+		t.Fatalf("pooled shell's ready heap has length %d and capacity %d, want 0 and %d", len(s.ready), cap(s.ready), s.shape.npes)
 	}
 }
 
@@ -214,14 +242,14 @@ func arenaDirtyBody(pe *PE) error {
 		if p.scratch.HighWater() < bigElems*8 {
 			return fmt.Errorf("the scratch arena's high-water mark is %d: the bounces never went through it", p.scratch.HighWater())
 		}
-		off, err := p.cm.Map(8192, 4096)
+		off, err := p.shell.cm.Map(8192, 4096)
 		if err != nil {
 			return err
 		}
-		if off < p.mapFloor {
-			return fmt.Errorf("post-launch mapping at %d lies below mapFloor %d", off, p.mapFloor)
+		if off < p.shell.mapFloor {
+			return fmt.Errorf("post-launch mapping at %d lies below mapFloor %d", off, p.shell.mapFloor)
 		}
-		late, err := p.cm.Slice(off, 8192)
+		late, err := p.shell.cm.Slice(off, 8192)
 		if err != nil {
 			return err
 		}
@@ -259,14 +287,19 @@ func TestArenaZeroingInvariant(t *testing.T) {
 }
 
 // TestArenaPoolBudget launches many distinct segment sizes and checks that
-// the pool stays within its one byte budget (it used to keep four segments
-// of every size it ever saw), that a same-shape relaunch is still served
-// from the pool, and that a segment larger than the budget is not pooled.
+// the pool stays within its one byte budget, segments and slabs counted (it
+// used to keep four segments of every size it ever saw), that a same-shape
+// relaunch is still served from the pool, segment and slabs, that shapes
+// that share a segment size but not a PE count never share a shell, and
+// that a shell larger than the budget is not pooled.
 func TestArenaPoolBudget(t *testing.T) {
-	body := func(seen **tmc.CommonMemory) func(pe *PE) error {
+	body := func(seen **launchShell) func(pe *PE) error {
 		return func(pe *PE) error {
 			if pe.MyPE() == 0 {
-				*seen = pe.prog.cm
+				*seen = pe.prog.shell
+				if &pe.prog.shell.pes[0] != pe {
+					return errors.New("PE 0 is not the first element of its shell's PE slab")
+				}
 			}
 			x, err := Malloc[int64](pe, 64)
 			if err != nil {
@@ -282,48 +315,74 @@ func TestArenaPoolBudget(t *testing.T) {
 			var launched int64
 			for i := 0; i < 40; i++ {
 				cfg.HeapPerPE = int64(1<<20 + i*(48<<10))
-				var cm *tmc.CommonMemory
-				if _, err := Run(cfg, body(&cm)); err != nil {
+				var sh *launchShell
+				if _, err := Run(cfg, body(&sh)); err != nil {
 					t.Fatal(err)
 				}
-				launched += cm.Size()
-				segs, held := pooledArenas()
+				launched += sh.cm.Size()
+				shells, held := pooledShells()
 				if held > arenaPoolBudget {
 					t.Fatalf("after %d shapes the pool holds %d bytes, budget %d", i+1, held, arenaPoolBudget)
 				}
-				if segs[len(segs)-1] != cm {
-					t.Fatalf("shape %d: the run's segment was not pooled", i)
+				if shells[len(shells)-1] != sh {
+					t.Fatalf("shape %d: the run's shell was not pooled", i)
+				}
+				var segs int64
+				for _, s := range shells {
+					segs += s.cm.Size()
+				}
+				if slabs := held - segs; slabs < int64(len(shells)*cfg.NPEs)*int64(unsafe.Sizeof(PE{})) {
+					t.Fatalf("the pool counts %d bytes of slabs beside its segments, less than its PEs take", slabs)
 				}
 			}
 			if launched <= arenaPoolBudget {
 				t.Fatalf("the sweep launched only %d bytes, not enough to reach the %d-byte budget", launched, arenaPoolBudget)
 			}
-			segs, _ := pooledArenas()
-			if len(segs) == 0 || len(segs) >= 40 {
-				t.Fatalf("pool holds %d segments after 40 shapes that exceed its budget", len(segs))
+			shells, _ := pooledShells()
+			if len(shells) == 0 || len(shells) >= 40 {
+				t.Fatalf("pool holds %d shells after 40 shapes that exceed its budget", len(shells))
 			}
-			want := segs[len(segs)-1]
-			var got *tmc.CommonMemory
+			want := shells[len(shells)-1]
+			wantPEs := &want.pes[0]
+			var got *launchShell
 			if _, err := Run(cfg, body(&got)); err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Error("a same-shape relaunch allocated a new segment instead of reusing the pooled one")
+			if got != want || got.cm != want.cm || &got.pes[0] != wantPEs {
+				t.Error("a same-shape relaunch built a new shell instead of reusing the pooled one's segment and slabs")
 			}
 
-			_, before := pooledArenas()
+			// Four PEs of 64 KiB and two of 132 KiB make one segment size.
+			four := Config{NPEs: 4, HeapPerPE: 64 << 10, ScratchBytes: 64 << 10, Engine: eng}
+			two := four
+			two.NPEs, two.HeapPerPE = 2, 2*four.HeapPerPE+4096
+			if a, b := shapeOf(&four), shapeOf(&two); a.segment != b.segment {
+				t.Fatalf("segments of %d and %d bytes: the shapes do not collide", a.segment, b.segment)
+			}
+			var of4, of2 *launchShell
+			if _, err := Run(four, body(&of4)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Run(two, body(&of2)); err != nil {
+				t.Fatal(err)
+			}
+			if of2 == of4 || len(of2.pes) != 2 || len(of4.pes) != 4 {
+				t.Errorf("a 2-PE launch took the shell of a 4-PE launch of the same segment size")
+			}
+
+			_, before := pooledShells()
 			cfg.HeapPerPE = arenaPoolBudget / 2
-			var big *tmc.CommonMemory
+			var big *launchShell
 			if _, err := Run(cfg, body(&big)); err != nil {
 				t.Fatal(err)
 			}
-			if big.Size() <= arenaPoolBudget {
-				t.Fatalf("oversized launch is only %d bytes", big.Size())
+			if big.bytes() <= arenaPoolBudget {
+				t.Fatalf("oversized launch is only %d bytes", big.bytes())
 			}
-			segs, after := pooledArenas()
-			for _, s := range segs {
+			shells, after := pooledShells()
+			for _, s := range shells {
 				if s == big {
-					t.Error("a segment larger than the budget was pooled")
+					t.Error("a shell larger than the budget was pooled")
 				}
 			}
 			if after != before {

@@ -231,7 +231,7 @@ func (pe *PE) barrierChain(as ActiveSet, idx int) error {
 type chainSet struct {
 	as       ActiveSet
 	arb, fwd vtime.Duration
-	hops     []chainHop // hops[i]: member i to member (i+1) mod n
+	hops     []chainHop // hops[i]: member i to member (i+1) mod n; read-only
 
 	// live holds the instances in flight by generation parity, which without
 	// a fault plan suffices: nobody leaves g+1 before every member has left
@@ -281,30 +281,44 @@ type chainInst struct {
 type chainQueue struct{ delivered, taken uint16 }
 
 // chainSetOf returns the run's chain state for as, resolving the set's hops
-// on first use.
+// on first use. The all-PEs chain of a single chip is the replay cache's
+// when the cache holds its handshake (an unhooked launch put it there
+// already, replayStartPEs).
 func (p *Program) chainSetOf(as ActiveSet) (*chainSet, error) {
 	if set := p.chainSets[as]; set != nil {
 		return set, nil
 	}
-	geo := p.geos[p.chipOf(as.PE(0))]
-	set := &chainSet{
-		as:   as,
-		arb:  vtime.FromNs(p.chip.BarrierArbiterNs),
-		fwd:  vtime.FromNs(p.chip.UDNSWForwardNs),
-		hops: make([]chainHop, as.Size),
+	if p.nchips == 1 && as == AllPEs(len(p.pes)) {
+		if e := replayLookup(replayKey{route: p.geos[0].RouteKey(), peers: as.Size}); e != nil {
+			return p.addChainSet(as, e.hops), nil
+		}
 	}
-	for i := range set.hops {
+	geo := p.geos[p.chipOf(as.PE(0))]
+	hops := make([]chainHop, as.Size)
+	for i := range hops {
 		path, err := geo.Path(p.localIdx(as.PE(i)), p.localIdx(as.PE((i+1)%as.Size)), 1)
 		if err != nil {
 			return nil, err
 		}
-		set.hops[i] = chainHop{send: path.Send, wire: path.Wire}
+		hops[i] = chainHop{send: path.Send, wire: path.Wire}
+	}
+	return p.addChainSet(as, hops), nil
+}
+
+// addChainSet makes the run's chain state for as over hops, which nothing
+// writes: they may be a replay-cache entry's, shared with other runs.
+func (p *Program) addChainSet(as ActiveSet, hops []chainHop) *chainSet {
+	set := &chainSet{
+		as:   as,
+		arb:  vtime.FromNs(p.chip.BarrierArbiterNs),
+		fwd:  vtime.FromNs(p.chip.UDNSWForwardNs),
+		hops: hops,
 	}
 	if p.chainSets == nil {
 		p.chainSets = make(map[ActiveSet]*chainSet)
 	}
 	p.chainSets[as] = set
-	return set, nil
+	return set
 }
 
 // join returns generation gen's instance of set. The generation's first

@@ -238,7 +238,7 @@ func TestStampTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 50; trial++ {
 		var h watchHub
-		h.init(0, newEvsched(nil, 1))
+		h.init(0, newEvsched(nil, make([]evNode, 1), nil))
 		ref := make(map[int64]hubStamp)
 		compare := func(off int64) {
 			t.Helper()

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"tshmem/internal/mesh"
 	"tshmem/internal/mpipe"
@@ -74,85 +75,185 @@ func evAdmissionWidth() int {
 	return 2
 }
 
-// Arena recycling: every Run checks its common-memory
-// segment out of a process-wide pool and back in at teardown, so a launch
-// pays for zeroing the bytes the previous tenant wrote instead of for
-// allocating (and the runtime clearing) a fresh multi-megabyte segment.
-// Correctness rests on a zeroing invariant — every pooled segment is
-// entirely zero, exactly like a fresh one. Check-in restores the invariant
-// by re-zeroing only what the finished run can have written: each PE heap
-// and the scratch arena up to its allocator's high-water mark, plus any
-// mappings the run created after launch. It runs once every PE has exited;
-// nothing else ever writes the segment (interrupt handlers run inline on
-// the requesting PE).
+// Launch recycling: every Run checks a launch shell out of a process-wide
+// pool and back in at teardown. A shell is what newProgram builds that the
+// next launch of the same shape would build again: the common-memory
+// segment with its launch-time mappings (the scratch arena and each PE's
+// partition, whose offsets are a function of the shape), and the per-PE
+// slabs — the PEs, the UDN ports, the calendar's nodes and ready heap, the
+// watch hubs, the symmetry slots and the PEs' outcomes. A launch then pays
+// for zeroing what the previous tenant wrote instead of for allocating
+// (and the runtime clearing) a fresh multi-megabyte segment and a few
+// hundred kilobytes of slabs.
+//
+// Correctness rests on a zeroing invariant — every pooled shell is exactly
+// what a fresh one is. Check-in restores it by re-zeroing only what the
+// finished run can have written: each PE heap and the scratch arena up to
+// its allocator's high-water mark, plus any mappings the run created after
+// launch, which it also unmaps; and by clearing the slabs. It runs once
+// every PE has exited; nothing else ever writes the segment (interrupt
+// handlers run inline on the requesting PE).
 //
 // The visible consequence (documented on Run): once Run returns, local
-// views of its symmetric memory (MustLocal / Local) are dead — the segment
-// may already be backing another run.
+// views of its symmetric memory (MustLocal / Local), its *PE values and
+// their ports are dead — they may already belong to another run.
 //
-// The pool holds at most arenaPoolBudget bytes, whatever mix of sizes the
-// process launches, and evicts the least recently checked-in segment
-// first; a segment larger than the budget is never pooled. The constant
-// comes from the benchmark's sweep workload, which cycles through five
-// segment sizes, 44 MiB together: it allocates 358 / 264 / 49 / 49 / 49
-// MiB per pass under a budget of 16 / 32 / 48 / 64 / 1024 MiB (a cycle
-// that does not fit is the worst case for least-recently-used eviction),
-// so 64 MiB is the working set plus room for a second segment of its
-// commonest size (12 MiB) when two runs overlap, and more buys nothing.
+// The pool holds at most arenaPoolBudget bytes of segments and slabs,
+// whatever mix of shapes the process launches, and evicts the least
+// recently checked-in shell first; a shell larger than the budget is never
+// pooled. The constant comes from the benchmark's sweep workload, which
+// cycles through five shapes, 44 MiB together: it allocates 358 / 264 / 49
+// / 49 / 49 MiB per pass under a budget of 16 / 32 / 48 / 64 / 1024 MiB (a
+// cycle that does not fit is the worst case for least-recently-used
+// eviction), so 64 MiB is the working set plus room for a second segment
+// of its commonest size (12 MiB) when two runs overlap, and more buys
+// nothing.
 const arenaPoolBudget = 64 << 20
+
+// launchShape is what a shell is a function of: the segment's size and
+// layout, and how many PEs and chips its slabs serve.
+type launchShape struct {
+	segment            int64
+	npes, nchips       int
+	heapPerPE, scratch int64
+}
+
+// shapeOf returns the shape of a launch of the filled-in cfg.
+func shapeOf(cfg *Config) launchShape {
+	// Each mapping may burn up to one page of alignment padding.
+	return launchShape{
+		segment: cfg.ScratchBytes + int64(cfg.NPEs)*(cfg.HeapPerPE+4096) + 64<<10,
+		npes:    cfg.NPEs, nchips: cfg.NChips,
+		heapPerPE: cfg.HeapPerPE, scratch: cfg.ScratchBytes,
+	}
+}
+
+// launchShell is one launch's recyclable state (see arenaPool). Between
+// launches every slab is zero and the segment is zero and mapped up to
+// mapFloor: the scratch arena at scratchAt, then the partitions.
+type launchShell struct {
+	shape launchShape
+	cm    *tmc.CommonMemory
+
+	scratchAt int64    // common-memory offset of the scratch arena
+	mapFloor  int64    // end of the launch-time mappings
+	partBase  []int64  // common-memory offset of each PE's partition
+	parts     [][]byte // each PE's partition as a window of common memory
+
+	pes      []PE
+	ports    []udn.Port // every chip's ports, chip after chip; sized by the first launch's geometries
+	nodes    []evNode
+	ready    []int32 // the calendar's ready heap, empty with room for every PE
+	hubs     []watchHub
+	symCheck []int64
+	errs     []error
+}
+
+// newShell builds a shell of shape sh from nothing: a fresh segment with
+// the launch-time mappings made, and zeroed slabs.
+func newShell(sh launchShape) (*launchShell, error) {
+	cm, err := tmc.NewCommonMemory(sh.segment)
+	if err != nil {
+		return nil, err
+	}
+	n := sh.npes
+	s := &launchShell{
+		shape: sh, cm: cm,
+		partBase: make([]int64, n), parts: make([][]byte, n),
+		pes: make([]PE, n), nodes: make([]evNode, n), ready: make([]int32, 0, n),
+		hubs: make([]watchHub, n), symCheck: make([]int64, n), errs: make([]error, n),
+	}
+	if s.scratchAt, err = cm.Map(sh.scratch, 4096); err != nil {
+		return nil, err
+	}
+	if err := cm.MapEach(sh.heapPerPE, 4096, s.partBase); err != nil {
+		return nil, err
+	}
+	for i, off := range s.partBase {
+		if s.parts[i], err = cm.Slice(off, sh.heapPerPE); err != nil {
+			return nil, err
+		}
+	}
+	s.mapFloor = cm.MapEnd()
+	return s, nil
+}
+
+// portSlab returns the shell's ports as a zero slab of tiles ports, making
+// a new one when the last launch's geometries had another tile count.
+func (s *launchShell) portSlab(tiles int) []udn.Port {
+	if len(s.ports) != tiles {
+		s.ports = make([]udn.Port, tiles)
+	}
+	return s.ports
+}
+
+// bytes reports what the shell holds: its segment and its slabs.
+func (s *launchShell) bytes() int64 {
+	perPE := unsafe.Sizeof(s.partBase[0]) + unsafe.Sizeof(s.parts[0]) + unsafe.Sizeof(s.pes[0]) +
+		unsafe.Sizeof(s.nodes[0]) + unsafe.Sizeof(s.ready[0]) + unsafe.Sizeof(s.hubs[0]) +
+		unsafe.Sizeof(s.symCheck[0]) + unsafe.Sizeof(s.errs[0])
+	return s.cm.Size() + int64(s.shape.npes)*int64(perPE) + int64(len(s.ports))*int64(unsafe.Sizeof(udn.Port{}))
+}
 
 var arenaPool struct {
 	sync.Mutex
-	free []*tmc.CommonMemory // least recently checked in first; sizes sum to <= arenaPoolBudget
+	free []*launchShell // least recently checked in first; bytes sum to <= arenaPoolBudget
 }
 
-// arenaCheckout returns an all-zero common-memory segment of exactly
-// total bytes, reusing the most recently pooled one of that size.
-func arenaCheckout(total int64) (*tmc.CommonMemory, error) {
+// arenaCheckout returns a shell of shape sh, as a fresh one would be: the
+// most recently pooled one of that shape, or a new one.
+func arenaCheckout(sh launchShape) (*launchShell, error) {
 	arenaPool.Lock()
 	for i := len(arenaPool.free) - 1; i >= 0; i-- {
-		if cm := arenaPool.free[i]; cm.Size() == total {
+		if s := arenaPool.free[i]; s.shape == sh {
 			arenaPool.free = slices.Delete(arenaPool.free, i, i+1)
 			arenaPool.Unlock()
-			cm.Reset()
-			return cm, nil
+			return s, nil
 		}
 	}
 	arenaPool.Unlock()
-	return tmc.NewCommonMemory(total)
+	return newShell(sh)
 }
 
-// arenaCheckin re-zeroes the finished run's dirty spans and pools its
-// segment for the next launch of the same shape, evicting older segments
-// to stay within arenaPoolBudget.
+// arenaCheckin re-zeroes the finished run's dirty spans, unmaps what it
+// mapped after launch, clears the slabs and pools the shell for the next
+// launch of the same shape, evicting older shells to stay within
+// arenaPoolBudget.
 func arenaCheckin(p *Program) {
-	size := p.cm.Size()
+	s := p.shell
+	size := s.bytes()
 	if size > arenaPoolBudget {
 		return
 	}
-	buf := p.cm.Bytes()
+	buf := s.cm.Bytes()
 	zero := func(off, end int64) {
 		if end > off {
 			clear(buf[off:end])
 		}
 	}
-	zero(p.scratchAt, p.scratchAt+p.scratch.HighWater())
-	for i := range p.pes {
-		zero(p.partBase[i], p.partBase[i]+p.pes[i].heap.HighWater())
+	zero(s.scratchAt, s.scratchAt+p.scratch.HighWater())
+	for i := range s.pes {
+		zero(s.partBase[i], s.partBase[i]+s.pes[i].heap.HighWater())
 	}
 	// Mappings created after launch could be written anywhere; launch-time
 	// mappings end at mapFloor and are covered by the spans above.
-	zero(p.mapFloor, p.cm.MapEnd())
+	zero(s.mapFloor, s.cm.Truncate(s.mapFloor))
+	clear(s.pes)
+	clear(s.ports)
+	clear(s.nodes)
+	clear(s.hubs)
+	clear(s.symCheck)
+	clear(s.errs)
 
 	arenaPool.Lock()
 	defer arenaPool.Unlock()
-	arenaPool.free = append(arenaPool.free, p.cm)
+	arenaPool.free = append(arenaPool.free, s)
 	var held int64
-	for _, cm := range arenaPool.free {
-		held += cm.Size()
+	for _, s := range arenaPool.free {
+		held += s.bytes()
 	}
 	for held > arenaPoolBudget {
-		held -= arenaPool.free[0].Size()
+		held -= arenaPool.free[0].bytes()
 		arenaPool.free = slices.Delete(arenaPool.free, 0, 1)
 	}
 }
@@ -222,18 +323,22 @@ func observerCheckin(p *Program) {
 // a pure function of the numbers mesh.Geometry.Path reads and of how many
 // PEs exchange (replayStartPEs), so a process that launches the same mesh
 // shape again — a sweep over bodies or algorithms at a fixed mesh, a
-// benchmark, a test package — need not walk its n(n-1) packets again. The
-// key is a value, mesh.RouteKey plus the PE count, never a *arch.Chip:
-// callers copy chips and edit the copies. An entry's clocks are never
-// written once stored; concurrent runs share them read-only, and two that
-// miss on one cold shape both compute it and the second store is dropped.
+// benchmark, a test package — need not walk its n(n-1) packets again. So
+// are the hops of the chain barrier across all those PEs, which the walk's
+// first round prices on the way (replayChip), and a launch reads them from
+// the entry instead of routing the chain again. The key is a value,
+// mesh.RouteKey plus the PE count, never a *arch.Chip: callers copy chips
+// and edit the copies. An entry is never written once stored; concurrent
+// runs share it read-only, and two that miss on one cold shape both
+// compute it and the second store is dropped.
 //
-// The cache holds at most replayCacheBudget clock values, 512 KiB, each
-// shape charged its vector plus replayEntryCost for its key and headers,
-// and evicts the least recently stored shape first; a shape larger than the
-// budget is never kept. That is four 128x128 meshes or every shape a test
-// package or a ladder of PE counts launches; what falls out costs its
-// replay again, which is what every launch cost before there was a cache.
+// The cache holds at most replayCacheBudget 8-byte values, 512 KiB: a
+// shape is charged its clocks, two values per hop and replayEntryCost for
+// its key and headers. It evicts the least recently stored shape first; a
+// shape larger than the budget is never kept. That is one 128x128 mesh,
+// five 64x64 ones or every shape a test package or a ladder of PE counts
+// launches; what falls out costs its replay again, which is what every
+// launch cost before there was a cache.
 const (
 	replayCacheBudget = 1 << 16
 	replayEntryCost   = 16
@@ -245,45 +350,54 @@ type replayKey struct {
 	peers int
 }
 
+// replayEntry is what handshake replayKey leaves behind.
+type replayEntry struct {
+	clocks []vtime.Time // each PE's clock after the exchange
+	hops   []chainHop   // hops[i]: local PE i to (i+1) mod peers, one word
+}
+
+// cost is what e is charged against replayCacheBudget.
+func (e *replayEntry) cost() int { return len(e.clocks) + 2*len(e.hops) + replayEntryCost }
+
 var replayCache struct {
 	sync.Mutex
-	clocks map[replayKey][]vtime.Time
-	stored []replayKey // least recently stored first
-	held   int         // clock values plus replayEntryCost per shape; <= replayCacheBudget
+	entries map[replayKey]*replayEntry
+	stored  []replayKey // least recently stored first
+	held    int         // the stored entries' costs; <= replayCacheBudget
 }
 
-// replayLookup returns the clocks the handshake k leaves behind, read-only,
-// or nil when the cache does not hold them.
-func replayLookup(k replayKey) []vtime.Time {
+// replayLookup returns what handshake k leaves behind, read-only, or nil
+// when the cache does not hold it.
+func replayLookup(k replayKey) *replayEntry {
 	replayCache.Lock()
 	defer replayCache.Unlock()
-	return replayCache.clocks[k]
+	return replayCache.entries[k]
 }
 
-// replayStore keeps clocks, which the caller must not write again, as the
+// replayStore keeps e, which the caller must not write again, as the
 // outcome of handshake k, evicting older shapes to stay within the budget.
-func replayStore(k replayKey, clocks []vtime.Time) {
-	cost := len(clocks) + replayEntryCost
+func replayStore(k replayKey, e *replayEntry) {
+	cost := e.cost()
 	if cost > replayCacheBudget {
 		return
 	}
 	c := &replayCache
 	c.Lock()
 	defer c.Unlock()
-	if _, ok := c.clocks[k]; ok {
+	if _, ok := c.entries[k]; ok {
 		return
 	}
-	if c.clocks == nil {
-		c.clocks = make(map[replayKey][]vtime.Time)
+	if c.entries == nil {
+		c.entries = make(map[replayKey]*replayEntry)
 	}
-	c.clocks[k] = clocks
+	c.entries[k] = e
 	c.stored = append(c.stored, k)
 	c.held += cost
 	for c.held > replayCacheBudget {
 		old := c.stored[0]
 		c.stored = slices.Delete(c.stored, 0, 1)
-		c.held -= len(c.clocks[old]) + replayEntryCost
-		delete(c.clocks, old)
+		c.held -= c.entries[old].cost()
+		delete(c.entries, old)
 	}
 }
 
@@ -387,8 +501,10 @@ type evsched struct {
 	done chan struct{} // closed by the driver once every PE has retired
 }
 
-func newEvsched(p *Program, n int) *evsched {
-	return &evsched{prog: p, pes: make([]evNode, n), ready: make([]int32, 0, n), nlive: n, resumed: -1,
+// newEvsched makes the calendar of p over the zero nodes, one per PE, and
+// an empty ready heap with room for all of them.
+func newEvsched(p *Program, nodes []evNode, ready []int32) *evsched {
+	return &evsched{prog: p, pes: nodes, ready: ready[:0], nlive: len(nodes), resumed: -1,
 		done: make(chan struct{})}
 }
 
@@ -452,8 +568,9 @@ func (s *evsched) popReady() int {
 //   - iter.Pull re-raises a body's runtime.Goexit in whoever resumed it
 //     (see drive), which must not unwind the caller.
 func (s *evsched) begin(body func(*PE) error, errs []error) {
+	checkoutWorkers(s.pes)
 	for i := range s.prog.pes {
-		s.pes[i].co = spawnPE(peTask{prog: s.prog, pe: &s.prog.pes[i], body: body, errs: errs})
+		s.pes[i].co.task = peTask{prog: s.prog, pe: &s.prog.pes[i], body: body, errs: errs}
 		s.pushReady(i)
 	}
 	s.drive()
@@ -479,11 +596,14 @@ func (s *evsched) begin(body func(*PE) error, errs []error) {
 // aborted, the node marked done — and iter.Pull then re-raises the Goexit
 // here, unwinding this goroutine out of resume. The deferred takeover
 // retires the dead PE and hands the loop to a fresh goroutine, which
-// resumes the aborted peers until each has unwound.
+// resumes the aborted peers until each has unwound. Whichever goroutine
+// finds no PE live returns the run's workers (returnWorkers) and signals
+// done.
 func (s *evsched) drive() {
 	defer func() {
 		id := s.resumed
 		if id < 0 {
+			returnWorkers(s.pes)
 			close(s.done)
 			return
 		}
@@ -492,7 +612,7 @@ func (s *evsched) drive() {
 		// dead PE was the last one live it goes straight to closing done).
 		s.resumed = -1
 		s.running--
-		s.retire(id)
+		s.nlive--
 		go s.drive()
 	}()
 	for s.nlive > 0 {
@@ -516,17 +636,9 @@ func (s *evsched) drive() {
 		s.running--
 		s.resumed = -1
 		if n.state == evDone {
-			s.retire(id)
+			s.nlive--
 		}
 	}
-}
-
-// retire takes an exited PE out of the run and disposes of its coroutine:
-// back to the pool if it finished its task (by returning or by a recovered
-// panic), dropped if a runtime.Goexit killed it.
-func (s *evsched) retire(id int) {
-	s.pes[id].co.release()
-	s.nlive--
 }
 
 // yield parks the running PE on a wait tag and suspends it into the

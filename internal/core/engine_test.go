@@ -660,7 +660,7 @@ func TestGrantOrderMatchesLinearScan(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(48)
 		clocks := make([]vtime.Clock, n)
-		s := newEvsched(nil, n)
+		s := newEvsched(nil, make([]evNode, n), make([]int32, 0, n))
 		for i := range s.pes {
 			clocks[i].Set(vtime.Time(rng.Intn(4)))
 			s.pes[i].clock = &clocks[i]

@@ -279,16 +279,19 @@ func (p *Program) replayStartPEs(errs []error) error {
 			continue
 		}
 		key := replayKey{route: geo.RouteKey(), peers: peers}
-		now := replayLookup(key)
-		if now == nil {
+		e := replayLookup(key)
+		if e == nil {
 			var err error
-			if now, err = p.replayChip(c); err != nil {
+			if e, err = p.replayChip(c); err != nil {
 				return err
 			}
-			replayStore(key, now)
+			replayStore(key, e)
 		}
-		for me, t := range now {
+		for me, t := range e.clocks {
 			p.pes[first+me].clock.Set(t)
+		}
+		if p.nchips == 1 {
+			p.addChainSet(AllPEs(peers), e.hops)
 		}
 	}
 	if p.foldsStart() {
@@ -304,12 +307,22 @@ func (p *Program) replayStartPEs(errs []error) error {
 // addressed to it lands) carry a round, and peers-1 rounds carry the
 // handshake. It calls no hook: testing the recorders at each step was worth
 // 18 % of the benchmark's 256-PE launch (2.97 -> 2.45 ms, 10 of 10
-// alternating pairs, PR 12).
-func (p *Program) replayChip(c int) ([]vtime.Time, error) {
+// alternating pairs, PR 12). Round 1 sends each PE's one word to the next,
+// which is what a hop of the chain barrier across the chip's PEs costs, so
+// the entry keeps those hops as well.
+func (p *Program) replayChip(c int) (*replayEntry, error) {
 	geo, peers := p.geos[c], p.chipPEs(c)
 	now := make([]vtime.Time, peers)
 	sent := make([]vtime.Time, peers)
 	arrive := make([]vtime.Time, peers)
+	hops := make([]chainHop, peers)
+	if peers == 1 {
+		path, err := geo.Path(0, 0, 1)
+		if err != nil {
+			return nil, err
+		}
+		hops[0] = chainHop{send: path.Send, wire: path.Wire}
+	}
 	for r := 1; r < peers; r++ {
 		// Sender and receiver walk the row-major tile order r apart, so
 		// their coordinate offset — all the mesh model prices a route
@@ -325,13 +338,16 @@ func (p *Program) replayChip(c int) ([]vtime.Time, error) {
 			for end := me + run; me < end; me, dst = me+1, dst+1 {
 				sent[me] = now[me].Add(path.Send)
 				arrive[dst] = sent[me].Add(path.Wire)
+				if r == 1 {
+					hops[me] = chainHop{send: path.Send, wire: path.Wire}
+				}
 			}
 		}
 		for me := range now {
 			now[me] = vtime.Max(sent[me], arrive[me])
 		}
 	}
-	return now, nil
+	return &replayEntry{clocks: now, hops: hops}, nil
 }
 
 // initQueueCap is the depth of a udn demux queue, past which Port.Send parks

@@ -48,12 +48,9 @@ func resolve[T Elem](pe *PE, op *operand, r Ref[T], onPE, nelems int) error {
 	// Nearly every call: a dynamic symmetric object inside the partition
 	// is address arithmetic over common memory.
 	if r.kind == dynamicRef && uint(nelems) <= uint(r.n) && r.off+nbytes <= pe.prog.partSize {
-		g := pe.prog.partBase[onPE] + r.off
-		b, err := pe.prog.cm.Slice(g, nbytes)
-		if err != nil {
-			return err
-		}
-		op.bytes, op.shared, op.gOff, op.nbytes = b, true, g, nbytes
+		end := r.off + nbytes
+		op.bytes = pe.prog.parts[onPE][r.off:end:end]
+		op.shared, op.gOff, op.nbytes = true, pe.prog.partBase[onPE]+r.off, nbytes
 		return nil
 	}
 	if !r.valid() {
@@ -198,7 +195,7 @@ func (pe *PE) putStatic(dst, src *operand, tpe int) error {
 		return err
 	}
 	defer pe.prog.scratchPut(g)
-	tmp, err := pe.prog.cm.Slice(g, src.nbytes)
+	tmp, err := pe.prog.shell.cm.Slice(g, src.nbytes)
 	if err != nil {
 		return err
 	}
@@ -292,7 +289,7 @@ func (pe *PE) getStatic(dst, src *operand, spe int) error {
 	if err := pe.redirect(spe, opGetToShared, src.sid, src.sOff, g, src.nbytes); err != nil {
 		return err
 	}
-	tmp, err := pe.prog.cm.Slice(g, src.nbytes)
+	tmp, err := pe.prog.shell.cm.Slice(g, src.nbytes)
 	if err != nil {
 		return err
 	}
@@ -336,7 +333,7 @@ func (pe *PE) serviceInterrupt(req udn.Packet) ([]uint64, vtime.Duration) {
 	if err != nil || sOff+nbytes > int64(len(backing)) {
 		return []uint64{stErr}, 0
 	}
-	shared, err := pe.prog.cm.Slice(gOff, nbytes)
+	shared, err := pe.prog.shell.cm.Slice(gOff, nbytes)
 	if err != nil {
 		return []uint64{stErr}, 0
 	}

@@ -336,7 +336,7 @@ type Program struct {
 	nets    []*udn.Network
 	links   []*mesh.LinkStats // per-chip link accounting; nil unless Observe
 	fabric  *mpipe.Fabric     // nil on a single chip
-	cm      *tmc.CommonMemory
+	shell   *launchShell      // the segment and slabs this launch took from arenaPool
 	model   *cache.Model
 	// memo is the run's copy-cost memo, looked up by whichever PE is charging
 	// a transfer (chargeXfer). One PE of a run executes at a time, so the PEs
@@ -349,7 +349,6 @@ type Program struct {
 	partBase []int64  // common-memory offset of each PE's partition
 	parts    [][]byte // each PE's partition as a window of common memory
 	partSize int64
-	mapFloor int64 // end of launch-time mappings (arena recycling)
 
 	scratchAt int64            // common-memory offset of the scratch arena
 	scratch   *alloc.Allocator // temporary buffers of static-static transfers
@@ -465,9 +464,11 @@ func (p *Program) chipPEs(c int) int {
 // The first error (or panic) from any PE aborts the report. Run returns the
 // per-PE virtual-time report on success.
 //
-// Teardown re-zeroes the run's common-memory segment and pools it for the
-// next launch (see arenaPool), so local views of symmetric memory
-// (MustLocal / Local) are dead once Run returns.
+// Teardown re-zeroes the run's common-memory segment, clears its per-PE
+// state and pools both for the next launch of the same shape (see
+// arenaPool), so local views of symmetric memory (MustLocal / Local) are
+// dead once Run returns, and so is every *PE the body was called with,
+// with its UDN port: they may already belong to another run.
 //
 // The PE bodies are coroutines. They run one at a time, in virtual-time
 // order, on a calendar (evsched) that parks a PE at every modeled wait and
@@ -520,14 +521,15 @@ func run(cfg Config, literal literals, body func(*PE) error) (*Report, error) {
 	prog.literal = literal
 	// Teardown on every path: once the driver below is done every PE has
 	// exited, nothing can write the segment any more and it can be re-zeroed
-	// and pooled.
+	// and pooled. The recorders give their buffers back first: they hang off
+	// the PEs, which the check-in clears.
 	defer func() {
 		prog.closeNets()
-		arenaCheckin(prog)
 		observerCheckin(prog)
+		arenaCheckin(prog)
 	}()
 	// errs holds each PE's outcome; the start_pes walk fills in those it stops.
-	errs := make([]error, prog.NPEs())
+	errs := prog.shell.errs
 	if literal.startPEs == nil {
 		if err := prog.replayStartPEs(errs); err != nil {
 			return nil, err
@@ -651,39 +653,29 @@ func newProgram(cfg Config) (*Program, error) {
 		}
 		p.geos = append(p.geos, geo)
 	}
-	var err error
-
-	// Each mapping may burn up to one page of alignment padding.
-	total := cfg.ScratchBytes + int64(cfg.NPEs)*(cfg.HeapPerPE+4096) + 64<<10
-	p.cm, err = arenaCheckout(total)
+	sh, err := arenaCheckout(shapeOf(&cfg))
 	if err != nil {
 		return nil, err
 	}
-	p.scratchAt, err = p.cm.Map(cfg.ScratchBytes, 4096)
-	if err != nil {
-		return nil, err
-	}
+	p.shell = sh
+	p.scratchAt, p.partBase, p.parts = sh.scratchAt, sh.partBase, sh.parts
 	p.scratch, err = alloc.New(cfg.ScratchBytes)
 	if err != nil {
 		return nil, err
 	}
-	p.partBase = make([]int64, cfg.NPEs)
-	p.parts = make([][]byte, cfg.NPEs)
-	for i := range p.partBase {
-		if p.partBase[i], err = p.cm.Map(cfg.HeapPerPE, 4096); err != nil {
-			return nil, err
-		}
-		if p.parts[i], err = p.cm.Slice(p.partBase[i], cfg.HeapPerPE); err != nil {
-			return nil, err
-		}
-	}
-	p.mapFloor = p.cm.MapEnd()
 
 	p.hooked = cfg.Observe || cfg.Profile || cfg.Faults != nil
-	p.sched = newEvsched(p, cfg.NPEs)
+	p.sched = newEvsched(p, sh.nodes, sh.ready)
 	p.sched.timed = cfg.Faults != nil
+	tiles := 0
+	for _, geo := range p.geos {
+		tiles += geo.Tiles()
+	}
+	ports := sh.portSlab(tiles)
 	for c := 0; c < p.nchips; c++ {
-		net := udn.New(p.geos[c])
+		n := p.geos[c].Tiles()
+		net := udn.NewIn(p.geos[c], ports[:n:n])
+		ports = ports[n:]
 		net.SetScheduler(&udnSched{s: p.sched, rankBase: c * p.perChip})
 		if cfg.Observe {
 			ls := mesh.NewLinkStats(p.geos[c])
@@ -715,11 +707,11 @@ func newProgram(cfg Config) (*Program, error) {
 	p.lockHolder = make(map[int64]int)
 	p.lockRel = make(map[int64]lockRelStamp)
 	p.mcsNext = make(map[int64]map[int]*mcsWaiter)
-	p.hubs = make([]watchHub, cfg.NPEs)
+	p.hubs = sh.hubs
 	for i := range p.hubs {
 		p.hubs[i].init(i, p.sched)
 	}
-	p.symCheck = make([]int64, cfg.NPEs)
+	p.symCheck = sh.symCheck
 	if cfg.Sanitize {
 		p.san = sanitize.New(cfg.NPEs)
 	}
@@ -728,7 +720,7 @@ func newProgram(cfg Config) (*Program, error) {
 		p.counters = make([]stats.Counters, cfg.NPEs)
 		p.chainQ = make([]chainQueue, cfg.NPEs)
 	}
-	p.pes = make([]PE, cfg.NPEs)
+	p.pes = sh.pes
 	allPrefix := asTagPrefix(AllPEs(cfg.NPEs))
 	for i := range p.pes {
 		pe := &p.pes[i]
@@ -760,11 +752,15 @@ func newProgram(cfg Config) (*Program, error) {
 	}
 
 	// On the TILE-Gx, install the UDN interrupt handler that services
-	// redirected static-variable transfers (S IV.B.2).
+	// redirected static-variable transfers (S IV.B.2): one per chip, which
+	// hands each request to the PE on the interrupted tile.
 	if cfg.Chip.UDNInterrupts {
-		for i := range p.pes {
-			pe := &p.pes[i]
-			if err := pe.port.SetHandler(pe.serviceInterrupt); err != nil {
+		for c, net := range p.nets {
+			base := c * p.perChip
+			err := net.SetTileHandler(func(cpu int, req udn.Packet) ([]uint64, vtime.Duration) {
+				return p.pes[base+cpu].serviceInterrupt(req)
+			})
+			if err != nil {
 				return nil, err
 			}
 		}

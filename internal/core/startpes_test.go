@@ -21,7 +21,7 @@ import (
 func resetReplayCache() {
 	replayCache.Lock()
 	defer replayCache.Unlock()
-	replayCache.clocks, replayCache.stored, replayCache.held = nil, nil, 0
+	replayCache.entries, replayCache.stored, replayCache.held = nil, nil, 0
 }
 
 // replayKeys lists the replay-cache keys of cfg's chips.
@@ -41,12 +41,36 @@ func replayKeys(t *testing.T, cfg Config) []replayKey {
 	return keys
 }
 
-// plantWrongClocks caches, for each of cfg's chips, clocks no walk leaves.
+// plantWrongClocks caches, for each of cfg's chips, clocks no walk leaves
+// beside the chain hops the cache would hold: a hooked run may take the
+// hops, never the clocks.
 func plantWrongClocks(t *testing.T, cfg Config) {
 	t.Helper()
 	for _, k := range replayKeys(t, cfg) {
-		replayStore(k, slices.Repeat([]vtime.Time{vtime.Time(vtime.FromNs(1e6))}, k.peers))
+		geo, err := mesh.AreaGeometry(cfg.Chip, k.peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayStore(k, &replayEntry{
+			clocks: slices.Repeat([]vtime.Time{vtime.Time(vtime.FromNs(1e6))}, k.peers),
+			hops:   walkedHops(t, geo, k.peers),
+		})
 	}
+}
+
+// walkedHops routes the chain across the first peers tiles of geo hop by
+// hop, one geo.Path call each.
+func walkedHops(t *testing.T, geo mesh.Geometry, peers int) []chainHop {
+	t.Helper()
+	hops := make([]chainHop, peers)
+	for i := range hops {
+		path, err := geo.Path(i, (i+1)%peers, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hops[i] = chainHop{send: path.Send, wire: path.Wire}
+	}
+	return hops
 }
 
 // replayCached reports how many of cfg's chips have their handshake in the
@@ -97,11 +121,11 @@ func exchangeEnd(t testing.TB, cfg Config) vtime.Time {
 		t.Fatal(err)
 	}
 	defer arenaCheckin(p)
-	now, err := p.replayChip(0)
+	e, err := p.replayChip(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return slices.Max(now)
+	return slices.Max(e.clocks)
 }
 
 // queueHWMs lists every tile's receive-queue high-water mark in rep.
@@ -236,7 +260,7 @@ func TestStartPEsReplayMatchesLiteral(t *testing.T) {
 				}
 
 				// A faulted walk is hooked too: it leaves nothing in the cache and
-				// takes nothing from it.
+				// takes nothing from it but the chain's hops.
 				p := plans[(cases+m)%len(plans)]
 				faulted := p.with(cfg)
 				flabel := label + "/" + p.name
@@ -414,9 +438,10 @@ func TestReplayCacheConcurrentColdShape(t *testing.T) {
 	}
 }
 
-// TestReplayCacheBounded stores 64 distinct shapes of 4096 PEs — 2 MiB of
-// clocks — and requires the cache to stay within its budget by dropping the
-// least recently stored, and never to keep a shape the budget cannot hold.
+// TestReplayCacheBounded stores 64 distinct shapes of 4096 PEs — 6 MiB of
+// clocks and hops — and requires the cache to stay within its budget by
+// dropping the least recently stored, and never to keep a shape the budget
+// cannot hold.
 func TestReplayCacheBounded(t *testing.T) {
 	resetReplayCache()
 	defer resetReplayCache()
@@ -427,13 +452,13 @@ func TestReplayCacheBounded(t *testing.T) {
 		return k
 	}
 	for i := 0; i < shapes; i++ {
-		replayStore(key(i), make([]vtime.Time, peers))
+		replayStore(key(i), &replayEntry{clocks: make([]vtime.Time, peers), hops: make([]chainHop, peers)})
 		if replayCache.held > replayCacheBudget {
-			t.Fatalf("after %d shapes the cache holds %d clock values, budget %d", i+1, replayCache.held, replayCacheBudget)
+			t.Fatalf("after %d shapes the cache holds %d values, budget %d", i+1, replayCache.held, replayCacheBudget)
 		}
 	}
-	fit := replayCacheBudget / (peers + replayEntryCost)
-	if got := len(replayCache.clocks); got != fit || len(replayCache.stored) != fit {
+	fit := replayCacheBudget / (3*peers + replayEntryCost)
+	if got := len(replayCache.entries); got != fit || len(replayCache.stored) != fit {
 		t.Errorf("%d shapes cached (%d in eviction order), the budget fits %d", got, len(replayCache.stored), fit)
 	}
 	for i := 0; i < shapes; i++ {
@@ -443,9 +468,53 @@ func TestReplayCacheBounded(t *testing.T) {
 	}
 	huge := key(shapes)
 	huge.peers = replayCacheBudget
-	replayStore(huge, make([]vtime.Time, replayCacheBudget))
-	if replayLookup(huge) != nil || len(replayCache.clocks) != fit {
+	replayStore(huge, &replayEntry{clocks: make([]vtime.Time, replayCacheBudget)})
+	if replayLookup(huge) != nil || len(replayCache.entries) != fit {
 		t.Errorf("a shape larger than the budget was kept, or evicted others")
+	}
+}
+
+// TestReplayCacheHops: the chain hops a cold launch leaves in the replay
+// cache equal a fresh geo.Path walk, on full and partial meshes of three
+// chips and for one PE, and the launch's all-PEs chain reads them from the
+// entry.
+func TestReplayCacheHops(t *testing.T) {
+	resetReplayCache()
+	defer resetReplayCache()
+	for _, c := range []struct {
+		chip *arch.Chip
+		n    int
+	}{
+		{arch.Gx8036(), 36}, {arch.Gx8036(), 23}, {arch.Pro64(), 64},
+		{arch.Synthetic(16, 16), 256}, {arch.Synthetic(16, 16), 200}, {arch.Gx8036(), 1},
+	} {
+		cfg := Config{Chip: c.chip, NPEs: c.n, HeapPerPE: 1 << 16, ScratchBytes: 1 << 16}
+		var hops []chainHop
+		runT(t, cfg, func(pe *PE) error {
+			if pe.MyPE() == 0 {
+				set, err := pe.prog.chainSetOf(AllPEs(pe.NumPEs()))
+				if err != nil {
+					return err
+				}
+				hops = set.hops
+			}
+			return nil
+		})
+		k := replayKeys(t, cfg)[0]
+		e := replayLookup(k)
+		if e == nil {
+			t.Fatalf("%s, %d PEs: the launch left no replay entry", c.chip.Name, c.n)
+		}
+		geo, err := mesh.AreaGeometry(c.chip, c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := walkedHops(t, geo, c.n); !slices.Equal(e.hops, want) {
+			t.Errorf("%s, %d PEs: cached hops %v, a geo.Path walk gives %v", c.chip.Name, c.n, e.hops, want)
+		}
+		if len(hops) != c.n || &hops[0] != &e.hops[0] {
+			t.Errorf("%s, %d PEs: the all-PEs chain did not take its hops from the replay entry", c.chip.Name, c.n)
+		}
 	}
 }
 

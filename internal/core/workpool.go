@@ -32,7 +32,8 @@ type peWorker struct {
 // The idle-worker free list. This is deliberately NOT a sync.Pool: the
 // pool may drop entries on GC, and a dropped worker's suspended coroutine
 // is a goroutine nothing will ever resume or stop. An explicit capped stack
-// keeps the count bounded and every idle coroutine reachable.
+// keeps the count bounded and every idle coroutine reachable. A run takes
+// its workers in one acquisition of peWorkerMu and gives them back in one.
 var (
 	peWorkerMu   sync.Mutex
 	peWorkerIdle []*peWorker
@@ -40,25 +41,26 @@ var (
 
 const peWorkerMaxIdle = 256
 
-// spawnPE binds t to an idle pooled worker, creating one if the pool is
-// empty. Nothing runs until the run's driver first resumes the worker.
-// Only drivers call it: a coroutine must be created on a goroutine that is
-// never locked to its OS thread (see evsched.begin).
-func spawnPE(t peTask) *peWorker {
+// checkoutWorkers gives every node of a run a worker, idle pooled ones
+// first and new ones when the pool runs dry. Nothing runs until the run's
+// driver first resumes a worker. Only drivers call it: a coroutine must be
+// created on a goroutine that is never locked to its OS thread (see
+// evsched.begin).
+func checkoutWorkers(nodes []evNode) {
 	peWorkerMu.Lock()
-	var w *peWorker
-	if n := len(peWorkerIdle); n > 0 {
-		w = peWorkerIdle[n-1]
-		peWorkerIdle[n-1] = nil
-		peWorkerIdle = peWorkerIdle[:n-1]
+	k := min(len(nodes), len(peWorkerIdle))
+	idle := peWorkerIdle[len(peWorkerIdle)-k:]
+	for i, w := range idle {
+		nodes[i].co = w
 	}
+	clear(idle)
+	peWorkerIdle = peWorkerIdle[:len(peWorkerIdle)-k]
 	peWorkerMu.Unlock()
-	if w == nil {
-		w = &peWorker{}
+	for i := k; i < len(nodes); i++ {
+		w := &peWorker{}
 		w.next, w.stop = iter.Pull(w.loop)
+		nodes[i].co = w
 	}
-	w.task = t
-	return w
 }
 
 // loop is the worker's coroutine: run the bound task, forget it, suspend
@@ -74,22 +76,25 @@ func (w *peWorker) loop(yield func(struct{}) bool) {
 	}
 }
 
-// release disposes of a worker whose PE has exited: an idle one goes back
-// to the pool, or is stopped when the pool is full. A worker still bound to
-// its task never returned from run — the body left through runtime.Goexit,
-// which ended the coroutine — and stop on it is a no-op that leaves it to
-// the collector.
-func (w *peWorker) release() {
-	if w.task.pe == nil {
-		peWorkerMu.Lock()
-		if len(peWorkerIdle) < peWorkerMaxIdle {
+// returnWorkers disposes of a finished run's workers, once its driver has
+// retired every PE: the idle ones go back to the pool, the ones past its
+// cap are stopped. A worker still bound to its task never returned from
+// run — the body left through runtime.Goexit, which ended the coroutine —
+// and stop on it is a no-op that leaves it to the collector.
+func returnWorkers(nodes []evNode) {
+	peWorkerMu.Lock()
+	for i := range nodes {
+		if w := nodes[i].co; w.task.pe == nil && len(peWorkerIdle) < peWorkerMaxIdle {
 			peWorkerIdle = append(peWorkerIdle, w)
-			peWorkerMu.Unlock()
-			return
+			nodes[i].co = nil
 		}
-		peWorkerMu.Unlock()
 	}
-	w.stop()
+	peWorkerMu.Unlock()
+	for i := range nodes {
+		if w := nodes[i].co; w != nil {
+			w.stop()
+		}
+	}
 }
 
 // run executes one PE body. Defer order matters: the recover/abort handler

@@ -16,6 +16,7 @@ package tmc
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"tshmem/internal/arch"
@@ -62,24 +63,40 @@ func (cm *CommonMemory) Bytes() []byte { return cm.buf }
 // mapping is immediately visible to all PEs, mirroring
 // tmc_cmem_map_create's "any process can create new mappings" semantics.
 func (cm *CommonMemory) Map(size, align int64) (int64, error) {
+	var off [1]int64
+	err := cm.MapEach(size, align, off[:])
+	return off[0], err
+}
+
+// MapEach carves len(offs) mappings of size bytes each, aligned as Map
+// aligns one, one after another, and writes their offsets into offs: a
+// launcher's per-PE partitions in one call, taking the segment's lock
+// once. On an error no mapping is made.
+func (cm *CommonMemory) MapEach(size, align int64, offs []int64) error {
 	if size <= 0 {
-		return 0, fmt.Errorf("tmc: non-positive mapping size %d", size)
+		return fmt.Errorf("tmc: non-positive mapping size %d", size)
 	}
 	if align == 0 {
 		align = 64
 	}
 	if align&(align-1) != 0 {
-		return 0, fmt.Errorf("tmc: alignment %d is not a power of two", align)
+		return fmt.Errorf("tmc: alignment %d is not a power of two", align)
 	}
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
-	off := (cm.next + align - 1) &^ (align - 1)
-	if off+size > int64(len(cm.buf)) {
-		return 0, fmt.Errorf("%w: need %d at %d, segment is %d", ErrOutOfMemory, size, off, len(cm.buf))
+	next := cm.next
+	for i := range offs {
+		off := (next + align - 1) &^ (align - 1)
+		if off+size > int64(len(cm.buf)) {
+			return fmt.Errorf("%w: need %d at %d, segment is %d", ErrOutOfMemory, size, off, len(cm.buf))
+		}
+		offs[i], next = off, off+size
 	}
-	cm.next = off + size
-	cm.maps[off] = size
-	return off, nil
+	cm.next = next
+	for _, off := range offs {
+		cm.maps[off] = size
+	}
+	return nil
 }
 
 // Unmap releases a mapping created by Map. Space is not reused (the
@@ -115,6 +132,23 @@ func (cm *CommonMemory) Reset() {
 	defer cm.mu.Unlock()
 	cm.next = 0
 	clear(cm.maps)
+}
+
+// Truncate forgets every mapping made at or past floor, so that the next
+// Map carves from floor again, and reports where the mapped region ended
+// before: everything a mapping past floor covered lies in [floor, end). The
+// mappings below floor stay live and, like Reset, it leaves the contents
+// to the caller. A launcher that keeps its launch-time mappings for the
+// next launch of its shape truncates to where they end.
+func (cm *CommonMemory) Truncate(floor int64) (end int64) {
+	cm.mu.Lock()
+	defer cm.mu.Unlock()
+	end = cm.next
+	if end > floor {
+		maps.DeleteFunc(cm.maps, func(off, _ int64) bool { return off >= floor })
+		cm.next = floor
+	}
+	return end
 }
 
 // Mappings reports the number of live mappings.

@@ -3,6 +3,7 @@ package tmc
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -44,6 +45,64 @@ func TestCommonMemoryMap(t *testing.T) {
 	s1[0] = 0xAB
 	if cm.Bytes()[a] != 0xAB {
 		t.Error("mapping writes not visible in segment")
+	}
+}
+
+// TestMapEachAndTruncate: MapEach lays mappings out as that many Map calls
+// would, makes none when the last does not fit, and Truncate drops exactly
+// the mappings at or past its floor.
+func TestMapEachAndTruncate(t *testing.T) {
+	one, err := NewCommonMemory(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	each, err := NewCommonMemory(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cm := range []*CommonMemory{one, each} {
+		if _, err := cm.Map(100, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []int64
+	for i := 0; i < 5; i++ {
+		off, err := one.Map(3000, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, off)
+	}
+	got := make([]int64, 5)
+	if err := each.MapEach(3000, 4096, got); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) || each.MapEnd() != one.MapEnd() || each.Mappings() != 6 {
+		t.Fatalf("MapEach laid out %v ending at %d (%d mappings), Map %v ending at %d",
+			got, each.MapEnd(), each.Mappings(), want, one.MapEnd())
+	}
+	floor := each.MapEnd()
+	if err := each.MapEach(1<<14, 0, make([]int64, 4)); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("MapEach past the segment: %v, want ErrOutOfMemory", err)
+	}
+	if each.MapEnd() != floor || each.Mappings() != 6 {
+		t.Fatalf("a failed MapEach moved the segment to end %d with %d mappings", each.MapEnd(), each.Mappings())
+	}
+	late, err := each.Map(64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := each.Truncate(floor); end != late+64 {
+		t.Errorf("Truncate reported end %d, want %d", end, late+64)
+	}
+	if each.MapEnd() != floor || each.Mappings() != 6 {
+		t.Errorf("after Truncate: end %d with %d mappings, want %d with 6", each.MapEnd(), each.Mappings(), floor)
+	}
+	if err := each.Unmap(late); !errors.Is(err, ErrBadHandle) {
+		t.Errorf("a truncated mapping is still live: Unmap = %v", err)
+	}
+	if end := each.Truncate(floor); end != floor {
+		t.Errorf("Truncate at the end reported %d, want %d", end, floor)
 	}
 }
 

@@ -108,6 +108,11 @@ func (p *Packet) Payload() []uint64 {
 // operation consumed on the remote tile.
 type Handler func(req Packet) (reply []uint64, service vtime.Duration)
 
+// TileHandler services a UDN interrupt on tile cpu as a Handler installed
+// on that tile's port would: one function serves every tile of a network
+// whose tiles all service interrupts alike (Network.SetTileHandler).
+type TileHandler func(cpu int, req Packet) (reply []uint64, service vtime.Duration)
+
 // Scheduler is where the network's blocking points block. Send, Recv and
 // RecvRaw never block themselves: they poll, and when they would block
 // they hand the caller to WaitSend/WaitRecv until a matching
@@ -185,6 +190,7 @@ type Network struct {
 	flt   *fault.ChipView // nil disables fault injection
 	sched Scheduler       // &host until SetScheduler
 	host  hostSched
+	intr  TileHandler // services interrupts on tiles without a Handler; nil until SetTileHandler
 
 	// rings is what is left of the slab demux queues take their first ring
 	// from (firstRing), made when the first queue of the network, or the
@@ -196,6 +202,18 @@ type Network struct {
 // SetScheduler replaces the default host scheduler at every blocking
 // point of this network. Set before PEs start communicating.
 func (n *Network) SetScheduler(s Scheduler) { n.sched = s }
+
+// SetTileHandler installs h as the interrupt handler of every tile whose
+// port has no Handler of its own, without touching a port. Only chips with
+// UDN interrupt support (TILE-Gx) accept one. Set before PEs start
+// communicating.
+func (n *Network) SetTileHandler(h TileHandler) error {
+	if !n.geo.Chip().UDNInterrupts {
+		return ErrNoInterrupts
+	}
+	n.intr = h
+	return nil
+}
 
 // SetLinkStats attaches per-directed-link utilization accounting: every
 // packet's XY route is charged onto ls, and receive-queue occupancy
@@ -212,11 +230,20 @@ func (n *Network) SetLinkStats(ls *mesh.LinkStats) { n.links = ls }
 func (n *Network) SetFaults(cv *fault.ChipView) { n.flt = cv }
 
 // New builds a UDN over the given test-area geometry.
-func New(geo mesh.Geometry) *Network {
-	n := &Network{geo: geo}
+func New(geo mesh.Geometry) *Network { return NewIn(geo, make([]Port, geo.Tiles())) }
+
+// NewIn builds a UDN over the given test-area geometry whose ports are the
+// elements of ports, one per tile: a launcher that recycles its launch
+// state passes the slab the previous network of its shape used. Every
+// element must be zero, as make leaves it or clear does once nothing uses
+// the previous network any more.
+func NewIn(geo mesh.Geometry, ports []Port) *Network {
+	if len(ports) != geo.Tiles() {
+		panic(fmt.Sprintf("udn: %d ports for %d tiles", len(ports), geo.Tiles()))
+	}
+	n := &Network{geo: geo, ports: ports}
 	n.host.net, n.host.cond.L = n, &n.host.mu
 	n.sched = &n.host
-	n.ports = make([]Port, geo.Tiles())
 	for i := range n.ports {
 		n.ports[i].net, n.ports[i].cpu = n, i
 	}
@@ -620,7 +647,7 @@ func (p *Port) Interrupt(clock *vtime.Clock, dst int, tag uint32, words []uint64
 	dp.intrMu.Lock()
 	handler := dp.handler
 	dp.intrMu.Unlock()
-	if handler == nil {
+	if handler == nil && p.net.intr == nil {
 		return Packet{}, ErrNoHandler
 	}
 	nw := len(words)
@@ -653,7 +680,13 @@ func (p *Port) Interrupt(clock *vtime.Clock, dst int, tag uint32, words []uint64
 	pkt.fill(p.cpu, tag, words, clock.Now().Add(path.Wire))
 	intrOvh := vtime.FromNs(p.net.geo.Chip().UDNInterruptNs)
 	dp.intrMu.Lock()
-	reply, service := handler(pkt)
+	var reply []uint64
+	var service vtime.Duration
+	if handler != nil {
+		reply, service = handler(pkt)
+	} else {
+		reply, service = p.net.intr(dst, pkt)
+	}
 	// The tile enters the interrupt no earlier than the request's arrival
 	// and no earlier than the end of the previous interrupt.
 	done := dp.busy.Acquire(pkt.Arrive, intrOvh+service)

@@ -231,6 +231,79 @@ func TestInterruptRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTileHandler: a network-wide handler serves every tile that has no
+// handler of its own, told which tile it serves, and prices the round trip
+// as a port's handler does; a port's own handler takes precedence.
+func TestTileHandler(t *testing.T) {
+	own, shared := gxNet(t), gxNet(t)
+	defer own.Close()
+	defer shared.Close()
+	const svcNs = 300.0
+	serve := func(cpu int, req Packet) ([]uint64, vtime.Duration) {
+		return []uint64{uint64(cpu)*100 + req.Word(0)}, vtime.FromNs(svcNs)
+	}
+	if err := port(t, own, 35).SetHandler(func(req Packet) ([]uint64, vtime.Duration) { return serve(35, req) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := shared.SetTileHandler(serve); err != nil {
+		t.Fatal(err)
+	}
+	var a, b vtime.Clock
+	want, err := port(t, own, 0).Interrupt(&a, 35, 1, []uint64{7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := port(t, shared, 0).Interrupt(&b, 35, 1, []uint64{7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Word(0) != 3507 || got.Word(0) != want.Word(0) || a.Now() != b.Now() {
+		t.Errorf("tile handler replied %d at %v, the port's handler %d at %v", got.Word(0), b.Now(), want.Word(0), a.Now())
+	}
+	if err := port(t, shared, 4).SetHandler(func(Packet) ([]uint64, vtime.Duration) { return []uint64{1}, 0 }); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := port(t, shared, 0).Interrupt(&b, 4, 1, []uint64{7}); err != nil || rep.Word(0) != 1 {
+		t.Errorf("a port's own handler lost to the tile handler: %v, %v", rep.Payload(), err)
+	}
+	pro := proNet(t)
+	defer pro.Close()
+	if err := pro.SetTileHandler(serve); !errors.Is(err, ErrNoInterrupts) {
+		t.Errorf("Pro SetTileHandler: %v", err)
+	}
+}
+
+// TestNewInRecycledPorts: a network built on a slab cleared after an
+// earlier network used it behaves as one built on a fresh slab.
+func TestNewInRecycledPorts(t *testing.T) {
+	geo, err := mesh.NewGeometry(arch.Gx8036(), 6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := make([]Port, geo.Tiles())
+	first := NewIn(geo, slab)
+	var c vtime.Clock
+	if err := port(t, first, 0).Send(&c, 1, 2, 9, []uint64{5}); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	clear(slab)
+	second := NewIn(geo, slab)
+	defer second.Close()
+	if p := port(t, second, 1); p != &slab[1] || p.CPU() != 1 {
+		t.Fatalf("port 1 is not slab element 1 serving cpu 1")
+	}
+	if _, ok, err := port(t, second, 1).TryRecv(&c, 2); ok || err != nil {
+		t.Errorf("the recycled slab kept the first network's packet or its closed port: ok=%v err=%v", ok, err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewIn accepted a slab shorter than the geometry")
+		}
+	}()
+	NewIn(geo, slab[:3])
+}
+
 func TestInterruptSerializes(t *testing.T) {
 	// Two interrupts arriving together must be serviced back to back in
 	// virtual time: the later reply reflects both service windows.
