@@ -41,7 +41,7 @@ if grep -nE 'park +chan|sync\.WaitGroup|func \(s \*evsched\) (dispatch|grant|ent
     exit 1
 fi
 if [ "$(cat internal/core/*.go | grep -c 'iter\.Pull(')" != 1 ]; then
-    echo "ci: FAIL — iter.Pull( must appear exactly once in internal/core (workpool.go's spawnPE)" >&2
+    echo "ci: FAIL — iter.Pull( must appear exactly once in internal/core (workpool.go's checkoutWorkers)" >&2
     exit 1
 fi
 

@@ -281,18 +281,31 @@ type chainInst struct {
 type chainQueue struct{ delivered, taken uint16 }
 
 // chainSetOf returns the run's chain state for as, resolving the set's hops
-// on first use. The all-PEs chain of a single chip is the replay cache's
-// when the cache holds its handshake (an unhooked launch put it there
-// already, replayStartPEs).
+// on first use. The all-PEs chain of a single chip takes them from the
+// replay cache when the cache holds its handshake (an unhooked launch put
+// them there already, replayStartPEs).
 func (p *Program) chainSetOf(as ActiveSet) (*chainSet, error) {
 	if set := p.chainSets[as]; set != nil {
 		return set, nil
 	}
+	var hops []chainHop
 	if p.nchips == 1 && as == AllPEs(len(p.pes)) {
 		if e := replayLookup(replayKey{route: p.geos[0].RouteKey(), peers: as.Size}); e != nil {
-			return p.addChainSet(as, e.hops), nil
+			hops = e.hops
 		}
 	}
+	if hops == nil {
+		var err error
+		if hops, err = p.chainHops(as); err != nil {
+			return nil, err
+		}
+	}
+	return p.addChainSet(as, hops), nil
+}
+
+// chainHops routes the chain of as, which lies on one chip: hops[i] is
+// member i to member (i+1) mod n.
+func (p *Program) chainHops(as ActiveSet) ([]chainHop, error) {
 	geo := p.geos[p.chipOf(as.PE(0))]
 	hops := make([]chainHop, as.Size)
 	for i := range hops {
@@ -302,7 +315,7 @@ func (p *Program) chainSetOf(as ActiveSet) (*chainSet, error) {
 		}
 		hops[i] = chainHop{send: path.Send, wire: path.Wire}
 	}
-	return p.addChainSet(as, hops), nil
+	return hops, nil
 }
 
 // addChainSet makes the run's chain state for as over hops, which nothing

@@ -141,7 +141,7 @@ type launchShell struct {
 	parts     [][]byte // each PE's partition as a window of common memory
 
 	pes      []PE
-	ports    []udn.Port // every chip's ports, chip after chip; sized by the first launch's geometries
+	ports    []udn.Port // every chip's ports, chip after chip; sized by the last launch's geometries
 	nodes    []evNode
 	ready    []int32 // the calendar's ready heap, empty with room for every PE
 	hubs     []watchHub
@@ -324,13 +324,12 @@ func observerCheckin(p *Program) {
 // PEs exchange (replayStartPEs), so a process that launches the same mesh
 // shape again — a sweep over bodies or algorithms at a fixed mesh, a
 // benchmark, a test package — need not walk its n(n-1) packets again. So
-// are the hops of the chain barrier across all those PEs, which the walk's
-// first round prices on the way (replayChip), and a launch reads them from
-// the entry instead of routing the chain again. The key is a value,
-// mesh.RouteKey plus the PE count, never a *arch.Chip: callers copy chips
-// and edit the copies. An entry is never written once stored; concurrent
-// runs share it read-only, and two that miss on one cold shape both
-// compute it and the second store is dropped.
+// are the hops of the chain barrier across all those PEs (chainHops), and a
+// launch reads them from the entry instead of routing the chain again. The
+// key is a value, mesh.RouteKey plus the PE count, never a *arch.Chip:
+// callers copy chips and edit the copies. An entry is never written once
+// stored; concurrent runs share it read-only, and two that miss on one
+// cold shape both compute it and the second store is dropped.
 //
 // The cache holds at most replayCacheBudget 8-byte values, 512 KiB: a
 // shape is charged its clocks, two values per hop and replayEntryCost for

@@ -281,10 +281,15 @@ func (p *Program) replayStartPEs(errs []error) error {
 		key := replayKey{route: geo.RouteKey(), peers: peers}
 		e := replayLookup(key)
 		if e == nil {
-			var err error
-			if e, err = p.replayChip(c); err != nil {
+			clocks, err := p.replayChip(c)
+			if err != nil {
 				return err
 			}
+			hops, err := p.chainHops(ActiveSet{Start: first, Size: peers})
+			if err != nil {
+				return err
+			}
+			e = &replayEntry{clocks: clocks, hops: hops}
 			replayStore(key, e)
 		}
 		for me, t := range e.clocks {
@@ -307,22 +312,12 @@ func (p *Program) replayStartPEs(errs []error) error {
 // addressed to it lands) carry a round, and peers-1 rounds carry the
 // handshake. It calls no hook: testing the recorders at each step was worth
 // 18 % of the benchmark's 256-PE launch (2.97 -> 2.45 ms, 10 of 10
-// alternating pairs, PR 12). Round 1 sends each PE's one word to the next,
-// which is what a hop of the chain barrier across the chip's PEs costs, so
-// the entry keeps those hops as well.
-func (p *Program) replayChip(c int) (*replayEntry, error) {
+// alternating pairs, PR 12).
+func (p *Program) replayChip(c int) ([]vtime.Time, error) {
 	geo, peers := p.geos[c], p.chipPEs(c)
 	now := make([]vtime.Time, peers)
 	sent := make([]vtime.Time, peers)
 	arrive := make([]vtime.Time, peers)
-	hops := make([]chainHop, peers)
-	if peers == 1 {
-		path, err := geo.Path(0, 0, 1)
-		if err != nil {
-			return nil, err
-		}
-		hops[0] = chainHop{send: path.Send, wire: path.Wire}
-	}
 	for r := 1; r < peers; r++ {
 		// Sender and receiver walk the row-major tile order r apart, so
 		// their coordinate offset — all the mesh model prices a route
@@ -338,16 +333,13 @@ func (p *Program) replayChip(c int) (*replayEntry, error) {
 			for end := me + run; me < end; me, dst = me+1, dst+1 {
 				sent[me] = now[me].Add(path.Send)
 				arrive[dst] = sent[me].Add(path.Wire)
-				if r == 1 {
-					hops[me] = chainHop{send: path.Send, wire: path.Wire}
-				}
 			}
 		}
 		for me := range now {
 			now[me] = vtime.Max(sent[me], arrive[me])
 		}
 	}
-	return &replayEntry{clocks: now, hops: hops}, nil
+	return now, nil
 }
 
 // initQueueCap is the depth of a udn demux queue, past which Port.Send parks

@@ -121,11 +121,11 @@ func exchangeEnd(t testing.TB, cfg Config) vtime.Time {
 		t.Fatal(err)
 	}
 	defer arenaCheckin(p)
-	e, err := p.replayChip(0)
+	now, err := p.replayChip(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return slices.Max(e.clocks)
+	return slices.Max(now)
 }
 
 // queueHWMs lists every tile's receive-queue high-water mark in rep.
