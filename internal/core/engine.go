@@ -102,12 +102,12 @@ func evAdmissionWidth() int {
 // whatever mix of shapes the process launches, and evicts the least
 // recently checked-in shell first; a shell larger than the budget is never
 // pooled. The constant comes from the benchmark's sweep workload, which
-// cycles through five shapes, 44 MiB together: it allocates 358 / 264 / 49
-// / 49 / 49 MiB per pass under a budget of 16 / 32 / 48 / 64 / 1024 MiB (a
-// cycle that does not fit is the worst case for least-recently-used
-// eviction), so 64 MiB is the working set plus room for a second segment
-// of its commonest size (12 MiB) when two runs overlap, and more buys
-// nothing.
+// cycles through five shapes, 44 MiB of segments together (the slabs add
+// kilobytes): it allocates 275 / 211 / 6 / 6 / 6 MiB per pass under a
+// budget of 16 / 32 / 48 / 64 / 1024 MiB (a cycle that does not fit is the
+// worst case for least-recently-used eviction), so 64 MiB is the working
+// set plus room for a second segment of its commonest size (12 MiB) when
+// two runs overlap, and more buys nothing.
 const arenaPoolBudget = 64 << 20
 
 // launchShape is what a shell is a function of: the segment's size and
