@@ -27,7 +27,8 @@ go build ./...
 # scheduler nil-check, the removed engine's name, or a host-time grace
 # tier coming back is a second path coming back.
 echo "== one-path guard =="
-if grep -rnE 'sched (!=|==) nil|EngineGoroutine|WaitGrace|timeoutCh' --include=*.go internal cmd *.go; then
+if grep -rnE 'sched (!=|==) nil|EngineGoroutine|WaitGrace|timeoutCh' --include=*.go internal cmd *.go ||
+    grep -rn 'hostSched' internal/mpipe; then
     echo "ci: FAIL — a second blocking path, engine, or host-grace tier is back (matches above)" >&2
     exit 1
 fi
@@ -50,9 +51,8 @@ fi
 # under core.Run defends against a second running PE (docs/PERFORMANCE.md,
 # "Lock inventory"; internal/core/doc.go, "Execution"). sync/atomic in the
 # packages only core.Run drives, sync outside the cross-run pools
-# (engine.go's arenaPool, observerPool and replayCache, workpool.go's
-# peWorkerMu), or
-# one of the deleted defences by name — the atomic word helpers, a
+# (engine.go's arenaPool, workpool.go's peWorkerMu), or one of the deleted
+# defences by name — the atomic word helpers, a
 # compare-and-swap (and the retry loop it needs), the scratch shards, the
 # abort Once, the MCS releaser's wait for a successor — is that defence
 # coming back. go test -race below is the oracle that none was needed.
@@ -301,14 +301,14 @@ go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$|^Tes
 # whose loop a fresh goroutine takes over. The lock tests are here for the
 # words they hammer: contended Swap/CSwap/FAdd and the three releases are
 # plain loads and stores of symmetric memory, which only the baton makes
-# indivisible. The next two are the observer pool's: a returned Report, or
+# indivisible. The next two are the observer buffers': a returned Report, or
 # a copy of a counter block, that still shared memory with a later or a
 # concurrent run's recorders would be a write the detector sees (ISSUE 21).
 # The last two are what runs may and may not share (ISSUE 22): the copy-cost
 # memo belongs to one run — hoisted to the process or to a model two runs
-# use, concurrent runs write one table — and the replay cache's clocks are
-# shared by every run of a shape, so two runs that miss on a cold shape at
-# once must both store without either writing what the other reads.
+# use, concurrent runs write one table — and the start_pes replay belongs to
+# a launch shell, so two runs that launch a cold shape at once each walk it
+# into a shell of their own without either writing what the other reads.
 # After those, the computed chain barrier's ways out (ISSUE 24): an abort, a
 # Goexit takeover or a failing peer readies members parked in the
 # rendezvous from outside it, a released member must not ready them
@@ -320,11 +320,14 @@ go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$|^Tes
 # start_pes, in the order the unfolded chain runs them, and folded PEs an
 # abort finds still queued. Last, a launch that takes over what a dirty
 # tenant of its shape left behind (errors, a Goexit, a timeout, every
-# observer) must report exactly what a fresh one does. They run three more
-# times.
-echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer pool + memo scope + replay cache + barrier ways out + observed chain + start barrier fold + recycled shell, 3x =="
+# observer) must report exactly what a fresh one does, and a traced and
+# profiled run of a shape whose shell kept its observer buffers, or took
+# another shell's, must allocate less than half what the first did, while
+# runs of two shapes on two goroutines hand the buffers between shells.
+# They run three more times.
+echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer buffers + memo scope + shell replay + barrier ways out + observed chain + start barrier fold + recycled shell, 3x =="
 go test -race ./internal/core ./internal/stats \
-    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestReplayCacheConcurrentColdShape|TestChainBarrierEveryWayOut|TestChainBarrierReleaseMeetsAbort|TestChainBarrierForwardMeetsAbort|TestChainBarrierCollectivesMatchLiteral|TestStartBarrierFoldOrder|TestStartBarrierFoldAbort|TestRecycledShellIsFresh' -count=3
+    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestShellReplayConcurrentColdShape|TestChainBarrierEveryWayOut|TestChainBarrierReleaseMeetsAbort|TestChainBarrierForwardMeetsAbort|TestChainBarrierCollectivesMatchLiteral|TestStartBarrierFoldOrder|TestStartBarrierFoldAbort|TestRecycledShellIsFresh|TestObserverBuffersRecycled|TestObserverBuffersFollowLaunches' -count=3
 
 # Hand-off smoke: a grant must not re-enter the Go scheduler (docs/
 # PERFORMANCE.md, "The switch"). TestHandoffStaysOffScheduler counts the

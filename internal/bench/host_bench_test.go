@@ -145,7 +145,7 @@ func BenchmarkBcast(b *testing.B) {
 // benchPEs-PE program with an empty body: taking the launch shell (segment
 // and per-PE slabs) from the pool, UDN construction, the start_pes exchange
 // and closing barrier the launcher computes instead of running (the
-// exchange's clocks from the replay cache after the first iteration), and
+// exchange's clocks from the shell's replay after the first iteration), and
 // teardown. BenchmarkLaunch in internal/core times the same at 36, 256 and
 // 1024 PEs.
 func BenchmarkRunStartup(b *testing.B) {

@@ -22,13 +22,13 @@ func drainArenaPool() {
 }
 
 // pooledShells snapshots the pool: its shells, oldest first, and the bytes
-// they hold.
+// they held at their check-ins.
 func pooledShells() ([]*launchShell, int64) {
 	arenaPool.Lock()
 	defer arenaPool.Unlock()
 	var held int64
 	for _, s := range arenaPool.free {
-		held += s.bytes()
+		held += s.size
 	}
 	return slices.Clone(arenaPool.free), held
 }

@@ -282,15 +282,15 @@ type chainQueue struct{ delivered, taken uint16 }
 
 // chainSetOf returns the run's chain state for as, resolving the set's hops
 // on first use. The all-PEs chain of a single chip takes them from the
-// replay cache when the cache holds its handshake (an unhooked launch put
-// them there already, replayStartPEs).
+// shell's replay when that holds the chip's handshake (an unhooked launch
+// put them there already, replayStartPEs).
 func (p *Program) chainSetOf(as ActiveSet) (*chainSet, error) {
 	if set := p.chainSets[as]; set != nil {
 		return set, nil
 	}
 	var hops []chainHop
 	if p.nchips == 1 && as == AllPEs(len(p.pes)) {
-		if e := replayLookup(replayKey{route: p.geos[0].RouteKey(), peers: as.Size}); e != nil {
+		if e := &p.shell.replay[0]; e.key == (replayKey{route: p.geos[0].RouteKey(), peers: as.Size}) {
 			hops = e.hops
 		}
 	}

@@ -94,20 +94,35 @@ func evAdmissionWidth() int {
 // every PE has exited; nothing else ever writes the segment (interrupt
 // handlers run inline on the requesting PE).
 //
+// Two things a shell keeps across launches are the invariant's only
+// exceptions, and neither can reach a run's output:
+//   - the start_pes replay (replayEntry), one per chip: what the handshake
+//     left in the chip's clocks and the hops of its all-PEs chain, with the
+//     key it was walked for. A launch reads it only under an equal key, and
+//     walks the handshake again otherwise.
+//   - the observer buffers' capacity: each rank's trace event buffer and
+//     profile segment stream, which teardown takes back from the recorders
+//     once the report has copied them out (stats.MergeEvents and
+//     profile.Assemble copy; a Report never holds a per-PE buffer), and
+//     which the next traced or profiled launch of the shape — or of another
+//     shape, whose shell holds none (arenaCheckout) — hands its recorders
+//     emptied, so they start at the capacity their rank last grew to.
+//
 // The visible consequence (documented on Run): once Run returns, local
 // views of its symmetric memory (MustLocal / Local), its *PE values and
 // their ports are dead — they may already belong to another run.
 //
-// The pool holds at most arenaPoolBudget bytes of segments and slabs,
-// whatever mix of shapes the process launches, and evicts the least
-// recently checked-in shell first; a shell larger than the budget is never
-// pooled. The constant comes from the benchmark's sweep workload, which
-// cycles through five shapes, 44 MiB of segments together (the slabs add
-// kilobytes): it allocates 275 / 211 / 6 / 6 / 6 MiB per pass under a
-// budget of 16 / 32 / 48 / 64 / 1024 MiB (a cycle that does not fit is the
-// worst case for least-recently-used eviction), so 64 MiB is the working
-// set plus room for a second segment of its commonest size (12 MiB) when
-// two runs overlap, and more buys nothing.
+// The pool holds at most arenaPoolBudget bytes of shells — segments, slabs,
+// replays and buffers, each shell's counted at its check-in — whatever mix
+// of shapes the process launches, and evicts the least recently checked-in
+// shell first; a shell larger than the budget is never pooled. The constant
+// comes from the benchmark's sweep workload, which cycles through five
+// shapes, 44 MiB of segments together (the slabs add kilobytes): it
+// allocates 275 / 211 / 6 / 6 / 6 MiB per pass under a budget of 16 / 32 /
+// 48 / 64 / 1024 MiB (a cycle that does not fit is the worst case for
+// least-recently-used eviction), so 64 MiB is the working set plus room for
+// a second segment of its commonest size (12 MiB) when two runs overlap,
+// and more buys nothing.
 const arenaPoolBudget = 64 << 20
 
 // launchShape is what a shell is a function of: the segment's size and
@@ -147,6 +162,29 @@ type launchShell struct {
 	hubs     []watchHub
 	symCheck []int64
 	errs     []error
+
+	// Kept across launches: the zeroing invariant's two exceptions.
+	replay []replayEntry   // by chip
+	events [][]stats.Event // by rank, for at least npes ranks after a traced launch; nil before one
+	segs   [][]profile.Seg // by rank, for at least npes ranks after a profiled launch; nil before one
+	size   int64           // bytes() at its check-in, less any buffers a launch took since
+}
+
+// replayKey names one chip's start_pes handshake: the numbers
+// mesh.Geometry.Path reads and how many PEs exchange. It is a value, never
+// a *arch.Chip: callers copy chips and edit the copies.
+type replayKey struct {
+	route mesh.RouteKey
+	peers int
+}
+
+// replayEntry is what handshake key leaves behind (replayStartPEs): each
+// PE's clock after the exchange and the hops of the chain barrier across
+// them (chainHops). The zero entry matches no key: a chip has a PE.
+type replayEntry struct {
+	key    replayKey
+	clocks []vtime.Time
+	hops   []chainHop // hops[i]: local PE i to (i+1) mod peers, one word
 }
 
 // newShell builds a shell of shape sh from nothing: a fresh segment with
@@ -162,6 +200,7 @@ func newShell(sh launchShape) (*launchShell, error) {
 		partBase: make([]int64, n), parts: make([][]byte, n),
 		pes: make([]PE, n), nodes: make([]evNode, n), ready: make([]int32, 0, n),
 		hubs: make([]watchHub, n), symCheck: make([]int64, n), errs: make([]error, n),
+		replay: make([]replayEntry, sh.nchips),
 	}
 	if s.scratchAt, err = cm.Map(sh.scratch, 4096); err != nil {
 		return nil, err
@@ -187,42 +226,88 @@ func (s *launchShell) portSlab(tiles int) []udn.Port {
 	return s.ports
 }
 
-// bytes reports what the shell holds: its segment and its slabs.
+// bytes reports what the shell holds: its segment, its slabs, its replay
+// and its observer buffers' capacities.
 func (s *launchShell) bytes() int64 {
 	perPE := unsafe.Sizeof(s.partBase[0]) + unsafe.Sizeof(s.parts[0]) + unsafe.Sizeof(s.pes[0]) +
 		unsafe.Sizeof(s.nodes[0]) + unsafe.Sizeof(s.ready[0]) + unsafe.Sizeof(s.hubs[0]) +
 		unsafe.Sizeof(s.symCheck[0]) + unsafe.Sizeof(s.errs[0])
-	return s.cm.Size() + int64(s.shape.npes)*int64(perPE) + int64(len(s.ports))*int64(unsafe.Sizeof(udn.Port{}))
+	n := s.cm.Size() + int64(s.shape.npes)*int64(perPE) + int64(len(s.ports))*int64(unsafe.Sizeof(udn.Port{}))
+	for _, e := range s.replay {
+		n += int64(cap(e.clocks))*int64(unsafe.Sizeof(vtime.Time(0))) + int64(cap(e.hops))*int64(unsafe.Sizeof(chainHop{}))
+	}
+	n += int64(len(s.events)+len(s.segs)) * int64(unsafe.Sizeof(s.events))
+	for _, b := range s.events {
+		n += int64(cap(b)) * int64(unsafe.Sizeof(stats.Event{}))
+	}
+	for _, b := range s.segs {
+		n += int64(cap(b)) * int64(unsafe.Sizeof(profile.Seg{}))
+	}
+	return n
 }
 
 var arenaPool struct {
 	sync.Mutex
-	free []*launchShell // least recently checked in first; bytes sum to <= arenaPoolBudget
+	free []*launchShell // least recently checked in first; sizes sum to <= arenaPoolBudget
 }
 
 // arenaCheckout returns a shell of shape sh, as a fresh one would be: the
-// most recently pooled one of that shape, or a new one.
-func arenaCheckout(sh launchShape) (*launchShell, error) {
+// most recently pooled one of that shape, or a new one. When the launch
+// records (traced or profiled) and that shell holds no observer buffers, it
+// takes those of the most recently checked-in shell that does, so that runs
+// of different shapes in turn record into one set of buffers, warm in the
+// cache: with a set per shape, the benchmark's observed workload, which
+// cycles through three shapes, took 15 % longer (wall_s on a 2-vCPU Xeon,
+// one build with the hand-over switched off and on, 9 of 10 pairs).
+func arenaCheckout(sh launchShape, records bool) (*launchShell, error) {
+	var s *launchShell
+	var events [][]stats.Event
+	var segs [][]profile.Seg
 	arenaPool.Lock()
 	for i := len(arenaPool.free) - 1; i >= 0; i-- {
-		if s := arenaPool.free[i]; s.shape == sh {
+		if arenaPool.free[i].shape == sh {
+			s = arenaPool.free[i]
 			arenaPool.free = slices.Delete(arenaPool.free, i, i+1)
-			arenaPool.Unlock()
-			return s, nil
+			break
+		}
+	}
+	if records && (s == nil || s.events == nil && s.segs == nil) {
+		for i := len(arenaPool.free) - 1; i >= 0; i-- {
+			if d := arenaPool.free[i]; d.events != nil || d.segs != nil {
+				events, segs, d.events, d.segs = d.events, d.segs, nil, nil
+				d.size = d.bytes()
+				break
+			}
 		}
 	}
 	arenaPool.Unlock()
-	return newShell(sh)
+	if s == nil {
+		var err error
+		if s, err = newShell(sh); err != nil {
+			return nil, err
+		}
+	}
+	if events != nil || segs != nil {
+		s.events, s.segs = events, segs
+	}
+	return s, nil
 }
 
-// arenaCheckin re-zeroes the finished run's dirty spans, unmaps what it
-// mapped after launch, clears the slabs and pools the shell for the next
-// launch of the same shape, evicting older shells to stay within
-// arenaPoolBudget.
+// arenaCheckin takes the observer buffers back from the finished run's
+// recorders, re-zeroes its dirty spans, unmaps what it mapped after launch,
+// clears the slabs and pools the shell for the next launch of the same
+// shape, evicting older shells to stay within arenaPoolBudget.
 func arenaCheckin(p *Program) {
 	s := p.shell
-	size := s.bytes()
-	if size > arenaPoolBudget {
+	for i := range s.pes {
+		if p.cfg.Trace {
+			s.events[i] = s.pes[i].rec.Events()
+		}
+		if p.cfg.Profile {
+			s.segs[i] = s.pes[i].prof.Segs()
+		}
+	}
+	if s.size = s.bytes(); s.size > arenaPoolBudget {
 		return
 	}
 	buf := s.cm.Bytes()
@@ -250,153 +335,11 @@ func arenaCheckin(p *Program) {
 	arenaPool.free = append(arenaPool.free, s)
 	var held int64
 	for _, s := range arenaPool.free {
-		held += s.bytes()
+		held += s.size
 	}
 	for held > arenaPoolBudget {
-		held -= arenaPool.free[0].bytes()
+		held -= arenaPool.free[0].size
 		arenaPool.free = slices.Delete(arenaPool.free, 0, 1)
-	}
-}
-
-// Observer-buffer recycling: a traced run appends every operation to a
-// per-PE event buffer and a profiled one every attributed interval to a
-// per-PE segment stream, and both are dead once teardown has merged them
-// into the report (stats.MergeEvents and profile.Assemble copy out; a Report
-// holds the merged trace and the Profile, never a per-PE buffer). Runs of
-// one shape record about as much as each other, so the buffers of a finished
-// run go back to a pool as one bundle indexed by rank, and the next traced or
-// profiled launch starts each PE at the capacity its rank last grew to
-// instead of doubling up from nothing. It is a sync.Pool: concurrent runs
-// each hold a bundle of their own, and what the process retains is bounded
-// by the runtime, which drops idle bundles over two collections.
-type observerBufs struct {
-	events [][]stats.Event // by rank; used when Config.Trace
-	segs   [][]profile.Seg // by rank; used when Config.Profile
-}
-
-var observerPool = sync.Pool{New: func() any { return new(observerBufs) }}
-
-// observerCheckout hands the launching program p a bundle and each of its
-// recorders the buffer of its rank.
-func observerCheckout(p *Program) {
-	n := len(p.pes)
-	b := observerPool.Get().(*observerBufs)
-	if p.cfg.Trace && len(b.events) < n {
-		b.events = append(b.events, make([][]stats.Event, n-len(b.events))...)
-	}
-	if p.cfg.Profile && len(b.segs) < n {
-		b.segs = append(b.segs, make([][]profile.Seg, n-len(b.segs))...)
-	}
-	for i := range p.pes {
-		pe := &p.pes[i]
-		if p.cfg.Trace {
-			pe.rec.SetEvents(b.events[i])
-		}
-		if p.cfg.Profile {
-			pe.prof.SetSegs(b.segs[i])
-		}
-	}
-	p.obsBufs = b
-}
-
-// observerCheckin takes the buffers back from the finished program's
-// recorders, at whatever capacity recording grew them to, and pools the
-// bundle.
-func observerCheckin(p *Program) {
-	b := p.obsBufs
-	if b == nil {
-		return
-	}
-	for i := range p.pes {
-		pe := &p.pes[i]
-		if p.cfg.Trace {
-			b.events[i] = pe.rec.Events()
-		}
-		if p.cfg.Profile {
-			b.segs[i] = pe.prof.Segs()
-		}
-	}
-	observerPool.Put(b)
-}
-
-// Replay cache: what the start_pes handshake leaves in one chip's clocks is
-// a pure function of the numbers mesh.Geometry.Path reads and of how many
-// PEs exchange (replayStartPEs), so a process that launches the same mesh
-// shape again — a sweep over bodies or algorithms at a fixed mesh, a
-// benchmark, a test package — need not walk its n(n-1) packets again. So
-// are the hops of the chain barrier across all those PEs (chainHops), and a
-// launch reads them from the entry instead of routing the chain again. The
-// key is a value, mesh.RouteKey plus the PE count, never a *arch.Chip:
-// callers copy chips and edit the copies. An entry is never written once
-// stored; concurrent runs share it read-only, and two that miss on one
-// cold shape both compute it and the second store is dropped.
-//
-// The cache holds at most replayCacheBudget 8-byte values, 512 KiB: a
-// shape is charged its clocks, two values per hop and replayEntryCost for
-// its key and headers. It evicts the least recently stored shape first; a
-// shape larger than the budget is never kept. That is one 128x128 mesh,
-// five 64x64 ones or every shape a test package or a ladder of PE counts
-// launches; what falls out costs its replay again, which is what every
-// launch cost before there was a cache.
-const (
-	replayCacheBudget = 1 << 16
-	replayEntryCost   = 16
-)
-
-// replayKey names one chip's handshake: its routes and its PE count.
-type replayKey struct {
-	route mesh.RouteKey
-	peers int
-}
-
-// replayEntry is what handshake replayKey leaves behind.
-type replayEntry struct {
-	clocks []vtime.Time // each PE's clock after the exchange
-	hops   []chainHop   // hops[i]: local PE i to (i+1) mod peers, one word
-}
-
-// cost is what e is charged against replayCacheBudget.
-func (e *replayEntry) cost() int { return len(e.clocks) + 2*len(e.hops) + replayEntryCost }
-
-var replayCache struct {
-	sync.Mutex
-	entries map[replayKey]*replayEntry
-	stored  []replayKey // least recently stored first
-	held    int         // the stored entries' costs; <= replayCacheBudget
-}
-
-// replayLookup returns what handshake k leaves behind, read-only, or nil
-// when the cache does not hold it.
-func replayLookup(k replayKey) *replayEntry {
-	replayCache.Lock()
-	defer replayCache.Unlock()
-	return replayCache.entries[k]
-}
-
-// replayStore keeps e, which the caller must not write again, as the
-// outcome of handshake k, evicting older shapes to stay within the budget.
-func replayStore(k replayKey, e *replayEntry) {
-	cost := e.cost()
-	if cost > replayCacheBudget {
-		return
-	}
-	c := &replayCache
-	c.Lock()
-	defer c.Unlock()
-	if _, ok := c.entries[k]; ok {
-		return
-	}
-	if c.entries == nil {
-		c.entries = make(map[replayKey]*replayEntry)
-	}
-	c.entries[k] = e
-	c.stored = append(c.stored, k)
-	c.held += cost
-	for c.held > replayCacheBudget {
-		old := c.stored[0]
-		c.stored = slices.Delete(c.stored, 0, 1)
-		c.held -= c.entries[old].cost()
-		delete(c.entries, old)
 	}
 }
 

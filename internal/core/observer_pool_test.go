@@ -94,17 +94,13 @@ func fullyObserved(npes int) Config {
 	return cfg
 }
 
-// TestObserverBuffersRecycled: per-PE event and segment buffers come back
-// from the pool at the size the last run of the shape grew them to, so a
+// TestObserverBuffersRecycled: per-PE event and segment buffers stay in the
+// launch shell at the size the last run of the shape grew them to, so a
 // repeat of a traced and profiled run allocates its report and little else.
 func TestObserverBuffersRecycled(t *testing.T) {
-	if raceBuild {
-		t.Skip("sync.Pool drops a quarter of what it is handed under the race detector, by design")
-	}
 	cfg, body := fullyObserved(16), mixedBody(200)
-	runT(t, gxCfg(16), body) // the arena and the PE workers are pooled too: warm those first
-	runtime.GC()
-	runtime.GC() // two collections empty a sync.Pool, whatever earlier tests left in it
+	drainArenaPool()
+	runT(t, gxCfg(16), body) // the shell and the PE workers are pooled too: warm those first
 	var runs [3]uint64
 	for i := range runs {
 		runs[i] = allocDuring(func() { runT(t, cfg, body) })
@@ -113,6 +109,72 @@ func TestObserverBuffersRecycled(t *testing.T) {
 	if runs[2] >= runs[0]/2 {
 		t.Errorf("the third identical run allocated %d bytes, the first %d: want less than half", runs[2], runs[0])
 	}
+	s := pooledShell(t, cfg)
+	for i := 0; i < cfg.NPEs; i++ {
+		if s == nil || i >= len(s.events) || i >= len(s.segs) || cap(s.events[i]) == 0 || cap(s.segs[i]) == 0 {
+			t.Fatalf("rank %d's trace or profile buffer did not come back to the pooled shell", i)
+		}
+	}
+}
+
+// TestObserverBuffersFollowLaunches: a traced and profiled launch whose
+// shell holds no observer buffers takes those of the most recently
+// checked-in shell that does, so two shapes launched in turn record into
+// one set. The other shape's first traced run allocates under half what the
+// first shape's did, and the donor's pooled size stops counting the
+// buffers. Then two goroutines launch the shapes in turn, handing buffers
+// from shell to shell under the pool's lock: each report must stay what its
+// shape reports alone, and the detector must see no buffer two runs write.
+func TestObserverBuffersFollowLaunches(t *testing.T) {
+	body := mixedBody(200)
+	first, second := fullyObserved(16), fullyObserved(16)
+	second.HeapPerPE *= 2
+	drainArenaPool()
+	for _, cfg := range []Config{gxCfg(16), {Chip: second.Chip, NPEs: 16, HeapPerPE: second.HeapPerPE, ScratchBytes: second.ScratchBytes}} {
+		runT(t, cfg, body) // pool both shapes' shells and the PE workers first
+	}
+	took := allocDuring(func() { runT(t, first, body) })
+	donor := pooledShell(t, first)
+	if donor == nil || donor.events == nil || donor.segs == nil {
+		t.Fatal("the traced and profiled run left no observer buffers in its pooled shell")
+	}
+	held := donor.size
+	got := allocDuring(func() { runT(t, second, body) })
+	t.Logf("first traced run of each shape allocated %d and %d bytes", took, got)
+	if got >= took/2 {
+		t.Errorf("the second shape's first traced run allocated %d bytes, the first shape's %d: want less than half", got, took)
+	}
+	if donor.events != nil || donor.segs != nil {
+		t.Error("the donor shell still holds the observer buffers the other shape took")
+	}
+	if donor.size >= held || donor.size != donor.bytes() {
+		t.Errorf("the donor shell's pooled size is %d (was %d, holds %d)", donor.size, held, donor.bytes())
+	}
+
+	cfgs := [2]Config{first, second}
+	var want [2]string
+	for k, cfg := range cfgs {
+		want[k] = reportDigest(t, runT(t, cfg, body))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				k := (g + i) % 2
+				rep, err := Run(cfgs[k], body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if reportDigest(t, rep) != want[k] {
+					t.Errorf("goroutine %d, run %d: shape %d's report differs from its report alone", g, i, k)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // reportDigest hashes everything a Report exports that teardown built from
@@ -132,9 +194,9 @@ func reportDigest(t *testing.T, rep *Report) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestReportSurvivesNextRun is the aliasing test for the observer pool: what
-// a returned Report holds must not be backed by anything a later run of the
-// same shape records into. Runs 2 and 3 record more, and differently, into
+// TestReportSurvivesNextRun is the aliasing test for the observer buffers a
+// shell keeps: what a returned Report holds must not be backed by anything a
+// later run of the same shape records into. Runs 2 and 3 record more, and differently, into
 // the buffers run 1 gave back; run 1's trace, profile and counters do not
 // move. Then the same from two goroutines at once, each of which must get
 // buffers of its own.

@@ -262,13 +262,13 @@ func (pe *PE) startPEs(walked error) error {
 
 // replayStartPEs computes what the exchange leaves in every PE's clock
 // without moving a packet. An unhooked run takes the round walk (replayChip),
-// a pure function of the geometry, from the replay cache (engine.go) when an
-// earlier run of the process walked the same mesh shape. A hooked run walks
-// the exchange turn by turn (replayTurns), feeding its hooks, and neither
-// reads nor fills the cache. Where the run allows it (foldsStart) the walk
-// goes on into the closing barrier's wait pass. It runs on the launcher
-// before any PE starts, so it owns every clock, recorder and calendar
-// structure it touches.
+// a pure function of the geometry, from its shell's replay (engine.go) when
+// the last launch of its shape walked the same mesh shape, and stores it
+// there when it walks. A hooked run walks the exchange turn by turn
+// (replayTurns), feeding its hooks, and neither reads nor writes the replay.
+// Where the run allows it (foldsStart) the walk goes on into the closing
+// barrier's wait pass. It runs on the launcher before any PE starts, so it
+// owns every clock, recorder and calendar structure it touches.
 func (p *Program) replayStartPEs(errs []error) error {
 	for c, geo := range p.geos {
 		first, peers := c*p.perChip, p.chipPEs(c)
@@ -279,8 +279,8 @@ func (p *Program) replayStartPEs(errs []error) error {
 			continue
 		}
 		key := replayKey{route: geo.RouteKey(), peers: peers}
-		e := replayLookup(key)
-		if e == nil {
+		e := &p.shell.replay[c]
+		if e.key != key {
 			clocks, err := p.replayChip(c)
 			if err != nil {
 				return err
@@ -289,8 +289,7 @@ func (p *Program) replayStartPEs(errs []error) error {
 			if err != nil {
 				return err
 			}
-			e = &replayEntry{clocks: clocks, hops: hops}
-			replayStore(key, e)
+			*e = replayEntry{key: key, clocks: clocks, hops: hops}
 		}
 		for me, t := range e.clocks {
 			p.pes[first+me].clock.Set(t)

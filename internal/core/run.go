@@ -336,7 +336,7 @@ type Program struct {
 	nets    []*udn.Network
 	links   []*mesh.LinkStats // per-chip link accounting; nil unless Observe
 	fabric  *mpipe.Fabric     // nil on a single chip
-	shell   *launchShell      // the segment and slabs this launch took from arenaPool
+	shell   *launchShell      // the segment, slabs, replay and buffers this launch took from arenaPool
 	model   *cache.Model
 	// memo is the run's copy-cost memo, looked up by whichever PE is charging
 	// a transfer (chargeXfer). One PE of a run executes at a time, so the PEs
@@ -392,7 +392,6 @@ type Program struct {
 
 	pes      []PE             // one slab; a *PE points into it
 	counters []stats.Counters // the PEs' recorder blocks, one slab; nil unless Observe
-	obsBufs  *observerBufs    // the recorders' pooled buffers; nil unless Trace or Profile
 
 	firstErr error
 }
@@ -521,11 +520,9 @@ func run(cfg Config, literal literals, body func(*PE) error) (*Report, error) {
 	prog.literal = literal
 	// Teardown on every path: once the driver below is done every PE has
 	// exited, nothing can write the segment any more and it can be re-zeroed
-	// and pooled. The recorders give their buffers back first: they hang off
-	// the PEs, which the check-in clears.
+	// and pooled, with the recorders' buffers.
 	defer func() {
 		prog.closeNets()
-		observerCheckin(prog)
 		arenaCheckin(prog)
 	}()
 	// errs holds each PE's outcome; the start_pes walk fills in those it stops.
@@ -653,7 +650,7 @@ func newProgram(cfg Config) (*Program, error) {
 		}
 		p.geos = append(p.geos, geo)
 	}
-	sh, err := arenaCheckout(shapeOf(&cfg))
+	sh, err := arenaCheckout(shapeOf(&cfg), cfg.Trace || cfg.Profile)
 	if err != nil {
 		return nil, err
 	}
@@ -685,11 +682,10 @@ func newProgram(cfg Config) (*Program, error) {
 		p.nets = append(p.nets, net)
 	}
 	if p.nchips > 1 {
-		p.fabric, err = mpipe.New(cfg.Chip, p.nchips, cfg.NPEs, p.chipOf)
+		p.fabric, err = mpipe.New(cfg.Chip, p.nchips, cfg.NPEs, p.chipOf, &fabSched{s: p.sched})
 		if err != nil {
 			return nil, err
 		}
-		p.fabric.SetScheduler(&fabSched{s: p.sched})
 	}
 	if cfg.Faults != nil {
 		p.flt = fault.NewInjector(cfg.Faults, cfg.NPEs, p.perChip)
@@ -721,6 +717,12 @@ func newProgram(cfg Config) (*Program, error) {
 		p.chainQ = make([]chainQueue, cfg.NPEs)
 	}
 	p.pes = sh.pes
+	if cfg.Trace && len(sh.events) < cfg.NPEs {
+		sh.events = append(sh.events, make([][]stats.Event, cfg.NPEs-len(sh.events))...)
+	}
+	if cfg.Profile && len(sh.segs) < cfg.NPEs {
+		sh.segs = append(sh.segs, make([][]profile.Seg, cfg.NPEs-len(sh.segs))...)
+	}
 	allPrefix := asTagPrefix(AllPEs(cfg.NPEs))
 	for i := range p.pes {
 		pe := &p.pes[i]
@@ -736,9 +738,13 @@ func newProgram(cfg Config) (*Program, error) {
 		if cfg.Observe {
 			pe.rec = stats.NewIn(&p.counters[i], i, cfg.Trace, cfg.TraceCap)
 			port.SetRecorder(pe.rec)
+			if cfg.Trace {
+				pe.rec.SetEvents(sh.events[i])
+			}
 		}
 		if cfg.Profile {
 			pe.prof = profile.New(i)
+			pe.prof.SetSegs(sh.segs[i])
 			port.SetProfiler(pe.prof, p.chipOf(i)*p.perChip)
 		}
 		if p.san != nil {
@@ -746,9 +752,6 @@ func newProgram(cfg Config) (*Program, error) {
 		}
 		pe.observed = pe.rec != nil || pe.prof != nil || pe.san != nil || p.flt != nil
 		p.sched.pes[i].clock = &pe.clock
-	}
-	if cfg.Trace || cfg.Profile {
-		observerCheckout(p)
 	}
 
 	// On the TILE-Gx, install the UDN interrupt handler that services

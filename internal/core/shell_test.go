@@ -231,7 +231,9 @@ func shellTenants() []shellTenant {
 // indistinguishable from one that starts from nothing. Each dirty tenant
 // is followed by the clean body, fully observed, whose report must equal
 // the one it gave on a drained pool: clocks, counters, trace, profile,
-// link utilization and diagnostics.
+// link utilization and diagnostics. Last, a traced and profiled tenant
+// leaves the shell's observer buffers full, and the clean body traced
+// alone must report what it does on a fresh shell.
 func TestRecycledShellIsFresh(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -261,6 +263,17 @@ func TestRecycledShellIsFresh(t *testing.T) {
 				if diff := freshReportDiff(got, want); diff != "" {
 					t.Errorf("after tenant %s the clean body's %s differs from a fresh launch's", tn.name, diff)
 				}
+			}
+
+			traced := base
+			traced.Observe, traced.Trace = true, true
+			drainArenaPool()
+			want = runT(t, traced, shellCleanBody)
+			dirty := traced
+			dirty.Profile = true
+			runT(t, dirty, mixedBody(20))
+			if diff := freshReportDiff(runT(t, traced, shellCleanBody), want); diff != "" {
+				t.Errorf("after a traced and profiled tenant the clean traced body's %s differs from a fresh launch's", diff)
 			}
 		})
 	}

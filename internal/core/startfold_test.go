@@ -169,8 +169,8 @@ func TestUnhookedLaunchParksNone(t *testing.T) {
 }
 
 // TestStartBarrierFoldConstants: the fold reads the chip's barrier constants
-// as well as its routes. Two chips whose routes are the same share one replay
-// cache entry for the exchange; launched one after the other, both ways
+// as well as its routes. Two chips whose routes are the same share one shell
+// and its replay of the exchange; launched one after the other, both ways
 // round, each must still leave its own barrier's clocks, the unfolded run's.
 func TestStartBarrierFoldConstants(t *testing.T) {
 	a := arch.Synthetic(8, 3)
@@ -183,7 +183,7 @@ func TestStartBarrierFoldConstants(t *testing.T) {
 		{Chip: &b, NPEs: 17, HeapPerPE: 1 << 16, ScratchBytes: 1 << 16},
 	}
 	if ka, kb := replayKeys(t, cfgs[0]), replayKeys(t, cfgs[1]); !slices.Equal(ka, kb) {
-		t.Fatalf("the chips' routes differ (%v, %v): the test no longer shares a cache entry", ka, kb)
+		t.Fatalf("the chips' routes differ (%v, %v): the test no longer shares a replay", ka, kb)
 	}
 	body := func(pe *PE) error { return pe.BarrierAll() }
 	var literal [2]chainOutcome
@@ -193,9 +193,8 @@ func TestStartBarrierFoldConstants(t *testing.T) {
 	if slices.Equal(literal[0].rep.PETimes, literal[1].rep.PETimes) {
 		t.Fatal("the barrier constants move no clock: the test cannot tell the chips apart")
 	}
-	defer resetReplayCache()
 	for _, order := range [][]int{{0, 1, 0}, {1, 0, 1}} {
-		resetReplayCache()
+		drainArenaPool()
 		for k, i := range order {
 			label := fmt.Sprintf("%s, launch %d of %v", cfgs[i].Chip.Name, k, order)
 			compareOutcomes(t, label, cfgs[i], runChain(t, cfgs[i], literals{}, body), literal[i])

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tshmem/internal/arch"
 	"tshmem/internal/fault"
@@ -16,15 +18,7 @@ import (
 	"tshmem/internal/vtime"
 )
 
-// resetReplayCache empties the process-wide replay cache, so that the next
-// launch of any shape walks its handshake.
-func resetReplayCache() {
-	replayCache.Lock()
-	defer replayCache.Unlock()
-	replayCache.entries, replayCache.stored, replayCache.held = nil, nil, 0
-}
-
-// replayKeys lists the replay-cache keys of cfg's chips.
+// replayKeys lists the replay keys of cfg's chips.
 func replayKeys(t *testing.T, cfg Config) []replayKey {
 	t.Helper()
 	nchips := max(cfg.NChips, 1)
@@ -41,20 +35,41 @@ func replayKeys(t *testing.T, cfg Config) []replayKey {
 	return keys
 }
 
-// plantWrongClocks caches, for each of cfg's chips, clocks no walk leaves
-// beside the chain hops the cache would hold: a hooked run may take the
-// hops, never the clocks.
+// pooledShell returns the shell the next launch of cfg checks out, or nil
+// when the pool holds none of its shape.
+func pooledShell(t *testing.T, cfg Config) *launchShell {
+	t.Helper()
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	shells, _ := pooledShells()
+	for i := len(shells) - 1; i >= 0; i-- {
+		if shells[i].shape == shapeOf(&cfg) {
+			return shells[i]
+		}
+	}
+	return nil
+}
+
+// plantWrongClocks stores in the replay of the pooled shell of cfg's shape,
+// for each of cfg's chips, clocks no walk leaves beside the chain hops the
+// replay would hold: a hooked run may take the hops, never the clocks.
 func plantWrongClocks(t *testing.T, cfg Config) {
 	t.Helper()
-	for _, k := range replayKeys(t, cfg) {
+	s := pooledShell(t, cfg)
+	if s == nil {
+		t.Fatalf("no pooled shell of %d PEs to plant clocks in", cfg.NPEs)
+	}
+	for c, k := range replayKeys(t, cfg) {
 		geo, err := mesh.AreaGeometry(cfg.Chip, k.peers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayStore(k, &replayEntry{
+		s.replay[c] = replayEntry{
+			key:    k,
 			clocks: slices.Repeat([]vtime.Time{vtime.Time(vtime.FromNs(1e6))}, k.peers),
 			hops:   walkedHops(t, geo, k.peers),
-		})
+		}
 	}
 }
 
@@ -74,16 +89,32 @@ func walkedHops(t *testing.T, geo mesh.Geometry, peers int) []chainHop {
 }
 
 // replayCached reports how many of cfg's chips have their handshake in the
-// replay cache, and how many chips there are.
+// replay of the pooled shell of cfg's shape, and how many chips there are.
 func replayCached(t *testing.T, cfg Config) (cached, chips int) {
 	t.Helper()
 	keys := replayKeys(t, cfg)
-	for _, k := range keys {
-		if replayLookup(k) != nil {
-			cached++
+	if s := pooledShell(t, cfg); s != nil {
+		for c, k := range keys {
+			if s.replay[c].key == k {
+				cached++
+			}
 		}
 	}
 	return cached, len(keys)
+}
+
+// replayWalks returns the clocks arrays of the replay of the pooled shell
+// of cfg's shape, one per chip: a launch that walks a handshake stores new
+// ones, a launch that reuses it leaves them.
+func replayWalks(t *testing.T, cfg Config) []*vtime.Time {
+	t.Helper()
+	var walks []*vtime.Time
+	if s := pooledShell(t, cfg); s != nil {
+		for _, e := range s.replay {
+			walks = append(walks, unsafe.SliceData(e.clocks))
+		}
+	}
+	return walks
 }
 
 // literalStartPEsOnly swaps the literal start_pes exchange in, and nothing
@@ -150,12 +181,12 @@ func queueHWMs(rep *Report) []int64 {
 // over two chips.
 //
 // An unhooked launch has two ways to its clocks and each is held to the
-// literal exchange: walking a shape the process has not launched (the cache
-// is emptied first) and taking them from the replay cache (the same config
-// again, after checking that every chip's entry is there and that the run
-// stored nothing). A hooked one (Observe or Profile on) walks every time to
-// feed its hooks, leaves nothing in the cache and takes nothing from it: it
-// is held to the literal with wrong clocks planted there too.
+// literal exchange: walking on a fresh shell (the pool is drained first)
+// and taking them from its shell's replay (the same config again, after
+// checking that every chip's entry is there, and then that the run walked
+// nothing). A hooked one (Observe or Profile on) walks every time to feed
+// its hooks, leaves nothing in the replay and takes nothing from it: it is
+// held to the literal with wrong clocks planted there too.
 //
 // Every case runs again under one of startPEsPlans, rotating with the case
 // so that every observer mode meets seeded and fixed plans, held to the
@@ -217,7 +248,6 @@ func TestStartPEsReplayMatchesLiteral(t *testing.T) {
 				label, queueHWMs(walked.rep), queueHWMs(literal.rep))
 		}
 	}
-	defer resetReplayCache()
 	type shape struct {
 		label   string
 		cfg     Config
@@ -244,23 +274,23 @@ func TestStartPEsReplayMatchesLiteral(t *testing.T) {
 				}
 
 				hooked := cfg.Observe || cfg.Profile
-				resetReplayCache()
+				drainArenaPool()
 				same(label+"/cold", cfg, runChain(t, cfg, literals{}, body), literal)
 				if cached, chips := replayCached(t, cfg); hooked && cached != 0 || !hooked && cached != chips {
-					t.Fatalf("%s: %d of %d chips' handshakes cached after a cold launch", label, cached, chips)
+					t.Fatalf("%s: %d of %d chips' handshakes kept after a cold launch", label, cached, chips)
 				}
-				stored := len(replayCache.stored)
+				walks := replayWalks(t, cfg)
 				same(label+"/warm", cfg, runChain(t, cfg, literals{}, body), literal)
-				if len(replayCache.stored) != stored {
-					t.Errorf("%s: a launch of a cached shape stored %d new entries", label, len(replayCache.stored)-stored)
+				if !slices.Equal(replayWalks(t, cfg), walks) {
+					t.Errorf("%s: a launch of a kept shape stored a new replay", label)
 				}
 				if hooked {
 					plantWrongClocks(t, cfg)
-					same(label+"/wrong clocks cached", cfg, runChain(t, cfg, literals{}, body), literal)
+					same(label+"/wrong clocks kept", cfg, runChain(t, cfg, literals{}, body), literal)
 				}
 
-				// A faulted walk is hooked too: it leaves nothing in the cache and
-				// takes nothing from it but the chain's hops.
+				// A faulted walk is hooked too: it leaves nothing in the replay
+				// and takes nothing from it but the chain's hops.
 				p := plans[(cases+m)%len(plans)]
 				faulted := p.with(cfg)
 				flabel := label + "/" + p.name
@@ -268,13 +298,13 @@ func TestStartPEsReplayMatchesLiteral(t *testing.T) {
 				if faultedCases++; lit.err != nil && strings.Contains(lit.err.Error(), "start_pes: ") {
 					stopped++
 				}
-				resetReplayCache()
+				drainArenaPool()
 				same(flabel, faulted, runChain(t, faulted, literals{}, body), lit)
-				if len(replayCache.stored) != 0 {
-					t.Errorf("%s: a faulted launch stored %d cache entries", flabel, len(replayCache.stored))
+				if cached, _ := replayCached(t, cfg); cached != 0 {
+					t.Errorf("%s: a faulted launch stored %d chips' handshakes", flabel, cached)
 				}
 				plantWrongClocks(t, cfg)
-				same(flabel+"/wrong clocks cached", faulted, runChain(t, faulted, literals{}, body), lit)
+				same(flabel+"/wrong clocks kept", faulted, runChain(t, faulted, literals{}, body), lit)
 			}
 		}
 	}
@@ -282,10 +312,11 @@ func TestStartPEsReplayMatchesLiteral(t *testing.T) {
 	if 3*stopped < faultedCases {
 		t.Errorf("only %d of %d faulted runs had a PE time out in start_pes: the plans miss the exchange", stopped, faultedCases)
 	}
-	// Every shape above started from an empty cache. With all of them cached
-	// side by side, each must still find its own clocks: a key that left out
-	// something the handshake depends on would hand one shape another's.
-	resetReplayCache()
+	// Every shape above started from a drained pool. Launched one after
+	// another, the meshes of one PE count take each other's shell, and each
+	// must still find its own clocks: a key that left out something the
+	// handshake depends on would hand one mesh another's.
+	drainArenaPool()
 	for pass := 0; pass < 2; pass++ {
 		for _, sh := range shapes {
 			same(fmt.Sprintf("%s/all shapes cached, pass %d", sh.label, pass), sh.cfg, runChain(t, sh.cfg, literals{}, body), sh.literal)
@@ -373,7 +404,6 @@ func TestStartPEsQueueDepthsUnderPlanOnly(t *testing.T) {
 		deepest := p.links[0].Snapshot().MaxQueueHWM()
 		p.closeNets()
 		arenaCheckin(p)
-		observerCheckin(p)
 		if sampled := deepest > 0; sampled != (plan != nil) {
 			t.Errorf("under a plan: %v; deepest start_pes queue sampled: %d", plan != nil, deepest)
 		}
@@ -399,20 +429,22 @@ func requireClean(t testing.TB, label string, out chainOutcome) {
 	}
 }
 
-// TestReplayCacheConcurrentColdShape launches one shape nobody has launched
-// from two goroutines at once: both miss, both walk the handshake, both
-// store. Each must come out equal to the literal exchange, and the detector
-// must see no write to clocks another run is reading (ci.sh race smoke).
-func TestReplayCacheConcurrentColdShape(t *testing.T) {
+// TestShellReplayConcurrentColdShape launches one shape nobody has
+// launched from two goroutines at once: each takes a fresh shell, walks the
+// handshake and stores it in its own shell's replay. Each must come out
+// equal to the literal exchange, and the detector must see no write to
+// clocks another run is reading (ci.sh race smoke).
+func TestShellReplayConcurrentColdShape(t *testing.T) {
 	cfg := Config{Chip: arch.Synthetic(12, 12), NPEs: 144, HeapPerPE: 4096, ScratchBytes: 1 << 16}
 	body := func(pe *PE) error { return pe.BarrierAll() }
 	lit := runChain(t, cfg, literalStartPEsOnly, body)
 	requireClean(t, "literal", lit)
 	literal := lit.rep
-	defer resetReplayCache()
+	key := replayKeys(t, cfg)[0]
 	for round := 0; round < 4; round++ {
-		resetReplayCache()
+		drainArenaPool()
 		var reps [2]*Report
+		var shells [2]*launchShell
 		var errs [2]error
 		var wg sync.WaitGroup
 		gate := make(chan struct{})
@@ -421,7 +453,12 @@ func TestReplayCacheConcurrentColdShape(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-gate
-				reps[i], errs[i] = Run(cfg, body)
+				reps[i], errs[i] = Run(cfg, func(pe *PE) error {
+					if pe.MyPE() == 0 {
+						shells[i] = pe.prog.shell
+					}
+					return body(pe)
+				})
 			}()
 		}
 		close(gate)
@@ -432,55 +469,23 @@ func TestReplayCacheConcurrentColdShape(t *testing.T) {
 			}
 			compareReports(t, fmt.Sprintf("round %d run %d", round, i), rep, literal)
 		}
-		if cached, _ := replayCached(t, cfg); cached != 1 {
-			t.Errorf("round %d: the shape is not cached after two cold launches", round)
+		if shells[0] == shells[1] {
+			// The runs did not overlap: the second took the first's shell.
+			continue
+		}
+		for i, s := range shells {
+			if s.replay[0].key != key {
+				t.Errorf("round %d: run %d's shell kept no replay after a cold launch", round, i)
+			}
 		}
 	}
 }
 
-// TestReplayCacheBounded stores 64 distinct shapes of 4096 PEs — 6 MiB of
-// clocks and hops — and requires the cache to stay within its budget by
-// dropping the least recently stored, and never to keep a shape the budget
-// cannot hold.
-func TestReplayCacheBounded(t *testing.T) {
-	resetReplayCache()
-	defer resetReplayCache()
-	const shapes, peers = 64, 4096
-	key := func(i int) replayKey {
-		k := replayKey{route: mesh.FullGeometry(arch.Synthetic(64, 64)).RouteKey(), peers: peers}
-		k.route.UDNSetupNs += float64(i)
-		return k
-	}
-	for i := 0; i < shapes; i++ {
-		replayStore(key(i), &replayEntry{clocks: make([]vtime.Time, peers), hops: make([]chainHop, peers)})
-		if replayCache.held > replayCacheBudget {
-			t.Fatalf("after %d shapes the cache holds %d values, budget %d", i+1, replayCache.held, replayCacheBudget)
-		}
-	}
-	fit := replayCacheBudget / (3*peers + replayEntryCost)
-	if got := len(replayCache.entries); got != fit || len(replayCache.stored) != fit {
-		t.Errorf("%d shapes cached (%d in eviction order), the budget fits %d", got, len(replayCache.stored), fit)
-	}
-	for i := 0; i < shapes; i++ {
-		if got, want := replayLookup(key(i)) != nil, i >= shapes-fit; got != want {
-			t.Errorf("shape %d of %d cached: %v, want %v (least recently stored goes first)", i, shapes, got, want)
-		}
-	}
-	huge := key(shapes)
-	huge.peers = replayCacheBudget
-	replayStore(huge, &replayEntry{clocks: make([]vtime.Time, replayCacheBudget)})
-	if replayLookup(huge) != nil || len(replayCache.entries) != fit {
-		t.Errorf("a shape larger than the budget was kept, or evicted others")
-	}
-}
-
-// TestReplayCacheHops: the chain hops a cold launch leaves in the replay
-// cache equal a fresh geo.Path walk, on full and partial meshes of three
+// TestShellReplayHops: the chain hops a cold launch leaves in its shell's
+// replay equal a fresh geo.Path walk, on full and partial meshes of three
 // chips and for one PE, and the launch's all-PEs chain reads them from the
 // entry.
-func TestReplayCacheHops(t *testing.T) {
-	resetReplayCache()
-	defer resetReplayCache()
+func TestShellReplayHops(t *testing.T) {
 	for _, c := range []struct {
 		chip *arch.Chip
 		n    int
@@ -488,6 +493,7 @@ func TestReplayCacheHops(t *testing.T) {
 		{arch.Gx8036(), 36}, {arch.Gx8036(), 23}, {arch.Pro64(), 64},
 		{arch.Synthetic(16, 16), 256}, {arch.Synthetic(16, 16), 200}, {arch.Gx8036(), 1},
 	} {
+		drainArenaPool()
 		cfg := Config{Chip: c.chip, NPEs: c.n, HeapPerPE: 1 << 16, ScratchBytes: 1 << 16}
 		var hops []chainHop
 		runT(t, cfg, func(pe *PE) error {
@@ -500,21 +506,80 @@ func TestReplayCacheHops(t *testing.T) {
 			}
 			return nil
 		})
-		k := replayKeys(t, cfg)[0]
-		e := replayLookup(k)
-		if e == nil {
-			t.Fatalf("%s, %d PEs: the launch left no replay entry", c.chip.Name, c.n)
+		s := pooledShell(t, cfg)
+		if s == nil || s.replay[0].key != replayKeys(t, cfg)[0] {
+			t.Fatalf("%s, %d PEs: the launch left no replay in its shell", c.chip.Name, c.n)
 		}
+		e := s.replay[0]
 		geo, err := mesh.AreaGeometry(c.chip, c.n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := walkedHops(t, geo, c.n); !slices.Equal(e.hops, want) {
-			t.Errorf("%s, %d PEs: cached hops %v, a geo.Path walk gives %v", c.chip.Name, c.n, e.hops, want)
+			t.Errorf("%s, %d PEs: kept hops %v, a geo.Path walk gives %v", c.chip.Name, c.n, e.hops, want)
 		}
 		if len(hops) != c.n || &hops[0] != &e.hops[0] {
 			t.Errorf("%s, %d PEs: the all-PEs chain did not take its hops from the replay entry", c.chip.Name, c.n)
 		}
+	}
+}
+
+// TestShellReplayKeyMismatch: a pooled shell whose replay was walked for
+// another mesh walks again. The same launch shape on a copy of the Gx8036
+// with a slower hop takes the pooled shell, finds its key different, and
+// must walk, store the new key and report what a launch on a fresh shell
+// reports. An observed launch, which may take the chain's hops from the
+// replay, must not take the other mesh's either.
+func TestShellReplayKeyMismatch(t *testing.T) {
+	slow := *arch.Gx8036()
+	slow.Name += "-slow-hop"
+	slow.UDNHopNs = 3 * slow.HopNs()
+	cfgs := []Config{
+		{Chip: arch.Gx8036(), NPEs: 36, HeapPerPE: 1 << 16, ScratchBytes: 1 << 16},
+		{Chip: &slow, NPEs: 36, HeapPerPE: 1 << 16, ScratchBytes: 1 << 16},
+	}
+	ka, kb := replayKeys(t, cfgs[0])[0], replayKeys(t, cfgs[1])[0]
+	if ka == kb {
+		t.Fatal("the two chips share a replay key: UDNHopNs is not in mesh.RouteKey")
+	}
+	body := func(pe *PE) error { return pe.BarrierAll() }
+	observed := cfgs[1]
+	observed.Observe = true
+	drainArenaPool()
+	fresh := runT(t, cfgs[1], body)
+	drainArenaPool()
+	freshObserved := runT(t, observed, body)
+
+	drainArenaPool()
+	runT(t, cfgs[0], body)
+	kept := pooledShell(t, cfgs[0])
+	if kept == nil || kept.replay[0].key != ka {
+		t.Fatal("the Gx8036 launch left no replay in a pooled shell")
+	}
+	var took *launchShell
+	got := runT(t, cfgs[1], func(pe *PE) error {
+		if pe.MyPE() == 0 {
+			took = pe.prog.shell
+		}
+		return body(pe)
+	})
+	if took != kept {
+		t.Fatal("the slow-hop launch did not take the pooled shell of its launch shape")
+	}
+	if kept.replay[0].key != kb {
+		t.Error("the slow-hop launch did not store its own key")
+	}
+	if !reflect.DeepEqual(got, fresh) {
+		t.Errorf("a launch on a shell walked for another mesh reports %s, a fresh one %s", abbrev(got), abbrev(fresh))
+	}
+	if slices.Equal(got.PETimes, runT(t, cfgs[0], body).PETimes) {
+		t.Error("the slower hop moves no clock: the test cannot tell a reused replay from a walked one")
+	}
+	if kept.replay[0].key != ka {
+		t.Fatal("the Gx8036 relaunch did not store its key again")
+	}
+	if diff := freshReportDiff(runT(t, observed, body), freshObserved); diff != "" {
+		t.Errorf("an observed launch on a shell walked for another mesh: its %s differs from a fresh launch's", diff)
 	}
 }
 

@@ -29,9 +29,8 @@ var (
 	ErrClosed  = errors.New("mpipe: fabric closed")
 	ErrBadPE   = errors.New("mpipe: destination PE out of range")
 
-	// ErrTimeout reports a bounded wait that an attached Scheduler expired
-	// (fault injection on a sender's chip may have swallowed the expected
-	// message). The default host scheduler never returns it.
+	// ErrTimeout reports a bounded wait that the Scheduler expired (fault
+	// injection on a sender's chip may have swallowed the expected message).
 	ErrTimeout = errors.New("mpipe: bounded wait timed out")
 )
 
@@ -61,8 +60,7 @@ type Fabric struct {
 	mu    sync.Mutex
 
 	closed atomic.Bool
-	sched  Scheduler // &host until SetScheduler
-	host   hostSched
+	sched  Scheduler
 }
 
 // inbox is one PE's queue of control messages: msgs[head:], oldest first.
@@ -109,9 +107,8 @@ func (b *inbox) depth() int {
 
 // Scheduler is where the fabric's blocking points block, mirroring
 // udn.Scheduler: Send, Recv and RecvRaw poll, and hand the caller to
-// WaitSend/WaitRecv when they would block. A Fabric starts with a host
-// scheduler that blocks the calling goroutine; internal/core replaces it
-// with its calendar. Inboxes are addressed by global PE rank, so no
+// WaitSend/WaitRecv when they would block. internal/core's calendar
+// implements it. Inboxes are addressed by global PE rank, so no
 // translation is needed.
 type Scheduler interface {
 	// WaitRecv parks PE pe until a message may be in its inbox; nil means
@@ -125,51 +122,9 @@ type Scheduler interface {
 	Dequeued(pe int)
 }
 
-// hostSched is the Scheduler of a stand-alone Fabric: a wait blocks the
-// calling goroutine on a condition variable that every notification, and
-// Close, broadcasts (udn.hostSched explains the locking). It never
-// expires a wait.
-type hostSched struct {
-	f    *Fabric
-	mu   sync.Mutex
-	cond sync.Cond
-}
-
-func (h *hostSched) wait(blocked func() bool) {
-	h.mu.Lock()
-	for blocked() {
-		h.cond.Wait()
-	}
-	h.mu.Unlock()
-}
-
-func (h *hostSched) wake() {
-	h.mu.Lock()
-	//lint:ignore SA2001 ordering only: see udn.hostSched.wait
-	h.mu.Unlock()
-	h.cond.Broadcast()
-}
-
-func (h *hostSched) WaitRecv(pe int) error {
-	h.wait(func() bool { return h.f.inbox[pe].depth() == 0 && !h.f.closed.Load() })
-	return nil
-}
-
-func (h *hostSched) WaitSend(src, dst int) error {
-	h.wait(func() bool { return h.f.inbox[dst].depth() == inboxCap && !h.f.closed.Load() })
-	return nil
-}
-
-func (h *hostSched) Enqueued(int) { h.wake() }
-func (h *hostSched) Dequeued(int) { h.wake() }
-
-// SetScheduler replaces the default host scheduler at every blocking
-// point of this fabric. Set before PEs start communicating.
-func (f *Fabric) SetScheduler(s Scheduler) { f.sched = s }
-
-// New creates a fabric for npes PEs spread over nchips chips; chipOf maps a
-// PE to its chip.
-func New(chip *arch.Chip, nchips, npes int, chipOf func(pe int) int) (*Fabric, error) {
+// New creates a fabric for npes PEs spread over nchips chips whose blocking
+// points park in sched; chipOf maps a PE to its chip.
+func New(chip *arch.Chip, nchips, npes int, chipOf func(pe int) int, sched Scheduler) (*Fabric, error) {
 	if !chip.HasMPIPE {
 		return nil, fmt.Errorf("%w: %s", ErrNoMPIPE, chip.Name)
 	}
@@ -182,9 +137,8 @@ func New(chip *arch.Chip, nchips, npes int, chipOf func(pe int) int) (*Fabric, e
 		chipOf: chipOf,
 		inbox:  make([]inbox, npes),
 		wires:  make(map[[2]int]*vtime.Resource),
+		sched:  sched,
 	}
-	f.host.f, f.host.cond.L = f, &f.host.mu
-	f.sched = &f.host
 	return f, nil
 }
 
@@ -306,8 +260,6 @@ func (f *Fabric) DataCost(size int64) vtime.Duration {
 	return f.latency() + vtime.FromNs(float64(size)/f.aggMBs()*1e3)
 }
 
-// Close shuts the fabric down; blocked receivers get ErrClosed.
-func (f *Fabric) Close() {
-	f.closed.Store(true)
-	f.host.wake()
-}
+// Close shuts the fabric down: a receiver that finds its inbox empty, or a
+// sender that finds its destination's full, gets ErrClosed.
+func (f *Fabric) Close() { f.closed.Store(true) }

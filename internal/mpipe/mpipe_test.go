@@ -8,10 +8,30 @@ import (
 	"tshmem/internal/vtime"
 )
 
-func fabric(t *testing.T, nchips, npes int) *Fabric {
+// stubSched is the Scheduler of a test that drives the fabric from one
+// goroutine, so nothing can ever wake a wait: a wait runs onWait and
+// re-polls, or fails with errWouldBlock when onWait is nil.
+type stubSched struct{ onWait func() }
+
+var errWouldBlock = errors.New("mpipe test: a wait would block")
+
+func (s *stubSched) wait() error {
+	if s.onWait == nil {
+		return errWouldBlock
+	}
+	s.onWait()
+	return nil
+}
+
+func (s *stubSched) WaitRecv(int) error      { return s.wait() }
+func (s *stubSched) WaitSend(int, int) error { return s.wait() }
+func (s *stubSched) Enqueued(int)            {}
+func (s *stubSched) Dequeued(int)            {}
+
+func fabric(t *testing.T, nchips, npes int, sched Scheduler) *Fabric {
 	t.Helper()
 	per := (npes + nchips - 1) / nchips
-	f, err := New(arch.Gx8036(), nchips, npes, func(pe int) int { return pe / per })
+	f, err := New(arch.Gx8036(), nchips, npes, func(pe int) int { return pe / per }, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,16 +39,16 @@ func fabric(t *testing.T, nchips, npes int) *Fabric {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(arch.Pro64(), 2, 4, func(int) int { return 0 }); !errors.Is(err, ErrNoMPIPE) {
+	if _, err := New(arch.Pro64(), 2, 4, func(int) int { return 0 }, &stubSched{}); !errors.Is(err, ErrNoMPIPE) {
 		t.Errorf("TILEPro fabric: %v", err)
 	}
-	if _, err := New(arch.Gx8036(), 1, 4, func(int) int { return 0 }); err == nil {
+	if _, err := New(arch.Gx8036(), 1, 4, func(int) int { return 0 }, &stubSched{}); err == nil {
 		t.Error("single-chip fabric accepted")
 	}
 }
 
 func TestSendRecv(t *testing.T) {
-	f := fabric(t, 2, 4)
+	f := fabric(t, 2, 4, &stubSched{})
 	defer f.Close()
 	var sc, rc vtime.Clock
 	if err := f.Send(&sc, 0, 2, 7, []uint64{42}); err != nil {
@@ -54,7 +74,7 @@ func TestSendRecv(t *testing.T) {
 }
 
 func TestSendValidation(t *testing.T) {
-	f := fabric(t, 2, 4)
+	f := fabric(t, 2, 4, &stubSched{})
 	defer f.Close()
 	var c vtime.Clock
 	if err := f.Send(&c, 0, 9, 0, []uint64{1}); !errors.Is(err, ErrBadPE) {
@@ -66,7 +86,7 @@ func TestSendValidation(t *testing.T) {
 }
 
 func TestDataCost(t *testing.T) {
-	f := fabric(t, 2, 4)
+	f := fabric(t, 2, 4, &stubSched{})
 	defer f.Close()
 	// 4x10GbE = 5000 MB/s aggregate: 5 MB should take ~1 ms + latency.
 	d := f.DataCost(5 << 20)
@@ -81,7 +101,7 @@ func TestDataCost(t *testing.T) {
 func TestChargeDataContends(t *testing.T) {
 	// Two transfers on the same chip pair serialize on the wire; a transfer
 	// on a different pair does not.
-	f := fabric(t, 3, 6)
+	f := fabric(t, 3, 6, &stubSched{})
 	defer f.Close()
 	var a, b, c vtime.Clock
 	f.ChargeData(&a, 0, 2, 1<<20) // chips 0->1
@@ -95,19 +115,16 @@ func TestChargeDataContends(t *testing.T) {
 	}
 }
 
+// TestCloseUnblocks: a receiver parked on an empty inbox gets ErrClosed
+// once the fabric closes; the stub's wait is where the close happens.
 func TestCloseUnblocks(t *testing.T) {
-	f := fabric(t, 2, 4)
-	errc := make(chan error, 1)
-	go func() {
-		var c vtime.Clock
-		_, err := f.Recv(&c, 0)
-		errc <- err
-	}()
-	f.Close()
-	if err := <-errc; !errors.Is(err, ErrClosed) {
+	sched := &stubSched{}
+	f := fabric(t, 2, 4, sched)
+	sched.onWait = f.Close
+	var c vtime.Clock
+	if _, err := f.Recv(&c, 0); !errors.Is(err, ErrClosed) {
 		t.Errorf("recv after close: %v", err)
 	}
-	var c vtime.Clock
 	if err := f.Send(&c, 0, 1, 0, []uint64{1}); err == nil {
 		// Send may still succeed if the inbox has room; both behaviors are
 		// acceptable, but a queued message must still be drainable.
