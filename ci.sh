@@ -46,24 +46,57 @@ if [ "$(cat internal/core/*.go | grep -c 'iter\.Pull(')" != 1 ]; then
     exit 1
 fi
 
-# No-atomics guard: one PE of a run executes at a time, so per-run state
-# and symmetric memory belong to whoever holds the run's baton and nothing
-# under core.Run defends against a second running PE (docs/PERFORMANCE.md,
-# "Lock inventory"; internal/core/doc.go, "Execution"). sync/atomic in the
-# packages only core.Run drives, sync outside the cross-run pools
-# (engine.go's arenaPool, workpool.go's peWorkerMu), or one of the deleted
-# defences by name — the atomic word helpers, a
-# compare-and-swap (and the retry loop it needs), the scratch shards, the
-# abort Once, the MCS releaser's wait for a successor — is that defence
-# coming back. go test -race below is the oracle that none was needed.
+# No-atomics guard: one PE of a run executes at a time, so per-run state,
+# symmetric memory and the substrates a run owns (common memory, the mPIPE
+# fabric, a vtime.Resource, a UDN port's interrupt context) belong to
+# whoever holds the run's baton, and nothing under core.Run defends against
+# a second running PE (docs/PERFORMANCE.md, "Lock inventory";
+# internal/core/doc.go, "Execution"). A non-test file under internal/ may
+# import sync or sync/atomic only if it is on the allowlist below, which
+# names each lock that still has a caller needing it: the cross-run pools
+# (core/engine.go's arenaPool, core/workpool.go's peWorkerMu), the UDN host
+# scheduler, queue and ring locks and tmc.Barrier's host rendezvous (which
+# the benchmark ladder drives from free goroutines), stats' Collector and
+# profile's walkScratch. Neither tmc.CommonMemory nor udn.Port may hold a
+# mutex. In the packages only core.Run drives, sync/atomic or one of the
+# deleted defences by name — the atomic word helpers, a compare-and-swap
+# (and the retry loop it needs), the scratch shards, the abort Once, the
+# MCS releaser's wait for a successor — is that defence coming back. go
+# test -race below is the oracle that none was needed.
 echo "== no-atomics guard =="
 PER_RUN=$(find internal/core internal/mesh internal/fault -name '*.go' ! -name '*_test.go')
-CORE_UNPOOLED=$(find internal/core -name '*.go' ! -name '*_test.go' ! -name engine.go ! -name workpool.go)
 if grep -nE '"sync/atomic"|atomicmem|scratchShard|abortOnce|wkMCSSucc|CompareAndSwap' $PER_RUN ||
-    grep -n '"sync"' $CORE_UNPOOLED ||
     ls internal/core/atomicmem*.go 2>/dev/null; then
     echo "ci: FAIL — a defence against a second running PE is back under core.Run (matches above);" >&2
     echo "    one PE runs at a time: per-run state and symmetric memory belong to the baton holder" >&2
+    exit 1
+fi
+SYNC_ALLOWED=" internal/core/engine.go internal/core/workpool.go internal/udn/udn.go internal/tmc/tmc.go internal/stats/stats.go internal/profile/critpath.go "
+SYNC_BAD=""
+for F in $(find internal -name '*.go' ! -name '*_test.go'); do
+    if grep -qE '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"sync(/atomic)?"$' "$F"; then
+        case "$SYNC_ALLOWED" in
+        *" $F "*) ;;
+        *) SYNC_BAD="$SYNC_BAD $F" ;;
+        esac
+    fi
+done
+if [ -n "$SYNC_BAD" ] ||
+    sed -n '/^type CommonMemory struct/,/^}/p' internal/tmc/tmc.go | grep -nE 'sync\.|atomic\.' ||
+    sed -n '/^type Port struct/,/^}/p' internal/udn/udn.go | grep -nE 'sync\.'; then
+    echo "ci: FAIL — a lock is back in a substrate a run owns (matches above; files importing sync:${SYNC_BAD:- none});" >&2
+    echo "    one PE runs at a time: the baton holder owns it; a lock with a real contender joins the allowlist" >&2
+    exit 1
+fi
+
+# Docs budget: docs/PERFORMANCE.md keeps the execution model, the
+# invariants, the lock inventory and one verdict row per measured change;
+# the measurements themselves live in docs/runs/ and CHANGES.md.
+echo "== docs budget =="
+PERF_LINES=$(wc -l < docs/PERFORMANCE.md)
+if [ "$PERF_LINES" -gt 500 ]; then
+    echo "ci: FAIL — docs/PERFORMANCE.md has $PERF_LINES lines, over its 500-line budget;" >&2
+    echo "    a change adds a verdict row and a docs/runs/ file, not a section" >&2
     exit 1
 fi
 
@@ -88,7 +121,7 @@ for FN in At Slice SliceChecked wordOn; do
 done
 # The copy-cost memo's hit path (cache.(*Memo).Lookup, cost 70) inlines
 # into chargeXfer, the one call every transfer's core makes: a hit is then
-# a hash, a load and a compare (docs/PERFORMANCE.md, "Observer tails").
+# a hash, a load and a compare (docs/PERFORMANCE.md, "The data path").
 if ! echo "$INLINE_OUT" | grep -qF 'inlining call to cache.(*Memo).Lookup'; then
     echo "ci: FAIL — the compiler no longer inlines cache.(*Memo).Lookup into internal/core (go build -gcflags=-m=2" >&2
     echo "    ./internal/cache prints its cost against the budget of 80). Measured on bfs-gets wall_s: Lookup as a real" >&2
@@ -330,7 +363,7 @@ go test -race ./internal/core ./internal/stats \
     -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestShellReplayConcurrentColdShape|TestChainBarrierEveryWayOut|TestChainBarrierReleaseMeetsAbort|TestChainBarrierForwardMeetsAbort|TestChainBarrierCollectivesMatchLiteral|TestStartBarrierFoldOrder|TestStartBarrierFoldAbort|TestRecycledShellIsFresh|TestObserverBuffersRecycled|TestObserverBuffersFollowLaunches' -count=3
 
 # Hand-off smoke: a grant must not re-enter the Go scheduler (docs/
-# PERFORMANCE.md, "The switch"). TestHandoffStaysOffScheduler counts the
+# PERFORMANCE.md, "Execution model"). TestHandoffStaysOffScheduler counts the
 # runtime's own scheduling events across 36 000 hand-offs of a 36-PE barrier
 # loop (0-2 sampled passes; the channel hand-off read 2 265 against a bound
 # of 450). It is part of every go test run above as well; it runs alone here

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"tshmem/internal/core"
 	"tshmem/internal/stats"
@@ -87,11 +86,10 @@ func RunSuite(opts ProbeOpts) (*Baseline, error) {
 	// Each probe already fans out one goroutine per PE; bound the number
 	// of concurrently *running* probes to the host parallelism.
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
+	done := make(chan struct{}, len(probes))
 	for i, p := range probes {
-		wg.Add(1)
 		go func(i int, p Probe) {
-			defer wg.Done()
+			defer func() { done <- struct{}{} }()
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			rep, err := p.Run(opts)
@@ -102,7 +100,9 @@ func RunSuite(opts ProbeOpts) (*Baseline, error) {
 			results[i] = ProbeResult(p, rep)
 		}(i, p)
 	}
-	wg.Wait()
+	for range probes {
+		<-done
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

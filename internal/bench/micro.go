@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"tshmem/internal/arch"
 	"tshmem/internal/cache"
@@ -135,19 +134,11 @@ func measureTMCBarrier(chip *arch.Chip, kind tmc.BarrierKind, n int) (vtime.Dura
 	if err != nil {
 		return 0, err
 	}
-	var wg sync.WaitGroup
-	var lat vtime.Duration
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var c vtime.Clock
-			b.Wait(&c)
-			if i == 0 {
-				lat = vtime.Duration(c.Now())
-			}
-		}(i)
+	// Every participant arrives at time 0; the last arrival completes the
+	// rendezvous and reports the release all of them leave at.
+	for {
+		if _, rel, done := b.Arrive(0); done {
+			return vtime.Duration(rel), nil
+		}
 	}
-	wg.Wait()
-	return lat, nil
 }

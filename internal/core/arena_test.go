@@ -265,24 +265,19 @@ func arenaDirtyBody(pe *PE) error {
 // wrote and however it wrote it, and the next launch of the same shape
 // reads a fresh heap.
 func TestArenaZeroingInvariant(t *testing.T) {
-	for _, eng := range Engines() {
-		for _, la := range LockAlgos() {
-			t.Run(fmt.Sprintf("%s/%s", eng, la), func(t *testing.T) {
-				cfg := Config{
-					NPEs: 4, HeapPerPE: 768 << 10, ScratchBytes: 512 << 10,
-					Engine: eng, LockAlgo: la,
-				}
-				drainArenaPool()
-				if _, err := Run(cfg, arenaDirtyBody); err != nil {
-					t.Fatal(err)
-				}
-				requireZeroPool(t)
-				if _, err := Run(cfg, freshHeapBody); err != nil {
-					t.Fatal(err)
-				}
-				requireZeroPool(t)
-			})
-		}
+	for _, la := range LockAlgos() {
+		t.Run(la.String(), func(t *testing.T) {
+			cfg := Config{NPEs: 4, HeapPerPE: 768 << 10, ScratchBytes: 512 << 10, LockAlgo: la}
+			drainArenaPool()
+			if _, err := Run(cfg, arenaDirtyBody); err != nil {
+				t.Fatal(err)
+			}
+			requireZeroPool(t)
+			if _, err := Run(cfg, freshHeapBody); err != nil {
+				t.Fatal(err)
+			}
+			requireZeroPool(t)
+		})
 	}
 }
 
@@ -308,87 +303,83 @@ func TestArenaPoolBudget(t *testing.T) {
 			return P(pe, x, 1, (pe.MyPE()+1)%pe.NumPEs())
 		}
 	}
-	for _, eng := range Engines() {
-		t.Run(eng.String(), func(t *testing.T) {
-			drainArenaPool()
-			cfg := Config{NPEs: 2, ScratchBytes: 64 << 10, Engine: eng}
-			var launched int64
-			for i := 0; i < 40; i++ {
-				cfg.HeapPerPE = int64(1<<20 + i*(48<<10))
-				var sh *launchShell
-				if _, err := Run(cfg, body(&sh)); err != nil {
-					t.Fatal(err)
-				}
-				launched += sh.cm.Size()
-				shells, held := pooledShells()
-				if held > arenaPoolBudget {
-					t.Fatalf("after %d shapes the pool holds %d bytes, budget %d", i+1, held, arenaPoolBudget)
-				}
-				if shells[len(shells)-1] != sh {
-					t.Fatalf("shape %d: the run's shell was not pooled", i)
-				}
-				var segs int64
-				for _, s := range shells {
-					segs += s.cm.Size()
-				}
-				if slabs := held - segs; slabs < int64(len(shells)*cfg.NPEs)*int64(unsafe.Sizeof(PE{})) {
-					t.Fatalf("the pool counts %d bytes of slabs beside its segments, less than its PEs take", slabs)
-				}
-			}
-			if launched <= arenaPoolBudget {
-				t.Fatalf("the sweep launched only %d bytes, not enough to reach the %d-byte budget", launched, arenaPoolBudget)
-			}
-			shells, _ := pooledShells()
-			if len(shells) == 0 || len(shells) >= 40 {
-				t.Fatalf("pool holds %d shells after 40 shapes that exceed its budget", len(shells))
-			}
-			want := shells[len(shells)-1]
-			wantPEs := &want.pes[0]
-			var got *launchShell
-			if _, err := Run(cfg, body(&got)); err != nil {
-				t.Fatal(err)
-			}
-			if got != want || got.cm != want.cm || &got.pes[0] != wantPEs {
-				t.Error("a same-shape relaunch built a new shell instead of reusing the pooled one's segment and slabs")
-			}
+	drainArenaPool()
+	cfg := Config{NPEs: 2, ScratchBytes: 64 << 10}
+	var launched int64
+	for i := 0; i < 40; i++ {
+		cfg.HeapPerPE = int64(1<<20 + i*(48<<10))
+		var sh *launchShell
+		if _, err := Run(cfg, body(&sh)); err != nil {
+			t.Fatal(err)
+		}
+		launched += sh.cm.Size()
+		shells, held := pooledShells()
+		if held > arenaPoolBudget {
+			t.Fatalf("after %d shapes the pool holds %d bytes, budget %d", i+1, held, arenaPoolBudget)
+		}
+		if shells[len(shells)-1] != sh {
+			t.Fatalf("shape %d: the run's shell was not pooled", i)
+		}
+		var segs int64
+		for _, s := range shells {
+			segs += s.cm.Size()
+		}
+		if slabs := held - segs; slabs < int64(len(shells)*cfg.NPEs)*int64(unsafe.Sizeof(PE{})) {
+			t.Fatalf("the pool counts %d bytes of slabs beside its segments, less than its PEs take", slabs)
+		}
+	}
+	if launched <= arenaPoolBudget {
+		t.Fatalf("the sweep launched only %d bytes, not enough to reach the %d-byte budget", launched, arenaPoolBudget)
+	}
+	shells, _ := pooledShells()
+	if len(shells) == 0 || len(shells) >= 40 {
+		t.Fatalf("pool holds %d shells after 40 shapes that exceed its budget", len(shells))
+	}
+	want := shells[len(shells)-1]
+	wantPEs := &want.pes[0]
+	var got *launchShell
+	if _, err := Run(cfg, body(&got)); err != nil {
+		t.Fatal(err)
+	}
+	if got != want || got.cm != want.cm || &got.pes[0] != wantPEs {
+		t.Error("a same-shape relaunch built a new shell instead of reusing the pooled one's segment and slabs")
+	}
 
-			// Four PEs of 64 KiB and two of 132 KiB make one segment size.
-			four := Config{NPEs: 4, HeapPerPE: 64 << 10, ScratchBytes: 64 << 10, Engine: eng}
-			two := four
-			two.NPEs, two.HeapPerPE = 2, 2*four.HeapPerPE+4096
-			if a, b := shapeOf(&four), shapeOf(&two); a.segment != b.segment {
-				t.Fatalf("segments of %d and %d bytes: the shapes do not collide", a.segment, b.segment)
-			}
-			var of4, of2 *launchShell
-			if _, err := Run(four, body(&of4)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Run(two, body(&of2)); err != nil {
-				t.Fatal(err)
-			}
-			if of2 == of4 || len(of2.pes) != 2 || len(of4.pes) != 4 {
-				t.Errorf("a 2-PE launch took the shell of a 4-PE launch of the same segment size")
-			}
+	// Four PEs of 64 KiB and two of 132 KiB make one segment size.
+	four := Config{NPEs: 4, HeapPerPE: 64 << 10, ScratchBytes: 64 << 10}
+	two := four
+	two.NPEs, two.HeapPerPE = 2, 2*four.HeapPerPE+4096
+	if a, b := shapeOf(&four), shapeOf(&two); a.segment != b.segment {
+		t.Fatalf("segments of %d and %d bytes: the shapes do not collide", a.segment, b.segment)
+	}
+	var of4, of2 *launchShell
+	if _, err := Run(four, body(&of4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(two, body(&of2)); err != nil {
+		t.Fatal(err)
+	}
+	if of2 == of4 || len(of2.pes) != 2 || len(of4.pes) != 4 {
+		t.Errorf("a 2-PE launch took the shell of a 4-PE launch of the same segment size")
+	}
 
-			_, before := pooledShells()
-			cfg.HeapPerPE = arenaPoolBudget / 2
-			var big *launchShell
-			if _, err := Run(cfg, body(&big)); err != nil {
-				t.Fatal(err)
-			}
-			if big.bytes() <= arenaPoolBudget {
-				t.Fatalf("oversized launch is only %d bytes", big.bytes())
-			}
-			shells, after := pooledShells()
-			for _, s := range shells {
-				if s == big {
-					t.Error("a shell larger than the budget was pooled")
-				}
-			}
-			if after != before {
-				t.Errorf("an oversized check-in moved the pool from %d to %d bytes", before, after)
-			}
-		})
+	_, before := pooledShells()
+	cfg.HeapPerPE = arenaPoolBudget / 2
+	var big *launchShell
+	if _, err := Run(cfg, body(&big)); err != nil {
+		t.Fatal(err)
+	}
+	if big.bytes() <= arenaPoolBudget {
+		t.Fatalf("oversized launch is only %d bytes", big.bytes())
+	}
+	shells, after := pooledShells()
+	for _, s := range shells {
+		if s == big {
+			t.Error("a shell larger than the budget was pooled")
+		}
+	}
+	if after != before {
+		t.Errorf("an oversized check-in moved the pool from %d to %d bytes", before, after)
 	}
 }
 
@@ -477,23 +468,21 @@ func TestArenaQuiescence(t *testing.T) {
 			},
 		},
 	}
-	for _, eng := range Engines() {
-		for _, c := range cases {
-			t.Run(fmt.Sprintf("%s/%s", eng, c.name), func(t *testing.T) {
-				cfg := Config{NPEs: 4, HeapPerPE: 320 << 10, ScratchBytes: 256 << 10, Engine: eng}
-				drainArenaPool()
-				faulted := cfg
-				faulted.Faults = c.faults
-				_, err := Run(faulted, c.body)
-				c.check(t, err)
-				requireZeroPool(t)
-				for i := 0; i < 20; i++ {
-					if _, err := Run(cfg, freshHeapBody); err != nil {
-						t.Fatalf("relaunch %d: %v", i, err)
-					}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{NPEs: 4, HeapPerPE: 320 << 10, ScratchBytes: 256 << 10}
+			drainArenaPool()
+			faulted := cfg
+			faulted.Faults = c.faults
+			_, err := Run(faulted, c.body)
+			c.check(t, err)
+			requireZeroPool(t)
+			for i := 0; i < 20; i++ {
+				if _, err := Run(cfg, freshHeapBody); err != nil {
+					t.Fatalf("relaunch %d: %v", i, err)
 				}
-				requireZeroPool(t)
-			})
-		}
+			}
+			requireZeroPool(t)
+		})
 	}
 }

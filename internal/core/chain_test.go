@@ -211,6 +211,7 @@ func runChain(t testing.TB, cfg Config, lit literals, body func(*PE) error) chai
 		prog = pe.prog
 		err := body(pe)
 		out.stats[pe.MyPE()] = pe.Stats()
+		requireOutOfBarrier(t, pe)
 		return err
 	})
 	if err != nil && !errors.Is(err, ErrTimeout) {
@@ -224,16 +225,22 @@ func runChain(t testing.TB, cfg Config, lit literals, body func(*PE) error) chai
 	return out
 }
 
+// requireOutOfBarrier checks, as pe's body returns, that pe is inside no
+// computed barrier instance. It must run in the body: once Run returns, the
+// launch shell's PE slab is cleared and may back another run.
+func requireOutOfBarrier(t testing.TB, pe *PE) {
+	t.Helper()
+	if pe.bar != nil {
+		t.Errorf("PE %d is still inside a barrier instance", pe.id)
+	}
+}
+
 // requireChainIdle checks that a finished run left no computed barrier in
-// flight: no PE inside one, no instance left by more members than its set
-// has, and none held beside the parity slots without a fault plan.
+// flight: no instance left by more members than its set has, and none held
+// beside the parity slots without a fault plan. Its PEs are checked by
+// requireOutOfBarrier, in their bodies.
 func requireChainIdle(t testing.TB, p *Program) {
 	t.Helper()
-	for i := range p.pes {
-		if p.pes[i].bar != nil {
-			t.Errorf("PE %d is still inside a barrier instance", i)
-		}
-	}
 	if p.flt == nil && len(p.chainHeld) != 0 {
 		t.Errorf("%d barrier instances held without a fault plan", len(p.chainHeld))
 	}
@@ -675,6 +682,7 @@ func TestChainBarrierEveryWayOut(t *testing.T) {
 				var prog *Program
 				errs := make([]error, npes)
 				_, err := Run(Config{NPEs: npes, HeapPerPE: 1 << 16}, func(pe *PE) error {
+					defer requireOutOfBarrier(t, pe)
 					prog = pe.prog
 					me := pe.MyPE()
 					if me == 2 {
@@ -724,6 +732,7 @@ func TestChainBarrierReleaseMeetsAbort(t *testing.T) {
 	var prog *Program
 	left := make([]bool, npes) // out of the barrier, either way
 	_, err := Run(Config{NPEs: npes, HeapPerPE: 1 << 16}, func(pe *PE) error {
+		defer requireOutOfBarrier(t, pe)
 		prog = pe.prog
 		err := pe.BarrierAll()
 		left[pe.MyPE()] = true
@@ -820,6 +829,7 @@ func TestChainBarrierForwardMeetsAbort(t *testing.T) {
 	errs := make([]error, npes)
 	var left []int // the members, in the order their barrier returned
 	_, err := Run(Config{NPEs: npes, HeapPerPE: 1 << 16}, func(pe *PE) error {
+		defer requireOutOfBarrier(t, pe)
 		prog = pe.prog
 		switch me := pe.MyPE(); me {
 		case 0: // arrives once PEs 1 and 2 are parked, and readies PE 1 to forward

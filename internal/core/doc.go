@@ -92,9 +92,11 @@
 //
 // One PE runs at a time, and everything under Run is built on that: a
 // run's state — the calendar, barrier and lock queues, watch hubs, link and
-// fault counters, the copy-cost memo, the sanitizer — and its symmetric
-// memory belong to the PE holding the baton, and none of it is locked or
-// atomic. A fetch-op, a
+// fault counters, the copy-cost memo, the sanitizer — its symmetric memory
+// and the substrates it drives — the common-memory segment, the mPIPE
+// fabric, the vtime.Resources behind the mPIPE wires and UDN interrupts, a
+// UDN port's interrupt handler — belong to the PE holding the baton, and
+// none of it is locked or atomic. A fetch-op, a
 // conditional swap or a watched store and its visibility stamp are
 // indivisible because their caller holds the baton across them, not because
 // the host makes them so. A body must therefore not hand its *PE, or a

@@ -23,7 +23,7 @@ import (
 // blocking on channels and condition variables; it cost a second copy of
 // every modeled wait, and the host parallelism it bought inside a run
 // helped only bodies dominated by host arithmetic (docs/PERFORMANCE.md,
-// "Execution model", keeps the measurements), so it was removed. The type
+// "Closed decisions", keeps the measurements), so it was removed. The type
 // stays, one-valued, because the frozen benchmark/ package compiles
 // against it; a later benchmark PR removes it together with the `_event`
 // metric twins.

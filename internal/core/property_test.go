@@ -250,23 +250,20 @@ func TestPropertyConformance(t *testing.T) {
 // sanitizer on, requiring a clean diagnostic stream.
 func TestPropertyConformanceNewFamilies(t *testing.T) {
 	for _, chip := range []*arch.Chip{arch.EpiphanyIII(), arch.Synthetic(8, 3)} {
-		for _, eng := range Engines() {
-			name := fmt.Sprintf("%s/%s", chip.Name, eng)
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				cfg := Config{
-					Chip: chip, NPEs: 8, Engine: eng, Sanitize: true,
-					HeapPerPE: (propElems*8 + 4*propElems + 1024) * 16,
-				}
-				rep, err := Run(cfg, propBody(5, 4))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(rep.Diagnostics) != 0 {
-					t.Fatalf("sanitizer diagnostics on %s: %v", name, rep.Diagnostics)
-				}
-			})
-		}
+		t.Run(chip.Name, func(t *testing.T) {
+			t.Parallel()
+			cfg := Config{
+				Chip: chip, NPEs: 8, Sanitize: true,
+				HeapPerPE: (propElems*8 + 4*propElems + 1024) * 16,
+			}
+			rep, err := Run(cfg, propBody(5, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Diagnostics) != 0 {
+				t.Fatalf("sanitizer diagnostics on %s: %v", chip.Name, rep.Diagnostics)
+			}
+		})
 	}
 }
 

@@ -70,7 +70,7 @@ type Config struct {
 	LockAlgo LockAlgo
 	// Engine is vestigial: its one value, the zero value, is EngineEvent,
 	// the virtual-time calendar every run executes on (docs/
-	// PERFORMANCE.md, "Execution model").
+	// PERFORMANCE.md, "Closed decisions").
 	Engine Engine
 	// Bcast selects the default Broadcast algorithm.
 	Bcast BcastAlgo

@@ -24,7 +24,6 @@ package kernels
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"tshmem/internal/core"
 )
@@ -140,19 +139,16 @@ func Launch(k Kernel, s Spec, cfg core.Config) (*core.Report, []int64, error) {
 		}
 	}
 
-	var (
-		mu  sync.Mutex
-		out []int64
-	)
+	// Only PE 0 writes out, and Run's return orders that write before the
+	// read below.
+	var out []int64
 	rep, err := core.Run(cfg, func(pe *core.PE) error {
 		res, err := k.Run(pe, s)
 		if err != nil {
 			return err
 		}
 		if pe.MyPE() == 0 {
-			mu.Lock()
 			out = res
-			mu.Unlock()
 		}
 		return nil
 	})

@@ -11,13 +11,14 @@
 // load-balanced delivery); bulk data streams at the aggregate link rate,
 // serialized per chip pair through a virtual-time resource so concurrent
 // cross-chip transfers contend for the wire, unlike the on-chip iMesh.
+//
+// A fabric takes one caller at a time: under core.Run that is the PE
+// holding the run's baton, so neither the inboxes nor the wires are locked.
 package mpipe
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"tshmem/internal/arch"
 	"tshmem/internal/vtime"
@@ -56,23 +57,19 @@ type Fabric struct {
 	chipOf func(pe int) int
 
 	inbox []inbox
-	wires map[[2]int]*vtime.Resource
-	mu    sync.Mutex
+	wires []vtime.Resource // chip pair a < b at a*nchips+b
 
-	closed atomic.Bool
+	closed bool
 	sched  Scheduler
 }
 
 // inbox is one PE's queue of control messages: msgs[head:], oldest first.
 type inbox struct {
-	mu   sync.Mutex
 	msgs []Msg
 	head int
 }
 
 func (b *inbox) push(m Msg) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if len(b.msgs)-b.head == inboxCap {
 		return false
 	}
@@ -86,8 +83,6 @@ func (b *inbox) push(m Msg) bool {
 }
 
 func (b *inbox) pop() (Msg, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.head == len(b.msgs) {
 		return Msg{}, false
 	}
@@ -97,12 +92,6 @@ func (b *inbox) pop() (Msg, bool) {
 		b.msgs, b.head = b.msgs[:0], 0
 	}
 	return m, true
-}
-
-func (b *inbox) depth() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.msgs) - b.head
 }
 
 // Scheduler is where the fabric's blocking points block, mirroring
@@ -136,7 +125,7 @@ func New(chip *arch.Chip, nchips, npes int, chipOf func(pe int) int, sched Sched
 		nchips: nchips,
 		chipOf: chipOf,
 		inbox:  make([]inbox, npes),
-		wires:  make(map[[2]int]*vtime.Resource),
+		wires:  make([]vtime.Resource, nchips*nchips),
 		sched:  sched,
 	}
 	return f, nil
@@ -164,15 +153,7 @@ func (f *Fabric) wire(a, b int) *vtime.Resource {
 	if a > b {
 		a, b = b, a
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	key := [2]int{a, b}
-	r, ok := f.wires[key]
-	if !ok {
-		r = &vtime.Resource{}
-		f.wires[key] = r
-	}
-	return r
+	return &f.wires[a*f.nchips+b]
 }
 
 // Send delivers a control message to PE dst on another chip. The sender's
@@ -196,7 +177,7 @@ func (f *Fabric) Send(clock *vtime.Clock, srcPE, dstPE int, tag uint32, words []
 			f.sched.Enqueued(dstPE)
 			return nil
 		}
-		if f.closed.Load() {
+		if f.closed {
 			return ErrClosed
 		}
 		if err := f.sched.WaitSend(srcPE, dstPE); err != nil {
@@ -229,7 +210,7 @@ func (f *Fabric) RecvRaw(pe int) (Msg, error) {
 			f.sched.Dequeued(pe)
 			return m, nil
 		}
-		if f.closed.Load() {
+		if f.closed {
 			return Msg{}, ErrClosed
 		}
 		if err := f.sched.WaitRecv(pe); err != nil {
@@ -262,4 +243,4 @@ func (f *Fabric) DataCost(size int64) vtime.Duration {
 
 // Close shuts the fabric down: a receiver that finds its inbox empty, or a
 // sender that finds its destination's full, gets ErrClosed.
-func (f *Fabric) Close() { f.closed.Store(true) }
+func (f *Fabric) Close() { f.closed = true }

@@ -7,7 +7,10 @@
 // the same virtual address (so pointers into it can be shared), and any
 // process can create new mappings that become visible to all. The
 // simulation realizes the same-address property by addressing common
-// memory with offsets into one segment shared by all PE goroutines.
+// memory with offsets into one segment shared by all PEs. A segment takes
+// one caller at a time, which under core.Run is the PE holding the run's
+// baton, so it has no lock. Barrier.Wait alone blocks: it is a host
+// rendezvous for free-running goroutines, and Barrier keeps a lock for it.
 //
 // The UDN helper routines the TMC library provides are modeled by package
 // udn.
@@ -34,9 +37,7 @@ var (
 // symmetric addresses (offsets). Mappings are carved out of the segment
 // with Map; any PE may create one at any time.
 type CommonMemory struct {
-	buf []byte
-
-	mu   sync.Mutex
+	buf  []byte
 	next int64
 	maps map[int64]int64 // offset -> length of live mappings
 }
@@ -70,8 +71,8 @@ func (cm *CommonMemory) Map(size, align int64) (int64, error) {
 
 // MapEach carves len(offs) mappings of size bytes each, aligned as Map
 // aligns one, one after another, and writes their offsets into offs: a
-// launcher's per-PE partitions in one call, taking the segment's lock
-// once. On an error no mapping is made.
+// launcher's per-PE partitions in one call. On an error no mapping is
+// made.
 func (cm *CommonMemory) MapEach(size, align int64, offs []int64) error {
 	if size <= 0 {
 		return fmt.Errorf("tmc: non-positive mapping size %d", size)
@@ -82,8 +83,6 @@ func (cm *CommonMemory) MapEach(size, align int64, offs []int64) error {
 	if align&(align-1) != 0 {
 		return fmt.Errorf("tmc: alignment %d is not a power of two", align)
 	}
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
 	next := cm.next
 	for i := range offs {
 		off := (next + align - 1) &^ (align - 1)
@@ -103,8 +102,6 @@ func (cm *CommonMemory) MapEach(size, align int64, offs []int64) error {
 // launcher-era mappings TSHMEM creates live for the whole run; fine-grained
 // reuse belongs to the symmetric-heap allocator above this layer).
 func (cm *CommonMemory) Unmap(off int64) error {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
 	if _, ok := cm.maps[off]; !ok {
 		return fmt.Errorf("%w: %d", ErrBadHandle, off)
 	}
@@ -115,11 +112,7 @@ func (cm *CommonMemory) Unmap(off int64) error {
 // MapEnd reports the end of the mapped region: every mapping ever created
 // lies below it. Map hands out offsets monotonically (Unmap does not
 // recycle space), so [MapEnd, Size) has never been part of any mapping.
-func (cm *CommonMemory) MapEnd() int64 {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	return cm.next
-}
+func (cm *CommonMemory) MapEnd() int64 { return cm.next }
 
 // Reset forgets all mappings so the segment can back a new launch,
 // without touching the segment contents. The caller owns the contents: a
@@ -128,8 +121,6 @@ func (cm *CommonMemory) MapEnd() int64 {
 // not replaced: the next launch of the same shape maps as much again, into
 // a table already grown to that size.
 func (cm *CommonMemory) Reset() {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
 	cm.next = 0
 	clear(cm.maps)
 }
@@ -141,8 +132,6 @@ func (cm *CommonMemory) Reset() {
 // to the caller. A launcher that keeps its launch-time mappings for the
 // next launch of its shape truncates to where they end.
 func (cm *CommonMemory) Truncate(floor int64) (end int64) {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
 	end = cm.next
 	if end > floor {
 		maps.DeleteFunc(cm.maps, func(off, _ int64) bool { return off >= floor })
@@ -152,11 +141,7 @@ func (cm *CommonMemory) Truncate(floor int64) (end int64) {
 }
 
 // Mappings reports the number of live mappings.
-func (cm *CommonMemory) Mappings() int {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	return len(cm.maps)
-}
+func (cm *CommonMemory) Mappings() int { return len(cm.maps) }
 
 // Slice returns the byte window [off, off+size) of the segment.
 func (cm *CommonMemory) Slice(off, size int64) ([]byte, error) {

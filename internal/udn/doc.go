@@ -55,11 +55,12 @@
 // tile; TSHMEM uses this to redirect transfers involving static symmetric
 // variables (Section IV.B.2). Port.Interrupt charges the caller the full
 // round-trip and runs the destination tile's handler inline, on the
-// caller's goroutine, under the destination port's interrupt lock;
-// overlapping interrupts are serialized in virtual time by a
-// vtime.Resource — a tile services one interrupt at a time. The TILEPro
-// lacks UDN interrupt
-// support, so ports on a TILEPro network return ErrNoInterrupts.
+// caller's goroutine; overlapping interrupts are serialized in virtual
+// time by a vtime.Resource — a tile services one interrupt at a time.
+// Interrupt and SetHandler take one caller at a time across a network
+// (under core.Run, the PE holding the run's baton), so neither takes a
+// lock. The TILEPro lacks UDN interrupt support, so ports on a TILEPro
+// network return ErrNoInterrupts.
 //
 // # Observability
 //

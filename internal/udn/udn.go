@@ -102,10 +102,9 @@ func (p *Packet) Payload() []uint64 {
 }
 
 // Handler services a UDN interrupt on the destination tile. It runs in the
-// tile's interrupt context — on the requester's goroutine, under the
-// destination port's interrupt lock — performs the requested operation,
-// and returns reply payload words plus the virtual service time the
-// operation consumed on the remote tile.
+// tile's interrupt context — inline, on the requester's goroutine —
+// performs the requested operation, and returns reply payload words plus
+// the virtual service time the operation consumed on the remote tile.
 type Handler func(req Packet) (reply []uint64, service vtime.Duration)
 
 // TileHandler services a UDN interrupt on tile cpu as a Handler installed
@@ -299,10 +298,8 @@ type Port struct {
 		path       mesh.PathInfo
 	}
 
-	// The tile's interrupt context: intrMu is held while handler services
-	// a request, and busy serializes overlapping interrupts in virtual
-	// time — a tile services one interrupt at a time (S IV.B.2).
-	intrMu  sync.Mutex
+	// The tile's interrupt context: busy serializes overlapping interrupts
+	// in virtual time — a tile services one interrupt at a time (S IV.B.2).
 	handler Handler
 	busy    vtime.Resource
 }
@@ -607,7 +604,9 @@ func (p *Port) TryRecv(clock *vtime.Clock, dq int) (Packet, bool, error) {
 }
 
 // SetHandler installs the interrupt handler for this tile. Only chips with
-// UDN interrupt support (TILE-Gx) accept a handler.
+// UDN interrupt support (TILE-Gx) accept a handler. Like Interrupt, it
+// takes one caller at a time across the network: under core.Run the PE
+// holding the run's baton.
 func (p *Port) SetHandler(h Handler) error {
 	if !p.net.geo.Chip().UDNInterrupts {
 		return ErrNoInterrupts
@@ -615,9 +614,7 @@ func (p *Port) SetHandler(h Handler) error {
 	if p.closed.Load() {
 		return ErrClosed
 	}
-	p.intrMu.Lock()
 	p.handler = h
-	p.intrMu.Unlock()
 	return nil
 }
 
@@ -626,10 +623,11 @@ func (p *Port) SetHandler(h Handler) error {
 // back. The caller's clock ends at reply arrival. This is the primitive
 // TSHMEM's static-variable redirection is built on.
 //
-// The destination's handler runs inline, on the caller's goroutine, with
-// the destination port's interrupt lock held: the tile being forced to
-// service an operation (S IV.B.2) needs no goroutine of its own, and a
-// requester that gives up leaves nothing running behind it.
+// The destination's handler runs inline, on the caller's goroutine: the
+// tile being forced to service an operation (S IV.B.2) needs no goroutine
+// of its own, and a requester that gives up leaves nothing running behind
+// it. Interrupts on one network take one caller at a time, so the handler
+// and the destination's busy window are not locked.
 func (p *Port) Interrupt(clock *vtime.Clock, dst int, tag uint32, words []uint64) (Packet, error) {
 	if !p.net.geo.Chip().UDNInterrupts {
 		return Packet{}, ErrNoInterrupts
@@ -644,9 +642,7 @@ func (p *Port) Interrupt(clock *vtime.Clock, dst int, tag uint32, words []uint64
 	if dp.closed.Load() {
 		return Packet{}, ErrClosed
 	}
-	dp.intrMu.Lock()
 	handler := dp.handler
-	dp.intrMu.Unlock()
 	if handler == nil && p.net.intr == nil {
 		return Packet{}, ErrNoHandler
 	}
@@ -679,7 +675,6 @@ func (p *Port) Interrupt(clock *vtime.Clock, dst int, tag uint32, words []uint64
 	var pkt Packet
 	pkt.fill(p.cpu, tag, words, clock.Now().Add(path.Wire))
 	intrOvh := vtime.FromNs(p.net.geo.Chip().UDNInterruptNs)
-	dp.intrMu.Lock()
 	var reply []uint64
 	var service vtime.Duration
 	if handler != nil {
@@ -690,7 +685,6 @@ func (p *Port) Interrupt(clock *vtime.Clock, dst int, tag uint32, words []uint64
 	// The tile enters the interrupt no earlier than the request's arrival
 	// and no earlier than the end of the previous interrupt.
 	done := dp.busy.Acquire(pkt.Arrive, intrOvh+service)
-	dp.intrMu.Unlock()
 
 	// Reply travels back over the UDN.
 	var rep Packet

@@ -317,22 +317,15 @@ func TestInterruptSerializes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var wg sync.WaitGroup
+	// Both requesters issue at virtual time 0, one after the other.
 	ends := make([]vtime.Time, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var c vtime.Clock
-			p := port(t, n, 2+i)
-			if _, err := p.Interrupt(&c, 1, 0, []uint64{1}); err != nil {
-				t.Error(err)
-				return
-			}
-			ends[i] = c.Now()
-		}(i)
+	for i := range ends {
+		var c vtime.Clock
+		if _, err := port(t, n, 2+i).Interrupt(&c, 1, 0, []uint64{1}); err != nil {
+			t.Fatal(err)
+		}
+		ends[i] = c.Now()
 	}
-	wg.Wait()
 	later := math.Max(ends[0].Ns(), ends[1].Ns())
 	if later < 2*svcNs {
 		t.Errorf("later completion %.0f ns does not reflect serialization (want >= %.0f)", later, 2*svcNs)

@@ -13,10 +13,7 @@
 // reproduce the paper's latency/bandwidth curves on any machine.
 package vtime
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Time is an absolute virtual timestamp in picoseconds since program launch.
 type Time int64
@@ -130,24 +127,21 @@ func (c *Clock) AdvanceTo(t Time) Duration {
 func (c *Clock) Set(t Time) { c.now = t }
 
 // Resource models a shared hardware resource (a memory-controller port, a
-// home tile's cache bank) serialized in virtual time. Acquire is safe for
-// concurrent use.
+// home tile's cache bank) serialized in virtual time. It takes one caller at
+// a time: under core.Run that is the PE holding the run's baton.
 //
-// The approximation: requests are serviced in the real-time order they
-// arrive, which under core.Run is the calendar's (clock, rank) order, each
-// no earlier than both its requester's virtual time and the
-// resource's next-free time. For barrier-synchronized SPMD phases this
-// closely tracks a true event-ordered queue.
+// The approximation: requests are serviced in the order they arrive, which
+// under core.Run is the calendar's (clock, rank) order, each no earlier
+// than both its requester's virtual time and the resource's next-free
+// time. For barrier-synchronized SPMD phases this closely tracks a true
+// event-ordered queue.
 type Resource struct {
-	mu       sync.Mutex
 	nextFree Time
 }
 
 // Acquire books the resource for svc starting no earlier than now, and
 // returns the virtual completion time.
 func (r *Resource) Acquire(now Time, svc Duration) Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	start := Max(now, r.nextFree)
 	done := start.Add(svc)
 	r.nextFree = done
@@ -155,15 +149,7 @@ func (r *Resource) Acquire(now Time, svc Duration) Time {
 }
 
 // NextFree reports when the resource next becomes idle.
-func (r *Resource) NextFree() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nextFree
-}
+func (r *Resource) NextFree() Time { return r.nextFree }
 
 // Reset makes the resource idle as of time zero.
-func (r *Resource) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.nextFree = 0
-}
+func (r *Resource) Reset() { r.nextFree = 0 }

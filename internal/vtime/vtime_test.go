@@ -2,7 +2,6 @@ package vtime
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -134,23 +133,5 @@ func TestResourceSerializes(t *testing.T) {
 	r.Reset()
 	if r.NextFree() != 0 {
 		t.Errorf("after Reset NextFree = %v, want 0", r.NextFree())
-	}
-}
-
-func TestResourceConcurrent(t *testing.T) {
-	// Property: total booked service time is conserved under concurrency.
-	var r Resource
-	const n, svc = 64, 7
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.Acquire(0, svc*Nanosecond)
-		}()
-	}
-	wg.Wait()
-	if got := r.NextFree(); got != Time(n*svc*Nanosecond) {
-		t.Errorf("NextFree = %v, want %v", got, Time(n*svc*Nanosecond))
 	}
 }

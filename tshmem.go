@@ -98,7 +98,7 @@ type (
 	// (Config.LockAlgo; see docs/SYNC.md).
 	LockAlgo = core.LockAlgo
 	// Engine is the one-valued type of the vestigial Config.Engine field
-	// (docs/PERFORMANCE.md, "Execution model").
+	// (docs/PERFORMANCE.md, "Closed decisions").
 	Engine = core.Engine
 	// BcastAlgo selects the default broadcast algorithm.
 	BcastAlgo = core.BcastAlgo
