@@ -303,84 +303,87 @@ func TestArenaPoolBudget(t *testing.T) {
 			return P(pe, x, 1, (pe.MyPE()+1)%pe.NumPEs())
 		}
 	}
-	drainArenaPool()
-	cfg := Config{NPEs: 2, ScratchBytes: 64 << 10}
-	var launched int64
-	for i := 0; i < 40; i++ {
-		cfg.HeapPerPE = int64(1<<20 + i*(48<<10))
-		var sh *launchShell
-		if _, err := Run(cfg, body(&sh)); err != nil {
+	// The pool is checked under the one engine, the event calendar.
+	t.Run(EngineEvent.String(), func(t *testing.T) {
+		drainArenaPool()
+		cfg := Config{NPEs: 2, ScratchBytes: 64 << 10}
+		var launched int64
+		for i := 0; i < 40; i++ {
+			cfg.HeapPerPE = int64(1<<20 + i*(48<<10))
+			var sh *launchShell
+			if _, err := Run(cfg, body(&sh)); err != nil {
+				t.Fatal(err)
+			}
+			launched += sh.cm.Size()
+			shells, held := pooledShells()
+			if held > arenaPoolBudget {
+				t.Fatalf("after %d shapes the pool holds %d bytes, budget %d", i+1, held, arenaPoolBudget)
+			}
+			if shells[len(shells)-1] != sh {
+				t.Fatalf("shape %d: the run's shell was not pooled", i)
+			}
+			var segs int64
+			for _, s := range shells {
+				segs += s.cm.Size()
+			}
+			if slabs := held - segs; slabs < int64(len(shells)*cfg.NPEs)*int64(unsafe.Sizeof(PE{})) {
+				t.Fatalf("the pool counts %d bytes of slabs beside its segments, less than its PEs take", slabs)
+			}
+		}
+		if launched <= arenaPoolBudget {
+			t.Fatalf("the sweep launched only %d bytes, not enough to reach the %d-byte budget", launched, arenaPoolBudget)
+		}
+		shells, _ := pooledShells()
+		if len(shells) == 0 || len(shells) >= 40 {
+			t.Fatalf("pool holds %d shells after 40 shapes that exceed its budget", len(shells))
+		}
+		want := shells[len(shells)-1]
+		wantPEs := &want.pes[0]
+		var got *launchShell
+		if _, err := Run(cfg, body(&got)); err != nil {
 			t.Fatal(err)
 		}
-		launched += sh.cm.Size()
-		shells, held := pooledShells()
-		if held > arenaPoolBudget {
-			t.Fatalf("after %d shapes the pool holds %d bytes, budget %d", i+1, held, arenaPoolBudget)
+		if got != want || got.cm != want.cm || &got.pes[0] != wantPEs {
+			t.Error("a same-shape relaunch built a new shell instead of reusing the pooled one's segment and slabs")
 		}
-		if shells[len(shells)-1] != sh {
-			t.Fatalf("shape %d: the run's shell was not pooled", i)
+
+		// Four PEs of 64 KiB and two of 132 KiB make one segment size.
+		four := Config{NPEs: 4, HeapPerPE: 64 << 10, ScratchBytes: 64 << 10}
+		two := four
+		two.NPEs, two.HeapPerPE = 2, 2*four.HeapPerPE+4096
+		if a, b := shapeOf(&four), shapeOf(&two); a.segment != b.segment {
+			t.Fatalf("segments of %d and %d bytes: the shapes do not collide", a.segment, b.segment)
 		}
-		var segs int64
+		var of4, of2 *launchShell
+		if _, err := Run(four, body(&of4)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(two, body(&of2)); err != nil {
+			t.Fatal(err)
+		}
+		if of2 == of4 || len(of2.pes) != 2 || len(of4.pes) != 4 {
+			t.Errorf("a 2-PE launch took the shell of a 4-PE launch of the same segment size")
+		}
+
+		_, before := pooledShells()
+		cfg.HeapPerPE = arenaPoolBudget / 2
+		var big *launchShell
+		if _, err := Run(cfg, body(&big)); err != nil {
+			t.Fatal(err)
+		}
+		if big.bytes() <= arenaPoolBudget {
+			t.Fatalf("oversized launch is only %d bytes", big.bytes())
+		}
+		shells, after := pooledShells()
 		for _, s := range shells {
-			segs += s.cm.Size()
+			if s == big {
+				t.Error("a shell larger than the budget was pooled")
+			}
 		}
-		if slabs := held - segs; slabs < int64(len(shells)*cfg.NPEs)*int64(unsafe.Sizeof(PE{})) {
-			t.Fatalf("the pool counts %d bytes of slabs beside its segments, less than its PEs take", slabs)
+		if after != before {
+			t.Errorf("an oversized check-in moved the pool from %d to %d bytes", before, after)
 		}
-	}
-	if launched <= arenaPoolBudget {
-		t.Fatalf("the sweep launched only %d bytes, not enough to reach the %d-byte budget", launched, arenaPoolBudget)
-	}
-	shells, _ := pooledShells()
-	if len(shells) == 0 || len(shells) >= 40 {
-		t.Fatalf("pool holds %d shells after 40 shapes that exceed its budget", len(shells))
-	}
-	want := shells[len(shells)-1]
-	wantPEs := &want.pes[0]
-	var got *launchShell
-	if _, err := Run(cfg, body(&got)); err != nil {
-		t.Fatal(err)
-	}
-	if got != want || got.cm != want.cm || &got.pes[0] != wantPEs {
-		t.Error("a same-shape relaunch built a new shell instead of reusing the pooled one's segment and slabs")
-	}
-
-	// Four PEs of 64 KiB and two of 132 KiB make one segment size.
-	four := Config{NPEs: 4, HeapPerPE: 64 << 10, ScratchBytes: 64 << 10}
-	two := four
-	two.NPEs, two.HeapPerPE = 2, 2*four.HeapPerPE+4096
-	if a, b := shapeOf(&four), shapeOf(&two); a.segment != b.segment {
-		t.Fatalf("segments of %d and %d bytes: the shapes do not collide", a.segment, b.segment)
-	}
-	var of4, of2 *launchShell
-	if _, err := Run(four, body(&of4)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(two, body(&of2)); err != nil {
-		t.Fatal(err)
-	}
-	if of2 == of4 || len(of2.pes) != 2 || len(of4.pes) != 4 {
-		t.Errorf("a 2-PE launch took the shell of a 4-PE launch of the same segment size")
-	}
-
-	_, before := pooledShells()
-	cfg.HeapPerPE = arenaPoolBudget / 2
-	var big *launchShell
-	if _, err := Run(cfg, body(&big)); err != nil {
-		t.Fatal(err)
-	}
-	if big.bytes() <= arenaPoolBudget {
-		t.Fatalf("oversized launch is only %d bytes", big.bytes())
-	}
-	shells, after := pooledShells()
-	for _, s := range shells {
-		if s == big {
-			t.Error("a shell larger than the budget was pooled")
-		}
-	}
-	if after != before {
-		t.Errorf("an oversized check-in moved the pool from %d to %d bytes", before, after)
-	}
+	})
 }
 
 // TestArenaQuiescence ends runs the ways that used to leave an interrupt
