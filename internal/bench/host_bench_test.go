@@ -103,8 +103,8 @@ func benchBarrier(b *testing.B, cfg core.Config) {
 }
 
 // BenchmarkBcast measures one 4 KiB pull broadcast to benchPEs tiles,
-// uninstrumented. The pull design bounds it by two barrier chains plus
-// one charged copy per PE.
+// uninstrumented: two computed barrier chains and one charged copy per PE,
+// which the calendar's driver takes between them, so that each PE parks once.
 func BenchmarkBcast(b *testing.B) {
 	const nelems = 1 << 9 // 4 KiB of int64
 	b.ReportAllocs()
@@ -128,6 +128,50 @@ func BenchmarkBcast(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			if err := core.BroadcastPull(pe, target, source, nelems, 0, as, ps); err != nil {
+				return err
+			}
+		}
+		if pe.MyPE() == 0 {
+			b.StopTimer()
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkReduce measures one 8-element naive SumToAll over benchPEs tiles,
+// uninstrumented: three computed barrier chains, the root's gather and fold
+// and the members' pull between them, each taken by the calendar's driver,
+// so that each PE parks once; the root's buffers come from its scratch.
+func BenchmarkReduce(b *testing.B) {
+	const nelems = 8
+	b.ReportAllocs()
+	cfg := core.Config{NPEs: benchPEs, HeapPerPE: 64 << 10}
+	_, err := core.Run(cfg, func(pe *core.PE) error {
+		target, err := core.Malloc[int64](pe, nelems)
+		if err != nil {
+			return err
+		}
+		source, err := core.Malloc[int64](pe, nelems)
+		if err != nil {
+			return err
+		}
+		wrk, err := core.Malloc[int64](pe, core.ReduceMinWrkSize)
+		if err != nil {
+			return err
+		}
+		ps, err := core.Malloc[int64](pe, core.ReduceSyncSize)
+		if err != nil {
+			return err
+		}
+		as := core.AllPEs(pe.NumPEs())
+		if pe.MyPE() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			if err := core.SumToAll(pe, target, source, nelems, as, wrk, ps); err != nil {
 				return err
 			}
 		}

@@ -72,7 +72,7 @@ func requireZeroPool(t *testing.T) {
 	}
 	for name, dirty := range map[string]int{
 		"PE": firstDirty(s.pes), "port": firstDirty(s.ports), "calendar node": firstDirty(s.nodes),
-		"watch hub": firstDirty(s.hubs), "symmetry slot": firstDirty(s.symCheck), "outcome": firstDirty(s.errs),
+		"watch hub": firstDirty(s.hubs), "phase record": firstDirty(s.phases), "outcome": firstDirty(s.errs),
 	} {
 		if dirty >= 0 {
 			t.Fatalf("pooled shell's %s slab is dirty at element %d", name, dirty)

@@ -159,38 +159,64 @@ func (pe *PE) barrierUDN(as ActiveSet) error {
 	// are called, not deferred: the chain's dozen returns put two defers
 	// past what the compiler open-codes, and a run-time defer record per
 	// barrier was 6 % of a synchronisation-bound run.
-	start := pe.clock.Now()
-	err := pe.barrierChain(as, idx)
-	pe.rec.BarrierAlgoDone(stats.BarrierAlgoLinear, start, &pe.clock)
-	pe.rec.OpDone(stats.OpBarrier, start, &pe.clock, 0, int(stats.NoPeer))
+	w := chainStay{as: as, idx: idx, start: pe.clock.Now()}
+	err := pe.barrierChain(&w)
+	pe.barrierDone(&w)
 	return err
 }
 
-// barrierChain is barrierUDN's wait and release passes for member idx of
-// the set.
-func (pe *PE) barrierChain(as ActiveSet, idx int) error {
-	g := pe.setGenOf(&pe.barAll, &pe.barGen, as)
-	gen, tag := g.next()
+// barrierDone is barrierUDN's completion hooks, for the stay that began at
+// w.start.
+func (pe *PE) barrierDone(w *chainStay) {
+	pe.rec.BarrierAlgoDone(stats.BarrierAlgoLinear, w.start, &pe.clock)
+	pe.rec.OpDone(stats.OpBarrier, w.start, &pe.clock, 0, int(stats.NoPeer))
+}
+
+// chainStay is a member's stay in one barrier over its set, from its entry
+// to its leaving: what the computed chain needs of it across the park
+// between. A plain barrier keeps it on the stack; a collective whose steps
+// the driver takes keeps it in the member's phase record (phaseRun).
+type chainStay struct {
+	as    ActiveSet
+	idx   int // the member's position in as
+	gen   uint32
+	tok   *sanitize.Barrier
+	start vtime.Time // the clock barrierUDN was entered at, for its completion hooks
+}
+
+// barrierEnter is a member's entry into barrier w.as: the set's next
+// generation and the sanitizer's rendezvous.
+func (pe *PE) barrierEnter(w *chainStay) (g *setGen, tag uint32) {
+	g = pe.setGenOf(&pe.barAll, &pe.barGen, w.as)
+	w.gen, tag = g.next()
 	// Sanitizer rendezvous: entering a barrier completes outstanding puts;
 	// the exit joins every participant's entry clock. The wait pass's full
 	// loop guarantees all members enter before anyone exits.
-	tok := pe.san.BarrierEnter(as.Start, as.LogStride, as.Size, gen)
+	w.tok = pe.san.BarrierEnter(w.as.Start, w.as.LogStride, w.as.Size, w.gen)
+	return g, tag
+}
+
+// barrierChain is barrierUDN's wait and release passes for the member w
+// names.
+func (pe *PE) barrierChain(w *chainStay) error {
+	as := w.as
+	g, tag := pe.barrierEnter(w)
 	if as.Size == 1 {
 		pe.clock.Advance(vtime.FromNs(pe.prog.chip.BarrierArbiterNs))
-		pe.san.BarrierExit(tok)
+		pe.san.BarrierExit(w.tok)
 		return nil
 	}
 	if pe.prog.nchips > 1 && !setOnOneChip(pe.prog, as) {
 		if err := pe.barrierHier(as, tag); err != nil {
 			return err
 		}
-		pe.san.BarrierExit(tok)
+		pe.san.BarrierExit(w.tok)
 		return nil
 	}
 	if literal := pe.prog.literal.chain; literal != nil {
-		return literal(pe, as, idx, tag, tok)
+		return literal(pe, as, w.idx, tag, w.tok)
 	}
-	return pe.chainComputed(g, as, idx, gen, tok)
+	return pe.chainComputed(g, w)
 }
 
 // The computed chain. The single-chip chain barrier moves no packets, under
@@ -203,14 +229,16 @@ func (pe *PE) barrierChain(as ActiveSet, idx int) error {
 //
 //   - A member the wait signal finds parked is readied at its arrival clock,
 //     as a packet's enqueue readies its receiver. Its turn only forwards the
-//     signal, so the driver takes it (evsched.drive, chainTurn) without
+//     signal, so the driver takes it (evsched.drive, Program.turn) without
 //     resuming the body. A member that arrives where the signal is already
 //     waiting forwards it on the spot. Either way a ready PE outside the set
 //     that precedes a member still to forward runs before the barrier
 //     completes.
 //   - The signal coming back readies member 0 at the clock it launched it
 //     with; each member, as it leaves, readies the next at the clock that one
-//     forwarded the wait signal with. These turns are the bodies'.
+//     forwarded the wait signal with. These turns are the bodies', except in
+//     a collective with steps left after this barrier: there the driver takes
+//     them too (phase.go).
 //
 // A hooked run (Program.hooked: a recorder, a profiler, link counters or a
 // fault plan) prices each signal through the port that would send it
@@ -382,6 +410,21 @@ func (inst *chainInst) signal(p *Program, i int, st uint8) {
 	}
 }
 
+// release signals member i released: for its body, or, when the member is in
+// a collective with steps left for the driver to take, for its step turn
+// (wakeStep, phaseRun). A run that has started no collective leaves the
+// phase records untouched: a launch's folded start barrier releases every
+// PE, and a record is a cache line of its own.
+func (inst *chainInst) release(p *Program, i int) {
+	st := wakeRun
+	if p.phased {
+		if r := &p.phases[inst.set.as.PE(i)]; r.turns && r.k < r.steps {
+			st = wakeStep
+		}
+	}
+	inst.signal(p, i, st)
+}
+
 // late reports whether the signal inst holds reaches pe past the deadline
 // of the wait pe is in, which starts at pe's clock (faults only).
 func (inst *chainInst) late(pe *PE) bool {
@@ -418,34 +461,13 @@ func (inst *chainInst) forward(p *Program, i int) error {
 	}
 	if delivered {
 		if inst.pos = int32(i + 1); int(inst.pos) == set.as.Size {
-			inst.signal(p, 0, wakeRun)
+			inst.release(p, 0)
 		} else {
 			inst.signal(p, int(inst.pos), wakeForward)
 		}
 	}
 	pe.chainAwait() // member 0 for the signal's return, any other for the release
 	return nil
-}
-
-// chainTurn is the turn of a member readied with wakeForward, taken by the
-// driver between resumes: the member forwards the wait signal and parks
-// again where it was, without its body running. It reports false when the
-// turn is the body's after all: the program has aborted since, and the body
-// unwinds, or the signal came late, and the body times out.
-func (p *Program) chainTurn(id int) bool {
-	if p.aborted {
-		p.sched.pes[id].wake = wakeAbort
-		return false
-	}
-	pe := &p.pes[id]
-	inst := pe.bar
-	if inst.late(pe) {
-		return false
-	}
-	idx, _ := inst.set.as.Index(id)
-	p.sched.repark(id)
-	_ = inst.forward(p, idx) // on time, so it cannot fail
-	return true
 }
 
 // foldsStart reports whether the launcher takes start_pes' closing barrier
@@ -503,38 +525,58 @@ func (pe *PE) leaveStart(inst *chainInst) error {
 	return nil
 }
 
-// chainComputed is barrierChain's single-chip branch, for member idx of as
-// at generation gen.
-func (pe *PE) chainComputed(g *setGen, as ActiveSet, idx int, gen uint32, tok *sanitize.Barrier) error {
+// chainComputed is barrierChain's single-chip branch: arrive, park until
+// released, leave.
+func (pe *PE) chainComputed(g *setGen, w *chainStay) error {
 	p := pe.prog
-	if p.aborted {
-		return chainAborted(pe, as, gen)
-	}
-	if g.chain == nil {
-		set, err := p.chainSetOf(as)
-		if err != nil {
-			return err
-		}
-		g.chain = set
-	}
-	set := g.chain
-	inst := p.join(set, gen)
-	pe.bar = inst
-	var err error
-	if idx == int(inst.pos) {
-		err = inst.forward(p, idx) // the wait signal is here, or starts here
-	} else {
-		pe.chainAwait()
+	parks, err := pe.chainArrive(g, w)
+	if !parks {
+		return err
 	}
 	st := wakeRun
 	for err == nil {
 		// A forwarding turn reaches the body only with a late signal
-		// (chainTurn), on which forward times the member out.
+		// (Program.turn), on which forward times the member out.
 		if st = p.sched.yield(pe.id, wkChain, 0, 0); st != wakeForward {
 			break
 		}
-		err = inst.forward(p, idx)
+		err = pe.bar.forward(p, w.idx)
 	}
+	return pe.chainLeave(w, st, err)
+}
+
+// chainArrive is the member w names arriving at its computed chain barrier:
+// it joins the generation's instance and forwards the wait signal if the
+// signal is here or starts here, else starts to wait for it. It reports
+// whether the member is now inside the instance, to park there (err nil) or
+// to leave it at once (the signal came late); a member the program's abort
+// or a routing error stops never joins.
+func (pe *PE) chainArrive(g *setGen, w *chainStay) (bool, error) {
+	p := pe.prog
+	if p.aborted {
+		return false, chainAborted(pe, w.as, w.gen)
+	}
+	if g.chain == nil {
+		set, err := p.chainSetOf(w.as)
+		if err != nil {
+			return false, err
+		}
+		g.chain = set
+	}
+	inst := p.join(g.chain, w.gen)
+	pe.bar = inst
+	if w.idx == int(inst.pos) {
+		return true, inst.forward(p, w.idx) // the wait signal is here, or starts here
+	}
+	pe.chainAwait()
+	return true, nil
+}
+
+// chainLeave is the member w names leaving the instance it is in, woken
+// with status st or stopped by err: released, it passes the release on
+// (chainRelease); timed out or aborted, it fails.
+func (pe *PE) chainLeave(w *chainStay, st uint8, err error) error {
+	inst := pe.bar
 	pe.bar = nil
 	inst.left++
 	switch {
@@ -545,9 +587,9 @@ func (pe *PE) chainComputed(g *setGen, as ActiveSet, idx int, gen uint32, tok *s
 		// the chain stalled behind one that was.
 		return pe.timeoutAt("barrier", -1, pe.clock.Now(), pe.waitDeadline())
 	case st != wakeRun:
-		return chainAborted(pe, as, gen)
+		return chainAborted(pe, w.as, w.gen)
 	}
-	return pe.chainRelease(inst, idx, tok)
+	return pe.chainRelease(inst, w.idx, w.tok)
 }
 
 // chainRelease is member idx leaving inst once released — member 0 by the
@@ -574,7 +616,7 @@ func (pe *PE) chainRelease(inst *chainInst, idx int, tok *sanitize.Barrier) erro
 			inst.pass(&pe.clock, idx)
 		}
 		if delivered {
-			inst.signal(p, idx+1, wakeRun)
+			inst.release(p, idx+1)
 		}
 	}
 	return nil

@@ -43,7 +43,9 @@ func bcastEnter[T Elem](pe *PE, target, source Ref[T], nelems, root int, as Acti
 
 // BroadcastPull is the paper's scalable broadcast: every non-root PE in the
 // active set gets the data from the root, distributing the work across the
-// abundant iMesh bandwidth (S IV.D.1, Figure 10).
+// abundant iMesh bandwidth (S IV.D.1, Figure 10). Its phases are a barrier
+// (the root's source is ready), pullStep, and a barrier (everyone has
+// pulled; the root may reuse source).
 func BroadcastPull[T Elem](pe *PE, target, source Ref[T], nelems, root int, as ActiveSet, ps PSync) error {
 	idx, _, err := bcastEnter(pe, target, source, nelems, root, as, ps)
 	if err != nil {
@@ -51,23 +53,30 @@ func BroadcastPull[T Elem](pe *PE, target, source Ref[T], nelems, root int, as A
 	}
 	start := pe.clock.Now()
 	defer pe.rec.OpDone(stats.OpBroadcast, start, &pe.clock, int64(nelems)*sizeOf[T](), as.PE(root))
-	if err := pe.barrierUDN(as); err != nil { // root's source is ready
-		return err
+	r := pe.phase(as, idx, 1, pullStep[T]{})
+	r.dst, r.src, r.nelems, r.root = Ref[byte](target), Ref[byte](source), nelems, root
+	return pe.runPhases(r, target.kind == staticRef || source.kind == staticRef)
+}
+
+// pullStep is BroadcastPull's step: a member other than the root gets the
+// data from it.
+type pullStep[T Elem] struct{}
+
+func (pullStep[T]) run(pe *PE, r *phaseRun) error {
+	if r.w.idx == r.root {
+		return nil
 	}
-	if idx != root {
-		restore := pe.setHint(as.Size - 1)
-		err = Get(pe, target, source, nelems, as.PE(root))
-		restore()
-		if err != nil {
-			return err
-		}
-	}
-	return pe.barrierUDN(as) // everyone has pulled; root may reuse source
+	as := r.w.as
+	restore := pe.setHint(as.Size - 1)
+	err := Get(pe, Ref[T](r.dst), Ref[T](r.src), r.nelems, as.PE(r.root))
+	restore()
+	return err
 }
 
 // BroadcastPush is the baseline design: the root puts the data to every
 // other PE sequentially. Aggregate bandwidth does not grow with the number
-// of participating tiles (S IV.D.1, Figure 9).
+// of participating tiles (S IV.D.1, Figure 9). Its phases are a barrier,
+// pushStep, and a barrier.
 func BroadcastPush[T Elem](pe *PE, target, source Ref[T], nelems, root int, as ActiveSet, ps PSync) error {
 	idx, _, err := bcastEnter(pe, target, source, nelems, root, as, ps)
 	if err != nil {
@@ -75,23 +84,32 @@ func BroadcastPush[T Elem](pe *PE, target, source Ref[T], nelems, root int, as A
 	}
 	start := pe.clock.Now()
 	defer pe.rec.OpDone(stats.OpBroadcast, start, &pe.clock, int64(nelems)*sizeOf[T](), as.PE(root))
-	if err := pe.barrierUDN(as); err != nil {
-		return err
+	r := pe.phase(as, idx, 1, pushStep[T]{})
+	r.dst, r.src, r.nelems, r.root = Ref[byte](target), Ref[byte](source), nelems, root
+	return pe.runPhases(r, target.kind == staticRef || source.kind == staticRef)
+}
+
+// pushStep is BroadcastPush's step: the root puts the data to every other
+// member in turn and waits for the puts to complete.
+type pushStep[T Elem] struct{}
+
+func (pushStep[T]) run(pe *PE, r *phaseRun) error {
+	if r.w.idx != r.root {
+		return nil
 	}
-	if idx == root {
-		restore := pe.setHint(1) // serialized on the root
-		defer restore()
-		for k := 0; k < as.Size; k++ {
-			if k == root {
-				continue
-			}
-			if err := Put(pe, target, source, nelems, as.PE(k)); err != nil {
-				return err
-			}
+	as := r.w.as
+	restore := pe.setHint(1) // serialized on the root
+	defer restore()
+	for k := 0; k < as.Size; k++ {
+		if k == r.root {
+			continue
 		}
-		pe.Quiet()
+		if err := Put(pe, Ref[T](r.dst), Ref[T](r.src), r.nelems, as.PE(k)); err != nil {
+			return err
+		}
 	}
-	return pe.barrierUDN(as)
+	pe.Quiet()
+	return nil
 }
 
 // BroadcastBinomial is the log-depth tree broadcast the paper lists as

@@ -465,22 +465,27 @@ func TestChainBarrierMatchesLiteral(t *testing.T) {
 
 // FuzzChainBarrier is the differential test over fuzzer-chosen meshes, PE
 // counts, seeds and fault plans, with seeded random active sets only; obs
-// switches on every observer but the sanitizer, which san does, and a
-// non-zero plan picks one of chainPlans drawn from it.
+// switches on every observer but the sanitizer, which san does, a non-zero
+// plan picks one of chainPlans drawn from it, and coll runs collectivesBody
+// instead of the barrier programs.
 func FuzzChainBarrier(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint16(35), false, false, int64(0))
-	f.Add(int64(2), uint8(8), uint16(23), true, false, int64(3))
-	f.Add(int64(3), uint8(7), uint16(70), true, true, int64(4))
-	f.Add(int64(4), uint8(1), uint16(11), false, true, int64(9))
-	f.Add(int64(5), uint8(2), uint16(15), true, true, int64(6))
+	f.Add(int64(1), uint8(0), uint16(35), false, false, int64(0), false)
+	f.Add(int64(2), uint8(8), uint16(23), true, false, int64(3), false)
+	f.Add(int64(3), uint8(7), uint16(70), true, true, int64(4), false)
+	f.Add(int64(4), uint8(1), uint16(11), false, true, int64(9), false)
+	f.Add(int64(5), uint8(2), uint16(15), true, true, int64(6), false)
 	// Unhooked single-chip runs, whose start barrier the launcher folds: 1 and
 	// 2 PEs, and partial areas of an 8x3 mesh and of the Epiphany-III.
-	f.Add(int64(6), uint8(0), uint16(0), false, false, int64(0))
-	f.Add(int64(7), uint8(1), uint16(1), false, false, int64(0))
-	f.Add(int64(8), uint8(8), uint16(16), false, false, int64(0))
-	f.Add(int64(9), uint8(4), uint16(10), false, false, int64(0))
+	f.Add(int64(6), uint8(0), uint16(0), false, false, int64(0), false)
+	f.Add(int64(7), uint8(1), uint16(1), false, false, int64(0), false)
+	f.Add(int64(8), uint8(8), uint16(16), false, false, int64(0), false)
+	f.Add(int64(9), uint8(4), uint16(10), false, false, int64(0), false)
+	// The collectives, unhooked on one chip and observed under a plan across
+	// two.
+	f.Add(int64(10), uint8(0), uint16(20), false, false, int64(0), true)
+	f.Add(int64(11), uint8(7), uint16(29), true, true, int64(5), true)
 	shapes := chainShapes()
-	f.Fuzz(func(t *testing.T, seed int64, shape uint8, npes uint16, san, obs bool, plan int64) {
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, npes uint16, san, obs bool, plan int64, coll bool) {
 		cfg := shapes[int(shape)%len(shapes)]
 		cfg.NPEs = 1 + int(npes)%min(cfg.NChips*cfg.Chip.Tiles, 72)
 		if cfg.NChips > cfg.NPEs {
@@ -495,6 +500,10 @@ func FuzzChainBarrier(f *testing.F) {
 			p := plans[int(uint64(plan)%uint64(len(plans)))]
 			cfg, label = p.with(cfg), label+"/"+p.name
 		}
+		if coll {
+			checkChainDifferential(t, label+"/collectives", cfg, collectivesBody(3))
+			return
+		}
 		checkChainDifferential(t, label, cfg, chainBody(seed, sets, false))
 		cfg.LockAlgo = LockAlgos()[int(uint64(seed)%uint64(len(LockAlgos())))]
 		checkChainDifferential(t, label+"/contended", cfg, chainContendBody(seed, sets))
@@ -502,8 +511,11 @@ func FuzzChainBarrier(f *testing.F) {
 }
 
 // TestChainBarrierCollectivesMatchLiteral: the collectives' internal barriers
-// and their hooks, in the benchmark's sync-storm in small, under each lock
-// algorithm and observed every way, clean and under one of chainPlans.
+// and their hooks, and the steps the driver takes between them — in the
+// benchmark's sync-storm in small under each lock algorithm, and in every
+// other collective run through phases (collectivesBody) — observed every way,
+// clean and under one of chainPlans. The literal chain runs every step in the
+// body, so it is the turns' oracle too.
 func TestChainBarrierCollectivesMatchLiteral(t *testing.T) {
 	const n = 36
 	plans := chainPlans(t, n, 36)
@@ -516,6 +528,91 @@ func TestChainBarrierCollectivesMatchLiteral(t *testing.T) {
 			p := plans[(a*len(chainObservers)+m)%len(plans)]
 			checkChainDifferential(t, label+"/"+p.name, p.with(cfg), stormLikeBody(24))
 		}
+	}
+	for m, obs := range chainObservers {
+		cfg := obs.cfg
+		cfg.NPEs, cfg.HeapPerPE = n, 1<<16
+		label := "collectives/" + obs.name
+		checkChainDifferential(t, label, cfg, collectivesBody(6))
+		p := plans[(m+3)%len(plans)]
+		checkChainDifferential(t, label+"/"+p.name, p.with(cfg), collectivesBody(6))
+	}
+}
+
+// collectivesBody runs, for rounds rounds, every collective the driver can
+// take steps of besides sync-storm's: FCollect over all PEs and over the odd
+// ones, Collect of a varying size, BroadcastPush from a rotating root,
+// BroadcastPull of a static object (whose steps stay in the body; on a
+// single chip that has UDN interrupts), and Malloc, Realloc and Free; and
+// checks what FCollect delivers.
+func collectivesBody(rounds int) func(*PE) error {
+	return func(pe *PE) error {
+		const elems = 4
+		n, me := pe.NumPEs(), pe.MyPE()
+		all, odd := AllPEs(n), ActiveSet{Start: 1, LogStride: 1, Size: n / 2}
+		ps, err := Malloc[int64](pe, CollectSyncSize)
+		if err != nil {
+			return err
+		}
+		src, err := Malloc[int64](pe, elems)
+		if err != nil {
+			return err
+		}
+		dst, err := Malloc[int64](pe, elems*n)
+		if err != nil {
+			return err
+		}
+		statics := pe.Chip().UDNInterrupts && pe.prog.nchips == 1
+		ssrc, err := DeclareStatic[int64](pe, "collectives-src", elems)
+		if err != nil {
+			return err
+		}
+		sdst, err := DeclareStatic[int64](pe, "collectives-dst", elems)
+		if err != nil {
+			return err
+		}
+		for r := 0; r < rounds; r++ {
+			pe.ComputeIntOps(chainSkew(int64(rounds), r, 0, me))
+			for i := 0; i < elems; i++ {
+				if err := P(pe, src.At(i), int64(me*100+r*10+i), me); err != nil {
+					return err
+				}
+			}
+			if err := FCollect(pe, dst, src, elems, all, ps); err != nil {
+				return err
+			}
+			// A fault plan can leave a deposit out without failing this PE.
+			if got, want := MustLocal(pe, dst)[(n-1)*elems], int64((n-1)*100+r*10); pe.prog.flt == nil && got != want {
+				return fmt.Errorf("PE %d round %d: FCollect delivered %d from the last PE, want %d", me, r, got, want)
+			}
+			if odd.Contains(me) {
+				if err := FCollect(pe, dst, src, elems, odd, ps); err != nil {
+					return err
+				}
+			}
+			if err := Collect(pe, dst, src, (me+r)%elems, all, ps); err != nil {
+				return err
+			}
+			if err := BroadcastPush(pe, dst, src, elems, (r*7)%n, all, ps); err != nil {
+				return err
+			}
+			if statics {
+				if err := BroadcastPull(pe, sdst, ssrc, elems, r%n, all, ps); err != nil {
+					return err
+				}
+			}
+			x, err := Malloc[int64](pe, 8+r)
+			if err != nil {
+				return err
+			}
+			if x, err = Realloc(pe, x, 64+r); err != nil {
+				return err
+			}
+			if err := Free(pe, x); err != nil {
+				return err
+			}
+		}
+		return pe.BarrierAll()
 	}
 }
 

@@ -45,35 +45,35 @@ func FCollect[T Elem](pe *PE, target, source Ref[T], nelems int, as ActiveSet, p
 		return fmt.Errorf("%w: fcollect %d x %d elements into %d-element target",
 			ErrBounds, nelems, as.Size, target.Len())
 	}
-	rootPE := as.PE(0)
 	start := pe.clock.Now()
-	defer pe.rec.OpDone(stats.OpCollect, start, &pe.clock, int64(nelems)*sizeOf[T](), rootPE)
+	defer pe.rec.OpDone(stats.OpCollect, start, &pe.clock, int64(nelems)*sizeOf[T](), as.PE(0))
+	r := pe.phase(as, idx, 2, collectStep[T]{})
+	r.dst, r.src, r.nelems, r.total = Ref[byte](target), Ref[byte](source), nelems, total
+	return pe.runPhases(r, target.kind == staticRef || source.kind == staticRef)
+}
 
-	if err := pe.barrierUDN(as); err != nil {
-		return err
-	}
-	// Stage 1: everyone (including the root, locally) deposits its slice at
-	// its set-order offset in the root's target.
-	restore := pe.setHint(as.Size)
-	err = Put(pe, target.Slice(idx*nelems, (idx+1)*nelems), source.Slice(0, nelems), nelems, rootPE)
-	restore()
-	if err != nil {
-		return err
-	}
-	if err := pe.barrierUDN(as); err != nil { // root's target is complete
-		return err
-	}
-	// Stage 2: pull-based broadcast of the concatenated result. Like
-	// Collect, an empty concatenation has nothing to pull.
-	if idx != 0 && total > 0 {
-		restore := pe.setHint(as.Size - 1)
-		err = Get(pe, target.Slice(0, total), target.Slice(0, total), total, rootPE)
+// collectStep is the concatenating collectives' step r.k. Stage 1 (FCollect
+// only): everyone, the root locally, deposits its slice at its set-order
+// offset in the root's target. Stage 2: a pull-based broadcast of the
+// concatenation; an empty one has nothing to pull.
+type collectStep[T Elem] struct{}
+
+func (collectStep[T]) run(pe *PE, r *phaseRun) error {
+	target, as, idx := Ref[T](r.dst), r.w.as, r.w.idx
+	rootPE := as.PE(0)
+	if r.k == 0 {
+		restore := pe.setHint(as.Size)
+		err := Put(pe, target.Slice(idx*r.nelems, (idx+1)*r.nelems), Ref[T](r.src).Slice(0, r.nelems), r.nelems, rootPE)
 		restore()
-		if err != nil {
-			return err
-		}
+		return err
 	}
-	return pe.barrierUDN(as)
+	if idx == 0 || r.total == 0 {
+		return nil
+	}
+	restore := pe.setHint(as.Size - 1)
+	err := Get(pe, target.Slice(0, r.total), target.Slice(0, r.total), r.total, rootPE)
+	restore()
+	return err
 }
 
 // Collect is the general collection (shmem_collect32/64): each PE may
@@ -164,19 +164,10 @@ func Collect[T Elem](pe *PE, target, source Ref[T], nelems int, as ActiveSet, ps
 			return err
 		}
 	}
-	if err := pe.barrierUDN(as); err != nil {
-		return err
-	}
-	// Stage 2: pull-based broadcast of the concatenation.
-	if idx != 0 && total > 0 {
-		restore := pe.setHint(as.Size - 1)
-		err = Get(pe, target.Slice(0, total), target.Slice(0, total), total, rootPE)
-		restore()
-		if err != nil {
-			return err
-		}
-	}
-	return pe.barrierUDN(as)
+	// Barrier, stage 2, barrier: FCollect's last phases.
+	r := pe.phase(as, idx, 2, collectStep[T]{})
+	r.k, r.dst, r.total = 1, Ref[byte](target), total
+	return pe.runPhases(r, target.kind == staticRef)
 }
 
 // FCollectRD is a recursive-doubling allgather, the future-work style

@@ -82,7 +82,12 @@
 // barrier, a lock queue — parks the PE there, suspending it into the run's
 // driver, which resumes the ready PE with the least (clock, rank). That is
 // the only blocking path each wait has, and a hand-off never passes
-// through the Go scheduler. Because the calendar sees every wait, it
+// through the Go scheduler. The driver also takes, between resumes and
+// without resuming the body, the turns that only move a parked PE from one
+// wait to the next: a computed chain member's forwarding of the wait
+// signal, and a collective's steps between its internal barriers
+// (phase.go), so that each member parks once per barrier-separated
+// collective. Because the calendar sees every wait, it
 // expires bounded waits under fault injection without a host timer and
 // reports a deadlock, naming each PE's wait, instead of hanging. It
 // imposes two rules on a body: it must not block on a host primitive

@@ -155,13 +155,13 @@ type launchShell struct {
 	partBase  []int64  // common-memory offset of each PE's partition
 	parts     [][]byte // each PE's partition as a window of common memory
 
-	pes      []PE
-	ports    []udn.Port // every chip's ports, chip after chip; sized by the last launch's geometries
-	nodes    []evNode
-	ready    []int32 // the calendar's ready heap, empty with room for every PE
-	hubs     []watchHub
-	symCheck []int64
-	errs     []error
+	pes    []PE
+	ports  []udn.Port // every chip's ports, chip after chip; sized by the last launch's geometries
+	nodes  []evNode
+	ready  []int32 // the calendar's ready heap, empty with room for every PE
+	hubs   []watchHub
+	phases []phaseRun
+	errs   []error
 
 	// Kept across launches: the zeroing invariant's two exceptions.
 	replay []replayEntry   // by chip
@@ -199,7 +199,7 @@ func newShell(sh launchShape) (*launchShell, error) {
 		shape: sh, cm: cm,
 		partBase: make([]int64, n), parts: make([][]byte, n),
 		pes: make([]PE, n), nodes: make([]evNode, n), ready: make([]int32, 0, n),
-		hubs: make([]watchHub, n), symCheck: make([]int64, n), errs: make([]error, n),
+		hubs: make([]watchHub, n), phases: make([]phaseRun, n), errs: make([]error, n),
 		replay: make([]replayEntry, sh.nchips),
 	}
 	if s.scratchAt, err = cm.Map(sh.scratch, 4096); err != nil {
@@ -231,7 +231,7 @@ func (s *launchShell) portSlab(tiles int) []udn.Port {
 func (s *launchShell) bytes() int64 {
 	perPE := unsafe.Sizeof(s.partBase[0]) + unsafe.Sizeof(s.parts[0]) + unsafe.Sizeof(s.pes[0]) +
 		unsafe.Sizeof(s.nodes[0]) + unsafe.Sizeof(s.ready[0]) + unsafe.Sizeof(s.hubs[0]) +
-		unsafe.Sizeof(s.symCheck[0]) + unsafe.Sizeof(s.errs[0])
+		unsafe.Sizeof(s.phases[0]) + unsafe.Sizeof(s.errs[0])
 	n := s.cm.Size() + int64(s.shape.npes)*int64(perPE) + int64(len(s.ports))*int64(unsafe.Sizeof(udn.Port{}))
 	for _, e := range s.replay {
 		n += int64(cap(e.clocks))*int64(unsafe.Sizeof(vtime.Time(0))) + int64(cap(e.hops))*int64(unsafe.Sizeof(chainHop{}))
@@ -327,7 +327,9 @@ func arenaCheckin(p *Program) {
 	clear(s.ports)
 	clear(s.nodes)
 	clear(s.hubs)
-	clear(s.symCheck)
+	if p.phased {
+		clear(s.phases)
+	}
 	clear(s.errs)
 
 	arenaPool.Lock()
@@ -366,7 +368,8 @@ const (
 	wakeRun     uint8 = iota // scheduled normally: proceed / re-check
 	wakeTimeout              // quiescence expired this bounded wait (faults)
 	wakeAbort                // the program aborted while parked
-	wakeForward              // a chain barrier's wait signal reached it: the turn is the driver's (chainTurn)
+	wakeForward              // a chain barrier's wait signal reached it: the turn is the driver's (Program.turn)
+	wakeStep                 // released from a collective's inner barrier: the driver takes its step (Program.turn)
 )
 
 // PE states in the calendar.
@@ -435,9 +438,10 @@ type evsched struct {
 	parked [numWaitKinds]int
 
 	// parks counts the PEs' parks over the run (yield): one coroutine switch
-	// out and, later, one back in each. A hand-off (yieldReady), a forwarding
-	// turn the driver takes (chainTurn) and a start barrier the launcher
-	// folded (foldStart) park nobody. Tests read it; nothing reports it.
+	// out and, later, one back in each. A hand-off (yieldReady), a turn the
+	// driver takes (Program.turn: a forwarding one or a collective's step) and
+	// a start barrier the launcher folded (foldStart) park nobody. Tests read
+	// it; nothing reports it.
 	parks int
 
 	done chan struct{} // closed by the driver once every PE has retired
@@ -527,9 +531,11 @@ func (s *evsched) begin(body func(*PE) error, errs []error) {
 // start+WaitBudget deadline); without faults the program is deadlocked and
 // is aborted.
 //
-// One kind of turn is the driver's own: a member of a computed chain barrier
-// readied with wakeForward is due only to pass the wait signal on, which
-// chainTurn does here, between resumes, leaving the PE parked.
+// Two kinds of turn are the driver's own, taken here between resumes, the PE
+// left parked (Program.turn): a member of a computed chain barrier readied
+// with wakeForward is due only to pass the wait signal on, and one readied
+// with wakeStep, released from a collective's inner barrier, is due only to
+// run the collective's next step and arrive at its next barrier.
 //
 // Every piece of driver state lives in the calendar, so the loop can be
 // picked up by another goroutine, and once per body that leaves through
@@ -567,7 +573,7 @@ func (s *evsched) drive() {
 		}
 		id := s.popReady()
 		n := &s.pes[id]
-		if n.wake == wakeForward && s.prog.chainTurn(id) {
+		if n.wake >= wakeForward && s.prog.turn(id) {
 			continue
 		}
 		n.state = evRunning
@@ -587,7 +593,11 @@ func (s *evsched) drive() {
 // driver, which resumes the next ready PE. It returns the wake status the
 // calendar left for it; on wakeRun (possibly spurious) the caller re-checks
 // its predicate and may yield again.
+//
+// Only PE id's own body parks it: called from anywhere else — a turn the
+// driver takes, say, which must never park — it panics.
 func (s *evsched) yield(id int, kind uint8, a, b int64) uint8 {
+	s.mustBeResumed(id)
 	n := &s.pes[id]
 	n.state = evBlocked
 	n.kind, n.a, n.b = kind, a, b
@@ -619,11 +629,19 @@ func (s *evsched) leads(id int) bool {
 // itself the least ready PE would be resumed straight away and does not
 // switch at all.
 func (s *evsched) yieldReady(id int) {
+	s.mustBeResumed(id)
 	if s.leads(id) {
 		return
 	}
 	s.pushReady(id)
 	s.pes[id].co.yield(struct{}{})
+}
+
+// mustBeResumed panics unless the driver is inside a resume of PE id.
+func (s *evsched) mustBeResumed(id int) {
+	if s.resumed != id {
+		panic(fmt.Sprintf("tshmem: PE %d parks outside its own resume (resumed: PE %d; -1 is the driver's own turn)", id, s.resumed))
+	}
 }
 
 // exit marks a finished PE done; the driver retires it when the PE's

@@ -226,20 +226,26 @@ func mallocAligned[T Elem](pe *PE, n int, align int64) (Ref[T], error) {
 
 // verifySymmetric barriers and checks that every PE produced the same
 // value, the runtime enforcement of the "same size, same program point"
-// shmalloc contract.
+// shmalloc contract. Its phases are a BarrierAll, symStep, and a BarrierAll
+// before any PE reuses its value's slot; a mismatch is reported after both.
 func (pe *PE) verifySymmetric(v int64) error {
-	pe.prog.symCheck[pe.id] = v
-	if err := pe.BarrierAll(); err != nil {
-		return err
-	}
-	for i, o := range pe.prog.symCheck {
-		if o != v {
-			// Leave state consistent before reporting.
-			_ = pe.BarrierAll()
-			return fmt.Errorf("%w: PE %d got offset %d, PE %d got %d", ErrAsymmetric, pe.id, v, i, o)
+	r := pe.phase(AllPEs(pe.n), pe.id, 1, symStep{})
+	r.all, r.v = true, v
+	return pe.runPhases(r, false)
+}
+
+// symStep is verifySymmetric's step: compare every PE's value with this
+// one's.
+type symStep struct{}
+
+func (symStep) run(pe *PE, r *phaseRun) error {
+	for i := range pe.prog.phases {
+		if o := pe.prog.phases[i].v; o != r.v {
+			r.err = fmt.Errorf("%w: PE %d got offset %d, PE %d got %d", ErrAsymmetric, pe.id, r.v, i, o)
+			break
 		}
 	}
-	return pe.BarrierAll() // no PE reuses symCheck until all have read it
+	return nil
 }
 
 // Free releases a dynamic symmetric object (shfree). Collective, like

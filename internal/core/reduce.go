@@ -76,55 +76,73 @@ func reduceEnter[T Elem](pe *PE, target, source Ref[T], nelems int, as ActiveSet
 }
 
 // reduceNaive: the root serially gets every member's source into private
-// memory, folds, writes its target, and the members pull the result.
-func reduceNaive[T Elem](pe *PE, target, source Ref[T], nelems int, fold func(a, b T) T, k foldKind, as ActiveSet) error {
-	idx := mustIndex(as, pe.id)
-	if err := pe.barrierUDN(as); err != nil {
-		return err
-	}
-	if idx == 0 {
-		acc := make([]T, nelems)
-		if err := GetSlice(pe, acc, source, pe.id); err != nil {
-			return err
+// memory, folds, writes its target, and the members pull the result. Its
+// phases are a barrier, the root's gather (reduceStep 0), a barrier, the
+// members' pull (reduceStep 1), and a barrier.
+func reduceNaive[T Elem, O foldOp[T]](pe *PE, target, source Ref[T], nelems int, k foldKind, as ActiveSet) error {
+	r := pe.phase(as, mustIndex(as, pe.id), 2, reduceStep[T, O]{})
+	r.dst, r.src, r.nelems, r.kind = Ref[byte](target), Ref[byte](source), nelems, k
+	return pe.runPhases(r, target.kind == staticRef || source.kind == staticRef)
+}
+
+// reduceStep is reduceNaive's step r.k: the root's gather and fold, then the
+// members' pull of the result.
+type reduceStep[T Elem, O foldOp[T]] struct{}
+
+func (reduceStep[T, O]) run(pe *PE, r *phaseRun) error {
+	target, source, nelems, as := Ref[T](r.dst), Ref[T](r.src), r.nelems, r.w.as
+	if r.k == 1 {
+		if r.w.idx == 0 {
+			return nil
 		}
-		// The root's gather loop streams the whole active set's data
-		// through its own cache; sustained bandwidth follows that working
-		// set, which is what keeps the Figure 12 aggregate flat and low.
-		nbytes := int64(nelems) * sizeOf[T]()
-		ws := int64(as.Size) * nbytes
-		extra := pe.prog.model.StreamCost(nbytes, ws, sharedMode) -
-			pe.prog.model.CopyCost(nbytes, sharedMode, 1)
-		buf := make([]T, nelems)
-		for i := 1; i < as.Size; i++ {
-			if err := GetSlice(pe, buf, source, as.PE(i)); err != nil {
-				return err
-			}
-			if extra > 0 {
-				pe.clock.Advance(extra)
-			}
-			for j := range acc {
-				acc[j] = fold(acc[j], buf[j])
-			}
-			pe.chargeFold(k, int64(nelems))
-			// Folding re-streams accumulator and operand.
-			pe.clock.Advance(pe.prog.model.StreamCost(nbytes, ws, sharedMode))
-		}
-		if err := PutSlice(pe, target, acc, pe.id); err != nil {
-			return err
-		}
-	}
-	if err := pe.barrierUDN(as); err != nil {
-		return err
-	}
-	if idx != 0 {
 		restore := pe.setHint(as.Size - 1)
 		err := Get(pe, target, target, nelems, as.PE(0))
 		restore()
-		if err != nil {
+		return err
+	}
+	if r.w.idx != 0 {
+		return nil
+	}
+	var op O
+	acc, buf := reduceScratch[T](r, nelems)
+	if err := GetSlice(pe, acc, source, pe.id); err != nil {
+		return err
+	}
+	// The root's gather loop streams the whole active set's data
+	// through its own cache; sustained bandwidth follows that working
+	// set, which is what keeps the Figure 12 aggregate flat and low.
+	nbytes := int64(nelems) * sizeOf[T]()
+	ws := int64(as.Size) * nbytes
+	extra := pe.prog.model.StreamCost(nbytes, ws, sharedMode) -
+		pe.prog.model.CopyCost(nbytes, sharedMode, 1)
+	for i := 1; i < as.Size; i++ {
+		if err := GetSlice(pe, buf, source, as.PE(i)); err != nil {
 			return err
 		}
+		if extra > 0 {
+			pe.clock.Advance(extra)
+		}
+		for j := range acc {
+			acc[j] = op.fold(acc[j], buf[j])
+		}
+		pe.chargeFold(r.kind, int64(nelems))
+		// Folding re-streams accumulator and operand.
+		pe.clock.Advance(pe.prog.model.StreamCost(nbytes, ws, sharedMode))
 	}
-	return pe.barrierUDN(as)
+	return PutSlice(pe, target, acc, pe.id)
+}
+
+// reduceScratch returns the root's accumulator and operand buffers, n
+// elements each, from r's scratch, which grows to the largest reduction the
+// member roots in a launch and goes with the launch. Each is filled whole
+// before it is read.
+func reduceScratch[T Elem](r *phaseRun, n int) (acc, buf []T) {
+	s, _ := r.scratch.([]T)
+	if len(s) < 2*n {
+		s = make([]T, 2*n)
+		r.scratch = s
+	}
+	return s[:n:n], s[n : 2*n : 2*n]
 }
 
 // rdRounds reports the number of exchange rounds recursive doubling needs
@@ -146,7 +164,8 @@ func rdWrkNeed(nelems, size int) int { return nelems * rdRounds(size) }
 // result with the partner at set distance 2^j, writing into the partner's
 // j-th pWrk buffer, then folds. After log2(size) rounds every PE holds the
 // full reduction in target — no final broadcast needed.
-func reduceRD[T Elem](pe *PE, target, source Ref[T], nelems int, fold func(a, b T) T, k foldKind, as ActiveSet, pWrk Ref[T], tag uint32) error {
+func reduceRD[T Elem, O foldOp[T]](pe *PE, target, source Ref[T], nelems int, k foldKind, as ActiveSet, pWrk Ref[T], tag uint32) error {
+	var op O
 	idx := mustIndex(as, pe.id)
 	fab := pe.spansChips(as)
 	if err := pe.barrierUDN(as); err != nil {
@@ -182,7 +201,7 @@ func reduceRD[T Elem](pe *PE, target, source Ref[T], nelems int, fold func(a, b 
 			return err
 		}
 		for j := 0; j < nelems; j++ {
-			mine[j] = fold(mine[j], theirs[j])
+			mine[j] = op.fold(mine[j], theirs[j])
 		}
 		pe.chargeFold(k, int64(nelems))
 		round++
@@ -201,7 +220,7 @@ func mustIndex(as ActiveSet, pe int) int {
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // reduceDispatch picks the engine per Config.Reduce and feasibility.
-func reduceDispatch[T Elem](pe *PE, target, source Ref[T], nelems int, fold func(a, b T) T, k foldKind, as ActiveSet, pWrk Ref[T], ps PSync) error {
+func reduceDispatch[T Elem, O foldOp[T]](pe *PE, target, source Ref[T], nelems int, k foldKind, as ActiveSet, pWrk Ref[T], ps PSync) error {
 	_, tag, err := reduceEnter(pe, target, source, nelems, as, pWrk, ps)
 	if err != nil {
 		return err
@@ -210,9 +229,9 @@ func reduceDispatch[T Elem](pe *PE, target, source Ref[T], nelems int, fold func
 	defer pe.rec.OpDone(stats.OpReduce, start, &pe.clock, int64(nelems)*sizeOf[T](), int(stats.NoPeer))
 	if pe.prog.cfg.Reduce == RecursiveDoubling && isPow2(as.Size) &&
 		pWrk.Len() >= rdWrkNeed(nelems, as.Size) && pWrk.kind != staticRef && target.kind != staticRef {
-		return reduceRD(pe, target, source, nelems, fold, k, as, pWrk, tag)
+		return reduceRD[T, O](pe, target, source, nelems, k, as, pWrk, tag)
 	}
-	return reduceNaive(pe, target, source, nelems, fold, k, as)
+	return reduceNaive[T, O](pe, target, source, nelems, k, as)
 }
 
 func kindOf[T Numeric]() foldKind {
@@ -225,56 +244,83 @@ func kindOf[T Numeric]() foldKind {
 	}
 }
 
+// foldOp is a reduction's element-wise operation. The operations are empty
+// structs, not func values, so that the naive reduction's record holds one
+// without allocating (phaseStep).
+type foldOp[T any] interface {
+	fold(a, b T) T
+}
+
+type (
+	sumOp[T Numeric]  struct{}
+	prodOp[T Numeric] struct{}
+	minOp[T Numeric]  struct{}
+	maxOp[T Numeric]  struct{}
+	andOp[T Integer]  struct{}
+	orOp[T Integer]   struct{}
+	xorOp[T Integer]  struct{}
+)
+
+func (sumOp[T]) fold(a, b T) T  { return a + b }
+func (prodOp[T]) fold(a, b T) T { return a * b }
+func (andOp[T]) fold(a, b T) T  { return a & b }
+func (orOp[T]) fold(a, b T) T   { return a | b }
+func (xorOp[T]) fold(a, b T) T  { return a ^ b }
+
+func (minOp[T]) fold(a, b T) T {
+	if b < a {
+		return b
+	}
+	return a
+}
+
+func (maxOp[T]) fold(a, b T) T {
+	if b > a {
+		return b
+	}
+	return a
+}
+
 // SumToAll performs an element-wise sum reduction across the active set
 // (shmem_TYPE_sum_to_all).
 func SumToAll[T Numeric](pe *PE, target, source Ref[T], nelems int, as ActiveSet, pWrk Ref[T], ps PSync) error {
-	return reduceDispatch(pe, target, source, nelems, func(a, b T) T { return a + b }, kindOf[T](), as, pWrk, ps)
+	return reduceDispatch[T, sumOp[T]](pe, target, source, nelems, kindOf[T](), as, pWrk, ps)
 }
 
 // ProdToAll performs an element-wise product reduction
 // (shmem_TYPE_prod_to_all).
 func ProdToAll[T Numeric](pe *PE, target, source Ref[T], nelems int, as ActiveSet, pWrk Ref[T], ps PSync) error {
-	return reduceDispatch(pe, target, source, nelems, func(a, b T) T { return a * b }, kindOf[T](), as, pWrk, ps)
+	return reduceDispatch[T, prodOp[T]](pe, target, source, nelems, kindOf[T](), as, pWrk, ps)
 }
 
 // MinToAll performs an element-wise minimum reduction
 // (shmem_TYPE_min_to_all).
 func MinToAll[T Numeric](pe *PE, target, source Ref[T], nelems int, as ActiveSet, pWrk Ref[T], ps PSync) error {
-	return reduceDispatch(pe, target, source, nelems, func(a, b T) T {
-		if b < a {
-			return b
-		}
-		return a
-	}, kindOf[T](), as, pWrk, ps)
+	return reduceDispatch[T, minOp[T]](pe, target, source, nelems, kindOf[T](), as, pWrk, ps)
 }
 
 // MaxToAll performs an element-wise maximum reduction
 // (shmem_TYPE_max_to_all).
 func MaxToAll[T Numeric](pe *PE, target, source Ref[T], nelems int, as ActiveSet, pWrk Ref[T], ps PSync) error {
-	return reduceDispatch(pe, target, source, nelems, func(a, b T) T {
-		if b > a {
-			return b
-		}
-		return a
-	}, kindOf[T](), as, pWrk, ps)
+	return reduceDispatch[T, maxOp[T]](pe, target, source, nelems, kindOf[T](), as, pWrk, ps)
 }
 
 // AndToAll performs an element-wise bitwise-and reduction
 // (shmem_TYPE_and_to_all).
 func AndToAll[T Integer](pe *PE, target, source Ref[T], nelems int, as ActiveSet, pWrk Ref[T], ps PSync) error {
-	return reduceDispatch(pe, target, source, nelems, func(a, b T) T { return a & b }, foldInt, as, pWrk, ps)
+	return reduceDispatch[T, andOp[T]](pe, target, source, nelems, foldInt, as, pWrk, ps)
 }
 
 // OrToAll performs an element-wise bitwise-or reduction
 // (shmem_TYPE_or_to_all).
 func OrToAll[T Integer](pe *PE, target, source Ref[T], nelems int, as ActiveSet, pWrk Ref[T], ps PSync) error {
-	return reduceDispatch(pe, target, source, nelems, func(a, b T) T { return a | b }, foldInt, as, pWrk, ps)
+	return reduceDispatch[T, orOp[T]](pe, target, source, nelems, foldInt, as, pWrk, ps)
 }
 
 // XorToAll performs an element-wise bitwise-xor reduction
 // (shmem_TYPE_xor_to_all).
 func XorToAll[T Integer](pe *PE, target, source Ref[T], nelems int, as ActiveSet, pWrk Ref[T], ps PSync) error {
-	return reduceDispatch(pe, target, source, nelems, func(a, b T) T { return a ^ b }, foldInt, as, pWrk, ps)
+	return reduceDispatch[T, xorOp[T]](pe, target, source, nelems, foldInt, as, pWrk, ps)
 }
 
 // SumToAllNaive forces the paper's naive engine regardless of
@@ -286,7 +332,7 @@ func SumToAllNaive[T Numeric](pe *PE, target, source Ref[T], nelems int, as Acti
 	}
 	start := pe.clock.Now()
 	defer pe.rec.OpDone(stats.OpReduce, start, &pe.clock, int64(nelems)*sizeOf[T](), int(stats.NoPeer))
-	return reduceNaive(pe, target, source, nelems, func(a, b T) T { return a + b }, kindOf[T](), as)
+	return reduceNaive[T, sumOp[T]](pe, target, source, nelems, kindOf[T](), as)
 }
 
 // SumToAllRD forces the recursive-doubling engine (future-work ablation).
@@ -305,5 +351,5 @@ func SumToAllRD[T Numeric](pe *PE, target, source Ref[T], nelems int, as ActiveS
 	}
 	start := pe.clock.Now()
 	defer pe.rec.OpDone(stats.OpReduce, start, &pe.clock, int64(nelems)*sizeOf[T](), int(stats.NoPeer))
-	return reduceRD(pe, target, source, nelems, func(a, b T) T { return a + b }, kindOf[T](), as, pWrk, tag)
+	return reduceRD[T, sumOp[T]](pe, target, source, nelems, kindOf[T](), as, pWrk, tag)
 }

@@ -359,7 +359,10 @@ type Program struct {
 	hubs    []watchHub        // per-PE wait/wait_until hub
 	san     *sanitize.Checker // nil unless Config.Sanitize
 
-	symCheck []int64 // per-PE slot for symmetry verification in Malloc
+	// phases is, per PE, its collective in progress (phase.go); phased says a
+	// collective has written it this launch: chain releases read it
+	// (chainInst.release), and check-in must clear it.
+	phases []phaseRun
 
 	// Synchronization-algorithm library state (syncalgo.go): counter-
 	// barrier rendezvous, lock holder bookkeeping, the ticket locks'
@@ -375,7 +378,8 @@ type Program struct {
 	// for (barrier.go, "The computed chain"), and the launcher walks start_pes
 	// turn by turn (replayTurns). Decided here, once.
 	hooked    bool
-	aborted   bool                    // set once, by abort
+	aborted   bool // set once, by abort
+	phased    bool
 	chainSets map[ActiveSet]*chainSet // computed-chain state per active set, made on first use
 	chainHeld map[chainKey]*chainInst // computed-chain instances beside the parity slots (faults only)
 	literal   literals                // packet protocols in place of computed ones; tests only (run)
@@ -506,6 +510,11 @@ type literals struct {
 	chain    func(pe *PE, as ActiveSet, idx int, tag uint32, tok *sanitize.Barrier) error // the single-chip chain barrier
 	startPEs func(pe *PE) error                                                           // a PE's start_pes exchange
 }
+
+// inUse reports whether any literal form is swapped in. A literal protocol's
+// waits are the body's, so a run with one takes no collective's steps on the
+// driver (Program.turnable): every seam belongs in this test.
+func (l *literals) inUse() bool { return l.chain != nil || l.startPEs != nil }
 
 // run is Run with literal as the run's Program.literal.
 func run(cfg Config, literal literals, body func(*PE) error) (*Report, error) {
@@ -707,7 +716,7 @@ func newProgram(cfg Config) (*Program, error) {
 	for i := range p.hubs {
 		p.hubs[i].init(i, p.sched)
 	}
-	p.symCheck = sh.symCheck
+	p.phases = sh.phases
 	if cfg.Sanitize {
 		p.san = sanitize.New(cfg.NPEs)
 	}
