@@ -12,14 +12,26 @@ import (
 )
 
 // shellCleanBody is the tenant TestRecycledShellIsFresh holds to its fresh
-// run: heap allocations, a put signalled through a watched flag, a lock, an
-// atomic, a static transfer (interrupt-served where the chip has UDN
-// interrupts) and barriers, each PE paired with rank me^1.
+// run: heap allocations, two waits whose predicates already hold on words
+// nobody stores to here (a sub-word one and a word-aligned one, so each
+// merges with the zero stamp a fresh shell holds), a put signalled through a
+// watched flag, a lock, an atomic, a static transfer (interrupt-served where
+// the chip has UDN interrupts) and barriers, each PE paired with rank me^1.
 func shellCleanBody(pe *PE) error {
 	me := pe.MyPE()
 	peer := me ^ 1
+	half, err := Malloc[int32](pe, 2)
+	if err != nil {
+		return err
+	}
 	x, err := Malloc[int64](pe, 64)
 	if err != nil {
+		return err
+	}
+	if err := WaitUntil(pe, half.At(1), CmpEQ, 0); err != nil {
+		return err
+	}
+	if err := WaitUntil(pe, x.At(0), CmpGE, 0); err != nil {
 		return err
 	}
 	flag, err := Malloc[int64](pe, 1)
@@ -87,6 +99,13 @@ type shellTenant struct {
 // every observer on.
 func shellTenants() []shellTenant {
 	var ts []shellTenant
+	for _, la := range LockAlgos() {
+		ts = append(ts, shellTenant{
+			name: "stamps/" + la.String(),
+			cfg:  func(c *Config) { c.LockAlgo, c.BarrierAlgo = la, BarrierAlgoCounter },
+			body: stampsTenantBody,
+		})
+	}
 	ts = append(ts, shellTenant{
 		name: "mallocs",
 		body: func(pe *PE) error {
@@ -224,6 +243,58 @@ func shellTenants() []shellTenant {
 		body: shellCleanBody,
 	})
 	return ts
+}
+
+// stampsTenantBody fills what a run keeps per word late in virtual time: it
+// stamps words across the peer's partition with P, CSwap and FAdd (the
+// first at the offset of the clean body's word-aligned wait), stamps a
+// sub-word at the offset of the clean body's sub-word wait, takes and
+// releases every lock of an array, contended, and meets at counter
+// barriers when the run's BarrierAlgo is the counter's.
+func stampsTenantBody(pe *PE) error {
+	peer := pe.MyPE() ^ 1
+	half, err := Malloc[int32](pe, 2)
+	if err != nil {
+		return err
+	}
+	words, err := Malloc[int64](pe, int(pe.HeapFree()/8)-64)
+	if err != nil {
+		return err
+	}
+	locks, err := Malloc[int64](pe, 4)
+	if err != nil {
+		return err
+	}
+	pe.ComputeIntOps(1 << 20)
+	if err := P(pe, half.At(1), int32(7), peer); err != nil {
+		return err
+	}
+	for i := 0; i < words.Len(); i += 37 {
+		switch w := words.At(i); i % 3 {
+		case 0:
+			err = P(pe, w, int64(i+1), peer)
+		case 1:
+			_, err = CSwap(pe, w, 0, int64(i+1), peer)
+		default:
+			_, err = FAdd(pe, w, int64(i+1), peer)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := pe.BarrierAll(); err != nil {
+		return err
+	}
+	for i := 0; i < locks.Len(); i++ {
+		if err := pe.SetLock(locks.At(i)); err != nil {
+			return err
+		}
+		pe.yieldSpin()
+		if err := pe.ClearLock(locks.At(i)); err != nil {
+			return err
+		}
+	}
+	return pe.BarrierAll()
 }
 
 // TestRecycledShellIsFresh checks the promise launch recycling rests on: a
