@@ -168,9 +168,9 @@ if ! go run ./cmd/tshmem-bench -compare BENCH_baseline.json "$SMOKE" -threshold 
     echo "ci: WARNING — probe metrics drifted more than 5% vs BENCH_baseline.json;"
     echo "    if intentional, regenerate it: go run ./cmd/tshmem-bench -json BENCH_baseline.json"
 fi
-# The naive reduction's host-time benchmark runs once so that it cannot rot;
-# size a collective change with -benchtime 2s -benchmem.
-go test ./internal/bench -run '^$' -bench '^BenchmarkReduce$' -benchtime 1x -benchmem > /dev/null
+# The naive reduction's and Collect's host-time benchmarks run once so that
+# they cannot rot; size a collective change with -benchtime 2s -benchmem.
+go test ./internal/bench -run '^$' -bench '^(BenchmarkReduce|BenchmarkCollect)$' -benchtime 1x -benchmem > /dev/null
 
 # Sanitize smoke: the library's own probes must be synchronization-clean
 # under the happens-before checker, and the deliberately racy programs in
@@ -240,18 +240,18 @@ go tool pprof -top "$PPROF" | grep 'barrier.wait' > /dev/null || {
     exit 1
 }
 
-# Alloc smoke: the uninstrumented Put, Barrier, pull-broadcast and naive
-# reduction fast paths must stay allocation-free (docs/PERFORMANCE.md) — including the sanitizer-off
+# Alloc smoke: the uninstrumented Put, Barrier, pull-broadcast, naive
+# reduction and Collect fast paths must stay allocation-free (docs/PERFORMANCE.md) — including the sanitizer-off
 # and profiler-off hook sites (pe.san and pe.prof stay nil), so
 # TSHMEM_SANITIZE is explicitly cleared here and the benchmarks leave
 # Config.Profile unset. A fixed -benchtime keeps this fast; -benchmem
 # prints "N allocs/op" which we grep for nonzero N.
-echo "== bench-alloc smoke: Put/Barrier/Bcast/Reduce must report 0 allocs/op =="
+echo "== bench-alloc smoke: Put/Barrier/Bcast/Reduce/Collect must report 0 allocs/op =="
 ALLOC_OUT=$(env -u TSHMEM_SANITIZE go test ./internal/bench -run '^$' \
-    -bench '^(BenchmarkPut|BenchmarkBarrier|BenchmarkBcast|BenchmarkReduce)$' -benchtime 100x -benchmem)
+    -bench '^(BenchmarkPut|BenchmarkBarrier|BenchmarkBcast|BenchmarkReduce|BenchmarkCollect)$' -benchtime 100x -benchmem)
 echo "$ALLOC_OUT"
-if echo "$ALLOC_OUT" | grep -E 'Benchmark(Put|Barrier|Bcast|Reduce)\b' | grep -vE '\s0 allocs/op'; then
-    echo "ci: FAIL — steady-state Put/Barrier/Bcast/Reduce paths allocate; see docs/PERFORMANCE.md" >&2
+if echo "$ALLOC_OUT" | grep -E 'Benchmark(Put|Barrier|Bcast|Reduce|Collect)\b' | grep -vE '\s0 allocs/op'; then
+    echo "ci: FAIL — steady-state Put/Barrier/Bcast/Reduce/Collect paths allocate; see docs/PERFORMANCE.md" >&2
     exit 1
 fi
 # The benchmarks above observe nothing, so BenchmarkBarrier times the
@@ -360,12 +360,14 @@ go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$|^Tes
 # profiled run of a shape whose shell kept its observer buffers, or took
 # another shell's, must allocate less than half what the first did, while
 # runs of two shapes on two goroutines hand the buffers between shells.
-# Last of all, the collectives whose steps the driver takes between their
-# barriers park each member once, and nothing parks on the driver.
+# A warm shell's stamp tables allocate nothing: a launch stamping 4 096
+# words allocates within 1 KiB of one stamping 16. Last of all, the
+# collectives whose steps the driver takes between their barriers park each
+# member once, and nothing parks on the driver.
 # They run three more times.
-echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer buffers + memo scope + shell replay + barrier ways out + observed chain + start barrier fold + recycled shell + collective parks, 3x =="
+echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer buffers + memo scope + shell replay + barrier ways out + observed chain + start barrier fold + recycled shell + warm stamps + collective parks, 3x =="
 go test -race ./internal/core ./internal/stats \
-    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestShellReplayConcurrentColdShape|TestChainBarrierEveryWayOut|TestChainBarrierReleaseMeetsAbort|TestChainBarrierForwardMeetsAbort|TestChainBarrierCollectivesMatchLiteral|TestStartBarrierFoldOrder|TestStartBarrierFoldAbort|TestRecycledShellIsFresh|TestObserverBuffersRecycled|TestObserverBuffersFollowLaunches|TestCollectiveParksOncePerMember|TestNothingParksOnTheDriver' -count=3
+    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestShellReplayConcurrentColdShape|TestChainBarrierEveryWayOut|TestChainBarrierReleaseMeetsAbort|TestChainBarrierForwardMeetsAbort|TestChainBarrierCollectivesMatchLiteral|TestStartBarrierFoldOrder|TestStartBarrierFoldAbort|TestRecycledShellIsFresh|TestWarmStampsAllocateNothing|TestObserverBuffersRecycled|TestObserverBuffersFollowLaunches|TestCollectiveParksOncePerMember|TestNothingParksOnTheDriver' -count=3
 
 # Hand-off smoke: a grant must not re-enter the Go scheduler (docs/
 # PERFORMANCE.md, "Execution model"). TestHandoffStaysOffScheduler counts the

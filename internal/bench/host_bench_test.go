@@ -185,6 +185,47 @@ func BenchmarkReduce(b *testing.B) {
 	}
 }
 
+// BenchmarkCollect measures one Collect over benchPEs tiles, uninstrumented,
+// each PE contributing 1 to 3 elements: the size reports and offset replies
+// over the UDN, the deposit on the root and the pull broadcast between its
+// last two barriers. The root's size and offset tables come from its
+// collective scratch and every reply's payload from the stack.
+func BenchmarkCollect(b *testing.B) {
+	b.ReportAllocs()
+	cfg := core.Config{NPEs: benchPEs, HeapPerPE: 64 << 10}
+	_, err := core.Run(cfg, func(pe *core.PE) error {
+		target, err := core.Malloc[int64](pe, 3*pe.NumPEs())
+		if err != nil {
+			return err
+		}
+		source, err := core.Malloc[int64](pe, 3)
+		if err != nil {
+			return err
+		}
+		ps, err := core.Malloc[int64](pe, core.CollectSyncSize)
+		if err != nil {
+			return err
+		}
+		as := core.AllPEs(pe.NumPEs())
+		nelems := 1 + pe.MyPE()%3
+		if pe.MyPE() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			if err := core.Collect(pe, target, source, nelems, as, ps); err != nil {
+				return err
+			}
+		}
+		if pe.MyPE() == 0 {
+			b.StopTimer()
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkRunStartup measures a full launch-to-teardown cycle of a
 // benchPEs-PE program with an empty body: taking the launch shell (segment
 // and per-PE slabs) from the pool, UDN construction, the start_pes exchange

@@ -56,7 +56,8 @@ func firstDirty[E any](slab []E) int {
 
 // requireZeroPool fails unless the pool holds exactly one shell and it is
 // as a fresh one: every byte of its segment zero, mapped up to the end of
-// its launch-time mappings and no further, and every slab zero.
+// its launch-time mappings and no further, every slab zero and every kept
+// table empty (requireEmptyTables).
 func requireZeroPool(t *testing.T) {
 	t.Helper()
 	shells, _ := pooledShells()
@@ -72,7 +73,7 @@ func requireZeroPool(t *testing.T) {
 	}
 	for name, dirty := range map[string]int{
 		"PE": firstDirty(s.pes), "port": firstDirty(s.ports), "calendar node": firstDirty(s.nodes),
-		"watch hub": firstDirty(s.hubs), "phase record": firstDirty(s.phases), "outcome": firstDirty(s.errs),
+		"phase record": firstDirty(s.phases), "outcome": firstDirty(s.errs),
 	} {
 		if dirty >= 0 {
 			t.Fatalf("pooled shell's %s slab is dirty at element %d", name, dirty)
@@ -80,6 +81,40 @@ func requireZeroPool(t *testing.T) {
 	}
 	if len(s.ready) != 0 || cap(s.ready) != s.shape.npes {
 		t.Fatalf("pooled shell's ready heap has length %d and capacity %d, want 0 and %d", len(s.ready), cap(s.ready), s.shape.npes)
+	}
+	requireEmptyTables(t, s)
+}
+
+// requireEmptyTables fails unless the per-word and per-link tables pooled
+// shell s keeps are empty: each hub with every stamp page it holds zero, no
+// page in use and no directory entry or sub-word stamp; the lock and
+// barrier maps without entries; the link counters at zero.
+func requireEmptyTables(t *testing.T, s *launchShell) {
+	t.Helper()
+	for i := range s.hubs {
+		h := &s.hubs[i]
+		if len(h.pages) != 0 || len(h.pageOf) != 0 || len(h.odd) != 0 {
+			t.Fatalf("pooled hub %d holds %d pages in use (%d back-references) and %d sub-word stamps", i, len(h.pages), len(h.pageOf), len(h.odd))
+		}
+		if p := firstDirty(h.pages[:cap(h.pages)]); p >= 0 {
+			t.Fatalf("pooled hub %d's stamp page %d of %d kept is dirty", i, p, cap(h.pages))
+		}
+		if e := slices.IndexFunc(h.dir, func(e int32) bool { return e != 0 }); e >= 0 {
+			t.Fatalf("pooled hub %d's directory entry %d of %d still names page %d", i, e, len(h.dir), h.dir[e])
+		}
+	}
+	for name, n := range map[string]int{
+		"counter-barrier": len(s.ctrBars), "lock-holder": len(s.lockHolder),
+		"lock-release": len(s.lockRel), "MCS-successor": len(s.mcsNext),
+	} {
+		if n != 0 {
+			t.Fatalf("pooled shell's %s map holds %d entries", name, n)
+		}
+	}
+	for c, ls := range s.links {
+		if u := ls.Snapshot(); u != nil && (u.TotalWords() != 0 || u.MaxQueueHWM() != 0) {
+			t.Fatalf("pooled shell's chip %d link counters read %d words, queue mark %d", c, u.TotalWords(), u.MaxQueueHWM())
+		}
 	}
 }
 
@@ -105,9 +140,9 @@ func freshHeapBody(pe *PE) error {
 
 // arenaDirtyBody writes the run's segment through every path the library
 // has: heap allocations below and beyond a freed block's high-water mark,
-// elemental, block and slice puts, gets, atomics, lock words, collectives
-// with their pSync and pWrk arrays, static-static bounces through the
-// scratch arena, and a mapping created after launch.
+// elemental (a sub-word one too), block and slice puts, gets, atomics, lock
+// words, collectives with their pSync and pWrk arrays, static-static
+// bounces through the scratch arena, and a mapping created after launch.
 func arenaDirtyBody(pe *PE) error {
 	const n = 512
 	me, np := pe.MyPE(), pe.NumPEs()
@@ -162,6 +197,13 @@ func arenaDirtyBody(pe *PE) error {
 		return err
 	}
 	if _, err := FAdd(pe, word, int64(3), next); err != nil {
+		return err
+	}
+	half, err := Malloc[int32](pe, 2)
+	if err != nil {
+		return err
+	}
+	if err := P(pe, half.At(1), int32(5), next); err != nil {
 		return err
 	}
 	if err := Inc(pe, word, next); err != nil {
@@ -262,17 +304,22 @@ func arenaDirtyBody(pe *PE) error {
 
 // TestArenaZeroingInvariant checks what arena recycling rests on: a
 // segment that goes back into the pool is entirely zero, whatever the run
-// wrote and however it wrote it, and the next launch of the same shape
-// reads a fresh heap.
+// wrote and however it wrote it, the tables the shell keeps are empty, and
+// the next launch of the same shape reads a fresh heap. The dirty body runs
+// unobserved, then observed, so that the shell keeps link counters too.
 func TestArenaZeroingInvariant(t *testing.T) {
 	for _, la := range LockAlgos() {
 		t.Run(la.String(), func(t *testing.T) {
 			cfg := Config{NPEs: 4, HeapPerPE: 768 << 10, ScratchBytes: 512 << 10, LockAlgo: la}
 			drainArenaPool()
-			if _, err := Run(cfg, arenaDirtyBody); err != nil {
-				t.Fatal(err)
+			for _, observe := range []bool{false, true} {
+				dirty := cfg
+				dirty.Observe = observe
+				if _, err := Run(dirty, arenaDirtyBody); err != nil {
+					t.Fatal(err)
+				}
+				requireZeroPool(t)
 			}
-			requireZeroPool(t)
 			if _, err := Run(cfg, freshHeapBody); err != nil {
 				t.Fatal(err)
 			}
@@ -285,8 +332,9 @@ func TestArenaZeroingInvariant(t *testing.T) {
 // the pool stays within its one byte budget, segments and slabs counted (it
 // used to keep four segments of every size it ever saw), that a same-shape
 // relaunch is still served from the pool, segment and slabs, that shapes
-// that share a segment size but not a PE count never share a shell, and
-// that a shell larger than the budget is not pooled.
+// that share a segment size but not a PE count never share a shell, that
+// the tables a shell keeps count toward its size, and that a shell larger
+// than the budget is not pooled.
 func TestArenaPoolBudget(t *testing.T) {
 	body := func(seen **launchShell) func(pe *PE) error {
 		return func(pe *PE) error {
@@ -361,8 +409,36 @@ func TestArenaPoolBudget(t *testing.T) {
 		if _, err := Run(two, body(&of2)); err != nil {
 			t.Fatal(err)
 		}
+		of2Size := of2.size
 		if of2 == of4 || len(of2.pes) != 2 || len(of4.pes) != 4 {
 			t.Errorf("a 2-PE launch took the shell of a 4-PE launch of the same segment size")
+		}
+
+		// The kept tables count: a tenant that stamps a word on each of 64
+		// pages of its neighbour's partition grows its shell's size by at
+		// least their bytes.
+		const pages = 64
+		var spread *launchShell
+		if _, err := Run(two, func(pe *PE) error {
+			spread = pe.prog.shell
+			x, err := Malloc[int64](pe, pages*stampPageSlots)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < x.Len(); i += stampPageSlots {
+				if err := P(pe, x.At(i), 1, (pe.MyPE()+1)%pe.NumPEs()); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if spread != of2 {
+			t.Fatal("a relaunch of the 2-PE shape built a new shell")
+		}
+		if grown, least := spread.size-of2Size, int64(2*(pages-1))*int64(unsafe.Sizeof(stampPage{})); grown < least {
+			t.Errorf("64 stamp pages per hub grew the pooled shell by %d bytes, less than the %d their pages take", grown, least)
 		}
 
 		_, before := pooledShells()

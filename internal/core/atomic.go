@@ -83,7 +83,7 @@ func Swap[T AtomicT](pe *PE, target Ref[T], value T, tpe int) (T, error) {
 	if pe.observed {
 		pe.atomicObserved(start, target.off, sizeOf[T](), tpe, true)
 	}
-	pe.prog.hubs[tpe].publish(target.off, pe.clock.Now(), pe.id)
+	pe.prog.publish(tpe, target.off, pe.clock.Now(), pe.id)
 	return old, nil
 }
 
@@ -110,7 +110,7 @@ func CSwap[T AtomicInt](pe *PE, target Ref[T], cond, value T, tpe int) (T, error
 	if pe.observed {
 		pe.atomicObserved(start, target.off, sizeOf[T](), tpe, true)
 	}
-	pe.prog.hubs[tpe].publish(target.off, pe.clock.Now(), pe.id)
+	pe.prog.publish(tpe, target.off, pe.clock.Now(), pe.id)
 	return cur, nil
 }
 
@@ -128,7 +128,7 @@ func FAdd[T AtomicInt](pe *PE, target Ref[T], value T, tpe int) (T, error) {
 	if pe.observed {
 		pe.atomicObserved(start, target.off, sizeOf[T](), tpe, true)
 	}
-	pe.prog.hubs[tpe].publish(target.off, pe.clock.Now(), pe.id)
+	pe.prog.publish(tpe, target.off, pe.clock.Now(), pe.id)
 	return old, nil
 }
 

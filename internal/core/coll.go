@@ -63,26 +63,27 @@ func (pe *PE) spansChips(as ActiveSet) bool {
 	return pe.prog.nchips > 1 && !setOnOneChip(pe.prog, as)
 }
 
-// sendSigWords sends a control signal for collective flow control: over the
-// chip-local UDN, or over the mPIPE fabric when the collective spans chips.
-func (pe *PE) sendSigWords(dst int, tag uint32, words []uint64, fab bool) error {
-	pe.san.SigSend(dst, tag)
-	if fab {
-		return pe.sendFab(dst, tag, words)
-	}
-	return pe.sendUDN(dst, qColl, tag, words)
-}
-
-// sendSig sends a one-word control signal. The two branches build separate
-// payload literals on purpose: the UDN transport never retains the slice,
-// so its literal stays on the caller's stack, while the fabric transport
-// may hold the message and would force a shared literal to the heap.
+// sendSig sends a one-word control signal for collective flow control: over
+// the chip-local UDN, or over the mPIPE fabric when the collective spans
+// chips. The two branches build separate payload literals on purpose: the
+// UDN transport never retains the slice, so its literal stays on the
+// caller's stack, while the fabric transport may hold the message and would
+// force a shared literal to the heap.
 func (pe *PE) sendSig(dst int, tag uint32, word uint64, fab bool) error {
 	pe.san.SigSend(dst, tag)
 	if fab {
 		return pe.sendFab(dst, tag, []uint64{word})
 	}
 	return pe.sendUDN(dst, qColl, tag, []uint64{word})
+}
+
+// sendSig2 is sendSig with a two-word payload.
+func (pe *PE) sendSig2(dst int, tag uint32, w0, w1 uint64, fab bool) error {
+	pe.san.SigSend(dst, tag)
+	if fab {
+		return pe.sendFab(dst, tag, []uint64{w0, w1})
+	}
+	return pe.sendUDN(dst, qColl, tag, []uint64{w0, w1})
 }
 
 // recvSig receives the next control signal carrying tag from the chosen

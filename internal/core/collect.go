@@ -102,9 +102,12 @@ func Collect[T Elem](pe *PE, target, source Ref[T], nelems int, as ActiveSet, ps
 
 	var offset, total int
 	if idx == 0 {
-		// Gather sizes; assign offsets in set order.
-		sizes := make([]int, as.Size)
-		sizes[0] = nelems
+		// Gather sizes; assign offsets in set order. Both tables are the
+		// member's collective scratch (reduceScratch), which check-in clears.
+		pe.prog.phased = true
+		sizes, offs := reduceScratch[int64](&pe.prog.phases[pe.id], as.Size)
+		clear(sizes)
+		sizes[0] = int64(nelems)
 		for i := 1; i < as.Size; i++ {
 			src, words, nw, err := pe.recvSig(tag, fab)
 			if err != nil {
@@ -117,20 +120,20 @@ func Collect[T Elem](pe *PE, target, source Ref[T], nelems int, as ActiveSet, ps
 			if nw < 1 {
 				return fmt.Errorf("%w: size report from PE %d carried no payload", ErrBadActiveSet, src)
 			}
-			sz := int(words[0])
+			sz := int64(words[0])
 			if sz < 0 {
 				return fmt.Errorf("%w: size report from PE %d is negative", ErrBadActiveSet, src)
 			}
 			sizes[who] = sz
 		}
-		offs := make([]int, as.Size)
+		offs[0] = 0
 		for i := 1; i < as.Size; i++ {
 			offs[i] = offs[i-1] + sizes[i-1]
 		}
-		total = offs[as.Size-1] + sizes[as.Size-1]
+		total = int(offs[as.Size-1] + sizes[as.Size-1])
 		offset = 0
 		for i := 1; i < as.Size; i++ {
-			if err := pe.sendSigWords(as.PE(i), tag, []uint64{uint64(offs[i]), uint64(total)}, fab); err != nil {
+			if err := pe.sendSig2(as.PE(i), tag, uint64(offs[i]), uint64(total), fab); err != nil {
 				return err
 			}
 		}

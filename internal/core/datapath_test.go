@@ -227,7 +227,9 @@ func TestElementalErrorEquivalence(t *testing.T) {
 // store streams and checks every read against the map it replaced, kept
 // here as the reference: one stamp per byte offset, overwritten only by a
 // later visibility time. Waiters merge their clocks with these stamps, so
-// the table may not differ from the map even once.
+// the table may not differ from the map even once. One hub serves every
+// trial, reset between them as check-in resets a pooled shell's: a kept
+// table must read as a fresh one.
 func TestStampTableMatchesMap(t *testing.T) {
 	// Words sharing a page, words on neighbouring pages, words far apart,
 	// sub-word and odd 32-bit offsets (next to aligned ones and far away),
@@ -236,9 +238,11 @@ func TestStampTableMatchesMap(t *testing.T) {
 		1, 2, 4, 12, 20, 122, 130, 4100, 1<<20 + 4, 7<<20 + 6}
 	never := []int64{24, 112, 256, 384, 2048, 1<<20 + 16, 3 << 20, 8<<20 - 8, 3, 28, 4104, 5<<20 + 2}
 	rng := rand.New(rand.NewSource(17))
+	p := &Program{hubs: make([]watchHub, 1)}
+	p.sched = newEvsched(p, make([]evNode, 1), nil)
+	h := &p.hubs[0]
+	var top int64 // highest word-aligned offset stored through, over the trials
 	for trial := 0; trial < 50; trial++ {
-		var h watchHub
-		h.init(0, newEvsched(nil, make([]evNode, 1), nil))
 		ref := make(map[int64]hubStamp)
 		compare := func(off int64) {
 			t.Helper()
@@ -249,8 +253,8 @@ func TestStampTableMatchesMap(t *testing.T) {
 		for _, off := range append(stored, never...) {
 			compare(off)
 		}
-		if h.pages != nil || h.odd != nil {
-			t.Fatalf("trial %d: reads alone allocated (%d directory entries, map %v)", trial, len(h.pages), h.odd != nil)
+		if len(h.pages) != 0 || len(h.odd) != 0 {
+			t.Fatalf("trial %d: reads alone made %d pages and %d sub-word stamps", trial, len(h.pages), len(h.odd))
 		}
 		// Some trials touch only a few offsets, in a random order, so the
 		// directory grows both from the bottom and straight to the top.
@@ -261,14 +265,13 @@ func TestStampTableMatchesMap(t *testing.T) {
 				offs[i] = stored[rng.Intn(len(stored))]
 			}
 		}
-		var top int64 // highest word-aligned offset stored through
 		for step := 0; step < 400; step++ {
 			off := offs[rng.Intn(len(offs))]
 			tm := vtime.Time(rng.Intn(200)) // non-monotone, with repeats and zeros
 			writer := rng.Intn(36)
 			wrote := rng.Intn(8) != 0 // a failed compare-and-swap publishes nothing
 			if wrote {
-				h.publish(off, tm, writer)
+				p.publish(0, off, tm, writer)
 			}
 			if wrote && tm > ref[off].t {
 				ref[off] = hubStamp{t: tm, writer: int32(writer)}
@@ -285,9 +288,10 @@ func TestStampTableMatchesMap(t *testing.T) {
 		}
 		// Geometric growth keeps the directory under twice what the highest
 		// stored-through page needs.
-		if limit := 2 * (int(top/stampPageBytes) + 1); len(h.pages) > limit {
-			t.Fatalf("trial %d: %d directory entries for a highest page of %d", trial, len(h.pages), top/stampPageBytes)
+		if limit := 2 * (int(top/stampPageBytes) + 1); len(h.dir) > limit {
+			t.Fatalf("trial %d: %d directory entries for a highest page of %d", trial, len(h.dir), top/stampPageBytes)
 		}
+		h.reset()
 	}
 }
 

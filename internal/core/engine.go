@@ -79,23 +79,32 @@ func evAdmissionWidth() int {
 // pool and back in at teardown. A shell is what newProgram builds that the
 // next launch of the same shape would build again: the common-memory
 // segment with its launch-time mappings (the scratch arena and each PE's
-// partition, whose offsets are a function of the shape), and the per-PE
-// slabs — the PEs, the UDN ports, the calendar's nodes and ready heap, the
-// watch hubs, the symmetry slots and the PEs' outcomes. A launch then pays
-// for zeroing what the previous tenant wrote instead of for allocating
-// (and the runtime clearing) a fresh multi-megabyte segment and a few
-// hundred kilobytes of slabs.
+// partition, whose offsets are a function of the shape), the per-PE slabs
+// — the PEs, the UDN ports, the calendar's nodes and ready heap, the watch
+// hubs, the symmetry slots and the PEs' outcomes — and the per-word and
+// per-link tables a run fills: the hubs' stamp tables, the lock and
+// counter-barrier maps and each chip's link counters. A launch then pays
+// for zeroing what the previous tenant wrote instead of for allocating (and
+// the runtime clearing) a fresh multi-megabyte segment, a few hundred
+// kilobytes of slabs and a stamp page per word a flag or atomic touches.
 //
 // Correctness rests on a zeroing invariant — every pooled shell is exactly
 // what a fresh one is. Check-in restores it by re-zeroing only what the
 // finished run can have written: each PE heap and the scratch arena up to
 // its allocator's high-water mark, plus any mappings the run created after
-// launch, which it also unmaps; and by clearing the slabs. It runs once
-// every PE has exited; nothing else ever writes the segment (interrupt
+// launch, which it also unmaps; by clearing the slabs; and by emptying the
+// tables, which keep what they grew to: a hub zeroes the stamp pages the
+// run made and clears their directory entries, the maps are cleared (their
+// buckets stay) and the link counters keep their zeroed blocks. It runs
+// once every PE has exited; nothing else ever writes the segment (interrupt
 // handlers run inline on the requesting PE).
 //
-// Two things a shell keeps across launches are the invariant's only
-// exceptions, and neither can reach a run's output:
+// The emptied tables are not an exception to the invariant: no code can
+// tell a kept table from a fresh one (stamp and await read a cleared page
+// entry as a missing one; a map or a LinkStats holds no entry).
+// TestRecycledShellIsFresh is the oracle. Two things a shell keeps across
+// launches are the invariant's only exceptions, and neither can reach a
+// run's output:
 //   - the start_pes replay (replayEntry), one per chip: what the handshake
 //     left in the chip's clocks and the hops of its all-PEs chain, with the
 //     key it was walked for. A launch reads it only under an equal key, and
@@ -113,7 +122,7 @@ func evAdmissionWidth() int {
 // their ports are dead — they may already belong to another run.
 //
 // The pool holds at most arenaPoolBudget bytes of shells — segments, slabs,
-// replays and buffers, each shell's counted at its check-in — whatever mix
+// tables, replays and buffers, each shell's counted at its check-in — whatever mix
 // of shapes the process launches, and evicts the least recently checked-in
 // shell first; a shell larger than the budget is never pooled. The constant
 // comes from the benchmark's sweep workload, which cycles through five
@@ -144,8 +153,9 @@ func shapeOf(cfg *Config) launchShape {
 }
 
 // launchShell is one launch's recyclable state (see arenaPool). Between
-// launches every slab is zero and the segment is zero and mapped up to
-// mapFloor: the scratch arena at scratchAt, then the partitions.
+// launches every slab is zero but for the hubs' tables, every table is
+// empty, and the segment is zero and mapped up to mapFloor: the scratch
+// arena at scratchAt, then the partitions.
 type launchShell struct {
 	shape launchShape
 	cm    *tmc.CommonMemory
@@ -158,10 +168,23 @@ type launchShell struct {
 	pes    []PE
 	ports  []udn.Port // every chip's ports, chip after chip; sized by the last launch's geometries
 	nodes  []evNode
-	ready  []int32 // the calendar's ready heap, empty with room for every PE
-	hubs   []watchHub
+	ready  []int32    // the calendar's ready heap, empty with room for every PE
+	hubs   []watchHub // each with its stamp tables, emptied (watchHub.reset)
 	phases []phaseRun
 	errs   []error
+
+	// The run's lock and barrier maps (Program.ctrBars and the rest),
+	// cleared, and each chip's link counters, emptied (mesh.LinkStats.Clear),
+	// nil before an observed launch. entries is the most entries the maps
+	// and the hubs' sub-word stamps held at a check-in: the buckets they
+	// keep; pageBytes is what the hubs' page tables held at the last one.
+	ctrBars    map[ctrKey]*ctrInst
+	lockHolder map[int64]int
+	lockRel    map[int64]lockRelStamp
+	mcsNext    map[int64]map[int]*mcsWaiter
+	links      []*mesh.LinkStats
+	entries    int
+	pageBytes  int64
 
 	// Kept across launches: the zeroing invariant's two exceptions.
 	replay []replayEntry   // by chip
@@ -200,6 +223,9 @@ func newShell(sh launchShape) (*launchShell, error) {
 		partBase: make([]int64, n), parts: make([][]byte, n),
 		pes: make([]PE, n), nodes: make([]evNode, n), ready: make([]int32, 0, n),
 		hubs: make([]watchHub, n), phases: make([]phaseRun, n), errs: make([]error, n),
+		ctrBars: make(map[ctrKey]*ctrInst), lockHolder: make(map[int64]int),
+		lockRel: make(map[int64]lockRelStamp), mcsNext: make(map[int64]map[int]*mcsWaiter),
+		links:  make([]*mesh.LinkStats, sh.nchips),
 		replay: make([]replayEntry, sh.nchips),
 	}
 	if s.scratchAt, err = cm.Map(sh.scratch, 4096); err != nil {
@@ -226,13 +252,34 @@ func (s *launchShell) portSlab(tiles int) []udn.Port {
 	return s.ports
 }
 
-// bytes reports what the shell holds: its segment, its slabs, its replay
-// and its observer buffers' capacities.
+// linkStats returns chip c's link counters for an area of geo: the ones the
+// shell keeps, emptied at check-in, or new ones it keeps from now on.
+func (s *launchShell) linkStats(c int, geo mesh.Geometry) *mesh.LinkStats {
+	if s.links[c] == nil {
+		s.links[c] = mesh.NewLinkStats(geo)
+	} else {
+		s.links[c].Reset(geo)
+	}
+	return s.links[c]
+}
+
+// mapEntryBytes is what one entry of a kept map is counted at: a slot with
+// its key and value, its control byte and the load factor's headroom.
+const mapEntryBytes = 32
+
+// bytes reports what the shell holds: its segment, its slabs, its tables,
+// its replay and its observer buffers' capacities.
 func (s *launchShell) bytes() int64 {
 	perPE := unsafe.Sizeof(s.partBase[0]) + unsafe.Sizeof(s.parts[0]) + unsafe.Sizeof(s.pes[0]) +
 		unsafe.Sizeof(s.nodes[0]) + unsafe.Sizeof(s.ready[0]) + unsafe.Sizeof(s.hubs[0]) +
 		unsafe.Sizeof(s.phases[0]) + unsafe.Sizeof(s.errs[0])
 	n := s.cm.Size() + int64(s.shape.npes)*int64(perPE) + int64(len(s.ports))*int64(unsafe.Sizeof(udn.Port{}))
+	n += s.pageBytes + int64(s.entries)*mapEntryBytes
+	for _, ls := range s.links {
+		if ls != nil {
+			n += ls.Bytes()
+		}
+	}
 	for _, e := range s.replay {
 		n += int64(cap(e.clocks))*int64(unsafe.Sizeof(vtime.Time(0))) + int64(cap(e.hops))*int64(unsafe.Sizeof(chainHop{}))
 	}
@@ -294,11 +341,14 @@ func arenaCheckout(sh launchShape, records bool) (*launchShell, error) {
 }
 
 // arenaCheckin takes the observer buffers back from the finished run's
-// recorders, re-zeroes its dirty spans, unmaps what it mapped after launch,
-// clears the slabs and pools the shell for the next launch of the same
-// shape, evicting older shells to stay within arenaPoolBudget.
+// recorders, empties the hubs' stamp tables, re-zeroes the run's dirty
+// spans, unmaps what it mapped after launch, clears the slabs and the other
+// tables and pools the shell for the next launch of the same shape,
+// evicting older shells to stay within arenaPoolBudget.
 func arenaCheckin(p *Program) {
 	s := p.shell
+	entries := len(s.ctrBars) + len(s.lockHolder) + len(s.lockRel) + len(s.mcsNext)
+	s.pageBytes = 0
 	for i := range s.pes {
 		if p.cfg.Trace {
 			s.events[i] = s.pes[i].rec.Events()
@@ -306,7 +356,12 @@ func arenaCheckin(p *Program) {
 		if p.cfg.Profile {
 			s.segs[i] = s.pes[i].prof.Segs()
 		}
+		h := &s.hubs[i]
+		entries += len(h.odd)
+		s.pageBytes += h.bytes()
+		h.reset()
 	}
+	s.entries = max(s.entries, entries)
 	if s.size = s.bytes(); s.size > arenaPoolBudget {
 		return
 	}
@@ -326,7 +381,15 @@ func arenaCheckin(p *Program) {
 	clear(s.pes)
 	clear(s.ports)
 	clear(s.nodes)
-	clear(s.hubs)
+	clear(s.ctrBars)
+	clear(s.lockHolder)
+	clear(s.lockRel)
+	clear(s.mcsNext)
+	if p.cfg.Observe {
+		for _, ls := range s.links {
+			ls.Clear()
+		}
+	}
 	if p.phased {
 		clear(s.phases)
 	}

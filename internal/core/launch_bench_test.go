@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"tshmem/internal/arch"
 )
@@ -40,5 +41,17 @@ func BenchmarkLaunch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestPESize pins PE at its current 368 bytes. Every launch clears and
+// walks the PE slab, so its size sets what a warm launch costs: a build
+// with 160 B of padding in PE read BenchmarkLaunch/256 at 166–185 µs
+// against 133–144 µs (three alternated 1000x runs each). Per-PE state for a
+// new mechanism goes in a launch-shell slab of its own, as phaseRun does.
+func TestPESize(t *testing.T) {
+	if got := unsafe.Sizeof(PE{}); got > 368 {
+		t.Errorf("PE is %d B, over its 368 B: a build with 160 B of padding in PE read BenchmarkLaunch/256 at 166–185 µs "+
+			"against 133–144 µs; move the new per-PE state to a launch-shell slab, as phaseRun is", got)
 	}
 }

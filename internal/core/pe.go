@@ -40,6 +40,11 @@ type Stats struct {
 // All TSHMEM operations hang off the PE (or take it as their first
 // argument, for the generic ones). A PE must only be used from the body
 // Run called with it.
+//
+// Every launch clears and walks the PE slab, so PE's size sets what a warm
+// launch costs (TestPESize pins it at 368 B). Per-PE state for a new
+// mechanism goes in a launch-shell slab of its own, indexed by rank, as
+// phaseRun and the watch hubs' stamp tables do.
 type PE struct {
 	_ noCopy // a run's PEs are elements of one slice and point into themselves (heap)
 

@@ -50,8 +50,9 @@ type phaseRun struct {
 	kind                foldKind
 	nelems, root, total int
 	v                   int64 // the value the symmetric check compares
-	// scratch is the naive reduction root's two private buffers, a []T grown
-	// to the largest reduction the member has rooted in this launch.
+	// scratch is a collective root's two private buffers (reduceScratch): the
+	// naive reduction's or Collect's, a []T grown to the largest collective
+	// the member has rooted in this launch.
 	scratch any
 
 	k, steps int  // barrier k is the current one, barrier steps the last

@@ -132,10 +132,11 @@ func (reduceStep[T, O]) run(pe *PE, r *phaseRun) error {
 	return PutSlice(pe, target, acc, pe.id)
 }
 
-// reduceScratch returns the root's accumulator and operand buffers, n
-// elements each, from r's scratch, which grows to the largest reduction the
-// member roots in a launch and goes with the launch. Each is filled whole
-// before it is read.
+// reduceScratch returns two buffers of n elements each from r's scratch,
+// which grows to the largest collective the member roots in a launch and
+// goes with the launch: the naive reduction root's accumulator and operand,
+// or Collect's root's sizes and offsets. Neither is cleared: the caller
+// fills what it reads.
 func reduceScratch[T Elem](r *phaseRun, n int) (acc, buf []T) {
 	s, _ := r.scratch.([]T)
 	if len(s) < 2*n {

@@ -381,7 +381,7 @@ func P[T Elem](pe *PE, target Ref[T], value T, tpe int) error {
 		pe.putElemObserved(start, base, es, target.off, tpe)
 	}
 	*w = value
-	pe.prog.hubs[tpe].publish(target.off, pe.clock.Now(), pe.id)
+	pe.prog.publish(tpe, target.off, pe.clock.Now(), pe.id)
 	return nil
 }
 

@@ -367,7 +367,8 @@ type Program struct {
 	// Synchronization-algorithm library state (syncalgo.go): counter-
 	// barrier rendezvous, lock holder bookkeeping, the ticket locks'
 	// published release times, and the MCS locks' successor queues. Like
-	// the calendar it is unlocked: only the baton holder touches it.
+	// the calendar it is unlocked: only the baton holder touches it. The maps
+	// are the launch shell's, empty at launch and cleared at check-in.
 	ctrBars    map[ctrKey]*ctrInst
 	lockHolder map[int64]int
 	lockRel    map[int64]lockRelStamp
@@ -684,7 +685,7 @@ func newProgram(cfg Config) (*Program, error) {
 		ports = ports[n:]
 		net.SetScheduler(&udnSched{s: p.sched, rankBase: c * p.perChip})
 		if cfg.Observe {
-			ls := mesh.NewLinkStats(p.geos[c])
+			ls := sh.linkStats(c, p.geos[c])
 			net.SetLinkStats(ls)
 			p.links = append(p.links, ls)
 		}
@@ -708,14 +709,8 @@ func newProgram(cfg Config) (*Program, error) {
 		return nil, err
 	}
 	p.statics.init()
-	p.ctrBars = make(map[ctrKey]*ctrInst)
-	p.lockHolder = make(map[int64]int)
-	p.lockRel = make(map[int64]lockRelStamp)
-	p.mcsNext = make(map[int64]map[int]*mcsWaiter)
+	p.ctrBars, p.lockHolder, p.lockRel, p.mcsNext = sh.ctrBars, sh.lockHolder, sh.lockRel, sh.mcsNext
 	p.hubs = sh.hubs
-	for i := range p.hubs {
-		p.hubs[i].init(i, p.sched)
-	}
 	p.phases = sh.phases
 	if cfg.Sanitize {
 		p.san = sanitize.New(cfg.NPEs)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -347,6 +348,60 @@ func TestRecycledShellIsFresh(t *testing.T) {
 				t.Errorf("after a traced and profiled tenant the clean traced body's %s differs from a fresh launch's", diff)
 			}
 		})
+	}
+}
+
+// TestWarmStampsAllocateNothing holds a warm launch's stamp tables to zero
+// allocations: on a shell an earlier launch of its shape grew, a run that
+// stamps 4 096 words spread over the partitions allocates within 1 KiB of
+// one that stamps 16 (MemStats.TotalAlloc, the least of five runs each).
+func TestWarmStampsAllocateNothing(t *testing.T) {
+	cfg := Config{NPEs: 2, HeapPerPE: 1 << 20, ScratchBytes: 64 << 10}
+	stamps := func(words int) func(pe *PE) error {
+		return func(pe *PE) error {
+			x, err := Malloc[int64](pe, int(pe.HeapFree()/8))
+			if err != nil {
+				return err
+			}
+			peer := (pe.MyPE() + 1) % pe.NumPEs()
+			per := words / pe.NumPEs()
+			stride := x.Len() / per
+			for k := 0; k < per; k++ {
+				switch w := x.At(k * stride); k % 3 {
+				case 0:
+					err = P(pe, w, int64(k+1), peer)
+				case 1:
+					_, err = CSwap(pe, w, 0, int64(k+1), peer)
+				default:
+					_, err = FAdd(pe, w, int64(k+1), peer)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	allocated := func(body func(pe *PE) error) uint64 {
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Run(cfg, body); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	drainArenaPool()
+	few, many := stamps(16), stamps(4096)
+	allocated(many) // the warm-up: the shell's tables grow to the larger run
+	f, m := allocated(few), allocated(many)
+	t.Logf("a warm launch stamping 16 words allocates %d B, stamping 4 096 words %d B", f, m)
+	if m > f+1024 {
+		t.Errorf("stamping 4 096 words allocates %d B on a warm shell, %d B more than stamping 16: the stamp tables are not kept", m, m-f)
 	}
 }
 

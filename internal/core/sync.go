@@ -88,8 +88,7 @@ func WaitUntil[T Integer](pe *PE, ivar Ref[T], cmp Cmp, value T) error {
 
 	start := pe.clock.Now()
 	deadline := pe.waitDeadline()
-	hub := &pe.prog.hubs[pe.id]
-	stamp, st := hub.await(pe, off, check)
+	stamp, st := pe.await(pe.id, off, check)
 	switch st {
 	case hubAborted:
 		return fmt.Errorf("tshmem: program aborted while PE %d waited on a symmetric variable", pe.id)

@@ -649,7 +649,7 @@ func (pe *PE) setLockTicket(lock Ref[int64]) error {
 	off := lock.off
 	w := wordAt[int64](pe.partBytes(0), off)
 	check := func() bool { return uint32(*w) == my }
-	_, st := pe.prog.hubs[0].await(pe, off, check)
+	_, st := pe.await(0, off, check)
 	switch st {
 	case hubAborted:
 		return fmt.Errorf("tshmem: program aborted while PE %d waited for a ticket lock", pe.id)
@@ -693,7 +693,7 @@ func (pe *PE) clearLockTicket(lock Ref[int64]) error {
 	if pe.observed {
 		pe.atomicObserved(start, lock.off, sizeOf[int64](), 0, true)
 	}
-	pe.prog.hubs[0].publish(lock.off, now, pe.id)
+	pe.prog.publish(0, lock.off, now, pe.id)
 	return nil
 }
 

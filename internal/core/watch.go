@@ -1,6 +1,10 @@
 package core
 
-import "tshmem/internal/vtime"
+import (
+	"unsafe"
+
+	"tshmem/internal/vtime"
+)
 
 // watchHub is the per-PE synchronization hub behind Wait/WaitUntil. Writers
 // of watchable values (elemental puts, atomic operations) record the
@@ -11,16 +15,20 @@ import "tshmem/internal/vtime"
 // polling tile.
 type watchHub struct {
 	// The latest visible store per partition byte offset, reached only
-	// through stamp and slot. Word-aligned offsets — every int64 flag, lock,
-	// counter and vertex — sit in small pages made on first store and found
-	// through a directory indexed by off / stampPageBytes; the rest
-	// (sub-word elements, odd 32-bit ones) stay in a map made on first use.
-	// A hub nobody stores through holds neither.
-	pages []*stampPage
-	odd   map[int64]*hubStamp
-
-	idx   int // this hub's index in Program.hubs (the calendar wait key)
-	sched *evsched
+	// through stamp and publish. Word-aligned offsets — every int64 flag,
+	// lock, counter and vertex — sit in 16-slot pages: dir, indexed by
+	// off / stampPageBytes, holds one plus the index of the offset's page in
+	// pages, 0 for none, and pageOf maps a page back to its dir entry. The
+	// rest (sub-word elements, odd 32-bit ones) stay in odd. A hub nobody
+	// stores through holds nothing. All of it is kept by the launch shell
+	// across launches and emptied by reset; the pages and indices hold no
+	// pointer, so however many a pooled hub keeps, the collector does not
+	// scan them. A hub is found by its index in Program.hubs, which is also
+	// its calendar wait key.
+	dir    []int32
+	pages  []stampPage
+	pageOf []int32
+	odd    map[int64]hubStamp
 }
 
 // hubStamp records one store's visibility time plus the global rank of
@@ -44,9 +52,27 @@ const (
 
 type stampPage [stampPageSlots]hubStamp
 
-func (h *watchHub) init(idx int, sched *evsched) {
-	h.idx = idx
-	h.sched = sched
+// reset empties the hub for the next launch, keeping what its tables grew
+// to: the pages the run stamped are zeroed and their dir entries cleared,
+// so it costs what the run touched. A kept table reads exactly as a fresh
+// one: stamp and await cannot tell a cleared entry from one never made.
+func (h *watchHub) reset() {
+	if len(h.pages) > 0 {
+		for _, pg := range h.pageOf {
+			h.dir[pg] = 0
+		}
+		clear(h.pages)
+		h.pages, h.pageOf = h.pages[:0], h.pageOf[:0]
+	}
+	if len(h.odd) > 0 {
+		clear(h.odd)
+	}
+}
+
+// bytes reports what the hub's page tables hold (odd is counted with the
+// shell's maps, launchShell.entries).
+func (h *watchHub) bytes() int64 {
+	return int64(cap(h.dir)+cap(h.pageOf))*4 + int64(cap(h.pages))*int64(unsafe.Sizeof(stampPage{}))
 }
 
 // stamp reports the recorded visibility stamp of offset off, zero if no
@@ -54,59 +80,59 @@ func (h *watchHub) init(idx int, sched *evsched) {
 func (h *watchHub) stamp(off int64) hubStamp {
 	u := uint64(off)
 	if u%stampWord != 0 {
-		if s := h.odd[off]; s != nil {
-			return *s
-		}
-		return hubStamp{}
+		return h.odd[off]
 	}
-	if pg := u / stampPageBytes; pg < uint64(len(h.pages)) && h.pages[pg] != nil {
-		return h.pages[pg][u%stampPageBytes/stampWord]
+	if pg := u / stampPageBytes; pg < uint64(len(h.dir)) {
+		if i := h.dir[pg]; i != 0 {
+			return h.pages[i-1][u%stampPageBytes/stampWord]
+		}
 	}
 	return hubStamp{}
 }
 
-// slot returns the place offset off's stamp is kept, making it (zero) on
-// first use. The directory covers offsets up to the highest one stored
-// through and grows geometrically: a pointer per stampPageBytes of
-// partition at most, whatever the order of touches.
+// slot returns the place word-aligned offset off's stamp is kept, making
+// its page (zero) on first use. The directory covers offsets up to the
+// highest one stored through and grows geometrically: an int32 per
+// stampPageBytes of partition at most, whatever the order of touches.
 func (h *watchHub) slot(off int64) *hubStamp {
 	u := uint64(off)
-	if u%stampWord != 0 {
-		s := h.odd[off]
-		if s == nil {
-			if h.odd == nil {
-				h.odd = make(map[int64]*hubStamp)
-			}
-			s = new(hubStamp)
-			h.odd[off] = s
-		}
-		return s
-	}
 	pg := int(u / stampPageBytes)
-	if pg >= len(h.pages) {
-		grown := make([]*stampPage, max(2*len(h.pages), pg+1))
-		copy(grown, h.pages)
-		h.pages = grown
+	if pg >= len(h.dir) {
+		grown := make([]int32, max(2*len(h.dir), pg+1))
+		copy(grown, h.dir)
+		h.dir = grown
 	}
-	p := h.pages[pg]
-	if p == nil {
-		p = new(stampPage)
-		h.pages[pg] = p
+	i := h.dir[pg]
+	if i == 0 {
+		h.pages = append(h.pages, stampPage{})
+		h.pageOf = append(h.pageOf, int32(pg))
+		i = int32(len(h.pages))
+		h.dir[pg] = i
 	}
-	return &p[u%stampPageBytes/stampWord]
+	return &h.pages[i-1][u%stampPageBytes/stampWord]
 }
 
-// publish records when the caller's store to the watched word at partition
-// offset off became visible — t, written by global PE writer — and wakes
-// the waiters. Store and stamp are one step with respect to waiters because
+// publish records in hub's table when the caller's store to the watched
+// word at partition offset off became visible — t, written by global PE
+// writer — unless a later store already did, and wakes the waiters parked
+// on the hub. Store and stamp are one step with respect to waiters because
 // the caller holds the baton across both: no waiter can poll between the
 // two and find its predicate satisfied with no stamp to merge its clock
 // with.
-func (h *watchHub) publish(off int64, t vtime.Time, writer int) {
-	if s := h.slot(off); t > s.t {
-		*s = hubStamp{t: t, writer: int32(writer)}
+func (p *Program) publish(hub int, off int64, t vtime.Time, writer int) {
+	h := &p.hubs[hub]
+	st := hubStamp{t: t, writer: int32(writer)}
+	if uint64(off)%stampWord != 0 {
+		if t > h.odd[off].t {
+			if h.odd == nil {
+				h.odd = make(map[int64]hubStamp)
+			}
+			h.odd[off] = st
+		}
+	} else if s := h.slot(off); t > s.t {
+		*s = st
 	}
-	h.sched.wake(wkHub, int64(h.idx), 0)
+	p.sched.wake(wkHub, int64(hub), 0)
 }
 
 // await outcomes.
@@ -116,8 +142,8 @@ const (
 	hubTimedOut        // the calendar expired the wait (fault injection)
 )
 
-// await parks pe in the calendar, keyed on this hub, until pred returns
-// true, then reports the recorded visibility stamp of offset off (zero if
+// await parks pe in the calendar, keyed on hub, until pred returns true,
+// then reports hub's recorded visibility stamp of offset off (zero if
 // never recorded) and hubOK. publish's wake re-arms the poll. Under fault
 // injection the calendar expires the wait once nothing can run; the
 // predicate is re-checked once (the satisfying write may have landed in
@@ -125,7 +151,8 @@ const (
 // program abort while waiting. Note any PE may wait on any hub — the
 // ticket lock parks every contender on the lock owner's hub — hence the
 // hub-indexed wait key rather than a PE-indexed one.
-func (h *watchHub) await(pe *PE, off int64, pred func() bool) (hubStamp, int) {
+func (pe *PE) await(hub int, off int64, pred func() bool) (hubStamp, int) {
+	h := &pe.prog.hubs[hub]
 	for {
 		if pred() {
 			return h.stamp(off), hubOK
@@ -133,7 +160,7 @@ func (h *watchHub) await(pe *PE, off int64, pred func() bool) (hubStamp, int) {
 		if pe.prog.aborted {
 			return hubStamp{}, hubAborted
 		}
-		switch h.sched.yield(pe.id, wkHub, int64(h.idx), 0) {
+		switch pe.prog.sched.yield(pe.id, wkHub, int64(hub), 0) {
 		case wakeAbort:
 			return hubStamp{}, hubAborted
 		case wakeTimeout:

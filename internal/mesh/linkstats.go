@@ -3,6 +3,7 @@ package mesh
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
 // LinkDir identifies one of a tile's four outgoing iMesh links.
@@ -72,7 +73,8 @@ type linkBlock struct {
 // record, which under core.Run is the PE holding the run's baton. Storage
 // is block-lazy: a fixed-size counter block is installed the first time any
 // tile in its span records, so large mostly-idle meshes stay sparse.
-// Snapshot after the run for a copy.
+// Snapshot after the run for a copy. Clear empties a LinkStats, keeping its
+// blocks, and Reset points it at another area.
 type LinkStats struct {
 	geo    Geometry
 	tiles  int
@@ -88,6 +90,38 @@ func NewLinkStats(geo Geometry) *LinkStats {
 		tiles:  n,
 		blocks: make([]*linkBlock, (n+blockTiles-1)/blockTiles),
 	}
+}
+
+// Clear empties ls: every counter reads zero, as in a new LinkStats. The
+// blocks it installed stay installed, zeroed, for the next traffic to reuse;
+// Snapshot skips them while they stay zero.
+func (ls *LinkStats) Clear() {
+	for _, b := range ls.blocks {
+		if b != nil {
+			*b = linkBlock{}
+		}
+	}
+}
+
+// Reset points ls, which Clear emptied, at an area of geo: it is then what
+// NewLinkStats(geo) returns but for the zero blocks it keeps when geo has
+// as many blocks' worth of tiles as its last area.
+func (ls *LinkStats) Reset(geo Geometry) {
+	ls.geo, ls.tiles = geo, geo.Tiles()
+	if n := (ls.tiles + blockTiles - 1) / blockTiles; n != len(ls.blocks) {
+		ls.blocks = make([]*linkBlock, n)
+	}
+}
+
+// Bytes reports the memory ls holds: its block directory and its blocks.
+func (ls *LinkStats) Bytes() int64 {
+	n := int64(cap(ls.blocks)) * int64(unsafe.Sizeof((*linkBlock)(nil)))
+	for _, b := range ls.blocks {
+		if b != nil {
+			n += int64(unsafe.Sizeof(*b))
+		}
+	}
+	return n
 }
 
 // block returns tile's counter block, installing it on first touch.
@@ -167,7 +201,9 @@ func (ls *LinkStats) Snapshot() *Utilization {
 		blocks: make([]*linkBlock, len(ls.blocks)),
 	}
 	for bi, lb := range ls.blocks {
-		if lb != nil {
+		// A block traffic touched is never zero (a route counts a packet, a
+		// queue mark is positive), so a zero one is one Clear kept.
+		if lb != nil && *lb != (linkBlock{}) {
 			cp := *lb
 			u.blocks[bi] = &cp
 		}

@@ -1,6 +1,8 @@
 package mesh
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,6 +99,58 @@ func TestQueueDepthHighWater(t *testing.T) {
 	}
 	if u2 := ls.Snapshot(); u2.QueueHWM(1, 0) != 20 || u2.TotalWords() != 4 {
 		t.Errorf("second snapshot: hwm %d, %d words; want 20, 4", u2.QueueHWM(1, 0), u2.TotalWords())
+	}
+}
+
+// A LinkStats that Clear emptied and Reset pointed at an area records and
+// snapshots exactly as a new one for that area, its earlier snapshots keep
+// their counts, and it reuses its blocks when the area needs as many.
+func TestLinkStatsResetIsFresh(t *testing.T) {
+	big, err := NewGeometry(arch.Synthetic(16, 16), 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := testGeo(t, 4, 4)
+	// traffic routes among the first tiles tiles of the area only, so a
+	// later, narrower pass leaves kept blocks untouched.
+	traffic := func(ls *LinkStats, tiles int) {
+		for i := 0; i < tiles; i += 3 {
+			ls.RecordRoute(i, tiles-1-i, 1+i%5)
+			ls.RecordQueueDepth(i, 1+i%4)
+		}
+	}
+	ls := NewLinkStats(big)
+	traffic(ls, 256)
+	before := ls.Snapshot()
+	for _, pass := range []struct {
+		geo   Geometry
+		tiles int
+	}{{big, 256}, {small, 16}, {big, 256}, {big, 16}, {big, 256}} {
+		geo := pass.geo
+		kept := slices.Clone(ls.blocks)
+		ls.Clear()
+		ls.Reset(geo)
+		if u := ls.Snapshot(); slices.ContainsFunc(u.blocks, func(b *linkBlock) bool { return b != nil }) {
+			t.Fatalf("a reset LinkStats snapshots blocks: %d words, queue mark %d", u.TotalWords(), u.MaxQueueHWM())
+		}
+		fresh := NewLinkStats(geo)
+		traffic(ls, pass.tiles)
+		traffic(fresh, pass.tiles)
+		if got, want := ls.Snapshot(), fresh.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%dx%d, %d tiles: a reset LinkStats snapshots %+v, a new one %+v", geo.Width, geo.Height, pass.tiles, got, want)
+		}
+		if len(kept) == len(ls.blocks) {
+			for i, b := range kept {
+				if b != nil && ls.blocks[i] != b {
+					t.Errorf("%dx%d: block %d was made again, not reused", geo.Width, geo.Height, i)
+				}
+			}
+		}
+	}
+	fresh := NewLinkStats(big)
+	traffic(fresh, 256)
+	if !reflect.DeepEqual(before, fresh.Snapshot()) {
+		t.Error("a snapshot taken before Clear changed with it")
 	}
 }
 
