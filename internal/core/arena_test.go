@@ -86,8 +86,8 @@ func requireZeroPool(t *testing.T) {
 }
 
 // requireEmptyTables fails unless the per-word and per-link tables pooled
-// shell s keeps are empty: each hub with every stamp page it holds zero, no
-// page in use and no directory entry or sub-word stamp; the lock and
+// shell s keeps are empty: each hub with every stamp page it holds zero
+// (slot hands kept pages out without zeroing them again), no page in use and no directory entry or sub-word stamp; the lock and
 // barrier maps without entries; the link counters at zero.
 func requireEmptyTables(t *testing.T, s *launchShell) {
 	t.Helper()

@@ -227,9 +227,9 @@ func TestElementalErrorEquivalence(t *testing.T) {
 // store streams and checks every read against the map it replaced, kept
 // here as the reference: one stamp per byte offset, overwritten only by a
 // later visibility time. Waiters merge their clocks with these stamps, so
-// the table may not differ from the map even once. One hub serves every
-// trial, reset between them as check-in resets a pooled shell's: a kept
-// table must read as a fresh one.
+// the table may not differ from the map even once. Half the trials start on
+// a fresh hub; the other half share one hub, reset between them as
+// check-in resets a pooled shell's: a kept table must read as a fresh one.
 func TestStampTableMatchesMap(t *testing.T) {
 	// Words sharing a page, words on neighbouring pages, words far apart,
 	// sub-word and odd 32-bit offsets (next to aligned ones and far away),
@@ -238,11 +238,20 @@ func TestStampTableMatchesMap(t *testing.T) {
 		1, 2, 4, 12, 20, 122, 130, 4100, 1<<20 + 4, 7<<20 + 6}
 	never := []int64{24, 112, 256, 384, 2048, 1<<20 + 16, 3 << 20, 8<<20 - 8, 3, 28, 4104, 5<<20 + 2}
 	rng := rand.New(rand.NewSource(17))
-	p := &Program{hubs: make([]watchHub, 1)}
-	p.sched = newEvsched(p, make([]evNode, 1), nil)
-	h := &p.hubs[0]
-	var top int64 // highest word-aligned offset stored through, over the trials
+	newHub := func() *Program {
+		p := &Program{hubs: make([]watchHub, 1)}
+		p.sched = newEvsched(p, make([]evNode, 1), nil)
+		return p
+	}
+	kept := newHub()
+	var keptTop int64 // highest word-aligned offset stored through the kept hub
 	for trial := 0; trial < 50; trial++ {
+		// Trials 0 and 1 of every four get a fresh hub, 2 and 3 the kept one.
+		p, fresh := kept, trial%4 < 2
+		if fresh {
+			p = newHub()
+		}
+		h := &p.hubs[0]
 		ref := make(map[int64]hubStamp)
 		compare := func(off int64) {
 			t.Helper()
@@ -253,11 +262,15 @@ func TestStampTableMatchesMap(t *testing.T) {
 		for _, off := range append(stored, never...) {
 			compare(off)
 		}
-		if len(h.pages) != 0 || len(h.odd) != 0 {
+		if fresh && (h.dir != nil || h.pages != nil || h.odd != nil) {
+			t.Fatalf("trial %d: reads alone allocated (%d directory entries, %d pages, map %v)", trial, len(h.dir), len(h.pages), h.odd != nil)
+		}
+		if len(h.pages) != 0 || len(h.odd) != 0 || slices.ContainsFunc(h.dir, func(e int32) bool { return e != 0 }) {
 			t.Fatalf("trial %d: reads alone made %d pages and %d sub-word stamps", trial, len(h.pages), len(h.odd))
 		}
-		// Some trials touch only a few offsets, in a random order, so the
-		// directory grows both from the bottom and straight to the top.
+		// Every other trial touches only a few offsets, in a random order,
+		// so a fresh hub's directory grows both from the bottom and
+		// straight to the top.
 		offs := stored
 		if trial%2 == 1 {
 			offs = make([]int64, 1+rng.Intn(4))
@@ -265,6 +278,7 @@ func TestStampTableMatchesMap(t *testing.T) {
 				offs[i] = stored[rng.Intn(len(stored))]
 			}
 		}
+		var top int64 // highest word-aligned offset stored through this trial
 		for step := 0; step < 400; step++ {
 			off := offs[rng.Intn(len(offs))]
 			tm := vtime.Time(rng.Intn(200)) // non-monotone, with repeats and zeros
@@ -287,11 +301,18 @@ func TestStampTableMatchesMap(t *testing.T) {
 			compare(off)
 		}
 		// Geometric growth keeps the directory under twice what the highest
-		// stored-through page needs.
+		// stored-through page needs; a kept directory keeps what earlier
+		// trials grew it to.
+		if !fresh {
+			keptTop = max(keptTop, top)
+			top = keptTop
+		}
 		if limit := 2 * (int(top/stampPageBytes) + 1); len(h.dir) > limit {
 			t.Fatalf("trial %d: %d directory entries for a highest page of %d", trial, len(h.dir), top/stampPageBytes)
 		}
-		h.reset()
+		if !fresh {
+			h.reset()
+		}
 	}
 }
 

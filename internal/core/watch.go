@@ -54,7 +54,8 @@ type stampPage [stampPageSlots]hubStamp
 
 // reset empties the hub for the next launch, keeping what its tables grew
 // to: the pages the run stamped are zeroed and their dir entries cleared,
-// so it costs what the run touched. A kept table reads exactly as a fresh
+// so it costs what the run touched, and slot hands the zeroed pages out
+// again as they are. Pages past len(pages) are always zero. A kept table reads exactly as a fresh
 // one: stamp and await cannot tell a cleared entry from one never made.
 func (h *watchHub) reset() {
 	if len(h.pages) > 0 {
@@ -90,8 +91,8 @@ func (h *watchHub) stamp(off int64) hubStamp {
 	return hubStamp{}
 }
 
-// slot returns the place word-aligned offset off's stamp is kept, making
-// its page (zero) on first use. The directory covers offsets up to the
+// slot returns the place word-aligned offset off's stamp is kept, taking
+// a zero page on first use. The directory covers offsets up to the
 // highest one stored through and grows geometrically: an int32 per
 // stampPageBytes of partition at most, whatever the order of touches.
 func (h *watchHub) slot(off int64) *hubStamp {
@@ -104,7 +105,11 @@ func (h *watchHub) slot(off int64) *hubStamp {
 	}
 	i := h.dir[pg]
 	if i == 0 {
-		h.pages = append(h.pages, stampPage{})
+		if n := len(h.pages); n < cap(h.pages) {
+			h.pages = h.pages[:n+1] // a kept page: reset zeroed it
+		} else {
+			h.pages = append(h.pages, stampPage{})
+		}
 		h.pageOf = append(h.pageOf, int32(pg))
 		i = int32(len(h.pages))
 		h.dir[pg] = i
