@@ -240,13 +240,14 @@ func (pe *PE) barrierChain(w *chainStay) error {
 //     a collective with steps left after this barrier: there the driver takes
 //     them too (phase.go).
 //
-// A hooked run (Program.hooked: a recorder, a profiler, link counters or a
-// fault plan) prices each signal through the port that would send it
-// (udn.Port.Inject): the hooks see what the packet fed them, in the same
-// order per PE, and the plan stretches, holds or drops the signal as it
-// would the packet. An observed run also counts each PE's barrier queue as
-// the packets fill and drain it (chainQueue). An unhooked run takes the bare
-// arithmetic: calling the nil-safe hooks anyway cost sync-storm 6 %.
+// Every unfaulted run prices each signal in bare arithmetic (pass); an
+// observed member (PE.observed) then feeds its hooks what the packet fed
+// them, in the same order per PE, from the clocks pass computed, and an
+// unobserved one calls none (calling the nil-safe hooks anyway cost
+// sync-storm 6 %). Only a fault plan, which stretches, holds or drops the
+// signal as it would the packet, prices it through the port that would send
+// it (udn.Port.Inject). An observed run also counts each PE's barrier queue
+// as the packets fill and drain it (chainQueue).
 //
 // Under a plan each wait is bounded from the clock its member parks at. A
 // signal past the deadline times the member out against its sender; one that
@@ -310,8 +311,8 @@ type chainQueue struct{ delivered, taken uint16 }
 
 // chainSetOf returns the run's chain state for as, resolving the set's hops
 // on first use. The all-PEs chain of a single chip takes them from the
-// shell's replay when that holds the chip's handshake (an unhooked launch
-// put them there already, replayStartPEs).
+// shell's replay when that holds the chip's handshake (an unobserved,
+// unfaulted launch put them there already, replayStartPEs).
 func (p *Program) chainSetOf(as ActiveSet) (*chainSet, error) {
 	if set := p.chainSets[as]; set != nil {
 		return set, nil
@@ -441,25 +442,19 @@ func (inst *chainInst) late(pe *PE) bool {
 func (inst *chainInst) forward(p *Program, i int) error {
 	set := inst.set
 	pe := &p.pes[set.as.PE(i)]
-	switch {
-	case i == 0:
+	fwd := set.fwd
+	if i == 0 {
 		pe.clock.Advance(set.arb)
-	case p.hooked:
-		if err := pe.chainRecv(inst, i-1); err != nil {
-			return err
-		}
-		pe.advanceAs(profile.CatUDNSend, set.fwd)
-	default:
+		fwd = 0
+	} else if !pe.observed {
 		pe.clock.AdvanceTo(inst.arrive)
-		pe.clock.Advance(set.fwd)
+	} else if err := pe.chainRecv(inst, i-1); err != nil {
+		return err
 	}
-	delivered := true
-	if p.hooked {
-		delivered = pe.chainSend(inst, i)
-	} else {
-		inst.pass(&pe.clock, i)
+	if !pe.observed {
+		inst.pass(&pe.clock, i, fwd)
 	}
-	if delivered {
+	if !pe.observed || pe.chainSend(inst, i, fwd) {
 		if inst.pos = int32(i + 1); int(inst.pos) == set.as.Size {
 			inst.release(p, 0)
 		} else {
@@ -472,10 +467,10 @@ func (inst *chainInst) forward(p *Program, i int) error {
 
 // foldsStart reports whether the launcher takes start_pes' closing barrier
 // itself (foldStart): a single-chip run of more than one PE on the linear
-// chain with no hook, no sanitizer and no literal chain. Any other run's PEs
-// call BarrierAll.
+// chain, unobserved and unfaulted (PE.observed, alike on every PE), with no
+// literal chain. Any other run's PEs call BarrierAll.
 func (p *Program) foldsStart() bool {
-	return !p.hooked && p.san == nil && p.nchips == 1 && len(p.pes) > 1 &&
+	return p.nchips == 1 && len(p.pes) > 1 && !p.pes[0].observed &&
 		p.cfg.BarrierAlgo == BarrierAlgoLinear && p.literal.chain == nil
 }
 
@@ -495,7 +490,7 @@ func (p *Program) foldStart() error {
 	for i := range p.pes {
 		pe := &p.pes[i]
 		pe.bar, pe.barAll.chain = inst, set
-		_ = inst.forward(p, i) // unhooked: nothing is late, and nothing parked is signalled
+		_ = inst.forward(p, i) // unfaulted: nothing is late, and nothing parked is signalled
 	}
 	// From here on pos is the member the release has reached, and it stops
 	// where an abort finds it: the wait signal is back, member 0 is released.
@@ -518,7 +513,7 @@ func (pe *PE) leaveStart(inst *chainInst) error {
 	if p.aborted && (pe.id != int(inst.pos) || pe.id < len(p.pes)-1) {
 		return chainAborted(pe, inst.set.as, gen)
 	}
-	_ = pe.chainRelease(inst, pe.id, nil) // unhooked: cannot fail
+	_ = pe.chainRelease(inst, pe.id, nil) // unfaulted: cannot fail
 	if !p.aborted {
 		inst.pos++
 	}
@@ -598,69 +593,63 @@ func (pe *PE) chainLeave(w *chainStay, st uint8, err error) error {
 // next member. It fails only when the signal came late (chainRecv).
 func (pe *PE) chainRelease(inst *chainInst, idx int, tok *sanitize.Barrier) error {
 	p, set := pe.prog, inst.set
-	if p.hooked {
-		if err := pe.chainRecv(inst, (idx+set.as.Size-1)%set.as.Size); err != nil {
-			return err
-		}
-	} else {
+	if !pe.observed {
 		pe.clock.AdvanceTo(inst.arrive)
+	} else if err := pe.chainRecv(inst, (idx+set.as.Size-1)%set.as.Size); err != nil {
+		return err
 	}
 	pe.san.BarrierExit(tok)
-	if idx < set.as.Size-1 {
-		delivered := true
-		if p.hooked {
-			pe.advanceAs(profile.CatUDNSend, set.fwd)
-			delivered = pe.chainSend(inst, idx)
-		} else {
-			pe.clock.Advance(set.fwd)
-			inst.pass(&pe.clock, idx)
-		}
-		if delivered {
-			inst.release(p, idx+1)
-		}
+	switch {
+	case idx == set.as.Size-1:
+	case !pe.observed:
+		inst.pass(&pe.clock, idx, set.fwd)
+		inst.release(p, idx+1)
+	case pe.chainSend(inst, idx, set.fwd):
+		inst.release(p, idx+1)
 	}
 	return nil
 }
 
-// chainRecv is a hooked member's merge with the signal member from sent: the
-// hooks a consumed packet feeds. A signal past the member's deadline was
-// taken off the queue all the same, and times the member out.
-func (pe *PE) chainRecv(inst *chainInst, from int) error {
-	peer := inst.set.as.PE(from)
-	pe.chainTake(inst.seq + 1)
-	start := pe.clock.Now()
-	if inst.late(pe) {
-		return pe.timeoutAt("barrier", peer, start, pe.waitDeadline())
-	}
-	pe.rec.BarrierWait(pe.clock.AdvanceTo(inst.arrive))
-	pe.profMerge(profile.CatBarrierWait, start, peer, inst.sent, inst.arrive)
-	return nil
-}
-
-// pass is member i's send of the signal to the next member in an unhooked
-// run: the bare arithmetic, inlined into its two callers.
-func (inst *chainInst) pass(clock *vtime.Clock, i int) {
+// pass prices member i's send of the signal, after fwd of forwarding work,
+// in bare arithmetic, as every unfaulted run does. It inlines into its
+// callers: a call per signal cost sync-storm 2 %.
+func (inst *chainInst) pass(clock *vtime.Clock, i int, fwd vtime.Duration) {
 	hop := &inst.set.hops[i]
+	clock.Advance(fwd)
 	clock.Advance(hop.send)
 	inst.sent = clock.Now()
 	inst.arrive = inst.sent.Add(hop.wire)
 }
 
-// chainSend is pass in a hooked run: the port prices the signal as a packet
-// and may drop it (false); a delivered one joins the receiver's queue.
-func (pe *PE) chainSend(inst *chainInst, i int) bool {
-	p := pe.prog
-	hop := &inst.set.hops[i]
+// chainRecv is an observed member's merge with the signal member from sent,
+// taken off its queue and merged as a consumed packet is (mergeSignal).
+func (pe *PE) chainRecv(inst *chainInst, from int) error {
+	pe.chainTake(inst.seq + 1)
+	return pe.mergeSignal("barrier", inst.set.as.PE(from), inst.sent, inst.arrive, pe.clock.Now(), pe.waitDeadline())
+}
+
+// chainSend is pass for an observed member, feeding the hooks what the
+// packet would from the clocks pass computed (udn.Port.Injected); under a
+// fault plan the port prices the packet instead (udn.Port.Inject) and may
+// drop it (false). A delivered signal joins the receiver's queue.
+func (pe *PE) chainSend(inst *chainInst, i int, fwd vtime.Duration) bool {
+	p, hop := pe.prog, &inst.set.hops[i]
 	next := inst.set.as.PE((i + 1) % inst.set.as.Size)
 	c, dst := p.chipOf(pe.id), p.localIdx(next)
 	// chainSetOf resolved this route already, so it cannot fail here.
 	hops, _ := p.geos[c].HopsBetween(p.localIdx(pe.id), dst)
+	path := mesh.PathInfo{Hops: hops, Send: hop.send, Wire: hop.wire}
+	pe.advanceAs(profile.CatUDNSend, fwd)
 	pe.rec.BarrierRound()
-	arrive, ok := pe.port.Inject(&pe.clock, dst, qBarrier, 1, &mesh.PathInfo{Hops: hops, Send: hop.send, Wire: hop.wire})
-	if !ok {
+	if p.flt == nil {
+		t0 := pe.clock.Now()
+		inst.pass(&pe.clock, i, 0)
+		pe.port.Injected(dst, 1, &path, t0, inst.sent, inst.arrive)
+	} else if arrive, ok := pe.port.Inject(&pe.clock, dst, qBarrier, 1, &path); ok {
+		inst.sent, inst.arrive = pe.clock.Now(), arrive
+	} else {
 		return false
 	}
-	inst.sent, inst.arrive = pe.clock.Now(), arrive
 	if p.chainQ != nil {
 		q := &p.chainQ[next]
 		inst.seq = q.delivered
@@ -715,7 +704,7 @@ func (pe *PE) barrierHier(as ActiveSet, tag uint32) error {
 	myChip := pe.prog.chipOf(pe.id)
 	var members []int // my chip's members
 	var leaders []int // first member per chip, in order of appearance
-	lastChip := -1
+	lastChip, pos := -1, 0
 	for i := 0; i < as.Size; i++ {
 		g := as.PE(i)
 		c := pe.prog.chipOf(g)
@@ -723,14 +712,11 @@ func (pe *PE) barrierHier(as ActiveSet, tag uint32) error {
 			leaders = append(leaders, g)
 			lastChip = c
 		}
+		if g == pe.id {
+			pos = len(members)
+		}
 		if c == myChip {
 			members = append(members, g)
-		}
-	}
-	pos := 0
-	for i, m := range members {
-		if m == pe.id {
-			pos = i
 		}
 	}
 	n := len(members)
@@ -804,7 +790,7 @@ func (pe *PE) recvFab(tag uint32) (mpipe.Msg, error) {
 	for i, m := range pe.fabPending {
 		if m.Tag == tag {
 			pe.fabPending = append(pe.fabPending[:i], pe.fabPending[i+1:]...)
-			return pe.consumeFab(m, start, deadline)
+			return m, pe.mergeSignal("mpipe", m.SrcPE, m.Sent, m.Arrive, start, deadline)
 		}
 	}
 	for {
@@ -816,22 +802,10 @@ func (pe *PE) recvFab(tag uint32) (mpipe.Msg, error) {
 			return mpipe.Msg{}, err
 		}
 		if m.Tag == tag {
-			return pe.consumeFab(m, start, deadline)
+			return m, pe.mergeSignal("mpipe", m.SrcPE, m.Sent, m.Arrive, start, deadline)
 		}
 		pe.fabPending = append(pe.fabPending, m)
 	}
-}
-
-// consumeFab merges the clock with a fabric message's arrival, enforcing
-// the virtual deadline when fault injection bounds the wait.
-func (pe *PE) consumeFab(m mpipe.Msg, start vtime.Time, deadline vtime.Time) (mpipe.Msg, error) {
-	if deadline > 0 && m.Arrive > deadline {
-		return mpipe.Msg{}, pe.timeoutAt("mpipe", m.SrcPE, start, deadline)
-	}
-	waitStart := pe.clock.Now()
-	pe.rec.BarrierWait(pe.clock.AdvanceTo(m.Arrive))
-	pe.profMerge(profile.CatBarrierWait, waitStart, m.SrcPE, m.Sent, m.Arrive)
-	return m, nil
 }
 
 // recvBarrier receives the next barrier signal carrying tag, stashing
@@ -846,7 +820,7 @@ func (pe *PE) recvBarrier(tag uint32, want uint64) error {
 	deadline := pe.waitDeadline()
 	for i := range pe.barPending {
 		if pkt := &pe.barPending[i]; pkt.Tag == tag && pkt.Word(0) == want {
-			err := pe.consumeBarrier(pkt, start, deadline)
+			err := pe.mergeSignal("barrier", pe.globalSrc(pkt.Src), pkt.Sent, pkt.Arrive, start, deadline)
 			pe.barPending = append(pe.barPending[:i], pe.barPending[i+1:]...)
 			return err
 		}
@@ -860,21 +834,23 @@ func (pe *PE) recvBarrier(tag uint32, want uint64) error {
 			return err
 		}
 		if pkt.Tag == tag && pkt.Len() == 1 && pkt.Word(0) == want {
-			return pe.consumeBarrier(&pkt, start, deadline)
+			return pe.mergeSignal("barrier", pe.globalSrc(pkt.Src), pkt.Sent, pkt.Arrive, start, deadline)
 		}
 		pe.barPending = append(pe.barPending, pkt)
 	}
 }
 
-// consumeBarrier merges the clock with a barrier signal's arrival,
-// enforcing the virtual deadline when fault injection bounds the wait.
-func (pe *PE) consumeBarrier(pkt *udn.Packet, start vtime.Time, deadline vtime.Time) error {
-	if deadline > 0 && pkt.Arrive > deadline {
-		return pe.timeoutAt("barrier", pe.globalSrc(pkt.Src), start, deadline)
+// mergeSignal merges the clock with a barrier signal from PE src, which left
+// at sent and lands at arrive, for a wait op that began at start. A signal
+// past a fault plan's deadline (zero without one) times the PE out; any
+// other feeds the recorder and the profiler the wait.
+func (pe *PE) mergeSignal(op string, src int, sent, arrive, start, deadline vtime.Time) error {
+	if deadline > 0 && arrive > deadline {
+		return pe.timeoutAt(op, src, start, deadline)
 	}
 	waitStart := pe.clock.Now()
-	pe.rec.BarrierWait(pe.clock.AdvanceTo(pkt.Arrive))
-	pe.profMerge(profile.CatBarrierWait, waitStart, pe.globalSrc(pkt.Src), pkt.Sent, pkt.Arrive)
+	pe.rec.BarrierWait(pe.clock.AdvanceTo(arrive))
+	pe.profMerge(profile.CatBarrierWait, waitStart, src, sent, arrive)
 	return nil
 }
 

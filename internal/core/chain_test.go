@@ -474,16 +474,25 @@ func FuzzChainBarrier(f *testing.F) {
 	f.Add(int64(3), uint8(7), uint16(70), true, true, int64(4), false)
 	f.Add(int64(4), uint8(1), uint16(11), false, true, int64(9), false)
 	f.Add(int64(5), uint8(2), uint16(15), true, true, int64(6), false)
-	// Unhooked single-chip runs, whose start barrier the launcher folds: 1 and
-	// 2 PEs, and partial areas of an 8x3 mesh and of the Epiphany-III.
+	// Unobserved, unfaulted single-chip runs, whose start barrier the launcher
+	// folds: 1 and 2 PEs, and partial areas of an 8x3 mesh and of the
+	// Epiphany-III.
 	f.Add(int64(6), uint8(0), uint16(0), false, false, int64(0), false)
 	f.Add(int64(7), uint8(1), uint16(1), false, false, int64(0), false)
 	f.Add(int64(8), uint8(8), uint16(16), false, false, int64(0), false)
 	f.Add(int64(9), uint8(4), uint16(10), false, false, int64(0), false)
-	// The collectives, unhooked on one chip and observed under a plan across
-	// two.
+	// The collectives, unobserved on one chip and observed under a plan
+	// across two.
 	f.Add(int64(10), uint8(0), uint16(20), false, false, int64(0), true)
 	f.Add(int64(11), uint8(7), uint16(29), true, true, int64(5), true)
+	// Observed but unfaulted, which prices every signal as the plain run does
+	// and feeds the hooks from its clocks: the single-chip chain, observed and
+	// sanitized, across two chips, and the collectives on one chip and two.
+	f.Add(int64(12), uint8(0), uint16(35), false, true, int64(0), false)
+	f.Add(int64(13), uint8(8), uint16(23), true, true, int64(0), false)
+	f.Add(int64(14), uint8(7), uint16(70), false, true, int64(0), false)
+	f.Add(int64(15), uint8(0), uint16(20), false, true, int64(0), true)
+	f.Add(int64(16), uint8(7), uint16(29), true, true, int64(0), true)
 	shapes := chainShapes()
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, npes uint16, san, obs bool, plan int64, coll bool) {
 		cfg := shapes[int(shape)%len(shapes)]

@@ -721,19 +721,35 @@ func TestDatapathGoldens(t *testing.T) {
 }
 
 // TestDatapathObserverInvariance: observers watch, they do not model. In
-// every data-path configuration, each observer mode — none, each alone,
-// all four — ends every PE at the same clock with the same traffic. A
+// every data-path configuration, and in the programs that drive the computed
+// chain barrier and the start_pes exchange — sync-storm in small, the
+// collectives, an empty body at 256 PEs — each observer mode (none, each
+// alone, all four) ends every PE at the same clock with the same traffic. A
 // modeled charge that only an observed run pays (the fault stretch, the
-// mPIPE leg) shows here as the plain mode drifting from the others.
+// mPIPE leg), or a signal or report an observed run prices another way,
+// shows here as the plain mode drifting from the others.
 func TestDatapathObserverInvariance(t *testing.T) {
 	t.Setenv("TSHMEM_SANITIZE", "")
+	type input struct {
+		datapathRun
+		body func(*PE) error
+	}
+	var inputs []input
 	for _, r := range datapathRuns(t) {
+		r.cfg.NPEs = 8
+		inputs = append(inputs, input{r, datapathBody})
+	}
+	inputs = append(inputs,
+		input{datapathRun{"chain/sync-storm", Config{NPEs: 36}}, stormLikeBody(8)},
+		input{datapathRun{"chain/collectives", Config{NPEs: 36}}, collectivesBody(3)},
+		input{datapathRun{"start_pes/synthetic-16x16", Config{Chip: arch.Synthetic(16, 16), NPEs: 256}}, func(*PE) error { return nil }})
+	for _, r := range inputs {
 		var want runPrint
 		for i, obs := range chainObservers {
 			cfg := obs.cfg
-			cfg.Chip, cfg.NChips, cfg.Faults = r.cfg.Chip, r.cfg.NChips, r.cfg.Faults
-			cfg.NPEs, cfg.HeapPerPE, cfg.ScratchBytes = 8, 1<<16, 1<<16
-			rep, err := Run(cfg, datapathBody)
+			cfg.Chip, cfg.NChips, cfg.Faults, cfg.NPEs = r.cfg.Chip, r.cfg.NChips, r.cfg.Faults, r.cfg.NPEs
+			cfg.HeapPerPE, cfg.ScratchBytes = 1<<16, 1<<16
+			rep, err := Run(cfg, r.body)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", r.label, obs.name, err)
 			}

@@ -12,9 +12,9 @@
 // address to every other tile over the UDN during start_pes, exactly as the
 // paper's launcher does. (The launcher computes the modeled exchange —
 // clocks, counters, link traffic, and under a fault plan its timeouts —
-// without moving the n(n-1) packets; an unobserved, unfaulted run takes the
-// clocks from a per-process cache when the mesh shape has been launched
-// before.)
+// without moving the n(n-1) packets; a run with no recorder, profiler or
+// fault plan takes the clocks from its launch shell when the mesh shape has
+// been launched before.)
 //
 // Dynamic symmetric objects are allocated with Malloc (shmalloc): a
 // deterministic doubly-linked-list allocator guarantees that collective
@@ -72,7 +72,10 @@
 // when PE.observed (an observer is on, or a fault plan is armed) or when a
 // transfer crosses chips, whose mPIPE leg the tail charges; an unobserved
 // single-chip run pays one branch per op for the observers it does not
-// have.
+// have. The computed chain barrier (barrier.go) and the start_pes exchange
+// (replayStartPEs) follow the same rule: every unfaulted run prices them in
+// the same arithmetic, and an observed one feeds its hooks from the clocks
+// it computed. Only a fault plan prices them through the UDN port.
 //
 // # Execution
 //

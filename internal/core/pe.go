@@ -266,18 +266,20 @@ func (pe *PE) startPEs(walked error) error {
 }
 
 // replayStartPEs computes what the exchange leaves in every PE's clock
-// without moving a packet. An unhooked run takes the round walk (replayChip),
-// a pure function of the geometry, from its shell's replay (engine.go) when
-// the last launch of its shape walked the same mesh shape, and stores it
-// there when it walks. A hooked run walks the exchange turn by turn
-// (replayTurns), feeding its hooks, and neither reads nor writes the replay.
-// Where the run allows it (foldsStart) the walk goes on into the closing
-// barrier's wait pass. It runs on the launcher before any PE starts, so it
-// owns every clock, recorder and calendar structure it touches.
+// without moving a packet: by the round walk (replayChip), a pure function
+// of the geometry, or under a fault plan turn by turn (replayTurns). A run
+// with no recorder or profiler takes the walk from its shell's replay
+// (engine.go) when the last launch of its shape walked the same mesh shape,
+// and stores it there when it walks; an observed one walks every time,
+// feeding its hooks, and neither reads nor writes the replay. Where the run
+// allows it (foldsStart) the walk goes on into the closing barrier's wait
+// pass. It runs on the launcher before any PE starts, so it owns every
+// clock, recorder and calendar structure it touches.
 func (p *Program) replayStartPEs(errs []error) error {
+	observed := p.cfg.Observe || p.cfg.Profile
 	for c, geo := range p.geos {
 		first, peers := c*p.perChip, p.chipPEs(c)
-		if p.hooked {
+		if p.flt != nil {
 			if err := p.replayTurns(c, errs[first:first+peers]); err != nil {
 				return err
 			}
@@ -285,8 +287,12 @@ func (p *Program) replayStartPEs(errs []error) error {
 		}
 		key := replayKey{route: geo.RouteKey(), peers: peers}
 		e := &p.shell.replay[c]
+		var own replayEntry
+		if observed {
+			e = &own
+		}
 		if e.key != key {
-			clocks, err := p.replayChip(c)
+			clocks, err := p.replayChip(c, observed)
 			if err != nil {
 				return err
 			}
@@ -314,10 +320,10 @@ func (p *Program) replayStartPEs(errs []error) error {
 // one word toward p+r and then merges with the report from p-r, so three
 // vectors (each PE's clock, when it finished injecting, when the report
 // addressed to it lands) carry a round, and peers-1 rounds carry the
-// handshake. It calls no hook: testing the recorders at each step was worth
-// 18 % of the benchmark's 256-PE launch (2.97 -> 2.45 ms, 10 of 10
-// alternating pairs, PR 12).
-func (p *Program) replayChip(c int) ([]vtime.Time, error) {
+// handshake. It calls no hook per step: testing the recorders at each step
+// was worth 18 % of a 256-PE launch (2.97 -> 2.45 ms, 10 of 10 alternating
+// pairs). An observed walk feeds them once a round (startRound).
+func (p *Program) replayChip(c int, observed bool) ([]vtime.Time, error) {
 	geo, peers := p.geos[c], p.chipPEs(c)
 	now := make([]vtime.Time, peers)
 	sent := make([]vtime.Time, peers)
@@ -339,11 +345,35 @@ func (p *Program) replayChip(c int) ([]vtime.Time, error) {
 				arrive[dst] = sent[me].Add(path.Wire)
 			}
 		}
+		if observed {
+			if err := p.startRound(c, r, now, sent, arrive); err != nil {
+				return nil, err
+			}
+		}
 		for me := range now {
 			now[me] = vtime.Max(sent[me], arrive[me])
 		}
 	}
 	return now, nil
+}
+
+// startRound is the observer tail of round r of chip c's handshake, fed from
+// the round's vectors before its merge: each PE feeds the hooks its report's
+// injection and its receive of the report from r back would.
+func (p *Program) startRound(c, r int, now, sent, arrive []vtime.Time) error {
+	geo, first, peers := p.geos[c], c*p.perChip, len(now)
+	for me := range now {
+		pe := &p.pes[first+me]
+		dst, src := (me+r)%peers, (me-r+peers)%peers
+		path, err := geo.Path(me, dst, 1)
+		if err != nil {
+			return err
+		}
+		pe.port.Injected(dst, 1, &path, now[me], sent[me], arrive[dst])
+		pe.rec.UDNRecv(1)
+		pe.profMerge(profile.CatUDNWait, sent[me], first+src, sent[src], arrive[me])
+	}
+	return nil
 }
 
 // initQueueCap is the depth of a udn demux queue, past which Port.Send parks
@@ -366,21 +396,22 @@ type initTurn struct {
 	taken int
 }
 
-// replayTurns walks chip c's handshake as the literal exchange runs it, turn
-// by turn in the calendar's host order, which decides what a PE that times
-// out had taken off its queue (the receive counter counts it, the queue
-// high-water mark samples it): the least (clock, rank) ready PE, on the run's
-// own ready heap, sends and merges until the report it awaits is not in; a
-// report queued readies its parked receiver; when none is ready every parked
-// PE times out at once. Each report is priced by Port.Inject on its sender's
-// clock, where a fault plan stretches, holds or drops it. A report past
-// start + WaitBudget, or one that never comes, times its receiver out against
-// the sender (in errs, indexed like the chip's PEs); it sends nothing more.
+// replayTurns walks chip c's handshake under a fault plan as the literal
+// exchange runs it, turn by turn in the calendar's host order, which decides
+// what a PE that times out had taken off its queue (the receive counter
+// counts it, the queue high-water mark samples it): the least (clock, rank)
+// ready PE, on the run's own ready heap, sends and merges until the report it
+// awaits is not in; a report queued readies its parked receiver; when none is
+// ready every parked PE times out at once. Each report is priced by
+// Port.Inject on its sender's clock, where the plan stretches, holds or drops
+// it. A report past start + WaitBudget, or one that never comes, times its
+// receiver out against the sender (in errs, indexed like the chip's PEs); it
+// sends nothing more.
 //
 // The literal's senders park behind a queue of initQueueCap reports, which
 // only a chip of over ~8 000 PEs fills: the deepest queue holds ~1.4 sqrt(n)
-// (22 at 256 PEs, 44 at 1024, 90 at 4096, with or without a plan). Parking
-// moves no output without a plan; under one the walk refuses the launch.
+// (22 at 256 PEs, 44 at 1024, 90 at 4096, with or without a plan), so the
+// walk refuses such a launch rather than park.
 func (p *Program) replayTurns(c int, errs []error) error {
 	geo, first := p.geos[c], c*p.perChip
 	pes := p.pes[first : first+p.chipPEs(c)]
@@ -402,11 +433,11 @@ func (p *Program) replayTurns(c int, errs []error) error {
 				}
 				if arrive, ok := pe.port.Inject(&pe.clock, dst, qInit, 1, &path); ok {
 					q := &turns[dst]
-					if len(q.inbox)-q.taken == initQueueCap && p.flt != nil {
+					if len(q.inbox)-q.taken == initQueueCap {
 						return fmt.Errorf("tshmem: internal: start_pes under a fault plan would park PE %d on PE %d's full report queue", first+me, first+dst)
 					}
 					q.inbox = append(q.inbox, initPkt{src: me, sent: pe.clock.Now(), arrive: arrive})
-					if p.links != nil && p.flt != nil { // queue depths sampled under a plan only
+					if p.links != nil {
 						p.links[c].RecordQueueDepth(dst, len(q.inbox)-q.taken)
 					}
 					if q.wait {
@@ -428,7 +459,7 @@ func (p *Program) replayTurns(c int, errs []error) error {
 			}
 			pkt := t.inbox[i]
 			t.inbox, t.taken = slices.Delete(t.inbox, i, i+1), t.taken-1
-			if deadline := t.start.Add(p.waitBudget); p.flt != nil && pkt.arrive > deadline {
+			if deadline := t.start.Add(p.waitBudget); pkt.arrive > deadline {
 				errs[me] = pe.timeoutAt("init", first+src, t.start, deadline)
 				t.r = peers
 				break

@@ -374,11 +374,6 @@ type Program struct {
 	lockRel    map[int64]lockRelStamp
 	mcsNext    map[int64]map[int]*mcsWaiter
 
-	// hooked says a recorder, profiler, link counter or fault plan is on: the
-	// computed chain barrier then prices each signal as the packet it stands
-	// for (barrier.go, "The computed chain"), and the launcher walks start_pes
-	// turn by turn (replayTurns). Decided here, once.
-	hooked    bool
 	aborted   bool // set once, by abort
 	phased    bool
 	chainSets map[ActiveSet]*chainSet // computed-chain state per active set, made on first use
@@ -671,7 +666,6 @@ func newProgram(cfg Config) (*Program, error) {
 		return nil, err
 	}
 
-	p.hooked = cfg.Observe || cfg.Profile || cfg.Faults != nil
 	p.sched = newEvsched(p, sh.nodes, sh.ready)
 	p.sched.timed = cfg.Faults != nil
 	tiles := 0

@@ -9,11 +9,12 @@ import (
 	"tshmem/internal/arch"
 )
 
-// The start barrier fold's tests. An unhooked single-chip launch walks the
-// wait pass of start_pes' BarrierAll on the launcher and lets each PE leave
-// the barrier on its first resume (foldStart, leaveStart); the literal chain
-// seam turns the fold off, so a run with literals{chain: literalChain} is the
-// unfolded run each folded one is held to.
+// The start barrier fold's tests. An unobserved, unfaulted single-chip
+// launch walks the wait pass of start_pes' BarrierAll on the launcher and
+// lets each PE leave the barrier on its first resume (foldStart,
+// leaveStart); the literal chain seam turns the fold off, so a run with
+// literals{chain: literalChain} is the unfolded run each folded one is held
+// to.
 
 // foldShapes are the meshes the fold is held to the unfolded chain on, each
 // at 1 and 2 PEs and on a partial area.
@@ -139,8 +140,8 @@ func TestStartBarrierFoldAbort(t *testing.T) {
 }
 
 // TestUnhookedLaunchParksNone pins where the fold applies: an empty-body
-// launch parks no PE when it is unhooked, and as often as before the fold
-// when an observer, the sanitizer, another barrier algorithm or a second
+// launch parks no PE when nothing observes it, and as often as before the
+// fold when an observer, the sanitizer, another barrier algorithm or a second
 // chip puts the start barrier back on the calendar — the computed chain
 // parks each of the 36 PEs once, the spin barrier all but its last arrival,
 // and the two-chip barrier's packets park every PE but the two chip leaders

@@ -53,7 +53,8 @@ func pooledShell(t *testing.T, cfg Config) *launchShell {
 
 // plantWrongClocks stores in the replay of the pooled shell of cfg's shape,
 // for each of cfg's chips, clocks no walk leaves beside the chain hops the
-// replay would hold: a hooked run may take the hops, never the clocks.
+// replay would hold: an observed or faulted run may take the hops, never the
+// clocks.
 func plantWrongClocks(t *testing.T, cfg Config) {
 	t.Helper()
 	s := pooledShell(t, cfg)
@@ -152,7 +153,7 @@ func exchangeEnd(t testing.TB, cfg Config) vtime.Time {
 		t.Fatal(err)
 	}
 	defer arenaCheckin(p)
-	now, err := p.replayChip(0)
+	now, err := p.replayChip(0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +181,14 @@ func queueHWMs(rep *Report) []int64 {
 // an awkward, and the full PE count, under every observer mode, and split
 // over two chips.
 //
-// An unhooked launch has two ways to its clocks and each is held to the
-// literal exchange: walking on a fresh shell (the pool is drained first)
-// and taking them from its shell's replay (the same config again, after
-// checking that every chip's entry is there, and then that the run walked
-// nothing). A hooked one (Observe or Profile on) walks every time to feed
-// its hooks, leaves nothing in the replay and takes nothing from it: it is
-// held to the literal with wrong clocks planted there too.
+// A launch with no recorder or profiler has two ways to its clocks and each
+// is held to the literal exchange: walking on a fresh shell (the pool is
+// drained first) and taking them from its shell's replay (the same config
+// again, after checking that every chip's entry is there, and then that the
+// run walked nothing). An observed one (Observe or Profile on) takes the
+// same round walk every time and feeds its hooks from each round, leaves
+// nothing in the replay and takes nothing from it: it is held to the
+// literal with wrong clocks planted there too.
 //
 // Every case runs again under one of startPEsPlans, rotating with the case
 // so that every observer mode meets seeded and fixed plans, held to the
@@ -289,8 +291,9 @@ func TestStartPEsReplayMatchesLiteral(t *testing.T) {
 					same(label+"/wrong clocks kept", cfg, runChain(t, cfg, literals{}, body), literal)
 				}
 
-				// A faulted walk is hooked too: it leaves nothing in the replay
-				// and takes nothing from it but the chain's hops.
+				// A faulted launch walks turn by turn, pricing each report
+				// through the port: it leaves nothing in the replay and takes
+				// nothing from it but the chain's hops.
 				p := plans[(cases+m)%len(plans)]
 				faulted := p.with(cfg)
 				flabel := label + "/" + p.name

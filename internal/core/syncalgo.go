@@ -656,13 +656,7 @@ func (pe *PE) setLockTicket(lock Ref[int64]) error {
 	case hubTimedOut:
 		return pe.timeoutAt("lock", -1, start, deadline)
 	}
-	if rel := pe.prog.lockReleaseStamp(off); rel.t > 0 {
-		if t := rel.t.Add(pe.syncOneway(0)); t > pe.clock.Now() {
-			waitStart := pe.clock.Now()
-			pe.clock.AdvanceTo(t)
-			pe.profMerge(profile.CatLockWait, waitStart, int(rel.pe), rel.t, t)
-		}
-	}
+	pe.lockFreeVisible(off)
 	if deadline > 0 && pe.clock.Now() > deadline {
 		return pe.timeoutAt("lock", -1, start, deadline)
 	}

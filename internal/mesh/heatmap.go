@@ -49,15 +49,7 @@ func (u *Utilization) ASCII() string {
 	if u == nil || u.Width == 0 || u.Height == 0 {
 		return "(no mesh utilization recorded)\n"
 	}
-	maxLink := u.MaxLink()
-	var maxTile int64
-	for y := 0; y < u.Height; y++ {
-		for x := 0; x < u.Width; x++ {
-			if l := u.TileLoad(x, y); l > maxTile {
-				maxTile = l
-			}
-		}
-	}
+	maxLink, maxTile := u.MaxLink(), u.maxTile()
 	n := digits(maxLink) // digits of the busiest link
 	// Size the tile cell from the largest tile ID (as the link columns are
 	// sized from the busiest link) so >=1000-tile grids stay aligned; the
@@ -150,15 +142,7 @@ func (u *Utilization) SVG() string {
 		tile = 44 // tile square side
 		off  = 7  // per-direction offset from the link axis
 	)
-	maxLink := u.MaxLink()
-	var maxTile int64
-	for y := 0; y < u.Height; y++ {
-		for x := 0; x < u.Width; x++ {
-			if l := u.TileLoad(x, y); l > maxTile {
-				maxTile = l
-			}
-		}
-	}
+	maxLink, maxTile := u.MaxLink(), u.maxTile()
 	center := func(x, y int) (float64, float64) {
 		return float64(50 + x*cell), float64(50 + y*cell)
 	}
@@ -209,4 +193,15 @@ func (u *Utilization) SVG() string {
 	}
 	b.WriteString("</svg>\n")
 	return b.String()
+}
+
+// maxTile reports the busiest tile's TileLoad.
+func (u *Utilization) maxTile() int64 {
+	var m int64
+	for y := 0; y < u.Height; y++ {
+		for x := 0; x < u.Width; x++ {
+			m = max(m, u.TileLoad(x, y))
+		}
+	}
+	return m
 }

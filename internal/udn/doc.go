@@ -31,14 +31,17 @@
 // A send charges the sender's clock with the injection share of the
 // mesh.Path latency and stamps the packet with its full arrival time; that
 // pricing, fault decisions included, is Port.Inject, and Send adds the
-// queueing. A receive merges the receiver's clock with that arrival
-// (RecvRaw defers the merge so protocol loops can stash out-of-order
-// packets without perturbing their clock, and receives into a Packet the
-// loop owns). Full queues exert backpressure by blocking the sender once
-// queueCap packets are waiting; the library's protocols stay deadlock-free
-// under it because their receive loops drain the queue whenever they wait.
-// A queue is a ring that starts with no storage and grows with its depth,
-// so a tile pays only for the queues, and the depth, it uses.
+// queueing; Port.Injected feeds a delivered packet to the port's observers,
+// for Inject and for internal/core's computed protocols, which price in
+// their own arithmetic without a fault plan. A receive merges the receiver's
+// clock with that arrival (RecvRaw defers the merge so protocol loops can
+// stash out-of-order packets without perturbing their clock, and receives
+// into a Packet the loop owns). Full queues exert backpressure by blocking
+// the sender once queueCap packets are waiting; the library's protocols stay
+// deadlock-free under it because their receive loops drain the queue
+// whenever they wait. A queue is a ring that starts with no storage and
+// grows with its depth, so a tile pays only for the queues, and the depth,
+// it uses.
 //
 // # Blocking
 //

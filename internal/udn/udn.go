@@ -322,14 +322,13 @@ func (p *Port) SetProfiler(prof *profile.Recorder, rankBase int) {
 	p.rankBase = rankBase
 }
 
-// profSend attributes a completed injection advance that began at t0:
-// the modeled injection cost goes to udn.send, any fault-injected excess
-// to fault.stall.
-func (p *Port) profSend(clock *vtime.Clock, t0 vtime.Time, base vtime.Duration) {
+// profSend attributes an injection advance from t0 to now: the modeled
+// injection cost base goes to udn.send, any fault-injected excess to
+// fault.stall.
+func (p *Port) profSend(t0, now vtime.Time, base vtime.Duration) {
 	if p.prof == nil {
 		return
 	}
-	now := clock.Now()
 	mid := t0.Add(base)
 	if mid > now {
 		mid = now
@@ -488,9 +487,9 @@ func (p *Port) Send(clock *vtime.Clock, dst, dq int, tag uint32, words []uint64)
 // Inject prices one nw-word packet to demux queue dq of local CPU dst along
 // path: it advances the sender's clock by the injection share and returns
 // the arrival time, or false when a dead tile or a stalled queue swallowed
-// the packet. Every fault decision and the hooks it feeds are here: Send is
-// Inject plus queueing, and internal/core's computed chain barrier prices
-// its signals with it.
+// the packet. Every fault decision is here: Send is Inject plus queueing,
+// and internal/core's computed chain barrier prices its signals with it
+// under a fault plan.
 func (p *Port) Inject(clock *vtime.Clock, dst, dq, nw int, path *mesh.PathInfo) (vtime.Time, bool) {
 	send, wire := path.Send, path.Wire
 	if p.net.flt != nil {
@@ -498,7 +497,7 @@ func (p *Port) Inject(clock *vtime.Clock, dst, dq, nw int, path *mesh.PathInfo) 
 		if drop {
 			t0 := clock.Now()
 			clock.Advance(s2)
-			p.profSend(clock, t0, path.Send)
+			p.profSend(t0, clock.Now(), path.Send)
 			p.rec.FaultDrop(id, dst, clock.Now())
 			return 0, false
 		}
@@ -509,10 +508,8 @@ func (p *Port) Inject(clock *vtime.Clock, dst, dq, nw int, path *mesh.PathInfo) 
 	}
 	t0 := clock.Now()
 	clock.Advance(send)
-	p.profSend(clock, t0, path.Send)
-	p.rec.UDNSend(nw, path.Hops, send+wire)
-	p.net.links.RecordRoute(p.cpu, dst, nw)
 	arrive := clock.Now().Add(wire)
+	p.Injected(dst, nw, path, t0, clock.Now(), arrive)
 	if p.net.flt != nil {
 		a2, id, drop := p.net.flt.HoldArrive(dst, dq, arrive)
 		if drop {
@@ -525,6 +522,15 @@ func (p *Port) Inject(clock *vtime.Clock, dst, dq, nw int, path *mesh.PathInfo) 
 		}
 	}
 	return arrive, true
+}
+
+// Injected feeds the port's observers a delivered nw-word packet to local
+// CPU dst along path, injected from t0 to sent and landing at arrive. Inject
+// calls it, and so do internal/core's computed protocols without a fault plan.
+func (p *Port) Injected(dst, nw int, path *mesh.PathInfo, t0, sent, arrive vtime.Time) {
+	p.profSend(t0, sent, path.Send)
+	p.rec.UDNSend(nw, path.Hops, arrive.Sub(t0))
+	p.net.links.RecordRoute(p.cpu, dst, nw)
 }
 
 // take blocks until a packet is available on demux queue dq and moves it
@@ -654,23 +660,19 @@ func (p *Port) Interrupt(clock *vtime.Clock, dst int, tag uint32, words []uint64
 	if err != nil {
 		return Packet{}, err
 	}
-	if p.net.flt != nil {
-		// Interrupts model only drop faults (a dead tile or a dropped
-		// interrupt lane); slow-tile and slow-link plans leave the
-		// interrupt round-trip untouched. The requester pays its injection
-		// cost and learns immediately — deterministically in virtual time —
-		// that no reply will ever come.
-		if id, drop := p.net.flt.DropInterrupt(p.cpu, dst, clock.Now()); drop {
-			t0 := clock.Now()
-			clock.Advance(path.Send)
-			p.profSend(clock, t0, path.Send)
-			p.rec.FaultDrop(id, dst, clock.Now())
-			return Packet{}, ErrTimeout
-		}
-	}
+	// Interrupts model only drop faults (a dead tile or a dropped interrupt
+	// lane); slow-tile and slow-link plans leave the interrupt round-trip
+	// untouched. The requester pays its injection cost and learns
+	// immediately — deterministically in virtual time — that no reply will
+	// ever come.
+	id, drop := p.net.flt.DropInterrupt(p.cpu, dst, clock.Now())
 	t0 := clock.Now()
 	clock.Advance(path.Send)
-	p.profSend(clock, t0, path.Send)
+	p.profSend(t0, clock.Now(), path.Send)
+	if drop {
+		p.rec.FaultDrop(id, dst, clock.Now())
+		return Packet{}, ErrTimeout
+	}
 	p.net.links.RecordRoute(p.cpu, dst, nw)
 	var pkt Packet
 	pkt.fill(p.cpu, tag, words, clock.Now().Add(path.Wire))
