@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tshmem/internal/arch"
@@ -96,8 +97,9 @@ type shellTenant struct {
 
 // shellTenants: between them they malloc, leave locks held under every lock
 // algorithm, queue on an MCS lock, stamp the watch hubs, run subset and
-// counter barriers, fail, Goexit, time out under a fault plan and run with
-// every observer on.
+// counter barriers, fail, Goexit, time out under a fault plan, run with
+// every observer on, fill the static registry through UDN interrupts and
+// run on a chip of the same shape whose transfers cost more.
 func shellTenants() []shellTenant {
 	var ts []shellTenant
 	for _, la := range LockAlgos() {
@@ -242,8 +244,69 @@ func shellTenants() []shellTenant {
 		name: "observed",
 		cfg:  func(c *Config) { c.Observe, c.Trace, c.Profile, c.Sanitize = true, true, true, true },
 		body: shellCleanBody,
+	}, shellTenant{
+		name: "statics",
+		body: staticsTenantBody,
+	}, shellTenant{
+		name: "other-chip",
+		cfg:  func(c *Config) { c.Chip = slowerCopies(c.Chip) },
+		body: shellCleanBody,
 	})
 	return ts
+}
+
+// staticsTenantBody fills the run's static registry: it declares a static
+// of its own and the clean body's "shell" in another shape, and moves data
+// to and from each peer's copies, which the peer's UDN interrupt handler
+// serves where the chip has UDN interrupts.
+func staticsTenantBody(pe *PE) error {
+	peer := pe.MyPE() ^ 1
+	own, err := DeclareStatic[int64](pe, "tenant", 32)
+	if err != nil {
+		return err
+	}
+	shell, err := DeclareStatic[int32](pe, "shell", 3)
+	if err != nil {
+		return err
+	}
+	buf, err := Malloc[int64](pe, 32)
+	if err != nil {
+		return err
+	}
+	for i, lv := 0, MustLocal(pe, buf); i < len(lv); i++ {
+		lv[i] = int64(pe.MyPE())<<8 | int64(i)
+	}
+	if err := Put(pe, own, buf, 32, peer); err != nil {
+		return err
+	}
+	if err := P(pe, shell.At(2), int32(pe.MyPE()+1), peer); err != nil {
+		return err
+	}
+	pe.Quiet()
+	if err := pe.BarrierAll(); err != nil {
+		return err
+	}
+	if err := Get(pe, buf, own, 32, peer); err != nil {
+		return err
+	}
+	return pe.BarrierAll()
+}
+
+// slowerCopies returns a copy of chip whose copy curves reach half the
+// bandwidth: a launch on it takes the same shell as one on chip, and a cost
+// model or copy-cost memo the shell kept from it would price chip's
+// transfers at its rates.
+func slowerCopies(chip *arch.Chip) *arch.Chip {
+	c := *chip
+	half := func(curve arch.CopyCurve) arch.CopyCurve {
+		out := slices.Clone(curve)
+		for i := range out {
+			out[i].MBs /= 2
+		}
+		return out
+	}
+	c.PrivateCopy, c.SharedCopy = half(chip.PrivateCopy), half(chip.SharedCopy)
+	return &c
 }
 
 // stampsTenantBody fills what a run keeps per word late in virtual time: it
