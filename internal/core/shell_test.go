@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"tshmem/internal/arch"
+	"tshmem/internal/cache"
 	"tshmem/internal/fault"
 )
 
@@ -250,7 +251,7 @@ func shellTenants() []shellTenant {
 	}, shellTenant{
 		name: "other-chip",
 		cfg:  func(c *Config) { c.Chip = slowerCopies(c.Chip) },
-		body: shellCleanBody,
+		body: otherChipBody,
 	})
 	return ts
 }
@@ -290,6 +291,32 @@ func staticsTenantBody(pe *PE) error {
 		return err
 	}
 	return pe.BarrierAll()
+}
+
+// otherChipBody checks that the puts of the clean body's sizes cost what a
+// model of the run's own chip says, then runs the clean body. On a shell
+// the clean body used last, a kept cost model or a kept copy-cost memo
+// prices them at the clean body's chip's rates.
+func otherChipBody(pe *PE) error {
+	model := cache.NewModel(pe.prog.Chip())
+	x, err := Malloc[int64](pe, 32)
+	if err != nil {
+		return err
+	}
+	for _, n := range []int{16, 32} {
+		t0 := pe.Now()
+		if err := Put(pe, x, x, n, pe.MyPE()^1); err != nil {
+			return err
+		}
+		want := model.CopyCostHomed(int64(n)*8, cache.SharedAny, cache.HashForHome, 1)
+		if got := pe.Now().Sub(t0); got != want {
+			return fmt.Errorf("PE %d: a %d-element put on %s cost %v, its model says %v", pe.MyPE(), n, pe.prog.Chip().Name, got, want)
+		}
+	}
+	if err := pe.BarrierAll(); err != nil {
+		return err
+	}
+	return shellCleanBody(pe)
 }
 
 // slowerCopies returns a copy of chip whose copy curves reach half the
