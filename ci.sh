@@ -255,10 +255,11 @@ if echo "$ALLOC_OUT" | grep -E 'Benchmark(Put|Barrier|Bcast|Reduce|Collect)\b' |
     exit 1
 fi
 # The benchmarks above observe nothing, so BenchmarkBarrier times the
-# computed chain; TestBarrierZeroAllocs holds it to zero by count, for an
-# all-PEs and a subset barrier, unobserved and observed: the instance a slot
-# of the set's cached state, the hops beside it, no packet built
-# (docs/PERFORMANCE.md, "Execution model").
+# computed chain; TestBarrierZeroAllocs holds it and the counter barrier to
+# zero by count, for an all-PEs and a subset barrier, unobserved and
+# observed: the chain's instance a slot of the set's cached state, the hops
+# beside it, no packet built; the counter's instance and its tables one an
+# earlier barrier of the run left (docs/PERFORMANCE.md, "Execution model").
 env -u TSHMEM_SANITIZE go test ./internal/core -run '^TestBarrierZeroAllocs$' -count=1
 
 # Fault smoke: with faults off the probe JSON must be byte-identical to

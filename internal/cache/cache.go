@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tshmem/internal/arch"
 	"tshmem/internal/vtime"
@@ -80,15 +81,23 @@ type Model struct {
 
 // NewModel builds the memory model for chip.
 func NewModel(chip *arch.Chip) *Model {
-	m := &Model{
-		chip:     chip,
-		private:  newCurveTable(chip.PrivateCopy),
-		shared:   newCurveTable(chip.SharedCopy),
-		ddcBytes: int64(chip.L2Bytes) * int64(chip.Tiles),
-	}
+	m := new(Model)
+	m.Reset(chip)
+	return m
+}
+
+// Reset rebuilds m as the memory model for chip, exactly as NewModel builds
+// one, into the anchor tables m already holds, so that a launcher that
+// keeps one Model per launch state allocates none once they are large
+// enough. It reads chip afresh every time: callers copy chips and edit the
+// copies, so an equal pointer says nothing about the curves.
+func (m *Model) Reset(chip *arch.Chip) {
+	m.chip = chip
+	m.private.reset(chip.PrivateCopy)
+	m.shared.reset(chip.SharedCopy)
+	m.ddcBytes = int64(chip.L2Bytes) * int64(chip.Tiles)
 	m.floorPrivate = m.private.interp(int64(1) << 40)
 	m.floorShared = m.shared.interp(int64(1) << 40)
-	return m
 }
 
 // Chip returns the modeled chip.
@@ -361,19 +370,18 @@ type curveTable struct {
 	span  []float64 // log2(curve[i].Size) - log2(curve[i-1].Size); span[0] unused
 }
 
-func newCurveTable(curve arch.CopyCurve) curveTable {
-	t := curveTable{
-		curve: curve,
-		log2:  make([]float64, len(curve)),
-		span:  make([]float64, len(curve)),
-	}
+// reset makes t the table of curve, in the storage t holds.
+func (t *curveTable) reset(curve arch.CopyCurve) {
+	t.curve = curve
+	t.log2 = slices.Grow(t.log2[:0], len(curve))[:len(curve)]
+	t.span = slices.Grow(t.span[:0], len(curve))[:len(curve)]
 	for i, p := range curve {
 		t.log2[i] = math.Log2(float64(p.Size))
+		t.span[i] = 0
 		if i > 0 {
 			t.span[i] = t.log2[i] - t.log2[i-1]
 		}
 	}
-	return t
 }
 
 // interp interpolates the bandwidth curve at size, linear in log2(size).

@@ -348,9 +348,16 @@ func (p *Program) chainHops(as ActiveSet) ([]chainHop, error) {
 }
 
 // addChainSet makes the run's chain state for as over hops, which nothing
-// writes: they may be a replay-cache entry's, shared with other runs.
+// writes: they may be a replay-cache entry's, shared with other runs. It
+// reuses a set an earlier run of the shell left (launchShell.reset).
 func (p *Program) addChainSet(as ActiveSet, hops []chainHop) *chainSet {
-	set := &chainSet{
+	var set *chainSet
+	if free := p.shell.chainFree; len(free) > 0 {
+		set, p.shell.chainFree = free[len(free)-1], free[:len(free)-1]
+	} else {
+		set = new(chainSet)
+	}
+	*set = chainSet{
 		as:   as,
 		arb:  vtime.FromNs(p.chip.BarrierArbiterNs),
 		fwd:  vtime.FromNs(p.chip.UDNSWForwardNs),

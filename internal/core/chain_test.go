@@ -724,45 +724,56 @@ func TestChainBarrierParksOncePerPE(t *testing.T) {
 }
 
 // TestBarrierZeroAllocs: a steady-state BarrierAll and a steady-state subset
-// Barrier allocate nothing — the instance is a slot of the set's state, the
-// hops come from its cache, and no packet is built — and neither do they
-// observed once warm: the hooks fill histogram buckets the warm-up allocated
-// and counters that exist already.
+// Barrier allocate nothing, on the linear chain and under BarrierAlgoCounter.
+// On the chain the instance is a slot of the set's state, the hops come from
+// its cache, and no packet is built; a counter barrier's instance, with its
+// arrival, distance and exit tables, is one an earlier barrier of the run
+// finished with. Neither allocates observed once warm: the hooks fill
+// histogram buckets the warm-up allocated and counters that exist already.
 func TestBarrierZeroAllocs(t *testing.T) {
 	const npes, warm, runs = 8, 4, 50
 	sub := ActiveSet{Start: 1, LogStride: 1, Size: 3}
-	for _, observe := range []bool{false, true} {
-		cfg := gxCfg(npes)
-		cfg.Observe = observe
-		runT(t, cfg, func(pe *PE) error {
-			var opErr error
-			round := func() {
-				if err := pe.BarrierAll(); err != nil {
-					opErr = err
-				}
-				if sub.Contains(pe.MyPE()) {
-					if err := pe.Barrier(sub); err != nil {
-						opErr = err
-					}
-				}
+	for _, algo := range []BarrierAlgo{BarrierAlgoLinear, BarrierAlgoCounter} {
+		for _, observe := range []bool{false, true} {
+			for _, subset := range []bool{false, true} {
+				name := fmt.Sprintf("%v/observe=%v/subset=%v", algo, observe, subset)
+				t.Run(name, func(t *testing.T) {
+					cfg := gxCfg(npes)
+					cfg.Observe, cfg.BarrierAlgo = observe, algo
+					runT(t, cfg, func(pe *PE) error {
+						var opErr error
+						// The subset leg's all-PEs barrier keeps PE 0, outside the
+						// set, in step with the members it counts for.
+						round := func() {
+							if subset && sub.Contains(pe.MyPE()) {
+								if err := pe.Barrier(sub); err != nil {
+									opErr = err
+								}
+							}
+							if err := pe.BarrierAll(); err != nil {
+								opErr = err
+							}
+						}
+						for i := 0; i < warm; i++ {
+							round()
+						}
+						// Every PE runs the same runs+1 rounds (AllocsPerRun calls round
+						// once before it counts); PE 0's counter sees all of their
+						// allocations, since a run's PEs share one driver goroutine.
+						if pe.MyPE() == 0 {
+							if n := testing.AllocsPerRun(runs, round); n != 0 {
+								t.Errorf("%s: a round allocates %v times over %d PEs, want 0", name, n, npes)
+							}
+						} else {
+							for i := 0; i <= runs; i++ {
+								round()
+							}
+						}
+						return opErr
+					})
+				})
 			}
-			for i := 0; i < warm; i++ {
-				round()
-			}
-			// Every PE runs the same runs+1 rounds (AllocsPerRun calls round once
-			// before it counts); PE 0's counter sees all of their allocations,
-			// since a run's PEs share one driver goroutine.
-			if pe.MyPE() == 0 {
-				if n := testing.AllocsPerRun(runs, round); n != 0 {
-					t.Errorf("observe=%v: a BarrierAll and a subset Barrier allocate %v times over %d PEs, want 0", observe, n, npes)
-				}
-			} else {
-				for i := 0; i <= runs; i++ {
-					round()
-				}
-			}
-			return opErr
-		})
+		}
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"unsafe"
 
+	"tshmem/internal/alloc"
+	"tshmem/internal/cache"
 	"tshmem/internal/mesh"
 	"tshmem/internal/mpipe"
 	"tshmem/internal/profile"
@@ -154,11 +156,30 @@ func shapeOf(cfg *Config) launchShape {
 
 // launchShell is one launch's recyclable state (see arenaPool). Between
 // launches every slab is zero but for the hubs' tables, every table is
-// empty, and the segment is zero and mapped up to mapFloor: the scratch
-// arena at scratchAt, then the partitions.
+// empty, the segment is zero and mapped up to mapFloor (the scratch arena at
+// scratchAt, then the partitions), and prog is the Program reset leaves:
+// its shape's, bound to no Config.
 type launchShell struct {
 	shape launchShape
 	cm    *tmc.CommonMemory
+
+	// prog is the run: a launch binds it to its Config (Program.launch), and
+	// check-in resets it. The rest of this block is what it is built from,
+	// rebuilt in place by each launch: the chip's cost model, the calendar,
+	// the spin barrier, the scratch arena's allocator, each chip's network
+	// with the adapter that parks its waits in the calendar, and each chip's
+	// interrupt handler, bound to prog once. begin is prog's calendar's
+	// begin, a method value made once: a go statement on it allocates
+	// nothing.
+	prog      Program
+	model     cache.Model
+	sched     evsched
+	spinBar   tmc.Barrier
+	scratch   alloc.Allocator
+	nets      []udn.Network
+	udnScheds []udnSched
+	intr      []udn.TileHandler
+	begin     func()
 
 	scratchAt int64    // common-memory offset of the scratch arena
 	mapFloor  int64    // end of the launch-time mappings
@@ -185,6 +206,13 @@ type launchShell struct {
 	links      []*mesh.LinkStats
 	entries    int
 	pageBytes  int64
+
+	// Emptied objects a run takes before it allocates one: the chain sets
+	// and counter-barrier instances of earlier runs, and the PEs' chain
+	// queues (Program.chainQ), nil before an observed launch.
+	chainFree []*chainSet
+	ctrFree   []*ctrInst
+	chainQ    []chainQueue
 
 	// Kept across launches: the zeroing invariant's two exceptions.
 	replay []replayEntry   // by chip
@@ -227,7 +255,24 @@ func newShell(sh launchShape) (*launchShell, error) {
 		lockRel: make(map[int64]lockRelStamp), mcsNext: make(map[int64]map[int]*mcsWaiter),
 		links:  make([]*mesh.LinkStats, sh.nchips),
 		replay: make([]replayEntry, sh.nchips),
+		nets:   make([]udn.Network, sh.nchips), udnScheds: make([]udnSched, sh.nchips),
+		intr: make([]udn.TileHandler, sh.nchips),
 	}
+	p := &s.prog
+	p.nchips, p.perChip = sh.nchips, (sh.npes+sh.nchips-1)/sh.nchips
+	p.nets = make([]*udn.Network, sh.nchips)
+	for c := range s.nets {
+		base := c * p.perChip
+		p.nets[c] = &s.nets[c]
+		s.udnScheds[c] = udnSched{s: &s.sched, rankBase: base}
+		// The handler of the chip's interrupts, which redirected
+		// static-variable transfers raise (S IV.B.2): it hands each
+		// request to the PE on the interrupted tile.
+		s.intr[c] = func(cpu int, req udn.Packet) ([]uint64, vtime.Duration) {
+			return p.pes[base+cpu].serviceInterrupt(req)
+		}
+	}
+	s.begin = s.sched.begin
 	if s.scratchAt, err = cm.Map(sh.scratch, 4096); err != nil {
 		return nil, err
 	}
@@ -240,7 +285,61 @@ func newShell(sh launchShape) (*launchShell, error) {
 		}
 	}
 	s.mapFloor = cm.MapEnd()
+	s.reset()
 	return s, nil
+}
+
+// reset makes the shell what the next launch of its shape starts from:
+// the slabs and the run's tables cleared, the chain sets and
+// counter-barrier instances the run made set aside for the next one, and
+// prog the Program of the shape with every piece of run state zero — its
+// copy-cost memo included — holding the shell's storage. newShell calls it
+// too, so a new shell and a recycled one are made ready by the same code.
+// Check-in calls it once the run's dirty spans are re-zeroed (they need the
+// PEs' heaps).
+func (s *launchShell) reset() {
+	p := &s.prog
+	clear(s.pes)
+	clear(s.ports)
+	clear(s.nodes)
+	if p.phased {
+		clear(s.phases)
+	}
+	clear(s.errs)
+	if p.cfg.Observe {
+		for _, ls := range s.links {
+			ls.Clear()
+		}
+		clear(s.chainQ)
+	}
+	for _, set := range p.chainSets {
+		s.chainFree = append(s.chainFree, set)
+	}
+	clear(p.chainSets)
+	clear(p.chainHeld)
+	for _, inst := range s.ctrBars {
+		s.ctrFree = append(s.ctrFree, inst)
+	}
+	clear(s.ctrBars)
+	clear(s.lockHolder)
+	clear(s.lockRel)
+	clear(s.mcsNext)
+	p.statics.reset()
+	// The calendar and the networks drop what they held of the caller's (its
+	// body, its fault plan, its recorders); launch re-initialises them. The
+	// calendar's counts stay readable until then: tests read its parks.
+	s.sched.body, s.sched.errs = nil, nil
+	clear(s.nets)
+	*p = Program{
+		shell: s, nchips: p.nchips, perChip: p.perChip,
+		geos: p.geos[:0], nets: p.nets, model: &s.model,
+		partBase: s.partBase, parts: s.parts, partSize: s.shape.heapPerPE,
+		scratchAt: s.scratchAt, scratch: &s.scratch, spinBar: &s.spinBar,
+		statics: p.statics, hubs: s.hubs, phases: s.phases,
+		ctrBars: s.ctrBars, lockHolder: s.lockHolder, lockRel: s.lockRel, mcsNext: s.mcsNext,
+		chainSets: p.chainSets, chainHeld: p.chainHeld,
+		sched: &s.sched, pes: s.pes,
+	}
 }
 
 // portSlab returns the shell's ports as a zero slab of tiles ports, making
@@ -378,22 +477,7 @@ func arenaCheckin(p *Program) {
 	// Mappings created after launch could be written anywhere; launch-time
 	// mappings end at mapFloor and are covered by the spans above.
 	zero(s.mapFloor, s.cm.Truncate(s.mapFloor))
-	clear(s.pes)
-	clear(s.ports)
-	clear(s.nodes)
-	clear(s.ctrBars)
-	clear(s.lockHolder)
-	clear(s.lockRel)
-	clear(s.mcsNext)
-	if p.cfg.Observe {
-		for _, ls := range s.links {
-			ls.Clear()
-		}
-	}
-	if p.phased {
-		clear(s.phases)
-	}
-	clear(s.errs)
+	s.reset()
 
 	arenaPool.Lock()
 	defer arenaPool.Unlock()
@@ -507,14 +591,22 @@ type evsched struct {
 	// it; nothing reports it.
 	parks int
 
-	done chan struct{} // closed by the driver once every PE has retired
+	body func(*PE) error // what every PE runs, set by Run before begin
+	errs []error         // each PE's outcome
+
+	// done is sent on by the driver once every PE has retired. It outlives
+	// init, so a shell's calendar makes it once.
+	done chan struct{}
 }
 
-// newEvsched makes the calendar of p over the zero nodes, one per PE, and
-// an empty ready heap with room for all of them.
-func newEvsched(p *Program, nodes []evNode, ready []int32) *evsched {
-	return &evsched{prog: p, pes: nodes, ready: ready[:0], nlive: len(nodes), resumed: -1,
-		done: make(chan struct{})}
+// init makes s the calendar of p over the zero nodes, one per PE, and an
+// empty ready heap with room for all of them.
+func (s *evsched) init(p *Program, nodes []evNode, ready []int32) {
+	done := s.done
+	if done == nil {
+		done = make(chan struct{}, 1)
+	}
+	*s = evsched{prog: p, pes: nodes, ready: ready[:0], nlive: len(nodes), resumed: -1, done: done}
 }
 
 // readyBefore orders two ready ranks by (virtual clock, rank).
@@ -565,9 +657,9 @@ func (s *evsched) popReady() int {
 
 // begin binds every PE's body to a coroutine, queues the PEs as ready and
 // drives the run to completion. Run calls it after the start_pes replay set
-// the clocks, so the first resume deterministically goes to the least
-// (clock, rank), and on a goroutine started for the purpose, never its
-// caller's, for two reasons:
+// the clocks and it set s.body and s.errs, so the first resume
+// deterministically goes to the least (clock, rank), and on a goroutine
+// started for the purpose, never its caller's, for two reasons:
 //
 //   - The runtime kills the process when a coroutine is resumed by a
 //     goroutine whose OS-thread lock state differs from its creator's, and
@@ -576,10 +668,10 @@ func (s *evsched) popReady() int {
 //     may be.
 //   - iter.Pull re-raises a body's runtime.Goexit in whoever resumed it
 //     (see drive), which must not unwind the caller.
-func (s *evsched) begin(body func(*PE) error, errs []error) {
+func (s *evsched) begin() {
 	checkoutWorkers(s.pes)
 	for i := range s.prog.pes {
-		s.pes[i].co.task = peTask{prog: s.prog, pe: &s.prog.pes[i], body: body, errs: errs}
+		s.pes[i].co.task = peTask{prog: s.prog, pe: &s.prog.pes[i], body: s.body, errs: s.errs}
 		s.pushReady(i)
 	}
 	s.drive()
@@ -608,14 +700,14 @@ func (s *evsched) begin(body func(*PE) error, errs []error) {
 // here, unwinding this goroutine out of resume. The deferred takeover
 // retires the dead PE and hands the loop to a fresh goroutine, which
 // resumes the aborted peers until each has unwound. Whichever goroutine
-// finds no PE live returns the run's workers (returnWorkers) and signals
-// done.
+// finds no PE live returns the run's workers (returnWorkers) and sends on
+// done, its last touch of the calendar.
 func (s *evsched) drive() {
 	defer func() {
 		id := s.resumed
 		if id < 0 {
 			returnWorkers(s.pes)
-			close(s.done)
+			s.done <- struct{}{}
 			return
 		}
 		// Leave the resume before handing on: the successor must find the

@@ -648,6 +648,13 @@ func TestEngineEventDeterminism(t *testing.T) {
 	compareReports(t, "event/repeat", runDeterminism(t), runDeterminism(t))
 }
 
+// newEvsched makes a calendar of p over the zero nodes, as a launch's is.
+func newEvsched(p *Program, nodes []evNode, ready []int32) *evsched {
+	s := new(evsched)
+	s.init(p, nodes, ready)
+	return s
+}
+
 // TestGrantOrderMatchesLinearScan drives the calendar's ready heap through
 // random schedules — duplicate clocks, keyed wakes, whole-calendar expiries,
 // spinners re-queued ready — with no coroutines behind it, and checks every

@@ -327,6 +327,9 @@ func (r *Report) TraceTo(w io.Writer) error { return stats.WriteTrace(w, r.trace
 // Program is the shared state of one TSHMEM run: one or more chips, each
 // with its own iMesh/UDN, sharing one common-memory space (single chip: the
 // paper's system; multiple chips: the mPIPE future-work extension).
+//
+// A Program is not made per launch: each launch shell holds one (launchShell.
+// prog), which a launch binds to its Config (launch) and check-in resets.
 type Program struct {
 	cfg     Config
 	chip    *arch.Chip
@@ -336,14 +339,15 @@ type Program struct {
 	nets    []*udn.Network
 	links   []*mesh.LinkStats // per-chip link accounting; nil unless Observe
 	fabric  *mpipe.Fabric     // nil on a single chip
-	shell   *launchShell      // the segment, slabs, replay and buffers this launch took from arenaPool
-	model   *cache.Model
+	shell   *launchShell      // the shell holding this Program, with its segment, slabs, replay and buffers
+	model   *cache.Model      // rebuilt from cfg.Chip at every launch
 	// memo is the run's copy-cost memo, looked up by whichever PE is charging
 	// a transfer (chargeXfer). One PE of a run executes at a time, so the PEs
 	// can share it; SPMD PEs charge the same (size, mode, homing, streams)
 	// tuples, so what one computed the others hit. It belongs to the run, not
-	// to the model or the process: runs execute concurrently (a sweep), and a
-	// memo two of them wrote would be a data race.
+	// to the model, the shell or the process: runs execute concurrently (a
+	// sweep), and a memo two of them wrote would be a data race; the next
+	// launch of the shell may run on another chip, so reset empties it.
 	memo cache.Memo
 
 	partBase []int64  // common-memory offset of each PE's partition
@@ -539,9 +543,10 @@ func run(cfg Config, literal literals, body func(*PE) error) (*Report, error) {
 	}
 
 	// The driver runs the PEs' coroutines on a goroutine of its own (see
-	// evsched.begin for why it cannot be this one) and closes done once
+	// evsched.begin for why it cannot be this one) and sends on done once
 	// every PE has left the calendar.
-	go prog.sched.begin(body, errs)
+	prog.sched.body, prog.sched.errs = body, errs
+	go prog.shell.begin()
 	<-prog.sched.done
 
 	if prog.firstErr != nil {
@@ -632,63 +637,70 @@ func run(cfg Config, literal literals, body func(*PE) error) (*Report, error) {
 	return rep, nil
 }
 
+// newProgram checks a launch shell of cfg's shape out of arenaPool and
+// binds its Program to cfg.
 func newProgram(cfg Config) (*Program, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
-	}
-	p := &Program{
-		cfg:      cfg,
-		chip:     cfg.Chip,
-		nchips:   cfg.NChips,
-		perChip:  (cfg.NPEs + cfg.NChips - 1) / cfg.NChips,
-		model:    cache.NewModel(cfg.Chip),
-		partSize: cfg.HeapPerPE,
-	}
-	for c := 0; c < p.nchips; c++ {
-		n := p.chipPEs(c)
-		if n == 0 {
-			return nil, fmt.Errorf("tshmem: chip %d hosts no PEs; use fewer chips", c)
-		}
-		geo, err := mesh.AreaGeometry(cfg.Chip, n)
-		if err != nil {
-			return nil, err
-		}
-		p.geos = append(p.geos, geo)
 	}
 	sh, err := arenaCheckout(shapeOf(&cfg), cfg.Trace || cfg.Profile)
 	if err != nil {
 		return nil, err
 	}
-	p.shell = sh
-	p.scratchAt, p.partBase, p.parts = sh.scratchAt, sh.partBase, sh.parts
-	p.scratch, err = alloc.New(cfg.ScratchBytes)
-	if err != nil {
+	// A launch that fails here leaves the shell to the collector.
+	if err := sh.prog.launch(cfg); err != nil {
 		return nil, err
 	}
+	return &sh.prog, nil
+}
 
-	p.sched = newEvsched(p, sh.nodes, sh.ready)
+// launch binds p, as launchShell.reset left it, to the filled-in cfg: the
+// chip's cost model, geometries, networks, calendar and PEs. Everything a
+// shape does not fix is set here, from cfg, at every launch: two launches
+// of one shape may run on different chips.
+func (p *Program) launch(cfg Config) error {
+	sh := p.shell
+	p.cfg, p.chip = cfg, cfg.Chip
+	p.model.Reset(cfg.Chip)
+	for c := 0; c < p.nchips; c++ {
+		n := p.chipPEs(c)
+		if n == 0 {
+			return fmt.Errorf("tshmem: chip %d hosts no PEs; use fewer chips", c)
+		}
+		geo, err := mesh.AreaGeometry(cfg.Chip, n)
+		if err != nil {
+			return err
+		}
+		p.geos = append(p.geos, geo)
+	}
+	if err := p.scratch.Init(cfg.ScratchBytes); err != nil {
+		return err
+	}
+
+	p.sched.init(p, sh.nodes, sh.ready)
 	p.sched.timed = cfg.Faults != nil
 	tiles := 0
 	for _, geo := range p.geos {
 		tiles += geo.Tiles()
 	}
 	ports := sh.portSlab(tiles)
-	for c := 0; c < p.nchips; c++ {
+	for c, net := range p.nets {
 		n := p.geos[c].Tiles()
-		net := udn.NewIn(p.geos[c], ports[:n:n])
+		net.Init(p.geos[c], ports[:n:n])
 		ports = ports[n:]
-		net.SetScheduler(&udnSched{s: p.sched, rankBase: c * p.perChip})
+		net.SetScheduler(&sh.udnScheds[c])
 		if cfg.Observe {
-			ls := sh.linkStats(c, p.geos[c])
-			net.SetLinkStats(ls)
-			p.links = append(p.links, ls)
+			net.SetLinkStats(sh.linkStats(c, p.geos[c]))
 		}
-		p.nets = append(p.nets, net)
+	}
+	if cfg.Observe {
+		p.links = sh.links
 	}
 	if p.nchips > 1 {
+		var err error
 		p.fabric, err = mpipe.New(cfg.Chip, p.nchips, cfg.NPEs, p.chipOf, &fabSched{s: p.sched})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if cfg.Faults != nil {
@@ -698,23 +710,20 @@ func newProgram(cfg Config) (*Program, error) {
 			p.nets[c].SetFaults(p.flt.Chip(c*p.perChip, p.geos[c]))
 		}
 	}
-	p.spinBar, err = tmc.NewBarrier(cfg.Chip, tmc.SpinBarrier, cfg.NPEs)
-	if err != nil {
-		return nil, err
+	if err := p.spinBar.Reset(cfg.Chip, tmc.SpinBarrier, cfg.NPEs); err != nil {
+		return err
 	}
-	p.statics.init()
-	p.ctrBars, p.lockHolder, p.lockRel, p.mcsNext = sh.ctrBars, sh.lockHolder, sh.lockRel, sh.mcsNext
-	p.hubs = sh.hubs
-	p.phases = sh.phases
 	if cfg.Sanitize {
 		p.san = sanitize.New(cfg.NPEs)
 	}
 
 	if cfg.Observe {
 		p.counters = make([]stats.Counters, cfg.NPEs)
-		p.chainQ = make([]chainQueue, cfg.NPEs)
+		if sh.chainQ == nil {
+			sh.chainQ = make([]chainQueue, cfg.NPEs)
+		}
+		p.chainQ = sh.chainQ
 	}
-	p.pes = sh.pes
 	if cfg.Trace && len(sh.events) < cfg.NPEs {
 		sh.events = append(sh.events, make([][]stats.Event, cfg.NPEs-len(sh.events))...)
 	}
@@ -726,12 +735,12 @@ func newProgram(cfg Config) (*Program, error) {
 		pe := &p.pes[i]
 		port, err := p.nets[p.chipOf(i)].Port(p.localIdx(i))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		pe.prog, pe.id, pe.n, pe.port = p, i, cfg.NPEs, port
 		pe.barAll.prefix, pe.collAll.prefix = allPrefix, allPrefix
 		if err := pe.heap.Init(cfg.HeapPerPE); err != nil {
-			return nil, err
+			return err
 		}
 		if cfg.Observe {
 			pe.rec = stats.NewIn(&p.counters[i], i, cfg.Trace, cfg.TraceCap)
@@ -753,20 +762,15 @@ func newProgram(cfg Config) (*Program, error) {
 	}
 
 	// On the TILE-Gx, install the UDN interrupt handler that services
-	// redirected static-variable transfers (S IV.B.2): one per chip, which
-	// hands each request to the PE on the interrupted tile.
+	// redirected static-variable transfers (S IV.B.2), one per chip.
 	if cfg.Chip.UDNInterrupts {
 		for c, net := range p.nets {
-			base := c * p.perChip
-			err := net.SetTileHandler(func(cpu int, req udn.Packet) ([]uint64, vtime.Duration) {
-				return p.pes[base+cpu].serviceInterrupt(req)
-			})
-			if err != nil {
-				return nil, err
+			if err := net.SetTileHandler(sh.intr[c]); err != nil {
+				return err
 			}
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // scratchGet carves size bytes out of the scratch arena, returning the

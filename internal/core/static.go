@@ -17,14 +17,18 @@ type staticEntry struct {
 
 // staticRegistry tracks all declared static objects. It is per-run state
 // with no lock: only the baton holder declares or looks up (an interrupt is
-// serviced inline on the requester).
+// serviced inline on the requester). Its map is made by the first
+// declaration a launch shell's Program sees and emptied by reset.
 type staticRegistry struct {
 	byName  map[string]int32
 	entries []*staticEntry
 }
 
-func (r *staticRegistry) init() {
-	r.byName = make(map[string]int32)
+// reset forgets every static object, keeping the map and the list.
+func (r *staticRegistry) reset() {
+	clear(r.byName)
+	clear(r.entries)
+	r.entries = r.entries[:0]
 }
 
 // declare registers (or joins) the static object name for PE pe.
@@ -37,6 +41,9 @@ func (r *staticRegistry) declare(name string, elemSize int64, n, pe, npes int) (
 	}
 	id, exists := r.byName[name]
 	if !exists {
+		if r.byName == nil {
+			r.byName = make(map[string]int32)
+		}
 		id = int32(len(r.entries))
 		r.byName[name] = id
 		r.entries = append(r.entries, &staticEntry{

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tshmem/internal/profile"
 	"tshmem/internal/stats"
@@ -405,21 +406,26 @@ type ctrKey struct {
 	gen uint32
 }
 
-// ctrArrival is one member's registration: when its increment reaches the
-// counter's home tile, and the transit cost back to it.
+// ctrArrival is one member's registration: its index in the set, when its
+// increment reaches the counter's home tile, and the transit cost back to
+// it.
 type ctrArrival struct {
-	pe     int
-	reach  vtime.Time
-	oneway vtime.Duration
+	pe, idx int
+	reach   vtime.Time
+	oneway  vtime.Duration
 }
 
-// ctrInst is the shared state of one in-flight counter barrier.
+// ctrInst is the shared state of one in-flight counter barrier. Its slices
+// keep their capacity from one instance to the next: a finished instance
+// goes back to the launch shell (ctrFree), and ctrArrive takes it from
+// there before it makes one.
 type ctrInst struct {
-	need int
-	arr  []ctrArrival
-	done bool               // the last member arrived
-	exit map[int]vtime.Time // departure time per member, set at completion
-	left int                // members yet to read their exit time
+	need   int
+	arr    []ctrArrival
+	byDist []ctrArrival // arr by distance from the home tile, at completion
+	done   bool         // the last member arrived
+	exit   []vtime.Time // departure time per member index, set at completion
+	left   int          // members yet to read their exit time
 }
 
 // ctrArrive registers one member, completing the instance when it is the
@@ -427,7 +433,12 @@ type ctrInst struct {
 func (p *Program) ctrArrive(k ctrKey, need int, a ctrArrival, atomicCost vtime.Duration) (inst *ctrInst, completed bool) {
 	inst = p.ctrBars[k]
 	if inst == nil {
-		inst = &ctrInst{need: need}
+		if free := p.shell.ctrFree; len(free) > 0 {
+			inst, p.shell.ctrFree = free[len(free)-1], free[:len(free)-1]
+		} else {
+			inst = new(ctrInst)
+		}
+		*inst = ctrInst{need: need, arr: inst.arr[:0], byDist: inst.byDist[:0], exit: inst.exit[:0]}
 		p.ctrBars[k] = inst
 	}
 	inst.arr = append(inst.arr, a)
@@ -437,16 +448,33 @@ func (p *Program) ctrArrive(k ctrKey, need int, a ctrArrival, atomicCost vtime.D
 	return inst, inst.done
 }
 
+// ctrRetire deletes finished instance k and keeps it for the next one.
+func (p *Program) ctrRetire(k ctrKey, inst *ctrInst) {
+	delete(p.ctrBars, k)
+	p.shell.ctrFree = append(p.shell.ctrFree, inst)
+}
+
+// byReach orders arrivals by (arrival time at the home tile, PE).
+func byReach(a, b ctrArrival) int {
+	if c := cmp.Compare(a.reach, b.reach); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pe, b.pe)
+}
+
+// byOneway orders arrivals by (distance from the home tile, PE).
+func byOneway(a, b ctrArrival) int {
+	if c := cmp.Compare(a.oneway, b.oneway); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pe, b.pe)
+}
+
 // complete serializes the increments at the home tile and
 // computes every member's departure. Ordering is by (arrival time, PE),
 // so the outcome is independent of the order members registered in.
 func (inst *ctrInst) complete(atomicCost vtime.Duration) {
-	sort.Slice(inst.arr, func(i, j int) bool {
-		if inst.arr[i].reach != inst.arr[j].reach {
-			return inst.arr[i].reach < inst.arr[j].reach
-		}
-		return inst.arr[i].pe < inst.arr[j].pe
-	})
+	slices.SortFunc(inst.arr, byReach)
 	var svc vtime.Time
 	for _, a := range inst.arr {
 		if a.reach > svc {
@@ -455,17 +483,12 @@ func (inst *ctrInst) complete(atomicCost vtime.Duration) {
 		svc = svc.Add(atomicCost)
 	}
 	release := svc // the n-th increment observes the full count and flips the sense
-	byDist := append([]ctrArrival(nil), inst.arr...)
-	sort.Slice(byDist, func(i, j int) bool {
-		if byDist[i].oneway != byDist[j].oneway {
-			return byDist[i].oneway < byDist[j].oneway
-		}
-		return byDist[i].pe < byDist[j].pe
-	})
+	inst.byDist = append(inst.byDist[:0], inst.arr...)
+	slices.SortFunc(inst.byDist, byOneway)
 	lineSvc := atomicCost / 4
-	inst.exit = make(map[int]vtime.Time, len(byDist))
-	for i, a := range byDist {
-		inst.exit[a.pe] = release.Add(vtime.Duration(i+1)*lineSvc + a.oneway)
+	inst.exit = slices.Grow(inst.exit[:0], inst.need)[:inst.need]
+	for i, a := range inst.byDist {
+		inst.exit[a.idx] = release.Add(vtime.Duration(i+1)*lineSvc + a.oneway)
 	}
 	inst.left = inst.need
 	inst.done = true
@@ -485,18 +508,18 @@ func (p *Program) ctrWithdraw(k ctrKey, inst *ctrInst, pe int) bool {
 		}
 	}
 	if len(inst.arr) == 0 {
-		delete(p.ctrBars, k)
+		p.ctrRetire(k, inst)
 	}
 	return true
 }
 
-// ctrExit reads a member's departure time, deleting the instance once
-// every member has read its own.
-func (p *Program) ctrExit(k ctrKey, inst *ctrInst, pe int) vtime.Time {
-	t := inst.exit[pe]
+// ctrExit reads the departure time of the member at index idx, retiring the
+// instance once every member has read its own.
+func (p *Program) ctrExit(k ctrKey, inst *ctrInst, idx int) vtime.Time {
+	t := inst.exit[idx]
 	inst.left--
 	if inst.left == 0 {
-		delete(p.ctrBars, k)
+		p.ctrRetire(k, inst)
 	}
 	return t
 }
@@ -534,7 +557,7 @@ func (pe *PE) barrierCounter(as ActiveSet) error {
 			oneway := pe.syncOneway(home)
 			k := ctrKey{as: as, gen: gen}
 			inst, last := pe.prog.ctrArrive(k, n,
-				ctrArrival{pe: pe.id, reach: start.Add(oneway), oneway: oneway},
+				ctrArrival{pe: pe.id, idx: idx, reach: start.Add(oneway), oneway: oneway},
 				// Each arrival is a fetch-and-increment at the home tile,
 				// so chips without native RMW pay the emulation premium.
 				pe.prog.model.AtomicRMWCost())
@@ -549,7 +572,7 @@ func (pe *PE) barrierCounter(as ActiveSet) error {
 			if !completed {
 				return pe.timeoutAt("barrier", -1, start, deadline)
 			}
-			exit := pe.prog.ctrExit(k, inst, pe.id)
+			exit := pe.prog.ctrExit(k, inst, idx)
 			if deadline > 0 && exit > deadline {
 				return pe.timeoutAt("barrier", -1, start, deadline)
 			}

@@ -180,7 +180,7 @@ type Barrier struct {
 	n     int
 
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond // on mu
 	count   int
 	gen     uint64
 	latest  vtime.Time
@@ -189,16 +189,27 @@ type Barrier struct {
 
 // NewBarrier creates a barrier for n participants on chip.
 func NewBarrier(chip *arch.Chip, kind BarrierKind, n int) (*Barrier, error) {
+	b := new(Barrier)
+	if err := b.Reset(chip, kind, n); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Reset makes b, wherever its caller keeps it, a barrier for n participants
+// on chip with no arrivals, exactly as NewBarrier returns one. Nobody may be
+// waiting in b.
+func (b *Barrier) Reset(chip *arch.Chip, kind BarrierKind, n int) error {
 	if n < 1 {
-		return nil, fmt.Errorf("tmc: barrier needs at least 1 participant, got %d", n)
+		return fmt.Errorf("tmc: barrier needs at least 1 participant, got %d", n)
 	}
 	m := chip.SpinBarrier
 	if kind == SyncBarrier {
 		m = chip.SyncBarrier
 	}
-	b := &Barrier{kind: kind, model: m, n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b, nil
+	*b = Barrier{kind: kind, model: m, n: n}
+	b.cond.L = &b.mu
+	return nil
 }
 
 // N reports the number of participants.

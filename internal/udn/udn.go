@@ -237,16 +237,25 @@ func New(geo mesh.Geometry) *Network { return NewIn(geo, make([]Port, geo.Tiles(
 // element must be zero, as make leaves it or clear does once nothing uses
 // the previous network any more.
 func NewIn(geo mesh.Geometry, ports []Port) *Network {
+	n := new(Network)
+	n.Init(geo, ports)
+	return n
+}
+
+// Init makes n, wherever its caller keeps it, the UDN NewIn builds over geo
+// and ports: a launcher that keeps one Network per chip between launches
+// re-initialises it here once nothing uses its last launch any more. The
+// elements of ports must be zero, as for NewIn.
+func (n *Network) Init(geo mesh.Geometry, ports []Port) {
 	if len(ports) != geo.Tiles() {
 		panic(fmt.Sprintf("udn: %d ports for %d tiles", len(ports), geo.Tiles()))
 	}
-	n := &Network{geo: geo, ports: ports}
+	*n = Network{geo: geo, ports: ports}
 	n.host.net, n.host.cond.L = n, &n.host.mu
 	n.sched = &n.host
 	for i := range n.ports {
 		n.ports[i].net, n.ports[i].cpu = n, i
 	}
-	return n
 }
 
 // Geometry returns the network's test-area geometry.
