@@ -78,32 +78,42 @@ func evAdmissionWidth() int {
 }
 
 // Launch recycling: every Run checks a launch shell out of a process-wide
-// pool and back in at teardown. A shell is what newProgram builds that the
-// next launch of the same shape would build again: the common-memory
+// pool and back in at teardown. A shell is everything a launch builds that
+// the next launch of the same shape would build again: the common-memory
 // segment with its launch-time mappings (the scratch arena and each PE's
 // partition, whose offsets are a function of the shape), the per-PE slabs
 // — the PEs, the UDN ports, the calendar's nodes and ready heap, the watch
-// hubs, the symmetry slots and the PEs' outcomes — and the per-word and
-// per-link tables a run fills: the hubs' stamp tables, the lock and
-// counter-barrier maps and each chip's link counters. A launch then pays
-// for zeroing what the previous tenant wrote instead of for allocating (and
-// the runtime clearing) a fresh multi-megabyte segment, a few hundred
-// kilobytes of slabs and a stamp page per word a flag or atomic touches.
+// hubs, the symmetry slots and the PEs' outcomes — the per-word and
+// per-link tables a run fills (the hubs' stamp tables, the lock and
+// counter-barrier maps, each chip's link counters), and the run itself: the
+// Program with its copy-cost memo, calendar, networks, cost model, spin
+// barrier, scratch allocator and interrupt handlers, which each launch
+// re-initialises from its Config (Program.launch). A warm launch then
+// allocates only its Report, and pays for zeroing what the previous tenant
+// wrote instead of for allocating (and the runtime clearing) a fresh
+// multi-megabyte segment, a few hundred kilobytes of slabs and a stamp page
+// per word a flag or atomic touches.
 //
 // Correctness rests on a zeroing invariant — every pooled shell is exactly
 // what a fresh one is. Check-in restores it by re-zeroing only what the
 // finished run can have written: each PE heap and the scratch arena up to
 // its allocator's high-water mark, plus any mappings the run created after
-// launch, which it also unmaps; by clearing the slabs; and by emptying the
-// tables, which keep what they grew to: a hub zeroes the stamp pages the
-// run made and clears their directory entries, the maps are cleared (their
-// buckets stay) and the link counters keep their zeroed blocks. It runs
+// launch, which it also unmaps; then launchShell.reset, which newShell runs
+// too, clears the slabs, empties the tables and zeroes the Program's run
+// state, memo included. The tables keep what they grew to: a hub zeroes the
+// stamp pages the run made and clears their directory entries, the maps are
+// cleared (their buckets stay), the link counters keep their zeroed blocks,
+// and the chain sets and counter-barrier instances wait, emptied, for the
+// next run to take them. It runs
 // once every PE has exited; nothing else ever writes the segment (interrupt
 // handlers run inline on the requesting PE).
 //
 // The emptied tables are not an exception to the invariant: no code can
 // tell a kept table from a fresh one (stamp and await read a cleared page
-// entry as a missing one; a map or a LinkStats holds no entry).
+// entry as a missing one; a map or a LinkStats holds no entry), nor the
+// rebuilt pieces from new ones (the cost model is rebuilt from the launch's
+// chip, never kept for an equal *arch.Chip: callers copy chips and edit the
+// copies).
 // TestRecycledShellIsFresh is the oracle. Two things a shell keeps across
 // launches are the invariant's only exceptions, and neither can reach a
 // run's output:
@@ -366,13 +376,14 @@ func (s *launchShell) linkStats(c int, geo mesh.Geometry) *mesh.LinkStats {
 // its key and value, its control byte and the load factor's headroom.
 const mapEntryBytes = 32
 
-// bytes reports what the shell holds: its segment, its slabs, its tables,
-// its replay and its observer buffers' capacities.
+// bytes reports what the shell holds: itself with its Program, its
+// segment, its slabs, its tables, its replay and its observer buffers'
+// capacities.
 func (s *launchShell) bytes() int64 {
 	perPE := unsafe.Sizeof(s.partBase[0]) + unsafe.Sizeof(s.parts[0]) + unsafe.Sizeof(s.pes[0]) +
 		unsafe.Sizeof(s.nodes[0]) + unsafe.Sizeof(s.ready[0]) + unsafe.Sizeof(s.hubs[0]) +
 		unsafe.Sizeof(s.phases[0]) + unsafe.Sizeof(s.errs[0])
-	n := s.cm.Size() + int64(s.shape.npes)*int64(perPE) + int64(len(s.ports))*int64(unsafe.Sizeof(udn.Port{}))
+	n := int64(unsafe.Sizeof(*s)) + s.cm.Size() + int64(s.shape.npes)*int64(perPE) + int64(len(s.ports))*int64(unsafe.Sizeof(udn.Port{}))
 	n += s.pageBytes + int64(s.entries)*mapEntryBytes
 	for _, ls := range s.links {
 		if ls != nil {

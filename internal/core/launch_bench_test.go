@@ -12,12 +12,13 @@ import (
 // sizes: Gx8036's 36 tiles, a Synthetic 16x16 mesh (the benchmark's launch
 // workload) and a Synthetic 32x32 one. Warm means what the process keeps
 // between launches of a shape is kept: the pooled shell, with the start_pes
-// replay one launch before the timer stores in it, and the PE workers. Run it
-// with -benchmem: a warm launch allocates no per-PE state
-// (TestLaunchBytesPerPE), and past 256 PEs the worker pool's cap makes the
-// rest of the workers anew each launch. The 1024-PE shell (72 MiB) is over
-// arenaPoolBudget and never pooled, so that leg also zeroes a new segment
-// and walks the handshake at every launch.
+// replay one launch before the timer stores in it, the Program it holds, and
+// the PE workers. Run it with -benchmem: a warm launch at 36 or 256 PEs
+// allocates its Report and PETimes, 2 objects (TestLaunchBytesPerPE), where
+// it allocated 23 objects, 9-11 KB, while each launch made its Program. Past
+// 256 PEs the worker pool's cap makes the rest of the workers anew each launch, and
+// the 1024-PE shell (72 MiB) is over arenaPoolBudget and never pooled, so
+// that leg also builds a new shell and walks the handshake at every launch.
 func BenchmarkLaunch(b *testing.B) {
 	for _, c := range []struct {
 		chip *arch.Chip

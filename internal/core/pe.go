@@ -73,7 +73,7 @@ type PE struct {
 	finalized   bool
 	// observed says the PE's data-path ops run their observer tails
 	// (observe.go): it has a recorder, a profiler or sanitizer hooks, or the
-	// run has a fault plan. Set once, in newProgram; it sits in the padding
+	// run has a fault plan. Set once, in Program.launch; it sits in the padding
 	// after finalized.
 	observed bool
 

@@ -167,6 +167,11 @@ func (c *Config) fill() error {
 		return fmt.Errorf("tshmem: %d PEs exceed %d x %s's %d tiles",
 			c.NPEs, c.NChips, c.Chip.Name, c.Chip.Tiles)
 	}
+	// Block distribution gives each chip ceil(NPEs/NChips) ranks until they
+	// run out, so the last chips may host none.
+	if perChip := (c.NPEs + c.NChips - 1) / c.NChips; (c.NChips-1)*perChip >= c.NPEs {
+		return fmt.Errorf("tshmem: chip %d hosts no PEs; use fewer chips", (c.NPEs+perChip-1)/perChip)
+	}
 	if c.BarrierAlgo < 0 || c.BarrierAlgo >= numBarrierAlgos {
 		return fmt.Errorf("tshmem: unknown BarrierAlgo %d", int(c.BarrierAlgo))
 	}
@@ -468,10 +473,12 @@ func (p *Program) chipPEs(c int) int {
 // per-PE virtual-time report on success.
 //
 // Teardown re-zeroes the run's common-memory segment, clears its per-PE
-// state and pools both for the next launch of the same shape (see
-// arenaPool), so local views of symmetric memory (MustLocal / Local) are
-// dead once Run returns, and so is every *PE the body was called with,
-// with its UDN port: they may already belong to another run.
+// state and resets the Program — its calendar, networks, tables and
+// copy-cost memo — and pools all of it for the next launch of the same
+// shape (see arenaPool), so local views of symmetric memory (MustLocal /
+// Local) are dead once Run returns, and so is every *PE the body was
+// called with, with its UDN port: they may already belong to another run.
+// The Report is the caller's: a warm launch allocates it and nothing else.
 //
 // The PE bodies are coroutines. They run one at a time, in virtual-time
 // order, on a calendar (evsched) that parks a PE at every modeled wait and
@@ -647,7 +654,8 @@ func newProgram(cfg Config) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A launch that fails here leaves the shell to the collector.
+	// fill refused what launch can refuse but for an internal fault; a
+	// launch that fails here leaves the shell to the collector.
 	if err := sh.prog.launch(cfg); err != nil {
 		return nil, err
 	}
@@ -663,11 +671,7 @@ func (p *Program) launch(cfg Config) error {
 	p.cfg, p.chip = cfg, cfg.Chip
 	p.model.Reset(cfg.Chip)
 	for c := 0; c < p.nchips; c++ {
-		n := p.chipPEs(c)
-		if n == 0 {
-			return fmt.Errorf("tshmem: chip %d hosts no PEs; use fewer chips", c)
-		}
-		geo, err := mesh.AreaGeometry(cfg.Chip, n)
+		geo, err := mesh.AreaGeometry(cfg.Chip, p.chipPEs(c))
 		if err != nil {
 			return err
 		}
