@@ -362,13 +362,15 @@ go test ./internal/core -run '^TestBigMeshBarrierProbe$|^TestLaunchScaling$|^Tes
 # another shell's, must allocate less than half what the first did, while
 # runs of two shapes on two goroutines hand the buffers between shells.
 # A warm shell's stamp tables allocate nothing: a launch stamping 4 096
-# words allocates within 1 KiB of one stamping 16. Last of all, the
+# words allocates within 1 KiB of one stamping 16, and a warm launch whose
+# PEs allocate, free and reallocate makes no more objects than an empty one
+# (its Report, at most 4). Last of all, the
 # collectives whose steps the driver takes between their barriers park each
 # member once, and nothing parks on the driver.
 # They run three more times.
-echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer buffers + memo scope + shell replay + barrier ways out + observed chain + start barrier fold + recycled shell + warm stamps + collective parks, 3x =="
+echo "== race smoke: golden matrix + profile + flag chain + multichip ring + deadlock abort + hand-off hazards + contended locks + observer buffers + memo scope + shell replay + barrier ways out + observed chain + start barrier fold + recycled shell + warm stamps + warm heaps + collective parks, 3x =="
 go test -race ./internal/core ./internal/stats \
-    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestShellReplayConcurrentColdShape|TestChainBarrierEveryWayOut|TestChainBarrierReleaseMeetsAbort|TestChainBarrierForwardMeetsAbort|TestChainBarrierCollectivesMatchLiteral|TestStartBarrierFoldOrder|TestStartBarrierFoldAbort|TestRecycledShellIsFresh|TestWarmStampsAllocateNothing|TestObserverBuffersRecycled|TestObserverBuffersFollowLaunches|TestCollectiveParksOncePerMember|TestNothingParksOnTheDriver' -count=3
+    -run 'TestEngineEquivalenceMatrix|TestProfile|TestFlagChain|TestMultichipRing|TestEngineEventDeadlockAborts|TestRunFromLockedOSThread|TestBodyGoexitAborts|TestLockAlgoMutualExclusion|TestLockAlgoClearByNonHolder|TestLockMCSReleaseAfterSuccessorWithdrew|TestReportSurvivesNextRun|TestCountersCopyIsDeep|TestMemoIsPerRun|TestShellReplayConcurrentColdShape|TestChainBarrierEveryWayOut|TestChainBarrierReleaseMeetsAbort|TestChainBarrierForwardMeetsAbort|TestChainBarrierCollectivesMatchLiteral|TestStartBarrierFoldOrder|TestStartBarrierFoldAbort|TestRecycledShellIsFresh|TestWarmStampsAllocateNothing|TestWarmHeapAllocatesNothing|TestObserverBuffersRecycled|TestObserverBuffersFollowLaunches|TestCollectiveParksOncePerMember|TestNothingParksOnTheDriver' -count=3
 
 # Hand-off smoke: a grant must not re-enter the Go scheduler (docs/
 # PERFORMANCE.md, "Execution model"). TestHandoffStaysOffScheduler counts the

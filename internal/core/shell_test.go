@@ -99,8 +99,9 @@ type shellTenant struct {
 // shellTenants: between them they malloc, leave locks held under every lock
 // algorithm, queue on an MCS lock, stamp the watch hubs, run subset and
 // counter barriers, fail, Goexit, time out under a fault plan, run with
-// every observer on, fill the static registry through UDN interrupts and
-// run on a chip of the same shape whose transfers cost more.
+// every observer on, leave the heap tables fragmented, fill the static
+// registry through UDN interrupts and run on a chip of the same shape whose
+// transfers cost more.
 func shellTenants() []shellTenant {
 	var ts []shellTenant
 	for _, la := range LockAlgos() {
@@ -246,6 +247,9 @@ func shellTenants() []shellTenant {
 		cfg:  func(c *Config) { c.Observe, c.Trace, c.Profile, c.Sanitize = true, true, true, true },
 		body: shellCleanBody,
 	}, shellTenant{
+		name: "fragmented-heap",
+		body: fragmentedHeapBody,
+	}, shellTenant{
 		name: "statics",
 		body: staticsTenantBody,
 	}, shellTenant{
@@ -254,6 +258,31 @@ func shellTenants() []shellTenant {
 		body: otherChipBody,
 	})
 	return ts
+}
+
+// fragmentedHeapBody leaves each PE's heap table grown past anything the
+// clean body makes, live and freed blocks interleaved: 96 allocations of
+// mixed sizes and alignments, every third one freed, a few reallocated.
+func fragmentedHeapBody(pe *PE) error {
+	var live []Ref[int64]
+	for i := 0; i < 96; i++ {
+		r, err := MallocAlign[int64](pe, 1+i%13, int64(8)<<(i%5))
+		if err != nil {
+			return err
+		}
+		live = append(live, r)
+	}
+	for i := 0; i < len(live); i += 3 {
+		if err := Free(pe, live[i]); err != nil {
+			return err
+		}
+	}
+	for i := 1; i < len(live); i += 18 {
+		if _, err := Realloc(pe, live[i], 40); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // staticsTenantBody fills the run's static registry: it declares a static
@@ -492,6 +521,63 @@ func TestWarmStampsAllocateNothing(t *testing.T) {
 	t.Logf("a warm launch stamping 16 words allocates %d B, stamping 4 096 words %d B", f, m)
 	if m > f+1024 {
 		t.Errorf("stamping 4 096 words allocates %d B on a warm shell, %d B more than stamping 16: the stamp tables are not kept", m, m-f)
+	}
+}
+
+// warmHeapBody makes sync-storm's eight allocations (benchmark/workloads.go)
+// and then churns the heap: frees, a reallocation that moves, one that
+// grows in place and aligned allocations into the holes.
+func warmHeapBody(pe *PE) error {
+	var refs [8]Ref[int64]
+	for i, n := range [8]int{8, 8, ReduceMinWrkSize, ReduceSyncSize, 8, 8, pe.NumPEs(), 1} {
+		var err error
+		if refs[i], err = Malloc[int64](pe, n); err != nil {
+			return err
+		}
+	}
+	for _, i := range []int{1, 4} {
+		if err := Free(pe, refs[i]); err != nil {
+			return err
+		}
+	}
+	if _, err := Realloc(pe, refs[0], 64); err != nil {
+		return err
+	}
+	if _, err := Realloc(pe, refs[7], 2); err != nil {
+		return err
+	}
+	for _, align := range []int64{64, 256} {
+		if _, err := MallocAlign[int64](pe, 3, align); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestWarmHeapAllocatesNothing holds a warm launch's symmetric heaps to
+// zero allocations: a 36-PE launch whose PEs allocate, free and reallocate
+// (warmHeapBody) allocates no more objects than an empty one, which makes
+// its Report and nothing else (TestLaunchBytesPerPE), and at most 4.
+func TestWarmHeapAllocatesNothing(t *testing.T) {
+	cfg := Config{Chip: arch.Gx8036(), NPEs: 36, HeapPerPE: 64 << 10}
+	mallocs := func(body func(pe *PE) error) uint64 {
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			runT(t, cfg, body)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	empty := func(*PE) error { return nil }
+	drainArenaPool()
+	runT(t, cfg, warmHeapBody) // the warm-up: the shell's heap tables grow
+	e, h := mallocs(empty), mallocs(warmHeapBody)
+	t.Logf("a warm launch allocates %d objects with an empty body, %d with a heap-churning one", e, h)
+	if h > e || h > 4 {
+		t.Errorf("a warm launch whose PEs allocate, free and reallocate makes %d objects, an empty one %d (the gate: no more, and at most 4)", h, e)
 	}
 }
 
