@@ -246,12 +246,21 @@ go tool pprof -top "$PPROF" | grep 'barrier.wait' > /dev/null || {
 # TSHMEM_SANITIZE is explicitly cleared here and the benchmarks leave
 # Config.Profile unset. A fixed -benchtime keeps this fast; -benchmem
 # prints "N allocs/op" which we grep for nonzero N.
-echo "== bench-alloc smoke: Put/Barrier/Bcast/Reduce/Collect must report 0 allocs/op =="
+echo "== bench-alloc smoke: Put/Barrier/Bcast/Reduce/Collect and AllocFree must report 0 allocs/op =="
 ALLOC_OUT=$(env -u TSHMEM_SANITIZE go test ./internal/bench -run '^$' \
     -bench '^(BenchmarkPut|BenchmarkBarrier|BenchmarkBcast|BenchmarkReduce|BenchmarkCollect)$' -benchtime 100x -benchmem)
 echo "$ALLOC_OUT"
 if echo "$ALLOC_OUT" | grep -E 'Benchmark(Put|Barrier|Bcast|Reduce|Collect)\b' | grep -vE '\s0 allocs/op'; then
     echo "ci: FAIL — steady-state Put/Barrier/Bcast/Reduce/Collect paths allocate; see docs/PERFORMANCE.md" >&2
+    exit 1
+fi
+# The symmetric-heap allocator splits and merges blocks in a table it
+# keeps: an Alloc/Free pair, the ladder's alloc.alloc_free_ns rung, must
+# allocate nothing.
+ALLOC_OUT=$(go test ./internal/alloc -run '^$' -bench '^BenchmarkAllocFree$' -benchtime 1000x -benchmem)
+echo "$ALLOC_OUT"
+if echo "$ALLOC_OUT" | grep -E 'BenchmarkAllocFree\b' | grep -vE '\s0 allocs/op'; then
+    echo "ci: FAIL — alloc.Allocator's Alloc/Free allocates; see docs/PERFORMANCE.md" >&2
     exit 1
 fi
 # The benchmarks above observe nothing, so BenchmarkBarrier times the

@@ -1,8 +1,11 @@
 package alloc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"unsafe"
 )
 
 // Allocation errors.
@@ -16,27 +19,26 @@ var (
 // elemental SHMEM type (long long, double, complex).
 const MinAlign = 8
 
-// block is one node of the doubly-linked segment list, in address order.
+// block is one segment of the partition: the entries of Allocator.blocks
+// are the paper's segment list, held by value in address order.
 type block struct {
-	off, size  int64
-	free       bool
-	prev, next *block
+	off, size int64
+	free      bool
 }
 
-// Allocator manages one symmetric partition. An initialised Allocator points
-// into itself (head starts at first) and must not be copied.
+// Allocator manages one symmetric partition.
 type Allocator struct {
 	size    int64
-	head    *block
 	inUse   int64
 	nallocs int
 	hwm     int64
 
-	// first is the block a fresh or Reset allocator consists of, kept inside
-	// the Allocator so that one costs a single object — and a launch's worth
-	// of them a single slab (Init). Once splits and merges have unlinked it,
-	// it is dead weight until the next Reset.
-	first block
+	// blocks covers [0, size) in address order, each block starting where
+	// the one before it ends, no two free blocks adjacent. A split inserts
+	// and a merge deletes; Init and Reset truncate it to one free block and
+	// keep its capacity, so an allocator initialised again allocates nothing
+	// until it holds more blocks than it ever did.
+	blocks []block
 }
 
 // New creates an allocator over a partition of size bytes.
@@ -50,12 +52,12 @@ func New(size int64) (*Allocator, error) {
 
 // Init makes a, wherever its caller keeps it — an element of a slice holding
 // one allocator per PE, say — an empty allocator over a partition of size
-// bytes, exactly as New returns one.
+// bytes, exactly as New returns one. It keeps a's table.
 func (a *Allocator) Init(size int64) error {
 	if size <= 0 {
 		return fmt.Errorf("%w: partition size %d", ErrBadRequest, size)
 	}
-	*a = Allocator{size: size}
+	*a = Allocator{size: size, blocks: a.blocks}
 	a.Reset()
 	return nil
 }
@@ -91,9 +93,9 @@ func (a *Allocator) AllocAlign(size, align int64) (int64, error) {
 	if align < MinAlign {
 		align = MinAlign
 	}
-	// First fit over the address-ordered list keeps behavior deterministic
-	// across PEs.
-	for b := a.head; b != nil; b = b.next {
+	// First fit in address order keeps behavior deterministic across PEs.
+	for i := 0; i < len(a.blocks); i++ {
+		b := a.blocks[i]
 		if !b.free {
 			continue
 		}
@@ -105,31 +107,18 @@ func (a *Allocator) AllocAlign(size, align int64) (int64, error) {
 		if pad > 0 {
 			// Split the padding into its own free block so it remains
 			// allocatable.
-			lead := &block{off: b.off, size: pad, free: true, prev: b.prev}
-			b.off += pad
-			b.size -= pad
-			lead.next = b
-			if lead.prev != nil {
-				lead.prev.next = lead
-			} else {
-				a.head = lead
-			}
-			b.prev = lead
+			a.blocks = slices.Insert(a.blocks, i, block{off: b.off, size: pad, free: true})
+			i++
+			b.off, b.size = aligned, b.size-pad
 		}
 		if b.size > size {
-			tail := &block{off: b.off + size, size: b.size - size, free: true, prev: b, next: b.next}
-			if b.next != nil {
-				b.next.prev = tail
-			}
-			b.next = tail
+			a.blocks = slices.Insert(a.blocks, i+1, block{off: b.off + size, size: b.size - size, free: true})
 			b.size = size
 		}
-		b.free = false
+		a.blocks[i] = block{off: b.off, size: b.size}
 		a.inUse += b.size
 		a.nallocs++
-		if end := b.off + b.size; end > a.hwm {
-			a.hwm = end
-		}
+		a.hwm = max(a.hwm, b.off+b.size)
 		return b.off, nil
 	}
 	return 0, fmt.Errorf("%w: need %d bytes (align %d), %d free", ErrNoSpace, size, align, a.FreeBytes())
@@ -144,56 +133,56 @@ func (a *Allocator) HighWater() int64 { return a.hwm }
 
 // SizeOf reports the size of the live allocation at off.
 func (a *Allocator) SizeOf(off int64) (int64, bool) {
-	b := a.find(off)
-	if b == nil {
+	i, ok := a.find(off)
+	if !ok {
 		return 0, false
 	}
-	return b.size, true
+	return a.blocks[i].size, true
 }
 
 // Owns reports whether off lies inside any live allocation.
 func (a *Allocator) Owns(off int64) bool {
-	for b := a.head; b != nil; b = b.next {
-		if !b.free && off >= b.off && off < b.off+b.size {
-			return true
-		}
+	i, ok := a.search(off)
+	if !ok {
+		i-- // the block before the first one past off holds off, if any does
 	}
-	return false
+	return i >= 0 && !a.blocks[i].free && off < a.blocks[i].off+a.blocks[i].size
 }
 
-func (a *Allocator) find(off int64) *block {
-	for b := a.head; b != nil; b = b.next {
-		if !b.free && b.off == off {
-			return b
-		}
-	}
-	return nil
+// search finds off among the blocks' starts: the index of the block that
+// starts at off, or of the first one past it, and whether one starts there.
+func (a *Allocator) search(off int64) (int, bool) {
+	return slices.BinarySearchFunc(a.blocks, off, func(b block, off int64) int { return cmp.Compare(b.off, off) })
+}
+
+// find returns the index of the live allocation at off.
+func (a *Allocator) find(off int64) (int, bool) {
+	i, ok := a.search(off)
+	return i, ok && !a.blocks[i].free
 }
 
 // Free releases the allocation at off, coalescing with free neighbors,
 // mirroring shfree().
 func (a *Allocator) Free(off int64) error {
-	b := a.find(off)
-	if b == nil {
+	i, ok := a.find(off)
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrBadFree, off)
 	}
+	b := &a.blocks[i]
 	b.free = true
 	a.inUse -= b.size
 	a.nallocs--
-	// Coalesce with next, then prev.
-	if n := b.next; n != nil && n.free {
-		b.size += n.size
-		b.next = n.next
-		if n.next != nil {
-			n.next.prev = b
-		}
+	// Coalesce blocks[lo:hi], the freed block and its free neighbors.
+	lo, hi := i, i+1
+	if hi < len(a.blocks) && a.blocks[hi].free {
+		hi++
 	}
-	if p := b.prev; p != nil && p.free {
-		p.size += b.size
-		p.next = b.next
-		if b.next != nil {
-			b.next.prev = p
-		}
+	if lo > 0 && a.blocks[lo-1].free {
+		lo--
+	}
+	if last := a.blocks[hi-1]; hi-lo > 1 {
+		a.blocks[lo].size = last.off + last.size - a.blocks[lo].off
+		a.blocks = slices.Delete(a.blocks, lo+1, hi)
 	}
 	return nil
 }
@@ -208,45 +197,38 @@ func (a *Allocator) Realloc(off, newSize int64) (newOff int64, keep int64, err e
 	if newSize <= 0 {
 		return 0, 0, fmt.Errorf("%w: size %d", ErrBadRequest, newSize)
 	}
-	b := a.find(off)
-	if b == nil {
+	i, ok := a.find(off)
+	if !ok {
 		return 0, 0, fmt.Errorf("%w: %d", ErrBadFree, off)
 	}
-	old := b.size
+	old := a.blocks[i].size
+	next := i + 1
+	nextFree := next < len(a.blocks) && a.blocks[next].free
 	switch {
 	case newSize == old:
 		return off, old, nil
 	case newSize < old:
-		// Shrink in place; return the tail to the free list.
-		tail := &block{off: b.off + newSize, size: old - newSize, free: true, prev: b, next: b.next}
-		if b.next != nil {
-			b.next.prev = tail
-		}
-		b.next = tail
-		b.size = newSize
+		// Shrink in place; return the tail to the free list, merged with a
+		// free successor.
+		a.blocks[i].size = newSize
 		a.inUse -= old - newSize
-		if n := tail.next; n != nil && n.free {
-			tail.size += n.size
-			tail.next = n.next
-			if n.next != nil {
-				n.next.prev = tail
-			}
+		if nextFree {
+			a.blocks[next].off -= old - newSize
+			a.blocks[next].size += old - newSize
+		} else {
+			a.blocks = slices.Insert(a.blocks, next, block{off: off + newSize, size: old - newSize, free: true})
 		}
 		return off, newSize, nil
-	case b.next != nil && b.next.free && b.size+b.next.size >= newSize:
+	case nextFree && old+a.blocks[next].size >= newSize:
 		// Grow in place by absorbing the free successor.
-		n := b.next
-		need := newSize - b.size
-		if n.size == need {
-			b.next = n.next
-			if n.next != nil {
-				n.next.prev = b
-			}
+		need := newSize - old
+		if n := &a.blocks[next]; n.size == need {
+			a.blocks = slices.Delete(a.blocks, next, next+1)
 		} else {
 			n.off += need
 			n.size -= need
 		}
-		b.size = newSize
+		a.blocks[i].size = newSize
 		a.inUse += need
 		return off, old, nil
 	default:
@@ -263,39 +245,34 @@ func (a *Allocator) Realloc(off, newSize int64) (newOff int64, keep int64, err e
 
 // Reset returns the allocator to a single free block.
 func (a *Allocator) Reset() {
-	a.first = block{off: 0, size: a.size, free: true}
-	a.head = &a.first
+	a.blocks = append(a.blocks[:0], block{off: 0, size: a.size, free: true})
 	a.inUse = 0
 	a.nallocs = 0
 }
 
-// checkInvariants walks the list verifying structural invariants; tests use
-// it after every mutation.
+// Bytes reports what the allocator's table holds: its capacity, in bytes.
+func (a *Allocator) Bytes() int64 {
+	return int64(cap(a.blocks)) * int64(unsafe.Sizeof(block{}))
+}
+
+// checkInvariants verifies the table's structural invariants; tests use it
+// after every mutation.
 func (a *Allocator) checkInvariants() error {
-	var total int64
-	var prev *block
-	for b := a.head; b != nil; b = b.next {
+	var end int64
+	for i, b := range a.blocks {
 		if b.size <= 0 {
 			return fmt.Errorf("alloc: empty block at %d", b.off)
 		}
-		if b.prev != prev {
-			return fmt.Errorf("alloc: broken prev link at %d", b.off)
+		if b.off != end {
+			return fmt.Errorf("alloc: block %d starts at %d, its predecessor ends at %d", i, b.off, end)
 		}
-		if prev != nil {
-			if prev.off+prev.size != b.off {
-				return fmt.Errorf("alloc: gap/overlap between %d and %d", prev.off, b.off)
-			}
-			if prev.free && b.free {
-				return fmt.Errorf("alloc: uncoalesced free blocks at %d", b.off)
-			}
-		} else if b.off != 0 {
-			return fmt.Errorf("alloc: list does not start at 0")
+		if i > 0 && b.free && a.blocks[i-1].free {
+			return fmt.Errorf("alloc: uncoalesced free blocks at %d", b.off)
 		}
-		total += b.size
-		prev = b
+		end = b.off + b.size
 	}
-	if total != a.size {
-		return fmt.Errorf("alloc: blocks cover %d of %d bytes", total, a.size)
+	if end != a.size {
+		return fmt.Errorf("alloc: blocks cover %d of %d bytes", end, a.size)
 	}
 	return nil
 }

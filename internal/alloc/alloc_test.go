@@ -366,3 +366,24 @@ func TestExhaustionAndRecovery(t *testing.T) {
 		t.Errorf("FreeBytes = %d after freeing all", a.FreeBytes())
 	}
 }
+
+// BenchmarkAllocFree allocates and frees 64–319 B in a 1 MiB partition, as
+// the benchmark ladder's alloc.alloc_free_ns rung does. Every Alloc splits a
+// tail off the one free block and every Free merges it back, so the table
+// must absorb both without allocating: ci.sh holds it to 0 allocs/op.
+func BenchmarkAllocFree(b *testing.B) {
+	a, err := New(1 << 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		off, err := a.Alloc(int64(64 + i&255))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := a.Free(off); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

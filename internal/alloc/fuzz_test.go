@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -76,7 +77,7 @@ func FuzzAlloc(f *testing.F) {
 					a.InUse(), a.Allocations(), a.HighWater(), twin.InUse(), twin.Allocations(), twin.HighWater())
 			}
 			for _, i := range []int{0, 2} {
-				if slab[i].InUse() != 0 || slab[i].head != &slab[i].first || slab[i].first.size != fuzzPart {
+				if slab[i].InUse() != 0 || !slices.Equal(slab[i].blocks, []block{{off: 0, size: fuzzPart, free: true}}) {
 					t.Fatalf("the twin's neighbour %d was disturbed", i)
 				}
 			}
@@ -227,4 +228,110 @@ func FuzzAlloc(f *testing.F) {
 			t.Fatalf("after drain: InUse %d, FreeBytes %d", a.InUse(), a.FreeBytes())
 		}
 	})
+}
+
+// FuzzAllocReinit drives an allocator through a churn script that leaves
+// its table grown, live and freed blocks interleaved, initialises it again
+// and then holds it to a fresh New's answers over a second script: the same
+// offsets, the same errors and the same InUse, Allocations and HighWater
+// after every operation. That is the promise a kept table makes: a launch
+// cannot tell an allocator initialised over the last launch's from a new one.
+func FuzzAllocReinit(f *testing.F) {
+	// churn: allocs, one freed, an aligned alloc; then the first fuzz seed.
+	f.Add([]byte{0x00, 0x10, 0x00, 0x20, 0x00, 0x03, 0x01, 0x01, 0x03, 0x07, 0x40},
+		[]byte{0x00, 0x10, 0x00, 0x20, 0x01, 0x00, 0x02, 0x00, 0x40})
+	// churn to exhaustion; then aligned allocs, reallocs and bogus frees.
+	f.Add([]byte{0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x02, 0x00, 0x05, 0x01, 0x01},
+		[]byte{0x03, 0x05, 0x02, 0x03, 0x09, 0x04, 0x02, 0x00, 0x7f, 0x01, 0x33})
+
+	f.Fuzz(func(t *testing.T, churn, script []byte) {
+		a, err := New(fuzzPart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runScript(t, a, churn)
+		grown := cap(a.blocks)
+		if err := a.Init(fuzzPart); err != nil {
+			t.Fatal(err)
+		}
+		if cap(a.blocks) != grown {
+			t.Fatalf("Init dropped the table: capacity %d, was %d", cap(a.blocks), grown)
+		}
+		fresh, err := New(fuzzPart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, base := runScript(t, a, script), runScript(t, fresh, script)
+		for i := range base {
+			if got[i] != base[i] {
+				t.Fatalf("operation %d: New's allocator answered %+v, one initialised again after churn %+v", i, base[i], got[i])
+			}
+		}
+	})
+}
+
+// scriptStep is what one operation of a script answered, and the
+// allocator's counts after it.
+type scriptStep struct {
+	off, keep       int64
+	err             string
+	inUse, hwm      int64
+	allocs, nblocks int
+}
+
+// runScript applies script to a, decoded as FuzzAlloc decodes it and with
+// frees and reallocations chosen among the allocations it made, checks the
+// table's invariants after every operation and returns what each answered.
+func runScript(t *testing.T, a *Allocator, script []byte) []scriptStep {
+	t.Helper()
+	var live []int64
+	var steps []scriptStep
+	next := func() byte {
+		if len(script) == 0 {
+			return 0
+		}
+		b := script[0]
+		script = script[1:]
+		return b
+	}
+	for len(script) > 0 {
+		op, arg := next(), next()
+		var s scriptStep
+		var err error
+		switch op % 4 {
+		case 0:
+			s.off, err = a.Alloc(int64(arg)*16 + 1)
+		case 1:
+			if len(live) == 0 || int(arg)%(len(live)+1) == len(live) {
+				err = a.Free(int64(arg)*8 + 1)
+			} else {
+				i := int(arg) % len(live)
+				s.off, err = live[i], a.Free(live[i])
+				live = slices.Delete(live, i, i+1)
+			}
+		case 2:
+			if len(live) == 0 {
+				continue
+			}
+			szb := next()
+			i := int(arg) % len(live)
+			if s.off, s.keep, err = a.Realloc(live[i], int64(szb)*16+1); err == nil {
+				live[i] = s.off
+			}
+		case 3:
+			szb := next()
+			s.off, err = a.AllocAlign(int64(szb)%256+1, int64(1)<<(arg%8))
+		}
+		if err != nil {
+			s.err = err.Error()
+		} else if op%4 == 0 || op%4 == 3 {
+			live = append(live, s.off)
+		}
+		s.inUse, s.hwm, s.allocs, s.nblocks = a.InUse(), a.HighWater(), a.Allocations(), len(a.blocks)
+		if err := a.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		steps = append(steps, s)
+	}
+	return steps
 }

@@ -333,7 +333,8 @@ func TestArenaZeroingInvariant(t *testing.T) {
 // used to keep four segments of every size it ever saw), that a same-shape
 // relaunch is still served from the pool, segment and slabs, that shapes
 // that share a segment size but not a PE count never share a shell, that
-// the tables a shell keeps count toward its size, and that a shell larger
+// the tables a shell keeps, stamp pages and heap block tables, count toward
+// its size, and that a shell larger
 // than the budget is not pooled.
 func TestArenaPoolBudget(t *testing.T) {
 	body := func(seen **launchShell) func(pe *PE) error {
@@ -439,6 +440,36 @@ func TestArenaPoolBudget(t *testing.T) {
 		}
 		if grown, least := spread.size-of2Size, int64(2*(pages-1))*int64(unsafe.Sizeof(stampPage{})); grown < least {
 			t.Errorf("64 stamp pages per hub grew the pooled shell by %d bytes, less than the %d their pages take", grown, least)
+		}
+
+		// So do the heaps' block tables: a tenant that leaves 200 blocks in
+		// each heap grows its shell's size by at least the tables' growth.
+		tables := func(s *launchShell) int64 {
+			n := s.scratch.Bytes()
+			for i := range s.heaps {
+				n += s.heaps[i].Bytes()
+			}
+			return n
+		}
+		spreadSize, spreadTables := spread.size, tables(spread)
+		if _, err := Run(two, func(pe *PE) error {
+			for i := 0; i < 200; i++ {
+				r, err := Malloc[int64](pe, 1)
+				if err != nil {
+					return err
+				}
+				if i%2 == 0 {
+					if err := Free(pe, r); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if grown, least := spread.size-spreadSize, tables(spread)-spreadTables; least < 2*100*16 || grown < least {
+			t.Errorf("heap tables that grew by %d bytes grew the pooled shell by %d", least, grown)
 		}
 
 		_, before := pooledShells()

@@ -85,7 +85,8 @@ func evAdmissionWidth() int {
 // — the PEs, the UDN ports, the calendar's nodes and ready heap, the watch
 // hubs, the symmetry slots and the PEs' outcomes — the per-word and
 // per-link tables a run fills (the hubs' stamp tables, the lock and
-// counter-barrier maps, each chip's link counters), and the run itself: the
+// counter-barrier maps, each chip's link counters), each PE's symmetric-heap
+// allocator with its block table, and the run itself: the
 // Program with its copy-cost memo, calendar, networks, cost model, spin
 // barrier, scratch allocator and interrupt handlers, which each launch
 // re-initialises from its Config (Program.launch). A warm launch then
@@ -110,7 +111,9 @@ func evAdmissionWidth() int {
 //
 // The emptied tables are not an exception to the invariant: no code can
 // tell a kept table from a fresh one (stamp and await read a cleared page
-// entry as a missing one; a map or a LinkStats holds no entry), nor the
+// entry as a missing one; a map or a LinkStats holds no entry; Init
+// truncates an allocator's block table to the one free block New starts
+// from, so the kept capacity changes no offset), nor the
 // rebuilt pieces from new ones (the cost model is rebuilt from the launch's
 // chip, never kept for an equal *arch.Chip: callers copy chips and edit the
 // copies).
@@ -197,7 +200,8 @@ type launchShell struct {
 	parts     [][]byte // each PE's partition as a window of common memory
 
 	pes    []PE
-	ports  []udn.Port // every chip's ports, chip after chip; sized by the last launch's geometries
+	heaps  []alloc.Allocator // each PE's, its block table kept; Program.launch re-initialises it
+	ports  []udn.Port        // every chip's ports, chip after chip; sized by the last launch's geometries
 	nodes  []evNode
 	ready  []int32    // the calendar's ready heap, empty with room for every PE
 	hubs   []watchHub // each with its stamp tables, emptied (watchHub.reset)
@@ -259,7 +263,7 @@ func newShell(sh launchShape) (*launchShell, error) {
 	s := &launchShell{
 		shape: sh, cm: cm,
 		partBase: make([]int64, n), parts: make([][]byte, n),
-		pes: make([]PE, n), nodes: make([]evNode, n), ready: make([]int32, 0, n),
+		pes: make([]PE, n), heaps: make([]alloc.Allocator, n), nodes: make([]evNode, n), ready: make([]int32, 0, n),
 		hubs: make([]watchHub, n), phases: make([]phaseRun, n), errs: make([]error, n),
 		ctrBars: make(map[ctrKey]*ctrInst), lockHolder: make(map[int64]int),
 		lockRel: make(map[int64]lockRelStamp), mcsNext: make(map[int64]map[int]*mcsWaiter),
@@ -377,14 +381,17 @@ func (s *launchShell) linkStats(c int, geo mesh.Geometry) *mesh.LinkStats {
 const mapEntryBytes = 32
 
 // bytes reports what the shell holds: itself with its Program, its
-// segment, its slabs, its tables, its replay and its observer buffers'
-// capacities.
+// segment, its slabs, its tables (the allocators' block tables among them),
+// its replay and its observer buffers' capacities.
 func (s *launchShell) bytes() int64 {
-	perPE := unsafe.Sizeof(s.partBase[0]) + unsafe.Sizeof(s.parts[0]) + unsafe.Sizeof(s.pes[0]) +
+	perPE := unsafe.Sizeof(s.partBase[0]) + unsafe.Sizeof(s.parts[0]) + unsafe.Sizeof(s.pes[0]) + unsafe.Sizeof(s.heaps[0]) +
 		unsafe.Sizeof(s.nodes[0]) + unsafe.Sizeof(s.ready[0]) + unsafe.Sizeof(s.hubs[0]) +
 		unsafe.Sizeof(s.phases[0]) + unsafe.Sizeof(s.errs[0])
 	n := int64(unsafe.Sizeof(*s)) + s.cm.Size() + int64(s.shape.npes)*int64(perPE) + int64(len(s.ports))*int64(unsafe.Sizeof(udn.Port{}))
-	n += s.pageBytes + int64(s.entries)*mapEntryBytes
+	n += s.pageBytes + int64(s.entries)*mapEntryBytes + s.scratch.Bytes()
+	for i := range s.heaps {
+		n += s.heaps[i].Bytes()
+	}
 	for _, ls := range s.links {
 		if ls != nil {
 			n += ls.Bytes()
@@ -483,7 +490,7 @@ func arenaCheckin(p *Program) {
 	}
 	zero(s.scratchAt, s.scratchAt+p.scratch.HighWater())
 	for i := range s.pes {
-		zero(s.partBase[i], s.partBase[i]+s.pes[i].heap.HighWater())
+		zero(s.partBase[i], s.partBase[i]+s.heaps[i].HighWater())
 	}
 	// Mappings created after launch could be written anywhere; launch-time
 	// mappings end at mapFloor and are covered by the spans above.

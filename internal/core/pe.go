@@ -42,11 +42,11 @@ type Stats struct {
 // Run called with it.
 //
 // Every launch clears and walks the PE slab, so PE's size sets what a warm
-// launch costs (TestPESize pins it at 368 B). Per-PE state for a new
+// launch costs (TestPESize pins it at 296 B). Per-PE state for a new
 // mechanism goes in a launch-shell slab of its own, indexed by rank, as
 // phaseRun and the watch hubs' stamp tables do.
 type PE struct {
-	_ noCopy // a run's PEs are elements of one slice and point into themselves (heap)
+	_ noCopy // a run's PEs are elements of one slice, which the calendar points into (clock)
 
 	prog *Program
 	id   int
@@ -82,9 +82,9 @@ type PE struct {
 	san   *sanitize.PEHooks // happens-before checker; nil unless Config.Sanitize
 	prof  *profile.Recorder // causal profiler; nil unless Config.Profile
 
-	// heap manages the PE's symmetric partition. It lives in the PE (and the
-	// PEs of a run in one slice, Program.pes), so neither may be copied.
-	heap alloc.Allocator
+	// heap manages the PE's symmetric partition: its element of the launch
+	// shell's heaps, whose block table outlives the run.
+	heap *alloc.Allocator
 }
 
 // noCopy makes go vet's copylocks check report any copy of a struct holding

@@ -741,7 +741,7 @@ func (p *Program) launch(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		pe.prog, pe.id, pe.n, pe.port = p, i, cfg.NPEs, port
+		pe.prog, pe.id, pe.n, pe.port, pe.heap = p, i, cfg.NPEs, port, &sh.heaps[i]
 		pe.barAll.prefix, pe.collAll.prefix = allPrefix, allPrefix
 		if err := pe.heap.Init(cfg.HeapPerPE); err != nil {
 			return err
