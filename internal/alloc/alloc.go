@@ -65,8 +65,7 @@ func (a *Allocator) Init(size int64) error {
 // Size reports the partition size.
 func (a *Allocator) Size() int64 { return a.size }
 
-// InUse reports the number of bytes currently allocated (including
-// alignment padding absorbed into blocks).
+// InUse reports the number of bytes currently allocated.
 func (a *Allocator) InUse() int64 { return a.inUse }
 
 // FreeBytes reports the bytes available across all free blocks.

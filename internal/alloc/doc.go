@@ -1,7 +1,7 @@
 // Package alloc implements the symmetric-heap allocator behind TSHMEM's
-// shmalloc()/shfree(): a doubly-linked list tracking the memory segments
-// in use within one tile's symmetric partition (Section IV.A of the
-// paper).
+// shmalloc()/shfree(): the paper's doubly-linked list tracking the memory
+// segments in use within one tile's symmetric partition (Section IV.A),
+// held as an address-ordered table.
 //
 // # Symmetry by determinism
 //
@@ -16,11 +16,16 @@
 //
 // # Mechanics
 //
-// The free/used state lives in a doubly-linked block list kept in address
-// order. Malloc is first-fit with MinAlign (8-byte) alignment — enough for
-// any elemental SHMEM type — absorbing alignment padding into the
-// allocated block; Free coalesces with free neighbors so fragmentation
-// stays bounded under the alloc/free churn of Memalloc-style workloads.
+// The free/used state is the paper's segment list, held by value as a table
+// of blocks in address order: a split inserts an entry, a merge deletes
+// one, and Free, SizeOf and Owns find a block by binary search on its
+// offset. The policy and the offsets are the list's: Malloc is first-fit
+// in address order with MinAlign (8-byte) alignment — enough for any
+// elemental SHMEM type — splitting alignment padding off as a free block
+// of its own; Free coalesces with free neighbors so fragmentation stays
+// bounded under the alloc/free churn of Memalloc-style workloads. Init
+// and Reset truncate the table to one free block and keep its capacity,
+// so an allocator initialised again for the next launch allocates nothing.
 // AllocAlign and Realloc mirror the shmemalign/shrealloc entry points of
 // the SHMEM malloc family.
 //

@@ -262,6 +262,9 @@ func FuzzAllocReinit(f *testing.F) {
 			t.Fatal(err)
 		}
 		got, base := runScript(t, a, script), runScript(t, fresh, script)
+		if len(got) != len(base) {
+			t.Fatalf("the script ran %d operations on New's allocator, %d on the one initialised again", len(base), len(got))
+		}
 		for i := range base {
 			if got[i] != base[i] {
 				t.Fatalf("operation %d: New's allocator answered %+v, one initialised again after churn %+v", i, base[i], got[i])

@@ -17,7 +17,8 @@
 // been launched before.)
 //
 // Dynamic symmetric objects are allocated with Malloc (shmalloc): a
-// deterministic doubly-linked-list allocator guarantees that collective
+// deterministic first-fit allocator (the paper's segment list, held as an
+// address-ordered table) guarantees that collective
 // allocation sequences produce identical offsets on every PE, so a tile
 // computes a remote object's address as the target partition base plus its
 // own offset. Static symmetric objects (DeclareStatic) live in per-PE

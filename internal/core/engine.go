@@ -86,10 +86,10 @@ func evAdmissionWidth() int {
 // hubs, the symmetry slots and the PEs' outcomes — the per-word and
 // per-link tables a run fills (the hubs' stamp tables, the lock and
 // counter-barrier maps, each chip's link counters), each PE's symmetric-heap
-// allocator with its block table, and the run itself: the
-// Program with its copy-cost memo, calendar, networks, cost model, spin
-// barrier, scratch allocator and interrupt handlers, which each launch
-// re-initialises from its Config (Program.launch). A warm launch then
+// allocator with its block table, and the run itself: the Program with its
+// copy-cost memo, calendar, networks, cost model, spin barrier, scratch
+// allocator and interrupt handlers, which each launch re-initialises from
+// its Config (Program.launch). A warm launch then
 // allocates only its Report, and pays for zeroing what the previous tenant
 // wrote instead of for allocating (and the runtime clearing) a fresh
 // multi-megabyte segment, a few hundred kilobytes of slabs and a stamp page
@@ -113,10 +113,9 @@ func evAdmissionWidth() int {
 // tell a kept table from a fresh one (stamp and await read a cleared page
 // entry as a missing one; a map or a LinkStats holds no entry; Init
 // truncates an allocator's block table to the one free block New starts
-// from, so the kept capacity changes no offset), nor the
-// rebuilt pieces from new ones (the cost model is rebuilt from the launch's
-// chip, never kept for an equal *arch.Chip: callers copy chips and edit the
-// copies).
+// from, so the kept capacity changes no offset), nor the rebuilt pieces
+// from new ones (the cost model is rebuilt from the launch's chip, never
+// kept for an equal *arch.Chip: callers copy chips and edit the copies).
 // TestRecycledShellIsFresh is the oracle. Two things a shell keeps across
 // launches are the invariant's only exceptions, and neither can reach a
 // run's output:
@@ -168,10 +167,11 @@ func shapeOf(cfg *Config) launchShape {
 }
 
 // launchShell is one launch's recyclable state (see arenaPool). Between
-// launches every slab is zero but for the hubs' tables, every table is
-// empty, the segment is zero and mapped up to mapFloor (the scratch arena at
-// scratchAt, then the partitions), and prog is the Program reset leaves:
-// its shape's, bound to no Config.
+// launches every slab is zero but for the hubs' tables and the heaps (each
+// keeps the last run's block table until the next launch's Init truncates
+// it), every table is empty, the segment is zero and mapped up to mapFloor
+// (the scratch arena at scratchAt, then the partitions), and prog is the
+// Program reset leaves: its shape's, bound to no Config.
 type launchShell struct {
 	shape launchShape
 	cm    *tmc.CommonMemory

@@ -50,7 +50,7 @@ func BenchmarkLaunch(b *testing.B) {
 // with 160 B of padding in PE read BenchmarkLaunch/256 at 166–185 µs
 // against 133–144 µs (three alternated 1000x runs each). Per-PE state for a
 // new mechanism goes in a launch-shell slab of its own, as phaseRun and the
-// heap allocators do (PE was 368 B while it held its allocator by value).
+// heap allocators do.
 func TestPESize(t *testing.T) {
 	if got := unsafe.Sizeof(PE{}); got > 296 {
 		t.Errorf("PE is %d B, over its 296 B: a build with 160 B of padding in PE read BenchmarkLaunch/256 at 166–185 µs "+
